@@ -201,7 +201,7 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	// planner. Two shards cut the core link ({src,sw1} | {sw2,dst}, 2 ms
 	// lookahead); three and four shards also cut the 200 µs access links.
 	// Cut access links are safe now that cross-shard injections carry
-	// their emission stamp (sim.Engine.AtCallFrom): even at 10⁵-flow
+	// their emission stamp (sim.Engine.StreamCall): even at 10⁵-flow
 	// density, where a 40 Gbps access link serialises a packet every
 	// ~150 ns and same-nanosecond ties between injected arrivals and the
 	// core queue's own events are systematic, the (time, emission, seq)

@@ -55,6 +55,7 @@ var scheduleMethods = map[string]bool{
 	"ScheduleCall":  true,
 	"ScheduleOwned": true,
 	"AtCall":        true,
+	"StreamCall":    true,
 	"ArmTimer":      true,
 	"ArmTimerAt":    true,
 	"RunUntil":      true,

@@ -47,6 +47,15 @@ func armAll(eng *sim.Engine, deadlines map[flowKey]sim.Time) {
 	}
 }
 
+// Pushing onto streams from a map range draws one sequence number per
+// push, so which wire's packet wins an equal-instant tie follows visit
+// order.
+func pushWires(eng *sim.Engine, wires map[flowKey]*sim.Stream) {
+	for _, w := range wires { // want `map range schedules events via StreamCall in iteration order`
+		eng.StreamCall(w, eng.Now()+1, eng.Now(), nil)
+	}
+}
+
 // Arming timers from a map range is scheduling too: each ArmTimer
 // consumes a sequence number, so visit order leaks into equal-instant
 // tie-breaking exactly as Schedule's does.

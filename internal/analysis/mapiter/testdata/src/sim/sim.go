@@ -20,3 +20,7 @@ type Timer struct{ armed bool }
 func (e *Engine) ArmTimer(t *Timer, d Time, h Handler, a any)    {}
 func (e *Engine) ArmTimerAt(t *Timer, at Time, h Handler, a any) {}
 func (e *Engine) StopTimer(t *Timer) bool                        { return t.armed }
+
+type Stream struct{ n int }
+
+func (e *Engine) StreamCall(s *Stream, at, from Time, a any) {}

@@ -84,3 +84,32 @@ func fallThroughLeak(pl *packet.Pool, sink *int64) {
 func discardedGet(pl *packet.Pool) {
 	pl.Get() // want `discarded result of "Get" carries ownership of a pooled packet`
 }
+
+// ---- stream sink: ownership parks in the queue --------------------------
+
+// stream mirrors sim.Stream's push surface: the payload rides an
+// interface-typed parameter into a FIFO the analyzer cannot follow, and
+// stays the queue's until the arrival handler runs.
+type stream struct{ q []any }
+
+func (s *stream) call(at int64, arg any) { s.q = append(s.q, arg) }
+
+// useAfterStreamCall touches a packet that is already in flight on the wire:
+// the arrival handler may have released it by the time Size is read.
+func useAfterStreamCall(s *stream, p *packet.Packet) int64 {
+	s.call(10, p)
+	return p.Size // want `packet "p" used after hand-off to "call" at .* \(escapes via an interface-typed parameter\)`
+}
+
+// doubleStreamCall queues one packet twice: it would arrive — and be released
+// to the pool — twice.
+func doubleStreamCall(s *stream, p *packet.Packet) {
+	s.call(10, p)
+	s.call(20, p) // want `packet "p" handed off twice \(to "call", but already handed off to "call" at .*\)`
+}
+
+// streamCallThenRelease keeps releasing what the wire now owns.
+func streamCallThenRelease(pl *packet.Pool, s *stream, p *packet.Packet) {
+	s.call(10, p)
+	pl.Put(p) // want `packet "p" released twice \(already handed off to "call" at .* via escapes via an interface-typed parameter\)`
+}

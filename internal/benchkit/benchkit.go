@@ -119,7 +119,7 @@ func (nullEndpoint) Deliver(p *packet.Packet) {}
 
 // NetemForward measures one packet per op through a two-node
 // store-and-forward hop: pool alloc, qdisc enqueue/dequeue, persistent
-// transmit event, pooled propagation event, delivery, pool release.
+// transmit event, wire-stream propagation entry, delivery, pool release.
 // Steady state is allocation-free.
 func NetemForward(b *testing.B) {
 	eng := sim.NewEngine()
@@ -146,6 +146,74 @@ func NetemForward(b *testing.B) {
 		forward()
 	}
 	Sink = int(eng.Processed)
+}
+
+// inFlightRig is one saturated FIFO hop whose propagation delay is
+// `standing` serialisation times: a fixed population of packets circulates
+// (each delivery injects the next), so the wire always carries about
+// `standing` of them.
+type inFlightRig struct {
+	eng  *sim.Engine
+	src  *netem.Node
+	key  packet.FlowKey
+	left int
+}
+
+func newInFlightRig(standing int) *inFlightRig {
+	eng := sim.NewEngine()
+	w := netem.NewNetwork(eng)
+	a, c := w.NewNode("a"), w.NewNode("b")
+	// 1500 B at 10 Gbps serialises in 1200 ns.
+	da, db := w.Connect(a, c, netem.LinkConfig{RateBps: 10e9, Delay: sim.Time(1200 * standing)})
+	da.SetQdisc(qdisc.NewFIFO(2 * standing * 1500))
+	db.SetQdisc(qdisc.NewFIFO(1 << 20))
+	r := &inFlightRig{eng: eng, src: a}
+	r.key = packet.FlowKey{Src: a.ID, Dst: c.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	c.Register(r.key, r)
+	a.AddRoute(c.ID, da)
+	for i := 0; i < standing; i++ {
+		r.send()
+	}
+	return r
+}
+
+func (r *inFlightRig) send() {
+	p := r.src.AllocPacket()
+	p.Flow = r.key
+	p.Size = 1500
+	p.PayloadSize = 1448
+	r.src.Inject(p)
+}
+
+// Deliver replaces every delivered packet with a fresh one at the source.
+func (r *inFlightRig) Deliver(*packet.Packet) {
+	if r.left--; r.left == 0 {
+		r.eng.Stop()
+	}
+	r.send()
+}
+
+// forward runs the hop until n more packets have been delivered.
+func (r *inFlightRig) forward(n int) {
+	r.left = n
+	r.eng.RunAll()
+}
+
+// inFlightStanding is NetemForwardInFlight's wire population: the
+// bandwidth-delay product of a 10 Gbps path with a ≈ 20 ms one-way delay.
+const inFlightStanding = 16384
+
+// NetemForwardInFlight measures one packet per op across one FIFO hop with
+// 16 384 packets standing in propagation — the bandwidth-delay-product
+// regime of the 10 Gbps cells, which NetemForward (one packet in the
+// network at a time) cannot see. Steady state is allocation-free.
+func NetemForwardInFlight(b *testing.B) {
+	r := newInFlightRig(inFlightStanding)
+	r.forward(2 * inFlightStanding) // fill the wire, warm the pool and entry blocks
+	b.ReportAllocs()
+	b.ResetTimer()
+	r.forward(b.N)
+	Sink = int(r.eng.Processed)
 }
 
 // DumbbellE2E measures full-stack simulated packet throughput: one NewReno
@@ -203,10 +271,10 @@ func Specs() []Spec {
 		{"EngineScheduleCancel", EngineScheduleCancel},
 		{"TimerChurn", TimerChurn},
 		{"NetemForward", NetemForward},
+		{"NetemForwardInFlight", NetemForwardInFlight},
 		{"DumbbellE2E", DumbbellE2E},
 		{"FastForward", FastForward},
 		{ChainSpecName(1), ChainE2EShards(1)},
-		{ChainSpecName(4), ChainE2EShards(4)},
 		{"Backbone", Backbone},
 	}
 	return append(out, GridSpecs()...)

@@ -17,6 +17,7 @@ func BenchmarkEngineDispatchClosure(b *testing.B) { EngineDispatchClosure(b) }
 func BenchmarkEngineScheduleCancel(b *testing.B)  { EngineScheduleCancel(b) }
 func BenchmarkTimerChurn(b *testing.B)            { TimerChurn(b) }
 func BenchmarkNetemForward(b *testing.B)          { NetemForward(b) }
+func BenchmarkNetemForwardInFlight(b *testing.B)  { NetemForwardInFlight(b) }
 func BenchmarkDumbbellE2E(b *testing.B)           { DumbbellE2E(b) }
 
 func BenchmarkChainE2E(b *testing.B) {
@@ -118,7 +119,7 @@ func TestTCPRTTZeroAlloc(t *testing.T) {
 	}
 }
 
-// qdisc, persistent transmit event, and pooled propagation event together
+// qdisc, persistent transmit event, and wire-stream entry together
 // move a packet across a hop without allocating.
 func TestNetemForwardZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
@@ -145,6 +146,23 @@ func TestNetemForwardZeroAlloc(t *testing.T) {
 	}
 	if reuses := w.Pool().Reuses; reuses == 0 {
 		t.Fatal("packet pool never recycled a packet")
+	}
+}
+
+// TestNetemForwardInFlightZeroAlloc pins the same path with the wire full:
+// thousands of packets in propagation ride entry blocks recycled through
+// the engine's free list, so a standing bandwidth-delay product costs no
+// allocation per packet either.
+func TestNetemForwardInFlightZeroAlloc(t *testing.T) {
+	const standing = 5000
+	r := newInFlightRig(standing)
+	r.forward(2 * standing)
+	if got := r.eng.Pending(); got < 4096 {
+		t.Fatalf("%d events pending, want at least 4096 packets in flight", got)
+	}
+	allocs := testing.AllocsPerRun(20, func() { r.forward(1000) })
+	if allocs != 0 {
+		t.Fatalf("forwarding with %d packets in flight allocates %.1f objects per 1000 packets, want 0", standing, allocs)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestSuiteSpecNames(t *testing.T) {
 		}
 		names[s.Name] = true
 	}
-	for _, want := range []string{"EngineDispatch", "Backbone", ChainSpecName(1), ChainSpecName(4), gridName("ChainE2E", 2, 1)} {
+	for _, want := range []string{"EngineDispatch", "NetemForwardInFlight", "Backbone", ChainSpecName(1), gridName("ChainE2E", 4, 1)} {
 		if !names[want] {
 			t.Errorf("suite is missing %q", want)
 		}

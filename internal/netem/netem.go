@@ -44,8 +44,8 @@ type Endpoint interface {
 
 // Handoff receives packets leaving the transmit side of a cut link — a
 // link whose peer device lives in a different Network (and typically on a
-// different engine). Instead of scheduling the peer's arrival event
-// directly, the device passes each serialised packet to the handoff with
+// different engine). Instead of pushing the packet onto its own wire, the
+// device passes each serialised packet to the handoff with
 // the time its last bit left the device (sent) and its computed arrival
 // time; the remote runner delivers it by calling InjectArrivalFrom on the
 // opposite half, carrying `sent` so the arrival sorts among same-instant
@@ -76,7 +76,6 @@ type DeviceStats struct {
 type Device struct {
 	Name  string
 	node  *Node
-	peer  *Device
 	rate  float64  // link rate in bits per second
 	delay sim.Time // one-way propagation delay
 
@@ -85,7 +84,7 @@ type Device struct {
 
 	// handoff, when non-nil, marks this device as the local half of a cut
 	// link: completed transmissions are handed to it instead of being
-	// scheduled as arrival events on a peer.
+	// pushed onto the wire.
 	handoff Handoff
 
 	// txEvent is the device's persistent transmit-completion event: a
@@ -94,6 +93,14 @@ type Device struct {
 	// txPacket is the packet currently on the wire.
 	txEvent  sim.Event
 	txPacket *packet.Packet
+
+	// wire holds the packets in propagation towards the device that
+	// receives them: the peer for a local link, this device itself for the
+	// half of a cut link (whose remote half hands its transmissions to
+	// InjectArrivalFrom). A constant-delay link delivers in the order it
+	// was sent, which is the FIFO a sim.Stream requires, so a
+	// bandwidth-delay product of packets costs one event-heap entry.
+	wire sim.Stream
 
 	// serialiseSize/serialiseTime memoise the last packet size's
 	// serialisation delay. Traffic on a device is dominated by long runs
@@ -167,8 +174,8 @@ func (d *Device) transmitNext() {
 type deviceTxDone Device
 
 // OnEvent fires when the head packet's last bit leaves the device: account
-// it, hand it to the propagation leg towards the peer (a pooled typed
-// event — the receive side of the hop), and start on the next packet.
+// it, push it onto the wire towards the peer (the receive side of the
+// hop), and start on the next packet.
 func (t *deviceTxDone) OnEvent(any) {
 	d := (*Device)(t)
 	p := d.txPacket
@@ -178,11 +185,12 @@ func (t *deviceTxDone) OnEvent(any) {
 	if d.OnTransmit != nil {
 		d.OnTransmit(p)
 	}
+	eng := d.node.net.Engine
+	now := eng.Now()
 	if d.handoff != nil {
-		now := d.node.net.Engine.Now()
 		d.handoff.Handoff(p, now, now+d.delay)
 	} else {
-		d.node.net.Engine.ScheduleCall(d.delay, (*deviceArrival)(d.peer), p)
+		eng.StreamCall(&d.wire, now+d.delay, now, p)
 	}
 	d.transmitNext()
 }
@@ -194,25 +202,19 @@ func (r *deviceArrival) OnEvent(arg any) {
 	(*Device)(r).receive(arg.(*packet.Packet))
 }
 
-// InjectArrivalAt schedules p's arrival on this device at absolute virtual
-// time t — the receive leg of a cut link. It is the cross-engine
-// equivalent of the pooled propagation event a local transmit completion
-// schedules, so a sharded run dispatches exactly one arrival event per
-// hop, like the single-engine run. p must be owned by this device's
-// network (drawn from its pool or handed over for good).
-func (d *Device) InjectArrivalAt(t sim.Time, p *packet.Packet) {
-	d.node.net.Engine.AtCall(t, (*deviceArrival)(d), p)
-}
-
-// InjectArrivalFrom schedules p's arrival at absolute virtual time t,
-// ordered among same-instant local events by the time the remote half
-// emitted it (sent) — the stamp a single merged engine would have given
-// the propagation event it scheduled at transmit completion. Sharded
-// runners use this instead of InjectArrivalAt so cuts through
-// dense-traffic links (same-nanosecond arrival collisions) stay
-// byte-identical to the single-engine run.
+// InjectArrivalFrom queues p's arrival on this half of a cut link at
+// absolute virtual time t, ordered among same-instant local events by the
+// time the remote half emitted it (sent) — the stamp a single merged engine
+// would have given the wire entry it pushed at transmit completion, so cuts
+// through dense-traffic links (same-nanosecond arrival collisions) stay
+// byte-identical to the single-engine run. It is the same wire stream a
+// local link's transmitter pushes onto, so a sharded run dispatches exactly
+// one arrival event per hop, like the single-engine run. Calls must come in
+// (t, sent) order, which is the order the remote half transmitted in. p
+// must be owned by this device's network (drawn from its pool or handed
+// over for good).
 func (d *Device) InjectArrivalFrom(t, sent sim.Time, p *packet.Packet) {
-	d.node.net.Engine.AtCallFrom(t, sent, (*deviceArrival)(d), p)
+	d.node.net.Engine.StreamCall(&d.wire, t, sent, p)
 }
 
 // NextHandoffBound returns a lower bound on the virtual time at which
@@ -254,8 +256,13 @@ type Node struct {
 
 	net     *Network
 	devices []*Device
-	routes  map[packet.NodeID]*Device
-	demux   map[packet.FlowKey]Endpoint
+	// routes is the next-hop table: routes[dst-routeBase], nil meaning no
+	// route. Node IDs are dense and cluster-global, so a switch's table is
+	// a full array; the window keeps a host that routes to one far peer at
+	// one entry.
+	routes    []*Device
+	routeBase packet.NodeID
+	demux     map[packet.FlowKey]Endpoint
 
 	// defaultEp, when non-nil, receives packets addressed to this node
 	// whose flow key has no demux entry — the catch-all a replay sink
@@ -281,7 +288,18 @@ func (n *Node) Engine() *sim.Engine { return n.net.Engine }
 
 // AddRoute installs dev as the next hop towards dst.
 func (n *Node) AddRoute(dst packet.NodeID, dev *Device) {
-	n.routes[dst] = dev
+	switch {
+	case len(n.routes) == 0:
+		n.routeBase = dst
+	case dst < n.routeBase:
+		grown := make([]*Device, int(n.routeBase-dst)+len(n.routes))
+		copy(grown[n.routeBase-dst:], n.routes)
+		n.routes, n.routeBase = grown, dst
+	}
+	for int(dst-n.routeBase) >= len(n.routes) {
+		n.routes = append(n.routes, nil)
+	}
+	n.routes[dst-n.routeBase] = dev
 }
 
 // Register attaches a transport endpoint for the given (receive-side) key.
@@ -305,28 +323,16 @@ func (n *Node) AllocPacket() *packet.Packet { return n.net.pool.Get() }
 
 // Inject routes a locally generated packet out of the proper device.
 func (n *Node) Inject(p *packet.Packet) {
-	dev, ok := n.routes[p.Flow.Dst]
-	if !ok {
+	var dev *Device
+	if i := int(p.Flow.Dst) - int(n.routeBase); i >= 0 && i < len(n.routes) {
+		dev = n.routes[i]
+	}
+	if dev == nil {
 		n.Unroutable++
 		n.net.pool.Put(p)
 		return
 	}
 	dev.Send(p)
-}
-
-// InjectAt injects p at absolute virtual time t (clamped to now) via a
-// pooled typed event — the allocation-free equivalent of
-// eng.At(t, func() { n.Inject(p) }), used by senders that delay
-// transmissions (host-processing jitter).
-func (n *Node) InjectAt(t sim.Time, p *packet.Packet) {
-	n.net.Engine.AtCall(t, (*nodeInject)(n), p)
-}
-
-// nodeInject is the Node's deferred-injection event handler view.
-type nodeInject Node
-
-func (n *nodeInject) OnEvent(arg any) {
-	(*Node)(n).Inject(arg.(*packet.Packet))
 }
 
 func (n *Node) receive(p *packet.Packet) {
@@ -378,11 +384,10 @@ func (w *Network) NewNode(name string) *Node {
 // seeds — exactly like the single-network build.
 func (w *Network) NewNodeWithID(id packet.NodeID, name string) *Node {
 	n := &Node{
-		ID:     id,
-		Name:   name,
-		net:    w,
-		routes: make(map[packet.NodeID]*Device),
-		demux:  make(map[packet.FlowKey]Endpoint),
+		ID:    id,
+		Name:  name,
+		net:   w,
+		demux: make(map[packet.FlowKey]Endpoint),
 	}
 	w.nodes = append(w.nodes, n)
 	return n
@@ -409,7 +414,8 @@ func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
 	}
 	da := &Device{Name: fmt.Sprintf("%s->%s", a.Name, b.Name), node: a, rate: cfg.RateBps, delay: cfg.Delay}
 	db := &Device{Name: fmt.Sprintf("%s->%s", b.Name, a.Name), node: b, rate: cfg.RateBps, delay: cfg.Delay}
-	da.peer, db.peer = db, da
+	da.wire.Bind((*deviceArrival)(db))
+	db.wire.Bind((*deviceArrival)(da))
 	if cfg.QdiscFactory != nil {
 		da.qdisc = cfg.QdiscFactory()
 		db.qdisc = cfg.QdiscFactory()
@@ -430,6 +436,7 @@ func (w *Network) ConnectHalf(a *Node, peerName string, cfg LinkConfig, h Handof
 		panic(fmt.Sprintf("netem: non-positive link rate %v", cfg.RateBps))
 	}
 	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peerName), node: a, rate: cfg.RateBps, delay: cfg.Delay, handoff: h}
+	d.wire.Bind((*deviceArrival)(d))
 	if cfg.QdiscFactory != nil {
 		d.qdisc = cfg.QdiscFactory()
 	}

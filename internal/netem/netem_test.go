@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"testing"
 
 	"cebinae/internal/packet"
@@ -107,6 +108,36 @@ func TestUnroutableCounted(t *testing.T) {
 	a.Inject(&packet.Packet{Flow: key, Size: 100})
 	if a.Unroutable != 1 {
 		t.Fatalf("unroutable packets must be counted: %d", a.Unroutable)
+	}
+}
+
+// TestRouteTableWindow: the next-hop table is a window of the dense ID
+// space. Routes added below and above the first one all resolve, and a
+// destination outside the window, in a hole inside it, or negative is
+// unroutable rather than an index fault.
+func TestRouteTableWindow(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewNetwork(eng)
+	hub := w.NewNodeWithID(50, "hub")
+	var got []packet.NodeID
+	for _, id := range []packet.NodeID{40, 60, 30, 41} {
+		spoke := w.NewNodeWithID(id, "spoke")
+		dev, back := w.Connect(hub, spoke, LinkConfig{RateBps: 1e9, Delay: 10})
+		dev.SetQdisc(fifoFactory())
+		back.SetQdisc(fifoFactory())
+		hub.AddRoute(id, dev)
+		id := id
+		spoke.RegisterDefault(endpointFunc(func(*packet.Packet) { got = append(got, id) }))
+	}
+	if len(hub.routes) != 31 || hub.routeBase != 30 {
+		t.Fatalf("table spans %d entries from %d, want 31 from 30", len(hub.routes), hub.routeBase)
+	}
+	for _, dst := range []packet.NodeID{30, 40, 41, 60, 29, 61, 45, -1, 0} {
+		hub.Inject(&packet.Packet{Flow: packet.FlowKey{Src: hub.ID, Dst: dst}, Size: 100})
+	}
+	eng.RunAll()
+	if fmt.Sprint(got) != "[30 40 41 60]" || hub.Unroutable != 5 {
+		t.Fatalf("delivered to %v with %d unroutable, want [30 40 41 60] and 5", got, hub.Unroutable)
 	}
 }
 

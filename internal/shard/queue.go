@@ -17,7 +17,7 @@ type record struct {
 	// ride across the boundary: arrival places the injected event on the
 	// destination's clock, sent orders it among same-instant destination
 	// events exactly where a single merged engine would have (see
-	// sim.Engine.AtCallFrom).
+	// sim.Engine.StreamCall).
 	sent    sim.Time
 	arrival sim.Time
 	pkt     packet.Packet

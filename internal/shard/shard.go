@@ -24,14 +24,15 @@
 // Byte-identical results. Node IDs are allocated from one cluster-global
 // counter in builder call order, so flow keys, RNG seeds, and connection
 // state match the single-engine build exactly. Each hop costs exactly one
-// arrival event in both modes (a pooled propagation event locally, an
-// injected AtCallFrom across a cut), so engine event counts match.
+// arrival event in both modes — an entry on the receiving device's wire
+// stream, pushed by the local transmitter or injected with the source's
+// emission stamp across a cut — so engine event counts match.
 // Cross-shard arrivals carry the virtual time their last bit left the
 // source device, and the destination engine orders events by
 // (time, emission time, seq) — so a same-nanosecond tie between an
 // injected arrival and a local event resolves exactly as it would on a
-// single merged engine, where the arrival's propagation event was
-// scheduled at transmit completion. That makes even dense-traffic links
+// single merged engine, where the arrival was pushed onto the wire at
+// transmit completion. That makes even dense-traffic links
 // (access links at backbone flow counts) safe to cut. The residual
 // freedom is the coincidence class where both the instant and the
 // emission time collide across shards; there the drain order
@@ -418,9 +419,11 @@ type pendingArrival struct {
 	link int
 }
 
-// drainInbound empties every inbound queue and injects the packets as
-// arrival events, ordered by (arrival, emission, inbound link, per-link
-// FIFO). Injection in that order assigns ascending local sequence
+// drainInbound empties every inbound queue and injects the packets onto
+// the destination devices' wire streams, ordered by (arrival, emission,
+// inbound link, per-link FIFO). One link's records keep their FIFO order
+// through the sort — the sorted pushes a stream requires — and injection
+// in the global order assigns ascending local sequence
 // numbers, so the destination engine's (time, emission time, seq)
 // dispatch order reproduces the single-engine order for every
 // same-instant tie except the exact (arrival, emission) double

@@ -5,27 +5,35 @@
 // fire in scheduling order (FIFO tie-breaking), which makes runs fully
 // deterministic for a fixed seed and workload.
 //
-// Four scheduling surfaces share one totally-ordered event stream:
+// Five scheduling surfaces share one totally-ordered event sequence:
 //
-//   - Schedule / ScheduleStd / At take a func() and return an *Event handle
-//     that can be cancelled. Convenient, but each call allocates the event
-//     (and usually a closure), so this is the cold-path API.
+//   - Schedule / ScheduleStd / At / AtPinned take a func() and return an
+//     *Event handle that can be cancelled. Convenient, but each call
+//     allocates the event (and usually a closure), so this is the
+//     cold-path API.
 //   - ScheduleCall / AtCall take a Handler interface plus a payload and
 //     return nothing; the event structs behind them are recycled on a
 //     per-engine free list, so steady-state scheduling is allocation-free.
-//   - ScheduleOwned goes one step further for strictly sequential streams
-//     (a device's transmit completions): the caller embeds one Event and
-//     reuses it for every occurrence. It cannot be re-armed while pending.
-//   - ArmTimer / ArmTimerAt / StopTimer drive a caller-embedded Timer: the
-//     cancellable, reschedulable-in-place surface for deadlines that are
-//     usually re-armed or stopped before they fire (RTO, pacing, delayed
-//     ACK, control loops). Far-future timers park in a hierarchical timing
+//   - ScheduleOwned goes one step further for strictly sequential
+//     occurrences (a device's transmit completions): the caller embeds one
+//     Event and reuses it for every occurrence. It cannot be re-armed
+//     while pending.
+//   - StreamCall appends to a caller-embedded Stream: many occurrences
+//     pending at once, all for one handler, pushed in dispatch order
+//     (packets in propagation on a wire, cross-engine arrivals from one
+//     cut link). Only the head occupies the event heap; see stream.go.
+//   - ArmTimer / ArmTimerAt / ArmPinnedTimer / ArmPinnedTimerAt / StopTimer
+//     drive a caller-embedded Timer: the cancellable,
+//     reschedulable-in-place surface for deadlines that are usually
+//     re-armed or stopped before they fire (RTO, pacing, delayed ACK,
+//     control loops). Far-future timers park in a hierarchical timing
 //     wheel where stop/re-arm is O(1); see timer.go.
 //
 // Choosing a surface: one-shot cold-path setup code → Schedule/At;
-// self-perpetuating streams with a payload → ScheduleCall; a strictly
-// sequential stream owned by one struct → ScheduleOwned; anything that
-// needs cancellation or re-arming on the hot path → a Timer.
+// self-perpetuating chains with a payload → ScheduleCall; one occurrence
+// at a time owned by one struct → ScheduleOwned; a FIFO of in-flight
+// payloads owned by one struct → StreamCall; anything that needs
+// cancellation or re-arming on the hot path → a Timer.
 package sim
 
 import (
@@ -78,6 +86,10 @@ const (
 	// kindTimer events are the heap residency of a caller-embedded Timer
 	// (timer.go); arg back-points to the Timer, which carries the handler.
 	kindTimer
+	// kindStream events are the heap residency of a caller-embedded Stream
+	// (stream.go), keyed by the stream's head entry; arg back-points to
+	// the Stream.
+	kindStream
 )
 
 // Event is a scheduled callback. Events created by Schedule/At are handles
@@ -90,7 +102,7 @@ type Event struct {
 	// the middle key of the dispatch order (see eventLess): for locally
 	// scheduled events it equals Now() at scheduling time, which is
 	// non-decreasing in seq, so it never perturbs single-engine order.
-	// Its purpose is cross-engine injection (AtCallFrom): an event
+	// Its purpose is cross-engine injection (StreamCall): an entry
 	// injected by a conservative-parallel runner carries the virtual time
 	// the *source* engine emitted it, which slots it among same-instant
 	// local events exactly where a single merged engine would have.
@@ -108,7 +120,7 @@ type Event struct {
 	pinned bool
 
 	callback func()  // kindClosure
-	handler  Handler // kindPooled, kindOwned
+	handler  Handler // kindPooled, kindOwned, kindStream
 	arg      any
 }
 
@@ -122,12 +134,17 @@ func (e *Event) Cancelled() bool { return e.pos == 0 }
 // Engine is a discrete-event scheduler. It is not safe for concurrent use;
 // simulations are single-goroutine by design.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   []*Event // 4-ary min-heap ordered by (at, seq)
-	free    []*Event // recycled kindPooled events
-	wheel   timerWheel
-	stopped bool
+	now   Time
+	seq   uint64
+	queue []*Event // 4-ary min-heap ordered by (at, schedAt, seq)
+	free  []*Event // recycled kindPooled events
+	wheel timerWheel
+	// freeBlocks is the free list of Stream entry blocks, shared by every
+	// stream on the engine; backlog counts stream entries queued behind
+	// their stream's head (the head is counted by its heap residency).
+	freeBlocks *streamBlock
+	backlog    int
+	stopped    bool
 	// horizon is the `until` of the innermost Run in progress (MaxTime for
 	// RunAll); FastForward callers use it to cap a skip at the horizon.
 	horizon Time
@@ -211,30 +228,6 @@ func (e *Engine) AtCall(t Time, h Handler, arg any) {
 	if t < e.now {
 		t = e.now
 	}
-	e.atCallFrom(t, e.now, h, arg)
-}
-
-// AtCallFrom runs h.OnEvent(arg) at absolute virtual time t, ordered among
-// same-instant events as if it had been scheduled when the clock read
-// `from` — which may be in this engine's past. It exists for
-// cross-engine injection by conservative-parallel runners
-// (internal/shard): a packet handed across a cut link was emitted by the
-// source engine at virtual time `from` and arrives at t; carrying `from`
-// as the event's scheduling stamp makes the merged dispatch order at
-// instant t byte-identical to a single engine that had scheduled the
-// arrival during its own dispatch at `from`. Same pooling as AtCall.
-// Panics if from > t (an arrival cannot precede its emission).
-func (e *Engine) AtCallFrom(t, from Time, h Handler, arg any) {
-	if from > t {
-		panic("sim: AtCallFrom with scheduling stamp after the deadline")
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.atCallFrom(t, from, h, arg)
-}
-
-func (e *Engine) atCallFrom(t, from Time, h Handler, arg any) {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -244,7 +237,7 @@ func (e *Engine) atCallFrom(t, from Time, h Handler, arg any) {
 		ev = &Event{}
 	}
 	ev.at = t
-	ev.schedAt = from
+	ev.schedAt = e.now
 	ev.seq = e.seq
 	ev.kind = kindPooled
 	ev.handler = h
@@ -299,8 +292,8 @@ func (e *Engine) recycle(ev *Event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of events waiting to fire, including timers
-// parked in the timing wheel.
-func (e *Engine) Pending() int { return len(e.queue) + e.wheel.count }
+// parked in the timing wheel and stream entries queued behind their head.
+func (e *Engine) Pending() int { return len(e.queue) + e.wheel.count + e.backlog }
 
 // NextEventTime returns a lower bound on the time of the engine's next
 // pending event, or MaxTime when nothing is pending. The heap top is
@@ -356,9 +349,13 @@ func (e *Engine) Run(until Time) Time {
 			e.now = until
 			return e.now
 		}
-		e.heapPopMin()
 		e.now = next.at
 		e.Processed++
+		if next.kind == kindStream {
+			e.dispatchStream(next)
+			continue
+		}
+		e.heapPopMin()
 		switch next.kind {
 		case kindClosure:
 			next.callback()
@@ -398,7 +395,7 @@ func (e *Engine) RunAll() Time { return e.Run(MaxTime) }
 // parallel runners (internal/shard): it advances the clock to exactly t,
 // dispatching every event with at <= t, and may be called repeatedly with
 // increasing horizons. Between calls the engine is quiescent — events
-// injected from outside (cross-shard arrivals via AtCallFrom) are merged
+// injected from outside (cross-shard arrivals via StreamCall) are merged
 // into the queue and dispatched in (time, emission time, seq) order
 // exactly as if they had been scheduled locally by a single merged
 // engine, which is what makes a sharded run reproduce the single-engine
@@ -414,7 +411,7 @@ func (e *Engine) RunUntil(t Time) Time { return e.Run(t) }
 // for same-instant events falls out of comparing the monotonically
 // increasing seq; the schedAt middle key is a no-op for locally scheduled
 // events (it is non-decreasing in seq) and exists so cross-engine
-// injections (AtCallFrom) sort by emission time first — see the Event
+// injections (StreamCall) sort by emission time first — see the Event
 // field comment.
 // ---------------------------------------------------------------------------
 

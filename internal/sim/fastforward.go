@@ -2,12 +2,12 @@ package sim
 
 // Fast-forward: the engine-level primitive behind the hybrid fluid/packet
 // mode (internal/fluid). A skip is a freeze-and-shift: the clock jumps
-// forward by d and every *non-pinned* pending event — heap events, wheel
-// timers, overflow timers — moves with it, keeping its distance to the
-// clock and its dispatch order (a uniform shift of (at, schedAt) preserves
-// the (at, schedAt, seq) total order among shifted events). The frozen
-// packet-level state thus re-enters at the far side of the skip exactly as
-// it left: in-flight transmissions, RTOs, pacing gaps, delayed ACKs all
+// forward by d and every *non-pinned* pending event — heap events, stream
+// entries, wheel timers, overflow timers — moves with it, keeping its
+// distance to the clock and its dispatch order (a uniform shift of
+// (at, schedAt) preserves the (at, schedAt, seq) total order among shifted
+// events). The frozen packet-level state thus re-enters at the far side of
+// the skip exactly as it left: in-flight transmissions, RTOs, pacing gaps, delayed ACKs all
 // resume with identical relative timing. Pinned events are the epoch
 // boundaries: they keep their absolute deadlines, bound every skip
 // (FastForward panics rather than hop one), and fire on schedule.
@@ -21,7 +21,8 @@ package sim
 
 // NextPinnedTime returns the earliest deadline among pending pinned
 // events, or MaxTime when none is pinned. Pinned timers never park in the
-// timing wheel (placeTimer), so a heap scan sees every one of them.
+// timing wheel (placeTimer) and stream entries are never pinned, so a heap
+// scan sees every one of them.
 func (e *Engine) NextPinnedTime() Time {
 	t := MaxTime
 	for _, ev := range e.queue {
@@ -42,8 +43,9 @@ func (e *Engine) Horizon() Time { return e.horizon }
 // dispatching handler (or between Run windows); the caller is responsible
 // for having advanced all frozen component state across the skip. shiftArg
 // (optional) is invoked once per shifted event whose payload is non-nil —
-// for timer events the timer's payload, not the *Timer itself — so
-// payload-held absolute timestamps can be translated by +d.
+// for timer events the timer's payload, not the *Timer itself; for a
+// stream, once per pending entry — so payload-held absolute timestamps can
+// be translated by +d.
 //
 // Panics if a pinned event lies strictly inside the skipped interval: the
 // caller must bound d by NextPinnedTime()-Now(). A pinned deadline exactly
@@ -67,6 +69,12 @@ func (e *Engine) FastForward(d Time, shiftArg func(arg any)) {
 		}
 		ev.at += d
 		ev.schedAt += d
+		if ev.kind == kindStream {
+			// The residency is the head entry; the payloads to translate
+			// are the entries', not the back-pointer in ev.arg.
+			ev.arg.(*Stream).shift(d, shiftArg)
+			continue
+		}
 		if shiftArg != nil {
 			arg := ev.arg
 			if ev.kind == kindTimer {

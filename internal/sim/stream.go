@@ -1,0 +1,191 @@
+package sim
+
+// Stream is a caller-embedded FIFO of pending events that all dispatch to
+// one handler: the surface for sequences whose keys are sorted by
+// construction — packets in propagation on a constant-delay wire, arrivals
+// injected from one cut link, a connection's order-preserving send jitter.
+// Bind a handler once, then push with Engine.StreamCall.
+//
+// Every push draws its sequence number from the engine's counter exactly
+// where ScheduleCall would have, and entries dispatch under the same
+// (time, emission time, seq) comparison as every other event. Because a
+// stream's own keys never decrease, its head is its minimum, so only the
+// head needs a heap residency: the minimum over the heap is still the
+// global minimum, and the merged dispatch order is the one a heap holding
+// every entry would produce. The heap then carries one event per busy
+// stream instead of one per entry.
+//
+// The head entry lives in the residency itself; the entries behind it live
+// in fixed-size blocks drawn from an engine-wide free list and returned as
+// they drain. A stream that holds one entry at a time never touches a
+// block, a deep one holds memory only in proportion to what is in flight on
+// it, and growth never copies.
+type Stream struct {
+	// ev is the heap residency while the stream is non-empty, carrying the
+	// head entry's key; ev.handler is the bound handler and ev.arg
+	// permanently back-points to the Stream, so the head's payload is kept
+	// in arg.
+	ev  Event
+	arg any
+
+	// head..tail hold the entries queued behind the head, from index hi of
+	// the first block to index ti of the last; both nil when there are
+	// none.
+	head, tail *streamBlock
+	hi, ti     int
+
+	// tailAt/tailSched are the key of the most recent push, checked against
+	// the next one while the stream is non-empty.
+	tailAt, tailSched Time
+}
+
+// streamBlockLen makes a block exactly fill the allocator's 2048-byte size
+// class (51 × 40 B entries plus the link).
+const streamBlockLen = 51
+
+type streamEntry struct {
+	at, schedAt Time
+	seq         uint64
+	arg         any
+}
+
+type streamBlock struct {
+	ent  [streamBlockLen]streamEntry
+	next *streamBlock
+}
+
+// Bind sets the handler every entry of the stream dispatches to. It must
+// be called before the first push and not while entries are pending.
+func (s *Stream) Bind(h Handler) {
+	if s.ev.pos != 0 {
+		panic("sim: Stream.Bind with entries pending")
+	}
+	s.ev.kind = kindStream
+	s.ev.handler = h
+	s.ev.arg = s
+}
+
+// StreamCall appends an entry to s that runs the bound handler with arg at
+// absolute virtual time at (clamped to now), ordered among same-instant
+// events as if scheduled when the clock read `from`. A local push passes
+// Now(); a conservative-parallel runner (internal/shard) injecting a
+// packet handed across a cut link passes the virtual time the source
+// engine emitted it — possibly in this engine's past — which slots the
+// arrival among same-instant local events exactly where a single merged
+// engine, scheduling it at transmit completion, would have.
+//
+// Panics if from > at (an arrival cannot precede its emission) or if the
+// key (at, from) sorts before the stream's pending tail: FIFO order is the
+// stream's precondition, and a violation would silently reorder dispatch.
+func (e *Engine) StreamCall(s *Stream, at, from Time, arg any) {
+	if from > at {
+		panic("sim: StreamCall with scheduling stamp after the deadline")
+	}
+	if at < e.now {
+		at = e.now
+	}
+	if s.ev.pos == 0 {
+		if s.ev.kind != kindStream {
+			panic("sim: StreamCall on an unbound Stream")
+		}
+		s.ev.at, s.ev.schedAt, s.ev.seq = at, from, e.seq
+		s.arg = arg
+		e.heapPush(&s.ev)
+	} else {
+		if at < s.tailAt || (at == s.tailAt && from < s.tailSched) {
+			panic("sim: StreamCall key sorts before the stream's tail")
+		}
+		b := s.tail
+		if b == nil {
+			b = e.getBlock()
+			s.head, s.tail = b, b
+			s.hi, s.ti = 0, 0
+		} else if s.ti == streamBlockLen {
+			b = e.getBlock()
+			s.tail.next = b
+			s.tail = b
+			s.ti = 0
+		}
+		b.ent[s.ti] = streamEntry{at: at, schedAt: from, seq: e.seq, arg: arg}
+		s.ti++
+		e.backlog++
+	}
+	e.seq++
+	s.tailAt, s.tailSched = at, from
+}
+
+// dispatchStream fires the head entry of the stream whose residency ev is
+// at the heap root. The residency takes over the next entry's key and is
+// sifted down from the root in place — one sift where a per-entry event
+// would cost a pop and a push — or leaves the heap when the stream drains.
+// Either way the heap is consistent before the handler runs, so the handler
+// may push onto this same stream.
+func (e *Engine) dispatchStream(ev *Event) {
+	s := ev.arg.(*Stream)
+	arg := s.arg
+	b := s.head
+	if b == nil {
+		s.arg = nil
+		e.heapPopMin()
+	} else {
+		nx := &b.ent[s.hi]
+		ev.at, ev.schedAt, ev.seq = nx.at, nx.schedAt, nx.seq
+		s.arg = nx.arg
+		nx.arg = nil
+		s.hi++
+		e.backlog--
+		if b == s.tail && s.hi == s.ti {
+			s.head, s.tail = nil, nil
+			e.putBlock(b)
+		} else if s.hi == streamBlockLen {
+			s.head, s.hi = b.next, 0
+			e.putBlock(b)
+		}
+		e.siftDown(0, ev)
+	}
+	ev.handler.OnEvent(arg)
+}
+
+// shift moves the entries queued behind the head by d (FastForward shifts
+// the residency, and with it the head's key, itself) and hands every
+// non-nil payload, the head's included, to shiftArg once.
+func (s *Stream) shift(d Time, shiftArg func(arg any)) {
+	if shiftArg != nil && s.arg != nil {
+		shiftArg(s.arg)
+	}
+	i := s.hi
+	for b := s.head; b != nil; b = b.next {
+		end := streamBlockLen
+		if b == s.tail {
+			end = s.ti
+		}
+		for ; i < end; i++ {
+			ent := &b.ent[i]
+			ent.at += d
+			ent.schedAt += d
+			if shiftArg != nil && ent.arg != nil {
+				shiftArg(ent.arg)
+			}
+		}
+		i = 0
+	}
+	s.tailAt += d
+	s.tailSched += d
+}
+
+// getBlock draws an entry block from the engine-wide free list. Blocks come
+// back with every payload reference already cleared by dispatch.
+func (e *Engine) getBlock() *streamBlock {
+	b := e.freeBlocks
+	if b == nil {
+		return &streamBlock{}
+	}
+	e.freeBlocks = b.next
+	b.next = nil
+	return b
+}
+
+func (e *Engine) putBlock(b *streamBlock) {
+	b.next = e.freeBlocks
+	e.freeBlocks = b
+}

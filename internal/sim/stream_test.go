@@ -1,0 +1,225 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// stamped is a stream payload carrying an absolute timestamp, like a
+// packet's SentAt.
+type stamped struct {
+	id     int
+	at     Time
+	shifts int
+}
+
+// TestStreamOneResidency: however many entries a stream holds, it occupies
+// one heap slot; Pending counts every entry and NextEventTime is the head's
+// deadline.
+func TestStreamOneResidency(t *testing.T) {
+	eng := NewEngine()
+	var log []string
+	var s Stream
+	s.Bind(&timerRecorder{log: &log, eng: eng})
+	const n = 3*streamBlockLen + 7
+	for i := 0; i < n; i++ {
+		eng.StreamCall(&s, Time(100+i/2), 0, i)
+	}
+	if len(eng.queue) != 1 || eng.Pending() != n {
+		t.Fatalf("heap holds %d, Pending %d; want 1, %d", len(eng.queue), eng.Pending(), n)
+	}
+	if got := eng.NextEventTime(); got != 100 {
+		t.Fatalf("NextEventTime = %v, want the head's 100", got)
+	}
+	eng.Run(100 + n/4)
+	if want := 2*(n/4) + 2; len(log) != want || eng.Pending() != n-want {
+		t.Fatalf("dispatched %d with %d pending, want %d and %d", len(log), eng.Pending(), want, n-want)
+	}
+	eng.RunAll()
+	for i, rec := range log {
+		if want := fmt.Sprintf("%d@%d", i, 100+i/2); rec != want {
+			t.Fatalf("entry %d fired as %s, want %s", i, rec, want)
+		}
+	}
+	if eng.Pending() != 0 || eng.Processed != n || s.arg != nil {
+		t.Fatalf("after drain: Pending %d, Processed %d, head payload %v", eng.Pending(), eng.Processed, s.arg)
+	}
+	// Drained blocks are back on the engine's free list, holding no payload
+	// alive: refilling the stream allocates nothing.
+	blocks := 0
+	for b := eng.freeBlocks; b != nil; b = b.next {
+		blocks++
+		for _, ent := range b.ent {
+			if ent.arg != nil {
+				t.Fatalf("a free block still references payload %v", ent.arg)
+			}
+		}
+	}
+	if blocks != 4 {
+		t.Fatalf("%d blocks on the free list, want 4", blocks)
+	}
+	s.Bind(handlerFunc(func(any) {}))
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < n; i++ {
+			eng.StreamCall(&s, eng.Now()+Time(i), eng.Now(), nil)
+		}
+		eng.RunAll()
+	}); allocs != 0 {
+		t.Fatalf("refilling a drained stream allocates %v per cycle; want 0", allocs)
+	}
+}
+
+// TestStreamHandlerPushesOntoOwnStream: the heap is consistent before the
+// handler runs, so a handler may extend the stream it was dispatched from —
+// including when its entry was the last one.
+func TestStreamHandlerPushesOntoOwnStream(t *testing.T) {
+	eng := NewEngine()
+	var s Stream
+	left := 5
+	var fired []int64
+	s.Bind(handlerFunc(func(any) {
+		fired = append(fired, int64(eng.Now()))
+		if left--; left > 0 {
+			eng.StreamCall(&s, eng.Now()+10, eng.Now(), nil)
+		}
+	}))
+	eng.StreamCall(&s, 10, 0, nil)
+	eng.StreamCall(&s, 15, 0, nil)
+	eng.RunAll()
+	if fmt.Sprint(fired) != "[10 15 20 25 30 35]" {
+		t.Fatalf("fired at %v", fired)
+	}
+}
+
+type handlerFunc func(any)
+
+func (f handlerFunc) OnEvent(arg any) { f(arg) }
+
+// TestFastForwardStreamInFlight: a skip with entries in flight moves every
+// entry once — keys and, through shiftArg, payloads — keeps the order among
+// them and against other events, and is still bounded by a pinned deadline.
+func TestFastForwardStreamInFlight(t *testing.T) {
+	eng := NewEngine()
+	var log []string
+	r := &timerRecorder{log: &log, eng: eng}
+	var a, b Stream
+	fire := handlerFunc(func(arg any) {
+		p := arg.(*stamped)
+		log = append(log, fmt.Sprintf("e%d@%d stamp %d shifts %d", p.id, eng.Now(), p.at, p.shifts))
+	})
+	a.Bind(fire)
+	b.Bind(fire)
+	const n = 2*streamBlockLen + 3
+	var payloads []*stamped
+	for i := 0; i < n; i++ {
+		p := &stamped{id: i, at: Time(1000 + 2*i)}
+		payloads = append(payloads, p)
+		eng.StreamCall(&a, p.at, Time(i), p)
+	}
+	late := &stamped{id: n, at: 1005}
+	eng.StreamCall(&b, late.at, 5, late)
+	eng.AtCall(1006, r, 77) // ties a's entry 3 on the deadline; emitted earlier, so it fires first
+	var pin Timer
+	eng.ArmPinnedTimerAt(&pin, 5004, r, 99)
+
+	eng.Run(1004) // consume the first entries so the skip starts mid-block
+	const skip = Time(4000)
+	eng.FastForward(skip, func(arg any) {
+		if p, ok := arg.(*stamped); ok {
+			p.at += skip
+			p.shifts++
+		}
+	})
+	if payloads[2].shifts != 0 {
+		t.Fatal("an already-dispatched payload was shifted")
+	}
+	// a's head (entry 3) is its residency; the rest sit in blocks.
+	if a.ev.at != 1006+skip || a.ev.schedAt != 3+skip {
+		t.Fatalf("residency keyed (%d, %d) after the skip", a.ev.at, a.ev.schedAt)
+	}
+	i, idx := a.hi, 4
+	for blk := a.head; blk != nil; blk = blk.next {
+		end := streamBlockLen
+		if blk == a.tail {
+			end = a.ti
+		}
+		for ; i < end; i, idx = i+1, idx+1 {
+			ent := blk.ent[i]
+			if ent.at != Time(1000+2*idx)+skip || ent.schedAt != Time(idx)+skip {
+				t.Fatalf("entry %d keyed (%d, %d) after the skip", idx, ent.at, ent.schedAt)
+			}
+		}
+		i = 0
+	}
+	if idx != n {
+		t.Fatalf("walked entries up to %d, want %d", idx, n)
+	}
+
+	log = log[:0]
+	eng.RunAll()
+	want := []string{
+		"99@5004", // the pinned deadline kept its absolute time: it now fires first
+		fmt.Sprintf("e%d@%d stamp %d shifts 1", n, 1005+skip, 1005+skip),
+		fmt.Sprintf("77@%d", 1006+skip),
+		fmt.Sprintf("e3@%d stamp %d shifts 1", 1006+skip, 1006+skip),
+	}
+	for i, w := range want {
+		if log[i] != w {
+			t.Fatalf("dispatch %d = %q, want %q\n%v", i, log[i], w, log[:len(want)])
+		}
+	}
+	for k := 4; k < n; k++ {
+		w := fmt.Sprintf("e%d@%d stamp %d shifts 1", k, Time(1000+2*k)+skip, Time(1000+2*k)+skip)
+		if got := log[len(want)+k-4]; got != w {
+			t.Fatalf("entry %d fired as %q, want %q", k, got, w)
+		}
+	}
+
+	// Entries in flight do not hide a pinned deadline from the skip bound.
+	eng.StreamCall(&a, eng.Now()+10, eng.Now(), &stamped{})
+	eng.ArmPinnedTimer(&pin, 100, r, 99)
+	if got := eng.NextPinnedTime(); got != eng.Now()+100 {
+		t.Fatalf("NextPinnedTime = %v with a stream pending, want %v", got, eng.Now()+100)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FastForward across a pinned event must panic with entries in flight")
+		}
+	}()
+	eng.FastForward(101, nil)
+}
+
+// TestStreamCallOutOfOrderPanics: the FIFO precondition is checked, not
+// assumed — on the deadline, on the emission stamp at an equal deadline,
+// and against a tail that a FastForward moved.
+func TestStreamCallOutOfOrderPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	eng := NewEngine()
+	var s, unbound Stream
+	s.Bind(handlerFunc(func(any) {}))
+	eng.StreamCall(&s, 100, 50, nil)
+	eng.StreamCall(&s, 100, 50, nil) // an equal key is in order: seq breaks the tie
+	mustPanic("earlier deadline", func() { eng.StreamCall(&s, 99, 50, nil) })
+	mustPanic("equal deadline, earlier stamp", func() { eng.StreamCall(&s, 100, 49, nil) })
+	eng.FastForward(1000, nil)
+	mustPanic("deadline below the shifted tail", func() { eng.StreamCall(&s, 1099, 1050, nil) })
+	mustPanic("stamp below the shifted tail", func() { eng.StreamCall(&s, 1100, 1049, nil) })
+	eng.StreamCall(&s, 1100, 1050, nil)
+	mustPanic("Bind with entries pending", func() { s.Bind(handlerFunc(func(any) {})) })
+	mustPanic("push onto an unbound stream", func() { eng.StreamCall(&unbound, 2000, 2000, nil) })
+	// Once drained the stream has no tail: any key is in order.
+	eng.RunAll()
+	eng.StreamCall(&s, eng.Now(), eng.Now(), nil)
+	eng.RunAll()
+	if eng.Processed != 4 {
+		t.Fatalf("dispatched %d entries, want 4", eng.Processed)
+	}
+}

@@ -40,25 +40,35 @@ func TestConvenienceSurfaces(t *testing.T) {
 	}
 }
 
-// TestAtCallFromStampAndClamp: a cross-engine injection dispatches like a
-// local event, negative fast-path delays clamp to now, and a scheduling
-// stamp after the deadline is a caller bug that must panic.
-func TestAtCallFromStampAndClamp(t *testing.T) {
+// TestStreamCallStampAndClamp: a cross-engine injection dispatches like a
+// local event, a deadline in the past and negative fast-path delays clamp
+// to now, and a scheduling stamp after the deadline is a caller bug that
+// must panic.
+func TestStreamCallStampAndClamp(t *testing.T) {
 	eng := NewEngine()
 	n := 0
 	h := surfHandler{&n}
-	eng.AtCallFrom(Duration(1e6), Duration(1e3), h, nil)
+	var s, late Stream
+	s.Bind(h)
+	late.Bind(h)
+	eng.Schedule(10, func() {
+		eng.StreamCall(&late, 3, 2, nil) // past deadline: fires at 10
+		if late.ev.at != 10 || late.ev.schedAt != 2 {
+			t.Errorf("clamped push keyed (%d, %d), want (10, 2)", late.ev.at, late.ev.schedAt)
+		}
+	})
+	eng.StreamCall(&s, Duration(1e6), Duration(1e3), nil)
 	eng.ScheduleCall(-5, h, nil)
 	eng.RunAll()
-	if n != 2 {
-		t.Fatalf("dispatched %d events, want 2", n)
+	if n != 3 {
+		t.Fatalf("dispatched %d events, want 3", n)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AtCallFrom(from > t) did not panic")
+			t.Fatal("StreamCall(from > at) did not panic")
 		}
 	}()
-	eng.AtCallFrom(1, 2, h, nil)
+	eng.StreamCall(&s, 1, 2, nil)
 }
 
 // TestArmPinnedTimerSurface: the relative pinned arm lands on the pinned

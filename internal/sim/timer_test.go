@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -205,22 +206,38 @@ func TestTimerArmPast(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential fuzz: an identical randomized schedule/cancel/re-arm script
-// is applied to two engines — one through the Timer/wheel surface, one
-// through the closure heap surface — and both must dispatch the identical
-// event sequence. Both consume one seq per arm, so equal-instant
-// tie-breaking must match exactly.
+// Differential fuzz: an identical randomized script — timer arm/stop/re-arm,
+// pushes onto k FIFO streams, pooled events, a pinned deadline, mid-run
+// FastForwards — is applied to two engines. One goes through the embedded
+// surfaces (Timer/wheel, Stream); the reference uses the closure heap
+// surface for timers and gives every stream entry a heap residency of its
+// own, with the same key. Both must dispatch the identical event sequence.
+// Both consume one seq per operation, so equal-instant tie-breaking must
+// match exactly.
 // ---------------------------------------------------------------------------
 
+const diffStreams = 6
+
 type diffDriver struct {
-	useTimers bool
-	eng       *Engine
-	rng       *Rand
-	timers    []Timer
-	handles   []*Event
-	fired     *[]string
-	handlers  []diffFire
-	opsLeft   int
+	embedded bool
+	eng      *Engine
+	rng      *Rand
+	timers   []Timer
+	handles  []*Event
+	fired    *[]string
+	handlers []diffFire
+	opsLeft  int
+
+	// Stream i is a constant-delay wire (i%3 == 0), a cut link whose
+	// pushes carry an emission stamp in the engine's past (1), or a jitter
+	// queue whose random release times clamp to the previous one (2).
+	streams    [diffStreams]Stream
+	jitterTail [diffStreams]Time
+	entries    int
+
+	pinned       Timer
+	pinnedHandle *Event
+	skip         Time // delta of the FastForward in progress
 }
 
 type diffFire struct {
@@ -232,22 +249,92 @@ func (f *diffFire) OnEvent(any) {
 	*f.d.fired = append(*f.d.fired, fmt.Sprintf("%d@%d", f.id, f.d.eng.Now()))
 }
 
+// diffEntry is a stream payload carrying an absolute stamp — its own
+// deadline — so a FastForward that shifts an entry without its payload, or
+// a payload twice, shows up when it fires.
+type diffEntry struct {
+	id int
+	at Time
+}
+
+type diffStreamFire diffDriver
+
+func (f *diffStreamFire) OnEvent(arg any) {
+	d := (*diffDriver)(f)
+	ent := arg.(*diffEntry)
+	rec := fmt.Sprintf("s%d@%d", ent.id, d.eng.Now())
+	if ent.at != d.eng.Now() {
+		rec += fmt.Sprintf("(stamp %d)", ent.at)
+	}
+	*d.fired = append(*d.fired, rec)
+}
+
+type diffPinnedFire diffDriver
+
+func (f *diffPinnedFire) OnEvent(any) {
+	d := (*diffDriver)(f)
+	*d.fired = append(*d.fired, fmt.Sprintf("pin@%d", d.eng.Now()))
+}
+
+func (d *diffDriver) shiftArg(arg any) {
+	if ent, ok := arg.(*diffEntry); ok {
+		ent.at += d.skip
+	}
+}
+
+// push appends one entry to stream i with that stream's key discipline.
+func (d *diffDriver) push(i int) {
+	now := d.eng.Now()
+	at, from := now, now
+	switch i % 3 {
+	case 0:
+		at = now + Time(3)<<uint(5*i)
+		// A pooled event with the same deadline and emission time as the
+		// entry that follows it: only seq separates the two.
+		d.eng.AtCall(at, &d.handlers[i], nil)
+	case 1:
+		from = now - 7
+		at = from + Time(11)<<uint(4*i)
+	default:
+		at = now + Time(d.rng.Intn(1<<12))
+		if at < d.jitterTail[i] {
+			at = d.jitterTail[i]
+		}
+		d.jitterTail[i] = at
+	}
+	ent := &diffEntry{id: d.entries, at: at}
+	d.entries++
+	h := (*diffStreamFire)(d)
+	switch {
+	case d.embedded:
+		d.eng.StreamCall(&d.streams[i], at, from, ent)
+	case from == now:
+		d.eng.AtCall(at, h, ent)
+	default:
+		// The pooled surface cannot carry a stamp; a stream of one entry
+		// is a per-entry heap residency with the same key.
+		one := new(Stream)
+		one.Bind(h)
+		d.eng.StreamCall(one, at, from, ent)
+	}
+}
+
 // step is the op-script event: at each step the driver applies one random
-// arm/stop to a random timer slot, then reschedules itself. Both engines
-// share the rng *sequence* (fresh generator per run, same seed).
+// operation, then reschedules itself. Both engines share the rng
+// *sequence* (fresh generator per run, same seed).
 func (d *diffDriver) OnEvent(any) {
 	if d.opsLeft <= 0 {
 		return
 	}
 	d.opsLeft--
 	slot := d.rng.Intn(len(d.timers))
-	op := d.rng.Intn(4)
+	op := d.rng.Intn(9)
 	// Delays spread across wheel levels: from sub-slot to level-4 range.
 	exp := d.rng.Intn(36)
 	delay := Time(1 + d.rng.Intn(1<<uint(exp)))
 	switch {
 	case op <= 1: // arm / re-arm
-		if d.useTimers {
+		if d.embedded {
 			d.eng.ArmTimer(&d.timers[slot], delay, &d.handlers[slot], nil)
 		} else {
 			if h := d.handles[slot]; h != nil && !h.Cancelled() {
@@ -257,7 +344,7 @@ func (d *diffDriver) OnEvent(any) {
 			d.handles[slot] = d.eng.Schedule(delay, func() { f.OnEvent(nil) })
 		}
 	case op == 2: // stop
-		if d.useTimers {
+		if d.embedded {
 			d.eng.StopTimer(&d.timers[slot])
 		} else {
 			if h := d.handles[slot]; h != nil {
@@ -265,29 +352,60 @@ func (d *diffDriver) OnEvent(any) {
 				d.handles[slot] = nil
 			}
 		}
+	case op <= 5: // a burst onto one stream
+		i := slot % diffStreams
+		n := 1 + d.rng.Intn(3)
+		if d.rng.Intn(8) == 0 {
+			n += 2 * streamBlockLen // span entry blocks
+		}
+		for ; n > 0; n-- {
+			d.push(i)
+		}
+	case op == 6: // (re-)arm the pinned deadline
+		if d.embedded {
+			d.eng.ArmPinnedTimer(&d.pinned, delay, (*diffPinnedFire)(d), nil)
+		} else {
+			d.eng.Cancel(d.pinnedHandle)
+			d.pinnedHandle = d.eng.AtPinned(d.eng.Now()+delay, func() { (*diffPinnedFire)(d).OnEvent(nil) })
+		}
+	case op == 7: // skip the clock, as far as the pinned deadline allows
+		d.skip = delay
+		if bound := d.eng.NextPinnedTime() - d.eng.Now(); d.skip > bound {
+			d.skip = bound
+		}
+		d.eng.FastForward(d.skip, d.shiftArg)
+		for i := range d.jitterTail {
+			d.jitterTail[i] += d.skip
+		}
 	default: // let time pass (no-op: the step advance below is the pass)
 	}
 	d.eng.ScheduleCall(Time(1+d.rng.Intn(1<<uint(d.rng.Intn(32)))), d, nil)
 }
 
-func runTimerDiff(seed uint64, useTimers bool, steps, slots int) []string {
+func runTimerDiff(seed uint64, embedded bool, steps, slots int) []string {
 	eng := NewEngine()
 	var fired []string
 	d := &diffDriver{
-		useTimers: useTimers,
-		eng:       eng,
-		rng:       NewRand(seed),
-		timers:    make([]Timer, slots),
-		handles:   make([]*Event, slots),
-		fired:     &fired,
-		opsLeft:   steps,
+		embedded: embedded,
+		eng:      eng,
+		rng:      NewRand(seed),
+		timers:   make([]Timer, slots),
+		handles:  make([]*Event, slots),
+		fired:    &fired,
+		opsLeft:  steps,
 	}
 	d.handlers = make([]diffFire, slots)
 	for i := range d.handlers {
 		d.handlers[i] = diffFire{d: d, id: i}
 	}
+	for i := range d.streams {
+		d.streams[i].Bind((*diffStreamFire)(d))
+	}
 	eng.ScheduleCall(0, d, nil)
 	eng.RunAll()
+	if n := eng.Pending(); n != 0 {
+		fired = append(fired, fmt.Sprintf("%d still pending", n))
+	}
 	return fired
 }
 
@@ -296,10 +414,17 @@ func TestTimerHeapDifferential(t *testing.T) {
 		heap := runTimerDiff(seed, false, 400, 8)
 		wheel := runTimerDiff(seed, true, 400, 8)
 		if fmt.Sprint(heap) != fmt.Sprint(wheel) {
-			t.Fatalf("seed %d: wheel and heap schedules diverge\nheap:  %v\nwheel: %v", seed, heap, wheel)
+			t.Fatalf("seed %d: embedded and reference schedules diverge\nreference: %v\nembedded:  %v", seed, heap, wheel)
 		}
-		if seed == 1 && len(heap) == 0 {
-			t.Fatal("differential script fired nothing; widen the op mix")
+		if strings.Contains(fmt.Sprint(wheel), "stamp") || strings.Contains(fmt.Sprint(wheel), "pending") {
+			t.Fatalf("seed %d: a payload fired with a stale stamp or the engine did not drain: %v", seed, wheel)
+		}
+		if seed == 1 {
+			for _, kind := range []string{" 1@", " s1@", " pin@"} {
+				if !strings.Contains(fmt.Sprint(wheel), kind) {
+					t.Fatalf("differential script fired no %q event; widen the op mix", kind)
+				}
+			}
 		}
 	}
 }
@@ -312,7 +437,7 @@ func FuzzTimerHeapEquivalence(f *testing.F) {
 		heap := runTimerDiff(seed, false, steps, 6)
 		wheel := runTimerDiff(seed, true, steps, 6)
 		if fmt.Sprint(heap) != fmt.Sprint(wheel) {
-			t.Fatalf("seed %d steps %d: diverged\nheap:  %v\nwheel: %v", seed, steps, heap, wheel)
+			t.Fatalf("seed %d steps %d: diverged\nreference: %v\nembedded:  %v", seed, steps, heap, wheel)
 		}
 	})
 }

@@ -129,7 +129,11 @@ type Conn struct {
 	// ECN state: one reduction per RTT on ECE.
 	eceSeq int64
 
-	rng            *sim.Rand
+	rng *sim.Rand
+	// jitter holds segments waiting out their send jitter; lastInjectTime
+	// clamps each release to the previous one, which both preserves send
+	// order on the wire and keeps the stream's pushes sorted.
+	jitter         sim.Stream
 	lastInjectTime sim.Time
 
 	finished bool
@@ -176,6 +180,7 @@ func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
 	c.Cwnd = float64(cfg.InitialCwndSegments * cfg.MSS)
 	c.Ssthresh = 1 << 40
 	src.Register(cfg.Key.Reverse(), c)
+	c.jitter.Bind((*connInject)(c))
 	c.cc.Init(c)
 	// The flow start is pinned: it is a traffic discontinuity the fluid
 	// fast-forward layer must never skip across. Later pacing re-arms
@@ -184,15 +189,20 @@ func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
 	return c
 }
 
-// connSend and connRTO are the connection's timer handlers: named pointer
-// types over Conn so the scheduler calls bind without a closure.
+// connSend and connRTO are the connection's timer handlers and connInject
+// its jitter-stream handler: named pointer types over Conn so the
+// scheduler calls bind without a closure.
 type (
-	connSend Conn
-	connRTO  Conn
+	connSend   Conn
+	connRTO    Conn
+	connInject Conn
 )
 
 func (h *connSend) OnEvent(any) { (*Conn)(h).trySend() }
 func (h *connRTO) OnEvent(any)  { (*Conn)(h).onRTO() }
+
+// OnEvent releases a segment whose send jitter has elapsed onto the wire.
+func (h *connInject) OnEvent(arg any) { h.node.Inject(arg.(*packet.Packet)) }
 
 // Key returns the data-direction flow key.
 func (c *Conn) Key() packet.FlowKey { return c.cfg.Key }
@@ -394,7 +404,7 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 			at = c.lastInjectTime
 		}
 		c.lastInjectTime = at
-		c.node.InjectAt(at, p)
+		c.eng.StreamCall(&c.jitter, at, now, p)
 	} else {
 		c.node.Inject(p)
 	}
