@@ -50,11 +50,13 @@ speedup-smoke:
 	CEBINAE_SPEEDUP_SMOKE=1 $(GO) test -run 'TestShardSpeedupSmoke' -v ./internal/benchkit/
 
 # The fluid fast-forward gate: the short fluid-vs-packet differentials
-# (error bound, determinism, forced-off byte-identity) plus the 10-minute
+# (error bound, determinism, forced-off byte-identity), the golden of three
+# arming cells, and the clock they rest on (Engine.Local stands still during
+# a skip; an FQ-CoDel sojourn excludes skipped time), plus the 10-minute
 # scored cell, which must run ≥ 5× faster wall-clock with ≤ 1% per-flow
 # goodput error against the exact packet-level run.
 fastforward-smoke:
-	$(GO) test -run 'TestFastForward' ./experiments/ ./internal/fluid/
+	$(GO) test -run 'TestFastForward|TestLocal|TestFQCoDelSojourn' ./experiments/ ./internal/fluid/ ./internal/sim/ ./internal/qdisc/
 	CEBINAE_FASTFORWARD_SMOKE=1 $(GO) test -run 'TestFastForwardLongHorizon' -v ./experiments/
 
 # The declarative-scenario gate (mirrors the scenario-conformance CI

@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,6 +34,7 @@ import (
 
 	"cebinae/experiments"
 	"cebinae/internal/benchkit"
+	"cebinae/internal/cli"
 	"cebinae/internal/fleet"
 	"cebinae/internal/scenario"
 )
@@ -58,9 +58,9 @@ func main() {
 	flag.Parse()
 	experiments.SetDefaultFastForward(*fastfwd)
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	if *benchjson != "" {
@@ -68,50 +68,14 @@ func main() {
 	} else {
 		err = runReport(*scaleFlag, *only, *outPath, *parallel, *shards, *timeout, *resume, *scenFiles)
 	}
-	// fatal calls os.Exit, which would skip deferred profile writers — stop
-	// them explicitly before deciding the exit path.
+	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
+	// stop them explicitly before deciding the exit path.
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-}
-
-// startProfiles begins CPU profiling and arranges a heap snapshot at stop;
-// the returned function flushes both and must run before any os.Exit.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			runtime.GC() // materialise final live-set statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
 }
 
 // benchSnapshot is the BENCH_baseline.json shape: the frozen pre-refactor
@@ -307,9 +271,4 @@ func parseScale(s string) (experiments.Scale, error) {
 		return 0, fmt.Errorf("bad scale %q (want quick|medium|full or a fraction in (0,1])", s)
 	}
 	return experiments.Scale(v), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cebinae-bench:", err)
-	os.Exit(1)
 }

@@ -14,12 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"cebinae/experiments"
+	"cebinae/internal/cli"
 	"cebinae/internal/scenario"
 )
 
@@ -43,26 +41,26 @@ func main() {
 
 	nShards, err := experiments.ParseShards(*shards)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	if *specFile != "" {
 		if err := runScenarioFile(*specFile, nShards); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		return
 	}
 
 	if *backbone > 0 {
 		if err := runBackbone(*backbone, *qdisc, *duration, *seed, nShards); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		return
 	}
 
 	s, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, nShards)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	start := time.Now()
@@ -166,11 +164,11 @@ func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64, s
 // buildScenario turns the CLI flags into a runnable Scenario; every
 // validation failure the command can hit funnels through here.
 func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, shards int) (experiments.Scenario, error) {
-	bps, err := parseBW(bw)
+	bps, err := cli.ParseBandwidth(bw)
 	if err != nil {
 		return experiments.Scenario{}, err
 	}
-	groups, err := parseGroups(flows, rtt)
+	groups, err := cli.ParseGroups(flows, rtt)
 	if err != nil {
 		return experiments.Scenario{}, err
 	}
@@ -198,55 +196,4 @@ func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration tim
 		s.Params = &p
 	}
 	return s, nil
-}
-
-func parseBW(s string) (float64, error) {
-	mult := 1.0
-	switch {
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1e9, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1e6, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1e3, strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad bandwidth %q", s)
-	}
-	return v * mult, nil
-}
-
-func parseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
-	var groups []experiments.FlowGroup
-	for _, part := range strings.Split(flows, ",") {
-		cc, cnt, ok := strings.Cut(strings.TrimSpace(part), ":")
-		n := 1
-		if ok {
-			v, err := strconv.Atoi(cnt)
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("bad flow group %q", part)
-			}
-			n = v
-		}
-		groups = append(groups, experiments.FlowGroup{CC: cc, Count: n})
-	}
-	rttParts := strings.Split(rtts, ",")
-	for i := range groups {
-		sel := rttParts[0]
-		if i < len(rttParts) {
-			sel = rttParts[i]
-		}
-		d, err := time.ParseDuration(strings.TrimSpace(sel))
-		if err != nil {
-			return nil, fmt.Errorf("bad rtt %q", sel)
-		}
-		groups[i].RTT = experiments.SimTime(d.Nanoseconds())
-	}
-	return groups, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cebinae-sim:", err)
-	os.Exit(1)
 }

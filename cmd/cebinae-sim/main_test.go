@@ -74,6 +74,8 @@ func TestBuildScenarioErrors(t *testing.T) {
 		{"bad flow count", func(a *args) { a.flows = "newreno:zero" }, "flow group"},
 		{"zero flow count", func(a *args) { a.flows = "newreno:0" }, "flow group"},
 		{"bad rtt", func(a *args) { a.rtt = "soon" }, "rtt"},
+		{"zero rtt", func(a *args) { a.rtt = "0s" }, "rtt"},
+		{"negative rtt", func(a *args) { a.rtt = "-1ms" }, "rtt"},
 		{"unknown qdisc", func(a *args) { a.qdisc = "red" }, "qdisc"},
 		{"zero shards", func(a *args) { a.shards = 0 }, "shards"},
 	}

@@ -21,14 +21,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"cebinae/experiments"
+	"cebinae/internal/cli"
 	"cebinae/internal/fleet"
 	"cebinae/internal/scenario"
 )
@@ -59,106 +58,115 @@ func main() {
 	flag.Parse()
 	experiments.SetDefaultFastForward(*fastfwd)
 
-	if err := startProfiles(*cpuprofile, *memprofile); err != nil {
-		fatal(err)
-	}
-	defer stopProfiles()
-
-	nShards, err := experiments.ParseShards(*shards)
+	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	experiments.SetDefaultShards(nShards)
-	// The fleet budgets cores per job, so "auto" resolves to its concrete
-	// machine-sized count before the pool is divided.
-	shardCores := experiments.ResolvedShards(nShards)
-
-	if *specFiles != "" {
-		if err := runScenarioSweep(*specFiles, nShards, *parallel, shardCores, *timeout, *storePath, *resume); err != nil {
-			fatal(err)
+	sweep := func() error {
+		nShards, err := experiments.ParseShards(*shards)
+		if err != nil {
+			return err
 		}
-		return
-	}
+		experiments.SetDefaultShards(nShards)
+		// The fleet budgets cores per job, so "auto" resolves to its
+		// concrete machine-sized count before the pool is divided.
+		shardCores := experiments.ResolvedShards(nShards)
 
-	if *backbone != "" {
-		if err := runBackboneSweep(*backbone, *qdiscs, *scales, *parallel, shardCores, *timeout, *storePath, *resume, *csvPath); err != nil {
-			fatal(err)
+		switch {
+		case *specFiles != "":
+			return runScenarioSweep(*specFiles, nShards, *parallel, shardCores, *timeout, *storePath, *resume)
+		case *backbone != "":
+			return runBackboneSweep(*backbone, *qdiscs, *scales, *parallel, shardCores, *timeout, *storePath, *resume, *csvPath)
 		}
-		return
-	}
-
-	cfg := def
-	cfg.BufferBytes = *buffer * 1500
-	cfg.Seed = *seed
-	if cfg.BottleneckBps, err = parseBW(*bw); err != nil {
-		fatal(err)
-	}
-	if cfg.Groups, err = parseGroups(*flows, *rtt); err != nil {
-		fatal(err)
-	}
-	if cfg.Qdiscs, err = parseQdiscs(*qdiscs); err != nil {
-		fatal(err)
-	}
-	if cfg.Scales, err = parseScales(*scales); err != nil {
-		fatal(err)
-	}
-	if cfg.ThresholdPcts, err = parseFloats(*thresholds); err != nil {
-		fatal(err)
-	}
-
-	if !*resume {
-		if _, err := os.Stat(*storePath); err == nil {
-			fatal(fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", *storePath))
+		cfg := def
+		cfg.BufferBytes = *buffer * 1500
+		cfg.Seed = *seed
+		if cfg.BottleneckBps, err = cli.ParseBandwidth(*bw); err != nil {
+			return err
 		}
+		if cfg.Groups, err = cli.ParseGroups(*flows, *rtt); err != nil {
+			return err
+		}
+		if cfg.Qdiscs, err = parseQdiscs(*qdiscs); err != nil {
+			return err
+		}
+		if cfg.Scales, err = parseScales(*scales); err != nil {
+			return err
+		}
+		if cfg.ThresholdPcts, err = parseFloats(*thresholds); err != nil {
+			return err
+		}
+		return runDumbbellSweep(cfg, *parallel, shardCores, *timeout, *storePath, *resume, *csvPath)
 	}
-	store, err := fleet.OpenStore(*storePath)
+	err = sweep()
+	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
+	// stop them explicitly before deciding the exit path.
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
+	}
+}
+
+// runDumbbellSweep is the default grid: qdisc × scale × threshold cells of
+// one dumbbell family, checkpointed to the store, then rendered as a text
+// table and a CSV summary.
+func runDumbbellSweep(cfg experiments.SweepConfig, parallel, shardCores int, timeout time.Duration, storePath string, resume bool, csvPath string) error {
+	if !resume {
+		if _, err := os.Stat(storePath); err == nil {
+			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", storePath)
+		}
+	}
+	store, err := fleet.OpenStore(storePath)
+	if err != nil {
+		return err
 	}
 	defer store.Close()
 
 	jobs := cfg.Jobs()
-	fmt.Fprintf(os.Stderr, "cebinae-sweep: %d grid cells (%d already in %s)\n", len(jobs), store.Len(), *storePath)
+	fmt.Fprintf(os.Stderr, "cebinae-sweep: %d grid cells (%d already in %s)\n", len(jobs), store.Len(), storePath)
 	start := time.Now()
 	sum, err := fleet.Run(jobs, fleet.Options{
-		Parallelism: *parallel,
+		Parallelism: parallel,
 		CoresPerJob: shardCores,
-		Timeout:     *timeout,
+		Timeout:     timeout,
 		Store:       store,
 		Progress:    os.Stderr,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	rows, err := experiments.DecodeSweepResults(sum.Results)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Print(experiments.RenderSweep(rows))
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+	if csvPath != "" {
+		f, err := os.Create(csvPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := experiments.WriteSweepCSV(f, rows); err != nil {
 			f.Close()
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	fmt.Fprintf(os.Stderr, "cebinae-sweep: %v elapsed for %v of simulation work — %.2fx vs sequential; JSONL %s",
-		time.Since(start).Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), *storePath)
-	if *csvPath != "" {
-		fmt.Fprintf(os.Stderr, ", CSV %s", *csvPath)
+		time.Since(start).Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), storePath)
+	if csvPath != "" {
+		fmt.Fprintf(os.Stderr, ", CSV %s", csvPath)
 	}
 	fmt.Fprintln(os.Stderr)
 	if sum.Failed > 0 {
-		fatal(fmt.Errorf("%d grid cell(s) failed — inspect %s", sum.Failed, *storePath))
+		return fmt.Errorf("%d grid cell(s) failed — inspect %s", sum.Failed, storePath)
 	}
+	return nil
 }
 
 // runScenarioSweep is the -scenario grid: every matched spec file loads,
@@ -386,105 +394,4 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parseBW(s string) (float64, error) {
-	mult := 1.0
-	switch {
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1e9, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1e6, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1e3, strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad bandwidth %q", s)
-	}
-	return v * mult, nil
-}
-
-func parseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
-	var groups []experiments.FlowGroup
-	for _, part := range strings.Split(flows, ",") {
-		cc, cnt, ok := strings.Cut(strings.TrimSpace(part), ":")
-		n := 1
-		if ok {
-			v, err := strconv.Atoi(cnt)
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("bad flow group %q", part)
-			}
-			n = v
-		}
-		groups = append(groups, experiments.FlowGroup{CC: cc, Count: n})
-	}
-	rttParts := strings.Split(rtts, ",")
-	for i := range groups {
-		sel := rttParts[0]
-		if i < len(rttParts) {
-			sel = rttParts[i]
-		}
-		d, err := time.ParseDuration(strings.TrimSpace(sel))
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("bad rtt %q", sel)
-		}
-		groups[i].RTT = experiments.SimTime(d.Nanoseconds())
-	}
-	return groups, nil
-}
-
-// profiling state, flushed by stopProfiles on both the normal return path
-// (deferred in main) and the fatal path (os.Exit skips defers).
-var (
-	cpuProfileFile *os.File
-	memProfilePath string
-	profilesDone   bool
-)
-
-func startProfiles(cpuPath, memPath string) error {
-	memProfilePath = memPath
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		cpuProfileFile = f
-	}
-	return nil
-}
-
-func stopProfiles() {
-	if profilesDone {
-		return
-	}
-	profilesDone = true
-	if cpuProfileFile != nil {
-		pprof.StopCPUProfile()
-		if err := cpuProfileFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "cebinae-sweep:", err)
-		}
-	}
-	if memProfilePath != "" {
-		f, err := os.Create(memProfilePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cebinae-sweep:", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC() // materialise final live-set statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cebinae-sweep:", err)
-		}
-	}
-}
-
-func fatal(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "cebinae-sweep:", err)
-	os.Exit(1)
 }

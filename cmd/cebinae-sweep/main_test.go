@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cebinae/experiments"
+	"cebinae/internal/cli"
 )
 
 func TestParseQdiscs(t *testing.T) {
@@ -58,7 +59,7 @@ func TestParseFloats(t *testing.T) {
 func TestParseBW(t *testing.T) {
 	cases := map[string]float64{"100M": 100e6, "1G": 1e9, "250K": 250e3, "42": 42, "2.5G": 2.5e9}
 	for in, want := range cases {
-		got, err := parseBW(in)
+		got, err := cli.ParseBandwidth(in)
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
@@ -67,14 +68,14 @@ func TestParseBW(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "fast", "-1M", "0"} {
-		if _, err := parseBW(bad); err == nil {
+		if _, err := cli.ParseBandwidth(bad); err == nil {
 			t.Errorf("bandwidth %q accepted", bad)
 		}
 	}
 }
 
 func TestParseGroups(t *testing.T) {
-	got, err := parseGroups("newreno:16,cubic", "50ms,80ms")
+	got, err := cli.ParseGroups("newreno:16,cubic", "50ms,80ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestParseGroups(t *testing.T) {
 	}
 
 	// One RTT fans out across all groups.
-	got, err = parseGroups("newreno:2,vegas:2,bbr:1", "40ms")
+	got, err = cli.ParseGroups("newreno:2,vegas:2,bbr:1", "40ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestParseGroups(t *testing.T) {
 	}
 
 	for _, bad := range [][2]string{{"newreno:0", "40ms"}, {"newreno:x", "40ms"}, {"newreno:2", "soon"}, {"newreno:2", "-1ms"}} {
-		if _, err := parseGroups(bad[0], bad[1]); err == nil {
+		if _, err := cli.ParseGroups(bad[0], bad[1]); err == nil {
 			t.Errorf("groups %q rtt %q accepted", bad[0], bad[1])
 		}
 	}

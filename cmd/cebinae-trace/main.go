@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"cebinae/experiments"
+	"cebinae/internal/cli"
 	"cebinae/internal/hhcache"
 	"cebinae/internal/packet"
 	"cebinae/internal/sim"
@@ -56,8 +58,7 @@ func main() {
 
 	if *replayRun {
 		if err := runReplay(os.Stdout, cfg, *standing, *linkBps*1e9); err != nil {
-			fmt.Fprintln(os.Stderr, "cebinae-trace:", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		return
 	}
@@ -88,8 +89,7 @@ func main() {
 	}
 
 	if *slots&(*slots-1) != 0 || *slots <= 0 || *stages <= 0 {
-		fmt.Fprintln(os.Stderr, "cebinae-trace: slots must be a power of two, stages positive")
-		os.Exit(1)
+		cli.Fatal(errors.New("slots must be a power of two, stages positive"))
 	}
 
 	var fpSum, fpDen, fnSum, fnDen float64

@@ -234,15 +234,9 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	dstFwd, dstRev := topo.dstFwd, topo.dstRev
 
 	// The core egress discipline under test, on the engine that owns it.
-	var cq *core.Qdisc
-	if cfg.Qdisc == Cebinae {
-		rtt := 2 * (cfg.CoreDelay + 2*sim.Duration(200e3))
-		cq = core.New(coreFwd.Node().Engine(), cfg.CoreBps, cfg.BufferBytes, core.DefaultParams(cfg.CoreBps, cfg.BufferBytes, rtt))
-		cq.OnDrain = coreFwd.Kick
-		coreFwd.SetQdisc(cq)
-	} else {
-		coreFwd.SetQdisc(qdisc.NewFIFO(cfg.BufferBytes))
-	}
+	rtt := 2 * (cfg.CoreDelay + 2*sim.Duration(200e3))
+	coreQ, cq := newPortQdisc(cfg.Qdisc, coreFwd, cfg.CoreBps, cfg.BufferBytes, rtt, nil)
+	coreFwd.SetQdisc(coreQ)
 
 	// Forward route src→dst and the reverse feedback path dst→src.
 	src.AddRoute(dst.ID, srcFwd)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cebinae/internal/core"
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
@@ -109,17 +108,8 @@ func (r ChainResult) Report() string {
 // both are byte-identical at any shard count.
 func RunChain(cfg ChainConfig) ChainResult {
 	btlQdisc := func(dev *netem.Device) netem.Qdisc {
-		eng := dev.Node().Engine()
-		switch cfg.Qdisc {
-		case FQ:
-			return qdisc.NewFQCoDel(eng, cfg.BufferBytes, 0, qdisc.DefaultCoDelParams())
-		case Cebinae:
-			cq := core.New(eng, cfg.BottleneckBps, cfg.BufferBytes, core.DefaultParams(cfg.BottleneckBps, cfg.BufferBytes, cfg.CebinaeRTT))
-			cq.OnDrain = dev.Kick
-			return cq
-		default:
-			return qdisc.NewFIFO(cfg.BufferBytes)
-		}
+		q, _ := newPortQdisc(cfg.Qdisc, dev, cfg.BottleneckBps, cfg.BufferBytes, cfg.CebinaeRTT, nil)
+		return q
 	}
 	build := func(f netem.Fabric) *netem.ParkingLot {
 		return netem.BuildParkingLotOn(f, netem.ParkingLotConfig{

@@ -53,16 +53,8 @@ func ExtChurn(kind QdiscKind, scale Scale) ExtChurnResult {
 		BottleneckDelay: sim.Duration(100e3),
 		RTTs:            []sim.Time{ms(40), ms(40)},
 		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
-			switch kind {
-			case FQ:
-				return qdisc.NewFQCoDel(eng, buf, 0, qdisc.DefaultCoDelParams())
-			case Cebinae:
-				cq := core.New(eng, rate, buf, core.DefaultParams(rate, buf, ms(40)))
-				cq.OnDrain = dev.Kick
-				return cq
-			default:
-				return qdisc.NewFIFO(buf)
-			}
+			q, _ := newPortQdisc(kind, dev, rate, buf, ms(40), nil)
+			return q
 		},
 		DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
 	})
@@ -148,16 +140,9 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 		BottleneckDelay: sim.Duration(100e3),
 		RTTs:            []sim.Time{ms(40)},
 		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
-			switch kind {
-			case FQ:
-				return qdisc.NewFQCoDel(eng, buf, 0, qdisc.DefaultCoDelParams())
-			case Cebinae:
-				cq = core.New(eng, rate, buf, core.DefaultParams(rate, buf, ms(40)))
-				cq.OnDrain = dev.Kick
-				return cq
-			default:
-				return qdisc.NewFIFO(buf)
-			}
+			var q netem.Qdisc
+			q, cq = newPortQdisc(kind, dev, rate, buf, ms(40), nil)
+			return q
 		},
 		DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
 	})

@@ -24,10 +24,12 @@ import (
 // Eligibility is deliberately narrow: single-shard runs only (a sharded
 // cluster steps its engines through conservative windows, where a clock
 // skip on one shard would break the cross-shard ordering proof) and only
-// bottleneck disciplines whose frozen state translates across a skip
-// (fifo, fq, cebinae — the calendar baselines rotate buckets on
-// absolute-time arithmetic that has no ShiftTime). An ineligible request
-// falls back to exact packet level and reports Result.FF.ForcedOff.
+// the bottleneck disciplines the fluid-vs-packet differentials cover
+// (fifo, fq, cebinae): whatever they stamp, they stamp from the engine's
+// Local clock, which a skip does not move. The strawman's token buckets
+// stamp Now(), and the calendar baselines, which keep no time at all, have
+// no differential. An ineligible request falls back to exact packet level
+// and reports Result.FF.ForcedOff.
 
 // fluidEligible reports whether the bottleneck discipline supports
 // byte-consistent re-entry from a clock skip.
@@ -116,7 +118,6 @@ func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, flat []Flow
 	for _, cn := range conns {
 		st := &cn.Stats
 		c.WatchCounter(func() uint64 { return st.Retransmits + st.Timeouts + st.ECEReductions })
-		c.AddShifter(cn)
 	}
 
 	// Measurement epochs must be exact, not straddled by a skip: pin a

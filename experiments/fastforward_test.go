@@ -157,9 +157,9 @@ func TestFastForwardForcedOffShards(t *testing.T) {
 	}
 }
 
-// TestFastForwardIneligibleQdisc: the calendar baselines rotate buckets
-// on absolute-time arithmetic with no ShiftTime, so a fast-forward
-// request on them must fall back to exact packet level.
+// TestFastForwardIneligibleQdisc: the calendar baselines are outside the
+// set fluidEligible admits, so a fast-forward request on them must fall
+// back to exact packet level.
 func TestFastForwardIneligibleQdisc(t *testing.T) {
 	base := ffCell(AFQ, Seconds(10))
 	plain := Run(base)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cebinae/internal/core"
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
@@ -126,27 +125,19 @@ func (r GraphResult) Report() string {
 	return b.String()
 }
 
-// buildPortQdisc constructs one port's discipline on the engine that owns
-// the device.
+// buildPortQdisc constructs one port's discipline from its spec, filling
+// the spec's defaults.
 func buildPortQdisc(cfg PortQdisc, rate float64, dev *netem.Device) netem.Qdisc {
 	buf := cfg.BufferBytes
 	if buf == 0 {
 		buf = 64 << 20
 	}
-	switch cfg.Kind {
-	case FQ:
-		return qdisc.NewFQCoDel(dev.Node().Engine(), buf, 0, qdisc.DefaultCoDelParams())
-	case Cebinae:
-		rtt := cfg.CebinaeRTT
-		if rtt == 0 {
-			rtt = ms(40)
-		}
-		cq := core.New(dev.Node().Engine(), rate, buf, core.DefaultParams(rate, buf, rtt))
-		cq.OnDrain = dev.Kick
-		return cq
-	default:
-		return qdisc.NewFIFO(buf)
+	rtt := cfg.CebinaeRTT
+	if rtt == 0 {
+		rtt = ms(40)
 	}
+	q, _ := newPortQdisc(cfg.Kind, dev, rate, buf, rtt, nil)
+	return q
 }
 
 // graphTopo is one constructed instance of a GraphConfig.

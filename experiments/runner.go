@@ -274,14 +274,38 @@ func maxRTT(groups []FlowGroup) sim.Time {
 	return m
 }
 
-// buildQdisc constructs the bottleneck discipline for a scenario, binding
-// Cebinae's rotation un-gating to the device's transmitter.
-func buildQdisc(eng *sim.Engine, s Scenario, dev *netem.Device) (netem.Qdisc, *core.Qdisc) {
-	switch s.Qdisc {
+// newPortQdisc builds the discipline of one port — FIFO, FQ-CoDel with
+// ideal per-flow queues, or Cebinae with its rotation un-gating bound to the
+// device's transmitter — on the engine that owns dev. It is the one place
+// the experiments construct these three; the second result is the Cebinae
+// instance when there is one. override, when non-nil, replaces
+// core.DefaultParams(rate, buf, rtt).
+func newPortQdisc(kind QdiscKind, dev *netem.Device, rate float64, buf int, rtt sim.Time, override *core.Params) (netem.Qdisc, *core.Qdisc) {
+	eng := dev.Node().Engine()
+	switch kind {
 	case FQ:
-		return qdisc.NewFQCoDel(eng, s.BufferBytes, 0, qdisc.DefaultCoDelParams()), nil
+		return qdisc.NewFQCoDel(eng, buf, 0, qdisc.DefaultCoDelParams()), nil
+	case Cebinae:
+		var p core.Params
+		if override != nil {
+			p = *override
+		} else {
+			p = core.DefaultParams(rate, buf, rtt)
+		}
+		cq := core.New(eng, rate, buf, p)
+		cq.OnDrain = dev.Kick
+		return cq, cq
+	default:
+		return qdisc.NewFIFO(buf), nil
+	}
+}
+
+// buildQdisc constructs the bottleneck discipline for a dumbbell scenario:
+// the baselines only the dumbbell runs, or one of newPortQdisc's three.
+func buildQdisc(s Scenario, dev *netem.Device) (netem.Qdisc, *core.Qdisc) {
+	switch s.Qdisc {
 	case Strawman:
-		return core.NewStrawman(eng, s.BottleneckBps, s.BufferBytes, sim.Duration(100e6), 0.01), nil
+		return core.NewStrawman(dev.Node().Engine(), s.BottleneckBps, s.BufferBytes, sim.Duration(100e6), 0.01), nil
 	case AFQ, PCQ:
 		nq, bpr := s.AFQQueues, s.AFQBpR
 		if nq == 0 {
@@ -294,16 +318,8 @@ func buildQdisc(eng *sim.Engine, s Scenario, dev *netem.Device) (netem.Qdisc, *c
 			return qdisc.NewPCQ(nq, bpr, s.BufferBytes, 8192), nil
 		}
 		return qdisc.NewAFQ(nq, bpr, s.BufferBytes, 8192), nil
-	case Cebinae:
-		p := core.DefaultParams(s.BottleneckBps, s.BufferBytes, maxRTT(s.Groups))
-		if s.Params != nil {
-			p = *s.Params
-		}
-		cq := core.New(eng, s.BottleneckBps, s.BufferBytes, p)
-		cq.OnDrain = dev.Kick
-		return cq, cq
 	default:
-		return qdisc.NewFIFO(s.BufferBytes), nil
+		return newPortQdisc(s.Qdisc, dev, s.BottleneckBps, s.BufferBytes, maxRTT(s.Groups), s.Params)
 	}
 }
 
@@ -341,9 +357,7 @@ func Run(s Scenario) Result {
 			RTTs:            rtts,
 			AccessBps:       s.AccessBps,
 			BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
-				// The qdisc must schedule on the engine of the shard that
-				// owns the bottleneck device.
-				q, c := buildQdisc(dev.Node().Engine(), s, dev)
+				q, c := buildQdisc(s, dev)
 				cq = c
 				return q
 			},

@@ -140,20 +140,6 @@ func RunTable2Row(cfg Table2Config, scale Scale) Table2Row {
 	return row
 }
 
-// RunTable2 measures every row. Progress, when non-nil, is invoked after
-// each row.
-func RunTable2(scale Scale, progress func(i int, row Table2Row)) []Table2Row {
-	rows := Table2Rows()
-	out := make([]Table2Row, len(rows))
-	for i, cfg := range rows {
-		out[i] = RunTable2Row(cfg, scale)
-		if progress != nil {
-			progress(i, out[i])
-		}
-	}
-	return out
-}
-
 // RenderTable2 prints the measured table in the paper's layout.
 func RenderTable2(rows []Table2Row) string {
 	var b strings.Builder

@@ -51,7 +51,6 @@ var Analyzer = &analysis.Analyzer{
 // only on receivers from package sim to avoid colliding with accessors.
 var scheduleMethods = map[string]bool{
 	"Schedule":      true,
-	"ScheduleStd":   true,
 	"ScheduleCall":  true,
 	"ScheduleOwned": true,
 	"AtCall":        true,

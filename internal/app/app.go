@@ -56,7 +56,6 @@ func (c *CBR) tick() {
 	p.Flow = c.key
 	p.Size = int32(c.PacketBytes)
 	p.PayloadSize = int32(c.PacketBytes - packet.HeaderBytes)
-	p.SentAt = c.eng.Now()
 	if c.ECN {
 		p.ECN = packet.ECNECT
 	}
@@ -141,7 +140,6 @@ func (o *OnOff) emit() {
 	p.Flow = o.key
 	p.Size = int32(o.PacketBytes)
 	p.PayloadSize = int32(o.PacketBytes - packet.HeaderBytes)
-	p.SentAt = o.eng.Now()
 	o.node.Inject(p)
 	o.Sent++
 	o.eng.ArmTimer(&o.emitTimer, sim.Time(float64(o.PacketBytes*8)/o.RateBps*1e9), (*onOffEmit)(o), nil)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cebinae/internal/packet"
-	"cebinae/internal/sim"
-)
+import "cebinae/internal/packet"
 
 // Fluid fast-forward support: when the engine skips a quiescent stretch
 // (internal/fluid), the Cebinae control plane keeps firing at its pinned
@@ -11,7 +8,8 @@ import (
 // between. FluidAdvance replays the egress-pipeline accounting those
 // packets would have performed, so the next recompute polls a
 // heavy-hitter cache and port counter that look exactly like steady
-// traffic; ShiftTime keeps the frozen queue contents self-consistent.
+// traffic. The frozen queue contents need nothing: the data plane keeps no
+// stamp on them.
 
 // FlowBytes is one flow's share of a fluid-advanced stretch, in wire
 // bytes and packets. Callers pass a deterministically ordered slice.
@@ -56,17 +54,4 @@ func (q *Qdisc) FluidAdvance(flows []FlowBytes) {
 	q.Stats.TxBytes += uint64(total)
 	q.Stats.TxPackets += pkts
 	q.Stats.Enqueued += pkts
-}
-
-// ShiftTime translates the enqueue stamps of every buffered packet by d
-// (fluid fast-forward re-entry). The LBF banks and round clocks are
-// real-time anchored — baseRoundTime advances with the pinned rotations —
-// so only the frozen packets themselves carry stale stamps.
-func (q *Qdisc) ShiftTime(d sim.Time) {
-	for i := range q.queues {
-		r := &q.queues[i]
-		for j := 0; j < r.count; j++ {
-			r.buf[(r.head+j)%len(r.buf)].ShiftTime(d)
-		}
-	}
 }

@@ -13,13 +13,15 @@
 // configure window, a monitor sample, a flow start, the measurement
 // epoch, …), capped by MaxSkip and the run horizon, using
 // sim.Engine.FastForward — every non-pinned pending event (in-flight
-// transmissions, RTOs, pacing, delayed ACKs) shifts with the clock, so
-// the frozen packet-level state re-enters the far side of the skip
-// byte-consistently. Across the skipped stretch the controller advances
-// the observable counters in closed form: device TX/RX stats, per-flow
-// goodput meters, and — for a Cebinae port — the heavy-hitter cache, port
-// byte counter, and LBF banks the next recompute will poll
-// (core.Qdisc.FluidAdvance).
+// transmissions, RTOs, pacing, delayed ACKs) shifts with the clock, and
+// every stamp the frozen components hold was read from the engine's
+// Local() clock, which does not tick during a skip — so the frozen
+// packet-level state re-enters the far side of the skip byte-consistently
+// without the controller touching it. Across the skipped stretch the
+// controller advances the observable counters in closed form: device
+// TX/RX stats, per-flow goodput meters, and — for a Cebinae port — the
+// heavy-hitter cache, port byte counter, and LBF banks the next recompute
+// will poll (core.Qdisc.FluidAdvance).
 //
 // Fallback is automatic and conservative. Pinned events execute at packet
 // level at their exact instants (a rotation is a mandatory
@@ -261,28 +263,23 @@ type Controller struct {
 	discos    []func() uint64
 	discoLast []uint64
 
-	shifters []netem.TimeShifter
-
-	tick       sim.Timer
-	armed      bool
-	armedSpan  sim.Time // cumulative skipped time since the last arm
-	off        bool
-	started    bool
-	shiftDelta sim.Time // current skip's delta, for the shiftArg closure
+	tick      sim.Timer
+	armed     bool
+	armedSpan sim.Time // cumulative skipped time since the last arm
+	off       bool
+	started   bool
 
 	stats Stats
 }
 
-// New returns a controller bound to eng. Wire up watches and shifters,
-// then call Start.
+// New returns a controller bound to eng. Wire up watches, then call Start.
 func New(eng *sim.Engine, cfg Config) *Controller {
 	c := &Controller{eng: eng, cfg: cfg.withDefaults()}
 	return c
 }
 
 // WatchDevice adds dev as a stability signal and advancement target, and
-// registers its drop counter as a discontinuity and the device (wire +
-// qdisc state) as a time shifter.
+// registers its drop counter as a discontinuity.
 func (c *Controller) WatchDevice(dev *netem.Device) {
 	wd := &watchedDevice{dev: dev}
 	for _, h := range []*history{&wd.histTxB, &wd.histTxP, &wd.histRxB, &wd.histRxP, &wd.occHist} {
@@ -290,7 +287,6 @@ func (c *Controller) WatchDevice(dev *netem.Device) {
 	}
 	c.devices = append(c.devices, wd)
 	c.WatchCounter(func() uint64 { return dev.Stats.DropPackets })
-	c.AddShifter(dev)
 }
 
 // WatchDeviceContested is WatchDevice for a link that multiple watched
@@ -338,8 +334,7 @@ func (c *Controller) WatchFlowPinned(key packet.FlowKey, activeFrom sim.Time, to
 // wireFactor (wire bytes per goodput byte, e.g. MTU/MSS for TCP), is fed
 // to the port's heavy-hitter cache and byte counters so control-plane
 // recomputes across skipped stretches see steady traffic. The port's
-// drop/mark/phase/config counters join the discontinuity set and its
-// frozen queues the shifter set.
+// drop/mark/phase/config counters join the discontinuity set.
 func (c *Controller) WatchCebinae(q *core.Qdisc, wireFactor float64) {
 	c.ceb = q
 	if wireFactor <= 0 {
@@ -348,7 +343,6 @@ func (c *Controller) WatchCebinae(q *core.Qdisc, wireFactor float64) {
 	c.cebWire = wireFactor
 	c.WatchCounter(func() uint64 { return q.Stats.BufferDrops + q.Stats.LBFDrops + q.Stats.ECNMarked })
 	c.WatchCounter(func() uint64 { return q.Stats.PhaseChanges + q.ConfigChanges })
-	c.AddShifter(q)
 }
 
 // WatchCounter registers a discontinuity counter: while sampling, any
@@ -357,13 +351,6 @@ func (c *Controller) WatchCebinae(q *core.Qdisc, wireFactor float64) {
 func (c *Controller) WatchCounter(fn func() uint64) {
 	c.discos = append(c.discos, fn)
 	c.discoLast = append(c.discoLast, 0)
-}
-
-// AddShifter registers a component holding absolute-time state the
-// engine cannot see (connections, devices, sinks); each skip calls
-// ShiftTime(delta) on it.
-func (c *Controller) AddShifter(s netem.TimeShifter) {
-	c.shifters = append(c.shifters, s)
 }
 
 // Start begins sampling. The tick is pinned: it is itself an epoch
@@ -602,24 +589,10 @@ func (c *Controller) rearm(d sim.Time) {
 	}
 }
 
-// shiftArg translates packet payloads of shifted events (in-flight
-// arrivals and transmissions).
-type shiftArg Controller
-
-func (s *shiftArg) apply(arg any) {
-	if p, ok := arg.(*packet.Packet); ok {
-		p.ShiftTime((*Controller)(s).shiftDelta)
-	}
-}
-
-// skip executes one hop of d: jump the clock, shift frozen state, and
-// advance counters in closed form at the frozen rates.
+// skip executes one hop of d: jump the clock and advance counters in
+// closed form at the frozen rates.
 func (c *Controller) skip(d sim.Time) {
-	c.shiftDelta = d
-	c.eng.FastForward(d, (*shiftArg)(c).apply)
-	for _, s := range c.shifters {
-		s.ShiftTime(d)
-	}
+	c.eng.FastForward(d)
 	sec := d.Seconds()
 	for _, wd := range c.devices {
 		st := &wd.dev.Stats

@@ -96,26 +96,14 @@ type Packet struct {
 	PayloadSize int32
 	Size        int32
 
-	// SentAt is stamped by the sender when the packet first enters the
-	// network; used for RTT sampling and latency accounting.
-	SentAt sim.Time
-
-	// EnqueuedAt is stamped by queue disciplines that need sojourn times
-	// (CoDel) at enqueue.
+	// EnqueuedAt is stamped at enqueue by queue disciplines that need
+	// sojourn times (CoDel), from the engine's Local clock. It is the only
+	// stamp a packet carries: what a sender needs for RTT and delivery-rate
+	// samples stays in its own per-segment record.
 	EnqueuedAt sim.Time
 
 	// Retransmit marks a retransmitted data segment (excluded from goodput).
 	Retransmit bool
-
-	// DeliveredAtSend and DeliveredTimeAtSend snapshot the sender's delivery
-	// counter when this packet was sent; they drive delivery-rate sampling
-	// for BBR (after the style of Linux's rate-sample).
-	DeliveredAtSend     int64
-	DeliveredTimeAtSend sim.Time
-
-	// AppLimitedAtSend records whether the sender was application-limited
-	// when this packet left, so rate samples can be discounted.
-	AppLimitedAtSend bool
 }
 
 // SackBlock is one received byte range [Start, End) beyond the cumulative
@@ -140,21 +128,4 @@ func (p *Packet) HasFlag(f uint8) bool { return p.Flags&f != 0 }
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{%s seq=%d ack=%d len=%d flags=%08b}", p.Flow, p.Seq, p.Ack, p.PayloadSize, p.Flags)
-}
-
-// ShiftTime translates the packet's absolute timestamps forward by d.
-// Used by the fluid fast-forward layer (internal/fluid): a packet frozen
-// in a queue or on the wire across a clock skip must keep its distance to
-// the clock so RTT samples and sojourn times are unperturbed. Zero-valued
-// stamps are sentinels ("never stamped") and stay zero.
-func (p *Packet) ShiftTime(d sim.Time) {
-	if p.SentAt != 0 {
-		p.SentAt += d
-	}
-	if p.EnqueuedAt != 0 {
-		p.EnqueuedAt += d
-	}
-	if p.DeliveredTimeAtSend != 0 {
-		p.DeliveredTimeAtSend += d
-	}
 }

@@ -23,7 +23,8 @@ func DefaultCoDelParams() CoDelParams {
 
 // codelState is the per-queue CoDel dropper state machine. It is embedded in
 // each FQ-CoDel flow queue and operates purely on packet sojourn times
-// observed at dequeue.
+// observed at dequeue. Its deadlines and the `now` it is handed are readings
+// of the engine's Local clock, like the enqueue stamps behind the sojourns.
 type codelState struct {
 	params        CoDelParams
 	firstAboveAt  sim.Time // time when sojourn first exceeded target (0 = not above)

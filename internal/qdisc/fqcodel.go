@@ -72,7 +72,7 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 		f.nextSeq++
 		f.flows[p.Flow] = fl
 	}
-	p.EnqueuedAt = f.eng.Now()
+	p.EnqueuedAt = f.eng.Local()
 	fl.bytes += int(p.Size)
 	f.bytes += int(p.Size)
 	f.packets++
@@ -163,7 +163,7 @@ func (f *FQCoDel) selectFlow() *fqFlow {
 // codelDequeue pops packets from fl, dropping while CoDel says to. ECN-capable
 // packets are CE-marked instead of dropped (RFC 8290 §4.2).
 func (f *FQCoDel) codelDequeue(fl *fqFlow) *packet.Packet {
-	now := f.eng.Now()
+	now := f.eng.Local()
 	for {
 		p := fl.q.pop()
 		if p == nil {

@@ -312,3 +312,64 @@ func TestFQCoDelECNMarksInsteadOfDrops(t *testing.T) {
 		t.Fatalf("ECT packets should not be dropped by AQM: %d", q.Drops)
 	}
 }
+
+// TestFQCoDelSojournExcludesSkippedTime: the enqueue stamp and the clock
+// CoDel is run on are both the engine's Local clock, so fast-forward skips
+// before a packet is enqueued and while it waits add nothing to its sojourn
+// and move no deadline — the same queue filled and drained on the same
+// schedule records the same sojourns and makes the same drop decisions
+// whether or not twenty seconds were skipped along the way.
+func TestFQCoDelSojournExcludesSkippedTime(t *testing.T) {
+	const ms = sim.Time(1e6)
+	run := func(skip sim.Time) (log []int64, drops uint64) {
+		eng := sim.NewEngine()
+		q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
+		eng.Schedule(ms/2, func() { eng.FastForward(skip) })
+		eng.Schedule(ms, func() {
+			for i := 0; i < 400; i++ {
+				p := pkt(1, 1500)
+				p.Seq = int64(i)
+				q.Enqueue(p)
+			}
+			// FQCoDel does not hand its flow queues the CoDel parameters it
+			// was built with (a defect recorded in CHANGES.md under PR 13):
+			// they run on a zero target and interval, where no decision
+			// depends on how long a packet waited. Give this flow the
+			// defaults so the test sees the clock CoDel is run on.
+			q.flows[pkt(1, 0).Flow].codel.params = DefaultCoDelParams()
+		})
+		// One dequeue per millisecond: the k-th packet out has waited
+		// about k ms, above the 5 ms target from early on, so drops set in
+		// some 200 ms later (RFC 8289: an interval to be sure, another to
+		// act) with half the queue still waiting.
+		for i := 2; i <= 500; i++ {
+			eng.Schedule(sim.Time(i)*ms, func() {
+				if p := q.Dequeue(); p != nil {
+					log = append(log, p.Seq, int64(eng.Local()-p.EnqueuedAt))
+				}
+			})
+		}
+		eng.Schedule(2*ms+ms/2, func() { eng.FastForward(skip) })
+		eng.RunAll()
+		return log, q.Drops
+	}
+	plain, plainDrops := run(0)
+	skipped, skippedDrops := run(sim.Duration(10e9))
+	if plainDrops == 0 {
+		t.Fatal("the drain schedule never made CoDel drop; the comparison would be vacuous")
+	}
+	if skippedDrops != plainDrops || len(skipped) != len(plain) {
+		t.Fatalf("the skips changed CoDel's decisions: %d drops and %d dequeues, want %d and %d",
+			skippedDrops, len(skipped)/2, plainDrops, len(plain)/2)
+	}
+	for i := range plain {
+		if skipped[i] != plain[i] {
+			t.Fatalf("dequeue %d: (seq, sojourn) entry %d is %d with the skips, %d without", i/2, i%2, skipped[i], plain[i])
+		}
+	}
+	// The second packet out left 2 ms after it was enqueued, with one skip
+	// before its enqueue and one during its wait.
+	if skipped[3] != int64(2*ms) {
+		t.Fatalf("second dequeue waited %d ns by its stamp, want 2 ms", skipped[3])
+	}
+}

@@ -281,7 +281,6 @@ func (fs *flowState) send() {
 	p.Seq = fs.seq
 	p.Size = int32(s.cfg.PacketBytes)
 	p.PayloadSize = p.Size - packet.HeaderBytes
-	p.SentAt = s.eng.Now()
 	if s.cfg.ECN {
 		p.ECN = packet.ECNECT
 	}

@@ -92,7 +92,7 @@ func (k *Sink) Deliver(p *packet.Packet) {
 		sf.expect = next
 	}
 	if congested {
-		now := k.eng.Now()
+		now := k.eng.Local()
 		if sf.lastFeedback == 0 || now-sf.lastFeedback >= k.cfg.FeedbackMinGap {
 			sf.lastFeedback = now
 			k.feedback(p)
@@ -118,21 +118,6 @@ func (k *Sink) feedback(data *packet.Packet) {
 	fb.Ack = data.Seq + int64(data.Size)
 	fb.Size = packet.HeaderBytes
 	fb.PayloadSize = 0
-	fb.SentAt = k.eng.Now()
 	k.Stats.Feedbacks++
 	k.node.Inject(fb)
-}
-
-// ShiftTime translates the per-flow feedback rate-limiter stamps by d
-// (fluid fast-forward re-entry), preserving each flow's distance to its
-// next permitted feedback. Zero means "never sent" and stays zero. The
-// map mutation is uniform across entries, so iteration order is
-// immaterial.
-func (k *Sink) ShiftTime(d sim.Time) {
-	for key, sf := range k.flows {
-		if sf.lastFeedback != 0 {
-			sf.lastFeedback += d
-			k.flows[key] = sf
-		}
-	}
 }

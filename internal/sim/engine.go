@@ -7,7 +7,7 @@
 //
 // Five scheduling surfaces share one totally-ordered event sequence:
 //
-//   - Schedule / ScheduleStd / At / AtPinned take a func() and return an
+//   - Schedule / At / AtPinned take a func() and return an
 //     *Event handle that can be cancelled. Convenient, but each call
 //     allocates the event (and usually a closure), so this is the
 //     cold-path API.
@@ -34,6 +34,17 @@
 // at a time owned by one struct → ScheduleOwned; a FIFO of in-flight
 // payloads owned by one struct → StreamCall; anything that needs
 // cancellation or re-arming on the hot path → a Timer.
+//
+// The engine reads time two ways. Now() is the simulation clock: events are
+// scheduled on it and results are reported on it. Local() is Now() minus all
+// the time FastForward has skipped: it stands still during a skip and equals
+// Now() on a run that never skips. The rule for everything built on the
+// engine, stated here once: store Local(), schedule and report on Now(), arm
+// timers with relative delays. A component that keeps a stamp and later
+// subtracts it from the clock (an RTT sample, a pacing release time, a queue
+// sojourn, a CoDel deadline) takes both readings from Local(), so a skip is
+// invisible to it and nothing outside this package has to translate state
+// when the clock jumps; see fastforward.go.
 package sim
 
 import (
@@ -77,8 +88,8 @@ const (
 	// they are garbage collected, never recycled (the caller may still
 	// hold the pointer after the event fires).
 	kindClosure eventKind = iota
-	// kindPooled events carry a Handler, expose no handle, and return to
-	// the engine's free list the moment they fire or are cancelled.
+	// kindPooled events carry a Handler, expose no handle (so they cannot be
+	// cancelled), and return to the engine's free list the moment they fire.
 	kindPooled
 	// kindOwned events are embedded in a caller's struct and rescheduled
 	// in place (ScheduleOwned); the engine never frees or recycles them.
@@ -148,6 +159,9 @@ type Engine struct {
 	// horizon is the `until` of the innermost Run in progress (MaxTime for
 	// RunAll); FastForward callers use it to cap a skip at the horizon.
 	horizon Time
+	// skipped is the total span FastForward has jumped over; Local()
+	// subtracts it from now.
+	skipped Time
 	// Processed counts events dispatched since construction.
 	Processed uint64
 }
@@ -163,6 +177,12 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// Local returns the virtual time spent outside FastForward skips: Now()
+// minus every skipped span. It is monotone, does not tick during a skip, and
+// equals Now() on an engine that never skips. Stamps that are later
+// subtracted from the clock are taken from, and compared against, Local().
+func (e *Engine) Local() Time { return e.now - e.skipped }
+
 // Schedule runs fn after delay d (relative to the current virtual time).
 // A negative delay is treated as zero.
 func (e *Engine) Schedule(d Time, fn func()) *Event {
@@ -170,11 +190,6 @@ func (e *Engine) Schedule(d Time, fn func()) *Event {
 		d = 0
 	}
 	return e.At(e.now+d, fn)
-}
-
-// ScheduleStd runs fn after a standard library duration.
-func (e *Engine) ScheduleStd(d time.Duration, fn func()) *Event {
-	return e.Schedule(Duration(d), fn)
 }
 
 // At runs fn at absolute virtual time t. Times in the past are clamped to
@@ -275,9 +290,6 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	e.heapRemove(int(ev.pos) - 1)
-	if ev.kind == kindPooled {
-		e.recycle(ev)
-	}
 }
 
 // recycle clears a pooled event's references and returns it to the free

@@ -7,17 +7,18 @@ package sim
 // distance to the clock and its dispatch order (a uniform shift of
 // (at, schedAt) preserves the (at, schedAt, seq) total order among shifted
 // events). The frozen packet-level state thus re-enters at the far side of
-// the skip exactly as it left: in-flight transmissions, RTOs, pacing gaps, delayed ACKs all
-// resume with identical relative timing. Pinned events are the epoch
-// boundaries: they keep their absolute deadlines, bound every skip
+// the skip exactly as it left: in-flight transmissions, RTOs, pacing gaps,
+// delayed ACKs all resume with identical relative timing. Pinned events are
+// the epoch boundaries: they keep their absolute deadlines, bound every skip
 // (FastForward panics rather than hop one), and fire on schedule.
 //
-// Event payloads may carry absolute timestamps (a packet's SentAt, a
-// delivery-rate stamp); the caller passes shiftArg to translate those
-// forward so the frozen state stays self-consistent. Component-held
-// absolute state (TCP connection stamps, CoDel deadlines, …) is shifted by
-// the caller through per-component ShiftTime methods — the engine only
-// owns the event stream.
+// The event stream is the only state that is translated, and this file is
+// the only code that translates it. Everything else follows the rule in the
+// package comment — store Local(), schedule and report on Now(), arm timers
+// with relative delays. A skip of d adds d to Now() and to the total Local()
+// subtracts, so Local() reads the same on both sides of it: for a stamp s
+// taken from Local(), Local()−s counts the time that was dispatched since
+// and none that was skipped.
 
 // NextPinnedTime returns the earliest deadline among pending pinned
 // events, or MaxTime when none is pinned. Pinned timers never park in the
@@ -38,19 +39,14 @@ func (e *Engine) NextPinnedTime() Time {
 // windowed RunUntil driver never observes a clock past its window.
 func (e *Engine) Horizon() Time { return e.horizon }
 
-// FastForward advances the clock by d in one step, shifting every
-// non-pinned pending event with it. It must be called from within a
-// dispatching handler (or between Run windows); the caller is responsible
-// for having advanced all frozen component state across the skip. shiftArg
-// (optional) is invoked once per shifted event whose payload is non-nil —
-// for timer events the timer's payload, not the *Timer itself; for a
-// stream, once per pending entry — so payload-held absolute timestamps can
-// be translated by +d.
+// FastForward advances Now() by d in one step, shifting every non-pinned
+// pending event with it and leaving Local() where it was. It must be called
+// from within a dispatching handler (or between Run windows).
 //
 // Panics if a pinned event lies strictly inside the skipped interval: the
 // caller must bound d by NextPinnedTime()-Now(). A pinned deadline exactly
 // at the skip target is legal and fires immediately after the skip.
-func (e *Engine) FastForward(d Time, shiftArg func(arg any)) {
+func (e *Engine) FastForward(d Time) {
 	if d < 0 {
 		panic("sim: FastForward with negative delta")
 	}
@@ -70,19 +66,8 @@ func (e *Engine) FastForward(d Time, shiftArg func(arg any)) {
 		ev.at += d
 		ev.schedAt += d
 		if ev.kind == kindStream {
-			// The residency is the head entry; the payloads to translate
-			// are the entries', not the back-pointer in ev.arg.
-			ev.arg.(*Stream).shift(d, shiftArg)
-			continue
-		}
-		if shiftArg != nil {
-			arg := ev.arg
-			if ev.kind == kindTimer {
-				arg = ev.arg.(*Timer).arg
-			}
-			if arg != nil {
-				shiftArg(arg)
-			}
+			// The residency is the head entry; the rest sit behind it.
+			ev.arg.(*Stream).shift(d)
 		}
 	}
 	// The relative order of shifted events is preserved, but pinned events
@@ -124,9 +109,6 @@ func (e *Engine) FastForward(d Time, shiftArg func(arg any)) {
 			t.next = nil
 			t.ev.at += d
 			t.ev.schedAt += d
-			if shiftArg != nil && t.arg != nil {
-				shiftArg(t.arg)
-			}
 			t.state = timerIdle
 			e.placeTimer(t)
 		}
@@ -134,6 +116,7 @@ func (e *Engine) FastForward(d Time, shiftArg func(arg any)) {
 	}
 
 	e.now = target
+	e.skipped += d
 }
 
 // heapInit restores the heap invariant over the whole queue after a bulk

@@ -67,13 +67,13 @@ func TestFastForwardShiftsEverything(t *testing.T) {
 
 	const skip = Time(1e9)
 	var heapT, wheelT, overflowT, pinnedT Timer
-	eng.ArmTimerAt(&heapT, 100, r, 0)            // imminent: heap-resident
-	eng.ArmTimerAt(&wheelT, 1<<21, r, 1)         // wheel-parked
+	eng.ArmTimerAt(&heapT, 100, r, 0)             // imminent: heap-resident
+	eng.ArmTimerAt(&wheelT, 1<<21, r, 1)          // wheel-parked
 	eng.ArmTimerAt(&overflowT, Time(1)<<45, r, 2) // beyond the wheel window
-	eng.ArmPinnedTimerAt(&pinnedT, skip, r, 3)   // exactly at the skip target: legal
+	eng.ArmPinnedTimerAt(&pinnedT, skip, r, 3)    // exactly at the skip target: legal
 	eng.At(7, func() { log = append(log, fmt.Sprintf("closure@%d", eng.Now())) })
 
-	eng.FastForward(skip, nil)
+	eng.FastForward(skip)
 	if eng.Now() != skip {
 		t.Fatalf("clock = %v, want %v", eng.Now(), skip)
 	}
@@ -112,7 +112,7 @@ func TestFastForwardPreservesRelativeOrder(t *testing.T) {
 		eng.ArmTimerAt(&timers[i], at, r, i)
 	}
 	const skip = Time(5e8)
-	eng.FastForward(skip, nil)
+	eng.FastForward(skip)
 	eng.RunAll()
 	// Un-shift the recorded fire times for comparison.
 	for i, s := range skipped {
@@ -136,35 +136,55 @@ func TestFastForwardPanicsAcrossPinned(t *testing.T) {
 			t.Fatal("FastForward across a pinned event must panic")
 		}
 	}()
-	eng.FastForward(501, nil)
+	eng.FastForward(501)
 }
 
-// TestFastForwardShiftArg: payload timestamps are handed to the shift
-// callback exactly once per shifted event, including wheel-parked timers
-// and pooled typed events — but not for pinned events.
-func TestFastForwardShiftArg(t *testing.T) {
+// TestLocalEqualsNowWithoutSkips: on a run that never calls FastForward the
+// two readings of time are the same number at every dispatch.
+func TestLocalEqualsNowWithoutSkips(t *testing.T) {
 	eng := NewEngine()
-	r := &timerRecorder{log: new([]string), eng: eng}
-	type stamp struct{ at Time }
-	a, b, c := &stamp{10}, &stamp{20}, &stamp{30}
-	var near, far, pin Timer
-	eng.ArmTimerAt(&near, 100, r, a)    // heap
-	eng.ArmTimerAt(&far, 1<<22, r, b)   // wheel
-	eng.ArmPinnedTimerAt(&pin, 1e6, r, c) // pinned: not shifted
-	eng.AtCall(50, r, a)                // pooled event sharing payload a
-
-	const skip = Time(1e6)
-	shifts := map[*stamp]int{}
-	eng.FastForward(skip, func(arg any) {
-		s := arg.(*stamp)
-		s.at += skip
-		shifts[s]++
+	n := 0
+	check := handlerFunc(func(any) {
+		n++
+		if eng.Local() != eng.Now() {
+			t.Fatalf("Local = %v, Now = %v with no skip", eng.Local(), eng.Now())
+		}
 	})
-	if shifts[a] != 2 || shifts[b] != 1 || shifts[c] != 0 {
-		t.Fatalf("shift counts: a=%d b=%d c=%d, want 2/1/0", shifts[a], shifts[b], shifts[c])
+	var near, far Timer
+	eng.ArmTimerAt(&near, 100, check, nil)
+	eng.ArmTimerAt(&far, 1<<30, check, nil)
+	eng.AtCall(7, check, nil)
+	eng.Run(Time(1) << 31)
+	if n != 3 || eng.Local() != eng.Now() || eng.Now() != Time(1)<<31 {
+		t.Fatalf("fired %d, Local = %v, Now = %v", n, eng.Local(), eng.Now())
 	}
-	if a.at != 10+2*skip || b.at != 20+skip || c.at != 30 {
-		t.Fatalf("stamps: a=%d b=%d c=%d", a.at, b.at, c.at)
+}
+
+// TestLocalStandsStillDuringSkip: FastForward(d) advances Now by d and
+// leaves Local alone, so a stamp taken from Local before a skip measures
+// the same elapsed time after it — the time spent dispatching, whatever
+// was skipped in between.
+func TestLocalStandsStillDuringSkip(t *testing.T) {
+	eng := NewEngine()
+	eng.Run(300)
+	stamp := eng.Local()
+	var tm Timer
+	var firedNow, firedLocal Time
+	eng.ArmTimer(&tm, 50, handlerFunc(func(any) { firedNow, firedLocal = eng.Now(), eng.Local() }), nil)
+
+	for i, d := range []Time{1e9, 0, 7} {
+		now, local := eng.Now(), eng.Local()
+		eng.FastForward(d)
+		if eng.Now() != now+d || eng.Local() != local {
+			t.Fatalf("skip %d of %v: Now %v -> %v, Local %v -> %v", i, d, now, eng.Now(), local, eng.Local())
+		}
+	}
+	eng.RunAll()
+	if want := Time(300 + 1e9 + 7 + 50); firedNow != want {
+		t.Fatalf("timer fired at Now = %v, want %v", firedNow, want)
+	}
+	if firedLocal-stamp != 50 {
+		t.Fatalf("stamp measures %v elapsed after the skips, want the 50 that were dispatched", firedLocal-stamp)
 	}
 }
 
@@ -180,7 +200,7 @@ func TestFastForwardArmedTimerReentry(t *testing.T) {
 	var rto, stopped Timer
 	eng.ArmTimerAt(&rto, 1<<20, r, 0)
 	eng.ArmTimerAt(&stopped, 1<<21, r, 1)
-	eng.FastForward(3e5, nil)
+	eng.FastForward(3e5)
 
 	if !rto.Pending() || !stopped.Pending() {
 		t.Fatal("armed timers must stay pending across a skip")
@@ -199,7 +219,7 @@ func TestFastForwardArmedTimerReentry(t *testing.T) {
 
 func TestFastForwardZeroAndHorizon(t *testing.T) {
 	eng := NewEngine()
-	eng.FastForward(0, nil) // no-op
+	eng.FastForward(0) // no-op
 	if eng.Now() != 0 {
 		t.Fatalf("zero skip moved the clock to %v", eng.Now())
 	}

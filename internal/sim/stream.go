@@ -54,6 +54,12 @@ type streamBlock struct {
 	next *streamBlock
 }
 
+// TailAt returns the deadline of the most recent push, moved along with the
+// entry by every FastForward it was pending across. Once that entry has
+// fired the value lies in the past, so clamping a new deadline to it (an
+// order-preserving jitter queue) changes nothing.
+func (s *Stream) TailAt() Time { return s.tailAt }
+
 // Bind sets the handler every entry of the stream dispatches to. It must
 // be called before the first push and not while entries are pending.
 func (s *Stream) Bind(h Handler) {
@@ -147,12 +153,8 @@ func (e *Engine) dispatchStream(ev *Event) {
 }
 
 // shift moves the entries queued behind the head by d (FastForward shifts
-// the residency, and with it the head's key, itself) and hands every
-// non-nil payload, the head's included, to shiftArg once.
-func (s *Stream) shift(d Time, shiftArg func(arg any)) {
-	if shiftArg != nil && s.arg != nil {
-		shiftArg(s.arg)
-	}
+// the residency, and with it the head's key, itself).
+func (s *Stream) shift(d Time) {
 	i := s.hi
 	for b := s.head; b != nil; b = b.next {
 		end := streamBlockLen
@@ -163,9 +165,6 @@ func (s *Stream) shift(d Time, shiftArg func(arg any)) {
 			ent := &b.ent[i]
 			ent.at += d
 			ent.schedAt += d
-			if shiftArg != nil && ent.arg != nil {
-				shiftArg(ent.arg)
-			}
 		}
 		i = 0
 	}

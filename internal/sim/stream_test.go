@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// stamped is a stream payload carrying an absolute timestamp, like a
-// packet's SentAt.
+// stamped is a stream payload carrying a stamp of the time it was pushed,
+// like a packet's EnqueuedAt: taken from Local, per the package rule.
 type stamped struct {
 	id     int
-	at     Time
-	shifts int
+	pushed Time
 }
 
 // TestStreamOneResidency: however many entries a stream holds, it occupies
@@ -96,8 +95,9 @@ type handlerFunc func(any)
 func (f handlerFunc) OnEvent(arg any) { f(arg) }
 
 // TestFastForwardStreamInFlight: a skip with entries in flight moves every
-// entry once — keys and, through shiftArg, payloads — keeps the order among
-// them and against other events, and is still bounded by a pinned deadline.
+// entry's key once, keeps the order among them and against other events,
+// leaves the time a payload's Local stamp measures untouched, and is still
+// bounded by a pinned deadline.
 func TestFastForwardStreamInFlight(t *testing.T) {
 	eng := NewEngine()
 	var log []string
@@ -105,34 +105,22 @@ func TestFastForwardStreamInFlight(t *testing.T) {
 	var a, b Stream
 	fire := handlerFunc(func(arg any) {
 		p := arg.(*stamped)
-		log = append(log, fmt.Sprintf("e%d@%d stamp %d shifts %d", p.id, eng.Now(), p.at, p.shifts))
+		log = append(log, fmt.Sprintf("e%d@%d after %d", p.id, eng.Now(), eng.Local()-p.pushed))
 	})
 	a.Bind(fire)
 	b.Bind(fire)
 	const n = 2*streamBlockLen + 3
-	var payloads []*stamped
 	for i := 0; i < n; i++ {
-		p := &stamped{id: i, at: Time(1000 + 2*i)}
-		payloads = append(payloads, p)
-		eng.StreamCall(&a, p.at, Time(i), p)
+		eng.StreamCall(&a, Time(1000+2*i), Time(i), &stamped{id: i, pushed: eng.Local()})
 	}
-	late := &stamped{id: n, at: 1005}
-	eng.StreamCall(&b, late.at, 5, late)
+	eng.StreamCall(&b, 1005, 5, &stamped{id: n, pushed: eng.Local()})
 	eng.AtCall(1006, r, 77) // ties a's entry 3 on the deadline; emitted earlier, so it fires first
 	var pin Timer
 	eng.ArmPinnedTimerAt(&pin, 5004, r, 99)
 
 	eng.Run(1004) // consume the first entries so the skip starts mid-block
 	const skip = Time(4000)
-	eng.FastForward(skip, func(arg any) {
-		if p, ok := arg.(*stamped); ok {
-			p.at += skip
-			p.shifts++
-		}
-	})
-	if payloads[2].shifts != 0 {
-		t.Fatal("an already-dispatched payload was shifted")
-	}
+	eng.FastForward(skip)
 	// a's head (entry 3) is its residency; the rest sit in blocks.
 	if a.ev.at != 1006+skip || a.ev.schedAt != 3+skip {
 		t.Fatalf("residency keyed (%d, %d) after the skip", a.ev.at, a.ev.schedAt)
@@ -159,9 +147,9 @@ func TestFastForwardStreamInFlight(t *testing.T) {
 	eng.RunAll()
 	want := []string{
 		"99@5004", // the pinned deadline kept its absolute time: it now fires first
-		fmt.Sprintf("e%d@%d stamp %d shifts 1", n, 1005+skip, 1005+skip),
+		fmt.Sprintf("e%d@%d after 1005", n, 1005+skip),
 		fmt.Sprintf("77@%d", 1006+skip),
-		fmt.Sprintf("e3@%d stamp %d shifts 1", 1006+skip, 1006+skip),
+		fmt.Sprintf("e3@%d after 1006", 1006+skip),
 	}
 	for i, w := range want {
 		if log[i] != w {
@@ -169,7 +157,7 @@ func TestFastForwardStreamInFlight(t *testing.T) {
 		}
 	}
 	for k := 4; k < n; k++ {
-		w := fmt.Sprintf("e%d@%d stamp %d shifts 1", k, Time(1000+2*k)+skip, Time(1000+2*k)+skip)
+		w := fmt.Sprintf("e%d@%d after %d", k, Time(1000+2*k)+skip, 1000+2*k)
 		if got := log[len(want)+k-4]; got != w {
 			t.Fatalf("entry %d fired as %q, want %q", k, got, w)
 		}
@@ -186,7 +174,7 @@ func TestFastForwardStreamInFlight(t *testing.T) {
 			t.Fatal("FastForward across a pinned event must panic with entries in flight")
 		}
 	}()
-	eng.FastForward(101, nil)
+	eng.FastForward(101)
 }
 
 // TestStreamCallOutOfOrderPanics: the FIFO precondition is checked, not
@@ -209,7 +197,7 @@ func TestStreamCallOutOfOrderPanics(t *testing.T) {
 	eng.StreamCall(&s, 100, 50, nil) // an equal key is in order: seq breaks the tie
 	mustPanic("earlier deadline", func() { eng.StreamCall(&s, 99, 50, nil) })
 	mustPanic("equal deadline, earlier stamp", func() { eng.StreamCall(&s, 100, 49, nil) })
-	eng.FastForward(1000, nil)
+	eng.FastForward(1000)
 	mustPanic("deadline below the shifted tail", func() { eng.StreamCall(&s, 1099, 1050, nil) })
 	mustPanic("stamp below the shifted tail", func() { eng.StreamCall(&s, 1100, 1049, nil) })
 	eng.StreamCall(&s, 1100, 1050, nil)

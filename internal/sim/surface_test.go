@@ -10,7 +10,7 @@ type surfHandler struct{ n *int }
 func (h surfHandler) OnEvent(any) { *h.n++ }
 
 // TestConvenienceSurfaces exercises the thin wrappers around the core
-// scheduling paths: std-duration scheduling, absolute pinned closures,
+// scheduling paths: std-duration conversion, absolute pinned closures,
 // the next-event lower bound, and the RunUntil alias.
 func TestConvenienceSurfaces(t *testing.T) {
 	if s := Time(1.5e9).String(); s != "1.500000s" {
@@ -21,9 +21,9 @@ func TestConvenienceSurfaces(t *testing.T) {
 		t.Fatalf("idle NextEventTime = %v, want MaxTime", got)
 	}
 	fired := 0
-	ev := eng.ScheduleStd(2*time.Millisecond, func() { fired++ })
+	ev := eng.Schedule(Duration(2*time.Millisecond), func() { fired++ })
 	if ev.At() != Duration(2e6) {
-		t.Fatalf("ScheduleStd deadline = %v, want 2ms", ev.At())
+		t.Fatalf("Schedule(Duration(2ms)) deadline = %v, want 2ms", ev.At())
 	}
 	pinned := eng.AtPinned(Duration(5e6), func() { fired++ })
 	if !pinned.pinned {

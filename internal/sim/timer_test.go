@@ -237,7 +237,6 @@ type diffDriver struct {
 
 	pinned       Timer
 	pinnedHandle *Event
-	skip         Time // delta of the FastForward in progress
 }
 
 type diffFire struct {
@@ -249,12 +248,12 @@ func (f *diffFire) OnEvent(any) {
 	*f.d.fired = append(*f.d.fired, fmt.Sprintf("%d@%d", f.id, f.d.eng.Now()))
 }
 
-// diffEntry is a stream payload carrying an absolute stamp — its own
-// deadline — so a FastForward that shifts an entry without its payload, or
-// a payload twice, shows up when it fires.
+// diffEntry is a stream payload carrying its own deadline as a Local
+// reading, which no skip moves — so a FastForward that shifts an entry's key
+// twice, or not at all, shows up when it fires.
 type diffEntry struct {
-	id int
-	at Time
+	id      int
+	localAt Time
 }
 
 type diffStreamFire diffDriver
@@ -263,8 +262,8 @@ func (f *diffStreamFire) OnEvent(arg any) {
 	d := (*diffDriver)(f)
 	ent := arg.(*diffEntry)
 	rec := fmt.Sprintf("s%d@%d", ent.id, d.eng.Now())
-	if ent.at != d.eng.Now() {
-		rec += fmt.Sprintf("(stamp %d)", ent.at)
+	if ent.localAt != d.eng.Local() {
+		rec += fmt.Sprintf("(stamp %d)", ent.localAt)
 	}
 	*d.fired = append(*d.fired, rec)
 }
@@ -274,12 +273,6 @@ type diffPinnedFire diffDriver
 func (f *diffPinnedFire) OnEvent(any) {
 	d := (*diffDriver)(f)
 	*d.fired = append(*d.fired, fmt.Sprintf("pin@%d", d.eng.Now()))
-}
-
-func (d *diffDriver) shiftArg(arg any) {
-	if ent, ok := arg.(*diffEntry); ok {
-		ent.at += d.skip
-	}
 }
 
 // push appends one entry to stream i with that stream's key discipline.
@@ -302,7 +295,7 @@ func (d *diffDriver) push(i int) {
 		}
 		d.jitterTail[i] = at
 	}
-	ent := &diffEntry{id: d.entries, at: at}
+	ent := &diffEntry{id: d.entries, localAt: d.eng.Local() + at - now}
 	d.entries++
 	h := (*diffStreamFire)(d)
 	switch {
@@ -369,13 +362,13 @@ func (d *diffDriver) OnEvent(any) {
 			d.pinnedHandle = d.eng.AtPinned(d.eng.Now()+delay, func() { (*diffPinnedFire)(d).OnEvent(nil) })
 		}
 	case op == 7: // skip the clock, as far as the pinned deadline allows
-		d.skip = delay
-		if bound := d.eng.NextPinnedTime() - d.eng.Now(); d.skip > bound {
-			d.skip = bound
+		skip := delay
+		if bound := d.eng.NextPinnedTime() - d.eng.Now(); skip > bound {
+			skip = bound
 		}
-		d.eng.FastForward(d.skip, d.shiftArg)
+		d.eng.FastForward(skip)
 		for i := range d.jitterTail {
-			d.jitterTail[i] += d.skip
+			d.jitterTail[i] += skip
 		}
 	default: // let time pass (no-op: the step advance below is the pass)
 	}

@@ -99,7 +99,7 @@ func (b *BBR) OnAck(c *Conn, rs RateSample) { b.update(c, rs) }
 func (b *BBR) OnRecoveryAck(c *Conn, rs RateSample) { b.update(c, rs) }
 
 func (b *BBR) update(c *Conn, rs RateSample) {
-	now := c.Engine().Now()
+	now := c.Engine().Local()
 
 	// Round accounting (BBR keeps its own to drive the bw filter window).
 	b.roundStart = rs.RoundStart
@@ -150,7 +150,7 @@ func (b *BBR) checkFullPipe(rs RateSample) {
 
 func (b *BBR) checkDrain(c *Conn, rs RateSample) {
 	if b.state == bbrDrain && float64(rs.InFlight) <= b.bdp(1.0) {
-		b.enterProbeBW(c.Engine().Now())
+		b.enterProbeBW(c.Engine().Local())
 	}
 }
 

@@ -40,6 +40,9 @@ type Config struct {
 	Seed uint64
 }
 
+// sentRecord is what the sender remembers of one outstanding segment. Its
+// stamps, like every stamp the connection keeps, are readings of the
+// engine's Local clock.
 type sentRecord struct {
 	size          int32
 	sentAt        sim.Time
@@ -116,7 +119,6 @@ type Conn struct {
 	// Round tracking: a round ends when a packet sent after the previous
 	// round's end is acked.
 	nextRoundDelivered int64
-	roundCount         int64
 
 	sent     map[int64]*sentRecord
 	freeRecs *sentRecord // retired sentRecords awaiting reuse
@@ -130,11 +132,10 @@ type Conn struct {
 	eceSeq int64
 
 	rng *sim.Rand
-	// jitter holds segments waiting out their send jitter; lastInjectTime
-	// clamps each release to the previous one, which both preserves send
-	// order on the wire and keeps the stream's pushes sorted.
-	jitter         sim.Stream
-	lastInjectTime sim.Time
+	// jitter holds segments waiting out their send jitter; each release is
+	// clamped to the previous one (the stream's tail), which both preserves
+	// send order on the wire and keeps the stream's pushes sorted.
+	jitter sim.Stream
 
 	finished bool
 	Stats    ConnStats
@@ -210,13 +211,12 @@ func (c *Conn) Key() packet.FlowKey { return c.cfg.Key }
 // Config returns the connection's configuration (read-only view).
 func (c *Conn) Config() Config { return c.cfg }
 
-// CCName returns the congestion control algorithm name.
-func (c *Conn) CCName() string { return c.cc.Name() }
-
 // MSS returns the connection's segment size in bytes.
 func (c *Conn) MSS() int { return c.cfg.MSS }
 
-// Engine exposes the simulation engine to CC modules (for clocks).
+// Engine exposes the simulation engine to CC modules. A module that keeps
+// a stamp reads Engine().Local(), the clock the RateSample's intervals are
+// measured on.
 func (c *Conn) Engine() *sim.Engine { return c.eng }
 
 // SRTT returns the smoothed RTT estimate.
@@ -228,12 +228,6 @@ func (c *Conn) InFlight() int64 { return c.pipe() }
 
 // Delivered returns total bytes known delivered (cumACK + SACK).
 func (c *Conn) Delivered() int64 { return c.delivered }
-
-// RoundCount returns the number of completed round trips.
-func (c *Conn) RoundCount() int64 { return c.roundCount }
-
-// InRecovery reports whether the sender is in loss recovery.
-func (c *Conn) InRecovery() bool { return c.inRecovery }
 
 // highSacked returns the highest byte known delivered.
 func (c *Conn) highSacked() int64 {
@@ -314,7 +308,7 @@ func (c *Conn) trySend() {
 			return
 		}
 		if pacingRate > 0 {
-			now := c.eng.Now()
+			now := c.eng.Local()
 			if now < c.nextSendTime {
 				c.schedulePacing(c.nextSendTime - now)
 				return
@@ -352,13 +346,12 @@ func (c *Conn) schedulePacing(d sim.Time) {
 // transmit sends the segment at seq. Retransmissions reuse the original
 // sequence but are flagged so RTT sampling skips them.
 func (c *Conn) transmit(seq int64, size int32, retx bool) {
-	now := c.eng.Now()
+	now := c.eng.Local()
 	p := c.node.AllocPacket()
 	p.Flow = c.cfg.Key
 	p.Seq = seq
 	p.PayloadSize = size
 	p.Size = size + packet.HeaderBytes
-	p.SentAt = now
 	p.Retransmit = retx
 	if c.cfg.ECN {
 		p.ECN = packet.ECNECT
@@ -387,9 +380,6 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 	}
 	rec.firstTxAtTx = c.firstTxTime
 	rec.appLimited = c.appLimited
-	p.DeliveredAtSend = rec.deliveredAtTx
-	p.DeliveredTimeAtSend = rec.txTimeAtTx
-	p.AppLimitedAtSend = rec.appLimited
 
 	c.Stats.SentPackets++
 	c.Stats.SentBytes += uint64(p.Size)
@@ -398,13 +388,13 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 	}
 	if c.cfg.SendJitter > 0 {
 		// Order-preserving host-processing jitter (see Config.SendJitter).
+		emit := c.eng.Now()
 		//lint:ignore simtime jitter windows are microseconds-to-milliseconds, far below float64's 2^53 exact range, and the uniform draw is inherently a float
-		at := now + sim.Time(c.rng.Float64()*float64(c.cfg.SendJitter))
-		if at < c.lastInjectTime {
-			at = c.lastInjectTime
+		at := emit + sim.Time(c.rng.Float64()*float64(c.cfg.SendJitter))
+		if tail := c.jitter.TailAt(); at < tail {
+			at = tail
 		}
-		c.lastInjectTime = at
-		c.eng.StreamCall(&c.jitter, at, now, p)
+		c.eng.StreamCall(&c.jitter, at, emit, p)
 	} else {
 		c.node.Inject(p)
 	}
@@ -421,7 +411,7 @@ func (c *Conn) Deliver(p *packet.Packet) {
 	if !p.HasFlag(packet.FlagACK) {
 		return
 	}
-	now := c.eng.Now()
+	now := c.eng.Local()
 	ack := p.Ack
 	if ack > c.sndNxt {
 		ack = c.sndNxt // corrupt/stale guard
@@ -584,7 +574,6 @@ func (c *Conn) buildRateSample(ack, ackedBytes int64, now sim.Time) RateSample {
 		rs.IsAppLimited = newest.appLimited
 		if newest.deliveredAtTx >= c.nextRoundDelivered {
 			c.nextRoundDelivered = c.delivered + ackedBytes
-			c.roundCount++
 			rs.RoundStart = true
 		}
 	}

@@ -56,7 +56,7 @@ func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
 		return
 	}
 
-	now := c.Engine().Now()
+	now := c.Engine().Local()
 	cwndSeg := c.Cwnd / mss
 	if !cu.epochInit {
 		cu.epochInit = true

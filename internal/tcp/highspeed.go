@@ -148,7 +148,7 @@ func (h *HTCP) OnAck(c *Conn, rs RateSample) {
 		}
 		return
 	}
-	alpha := h.alphaNow(c.Engine().Now())
+	alpha := h.alphaNow(c.Engine().Local())
 	c.Cwnd += alpha * mss * float64(rs.AckedBytes) / c.Cwnd
 }
 
@@ -183,7 +183,7 @@ func (h *HTCP) OnEnterRecovery(c *Conn) {
 	}
 	c.Ssthresh = w
 	c.Cwnd = w
-	h.lastLossAt = c.Engine().Now()
+	h.lastLossAt = c.Engine().Local()
 	h.maxRTT = h.minRTT // restart the spread estimate each epoch
 }
 

@@ -77,9 +77,6 @@ type recvDelAck Receiver
 
 func (h *recvDelAck) OnEvent(any) { (*Receiver)(h).sendAck(false) }
 
-// RcvNxt returns the next expected byte (cumulative ACK point).
-func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
 // Deliver processes an arriving data segment (netem.Endpoint).
 func (r *Receiver) Deliver(p *packet.Packet) {
 	r.Stats.RxPackets++
@@ -152,7 +149,6 @@ func (r *Receiver) sendAck(dup bool) {
 	ack.Ack = r.rcvNxt
 	ack.Flags = flags
 	ack.Size = packet.HeaderBytes
-	ack.SentAt = r.eng.Now()
 	// Attach up to three SACK blocks (RFC 2018), lowest first, so the
 	// sender's scoreboard repairs the earliest holes first.
 	for i, iv := range r.ooo.ivs {
