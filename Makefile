@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race race-shard speedup-smoke fastforward-smoke scenario-conformance cover bench bench-smoke benchjson report sweep clean
+.PHONY: check build vet lint test race race-shard speedup-smoke fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke benchjson report sweep clean
 
 check: build vet lint race
 
@@ -62,11 +62,20 @@ fastforward-smoke:
 # The declarative-scenario gate (mirrors the scenario-conformance CI
 # job): canonical spec files stay byte-identical with their hand-built Go
 # twins, validation diagnostics match their goldens, the CCA tournament /
-# buffer sweeps hold the BBR-fairness signature, and a short fuzz run
-# holds the parse→emit→parse round-trip law.
+# buffer sweeps hold the BBR-fairness signature, and short fuzz runs hold
+# the parse→emit→parse round-trip law and the goodput log's equivalence
+# with the plain sample slice it replaced.
 scenario-conformance:
 	$(GO) test -run 'TestCanonicalFiles|TestEmitLoadIdentity|TestDifferential|TestDiagnosticsGolden|TestTournamentConformance|TestBufferSweepConformance' ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 25s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzFlowMeterEquivalence -fuzztime 10s ./internal/metrics/
+
+# The memory pins: what a run allocates must grow with the window, not
+# with the packets delivered — the goodput log at ≤ 6 B a record, the TCP
+# scoreboard and FQ-CoDel's flow queues at nothing once warm, and a whole
+# experiments.Run at ≤ 32 B per delivered segment.
+mem-smoke:
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -1,0 +1,38 @@
+package experiments
+
+import (
+	"runtime"
+	"testing"
+
+	"cebinae/internal/sim"
+)
+
+// TestRunBytesPerSegment pins the memory a run spends per delivered segment
+// end to end: Table 2's row-11 cell (32 NewReno + 8 Cubic, 1 Gbps, 5 ms)
+// behind FIFO for 5 simulated seconds, everything Run allocates — topology,
+// connections, scoreboards, queues, the exact goodput log — divided by the
+// segments the bottleneck carried. The goodput log is the only term that
+// grows with the segment count, at about 5 B each here (a flow's segments
+// are ≈ 0.5 ms apart, a 3-byte Δt): the whole run reads ≈ 7 B a segment,
+// where it read 65 with a 16-byte sample per segment in a doubling slice.
+func TestRunBytesPerSegment(t *testing.T) {
+	s := Table2Scenario(Table2Rows()[10], FIFO, Quick)
+	if s.BottleneckBps != 1e9 || len(s.Groups) != 2 || s.Groups[0].Count+s.Groups[1].Count != 40 {
+		t.Fatalf("row 11 is not the 40-flow 1 Gbps cell: %+v", s)
+	}
+	s.Duration = sim.Duration(5e9)
+	s.Shards = 1
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	r := Run(s)
+	runtime.ReadMemStats(&m1)
+	segments := r.ThroughputBps * s.Duration.Seconds() / 8 / 1500
+	if segments < 300e3 {
+		t.Fatalf("the bottleneck carried only %.0f segments in 5 s at 1 Gbps", segments)
+	}
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / segments
+	t.Logf("%.1f B allocated per delivered segment (%.0f segments, %.1f MB)", per, segments, float64(m1.TotalAlloc-m0.TotalAlloc)/1e6)
+	if per > 32 {
+		t.Fatalf("Run allocated %.1f B per delivered segment, want ≤ 32", per)
+	}
+}

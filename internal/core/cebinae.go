@@ -516,7 +516,8 @@ func (q *Qdisc) String() string {
 }
 
 // pktRing is a growable FIFO ring of packets (duplicated from
-// internal/qdisc to keep the packages decoupled).
+// internal/qdisc to keep the packages decoupled). Its buffer's length is
+// always a power of two, so positions wrap with a mask.
 type pktRing struct {
 	buf        []*packet.Packet
 	head, tail int
@@ -527,20 +528,21 @@ func (r *pktRing) len() int { return r.count }
 
 func (r *pktRing) push(p *packet.Packet) {
 	if r.count == len(r.buf) {
+		// 16·2ᵏ: the masks below rely on a power-of-two length.
 		size := len(r.buf) * 2
 		if size == 0 {
 			size = 16
 		}
 		buf := make([]*packet.Packet, size)
 		for i := 0; i < r.count; i++ {
-			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
 		r.buf = buf
 		r.head = 0
 		r.tail = r.count
 	}
 	r.buf[r.tail] = p
-	r.tail = (r.tail + 1) % len(r.buf)
+	r.tail = (r.tail + 1) & (len(r.buf) - 1)
 	r.count++
 }
 
@@ -550,7 +552,7 @@ func (r *pktRing) pop() *packet.Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.count--
 	return p
 }

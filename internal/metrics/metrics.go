@@ -4,6 +4,8 @@
 package metrics
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -48,21 +50,54 @@ func NormalizedJFI(measured, ideal []float64) float64 {
 }
 
 // FlowMeter accumulates a single flow's byte deliveries and converts them
-// to rates over arbitrary windows.
+// to rates over arbitrary windows. The log is exact — every record is kept
+// and every query answers as if from a slice of (time, cumulative bytes)
+// pairs — but it is stored as delta-encoded samples in fixed-size blocks:
+// about 4 bytes per delivered segment, and nothing is copied as it grows.
+// The zero value is an empty meter.
 type FlowMeter struct {
-	total   int64
-	samples []sample // cumulative bytes at time t
+	total  int64
+	last   sim.Time // stamp of the latest record
+	blocks []*meterBlock
 }
 
-type sample struct {
-	t     sim.Time
-	bytes int64 // cumulative
+// meterBlockBytes sizes a block to one 4 KB allocation, header included.
+const meterBlockBytes = 4096
+
+// maxSampleBytes is the longest encoding of one sample: two 64-bit varints.
+const maxSampleBytes = 2 * binary.MaxVarintLen64
+
+// meterBlock holds a run of consecutive samples, each a uvarint Δt in ns
+// since the previous sample followed by a varint Δbytes. t0 and b0 are the
+// stamp and the cumulative bytes of the sample before the block's first
+// (zero at the start of the log), so a block decodes without its
+// predecessors and the headers alone order the blocks in time.
+type meterBlock struct {
+	t0   sim.Time
+	b0   int64
+	n    int // bytes of data in use
+	data [meterBlockBytes - 24]byte
 }
 
-// Record adds newBytes delivered at time t. Calls must be time-ordered.
+// Record adds newBytes delivered at time t. Calls must be time-ordered:
+// t may equal the previous call's stamp but not precede it, nor be
+// negative. newBytes may be (a fluid skip's rounding credit can be).
 func (m *FlowMeter) Record(t sim.Time, newBytes int64) {
+	if t < m.last {
+		panic(fmt.Sprintf("metrics: FlowMeter.Record at %d ns after a record at %d ns: calls must be time-ordered", t, m.last))
+	}
+	var b *meterBlock
+	if n := len(m.blocks); n > 0 {
+		b = m.blocks[n-1]
+	}
+	if b == nil || len(b.data)-b.n < maxSampleBytes {
+		b = &meterBlock{t0: m.last, b0: m.total}
+		m.blocks = append(m.blocks, b)
+	}
+	b.n += binary.PutUvarint(b.data[b.n:], uint64(t-m.last))
+	b.n += binary.PutVarint(b.data[b.n:], newBytes)
+	m.last = t
 	m.total += newBytes
-	m.samples = append(m.samples, sample{t, m.total})
 }
 
 // Total returns all bytes recorded.
@@ -76,30 +111,77 @@ func (m *FlowMeter) RateOver(from, to sim.Time) float64 {
 	return float64(m.bytesAt(to)-m.bytesAt(from)) / (to - from).Seconds()
 }
 
-// bytesAt returns the cumulative bytes delivered up to and including t.
+// bytesAt returns the cumulative bytes delivered up to and including t: a
+// binary search over the block headers, then a decode of part of one block.
 func (m *FlowMeter) bytesAt(t sim.Time) int64 {
-	idx := sort.Search(len(m.samples), func(i int) bool { return m.samples[i].t > t })
-	if idx == 0 {
+	if t >= m.last {
+		return m.total
+	}
+	// The block to decode is the last one whose predecessor ended at or
+	// before t. The block after it starts from a stamp beyond t, which is
+	// this block's last sample: the decode stops inside this block.
+	i := sort.Search(len(m.blocks), func(i int) bool { return m.blocks[i].t0 > t })
+	if i == 0 {
 		return 0
 	}
-	return m.samples[idx-1].bytes
+	b := m.blocks[i-1]
+	c := meterCursor{blocks: m.blocks[i-1 : i], t: b.t0, bytes: b.b0}
+	return c.advance(t)
+}
+
+// meterCursor decodes the log forward. t and bytes are the stamp and the
+// cumulative bytes of the last sample consumed; the next sample to decode
+// is at data[off] of blocks[0].
+type meterCursor struct {
+	blocks []*meterBlock
+	off    int
+	t      sim.Time
+	bytes  int64
+}
+
+// advance consumes every sample stamped at or before t and returns the
+// cumulative bytes delivered by then.
+func (c *meterCursor) advance(t sim.Time) int64 {
+	for len(c.blocks) > 0 {
+		b := c.blocks[0]
+		if c.off == b.n {
+			c.blocks, c.off = c.blocks[1:], 0
+			continue
+		}
+		dt, k := binary.Uvarint(b.data[c.off:b.n])
+		at := c.t + sim.Time(dt)
+		if at > t {
+			break
+		}
+		db, j := binary.Varint(b.data[c.off+k : b.n])
+		c.off += k + j
+		c.t = at
+		c.bytes += db
+	}
+	return c.bytes
 }
 
 // Series converts the meter into a per-interval rate series in
-// bytes/second, covering [0, horizon) in steps of interval.
+// bytes/second, covering [0, horizon) in steps of interval: element i is
+// RateOver(i·interval, min((i+1)·interval, horizon)), computed in one
+// forward pass over the log.
 func (m *FlowMeter) Series(interval, horizon sim.Time) []float64 {
 	if interval <= 0 || horizon <= 0 {
 		return nil
 	}
 	n := int((horizon + interval - 1) / interval)
 	out := make([]float64, n)
+	c := meterCursor{blocks: m.blocks}
+	atFrom := c.advance(0)
 	for i := 0; i < n; i++ {
 		from := sim.Time(i) * interval
 		to := from + interval
 		if to > horizon {
 			to = horizon
 		}
-		out[i] = m.RateOver(from, to)
+		atTo := c.advance(to)
+		out[i] = float64(atTo-atFrom) / (to - from).Seconds()
+		atFrom = atTo
 	}
 	return out
 }

@@ -1,7 +1,11 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +126,325 @@ func TestFlowMeterMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refMeter is the meter as it was before the block log: one 16-byte sample
+// per record and two binary searches per window. It is the reference the
+// differential tests and the fuzz target hold FlowMeter to.
+type refMeter struct {
+	total   int64
+	samples []sample // cumulative bytes at time t
+}
+
+type sample struct {
+	t     sim.Time
+	bytes int64 // cumulative
+}
+
+func (m *refMeter) Record(t sim.Time, newBytes int64) {
+	m.total += newBytes
+	m.samples = append(m.samples, sample{t, m.total})
+}
+
+func (m *refMeter) Total() int64 { return m.total }
+
+func (m *refMeter) RateOver(from, to sim.Time) float64 {
+	if to <= from {
+		return 0
+	}
+	return float64(m.bytesAt(to)-m.bytesAt(from)) / (to - from).Seconds()
+}
+
+func (m *refMeter) bytesAt(t sim.Time) int64 {
+	idx := sort.Search(len(m.samples), func(i int) bool { return m.samples[i].t > t })
+	if idx == 0 {
+		return 0
+	}
+	return m.samples[idx-1].bytes
+}
+
+func (m *refMeter) Series(interval, horizon sim.Time) []float64 {
+	if interval <= 0 || horizon <= 0 {
+		return nil
+	}
+	n := int((horizon + interval - 1) / interval)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		from := sim.Time(i) * interval
+		to := from + interval
+		if to > horizon {
+			to = horizon
+		}
+		out[i] = m.RateOver(from, to)
+	}
+	return out
+}
+
+// rec is one Record call of a generated stream: dt after the previous one.
+type rec struct {
+	dt    sim.Time
+	bytes int64
+}
+
+// checkEquivalent feeds recs to a FlowMeter and to the reference and
+// requires every query to answer with the same bits: Total, RateOver on
+// windows between probe times — the log's ends, every block boundary and
+// the first sample after it, each ±1 ns, and a sample of record stamps —
+// and Series at intervals from far below a block's span to beyond the
+// horizon.
+func checkEquivalent(t testing.TB, recs []rec) {
+	t.Helper()
+	var m FlowMeter
+	var ref refMeter
+	var now sim.Time
+	for _, r := range recs {
+		now += r.dt
+		m.Record(now, r.bytes)
+		ref.Record(now, r.bytes)
+	}
+	if m.Total() != ref.Total() {
+		t.Fatalf("Total = %d, reference %d", m.Total(), ref.Total())
+	}
+
+	var probes []sim.Time
+	around := func(ts sim.Time) { probes = append(probes, ts-1, ts, ts+1) }
+	around(0)
+	around(now)
+	around(now / 2)
+	for _, b := range m.blocks {
+		around(b.t0)
+		dt, _ := binary.Uvarint(b.data[:b.n]) // the block's first sample
+		around(b.t0 + sim.Time(dt))
+	}
+	if n := len(ref.samples); n > 0 {
+		for i := 0; i < n; i += n/16 + 1 {
+			around(ref.samples[i].t)
+		}
+	}
+	// A window from before the log to a probe reads the cumulative count
+	// at the probe alone; the other two windows give each probe both roles.
+	check := func(from, to sim.Time) {
+		if got, want := m.RateOver(from, to), ref.RateOver(from, to); got != want {
+			t.Fatalf("RateOver(%d, %d) = %v, reference %v (%d records, %d blocks)", from, to, got, want, len(recs), len(m.blocks))
+		}
+	}
+	for i, p := range probes {
+		check(-1, p)
+		check(p, now+1)
+		check(p, probes[(i+1)%len(probes)])
+		check(p, probes[(i+7)%len(probes)])
+	}
+
+	for _, horizon := range []sim.Time{now, now + 1, now/2 + 1, 2*now + 3} {
+		for _, interval := range []sim.Time{horizon/2000 + 1, horizon/7 + 1, horizon, horizon + 5} {
+			got, want := m.Series(interval, horizon), ref.Series(interval, horizon)
+			if len(got) != len(want) {
+				t.Fatalf("Series(%d, %d) has %d intervals, reference %d", interval, horizon, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("Series(%d, %d)[%d] = %v, reference %v", interval, horizon, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFlowMeterMatchesReference drives the block log and the reference
+// with streams built to hit the encoding's edges.
+func TestFlowMeterMatchesReference(t *testing.T) {
+	// Every length a uvarint Δt and a zig-zag varint Δbytes can take, from
+	// both sides of each boundary.
+	var dts []sim.Time
+	var dbs []int64
+	for k := uint(7); k <= 56; k += 7 {
+		dts = append(dts, 1<<k-1, 1<<k)
+	}
+	for k := uint(6); k <= 48; k += 7 {
+		dbs = append(dbs, 1<<k-1, 1<<k, -(1 << k), -(1<<k)-1)
+	}
+	rng := sim.NewRand(7)
+	streams := map[string][]rec{
+		"empty":       nil,
+		"one at zero": {{0, 1448}},
+		"one":         {{12_000, 1448}},
+	}
+	{
+		// A dumbbell flow: one MSS every 12 µs, long enough for many blocks.
+		var s []rec
+		for i := 0; i < 5000; i++ {
+			s = append(s, rec{12_000, 1448})
+		}
+		streams["steady"] = s
+	}
+	{
+		// Bursts of records in one instant, some long enough to fill
+		// whole blocks with Δt = 0, between quiet spells.
+		var s []rec
+		for burst := 0; burst < 40; burst++ {
+			s = append(s, rec{sim.Time(rng.Intn(1e9)), 1448})
+			for i, n := 0, rng.Intn(3000); i < n; i++ {
+				s = append(s, rec{0, 1448})
+			}
+		}
+		streams["bursts"] = s
+	}
+	{
+		// Gaps far longer than the span of a block, so windows fall
+		// between, inside and across blocks.
+		var s []rec
+		for i := 0; i < 6000; i++ {
+			dt := sim.Time(rng.Intn(2000))
+			if i%700 == 0 {
+				dt = sim.Time(3e9)
+			}
+			s = append(s, rec{dt, int64(rng.Intn(3000))})
+		}
+		streams["gaps"] = s
+	}
+	// The long Δts are rationed so the clock stays inside int64.
+	budget := sim.Time(1 << 61)
+	ration := func(dt sim.Time) sim.Time {
+		if dt > budget/8 {
+			dt = 127
+		}
+		budget -= dt
+		return dt
+	}
+	{
+		var s []rec
+		for i := 0; i < 4000; i++ {
+			s = append(s, rec{ration(dts[rng.Intn(len(dts))]), dbs[rng.Intn(len(dbs))]})
+		}
+		streams["varint lengths"] = s
+	}
+	{
+		// Sample lengths in a fixed rotation: blocks
+		// end at every possible fill, and samples of every length land on
+		// both sides of a block boundary.
+		budget = 1 << 61
+		var s []rec
+		for i := 0; i < 9000; i++ {
+			s = append(s, rec{ration(dts[i%len(dts)]), dbs[(i/3)%len(dbs)]})
+		}
+		streams["rotating lengths"] = s
+	}
+	for name, s := range streams {
+		t.Run(name, func(t *testing.T) { checkEquivalent(t, s) })
+	}
+}
+
+// fuzzStream decodes fuzz input into a record stream, five bytes a group:
+// Δt = mantissa << shift (less one on the shift byte's top bit, to reach
+// both sides of every varint length), Δbytes likewise and signed, and a
+// repeat count so short inputs still fill blocks. Decoding stops before
+// the clock could overflow.
+func fuzzStream(data []byte) []rec {
+	var out []rec
+	var now sim.Time
+	for ; len(data) >= 5 && len(out) < 20_000; data = data[5:] {
+		dt := sim.Time(data[1]) << (data[0] % 48)
+		if data[0]&0x80 != 0 && dt > 0 {
+			dt--
+		}
+		db := (int64(data[3]) - 128) << (data[2] % 40)
+		for i := 0; i <= int(data[4]); i++ {
+			if now+dt > 1<<61 {
+				return out
+			}
+			now += dt
+			out = append(out, rec{dt, db})
+		}
+	}
+	return out
+}
+
+func FuzzFlowMeterEquivalence(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 128, 0})
+	f.Add([]byte{7, 47, 4, 220, 255, 0x87, 1, 13, 0, 255, 20, 255, 39, 255, 255, 0, 0, 0, 129, 255})
+	f.Add([]byte(strings.Repeat("\x0e\x01\x03\xb5\xff\x96\x40\x0a\x02\x09", 8)))
+	f.Fuzz(func(t *testing.T, data []byte) { checkEquivalent(t, fuzzStream(data)) })
+}
+
+// TestFlowMeterRecordOrder: Record's one precondition is checked, and what
+// is legal round-trips.
+func TestFlowMeterRecordOrder(t *testing.T) {
+	cases := []struct {
+		name      string
+		recs      [][2]int64 // (stamp, bytes)
+		wantPanic string
+		wantTotal int64
+	}{
+		{"equal stamps", [][2]int64{{5, 100}, {5, 200}, {5, 300}, {9, 1}}, "", 601},
+		{"decreasing stamp", [][2]int64{{5, 100}, {9, 100}, {8, 100}}, "at 8 ns after a record at 9 ns", 0},
+		{"negative stamp", [][2]int64{{-1, 100}}, "at -1 ns after a record at 0 ns", 0},
+		{"negative bytes", [][2]int64{{5, 1000}, {7, -300}, {9, 50}}, "", 750},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if c.wantPanic == "" {
+					if r != nil {
+						t.Fatalf("unexpected panic: %v", r)
+					}
+					return
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, c.wantPanic) {
+					t.Fatalf("panic %v, want one naming both stamps (%q)", r, c.wantPanic)
+				}
+			}()
+			var m FlowMeter
+			var stream []rec
+			var prev int64
+			for _, r := range c.recs {
+				m.Record(sim.Time(r[0]), r[1])
+				stream = append(stream, rec{sim.Time(r[0] - prev), r[1]})
+				prev = r[0]
+			}
+			if m.Total() != c.wantTotal {
+				t.Fatalf("Total = %d, want %d", m.Total(), c.wantTotal)
+			}
+			checkEquivalent(t, stream)
+		})
+	}
+	// Several records in one instant all count at that instant, none
+	// before it; a negative record takes back what it says.
+	var m FlowMeter
+	m.Record(5, 100)
+	m.Record(5, 200)
+	m.Record(7, -50)
+	for _, q := range []struct {
+		t    sim.Time
+		want int64
+	}{{4, 0}, {5, 300}, {6, 300}, {7, 250}, {8, 250}} {
+		if got := m.bytesAt(q.t); got != q.want {
+			t.Fatalf("bytesAt(%d) = %d, want %d", q.t, got, q.want)
+		}
+	}
+}
+
+// TestFlowMeterBytesPerRecord pins the log's memory: a million records at
+// a 1 Gbps flow's spacing cost at most 6 bytes each, block headers and the
+// block table's growth included (the []sample log cost 88).
+func TestFlowMeterBytesPerRecord(t *testing.T) {
+	const records = 1_000_000
+	var m0, m1 runtime.MemStats
+	var m FlowMeter
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < records; i++ {
+		m.Record(sim.Time(i)*12_000, 1448)
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / records
+	t.Logf("%.2f B per record in %d blocks", per, len(m.blocks))
+	if per > 6 {
+		t.Fatalf("FlowMeter allocated %.1f B per record, want ≤ 6", per)
+	}
+	if m.Total() != records*1448 {
+		t.Fatalf("Total = %d", m.Total())
 	}
 }
 

@@ -51,7 +51,8 @@ func (f *FIFO) Len() int { return f.q.len() }
 func (f *FIFO) BytesQueued() int { return f.bytes }
 
 // ring is a growable FIFO ring buffer of packets, avoiding the per-element
-// allocation of container/list on the hot path.
+// allocation of container/list on the hot path. Its buffer's length is
+// always a power of two (grow), so positions wrap with a mask.
 type ring struct {
 	buf        []*packet.Packet
 	head, tail int
@@ -65,7 +66,7 @@ func (r *ring) push(p *packet.Packet) {
 		r.grow()
 	}
 	r.buf[r.tail] = p
-	r.tail = (r.tail + 1) % len(r.buf)
+	r.tail = (r.tail + 1) & (len(r.buf) - 1)
 	r.count++
 }
 
@@ -75,7 +76,7 @@ func (r *ring) pop() *packet.Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.count--
 	return p
 }
@@ -87,6 +88,8 @@ func (r *ring) peek() *packet.Packet {
 	return r.buf[r.head]
 }
 
+// grow sizes the buffer to 16·2ᵏ: push and pop rely on the length being a
+// power of two.
 func (r *ring) grow() {
 	size := len(r.buf) * 2
 	if size == 0 {
@@ -94,7 +97,7 @@ func (r *ring) grow() {
 	}
 	buf := make([]*packet.Packet, size)
 	for i := 0; i < r.count; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf = buf
 	r.head = 0

@@ -25,6 +25,10 @@ type FQCoDel struct {
 	// the old-flows round robin, per RFC 8290 §4.2.
 	newFlows list
 	oldFlows list
+	// free chains detached flow queues (through next) for the flow's, or
+	// any flow's, next packet to reuse: a queue that drains and refills
+	// every round trip costs no allocation.
+	free *fqFlow
 
 	bytes   int
 	packets int
@@ -68,7 +72,14 @@ func NewFQCoDel(eng *sim.Engine, limitBytes, quantum int, params CoDelParams) *F
 func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 	fl, ok := f.flows[p.Flow]
 	if !ok {
-		fl = &fqFlow{key: p.Flow, seq: f.nextSeq}
+		if fl = f.free; fl != nil {
+			// Only the (empty) ring's buffer survives reuse; every other
+			// field, CoDel state included, starts as in a fresh queue.
+			f.free = fl.next
+			*fl = fqFlow{key: p.Flow, seq: f.nextSeq, q: fl.q}
+		} else {
+			fl = &fqFlow{key: p.Flow, seq: f.nextSeq}
+		}
 		f.nextSeq++
 		f.flows[p.Flow] = fl
 	}
@@ -123,6 +134,7 @@ func (f *FQCoDel) Dequeue() *packet.Packet {
 				f.oldFlows.remove(fl)
 				fl.where = 0
 				delete(f.flows, fl.key)
+				fl.next, f.free = f.free, fl
 			}
 			continue
 		}

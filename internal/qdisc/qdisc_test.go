@@ -1,6 +1,7 @@
 package qdisc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -310,6 +311,81 @@ func TestFQCoDelECNMarksInsteadOfDrops(t *testing.T) {
 	}
 	if q.Drops != 0 {
 		t.Fatalf("ECT packets should not be dropped by AQM: %d", q.Drops)
+	}
+}
+
+// TestFQCoDelReusedFlowQueueStartsFresh: a flow queue that drained and
+// detached is handed to the next new flow, keeping its ring buffer and
+// nothing else — whatever the previous flow left in its CoDel state, its
+// deficit and its list links, the struct reads field for field as a fresh
+// queue that has taken one packet.
+func TestFQCoDelReusedFlowQueueStartsFresh(t *testing.T) {
+	eng := sim.NewEngine()
+	q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
+	var used *fqFlow
+	eng.Schedule(sim.Duration(1e6), func() {
+		for i := 0; i < 40; i++ {
+			q.Enqueue(pkt(1, 1500))
+		}
+		used = q.flows[pkt(1, 0).Flow]
+	})
+	// Drain a packet a millisecond: the queue stands above CoDel's target
+	// long enough for the dropper to engage, and the last dequeues walk the
+	// queue from the new list through the old one to detachment.
+	for i := 2; i < 60; i++ {
+		eng.Schedule(sim.Time(i)*1e6, func() { q.Dequeue() })
+	}
+	eng.RunAll()
+	if q.FlowCount() != 0 || q.free != used {
+		t.Fatalf("drained flow queue not detached onto the free list (%d active)", q.FlowCount())
+	}
+	if used.codel == (codelState{}) {
+		t.Fatalf("the first flow left no CoDel state behind to leak: %+v", used.codel)
+	}
+	// Whatever else a detached queue may come to hold must not survive
+	// either (next is the free list's own link).
+	used.bytes, used.deficit, used.where, used.prev = 3, -7, 2, used
+
+	p := pkt(2, 700)
+	q.Enqueue(p)
+	fl := q.flows[p.Flow]
+	if fl != used || q.free != nil {
+		t.Fatal("the next new flow did not take the detached queue")
+	}
+	if fl.q.len() != 1 || fl.q.peek() != p || len(fl.q.buf) == 0 {
+		t.Fatalf("reused ring holds %d packets in a buffer of %d", fl.q.len(), len(fl.q.buf))
+	}
+	got := *fl
+	got.q = ring{}
+	want := fqFlow{key: p.Flow, seq: 1, bytes: 700, deficit: 1500, where: 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused flow queue:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestFQCoDelChurnZeroAlloc pins the flow-queue free list: flows whose
+// queues drain and detach between bursts — every TCP flow below its fair
+// share — come back without allocating.
+func TestFQCoDelChurnZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
+	var pkts [16]*packet.Packet
+	for i := range pkts {
+		pkts[i] = pkt(i/2, 1500)
+	}
+	churn := func() {
+		for _, p := range pkts {
+			q.Enqueue(p)
+		}
+		for q.Dequeue() != nil {
+		}
+		if q.FlowCount() != 0 {
+			t.Fatalf("%d flow queues still attached after a full drain", q.FlowCount())
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(200, churn); allocs != 0 {
+		t.Fatalf("8 flows draining and returning allocate %.1f objects a round, want 0", allocs)
 	}
 }
 

@@ -40,24 +40,6 @@ type Config struct {
 	Seed uint64
 }
 
-// sentRecord is what the sender remembers of one outstanding segment. Its
-// stamps, like every stamp the connection keeps, are readings of the
-// engine's Local clock.
-type sentRecord struct {
-	size          int32
-	sentAt        sim.Time
-	retransmitted bool
-	deliveredAtTx int64
-	txTimeAtTx    sim.Time
-	firstTxAtTx   sim.Time // send time of the last-delivered packet at send
-	appLimited    bool
-
-	// nextFree links retired records into the connection's free list so the
-	// steady state (clearSent on ACK, reuse on the next transmit) allocates
-	// nothing.
-	nextFree *sentRecord
-}
-
 // ConnStats aggregates sender-side counters.
 type ConnStats struct {
 	SentPackets    uint64
@@ -120,8 +102,7 @@ type Conn struct {
 	// round's end is acked.
 	nextRoundDelivered int64
 
-	sent     map[int64]*sentRecord
-	freeRecs *sentRecord // retired sentRecords awaiting reuse
+	sent scoreboard // records of the segments in [sndUna, sndNxt)
 
 	// Pacing. The timer doubles as the flow-start timer (both dispatch
 	// trySend, and the start strictly precedes any pacing).
@@ -174,7 +155,7 @@ func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
 		eng:  eng,
 		node: src,
 		cc:   cfg.CC,
-		sent: make(map[int64]*sentRecord),
+		sent: scoreboard{mss: int64(cfg.MSS)},
 		rto:  sim.Duration(1e9), // initial RTO 1 s (RFC 6298)
 		rng:  sim.NewRand(cfg.Seed ^ cfg.Key.Hash(0x5EED)),
 	}
@@ -360,16 +341,7 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 		// Starting a fresh flight: anchor the send-interval clock.
 		c.firstTxTime = now
 	}
-	rec := c.sent[seq]
-	if rec == nil {
-		if rec = c.freeRecs; rec != nil {
-			c.freeRecs = rec.nextFree
-			*rec = sentRecord{}
-		} else {
-			rec = &sentRecord{}
-		}
-		c.sent[seq] = rec
-	}
+	rec := c.sent.open(seq)
 	rec.size = size
 	rec.sentAt = now
 	rec.retransmitted = rec.retransmitted || retx
@@ -434,7 +406,7 @@ func (c *Conn) Deliver(p *packet.Packet) {
 		// SACK-based RTT sample (as Linux takes): the first time a block
 		// covers a segment we still hold a clean record for.
 		if nb > 0 && !covered {
-			if rec, ok := c.sent[start]; ok && !rec.retransmitted {
+			if rec := c.sent.get(start); rec != nil && !rec.retransmitted {
 				c.updateRTT(now - rec.sentAt)
 			}
 		}
@@ -539,8 +511,8 @@ func (c *Conn) buildRateSample(ack, ackedBytes int64, now sim.Time) RateSample {
 	// send times must not pollute the RTT estimate.
 	var newest *sentRecord
 	for seq := c.sndUna; seq < ack; {
-		rec, ok := c.sent[seq]
-		if !ok {
+		rec := c.sent.get(seq)
+		if rec == nil {
 			break
 		}
 		if newest == nil || rec.sentAt > newest.sentAt {
@@ -582,7 +554,7 @@ func (c *Conn) buildRateSample(ack, ackedBytes int64, now sim.Time) RateSample {
 }
 
 func (c *Conn) segSizeAt(seq int64) int32 {
-	if rec, ok := c.sent[seq]; ok {
+	if rec := c.sent.get(seq); rec != nil {
 		return rec.size
 	}
 	return int32(c.cfg.MSS)
@@ -590,17 +562,15 @@ func (c *Conn) segSizeAt(seq int64) int32 {
 
 func (c *Conn) clearSent(from, to int64) {
 	for seq := from; seq < to; {
-		rec, ok := c.sent[seq]
-		if !ok {
+		rec := c.sent.get(seq)
+		if rec == nil {
 			// Sizes are uniform except possibly the final segment; step by
 			// MSS to resynchronise.
 			seq += int64(c.cfg.MSS)
 			continue
 		}
-		delete(c.sent, seq)
+		rec.live = false
 		seq += int64(rec.size)
-		rec.nextFree = c.freeRecs
-		c.freeRecs = rec
 	}
 }
 
@@ -696,7 +666,7 @@ func (c *Conn) onRTO() {
 	c.retxOut = 0
 	c.nextSendTime = 0
 	// Re-key rate sampling; everything outstanding is suspect.
-	if rec, ok := c.sent[c.sndUna]; ok {
+	if rec := c.sent.get(c.sndUna); rec != nil {
 		rec.retransmitted = true
 	}
 	c.armRTO()
