@@ -1,14 +1,14 @@
 # Developer entry points. `make check` is the gate every change must pass:
 # it builds all packages, lints them (go vet + the cebinae-vet determinism
-# & ownership analyzers, see STATIC_ANALYSIS.md), and runs the full test
-# suite with the race detector on (the fleet orchestrator and the parallel
-# bench paths are concurrent code).
+# & ownership analyzers, see STATIC_ANALYSIS.md), refuses unformatted
+# files, and runs the full test suite with the race detector on (the fleet
+# orchestrator and the parallel bench paths are concurrent code).
 
 GO ?= go
 
-.PHONY: check build vet lint test race race-shard speedup-smoke fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke benchjson report sweep clean
+.PHONY: check build vet lint fmt-check test race race-shard speedup-smoke fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke benchjson report sweep clean
 
-check: build vet lint race
+check: build vet lint fmt-check race
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,13 @@ lint:
 	  staticcheck ./...; \
 	else \
 	  echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1 — the version CI pins)"; \
+	fi
+
+# Formatting gate: fails, naming the files, when gofmt would change
+# anything in the tree (analyzer fixtures included).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+	  echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; \
 	fi
 
 test:

@@ -47,6 +47,9 @@ type (
 	Engine = sim.Engine
 	// Time is a virtual-time instant in nanoseconds.
 	Time = sim.Time
+	// Func adapts a plain func() to the engine's event handler, for
+	// Engine.ScheduleCall(delay, cebinae.Func(fn), nil).
+	Func = sim.Func
 )
 
 // NewEngine returns a fresh simulation engine with the clock at zero.
@@ -199,8 +202,6 @@ func NormalizedJFI(measured, ideal []float64) float64 {
 type (
 	// CBRSource is a blind constant-bit-rate (UDP-like) source.
 	CBRSource = app.CBR
-	// OnOffSource is a bursty two-state source.
-	OnOffSource = app.OnOff
 	// Churn drives finite TCP transfers with Poisson arrivals.
 	Churn = app.Churn
 	// ChurnConfig parameterises a Churn workload.

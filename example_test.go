@@ -39,9 +39,9 @@ func ExampleDefaultParams() {
 // ExampleNewEngine runs three events in virtual time order.
 func ExampleNewEngine() {
 	eng := cebinae.NewEngine()
-	eng.Schedule(cebinae.Millis(3), func() { fmt.Println("third") })
-	eng.Schedule(cebinae.Millis(1), func() { fmt.Println("first") })
-	eng.Schedule(cebinae.Millis(2), func() { fmt.Println("second") })
+	eng.ScheduleCall(cebinae.Millis(3), cebinae.Func(func() { fmt.Println("third") }), nil)
+	eng.ScheduleCall(cebinae.Millis(1), cebinae.Func(func() { fmt.Println("first") }), nil)
+	eng.ScheduleCall(cebinae.Millis(2), cebinae.Func(func() { fmt.Println("second") }), nil)
 	eng.Run(cebinae.Seconds(1))
 	// Output:
 	// first

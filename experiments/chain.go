@@ -6,15 +6,13 @@ import (
 
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
-	"cebinae/internal/packet"
 	"cebinae/internal/qdisc"
-	"cebinae/internal/tcp"
 )
 
 // ChainConfig parameterises the multi-bottleneck chain scenario (the
 // Fig.-11 parking lot, generalised): long flows traverse every hop of a
 // switch chain while per-hop cross traffic contends at each inter-switch
-// link. It is the builder behind RunParkingLotShards and the "chain"
+// link. It is the builder behind Fig. 11 (CanonicalChain) and the "chain"
 // scenario-file kind, so a spec file and the hand-built Go scenario lower
 // to the identical construction.
 type ChainConfig struct {
@@ -126,42 +124,26 @@ func RunChain(cfg ChainConfig) ChainResult {
 	cl := newCluster(cfg.Shards, func(f netem.Fabric) { build(f) })
 	pl := build(cl)
 
-	type ep struct {
-		s, r  *netem.Node
-		cc    string
-		label string
-	}
-	var eps []ep
+	var ends []flowEnd
+	var labels []string
 	for i := 0; i < cfg.LongFlows; i++ {
-		eps = append(eps, ep{pl.LongSenders[i], pl.LongReceivers[i], cfg.LongCC, fmt.Sprintf("long%d", i)})
+		ends = append(ends, flowEnd{s: pl.LongSenders[i], r: pl.LongReceivers[i], cc: cfg.LongCC})
+		labels = append(labels, fmt.Sprintf("long%d", i))
 	}
 	for h := 0; h < cfg.Hops; h++ {
 		for c := range pl.CrossSenders[h] {
-			eps = append(eps, ep{pl.CrossSenders[h][c], pl.CrossReceivers[h][c], cfg.CrossCCs[h], fmt.Sprintf("x%d.%d", h+1, c)})
+			ends = append(ends, flowEnd{s: pl.CrossSenders[h][c], r: pl.CrossReceivers[h][c], cc: cfg.CrossCCs[h]})
+			labels = append(labels, fmt.Sprintf("x%d.%d", h+1, c))
 		}
 	}
-
-	meters := make([]*metrics.FlowMeter, len(eps))
-	for i, e := range eps {
-		cc, ok := tcp.NewCC(e.cc)
-		if !ok {
-			panic("unknown cc " + e.cc)
-		}
-		key := packet.FlowKey{Src: e.s.ID, Dst: e.r.ID, SrcPort: uint16(1000 + i), DstPort: uint16(5000 + i), Proto: packet.ProtoTCP}
-		tcp.NewConn(e.s.Engine(), e.s, tcp.Config{Key: key, CC: cc, Seed: cfg.Seed + uint64(i), MinRTO: Seconds(1)})
-		recv := tcp.NewReceiver(e.r.Engine(), e.r, tcp.ReceiverConfig{Key: key})
-		m := &metrics.FlowMeter{}
-		recv.GoodputAt = m.Record
-		meters[i] = m
-	}
+	fs := attachFlows(ends, cfg.Seed, Seconds(1))
 	cl.Run(cfg.Duration)
 
 	res := ChainResult{Name: cfg.Name, Events: cl.Processed()}
-	rates := make([]float64, len(eps))
-	for i, m := range meters {
-		rates[i] = m.RateOver(cfg.Duration/5, cfg.Duration)
+	rates := fs.rates(cfg.Duration/5, cfg.Duration)
+	for i, e := range ends {
 		res.Flows = append(res.Flows, ChainFlowResult{
-			Index: i, Label: eps[i].label, CC: eps[i].cc, GoodputBps: rates[i] * 8,
+			Index: i, Label: labels[i], CC: e.cc, GoodputBps: rates[i] * 8,
 		})
 	}
 	res.JFI = metrics.JFI(rates)

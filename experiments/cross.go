@@ -100,15 +100,15 @@ func RunCross(cfg CrossConfig) CrossResult {
 	cl := newCluster(cfg.Shards, func(f netem.Fabric) { build(f) })
 	t := build(cl)
 	a, bID := t.a, t.bID
+	send := sim.Func(func() {
+		p := a.AllocPacket()
+		p.Flow = packet.FlowKey{Src: a.ID, Dst: bID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+		p.Size = int32(cfg.PacketBytes)
+		p.PayloadSize = int32(cfg.PayloadBytes)
+		a.Inject(p)
+	})
 	for _, at := range cfg.Sends {
-		at := at
-		a.Engine().Schedule(at, func() {
-			p := a.AllocPacket()
-			p.Flow = packet.FlowKey{Src: a.ID, Dst: bID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
-			p.Size = int32(cfg.PacketBytes)
-			p.PayloadSize = int32(cfg.PayloadBytes)
-			a.Inject(p)
-		})
+		a.Engine().ScheduleCall(at, send, nil)
 	}
 	cl.Run(cfg.Until)
 	return CrossResult{Name: cfg.Name, Deliveries: t.sink.times, Events: cl.Processed()}

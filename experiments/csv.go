@@ -2,107 +2,12 @@ package experiments
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
 
 // CSV exporters so the measured data can be re-plotted outside Go. Each
 // writer emits a header row followed by one record per measurement.
-
-// WriteTable2CSV emits one row per (configuration, discipline) pair.
-func WriteTable2CSV(w io.Writer, rows []Table2Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"config", "qdisc", "throughput_mbps", "goodput_mbps", "jfi"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		for _, kind := range []QdiscKind{FIFO, FQ, Cebinae} {
-			c := r.Cells[kind]
-			rec := []string{
-				r.Config.Label, string(kind),
-				f(c.ThroughputBps / 1e6), f(c.GoodputBps / 1e6), f(c.JFI),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteSeriesCSV emits a wide time series: one column per named series.
-func WriteSeriesCSV(w io.Writer, interval SimTime, names []string, series [][]float64) error {
-	if len(names) != len(series) {
-		return fmt.Errorf("experiments: %d names for %d series", len(names), len(series))
-	}
-	cw := csv.NewWriter(w)
-	header := append([]string{"t_seconds"}, names...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	n := 0
-	for _, s := range series {
-		if len(s) > n {
-			n = len(s)
-		}
-	}
-	for i := 0; i < n; i++ {
-		rec := make([]string, 0, len(series)+1)
-		rec = append(rec, f(float64(interval)*float64(i+1)/1e9))
-		for _, s := range series {
-			if i < len(s) {
-				rec = append(rec, f(s[i]))
-			} else {
-				rec = append(rec, "")
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteFlowsCSV emits one row per flow of a scenario result.
-func WriteFlowsCSV(w io.Writer, r Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"flow", "cc", "rtt_ms", "goodput_mbps"}); err != nil {
-		return err
-	}
-	for _, fl := range r.Flows {
-		rec := []string{
-			strconv.Itoa(fl.Index), fl.CC,
-			f(float64(fl.RTT) / 1e6), f(fl.GoodputBps / 1e6),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteFig13CSV emits one row per accuracy point.
-func WriteFig13CSV(w io.Writer, pts []Fig13Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"stages", "slots", "interval_ms", "fpr", "fnr"}); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		rec := []string{
-			strconv.Itoa(p.Stages), strconv.Itoa(p.Slots),
-			f(float64(p.Interval) / 1e6), f(p.FPR), f(p.FNR),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // WriteSweepCSV emits one row per sweep grid cell, in the order given
 // (use DecodeSweepResults for the canonical qdisc/scale/threshold sort).

@@ -89,14 +89,14 @@ func TestShardDifferentialParkingLot(t *testing.T) {
 	for _, kind := range []QdiscKind{FIFO, Cebinae} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			want, wantEvents := RunParkingLotShards(kind, dur, 1)
+			want := RunChain(CanonicalChain(kind, dur, 1))
 			for _, n := range []int{2, 3, 4} {
-				got, gotEvents := RunParkingLotShards(kind, dur, n)
-				if gotEvents != wantEvents {
-					t.Errorf("shards=%d: event count %d, want %d", n, gotEvents, wantEvents)
+				got := RunChain(CanonicalChain(kind, dur, n))
+				if got.Events != want.Events {
+					t.Errorf("shards=%d: event count %d, want %d", n, got.Events, want.Events)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("shards=%d: goodputs diverge from single-engine run:\n got %v\nwant %v", n, got, want)
+				if !reflect.DeepEqual(got.Goodputs(), want.Goodputs()) {
+					t.Errorf("shards=%d: goodputs diverge from single-engine run:\n got %v\nwant %v", n, got.Goodputs(), want.Goodputs())
 				}
 			}
 		})

@@ -5,11 +5,9 @@ import (
 
 	"cebinae/internal/core"
 	"cebinae/internal/fluid"
-	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
 	"cebinae/internal/sim"
-	"cebinae/internal/tcp"
 )
 
 // Fast-forward wiring: when a scenario requests fluid acceleration
@@ -43,8 +41,9 @@ func fluidEligible(k QdiscKind) bool {
 
 // setupFastForward builds and starts the fluid controller for a
 // scenario, or reports the request was forced off. Must run after the
-// topology, connections, and meters exist and before the cluster runs.
-func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, flat []FlowGroup, keys []packet.FlowKey, conns []*tcp.Conn, meters []*metrics.FlowMeter) (*fluid.Controller, bool) {
+// topology and the flows exist and before the cluster runs; warmup is the
+// edge Run will measure from.
+func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, fs *flowSet, warmup sim.Time) (*fluid.Controller, bool) {
 	if !s.FastForward && !defaultFastForward.Load() {
 		return nil, false
 	}
@@ -71,7 +70,7 @@ func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, flat []Flow
 	// a single flow pinned at its edge rate is a stationary allocation.
 	for _, n := range d.Net.Nodes() {
 		for _, dev := range n.Devices() {
-			if dev == d.Bottleneck && len(flat) > 1 {
+			if dev == d.Bottleneck && len(fs.ends) > 1 {
 				c.WatchDeviceContested(dev)
 			} else {
 				c.WatchDevice(dev)
@@ -96,17 +95,18 @@ func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, flat []Flow
 	// floor keeps the detector from ever arming there. A single flow
 	// needs no proof: its allocation is unique whatever limits it.
 	pinFloor := 0.0
-	if len(flat) > 1 {
+	if len(fs.ends) > 1 {
 		pinFloor = math.Inf(1)
 		if s.AccessBps > 0 {
 			pinFloor = 0.9 * s.AccessBps / 8 * float64(packet.MSS) / float64(packet.MSS+packet.HeaderBytes)
 		}
 	}
-	for i := range flat {
+	for i, e := range fs.ends {
+		m := fs.meters[i]
 		if pinFloor > 0 {
-			c.WatchFlowPinned(keys[i], flat[i].StartAt, meters[i].Total, meters[i].Record, pinFloor)
+			c.WatchFlowPinned(fs.keys[i], e.startAt, m.Total, m.Record, pinFloor)
 		} else {
-			c.WatchFlow(keys[i], flat[i].StartAt, meters[i].Total, meters[i].Record)
+			c.WatchFlow(fs.keys[i], e.startAt, m.Total, m.Record)
 		}
 	}
 	if cq != nil {
@@ -115,21 +115,19 @@ func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, flat []Flow
 
 	// Sender-side loss signals: a retransmission, timeout, or ECE
 	// reduction anywhere resets quiescence detection (or disarms).
-	for _, cn := range conns {
+	for _, cn := range fs.conns {
 		st := &cn.Stats
 		c.WatchCounter(func() uint64 { return st.Retransmits + st.Timeouts + st.ECEReductions })
 	}
 
 	// Measurement epochs must be exact, not straddled by a skip: pin a
 	// no-op at every boundary the post-run metrics read — the warmup
-	// edge and each late-starting flow's own settle edge (mirroring the
-	// arithmetic in Run).
-	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (minutes at most, « 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
-	warmup := sim.Time(float64(s.Duration) * s.WarmupFraction)
+	// edge and each late-starting flow's own measureFrom (one pin per
+	// such flow, duplicates included: each pin is an event).
 	pinBoundary(eng, warmup, s.Duration)
-	for _, f := range flat {
-		if f.StartAt > warmup {
-			pinBoundary(eng, f.StartAt+(s.Duration-f.StartAt)/5, s.Duration)
+	for i, e := range fs.ends {
+		if e.startAt > warmup {
+			pinBoundary(eng, fs.measureFrom(i, warmup, s.Duration), s.Duration)
 		}
 	}
 	// With time-series sampling on, a pinned metronome bounds every skip
@@ -144,13 +142,13 @@ func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, flat []Flow
 	return c, false
 }
 
-// pinBoundary schedules a pinned no-op at t, making it a hard epoch
+// pinBoundary arms a pinned no-op timer at t, making it a hard epoch
 // boundary for skips. Out-of-range boundaries are dropped.
 func pinBoundary(eng *sim.Engine, t, horizon sim.Time) {
 	if t <= 0 || t > horizon {
 		return
 	}
-	eng.AtPinned(t, func() {})
+	eng.ArmPinnedTimerAt(new(sim.Timer), t, sim.Func(func() {}), nil)
 }
 
 // ffMetronome is a pinned no-op tick aligning skips to the sample grid.

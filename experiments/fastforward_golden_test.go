@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/fastforward_golden.txt from this tree's runs")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/ from this tree's runs")
 
 // TestFastForwardGolden pins what a fast-forward run reports — every
 // Report() byte, the event count and the controller's arm/skip counters —
@@ -30,12 +30,17 @@ func TestFastForwardGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "== %s ff=%+v\n%s", q, r.FF, r.Report())
 	}
-	path := filepath.Join("testdata", "fastforward_golden.txt")
+	// Recorded at the commit before Engine.Local.
+	checkGolden(t, "fastforward_golden.txt", b.String())
+}
+
+// checkGolden compares got with testdata/<name>, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -44,8 +49,8 @@ func TestFastForwardGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update): %v", err)
 	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("fast-forward runs drifted from %s (recorded at the commit before Engine.Local):\n%s", path, firstDiff(got, string(want)))
+	if got != string(want) {
+		t.Errorf("runs drifted from %s:\n%s", path, firstDiff(got, string(want)))
 	}
 }
 

@@ -79,31 +79,12 @@ func Fig11(scale Scale) Fig11Result {
 	}
 
 	for _, kind := range []QdiscKind{FIFO, Cebinae} {
-		res.GoodputBps[kind] = runParkingLot(kind, dur)
+		res.GoodputBps[kind] = RunChain(CanonicalChain(kind, dur, 0)).Goodputs()
 		ideal := make([]float64, len(res.IdealBps))
 		copy(ideal, res.IdealBps)
 		res.NormJFI[kind] = metrics.NormalizedJFI(res.GoodputBps[kind], ideal)
 	}
 	return res
-}
-
-// runParkingLot builds and runs the 3-hop chain for one discipline,
-// returning per-flow goodputs (bits/sec) in paper order.
-func runParkingLot(kind QdiscKind, dur sim.Time) []float64 {
-	goodputs, _ := RunParkingLotShards(kind, dur, 0)
-	return goodputs
-}
-
-// RunParkingLotShards runs the Fig.11 parking-lot chain partitioned
-// across `shards` engines (0 selects the package default, ShardAuto a
-// machine-sized count; placement comes from the min-cut planner). It
-// returns per-flow goodputs in paper order plus the total dispatched
-// event count; both are byte-identical at any shard count, which the
-// differential regression tests assert. The construction itself lives in
-// RunChain — the same builder the "chain" scenario-file kind lowers to.
-func RunParkingLotShards(kind QdiscKind, dur sim.Time, shards int) ([]float64, uint64) {
-	r := RunChain(CanonicalChain(kind, dur, shards))
-	return r.Goodputs(), r.Events
 }
 
 // Render prints per-flow goodputs against the ideal.

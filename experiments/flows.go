@@ -1,0 +1,80 @@
+package experiments
+
+import (
+	"fmt"
+
+	"cebinae/internal/metrics"
+	"cebinae/internal/netem"
+	"cebinae/internal/packet"
+	"cebinae/internal/sim"
+	"cebinae/internal/tcp"
+)
+
+// flowEnd is one TCP flow to attach: its endpoints, its congestion control
+// and when it starts.
+type flowEnd struct {
+	s, r    *netem.Node
+	cc      string
+	startAt sim.Time
+}
+
+// flowSet is the attached flows of one run, in index order — the one
+// harness under Run, RunChain and RunGraph.
+type flowSet struct {
+	ends   []flowEnd
+	keys   []packet.FlowKey
+	conns  []*tcp.Conn
+	meters []*metrics.FlowMeter
+}
+
+// attachFlows creates flow i of ends on ports 1000+i → 5000+i with seed
+// seed+i: sender, then receiver, then the goodput meter the receiver feeds.
+// Construction order is event order (each sender arms its start timer), so
+// it is the same at every caller and every shard count.
+func attachFlows(ends []flowEnd, seed uint64, minRTO sim.Time) *flowSet {
+	fs := &flowSet{
+		ends:   ends,
+		keys:   make([]packet.FlowKey, len(ends)),
+		conns:  make([]*tcp.Conn, len(ends)),
+		meters: make([]*metrics.FlowMeter, len(ends)),
+	}
+	for i, e := range ends {
+		cc, ok := tcp.NewCC(e.cc)
+		if !ok {
+			panic(fmt.Sprintf("experiments: unknown CC %q", e.cc))
+		}
+		key := packet.FlowKey{
+			Src: e.s.ID, Dst: e.r.ID,
+			SrcPort: uint16(1000 + i), DstPort: uint16(5000 + i), Proto: packet.ProtoTCP,
+		}
+		fs.keys[i] = key
+		fs.conns[i] = tcp.NewConn(e.s.Engine(), e.s, tcp.Config{Key: key, CC: cc, StartAt: e.startAt, Seed: seed + uint64(i), MinRTO: minRTO})
+		recv := tcp.NewReceiver(e.r.Engine(), e.r, tcp.ReceiverConfig{Key: key})
+		m := &metrics.FlowMeter{}
+		recv.GoodputAt = m.Record
+		fs.meters[i] = m
+	}
+	return fs
+}
+
+// measureFrom is the start of flow i's measurement window — the one
+// statement of the rule: the run's warmup edge, or, for a flow that starts
+// after it, a fifth of the way into the flow's own lifetime. The caller
+// passes its warmup edge rather than a fraction: recomputing it here could
+// move a window by a nanosecond.
+func (fs *flowSet) measureFrom(i int, warmup, duration sim.Time) sim.Time {
+	if st := fs.ends[i].startAt; st > warmup {
+		return st + (duration-st)/5
+	}
+	return warmup
+}
+
+// rates returns every flow's goodput (bytes/sec) over its measurement
+// window.
+func (fs *flowSet) rates(warmup, duration sim.Time) []float64 {
+	out := make([]float64, len(fs.ends))
+	for i, m := range fs.meters {
+		out[i] = m.RateOver(fs.measureFrom(i, warmup, duration), duration)
+	}
+	return out
+}

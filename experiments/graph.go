@@ -6,11 +6,9 @@ import (
 
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
-	"cebinae/internal/packet"
 	"cebinae/internal/qdisc"
 	"cebinae/internal/shard"
 	"cebinae/internal/sim"
-	"cebinae/internal/tcp"
 )
 
 // The graph scenario family builds arbitrary switch/host topologies from
@@ -286,65 +284,34 @@ func RunGraph(cfg GraphConfig) GraphResult {
 	t := build(cl)
 	t.installRoutes(cfg)
 
-	type flowEnd struct {
-		s, r    *netem.Node
-		group   string
-		host    int
-		cc      string
-		startAt SimTime
-	}
-	var flows []flowEnd
+	var ends []flowEnd
 	for _, fg := range cfg.Flows {
 		from, to := t.groupIx[fg.From], t.groupIx[fg.To]
-		label := fg.From + "->" + fg.To
 		for i, s := range t.hosts[from] {
-			r := t.hosts[to][i%len(t.hosts[to])]
-			flows = append(flows, flowEnd{s, r, label, i, fg.CC, fg.StartAt})
+			ends = append(ends, flowEnd{s, t.hosts[to][i%len(t.hosts[to])], fg.CC, fg.StartAt})
 		}
 	}
-
-	meters := make([]*metrics.FlowMeter, len(flows))
-	for i, fl := range flows {
-		cc, ok := tcp.NewCC(fl.cc)
-		if !ok {
-			panic(fmt.Sprintf("experiments: unknown CC %q", fl.cc))
-		}
-		key := packet.FlowKey{
-			Src: fl.s.ID, Dst: fl.r.ID,
-			SrcPort: uint16(1000 + i), DstPort: uint16(5000 + i), Proto: packet.ProtoTCP,
-		}
-		tcp.NewConn(fl.s.Engine(), fl.s, tcp.Config{Key: key, CC: cc, StartAt: fl.startAt, Seed: cfg.Seed + uint64(i), MinRTO: cfg.MinRTO})
-		recv := tcp.NewReceiver(fl.r.Engine(), fl.r, tcp.ReceiverConfig{Key: key})
-		m := &metrics.FlowMeter{}
-		recv.GoodputAt = m.Record
-		meters[i] = m
-	}
+	fs := attachFlows(ends, cfg.Seed, cfg.MinRTO)
 
 	cl.Run(cfg.Duration)
 
 	res := GraphResult{Name: cfg.Name, Events: cl.Processed()}
 	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (« 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
 	warmup := sim.Time(float64(cfg.Duration) * cfg.WarmupFraction)
-	rates := make([]float64, len(flows))
-	for i, fl := range flows {
-		from := warmup
-		if fl.startAt > from {
-			from = fl.startAt + (cfg.Duration-fl.startAt)/5
-		}
-		rates[i] = meters[i].RateOver(from, cfg.Duration)
-		res.Flows = append(res.Flows, GraphFlowResult{
-			Index: i, Group: fl.group, Host: fl.host, CC: fl.cc, GoodputBps: rates[i] * 8,
-		})
-	}
+	rates := fs.rates(warmup, cfg.Duration)
 	res.JFI = metrics.JFI(rates)
 
-	// Per-group aggregates in flow-group declaration order.
+	// Per-flow rows and per-group aggregates, in flow-group declaration
+	// order — the order the flows were attached in.
 	idx := 0
 	for _, fg := range cfg.Flows {
 		n := len(t.hosts[t.groupIx[fg.From]])
 		g := GraphGroupResult{Group: fg.From + "->" + fg.To, Flows: n}
 		groupRates := rates[idx : idx+n]
-		for _, r := range groupRates {
+		for host, r := range groupRates {
+			res.Flows = append(res.Flows, GraphFlowResult{
+				Index: idx + host, Group: g.Group, Host: host, CC: fg.CC, GoodputBps: r * 8,
+			})
 			g.GoodputBps += r * 8
 		}
 		g.JFI = metrics.JFI(groupRates)

@@ -25,11 +25,9 @@ import (
 	"cebinae/internal/fluid"
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
-	"cebinae/internal/packet"
 	"cebinae/internal/qdisc"
 	"cebinae/internal/shard"
 	"cebinae/internal/sim"
-	"cebinae/internal/tcp"
 )
 
 // SimTime aliases the simulator's nanosecond timestamp so external callers
@@ -367,27 +365,15 @@ func Run(s Scenario) Result {
 	cl := newCluster(s.Shards, func(f netem.Fabric) { build(f) })
 	d := build(cl)
 
-	meters := make([]*metrics.FlowMeter, len(flat))
-	conns := make([]*tcp.Conn, len(flat))
-	keys := make([]packet.FlowKey, len(flat))
+	ends := make([]flowEnd, len(flat))
 	for i, f := range flat {
-		cc, ok := tcp.NewCC(f.CC)
-		if !ok {
-			panic(fmt.Sprintf("experiments: unknown CC %q", f.CC))
-		}
-		key := packet.FlowKey{
-			Src: d.Senders[i].ID, Dst: d.Receivers[i].ID,
-			SrcPort: uint16(1000 + i), DstPort: uint16(5000 + i), Proto: packet.ProtoTCP,
-		}
-		keys[i] = key
-		conns[i] = tcp.NewConn(d.Senders[i].Engine(), d.Senders[i], tcp.Config{Key: key, CC: cc, StartAt: f.StartAt, Seed: s.Seed + uint64(i), MinRTO: s.MinRTO})
-		recv := tcp.NewReceiver(d.Receivers[i].Engine(), d.Receivers[i], tcp.ReceiverConfig{Key: key})
-		m := &metrics.FlowMeter{}
-		recv.GoodputAt = m.Record
-		meters[i] = m
+		ends[i] = flowEnd{d.Senders[i], d.Receivers[i], f.CC, f.StartAt}
 	}
+	fs := attachFlows(ends, s.Seed, s.MinRTO)
+	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (minutes at most, « 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
+	warmup := sim.Time(float64(s.Duration) * s.WarmupFraction)
 
-	ffc, ffForcedOff := setupFastForward(s, d, cq, flat, keys, conns, meters)
+	ffc, ffForcedOff := setupFastForward(s, d, cq, fs, warmup)
 
 	var sampler *stateSampler
 	if s.SampleInterval > 0 && cq != nil {
@@ -418,19 +404,12 @@ func Run(s Scenario) Result {
 	if sampler != nil {
 		res.StateSeries = sampler.states
 	}
-	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (minutes at most, « 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
-	warmup := sim.Time(float64(s.Duration) * s.WarmupFraction)
-	rates := make([]float64, len(flat))
+	rates := fs.rates(warmup, s.Duration)
 	for i, f := range flat {
-		from := warmup
-		if f.StartAt > from {
-			from = f.StartAt + (s.Duration-f.StartAt)/5
-		}
-		rate := meters[i].RateOver(from, s.Duration)
-		rates[i] = rate
+		rate := rates[i]
 		fr := FlowResult{Index: i, CC: f.CC, RTT: f.RTT, GoodputBps: rate * 8}
 		if s.SampleInterval > 0 {
-			fr.Series = meters[i].Series(s.SampleInterval, s.Duration)
+			fr.Series = fs.meters[i].Series(s.SampleInterval, s.Duration)
 		}
 		res.Flows = append(res.Flows, fr)
 		res.GoodputBps += rate * 8

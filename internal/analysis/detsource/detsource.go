@@ -74,7 +74,7 @@ func run(pass *analysis.Pass) error {
 			case "time":
 				if forbiddenTime[fn.Name()] {
 					pass.Reportf(sel.Pos(),
-						"wall-clock time.%s in simulation code; use the engine clock (sim.Engine.Now / Schedule)",
+						"wall-clock time.%s in simulation code; use the engine clock (sim.Engine.Now / ScheduleCall)",
 						fn.Name())
 				}
 			case "math/rand", "math/rand/v2":

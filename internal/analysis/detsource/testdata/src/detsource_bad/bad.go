@@ -16,7 +16,7 @@ func (e *engine) step() time.Time {
 }
 
 func jitter() time.Duration {
-	time.Sleep(time.Millisecond) // want `wall-clock time\.Sleep in simulation code`
+	time.Sleep(time.Millisecond)            // want `wall-clock time\.Sleep in simulation code`
 	return time.Duration(rand.Int63n(1000)) // want `global randomness rand\.Int63n in simulation code`
 }
 

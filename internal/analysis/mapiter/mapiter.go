@@ -15,7 +15,7 @@
 // All four hazard classes are followed through helpers: a call inside the
 // range body that resolves to a function, method, or function-literal
 // binding declared in the same package has its body scanned (transitively,
-// memoized, cycle-safe), so hiding eng.Schedule — or an append to a
+// memoized, cycle-safe), so hiding eng.ScheduleCall — or an append to a
 // captured slice — one hop down does not silence the diagnostic. The
 // report names the helper chain. Accumulation and selection hazards in a
 // helper body are writes to variables declared *outside* the helper
@@ -47,17 +47,17 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scheduleMethods are sim.Engine scheduling entry points whose call order
-// is observable (FIFO tie-breaking at equal timestamps). "At" is matched
-// only on receivers from package sim to avoid colliding with accessors.
+// is observable (FIFO tie-breaking at equal timestamps): each draws one
+// sequence number per call.
 var scheduleMethods = map[string]bool{
-	"Schedule":      true,
-	"ScheduleCall":  true,
-	"ScheduleOwned": true,
-	"AtCall":        true,
-	"StreamCall":    true,
-	"ArmTimer":      true,
-	"ArmTimerAt":    true,
-	"RunUntil":      true,
+	"ScheduleCall":     true,
+	"ScheduleOwned":    true,
+	"AtCall":           true,
+	"StreamCall":       true,
+	"ArmTimer":         true,
+	"ArmPinnedTimer":   true,
+	"ArmPinnedTimerAt": true,
+	"RunUntil":         true,
 }
 
 // writerMethods are method names that emit output in call order.
@@ -231,7 +231,7 @@ func directHazard(pass *analysis.Pass, call *ast.CallExpr) *helperHazard {
 	if writerMethods[name] {
 		return &helperHazard{kind: hazardOutput, path: name}
 	}
-	if scheduleMethods[name] || (name == "At" && receiverFromSim(pass, sel)) {
+	if scheduleMethods[name] {
 		return &helperHazard{kind: hazardSchedule, path: name}
 	}
 	return nil
@@ -472,20 +472,6 @@ func (h *helperScanner) classifyAssign(as *ast.AssignStmt, hb *helperBody) *help
 // outside reports whether obj is declared outside the helper's extent.
 func (hb *helperBody) outside(obj types.Object) bool {
 	return obj != nil && (obj.Pos() < hb.start || obj.Pos() > hb.end)
-}
-
-// receiverFromSim reports whether sel's receiver type is declared in a
-// package named "sim" (the engine, whose At is a scheduling call).
-func receiverFromSim(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	t := pass.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "sim"
 }
 
 func checkAssign(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt, loopVars map[types.Object]bool, funcBody *ast.BlockStmt) {

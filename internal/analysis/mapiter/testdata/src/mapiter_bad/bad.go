@@ -34,16 +34,15 @@ func fattestFlow(flows map[flowKey]*fqFlow) *fqFlow {
 // Scheduling from a map range embeds the visit order in event sequence
 // numbers: two runs produce different tie-breaks at equal timestamps.
 func kickAll(eng *sim.Engine, waiters map[flowKey]func()) {
-	for _, w := range waiters { // want `map range schedules events via Schedule in iteration order`
-		eng.Schedule(sim.Time(1), w)
+	for _, w := range waiters { // want `map range schedules events via ScheduleCall in iteration order`
+		eng.ScheduleCall(sim.Time(1), sim.Func(w), nil)
 	}
 }
 
-// At on a sim.Engine receiver is a scheduling call too ("At" alone is too
-// common a name, so the analyzer requires the sim receiver for it).
+// The absolute-time form draws a sequence number like the relative one.
 func armAll(eng *sim.Engine, deadlines map[flowKey]sim.Time) {
-	for _, d := range deadlines { // want `map range schedules events via At in iteration order`
-		eng.At(d, func() {})
+	for _, d := range deadlines { // want `map range schedules events via AtCall in iteration order`
+		eng.AtCall(d, sim.Func(func() {}), nil)
 	}
 }
 
@@ -58,10 +57,25 @@ func pushWires(eng *sim.Engine, wires map[flowKey]*sim.Stream) {
 
 // Arming timers from a map range is scheduling too: each ArmTimer
 // consumes a sequence number, so visit order leaks into equal-instant
-// tie-breaking exactly as Schedule's does.
+// tie-breaking exactly as ScheduleCall's does.
 func armTimers(eng *sim.Engine, timers map[flowKey]*sim.Timer, h sim.Handler) {
 	for _, t := range timers { // want `map range schedules events via ArmTimer in iteration order`
 		eng.ArmTimer(t, sim.Time(1), h, nil)
+	}
+}
+
+// A pinned arm takes its sequence number the same way — control-plane
+// cadences (rotation, sampling, flow starts) armed per map entry tie-break
+// in visit order — in both its relative and its absolute form.
+func armPinned(eng *sim.Engine, timers map[flowKey]*sim.Timer, h sim.Handler) {
+	for _, t := range timers { // want `map range schedules events via ArmPinnedTimer in iteration order`
+		eng.ArmPinnedTimer(t, sim.Time(1), h, nil)
+	}
+}
+
+func armPinnedAt(eng *sim.Engine, starts map[flowKey]sim.Time, h sim.Handler) {
+	for _, at := range starts { // want `map range schedules events via ArmPinnedTimerAt in iteration order`
+		eng.ArmPinnedTimerAt(new(sim.Timer), at, h, nil)
 	}
 }
 
@@ -93,26 +107,26 @@ func totalRate(rates map[flowKey]float64) float64 {
 }
 
 // kick is an innocent-looking helper whose body schedules; calling it
-// from a map range is the same bug as calling Schedule inline, one hop
+// from a map range is the same bug as calling ScheduleCall inline, one hop
 // removed.
 func kick(eng *sim.Engine, w func()) {
-	eng.Schedule(sim.Time(1), w)
+	eng.ScheduleCall(sim.Time(1), sim.Func(w), nil)
 }
 
 func kickAllViaHelper(eng *sim.Engine, waiters map[flowKey]func()) {
-	for _, w := range waiters { // want `map range schedules events via kick → Schedule in iteration order`
+	for _, w := range waiters { // want `map range schedules events via kick → ScheduleCall in iteration order`
 		kick(eng, w)
 	}
 }
 
-// The hazard can hide arbitrarily deep: wake → kick → Schedule. The
+// The hazard can hide arbitrarily deep: wake → kick → ScheduleCall. The
 // analyzer follows same-package helper chains and names the path.
 func wake(eng *sim.Engine, w func()) {
 	kick(eng, w)
 }
 
 func kickAllTwoDeep(eng *sim.Engine, waiters map[flowKey]func()) {
-	for _, w := range waiters { // want `map range schedules events via wake → kick → Schedule in iteration order`
+	for _, w := range waiters { // want `map range schedules events via wake → kick → ScheduleCall in iteration order`
 		wake(eng, w)
 	}
 }

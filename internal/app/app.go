@@ -1,9 +1,8 @@
 // Package app provides non-TCP traffic applications for experiments: blind
-// constant-bit-rate (UDP-like) sources, on-off bursty sources, and a
-// Poisson flow-churn workload of finite TCP transfers. The paper's
-// discussion motivates each: blind flows that ignore congestion signals
-// (§4, "a blind UDP flow…"), bursty senders that stress the LBF's virtual
-// pacing, and the high-churn conditions of backbone links (§5.5).
+// constant-bit-rate (UDP-like) sources and a Poisson flow-churn workload of
+// finite TCP transfers. The paper's discussion motivates each: blind flows
+// that ignore congestion signals (§4, "a blind UDP flow…") and the
+// high-churn conditions of backbone links (§5.5).
 package app
 
 import (
@@ -70,83 +69,6 @@ func (c *CBR) Stop() {
 	c.stopped = true
 	c.eng.StopTimer(&c.timer)
 }
-
-// OnOff is a two-state bursty source: during ON periods it emits at
-// RateBps, then idles. Period lengths are exponentially distributed.
-type OnOff struct {
-	eng  *sim.Engine
-	node *netem.Node
-	key  packet.FlowKey
-
-	RateBps     float64
-	PacketBytes int
-	MeanOn      sim.Time
-	MeanOff     sim.Time
-
-	rng        *sim.Rand
-	on         bool
-	stopped    bool
-	Sent       uint64
-	stateTimer sim.Timer // ON/OFF period transitions
-	emitTimer  sim.Timer // per-packet emission during ON periods
-}
-
-// onOffSwitch / onOffEmit are the source's two timer handlers.
-type (
-	onOffSwitch OnOff
-	onOffEmit   OnOff
-)
-
-func (h *onOffSwitch) OnEvent(any) { (*OnOff)(h).switchState() }
-func (h *onOffEmit) OnEvent(any)   { (*OnOff)(h).emit() }
-
-// NewOnOff creates and starts the source (beginning with an OFF period so
-// starts de-synchronise across sources).
-func NewOnOff(eng *sim.Engine, node *netem.Node, key packet.FlowKey, rateBps float64, meanOn, meanOff sim.Time, seed uint64) *OnOff {
-	o := &OnOff{
-		eng: eng, node: node, key: key,
-		RateBps: rateBps, PacketBytes: 1500,
-		MeanOn: meanOn, MeanOff: meanOff,
-		rng: sim.NewRand(seed ^ key.Hash(0x0F0F)),
-	}
-	// ON/OFF transitions are traffic discontinuities: pinned (see CBR).
-	eng.ArmPinnedTimer(&o.stateTimer, o.expDur(meanOff), (*onOffSwitch)(o), nil)
-	return o
-}
-
-func (o *OnOff) expDur(mean sim.Time) sim.Time {
-	//lint:ignore simtime exponential sampling is inherently float; mean on/off periods are seconds at most (~1e9 ns « 2^53), so the round-trip is exact
-	return sim.Time(o.rng.ExpFloat64() * float64(mean))
-}
-
-func (o *OnOff) switchState() {
-	if o.stopped {
-		return
-	}
-	o.on = !o.on
-	if o.on {
-		o.emit()
-		o.eng.ArmPinnedTimer(&o.stateTimer, o.expDur(o.MeanOn), (*onOffSwitch)(o), nil)
-	} else {
-		o.eng.ArmPinnedTimer(&o.stateTimer, o.expDur(o.MeanOff), (*onOffSwitch)(o), nil)
-	}
-}
-
-func (o *OnOff) emit() {
-	if o.stopped || !o.on {
-		return
-	}
-	p := o.node.AllocPacket()
-	p.Flow = o.key
-	p.Size = int32(o.PacketBytes)
-	p.PayloadSize = int32(o.PacketBytes - packet.HeaderBytes)
-	o.node.Inject(p)
-	o.Sent++
-	o.eng.ArmTimer(&o.emitTimer, sim.Time(float64(o.PacketBytes*8)/o.RateBps*1e9), (*onOffEmit)(o), nil)
-}
-
-// Stop halts emission.
-func (o *OnOff) Stop() { o.stopped = true }
 
 // ChurnConfig parameterises a Poisson workload of finite TCP transfers
 // between a sender and receiver node pair.

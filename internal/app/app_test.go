@@ -49,27 +49,12 @@ func TestCBRStartAndStop(t *testing.T) {
 	var got uint64
 	b.Register(key, countSink{&got})
 	c := NewCBR(eng, a, key, 12e6, sim.Duration(1e9))
-	eng.At(sim.Duration(1.5e9), c.Stop)
+	eng.AtCall(sim.Duration(1.5e9), sim.Func(c.Stop), nil)
 	eng.Run(sim.Duration(3e9))
 	// Active only 0.5 s ⇒ ≈500 packets.
 	if c.Sent < 490 || c.Sent > 510 {
 		t.Fatalf("windowed CBR sent %d, want ≈500", c.Sent)
 	}
-}
-
-func TestOnOffDutyCycle(t *testing.T) {
-	eng := sim.NewEngine()
-	a, b := pipe(eng, 100e6)
-	key := packet.FlowKey{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP}
-	var got uint64
-	b.Register(key, countSink{&got})
-	// 50% duty cycle at 24 Mbps ⇒ average ≈12 Mbps ⇒ ≈2000 packets in 2 s.
-	o := NewOnOff(eng, a, key, 24e6, sim.Duration(50e6), sim.Duration(50e6), 3)
-	eng.Run(sim.Duration(2e9))
-	if o.Sent < 1200 || o.Sent > 2800 {
-		t.Fatalf("on-off sent %d, want ≈2000 (duty-cycled)", o.Sent)
-	}
-	o.Stop()
 }
 
 func TestChurnCompletesTransfers(t *testing.T) {

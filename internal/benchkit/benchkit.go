@@ -1,6 +1,6 @@
 // Package benchkit is the perf measurement harness shared by the go-test
 // benchmarks and `cebinae-bench -benchjson`: microbenchmarks of the event
-// engine's schedule/cancel/dispatch cycle, the netem forwarding hot path,
+// engine's dispatch and timer re-arm cycles, the netem forwarding hot path,
 // and an end-to-end dumbbell TCP run. Keeping the bodies here (rather than
 // in _test files) lets the CLI emit a machine-readable perf snapshot
 // (BENCH_baseline.json) with exactly the numbers the benchmarks report, so
@@ -45,54 +45,11 @@ func (l *dispatchLoop) OnEvent(any) {
 	}
 }
 
-// EngineDispatchClosure measures the same cycle through the cold-path
-// closure API (Schedule), for comparison with EngineDispatch: the delta is
-// the cost of the per-event allocation the typed fast path avoids.
-func EngineDispatchClosure(b *testing.B) {
-	eng := sim.NewEngine()
-	count := 0
-	var next func()
-	next = func() {
-		count++
-		if count < b.N {
-			eng.Schedule(1, next)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Schedule(1, next)
-	eng.RunAll()
-	Sink = count
-}
-
-// EngineScheduleCancel measures handle-carrying schedule + cancel churn
-// (heap push + arbitrary-position remove), the pattern of retransmission
-// and delayed-ACK timers.
-func EngineScheduleCancel(b *testing.B) {
-	eng := sim.NewEngine()
-	fn := func() {}
-	// A standing population keeps the heap realistically deep.
-	const depth = 256
-	var evs [depth]*sim.Event
-	for i := range evs {
-		evs[i] = eng.Schedule(sim.Time(i+1), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot := i % depth
-		eng.Cancel(evs[slot])
-		evs[slot] = eng.Schedule(sim.Time(slot+1), fn)
-	}
-}
-
 // TimerChurn measures embedded-timer re-arm churn against a standing
-// population of 256 armed timers — the same workload as
-// EngineScheduleCancel, driven through the wheel-backed Timer surface
-// (ArmTimer re-arms in place). The delta between the two benchmarks is
-// what the RTO/pacing/delayed-ACK migration saved per timer operation:
-// wheel-resident timers re-arm via an O(1) bucket unlink and the cycle
-// allocates nothing.
+// population of 256 armed timers — the pattern of retransmission, pacing
+// and delayed-ACK timers — through the wheel-backed Timer surface (ArmTimer
+// re-arms in place): wheel-resident timers re-arm via an O(1) bucket unlink
+// and the cycle allocates nothing.
 func TimerChurn(b *testing.B) {
 	eng := sim.NewEngine()
 	h := timerNopHandler{}
@@ -267,8 +224,6 @@ type Spec struct {
 func Specs() []Spec {
 	out := []Spec{
 		{"EngineDispatch", EngineDispatch},
-		{"EngineDispatchClosure", EngineDispatchClosure},
-		{"EngineScheduleCancel", EngineScheduleCancel},
 		{"TimerChurn", TimerChurn},
 		{"NetemForward", NetemForward},
 		{"NetemForwardInFlight", NetemForwardInFlight},

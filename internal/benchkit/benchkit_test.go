@@ -12,13 +12,11 @@ import (
 	"cebinae/internal/tcp"
 )
 
-func BenchmarkEngineDispatch(b *testing.B)        { EngineDispatch(b) }
-func BenchmarkEngineDispatchClosure(b *testing.B) { EngineDispatchClosure(b) }
-func BenchmarkEngineScheduleCancel(b *testing.B)  { EngineScheduleCancel(b) }
-func BenchmarkTimerChurn(b *testing.B)            { TimerChurn(b) }
-func BenchmarkNetemForward(b *testing.B)          { NetemForward(b) }
-func BenchmarkNetemForwardInFlight(b *testing.B)  { NetemForwardInFlight(b) }
-func BenchmarkDumbbellE2E(b *testing.B)           { DumbbellE2E(b) }
+func BenchmarkEngineDispatch(b *testing.B)       { EngineDispatch(b) }
+func BenchmarkTimerChurn(b *testing.B)           { TimerChurn(b) }
+func BenchmarkNetemForward(b *testing.B)         { NetemForward(b) }
+func BenchmarkNetemForwardInFlight(b *testing.B) { NetemForwardInFlight(b) }
+func BenchmarkDumbbellE2E(b *testing.B)          { DumbbellE2E(b) }
 
 func BenchmarkChainE2E(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
@@ -42,27 +40,6 @@ func TestEngineDispatchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("typed dispatch cycle allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
-// TestScheduleCancelAllocs pins the closure schedule+cancel cycle at
-// exactly one allocation: the Event handle itself. This cost is accepted,
-// not an oversight — the handle Schedule returns may be retained by the
-// caller forever, so a fired or cancelled closure event can never be
-// proven unreferenced; recycling one would let a stale handle's Cancel
-// kill an unrelated later event (the ABA hazard sim.Engine.At documents).
-// Hot-path callers avoid the alloc by embedding a sim.Timer instead, which
-// TestTimerChurnZeroAlloc pins at zero.
-func TestScheduleCancelAllocs(t *testing.T) {
-	eng := sim.NewEngine()
-	fn := func() {}
-	ev := eng.Schedule(1, fn)
-	allocs := testing.AllocsPerRun(1000, func() {
-		eng.Cancel(ev)
-		ev = eng.Schedule(1, fn)
-	})
-	if allocs != 1 {
-		t.Fatalf("closure schedule+cancel allocates %.1f objects/op, want exactly 1 (the Event handle)", allocs)
 	}
 }
 

@@ -49,9 +49,9 @@ func TestConservationInvariant(t *testing.T) {
 				src.Inject(&packet.Packet{Flow: key, Size: 1500, PayloadSize: 1448})
 				offered++
 				j := sim.Time(rng.Float64() * float64(gap) * 0.2)
-				eng.Schedule(gap+j-gap/10, tick)
+				eng.ScheduleCall(gap+j-gap/10, sim.Func(tick), nil)
 			}
-			eng.At(sim.Time(rng.Intn(1000))*1000, tick)
+			eng.AtCall(sim.Time(rng.Intn(1000))*1000, sim.Func(tick), nil)
 		}
 		eng.Run(sim.Duration(1e9))
 
@@ -109,9 +109,9 @@ func TestConservationInvariantPerFlowMode(t *testing.T) {
 		tick = func() {
 			src.Inject(&packet.Packet{Flow: key, Size: 1500, PayloadSize: 1448})
 			offered++
-			eng.Schedule(gap, tick)
+			eng.ScheduleCall(gap, sim.Func(tick), nil)
 		}
-		eng.At(sim.Time(i)*777, tick)
+		eng.AtCall(sim.Time(i)*777, sim.Func(tick), nil)
 	}
 	eng.Run(sim.Duration(2e9))
 

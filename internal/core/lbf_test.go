@@ -19,7 +19,7 @@ type cbr struct {
 	size  int32
 	ecn   bool
 	Sent  uint64
-	event *sim.Event
+	timer sim.Timer
 }
 
 func startCBR(eng *sim.Engine, node *netem.Node, key packet.FlowKey, bps float64, ecn bool) *cbr {
@@ -36,10 +36,10 @@ func (c *cbr) tick() {
 	c.node.Inject(p)
 	c.Sent++
 	gap := sim.Time(float64(c.size*8) / c.bps * 1e9)
-	c.event = c.eng.Schedule(gap, c.tick)
+	c.eng.ArmTimer(&c.timer, gap, sim.Func(c.tick), nil)
 }
 
-func (c *cbr) stop() { c.eng.Cancel(c.event) }
+func (c *cbr) stop() { c.eng.StopTimer(&c.timer) }
 
 // rig is a one-link testbed: src --[capacity, Cebinae]--> dst with counting
 // sinks per flow.
@@ -134,7 +134,7 @@ func TestSaturationDetectionAndTopClassification(t *testing.T) {
 	// classification across rounds rather than at one instant.
 	bigTop, smallTop, satSamples := 0, 0, 0
 	for i := 1; i <= 100; i++ {
-		r.eng.At(sim.Time(i)*sim.Duration(10e6), func() {
+		r.eng.AtCall(sim.Time(i)*sim.Duration(10e6), sim.Func(func() {
 			if r.ceb.Saturated() {
 				satSamples++
 			}
@@ -146,7 +146,7 @@ func TestSaturationDetectionAndTopClassification(t *testing.T) {
 					smallTop++
 				}
 			}
-		})
+		}), nil)
 	}
 	r.eng.Run(sim.Duration(1e9))
 	if satSamples < 20 {
@@ -168,14 +168,14 @@ func TestTieredFlowsBothTop(t *testing.T) {
 	startCBR(r.eng, r.src, r.flowKey(2), 100e6, false)
 	both, one := 0, 0
 	for i := 1; i <= 100; i++ {
-		r.eng.At(sim.Time(i)*sim.Duration(10e6), func() {
+		r.eng.AtCall(sim.Time(i)*sim.Duration(10e6), sim.Func(func() {
 			switch len(r.ceb.TopFlows()) {
 			case 2:
 				both++
 			case 1:
 				one++
 			}
-		})
+		}), nil)
 	}
 	r.eng.Run(sim.Duration(1e9))
 	if both < 10 || both < one {
@@ -291,7 +291,7 @@ func TestRotationCadence(t *testing.T) {
 func TestPhaseChangeOnLoadDrop(t *testing.T) {
 	r := buildRig(t, rigBps, rigBuffer, testParams())
 	g := startCBR(r.eng, r.src, r.flowKey(1), 210e6, false)
-	r.eng.At(sim.Duration(500e6), func() { g.stop() })
+	r.eng.AtCall(sim.Duration(500e6), sim.Func(func() { g.stop() }), nil)
 	r.eng.Run(sim.Duration(1e9))
 	if r.ceb.Saturated() {
 		t.Fatal("port must return to unsaturated after load stops")
@@ -315,9 +315,9 @@ func TestWorkConservingWhenUnsaturated(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			r.src.Inject(&packet.Packet{Flow: key, Size: 1500, PayloadSize: 1448})
 		}
-		r.eng.Schedule(sim.Duration(50e6), burst)
+		r.eng.ScheduleCall(sim.Duration(50e6), sim.Func(burst), nil)
 	}
-	r.eng.Schedule(0, burst)
+	r.eng.ScheduleCall(0, sim.Func(burst), nil)
 	r.eng.Run(sim.Duration(1e9))
 	sent := uint64(20 * 50)
 	if lost := sent - r.rxAll; lost > 2 {

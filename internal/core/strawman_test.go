@@ -88,9 +88,9 @@ func TestStrawmanMechanismLimits(t *testing.T) {
 	var tick func()
 	tick = func() {
 		src.Inject(&packet.Packet{Flow: key, Size: 1500, PayloadSize: 1448})
-		eng.Schedule(sim.Time(1500*8/(1.2*rate)*1e9), tick)
+		eng.ScheduleCall(sim.Time(1500*8/(1.2*rate)*1e9), sim.Func(tick), nil)
 	}
-	eng.Schedule(0, tick)
+	eng.ScheduleCall(0, sim.Func(tick), nil)
 	eng.Run(sim.Duration(2e9))
 	if !s.Limiting() {
 		t.Fatal("overloaded strawman should be limiting")

@@ -174,9 +174,9 @@ func TestProgressReportsEveryJob(t *testing.T) {
 // worker count still leaves one worker (the pool must always drain).
 func TestCoresPerJobDividesWorkers(t *testing.T) {
 	for _, tc := range []struct{ parallelism, cores int }{
-		{4, 4},  // exact division -> 1 worker
-		{2, 8},  // over-budget -> floor at 1 worker
-		{1, 3},  // already sequential
+		{4, 4}, // exact division -> 1 worker
+		{2, 8}, // over-budget -> floor at 1 worker
+		{1, 3}, // already sequential
 	} {
 		var inFlight, overlaps atomic.Int32
 		jobs := make([]Job, 6)

@@ -104,7 +104,7 @@ func TestDiscontinuityDisarms(t *testing.T) {
 	// A pinned event mid-run models a control-plane discontinuity: the
 	// skip chain must stop exactly at it, and the counter delta must
 	// force a fall back to packet-level sampling.
-	eng.AtPinned(sim.Duration(900e6), func() { bumps++ })
+	eng.ArmPinnedTimerAt(new(sim.Timer), sim.Duration(900e6), sim.Func(func() { bumps++ }), nil)
 	c.Start()
 	eng.Run(horizon)
 
@@ -121,7 +121,7 @@ func TestForceOff(t *testing.T) {
 	eng, dev := buildCBRLink()
 	c := New(eng, Config{})
 	c.WatchDevice(dev)
-	eng.AtPinned(sim.Duration(500e6), func() { c.ForceOff() })
+	eng.ArmPinnedTimerAt(new(sim.Timer), sim.Duration(500e6), sim.Func(c.ForceOff), nil)
 	c.Start()
 	eng.Run(horizon)
 

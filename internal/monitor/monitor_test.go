@@ -83,7 +83,7 @@ func TestMonitorCapturesCebinaeState(t *testing.T) {
 func TestMonitorStop(t *testing.T) {
 	eng, _, _, dev := buildWatchedLink(false)
 	m := Watch(eng, dev, sim.Duration(100e6))
-	eng.At(sim.Duration(500e6), m.Stop)
+	eng.AtCall(sim.Duration(500e6), sim.Func(m.Stop), nil)
 	eng.Run(sim.Duration(2e9))
 	if len(m.Samples) > 6 {
 		t.Fatalf("stop did not halt sampling: %d samples", len(m.Samples))

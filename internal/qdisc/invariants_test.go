@@ -57,7 +57,7 @@ func TestBacklogAndBalanceInvariants(t *testing.T) {
 				i := i
 				// Real time must advance between ops so FQCoDel sees
 				// nonzero sojourns rather than a frozen clock.
-				eng.Schedule(sim.Time(i)*5e5, func() {
+				eng.ScheduleCall(sim.Time(i)*5e5, sim.Func(func() {
 					if rng.Intn(100) < 60 {
 						p := pkt(rng.Intn(4), int32(100+rng.Intn(1400)))
 						p.Seq = int64(i) * 64
@@ -76,7 +76,7 @@ func TestBacklogAndBalanceInvariants(t *testing.T) {
 						t.Fatalf("step %d: delivered %d + queued %d + dropped %d != offered %d",
 							i, delivered, q.Len(), drops(), offered)
 					}
-				})
+				}), nil)
 			}
 			eng.RunAll()
 			for p := q.Dequeue(); p != nil; p = q.Dequeue() {

@@ -294,7 +294,7 @@ func TestFQCoDelECNMarksInsteadOfDrops(t *testing.T) {
 		p.ECN = packet.ECNECT
 		q.Enqueue(p)
 	}
-	eng.Schedule(sim.Duration(500e6), func() {})
+	eng.ScheduleCall(sim.Duration(500e6), sim.Func(func() {}), nil)
 	eng.RunAll() // advance clock to 500 ms
 	marked := 0
 	for {
@@ -323,17 +323,17 @@ func TestFQCoDelReusedFlowQueueStartsFresh(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
 	var used *fqFlow
-	eng.Schedule(sim.Duration(1e6), func() {
+	eng.ScheduleCall(sim.Duration(1e6), sim.Func(func() {
 		for i := 0; i < 40; i++ {
 			q.Enqueue(pkt(1, 1500))
 		}
 		used = q.flows[pkt(1, 0).Flow]
-	})
+	}), nil)
 	// Drain a packet a millisecond: the queue stands above CoDel's target
 	// long enough for the dropper to engage, and the last dequeues walk the
 	// queue from the new list through the old one to detachment.
 	for i := 2; i < 60; i++ {
-		eng.Schedule(sim.Time(i)*1e6, func() { q.Dequeue() })
+		eng.ScheduleCall(sim.Time(i)*1e6, sim.Func(func() { q.Dequeue() }), nil)
 	}
 	eng.RunAll()
 	if q.FlowCount() != 0 || q.free != used {
@@ -400,8 +400,8 @@ func TestFQCoDelSojournExcludesSkippedTime(t *testing.T) {
 	run := func(skip sim.Time) (log []int64, drops uint64) {
 		eng := sim.NewEngine()
 		q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
-		eng.Schedule(ms/2, func() { eng.FastForward(skip) })
-		eng.Schedule(ms, func() {
+		eng.ScheduleCall(ms/2, sim.Func(func() { eng.FastForward(skip) }), nil)
+		eng.ScheduleCall(ms, sim.Func(func() {
 			for i := 0; i < 400; i++ {
 				p := pkt(1, 1500)
 				p.Seq = int64(i)
@@ -413,19 +413,19 @@ func TestFQCoDelSojournExcludesSkippedTime(t *testing.T) {
 			// depends on how long a packet waited. Give this flow the
 			// defaults so the test sees the clock CoDel is run on.
 			q.flows[pkt(1, 0).Flow].codel.params = DefaultCoDelParams()
-		})
+		}), nil)
 		// One dequeue per millisecond: the k-th packet out has waited
 		// about k ms, above the 5 ms target from early on, so drops set in
 		// some 200 ms later (RFC 8289: an interval to be sure, another to
 		// act) with half the queue still waiting.
 		for i := 2; i <= 500; i++ {
-			eng.Schedule(sim.Time(i)*ms, func() {
+			eng.ScheduleCall(sim.Time(i)*ms, sim.Func(func() {
 				if p := q.Dequeue(); p != nil {
 					log = append(log, p.Seq, int64(eng.Local()-p.EnqueuedAt))
 				}
-			})
+			}), nil)
 		}
-		eng.Schedule(2*ms+ms/2, func() { eng.FastForward(skip) })
+		eng.ScheduleCall(2*ms+ms/2, sim.Func(func() { eng.FastForward(skip) }), nil)
 		eng.RunAll()
 		return log, q.Drops
 	}

@@ -27,6 +27,35 @@ type Compiled struct {
 	// Grid holds the enumerated cells for tournament and buffer_sweep
 	// specs, in canonical generation order.
 	Grid []experiments.GridCell
+
+	// What the spec kind decides for a single-config scenario, bound once
+	// by Compile (nil for the grid kinds): the config's shard field, its
+	// runner, the result's report text, and the same text from a
+	// checkpointed result.
+	shards *int
+	run    func() any
+	text   func(any) string
+	decode func(get experiments.Getter, id string) (string, error)
+}
+
+// bind records the runner and renderer of a single-config kind. run reads
+// *cfg when called, not when bound, so edits made through the exported
+// config pointer after Compile take effect.
+func bind[C, R any](c *Compiled, cfg *C, shards *int, run func(C) R, text func(R) string) {
+	c.shards = shards
+	c.run = func() any { return run(*cfg) }
+	c.text = func(v any) string { return text(v.(R)) }
+	c.decode = func(get experiments.Getter, id string) (string, error) {
+		var r R
+		raw, err := get(id)
+		if err != nil {
+			return "", err
+		}
+		if err := json.Unmarshal(raw, &r); err != nil {
+			return "", fmt.Errorf("scenario: decode %s: %w", id, err)
+		}
+		return text(r), nil
+	}
 }
 
 func qdiscKinds(names []string) []experiments.QdiscKind {
@@ -86,6 +115,7 @@ func Compile(s *Spec) (*Compiled, error) {
 			sc.Params = &p
 		}
 		c.Dumbbell = &sc
+		bind(c, c.Dumbbell, &c.Dumbbell.Shards, experiments.Run, experiments.Result.Report)
 	case "chain":
 		ch := s.Chain
 		c.Chain = &experiments.ChainConfig{
@@ -105,6 +135,7 @@ func Compile(s *Spec) (*Compiled, error) {
 			Seed:          s.Seed,
 			Shards:        shards,
 		}
+		bind(c, c.Chain, &c.Chain.Shards, experiments.RunChain, experiments.ChainResult.Report)
 	case "cross":
 		cr := s.Cross
 		sends := make([]experiments.SimTime, len(cr.Sends))
@@ -122,6 +153,7 @@ func Compile(s *Spec) (*Compiled, error) {
 			Until:        cr.Until.Time(),
 			Shards:       shards,
 		}
+		bind(c, c.Cross, &c.Cross.Shards, experiments.RunCross, experiments.CrossResult.Report)
 	case "backbone":
 		b := s.Backbone
 		scale := map[string]experiments.Scale{
@@ -133,6 +165,7 @@ func Compile(s *Spec) (*Compiled, error) {
 		}
 		cfg.Shards = shards
 		c.Backbone = &cfg
+		bind(c, c.Backbone, &c.Backbone.Shards, experiments.RunBackbone, experiments.BackboneResult.Render)
 	case "graph":
 		g := s.Graph
 		gc := experiments.GraphConfig{
@@ -165,6 +198,7 @@ func Compile(s *Spec) (*Compiled, error) {
 			})
 		}
 		c.Graph = &gc
+		bind(c, c.Graph, &c.Graph.Shards, experiments.RunGraph, experiments.GraphResult.Report)
 	case "tournament":
 		t := s.Tournament
 		c.Grid = experiments.TournamentConfig{
@@ -201,41 +235,22 @@ func Compile(s *Spec) (*Compiled, error) {
 // SetShards overrides the compiled scenario's shard count (the CLIs'
 // explicit -shards flag wins over the spec's hint).
 func (c *Compiled) SetShards(n int) {
-	switch {
-	case c.Dumbbell != nil:
-		c.Dumbbell.Shards = n
-	case c.Chain != nil:
-		c.Chain.Shards = n
-	case c.Cross != nil:
-		c.Cross.Shards = n
-	case c.Backbone != nil:
-		c.Backbone.Shards = n
-	case c.Graph != nil:
-		c.Graph.Shards = n
-	default:
-		for i := range c.Grid {
-			c.Grid[i].Scenario.Shards = n
-		}
+	if c.shards != nil {
+		*c.shards = n
+		return
+	}
+	for i := range c.Grid {
+		c.Grid[i].Scenario.Shards = n
 	}
 }
 
 // RunReport runs the compiled scenario sequentially and returns its
 // canonical report text.
 func (c *Compiled) RunReport() string {
-	switch {
-	case c.Dumbbell != nil:
-		return experiments.Run(*c.Dumbbell).Report()
-	case c.Chain != nil:
-		return experiments.RunChain(*c.Chain).Report()
-	case c.Cross != nil:
-		return experiments.RunCross(*c.Cross).Report()
-	case c.Backbone != nil:
-		return experiments.RunBackbone(*c.Backbone).Render()
-	case c.Graph != nil:
-		return experiments.RunGraph(*c.Graph).Report()
-	default:
+	if c.Grid != nil {
 		return experiments.RunGrid(c.Spec.Name, c.Grid).Report()
 	}
+	return c.text(c.run())
 }
 
 // jobID namespaces a compiled scenario's checkpoint keys.
@@ -248,34 +263,8 @@ func (c *Compiled) Jobs(prefix string) []fleet.Job {
 	if c.Grid != nil {
 		return experiments.GridJobs(id+"/", c.Grid)
 	}
-	run := func() (any, error) {
-		switch {
-		case c.Dumbbell != nil:
-			return experiments.Run(*c.Dumbbell), nil
-		case c.Chain != nil:
-			return experiments.RunChain(*c.Chain), nil
-		case c.Cross != nil:
-			return experiments.RunCross(*c.Cross), nil
-		case c.Backbone != nil:
-			return experiments.RunBackbone(*c.Backbone), nil
-		default:
-			return experiments.RunGraph(*c.Graph), nil
-		}
-	}
+	run := func() (any, error) { return c.run(), nil }
 	return []fleet.Job{{ID: id, Desc: c.Spec.Kind + " scenario " + c.Spec.Name, Run: run}}
-}
-
-// decode unmarshals one checkpointed job value.
-func decode[T any](get experiments.Getter, id string) (T, error) {
-	var v T
-	raw, err := get(id)
-	if err != nil {
-		return v, err
-	}
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return v, fmt.Errorf("scenario: decode %s: %w", id, err)
-	}
-	return v, nil
 }
 
 // Render reassembles the checkpointed job values written by Jobs into
@@ -285,38 +274,7 @@ func (c *Compiled) Render(prefix string, get experiments.Getter) (string, error)
 	if c.Grid != nil {
 		return experiments.RenderGrid(c.Spec.Name, id+"/", c.Grid, get)
 	}
-	switch {
-	case c.Dumbbell != nil:
-		r, err := decode[experiments.Result](get, id)
-		if err != nil {
-			return "", err
-		}
-		return r.Report(), nil
-	case c.Chain != nil:
-		r, err := decode[experiments.ChainResult](get, id)
-		if err != nil {
-			return "", err
-		}
-		return r.Report(), nil
-	case c.Cross != nil:
-		r, err := decode[experiments.CrossResult](get, id)
-		if err != nil {
-			return "", err
-		}
-		return r.Report(), nil
-	case c.Backbone != nil:
-		r, err := decode[experiments.BackboneResult](get, id)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	default:
-		r, err := decode[experiments.GraphResult](get, id)
-		if err != nil {
-			return "", err
-		}
-		return r.Report(), nil
-	}
+	return c.decode(get, id)
 }
 
 // Section packages the compiled scenario as one bench-report section.

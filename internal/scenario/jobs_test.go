@@ -190,6 +190,28 @@ func TestSetShardsCoversEveryKind(t *testing.T) {
 	}
 }
 
+// TestRunReadsConfigAtCallTime: the runner bound by Compile reads the
+// exported config when it runs, so an edit made after Compile (what the
+// benchmark and the CLIs do through the pointer) reaches the run.
+func TestRunReadsConfigAtCallTime(t *testing.T) {
+	c, err := Compile(tinySpecs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Dumbbell == nil {
+		t.Fatalf("tinySpecs()[0] is %s, want the dumbbell", c.Spec.Kind)
+	}
+	before := c.RunReport()
+	c.Dumbbell.Seed++
+	after := c.RunReport()
+	if after == before {
+		t.Fatal("RunReport ignored an edit made to *c.Dumbbell after Compile")
+	}
+	if want := experiments.Run(*c.Dumbbell).Report(); after != want {
+		t.Errorf("RunReport after the edit differs from Run(*c.Dumbbell)")
+	}
+}
+
 // TestRenderDecodeFailures pins the decode error paths: a getter that
 // fails and a getter that returns malformed JSON both surface as errors,
 // not panics or empty reports.

@@ -169,13 +169,13 @@ func crossTopo(f netem.Fabric) (a *netem.Node, sink *countEndpoint) {
 }
 
 func injectAt(a *netem.Node, at sim.Time) {
-	a.Engine().Schedule(at, func() {
+	a.Engine().ScheduleCall(at, sim.Func(func() {
 		p := a.AllocPacket()
 		p.Flow = packet.FlowKey{Src: a.ID, Dst: a.ID + 1, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
 		p.Size = 1500
 		p.PayloadSize = 1448
 		a.Inject(p)
-	})
+	}), nil)
 }
 
 // TestCrossShardDeliveryMatchesSingleEngine sends packets across a cut
@@ -508,7 +508,7 @@ func TestWorkerPanicReraisedOnCaller(t *testing.T) {
 	cl := NewCluster(2)
 	a, _ := crossTopo(cl)
 	_ = a
-	cl.Shard(1).Engine.Schedule(sim.Time(25e5), func() { panic("boom") })
+	cl.Shard(1).Engine.ScheduleCall(sim.Time(25e5), sim.Func(func() { panic("boom") }), nil)
 	defer func() {
 		if r := recover(); fmt.Sprint(r) != "boom" {
 			t.Fatalf("recovered %v, want boom", r)

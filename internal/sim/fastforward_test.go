@@ -22,7 +22,7 @@ func TestPinnedPlacementInvisible(t *testing.T) {
 			if pin && i%2 == 0 {
 				eng.ArmPinnedTimerAt(&timers[i], at, r, i)
 			} else {
-				eng.ArmTimerAt(&timers[i], at, r, i)
+				eng.ArmTimer(&timers[i], at, r, i)
 			}
 		}
 		eng.RunAll()
@@ -41,14 +41,14 @@ func TestNextPinnedTime(t *testing.T) {
 		t.Fatalf("empty engine NextPinnedTime = %v", got)
 	}
 	var a, b, c Timer
-	eng.ArmTimerAt(&a, 50, r, 0) // unpinned: invisible
+	eng.ArmTimer(&a, 50, r, 0) // unpinned: invisible
 	eng.ArmPinnedTimerAt(&b, 200, r, 1)
 	eng.ArmPinnedTimerAt(&c, 120, r, 2)
 	if got := eng.NextPinnedTime(); got != 120 {
 		t.Fatalf("NextPinnedTime = %v, want 120", got)
 	}
 	// Re-arming a pinned timer unpinned clears the mark.
-	eng.ArmTimerAt(&c, 120, r, 2)
+	eng.ArmTimer(&c, 120, r, 2)
 	if got := eng.NextPinnedTime(); got != 200 {
 		t.Fatalf("after unpinning: NextPinnedTime = %v, want 200", got)
 	}
@@ -67,11 +67,11 @@ func TestFastForwardShiftsEverything(t *testing.T) {
 
 	const skip = Time(1e9)
 	var heapT, wheelT, overflowT, pinnedT Timer
-	eng.ArmTimerAt(&heapT, 100, r, 0)             // imminent: heap-resident
-	eng.ArmTimerAt(&wheelT, 1<<21, r, 1)          // wheel-parked
-	eng.ArmTimerAt(&overflowT, Time(1)<<45, r, 2) // beyond the wheel window
-	eng.ArmPinnedTimerAt(&pinnedT, skip, r, 3)    // exactly at the skip target: legal
-	eng.At(7, func() { log = append(log, fmt.Sprintf("closure@%d", eng.Now())) })
+	eng.ArmTimer(&heapT, 100, r, 0)             // imminent: heap-resident
+	eng.ArmTimer(&wheelT, 1<<21, r, 1)          // wheel-parked
+	eng.ArmTimer(&overflowT, Time(1)<<45, r, 2) // beyond the wheel window
+	eng.ArmPinnedTimerAt(&pinnedT, skip, r, 3)  // exactly at the skip target: legal
+	eng.AtCall(7, Func(func() { log = append(log, fmt.Sprintf("closure@%d", eng.Now())) }), nil)
 
 	eng.FastForward(skip)
 	if eng.Now() != skip {
@@ -95,7 +95,7 @@ func TestFastForwardPreservesRelativeOrder(t *testing.T) {
 		timers := make([]Timer, 64)
 		for i := range timers {
 			at := Time(rng.Intn(1 << 24))
-			eng.ArmTimerAt(&timers[i], at, r, i)
+			eng.ArmTimer(&timers[i], at, r, i)
 		}
 		eng.RunAll()
 	}
@@ -109,7 +109,7 @@ func TestFastForwardPreservesRelativeOrder(t *testing.T) {
 	timers := make([]Timer, 64)
 	for i := range timers {
 		at := Time(rng.Intn(1 << 24))
-		eng.ArmTimerAt(&timers[i], at, r, i)
+		eng.ArmTimer(&timers[i], at, r, i)
 	}
 	const skip = Time(5e8)
 	eng.FastForward(skip)
@@ -151,8 +151,8 @@ func TestLocalEqualsNowWithoutSkips(t *testing.T) {
 		}
 	})
 	var near, far Timer
-	eng.ArmTimerAt(&near, 100, check, nil)
-	eng.ArmTimerAt(&far, 1<<30, check, nil)
+	eng.ArmTimer(&near, 100, check, nil)
+	eng.ArmTimer(&far, 1<<30, check, nil)
 	eng.AtCall(7, check, nil)
 	eng.Run(Time(1) << 31)
 	if n != 3 || eng.Local() != eng.Now() || eng.Now() != Time(1)<<31 {
@@ -198,8 +198,8 @@ func TestFastForwardArmedTimerReentry(t *testing.T) {
 	r := &timerRecorder{log: &log, eng: eng}
 
 	var rto, stopped Timer
-	eng.ArmTimerAt(&rto, 1<<20, r, 0)
-	eng.ArmTimerAt(&stopped, 1<<21, r, 1)
+	eng.ArmTimer(&rto, 1<<20, r, 0)
+	eng.ArmTimer(&stopped, 1<<21, r, 1)
 	eng.FastForward(3e5)
 
 	if !rto.Pending() || !stopped.Pending() {
@@ -224,12 +224,12 @@ func TestFastForwardZeroAndHorizon(t *testing.T) {
 		t.Fatalf("zero skip moved the clock to %v", eng.Now())
 	}
 	done := false
-	eng.At(10, func() {
+	eng.AtCall(10, Func(func() {
 		if eng.Horizon() != 1000 {
 			t.Errorf("Horizon inside Run = %v, want 1000", eng.Horizon())
 		}
 		done = true
-	})
+	}), nil)
 	eng.Run(1000)
 	if !done {
 		t.Fatal("event did not fire")

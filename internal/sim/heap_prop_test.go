@@ -92,27 +92,31 @@ type op struct {
 }
 
 // runScript drives the engine and the reference through the same script and
-// compares full dispatch order.
+// compares full dispatch order. The engine side arms pinned timers: those
+// are heap-resident whatever their deadline, so a cancel is a heapRemove at
+// an arbitrary heap position rather than a wheel unlink.
 func runScript(t *testing.T, ops []op) {
 	t.Helper()
 	eng := NewEngine()
 	ref := &refScheduler{}
 
 	var got []int
-	var engEvents []*Event
+	var engTimers []*Timer
 	var refEvents []*refEvent
 	for i, o := range ops {
 		if o.cancel {
-			if len(engEvents) == 0 {
+			if len(engTimers) == 0 {
 				continue
 			}
-			v := int(o.victim) % len(engEvents)
-			eng.Cancel(engEvents[v])
+			v := int(o.victim) % len(engTimers)
+			eng.StopTimer(engTimers[v])
 			ref.cancel(refEvents[v])
 			continue
 		}
 		id := i
-		engEvents = append(engEvents, eng.Schedule(o.delay, func() { got = append(got, id) }))
+		tm := new(Timer)
+		eng.ArmPinnedTimer(tm, o.delay, Func(func() { got = append(got, id) }), nil)
+		engTimers = append(engTimers, tm)
 		refEvents = append(refEvents, ref.schedule(o.delay, id))
 	}
 	eng.RunAll()
@@ -160,14 +164,14 @@ func TestHeapMatchesReferenceNested(t *testing.T) {
 		next := 0
 		var fire func(id int)
 		spawn := func(id int, d Time) {
-			eng.Schedule(d, func() { fire(id) })
+			eng.ScheduleCall(d, Func(func() { fire(id) }), nil)
 		}
 		fire = func(id int) {
 			got = append(got, id)
 			if id < 2000 {
 				spawn(next+1000, Time(id%7))
 				if id%3 == 0 {
-					spawn(next + 2000, Time(id % 5))
+					spawn(next+2000, Time(id%5))
 				}
 				next++
 			}

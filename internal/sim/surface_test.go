@@ -10,7 +10,7 @@ type surfHandler struct{ n *int }
 func (h surfHandler) OnEvent(any) { *h.n++ }
 
 // TestConvenienceSurfaces exercises the thin wrappers around the core
-// scheduling paths: std-duration conversion, absolute pinned closures,
+// scheduling paths: std-duration conversion, an owned event's deadline,
 // the next-event lower bound, and the RunUntil alias.
 func TestConvenienceSurfaces(t *testing.T) {
 	if s := Time(1.5e9).String(); s != "1.500000s" {
@@ -21,16 +21,14 @@ func TestConvenienceSurfaces(t *testing.T) {
 		t.Fatalf("idle NextEventTime = %v, want MaxTime", got)
 	}
 	fired := 0
-	ev := eng.Schedule(Duration(2*time.Millisecond), func() { fired++ })
+	var ev Event
+	eng.ScheduleOwned(&ev, Duration(2*time.Millisecond), surfHandler{&fired}, nil)
 	if ev.At() != Duration(2e6) {
-		t.Fatalf("Schedule(Duration(2ms)) deadline = %v, want 2ms", ev.At())
+		t.Fatalf("ScheduleOwned(Duration(2ms)) deadline = %v, want 2ms", ev.At())
 	}
-	pinned := eng.AtPinned(Duration(5e6), func() { fired++ })
-	if !pinned.pinned {
-		t.Fatal("AtPinned event not marked pinned")
-	}
+	eng.AtCall(Duration(5e6), Func(func() { fired++ }), nil)
 	if got := eng.NextEventTime(); got != Duration(2e6) {
-		t.Fatalf("NextEventTime = %v, want the 2ms closure", got)
+		t.Fatalf("NextEventTime = %v, want the 2ms event", got)
 	}
 	if end := eng.RunUntil(Duration(10e6)); end != Duration(10e6) || fired != 2 {
 		t.Fatalf("RunUntil ended at %v with %d firings, want 10ms and 2", end, fired)
@@ -51,12 +49,12 @@ func TestStreamCallStampAndClamp(t *testing.T) {
 	var s, late Stream
 	s.Bind(h)
 	late.Bind(h)
-	eng.Schedule(10, func() {
+	eng.ScheduleCall(10, Func(func() {
 		eng.StreamCall(&late, 3, 2, nil) // past deadline: fires at 10
 		if late.ev.at != 10 || late.ev.schedAt != 2 {
 			t.Errorf("clamped push keyed (%d, %d), want (10, 2)", late.ev.at, late.ev.schedAt)
 		}
-	})
+	}), nil)
 	eng.StreamCall(&s, Duration(1e6), Duration(1e3), nil)
 	eng.ScheduleCall(-5, h, nil)
 	eng.RunAll()

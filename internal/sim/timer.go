@@ -2,9 +2,9 @@ package sim
 
 import "math/bits"
 
-// Timer is a caller-embedded, cancellable, reschedulable timer — the
-// fourth scheduling surface (see the package comment). It exists for the
-// RTO pattern: timers that are re-armed or stopped far more often than
+// Timer is a caller-embedded, cancellable, reschedulable timer — the one
+// cancellable scheduling surface (see the package comment). It exists for
+// the RTO pattern: timers that are re-armed or stopped far more often than
 // they fire (retransmission, pacing, delayed ACK, control loops). The
 // zero Timer is ready to use; embed one per logical timer in the owning
 // struct and arm it with Engine.ArmTimer. Arming, stopping, and re-arming
@@ -16,7 +16,7 @@ import "math/bits"
 // deadline its wheel slot is flushed into the main event heap, so firing
 // order is governed by exactly the same (time, schedule time, seq)
 // comparison as every other event: a Timer armed by the n-th scheduling
-// call fires precisely where the n-th Schedule/ScheduleCall would have —
+// call fires precisely where the n-th ScheduleCall would have —
 // wheel placement is invisible to the event stream.
 type Timer struct {
 	// ev is the timer's residency in the engine's heap while it is within
@@ -57,13 +57,7 @@ func (e *Engine) ArmTimer(t *Timer, d Time, h Handler, arg any) {
 	if d < 0 {
 		d = 0
 	}
-	e.ArmTimerAt(t, e.now+d, h, arg)
-}
-
-// ArmTimerAt arms t for absolute virtual time at (clamped to now), with
-// the same re-arm semantics as ArmTimer.
-func (e *Engine) ArmTimerAt(t *Timer, at Time, h Handler, arg any) {
-	e.armTimerAt(t, at, h, arg, false)
+	e.armTimerAt(t, e.now+d, h, arg, false)
 }
 
 // ArmPinnedTimer arms t like ArmTimer but marks the deadline pinned: a
@@ -82,7 +76,8 @@ func (e *Engine) ArmPinnedTimer(t *Timer, d Time, h Handler, arg any) {
 	e.armTimerAt(t, e.now+d, h, arg, true)
 }
 
-// ArmPinnedTimerAt is ArmTimerAt with the pinned mark (see ArmPinnedTimer).
+// ArmPinnedTimerAt is ArmPinnedTimer for an absolute virtual time at
+// (clamped to now).
 func (e *Engine) ArmPinnedTimerAt(t *Timer, at Time, h Handler, arg any) {
 	e.armTimerAt(t, at, h, arg, true)
 }

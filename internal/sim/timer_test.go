@@ -66,17 +66,17 @@ func TestTimerStopAndRearm(t *testing.T) {
 }
 
 // TestTimerSeqTieBreak pins the determinism contract: a timer armed by the
-// n-th scheduling call fires exactly where the n-th closure Schedule would
+// n-th scheduling call fires exactly where the n-th ScheduleCall would
 // have, including at equal instants.
 func TestTimerSeqTieBreak(t *testing.T) {
 	eng := NewEngine()
 	var log []string
 	r := &timerRecorder{log: &log, eng: eng}
 	var early, late Timer
-	eng.ArmTimerAt(&early, 100, r, 1)                              // seq 0
-	eng.Schedule(100, func() { log = append(log, "closure@100") }) // seq 1
-	eng.ArmTimerAt(&late, 100, r, 2)                               // seq 2
-	eng.ScheduleCall(100, r, 3)                                    // seq 3
+	eng.ArmTimer(&early, 100, r, 1)                                               // seq 0
+	eng.ScheduleCall(100, Func(func() { log = append(log, "closure@100") }), nil) // seq 1
+	eng.ArmTimer(&late, 100, r, 2)                                                // seq 2
+	eng.ScheduleCall(100, r, 3)                                                   // seq 3
 	eng.RunAll()
 	want := "[1@100 closure@100 2@100 3@100]"
 	if fmt.Sprint(log) != want {
@@ -190,15 +190,15 @@ func TestTimerRunHorizon(t *testing.T) {
 	}
 }
 
-// TestTimerArmPast clamps to the current instant, like At.
+// TestTimerArmPast clamps to the current instant, like AtCall.
 func TestTimerArmPast(t *testing.T) {
 	eng := NewEngine()
 	var log []string
 	r := &timerRecorder{log: &log, eng: eng}
 	var tm Timer
-	eng.Schedule(100, func() {
-		eng.ArmTimerAt(&tm, 5, r, 1) // in the past
-	})
+	eng.ScheduleCall(100, Func(func() {
+		eng.ArmPinnedTimerAt(&tm, 5, r, 1) // in the past
+	}), nil)
 	eng.RunAll()
 	if fmt.Sprint(log) != "[1@100]" {
 		t.Fatalf("log=%v", log)
@@ -209,8 +209,8 @@ func TestTimerArmPast(t *testing.T) {
 // Differential fuzz: an identical randomized script — timer arm/stop/re-arm,
 // pushes onto k FIFO streams, pooled events, a pinned deadline, mid-run
 // FastForwards — is applied to two engines. One goes through the embedded
-// surfaces (Timer/wheel, Stream); the reference uses the closure heap
-// surface for timers and gives every stream entry a heap residency of its
+// surfaces (Timer/wheel, Stream); the reference keeps every timer on the
+// heap (armOnHeap) and gives every stream entry a heap residency of its
 // own, with the same key. Both must dispatch the identical event sequence.
 // Both consume one seq per operation, so equal-instant tie-breaking must
 // match exactly.
@@ -218,12 +218,20 @@ func TestTimerArmPast(t *testing.T) {
 
 const diffStreams = 6
 
+// armOnHeap arms t like ArmTimer but places it straight on the heap whatever
+// its deadline — the placement a pinned arm gets — and then clears the pinned
+// mark, so FastForward still shifts it like any regular timer. Stopping it
+// goes through heapRemove at whatever heap position it has reached.
+func armOnHeap(e *Engine, t *Timer, d Time, h Handler) {
+	e.ArmPinnedTimer(t, d, h, nil)
+	t.pinned, t.ev.pinned = false, false
+}
+
 type diffDriver struct {
 	embedded bool
 	eng      *Engine
 	rng      *Rand
 	timers   []Timer
-	handles  []*Event
 	fired    *[]string
 	handlers []diffFire
 	opsLeft  int
@@ -235,8 +243,7 @@ type diffDriver struct {
 	jitterTail [diffStreams]Time
 	entries    int
 
-	pinned       Timer
-	pinnedHandle *Event
+	pinned Timer
 }
 
 type diffFire struct {
@@ -330,21 +337,10 @@ func (d *diffDriver) OnEvent(any) {
 		if d.embedded {
 			d.eng.ArmTimer(&d.timers[slot], delay, &d.handlers[slot], nil)
 		} else {
-			if h := d.handles[slot]; h != nil && !h.Cancelled() {
-				d.eng.Cancel(h)
-			}
-			f := &d.handlers[slot]
-			d.handles[slot] = d.eng.Schedule(delay, func() { f.OnEvent(nil) })
+			armOnHeap(d.eng, &d.timers[slot], delay, &d.handlers[slot])
 		}
 	case op == 2: // stop
-		if d.embedded {
-			d.eng.StopTimer(&d.timers[slot])
-		} else {
-			if h := d.handles[slot]; h != nil {
-				d.eng.Cancel(h)
-				d.handles[slot] = nil
-			}
-		}
+		d.eng.StopTimer(&d.timers[slot])
 	case op <= 5: // a burst onto one stream
 		i := slot % diffStreams
 		n := 1 + d.rng.Intn(3)
@@ -354,13 +350,8 @@ func (d *diffDriver) OnEvent(any) {
 		for ; n > 0; n-- {
 			d.push(i)
 		}
-	case op == 6: // (re-)arm the pinned deadline
-		if d.embedded {
-			d.eng.ArmPinnedTimer(&d.pinned, delay, (*diffPinnedFire)(d), nil)
-		} else {
-			d.eng.Cancel(d.pinnedHandle)
-			d.pinnedHandle = d.eng.AtPinned(d.eng.Now()+delay, func() { (*diffPinnedFire)(d).OnEvent(nil) })
-		}
+	case op == 6: // (re-)arm the pinned deadline (heap-resident either way)
+		d.eng.ArmPinnedTimer(&d.pinned, delay, (*diffPinnedFire)(d), nil)
 	case op == 7: // skip the clock, as far as the pinned deadline allows
 		skip := delay
 		if bound := d.eng.NextPinnedTime() - d.eng.Now(); skip > bound {
@@ -383,7 +374,6 @@ func runTimerDiff(seed uint64, embedded bool, steps, slots int) []string {
 		eng:      eng,
 		rng:      NewRand(seed),
 		timers:   make([]Timer, slots),
-		handles:  make([]*Event, slots),
 		fired:    &fired,
 		opsLeft:  steps,
 	}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 type recorder struct {
 	eng   *Engine
@@ -13,9 +16,9 @@ func (r *recorder) OnEvent(arg any) {
 	r.times = append(r.times, r.eng.Now())
 }
 
-// TestScheduleCallOrder interleaves typed and closure events at the same
-// instant and checks the shared (time, seq) FIFO order holds across both
-// kinds.
+// TestScheduleCallOrder interleaves typed handlers and a Func-wrapped
+// closure at the same instant and checks the shared (time, seq) FIFO order
+// holds across both.
 func TestScheduleCallOrder(t *testing.T) {
 	eng := NewEngine()
 	var order []string
@@ -24,7 +27,7 @@ func TestScheduleCallOrder(t *testing.T) {
 	}
 	mark := &marker{order: &order}
 	eng.ScheduleCall(5, mark, "typed-1")
-	eng.Schedule(5, hook("closure"))
+	eng.ScheduleCall(5, Func(hook("closure")), nil)
 	eng.ScheduleCall(5, mark, "typed-2")
 	eng.ScheduleCall(3, mark, "early")
 	eng.RunAll()
@@ -43,12 +46,12 @@ type marker struct{ order *[]string }
 
 func (m *marker) OnEvent(arg any) { *m.order = append(*m.order, arg.(string)) }
 
-// TestAtCallClampsPast mirrors At's semantics: an absolute time in the past
-// fires immediately (clamped to now), not at a negative delay.
+// TestAtCallClampsPast: an absolute time in the past fires immediately
+// (clamped to now), not at a negative delay.
 func TestAtCallClampsPast(t *testing.T) {
 	eng := NewEngine()
 	r := &recorder{eng: eng}
-	eng.Schedule(10, func() { eng.AtCall(5, r, "late") })
+	eng.ScheduleCall(10, Func(func() { eng.AtCall(5, r, "late") }), nil)
 	eng.RunAll()
 	if len(r.fired) != 1 || r.times[0] != 10 {
 		t.Fatalf("past AtCall should fire at now: fired=%v times=%v", r.fired, r.times)
@@ -56,20 +59,20 @@ func TestAtCallClampsPast(t *testing.T) {
 }
 
 // TestScheduleOwned exercises the caller-owned persistent event: reusable
-// after firing, cancellable, and double-schedule panics.
+// after firing, and double-schedule panics.
 func TestScheduleOwned(t *testing.T) {
 	eng := NewEngine()
 	r := &recorder{eng: eng}
 	var ev Event
-	if !ev.Cancelled() {
+	if ev.pos != 0 {
 		t.Fatal("zero-value Event must read as not queued")
 	}
 	eng.ScheduleOwned(&ev, 1, r, 1)
-	if ev.Cancelled() {
+	if ev.pos == 0 {
 		t.Fatal("scheduled owned event must read as queued")
 	}
 	eng.RunAll()
-	if !ev.Cancelled() {
+	if ev.pos != 0 {
 		t.Fatal("fired owned event must read as not queued")
 	}
 	eng.ScheduleOwned(&ev, 1, r, 2) // reuse after firing
@@ -79,12 +82,6 @@ func TestScheduleOwned(t *testing.T) {
 	}
 
 	eng.ScheduleOwned(&ev, 1, r, 3)
-	eng.Cancel(&ev)
-	eng.RunAll()
-	if len(r.fired) != 2 {
-		t.Fatal("cancelled owned event must not fire")
-	}
-	eng.ScheduleOwned(&ev, 1, r, 4) // reuse after cancel
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double ScheduleOwned must panic")
@@ -128,21 +125,13 @@ func (l *selfLoop) OnEvent(any) {
 	}
 }
 
-// TestClosureHandleNotRecycled pins the ABA guard: a closure event's handle
-// stays valid (and inert) after it fires — Cancel on it must not corrupt a
-// later-scheduled event.
-func TestClosureHandleNotRecycled(t *testing.T) {
-	eng := NewEngine()
-	fired := 0
-	h := eng.Schedule(1, func() { fired++ })
-	eng.RunAll()
-	if !h.Cancelled() {
-		t.Fatal("fired closure event handle must read as done")
+// TestEventSize pins the layout every pending occurrence pays for: one
+// cache line per Event, and an embedded Timer at Event + 56.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 64 {
+		t.Fatalf("sizeof(Event) = %d, want 64", n)
 	}
-	eng.Schedule(1, func() { fired++ })
-	eng.Cancel(h) // stale handle: must be a no-op
-	eng.RunAll()
-	if fired != 2 {
-		t.Fatalf("stale Cancel disturbed a live event: fired=%d, want 2", fired)
+	if n := unsafe.Sizeof(Timer{}); n != 120 {
+		t.Fatalf("sizeof(Timer) = %d, want 120", n)
 	}
 }

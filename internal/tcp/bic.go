@@ -7,6 +7,7 @@ package tcp
 // far away (> SMax) and slow increments when close (< SMin), then max probing
 // beyond the old maximum.
 type BIC struct {
+	reno
 	// LowWindow is the threshold (in segments) below which plain Reno
 	// behaviour is used. SMax/SMin bound per-RTT step sizes in segments.
 	LowWindow float64
@@ -32,11 +33,7 @@ func (b *BIC) Init(c *Conn) { b.lastMax = 0 }
 // OnAck grows the window by the binary-increase step, scaled per ACK.
 func (b *BIC) OnAck(c *Conn, rs RateSample) {
 	mss := float64(c.cfg.MSS)
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
+	if slowStart(c, rs) {
 		return
 	}
 	cwndSeg := c.Cwnd / mss
@@ -76,19 +73,6 @@ func (b *BIC) OnAck(c *Conn, rs RateSample) {
 	c.Cwnd += step * float64(rs.AckedBytes) / cwndSeg / mss * mss
 }
 
-// OnRecoveryAck grows the window in slow start while below ssthresh —
-// after an RTO the window restarts from one segment and must regrow while
-// the scoreboard repairs losses (RFC 5681 §3.1); fast recovery entry sets
-// cwnd = ssthresh, so this is a no-op there.
-func (*BIC) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
-}
-
 // OnEnterRecovery applies the β reduction and updates the search maximum.
 func (b *BIC) OnEnterRecovery(c *Conn) {
 	mss := float64(c.cfg.MSS)
@@ -105,22 +89,11 @@ func (b *BIC) OnEnterRecovery(c *Conn) {
 	} else {
 		w = c.Cwnd * b.Beta
 	}
-	min := 2 * mss
-	if w < min {
-		w = min
-	}
-	c.Ssthresh = w
-	c.Cwnd = w
+	reduce(c, w)
 }
-
-// OnExitRecovery implements CongestionControl.
-func (*BIC) OnExitRecovery(c *Conn) { c.Cwnd = c.Ssthresh }
 
 // OnRTO collapses the window.
 func (b *BIC) OnRTO(c *Conn) {
 	b.OnEnterRecovery(c)
 	c.Cwnd = float64(c.cfg.MSS)
 }
-
-// PacingRate implements CongestionControl: BIC is ACK-clocked.
-func (*BIC) PacingRate(c *Conn) float64 { return 0 }

@@ -16,7 +16,7 @@ import (
 
 // advanceClock moves the detached connection's engine forward by dt.
 func advanceClock(c *Conn, dt sim.Time) {
-	c.eng.Schedule(dt, func() {})
+	c.eng.ScheduleCall(dt, sim.Func(func() {}), nil)
 	c.eng.RunAll()
 }
 
@@ -42,12 +42,12 @@ func TestCubicCurveShape(t *testing.T) {
 	traj := make([]float64, 0, steps+1)
 	traj = append(traj, c.Cwnd/mss)
 	for i := 0; i < steps; i++ {
-		c.eng.Schedule(step, func() {
+		c.eng.ScheduleCall(step, sim.Func(func() {
 			// One RTT delivers a full window of ACKs.
 			for n := int(c.Cwnd / mss); n > 0; n-- {
 				c.cc.OnAck(c, RateSample{AckedBytes: int64(mss)})
 			}
-		})
+		}), nil)
 		c.eng.RunAll()
 		traj = append(traj, c.Cwnd/mss)
 	}
@@ -65,8 +65,8 @@ func TestCubicCurveShape(t *testing.T) {
 		lo, hi := int(from/stepSec), int(to/stepSec)
 		return (traj[hi] - traj[lo]) / float64(hi-lo)
 	}
-	early := avgInc(0.5, 1.5)    // deep in the concave region
-	nearK := avgInc(k-1.0, k)    // flattening into the plateau
+	early := avgInc(0.5, 1.5)     // deep in the concave region
+	nearK := avgInc(k-1.0, k)     // flattening into the plateau
 	late := avgInc(1.15*k, 1.4*k) // convex probing past W_max
 	if early < 2*nearK {
 		t.Errorf("concave region not decelerating: early %.2f segs/RTT vs near-K %.2f", early, nearK)

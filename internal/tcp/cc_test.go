@@ -104,11 +104,11 @@ func TestCubicGrowsTowardWmax(t *testing.T) {
 	// Drive ACKs over simulated time; the window must rise back toward the
 	// recorded maximum (concave region).
 	for step := 0; step < 200; step++ {
-		eng.Schedule(sim.Duration(10e6), func() {
+		eng.ScheduleCall(sim.Duration(10e6), sim.Func(func() {
 			for i := 0; i < 20; i++ {
 				c.cc.OnAck(c, RateSample{AckedBytes: 1448})
 			}
-		})
+		}), nil)
 		eng.RunAll()
 	}
 	if c.Cwnd < 90*1448 {

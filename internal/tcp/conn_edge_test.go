@@ -72,11 +72,11 @@ func TestMaxCwndCapRespected(t *testing.T) {
 	cap := 8.0 * 1448
 	eng, conn, _ := edgePath(tcp.Config{MaxCwndBytes: cap})
 	for i := 1; i <= 40; i++ {
-		eng.At(sim.Time(i)*sim.Duration(100e6), func() {
+		eng.AtCall(sim.Time(i)*sim.Duration(100e6), sim.Func(func() {
 			if float64(conn.InFlight()) > cap+1448 {
 				t.Fatalf("pipe %d exceeds cap %v", conn.InFlight(), cap)
 			}
-		})
+		}), nil)
 	}
 	eng.Run(sim.Duration(4e9))
 }

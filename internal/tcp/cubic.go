@@ -11,6 +11,7 @@ import (
 // size where the loss happened (W_max), with a TCP-friendly region to avoid
 // underperforming Reno at low BDP, and optional fast convergence.
 type Cubic struct {
+	reno
 	// C is the cubic scaling constant (segments/s³); Beta the
 	// multiplicative decrease factor. RFC 8312 defaults.
 	C    float64
@@ -48,11 +49,7 @@ func (cu *Cubic) reset() {
 // OnAck grows the window along the cubic (or Reno-friendly) trajectory.
 func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
 	mss := float64(c.cfg.MSS)
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
+	if slowStart(c, rs) {
 		return
 	}
 
@@ -100,19 +97,6 @@ func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
 	c.Cwnd += inc
 }
 
-// OnRecoveryAck grows the window in slow start while below ssthresh —
-// after an RTO the window restarts from one segment and must regrow while
-// the scoreboard repairs losses (RFC 5681 §3.1); fast recovery entry sets
-// cwnd = ssthresh, so this is a no-op there.
-func (*Cubic) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
-}
-
 // OnEnterRecovery applies the β reduction and records W_max.
 func (cu *Cubic) OnEnterRecovery(c *Conn) {
 	mss := float64(c.cfg.MSS)
@@ -122,19 +106,8 @@ func (cu *Cubic) OnEnterRecovery(c *Conn) {
 	} else {
 		cu.wMax = cwndSeg
 	}
-	w := c.Cwnd * cu.Beta
-	min := 2 * mss
-	if w < min {
-		w = min
-	}
-	c.Ssthresh = w
-	c.Cwnd = w
+	reduce(c, c.Cwnd*cu.Beta)
 	cu.epochInit = false
-}
-
-// OnExitRecovery implements CongestionControl.
-func (cu *Cubic) OnExitRecovery(c *Conn) {
-	c.Cwnd = c.Ssthresh
 }
 
 // OnRTO collapses the window and resets the cubic epoch.
@@ -142,6 +115,3 @@ func (cu *Cubic) OnRTO(c *Conn) {
 	cu.OnEnterRecovery(c)
 	c.Cwnd = float64(c.cfg.MSS)
 }
-
-// PacingRate implements CongestionControl: CUBIC is ACK-clocked.
-func (*Cubic) PacingRate(c *Conn) float64 { return 0 }

@@ -10,6 +10,7 @@ package tcp
 //
 // Connections running DCTCP should set Config.ECN so data is ECT-marked.
 type DCTCP struct {
+	reno
 	// G is the EWMA gain for the marking-fraction estimate (RFC 8257
 	// default 1/16).
 	G float64
@@ -39,11 +40,7 @@ func (d *DCTCP) Init(c *Conn) {
 func (d *DCTCP) OnAck(c *Conn, rs RateSample) {
 	d.observe(c, rs, false)
 	mss := float64(c.cfg.MSS)
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
+	if slowStart(c, rs) {
 		return
 	}
 	c.Cwnd += mss * mss / c.Cwnd
@@ -70,52 +67,22 @@ func (d *DCTCP) observe(c *Conn, rs RateSample, marked bool) {
 		f := float64(d.markedBytes) / float64(d.ackedBytes)
 		d.alpha = (1-d.G)*d.alpha + d.G*f
 		if d.markedBytes > 0 {
-			w := c.Cwnd * (1 - d.alpha/2)
-			min := 2 * float64(c.cfg.MSS)
-			if w < min {
-				w = min
-			}
-			c.Cwnd = w
-			c.Ssthresh = w
+			reduce(c, c.Cwnd*(1-d.alpha/2))
 		}
 	}
 	d.ackedBytes, d.markedBytes = 0, 0
 	d.windowEnd = rs.Delivered + rs.InFlight
 }
 
-// OnRecoveryAck keeps slow-start regrowth after an RTO.
-func (d *DCTCP) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
-}
-
 // OnEnterRecovery halves on packet loss (DCTCP keeps standard loss
 // behaviour; α only moderates ECN reactions).
-func (d *DCTCP) OnEnterRecovery(c *Conn) {
-	half := c.Cwnd / 2
-	min := 2 * float64(c.cfg.MSS)
-	if half < min {
-		half = min
-	}
-	c.Ssthresh = half
-	c.Cwnd = half
-}
-
-// OnExitRecovery implements CongestionControl.
-func (*DCTCP) OnExitRecovery(c *Conn) { c.Cwnd = c.Ssthresh }
+func (*DCTCP) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd/2) }
 
 // OnRTO collapses the window.
 func (d *DCTCP) OnRTO(c *Conn) {
 	d.OnEnterRecovery(c)
 	c.Cwnd = float64(c.cfg.MSS)
 }
-
-// PacingRate implements CongestionControl: ACK-clocked.
-func (*DCTCP) PacingRate(c *Conn) float64 { return 0 }
 
 // Alpha exposes the current marking-fraction estimate (diagnostics).
 func (d *DCTCP) Alpha() float64 { return d.alpha }

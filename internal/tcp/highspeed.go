@@ -19,6 +19,7 @@ import (
 
 // Scalable implements Scalable TCP.
 type Scalable struct {
+	reno
 	// A is the per-ACK multiplicative increase; B the decrease factor.
 	A float64
 	B float64
@@ -33,18 +34,11 @@ func NewScalable() *Scalable { return &Scalable{A: 0.01, B: 0.125, LegacyWindow:
 // Name implements CongestionControl.
 func (*Scalable) Name() string { return "scalable" }
 
-// Init implements CongestionControl.
-func (*Scalable) Init(c *Conn) {}
-
 // OnAck grows the window by a per acked byte (MIMD) above the legacy
 // region, Reno-style below it.
 func (s *Scalable) OnAck(c *Conn, rs RateSample) {
 	mss := float64(c.cfg.MSS)
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
+	if slowStart(c, rs) {
 		return
 	}
 	if c.Cwnd/mss < s.LegacyWindow {
@@ -54,38 +48,14 @@ func (s *Scalable) OnAck(c *Conn, rs RateSample) {
 	c.Cwnd += s.A * float64(rs.AckedBytes)
 }
 
-// OnRecoveryAck regrows in slow start after an RTO.
-func (*Scalable) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
-}
-
 // OnEnterRecovery applies the shallow 12.5% reduction.
-func (s *Scalable) OnEnterRecovery(c *Conn) {
-	w := c.Cwnd * (1 - s.B)
-	min := 2 * float64(c.cfg.MSS)
-	if w < min {
-		w = min
-	}
-	c.Ssthresh = w
-	c.Cwnd = w
-}
-
-// OnExitRecovery implements CongestionControl.
-func (*Scalable) OnExitRecovery(c *Conn) { c.Cwnd = c.Ssthresh }
+func (s *Scalable) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd*(1-s.B)) }
 
 // OnRTO collapses the window.
 func (s *Scalable) OnRTO(c *Conn) {
 	s.OnEnterRecovery(c)
 	c.Cwnd = float64(c.cfg.MSS)
 }
-
-// PacingRate implements CongestionControl: ACK-clocked.
-func (*Scalable) PacingRate(c *Conn) float64 { return 0 }
 
 // ---------------------------------------------------------------------------
 // H-TCP (Leith & Shorten, PFLDnet 2004): the additive-increase step grows
@@ -95,6 +65,7 @@ func (*Scalable) PacingRate(c *Conn) float64 { return 0 }
 
 // HTCP implements H-TCP.
 type HTCP struct {
+	reno
 	// DeltaL is the low-speed regime duration after a loss (1 s).
 	DeltaL sim.Time
 
@@ -141,25 +112,11 @@ func (h *HTCP) OnAck(c *Conn, rs RateSample) {
 		}
 	}
 	mss := float64(c.cfg.MSS)
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
+	if slowStart(c, rs) {
 		return
 	}
 	alpha := h.alphaNow(c.Engine().Local())
 	c.Cwnd += alpha * mss * float64(rs.AckedBytes) / c.Cwnd
-}
-
-// OnRecoveryAck regrows in slow start after an RTO.
-func (*HTCP) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
 }
 
 // OnEnterRecovery applies the adaptive-backoff reduction
@@ -176,28 +133,16 @@ func (h *HTCP) OnEnterRecovery(c *Conn) {
 	} else {
 		h.beta = 0.5
 	}
-	w := c.Cwnd * h.beta
-	min := 2 * float64(c.cfg.MSS)
-	if w < min {
-		w = min
-	}
-	c.Ssthresh = w
-	c.Cwnd = w
+	reduce(c, c.Cwnd*h.beta)
 	h.lastLossAt = c.Engine().Local()
 	h.maxRTT = h.minRTT // restart the spread estimate each epoch
 }
-
-// OnExitRecovery implements CongestionControl.
-func (*HTCP) OnExitRecovery(c *Conn) { c.Cwnd = c.Ssthresh }
 
 // OnRTO collapses the window and restarts the α clock.
 func (h *HTCP) OnRTO(c *Conn) {
 	h.OnEnterRecovery(c)
 	c.Cwnd = float64(c.cfg.MSS)
 }
-
-// PacingRate implements CongestionControl: ACK-clocked.
-func (*HTCP) PacingRate(c *Conn) float64 { return 0 }
 
 // ---------------------------------------------------------------------------
 // TCP-Illinois (Liu, Başar & Srikant, Perf. Eval. 2008): a loss-delay
@@ -208,6 +153,7 @@ func (*HTCP) PacingRate(c *Conn) float64 { return 0 }
 
 // Illinois implements TCP-Illinois.
 type Illinois struct {
+	reno
 	AlphaMax float64 // segments/RTT when delay is minimal (10)
 	AlphaMin float64 // segments/RTT at maximal delay (0.3)
 	BetaMin  float64 // decrease at minimal delay (0.125)
@@ -254,11 +200,7 @@ func (il *Illinois) OnAck(c *Conn, rs RateSample) {
 		il.roundAt = rs.Delivered + rs.InFlight
 	}
 	mss := float64(c.cfg.MSS)
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
+	if slowStart(c, rs) {
 		return
 	}
 	c.Cwnd += il.alpha * mss * float64(rs.AckedBytes) / c.Cwnd
@@ -300,29 +242,8 @@ func (il *Illinois) updateParams() {
 	}
 }
 
-// OnRecoveryAck regrows in slow start after an RTO.
-func (*Illinois) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
-}
-
 // OnEnterRecovery applies the delay-modulated decrease.
-func (il *Illinois) OnEnterRecovery(c *Conn) {
-	w := c.Cwnd * (1 - il.beta)
-	min := 2 * float64(c.cfg.MSS)
-	if w < min {
-		w = min
-	}
-	c.Ssthresh = w
-	c.Cwnd = w
-}
-
-// OnExitRecovery implements CongestionControl.
-func (*Illinois) OnExitRecovery(c *Conn) { c.Cwnd = c.Ssthresh }
+func (il *Illinois) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd*(1-il.beta)) }
 
 // OnRTO collapses the window and resets the delay profile.
 func (il *Illinois) OnRTO(c *Conn) {
@@ -330,6 +251,3 @@ func (il *Illinois) OnRTO(c *Conn) {
 	c.Cwnd = float64(c.cfg.MSS)
 	il.alpha, il.beta = 1, 0.5
 }
-
-// PacingRate implements CongestionControl: ACK-clocked.
-func (*Illinois) PacingRate(c *Conn) float64 { return 0 }

@@ -69,7 +69,7 @@ func TestHTCPAcceleratesWithTime(t *testing.T) {
 	c.Ssthresh = c.Cwnd
 	h.lastLossAt = 0
 	// Advance the virtual clock 5 s past the loss: α(Δ) grows quadratically.
-	c.eng.Schedule(sim.Duration(5e9), func() {})
+	c.eng.ScheduleCall(sim.Duration(5e9), sim.Func(func() {}), nil)
 	c.eng.RunAll()
 	alphaLate := h.alphaNow(c.eng.Now())
 	if alphaLate < 30 {

@@ -4,7 +4,7 @@ package tcp
 // slow start to ssthresh, additive increase of one MSS per RTT afterwards,
 // halving on loss, with the connection layer providing NewReno partial-ACK
 // recovery.
-type NewReno struct{}
+type NewReno struct{ reno }
 
 // NewNewReno returns the algorithm.
 func NewNewReno() *NewReno { return &NewReno{} }
@@ -12,61 +12,20 @@ func NewNewReno() *NewReno { return &NewReno{} }
 // Name implements CongestionControl.
 func (*NewReno) Name() string { return "newreno" }
 
-// Init implements CongestionControl.
-func (*NewReno) Init(c *Conn) {}
-
 // OnAck grows the window: +acked in slow start, +MSS²/cwnd in avoidance.
 func (*NewReno) OnAck(c *Conn, rs RateSample) {
 	mss := float64(c.cfg.MSS)
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
+	if slowStart(c, rs) {
 		return
 	}
 	c.Cwnd += mss * mss / c.Cwnd
 }
 
-// OnRecoveryAck grows the window in slow start while below ssthresh —
-// after an RTO the window restarts from one segment and must regrow while
-// the scoreboard repairs losses (RFC 5681 §3.1); fast recovery entry sets
-// cwnd = ssthresh, so this is a no-op there.
-func (*NewReno) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
-}
-
 // OnEnterRecovery halves the window (multiplicative decrease).
-func (*NewReno) OnEnterRecovery(c *Conn) {
-	half := c.Cwnd / 2
-	min := 2 * float64(c.cfg.MSS)
-	if half < min {
-		half = min
-	}
-	c.Ssthresh = half
-	c.Cwnd = half
-}
-
-// OnExitRecovery deflates the window back to ssthresh.
-func (*NewReno) OnExitRecovery(c *Conn) {
-	c.Cwnd = c.Ssthresh
-}
+func (*NewReno) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd/2) }
 
 // OnRTO collapses to one segment and restarts slow start.
-func (*NewReno) OnRTO(c *Conn) {
-	half := c.Cwnd / 2
-	min := 2 * float64(c.cfg.MSS)
-	if half < min {
-		half = min
-	}
-	c.Ssthresh = half
+func (n *NewReno) OnRTO(c *Conn) {
+	n.OnEnterRecovery(c)
 	c.Cwnd = float64(c.cfg.MSS)
 }
-
-// PacingRate implements CongestionControl: Reno is ACK-clocked.
-func (*NewReno) PacingRate(c *Conn) float64 { return 0 }

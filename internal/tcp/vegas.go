@@ -11,6 +11,7 @@ import (
 // Because it backs off on rising delay long before loss, Vegas is starved by
 // loss-based competitors — the effect Figures 7 and 8b of the paper study.
 type Vegas struct {
+	reno
 	Alpha float64 // lower bound on queued segments
 	Beta  float64 // upper bound on queued segments
 	Gamma float64 // slow-start threshold on queued segments
@@ -113,33 +114,9 @@ func (v *Vegas) OnAck(c *Conn, rs RateSample) {
 	}
 }
 
-// OnRecoveryAck grows the window in slow start while below ssthresh —
-// after an RTO the window restarts from one segment and must regrow while
-// the scoreboard repairs losses (RFC 5681 §3.1); fast recovery entry sets
-// cwnd = ssthresh, so this is a no-op there.
-func (*Vegas) OnRecoveryAck(c *Conn, rs RateSample) {
-	if c.Cwnd < c.Ssthresh {
-		c.Cwnd += float64(rs.AckedBytes)
-		if c.Cwnd > c.Ssthresh {
-			c.Cwnd = c.Ssthresh
-		}
-	}
-}
-
 // OnEnterRecovery halves the window on loss, as Vegas falls back to Reno
 // behaviour under packet loss.
-func (v *Vegas) OnEnterRecovery(c *Conn) {
-	half := c.Cwnd / 2
-	min := 2 * float64(c.cfg.MSS)
-	if half < min {
-		half = min
-	}
-	c.Ssthresh = half
-	c.Cwnd = half
-}
-
-// OnExitRecovery implements CongestionControl.
-func (*Vegas) OnExitRecovery(c *Conn) { c.Cwnd = c.Ssthresh }
+func (*Vegas) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd/2) }
 
 // OnRTO collapses the window and forgets round state.
 func (v *Vegas) OnRTO(c *Conn) {
@@ -148,6 +125,3 @@ func (v *Vegas) OnRTO(c *Conn) {
 	v.minRTT = 0
 	v.cntRTT = 0
 }
-
-// PacingRate implements CongestionControl: Vegas is ACK-clocked.
-func (*Vegas) PacingRate(c *Conn) float64 { return 0 }

@@ -157,8 +157,8 @@ func flows(cfg Config, rng *sim.Rand) []FlowSpec {
 		done := rng.Float64() // fraction of the flow already behind us
 		life := lifetimeOf(cfg, size, scale)
 		specs = append(specs, FlowSpec{
-			At:       0,
-			Key:      flowKeyFor(flowID),
+			At:    0,
+			Key:   flowKeyFor(flowID),
 			Bytes: int64((1-done)*size) + 1,
 			//lint:ignore simtime residual lifetimes are milliseconds-to-minutes (« 2^53 ns) and the progress fraction is inherently a float draw
 			Lifetime: sim.Time((1 - done) * float64(life)),
