@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint fmt-check test race race-shard speedup-smoke fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke benchjson report sweep clean
+.PHONY: check build vet lint fmt-check test race race-shard speedup-smoke fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke benchjson ab report sweep clean
 
 check: build vet lint fmt-check race
 
@@ -109,6 +109,15 @@ bench-smoke:
 # section (the frozen "baseline" section is preserved).
 benchjson:
 	$(GO) run ./cmd/cebinae-bench -benchjson BENCH_baseline.json
+
+# Alternating parent/change pairs of one benchmark workload, with the
+# quartiles, win count and verdict a performance claim needs:
+#   make ab REV=HEAD~1 W=dumbbell_fifo_1g [PAIRS=10] [SECONDS=7]
+PAIRS ?= 10
+SECONDS ?= 7
+
+ab:
+	sh scripts/ab.sh $(REV) $(W) $(PAIRS) $(SECONDS)
 
 # Regenerate the quick evaluation report on all cores with checkpointing.
 report:

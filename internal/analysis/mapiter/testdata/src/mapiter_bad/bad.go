@@ -51,7 +51,7 @@ func armAll(eng *sim.Engine, deadlines map[flowKey]sim.Time) {
 // order.
 func pushWires(eng *sim.Engine, wires map[flowKey]*sim.Stream) {
 	for _, w := range wires { // want `map range schedules events via StreamCall in iteration order`
-		eng.StreamCall(w, eng.Now()+1, eng.Now(), nil)
+		eng.StreamCall(w, eng.Now()+1, eng.Now(), sim.Func(func() {}), nil)
 	}
 }
 

@@ -27,4 +27,4 @@ func (e *Engine) StopTimer(t *Timer) bool                              { return 
 
 type Stream struct{ n int }
 
-func (e *Engine) StreamCall(s *Stream, at, from Time, a any) {}
+func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, a any) {}

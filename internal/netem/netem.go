@@ -94,13 +94,19 @@ type Device struct {
 	txEvent  sim.Event
 	txPacket *packet.Packet
 
-	// wire holds the packets in propagation towards the device that
-	// receives them: the peer for a local link, this device itself for the
-	// half of a cut link (whose remote half hands its transmissions to
-	// InjectArrivalFrom). A constant-delay link delivers in the order it
-	// was sent, which is the FIFO a sim.Stream requires, so a
-	// bandwidth-delay product of packets costs one event-heap entry.
-	wire sim.Stream
+	// wire holds the packets in propagation from this device, each entry
+	// dispatching to arrive — the receive side of the hop: the peer for a
+	// local link, this device itself for the half of a cut link (whose
+	// remote half hands its transmissions to InjectArrivalFrom). Transmit
+	// completions fire in time order, so now+delay is sorted across every
+	// local link of one delay: both directions of a link and every other
+	// link of that delay on the Network push onto one shared sim.Stream
+	// (Network.wires), and the event heap holds one entry per distinct
+	// delay, not one per non-empty wire. A cut-link half keeps a stream of
+	// its own, because its entries carry the remote engine's stamps and are
+	// sorted only per link.
+	wire   *sim.Stream
+	arrive sim.Handler
 
 	// serialiseSize/serialiseTime memoise the last packet size's
 	// serialisation delay. Traffic on a device is dominated by long runs
@@ -190,7 +196,7 @@ func (t *deviceTxDone) OnEvent(any) {
 	if d.handoff != nil {
 		d.handoff.Handoff(p, now, now+d.delay)
 	} else {
-		eng.StreamCall(&d.wire, now+d.delay, now, p)
+		eng.StreamCall(d.wire, now+d.delay, now, d.arrive, p)
 	}
 	d.transmitNext()
 }
@@ -207,14 +213,14 @@ func (r *deviceArrival) OnEvent(arg any) {
 // time the remote half emitted it (sent) — the stamp a single merged engine
 // would have given the wire entry it pushed at transmit completion, so cuts
 // through dense-traffic links (same-nanosecond arrival collisions) stay
-// byte-identical to the single-engine run. It is the same wire stream a
-// local link's transmitter pushes onto, so a sharded run dispatches exactly
-// one arrival event per hop, like the single-engine run. Calls must come in
+// byte-identical to the single-engine run. It is the surface a local
+// link's transmitter pushes onto, so a sharded run dispatches exactly one
+// arrival event per hop, like the single-engine run. Calls must come in
 // (t, sent) order, which is the order the remote half transmitted in. p
 // must be owned by this device's network (drawn from its pool or handed
 // over for good).
 func (d *Device) InjectArrivalFrom(t, sent sim.Time, p *packet.Packet) {
-	d.node.net.Engine.StreamCall(&d.wire, t, sent, p)
+	d.node.net.Engine.StreamCall(d.wire, t, sent, d.arrive, p)
 }
 
 // NextHandoffBound returns a lower bound on the virtual time at which
@@ -363,6 +369,9 @@ type Network struct {
 	Engine *sim.Engine
 	nodes  []*Node
 	pool   packet.Pool
+	// wires is the wire stream of every local link, by propagation delay
+	// (see Device.wire). Looked up only while the topology is built.
+	wires map[sim.Time]*sim.Stream
 }
 
 // Pool exposes the network's packet free list (diagnostics and benchmarks).
@@ -370,7 +379,7 @@ func (w *Network) Pool() *packet.Pool { return &w.pool }
 
 // NewNetwork creates an empty network bound to eng.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{Engine: eng}
+	return &Network{Engine: eng, wires: make(map[sim.Time]*sim.Stream)}
 }
 
 // NewNode adds a node with a unique ID.
@@ -405,23 +414,49 @@ type LinkConfig struct {
 	QdiscFactory func() Qdisc
 }
 
+// checkLink panics on a link no device could serve, naming the link: a
+// negative delay would otherwise surface at the first transmit completion,
+// inside sim.StreamCall, far from the topology that stated it.
+func checkLink(a, b string, cfg LinkConfig) {
+	if cfg.RateBps <= 0 {
+		panic(fmt.Sprintf("netem: link %s<->%s: non-positive rate %v", a, b, cfg.RateBps))
+	}
+	if cfg.Delay < 0 {
+		panic(fmt.Sprintf("netem: link %s<->%s: negative delay %d ns", a, b, int64(cfg.Delay)))
+	}
+}
+
+// newDevice attaches to a the transmit side of a link towards the node named
+// peer.
+func newDevice(a *Node, peer string, cfg LinkConfig) *Device {
+	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peer), node: a, rate: cfg.RateBps, delay: cfg.Delay}
+	if cfg.QdiscFactory != nil {
+		d.qdisc = cfg.QdiscFactory()
+	}
+	a.devices = append(a.devices, d)
+	return d
+}
+
+// wireFor returns the stream shared by every local link with the given
+// propagation delay.
+func (w *Network) wireFor(delay sim.Time) *sim.Stream {
+	s := w.wires[delay]
+	if s == nil {
+		s = new(sim.Stream)
+		w.wires[delay] = s
+	}
+	return s
+}
+
 // Connect creates a full-duplex link between a and b, returning the two
 // directional devices (a→b, b→a). Qdiscs must be set by the caller (via
-// cfg.QdiscFactory or SetQdisc) before traffic flows.
+// cfg.QdiscFactory or SetQdisc) before traffic flows. Panics on a
+// non-positive rate or a negative delay.
 func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
-	if cfg.RateBps <= 0 {
-		panic(fmt.Sprintf("netem: non-positive link rate %v", cfg.RateBps))
-	}
-	da := &Device{Name: fmt.Sprintf("%s->%s", a.Name, b.Name), node: a, rate: cfg.RateBps, delay: cfg.Delay}
-	db := &Device{Name: fmt.Sprintf("%s->%s", b.Name, a.Name), node: b, rate: cfg.RateBps, delay: cfg.Delay}
-	da.wire.Bind((*deviceArrival)(db))
-	db.wire.Bind((*deviceArrival)(da))
-	if cfg.QdiscFactory != nil {
-		da.qdisc = cfg.QdiscFactory()
-		db.qdisc = cfg.QdiscFactory()
-	}
-	a.devices = append(a.devices, da)
-	b.devices = append(b.devices, db)
+	checkLink(a.Name, b.Name, cfg)
+	da, db := newDevice(a, b.Name, cfg), newDevice(b, a.Name, cfg)
+	da.wire, da.arrive = w.wireFor(cfg.Delay), (*deviceArrival)(db)
+	db.wire, db.arrive = da.wire, (*deviceArrival)(da)
 	return da, db
 }
 
@@ -430,16 +465,12 @@ func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
 // sharded run. peerName is the remote node's name (used only for the
 // device name, which matches what Connect would have produced). Outbound
 // packets serialise through the qdisc and transmitter exactly as on a
-// local link and are then passed to h with their arrival time.
+// local link and are then passed to h with their arrival time. Panics like
+// Connect on a rate or delay no link can have.
 func (w *Network) ConnectHalf(a *Node, peerName string, cfg LinkConfig, h Handoff) *Device {
-	if cfg.RateBps <= 0 {
-		panic(fmt.Sprintf("netem: non-positive link rate %v", cfg.RateBps))
-	}
-	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peerName), node: a, rate: cfg.RateBps, delay: cfg.Delay, handoff: h}
-	d.wire.Bind((*deviceArrival)(d))
-	if cfg.QdiscFactory != nil {
-		d.qdisc = cfg.QdiscFactory()
-	}
-	a.devices = append(a.devices, d)
+	checkLink(a.Name, peerName, cfg)
+	d := newDevice(a, peerName, cfg)
+	d.handoff = h
+	d.wire, d.arrive = new(sim.Stream), (*deviceArrival)(d)
 	return d
 }

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cebinae/internal/packet"
@@ -378,5 +379,84 @@ func TestNoDefaultEndpointStillUnroutable(t *testing.T) {
 	eng.RunAll()
 	if b.Unroutable != 1 {
 		t.Fatalf("unroutable = %d, want 1", b.Unroutable)
+	}
+}
+
+type nopHandoff struct{}
+
+func (nopHandoff) Handoff(*packet.Packet, sim.Time, sim.Time) {}
+
+// TestWiresSharedByDelay: on one Network, both directions of a link and
+// every other link with the same propagation delay push onto one wire
+// stream, a different delay gets a different one, the half of a cut link
+// keeps a private one (its entries carry another engine's stamps), and two
+// Networks — two engines — never share.
+func TestWiresSharedByDelay(t *testing.T) {
+	w := NewNetwork(sim.NewEngine())
+	a, b, c := w.NewNode("a"), w.NewNode("b"), w.NewNode("c")
+	ab, ba := w.Connect(a, b, LinkConfig{RateBps: 1e9, Delay: 100})
+	bc, cb := w.Connect(b, c, LinkConfig{RateBps: 1e6, Delay: 100})
+	ac, ca := w.Connect(a, c, LinkConfig{RateBps: 1e9, Delay: 101})
+	zero, _ := w.Connect(a, c, LinkConfig{RateBps: 1e9})
+	for _, d := range []*Device{ba, bc, cb} {
+		if d.wire != ab.wire {
+			t.Fatalf("%s and %s have delay 100 on one network but separate wire streams", d.Name, ab.Name)
+		}
+	}
+	if ac.wire != ca.wire || ac.wire == ab.wire || zero.wire == ab.wire || zero.wire == ac.wire {
+		t.Fatal("links of different delays must not share a wire stream, and the two directions of one must")
+	}
+	if ab.arrive != sim.Handler((*deviceArrival)(ba)) || ba.arrive != sim.Handler((*deviceArrival)(ab)) {
+		t.Fatal("a local device's entries must arrive at its peer")
+	}
+	half := w.ConnectHalf(a, "remote", LinkConfig{RateBps: 1e9, Delay: 100}, nopHandoff{})
+	other := w.ConnectHalf(b, "remote", LinkConfig{RateBps: 1e9, Delay: 100}, nopHandoff{})
+	if half.wire == nil || half.wire == ab.wire || half.wire == other.wire {
+		t.Fatal("a cut-link half must keep a private wire stream")
+	}
+	if half.arrive != sim.Handler((*deviceArrival)(half)) {
+		t.Fatal("a cut-link half receives its own injected arrivals")
+	}
+	w2 := NewNetwork(sim.NewEngine())
+	xy, _ := w2.Connect(w2.NewNode("x"), w2.NewNode("y"), LinkConfig{RateBps: 1e9, Delay: 100})
+	if xy.wire == ab.wire {
+		t.Fatal("two networks share a wire stream")
+	}
+}
+
+// TestConnectRejectsBadLink: a rate or delay no link can have is refused
+// where the topology states it, by both constructors, naming the link — not
+// at the first transmit completion.
+func TestConnectRejectsBadLink(t *testing.T) {
+	w := NewNetwork(sim.NewEngine())
+	a, b := w.NewNode("left"), w.NewNode("right")
+	for _, tc := range []struct {
+		name string
+		cfg  LinkConfig
+		want string
+	}{
+		{"negative delay", LinkConfig{RateBps: 1e9, Delay: -5}, "negative delay -5 ns"},
+		{"zero rate", LinkConfig{Delay: 5}, "non-positive rate 0"},
+	} {
+		for _, ctor := range []struct {
+			name    string
+			connect func()
+		}{
+			{"Connect", func() { w.Connect(a, b, tc.cfg) }},
+			{"ConnectHalf", func() { w.ConnectHalf(a, "right", tc.cfg, nopHandoff{}) }},
+		} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "left<->right") || !strings.Contains(msg, tc.want) {
+						t.Errorf("%s with %s panicked with %q, want the link and %q named", ctor.name, tc.name, msg, tc.want)
+					}
+				}()
+				ctor.connect()
+			}()
+		}
+	}
+	if len(a.devices)+len(b.devices) != 0 {
+		t.Fatal("a refused link left a device behind")
 	}
 }

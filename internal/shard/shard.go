@@ -24,9 +24,10 @@
 // Byte-identical results. Node IDs are allocated from one cluster-global
 // counter in builder call order, so flow keys, RNG seeds, and connection
 // state match the single-engine build exactly. Each hop costs exactly one
-// arrival event in both modes — an entry on the receiving device's wire
-// stream, pushed by the local transmitter or injected with the source's
-// emission stamp across a cut — so engine event counts match.
+// arrival event in both modes — an entry on a wire stream, pushed by the
+// local transmitter (onto the stream its delay shares) or injected with
+// the source's emission stamp across a cut (onto the cut-link half's own)
+// — so engine event counts match.
 // Cross-shard arrivals carry the virtual time their last bit left the
 // source device, and the destination engine orders events by
 // (time, emission time, seq) — so a same-nanosecond tie between an

@@ -15,10 +15,11 @@
 //   - ScheduleOwned is for strictly sequential occurrences (a device's
 //     transmit completions): the caller embeds one Event and reuses it for
 //     every occurrence. It cannot be re-armed while pending.
-//   - StreamCall appends to a caller-embedded Stream: many occurrences
-//     pending at once, all for one handler, pushed in dispatch order
-//     (packets in propagation on a wire, cross-engine arrivals from one
-//     cut link). Only the head occupies the event heap; see stream.go.
+//   - StreamCall appends to a caller-owned Stream: many occurrences
+//     pending at once, each with its own handler and payload, pushed in
+//     dispatch order (packets in propagation on every link of one delay,
+//     cross-engine arrivals from one cut link). Only the head occupies the
+//     event heap; see stream.go.
 //   - ArmTimer / ArmPinnedTimer / ArmPinnedTimerAt / StopTimer drive a
 //     caller-embedded Timer: the one cancellable, reschedulable-in-place
 //     surface, for deadlines that are usually re-armed or stopped before
@@ -28,8 +29,9 @@
 //
 // Choosing a surface: fire-and-forget, including self-perpetuating chains
 // with a payload → ScheduleCall; one occurrence at a time owned by one
-// struct → ScheduleOwned; a FIFO of in-flight payloads owned by one struct
-// → StreamCall; anything that needs cancellation or re-arming → a Timer.
+// struct → ScheduleOwned; in-flight payloads whose keys are sorted by
+// construction → StreamCall; anything that needs cancellation or re-arming →
+// a Timer.
 // Cold-path and test code that has a plain func and no struct to hang a
 // handler on wraps it in Func.
 //
@@ -97,9 +99,9 @@ const (
 	// kindTimer events are the heap residency of a caller-embedded Timer
 	// (timer.go); arg back-points to the Timer, which carries the handler.
 	kindTimer
-	// kindStream events are the heap residency of a caller-embedded Stream
-	// (stream.go), keyed by the stream's head entry; arg back-points to
-	// the Stream.
+	// kindStream events are the heap residency of a Stream (stream.go),
+	// carrying the head entry's key and handler; arg back-points to the
+	// Stream.
 	kindStream
 )
 

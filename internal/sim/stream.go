@@ -1,10 +1,11 @@
 package sim
 
-// Stream is a caller-embedded FIFO of pending events that all dispatch to
-// one handler: the surface for sequences whose keys are sorted by
-// construction — packets in propagation on a constant-delay wire, arrivals
-// injected from one cut link, a connection's order-preserving send jitter.
-// Bind a handler once, then push with Engine.StreamCall.
+// Stream is a caller-owned FIFO of pending events, each with its own handler
+// and payload: the surface for sequences whose keys are sorted by
+// construction — packets in propagation on every link of one constant
+// delay, arrivals injected from one cut link, a connection's
+// order-preserving send jitter. The zero Stream is ready; push with
+// Engine.StreamCall.
 //
 // Every push draws its sequence number from the engine's counter exactly
 // where ScheduleCall would have, and entries dispatch under the same
@@ -13,7 +14,10 @@ package sim
 // head needs a heap residency: the minimum over the heap is still the
 // global minimum, and the merged dispatch order is the one a heap holding
 // every entry would produce. The heap then carries one event per busy
-// stream instead of one per entry.
+// stream instead of one per entry, and whoever can prove that several
+// producers push in key order between them (transmit completions fire in
+// time order, so now+delay is sorted across every link with that delay)
+// lets them share one stream and one residency.
 //
 // The head entry lives in the residency itself; the entries behind it live
 // in fixed-size blocks drawn from an engine-wide free list and returned as
@@ -22,9 +26,8 @@ package sim
 // it, and growth never copies.
 type Stream struct {
 	// ev is the heap residency while the stream is non-empty, carrying the
-	// head entry's key; ev.handler is the bound handler and ev.arg
-	// permanently back-points to the Stream, so the head's payload is kept
-	// in arg.
+	// head entry's key and handler; ev.arg back-points to the Stream, so the
+	// head's payload is kept in arg.
 	ev  Event
 	arg any
 
@@ -39,13 +42,14 @@ type Stream struct {
 	tailAt, tailSched Time
 }
 
-// streamBlockLen makes a block exactly fill the allocator's 2048-byte size
-// class (51 × 40 B entries plus the link).
-const streamBlockLen = 51
+// streamBlockLen makes a block fill the allocator's 2048-byte size class
+// (36 × 56 B entries plus the link).
+const streamBlockLen = 36
 
 type streamEntry struct {
 	at, schedAt Time
 	seq         uint64
+	h           Handler
 	arg         any
 }
 
@@ -60,30 +64,19 @@ type streamBlock struct {
 // order-preserving jitter queue) changes nothing.
 func (s *Stream) TailAt() Time { return s.tailAt }
 
-// Bind sets the handler every entry of the stream dispatches to. It must
-// be called before the first push and not while entries are pending.
-func (s *Stream) Bind(h Handler) {
-	if s.ev.pos != 0 {
-		panic("sim: Stream.Bind with entries pending")
-	}
-	s.ev.kind = kindStream
-	s.ev.handler = h
-	s.ev.arg = s
-}
-
-// StreamCall appends an entry to s that runs the bound handler with arg at
-// absolute virtual time at (clamped to now), ordered among same-instant
-// events as if scheduled when the clock read `from`. A local push passes
-// Now(); a conservative-parallel runner (internal/shard) injecting a
-// packet handed across a cut link passes the virtual time the source
-// engine emitted it — possibly in this engine's past — which slots the
-// arrival among same-instant local events exactly where a single merged
-// engine, scheduling it at transmit completion, would have.
+// StreamCall appends an entry to s that runs h.OnEvent(arg) at absolute
+// virtual time at (clamped to now), ordered among same-instant events as if
+// scheduled when the clock read `from`. A local push passes Now(); a
+// conservative-parallel runner (internal/shard) injecting a packet handed
+// across a cut link passes the virtual time the source engine emitted it —
+// possibly in this engine's past — which slots the arrival among
+// same-instant local events exactly where a single merged engine,
+// scheduling it at transmit completion, would have.
 //
 // Panics if from > at (an arrival cannot precede its emission) or if the
 // key (at, from) sorts before the stream's pending tail: FIFO order is the
 // stream's precondition, and a violation would silently reorder dispatch.
-func (e *Engine) StreamCall(s *Stream, at, from Time, arg any) {
+func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, arg any) {
 	if from > at {
 		panic("sim: StreamCall with scheduling stamp after the deadline")
 	}
@@ -91,10 +84,10 @@ func (e *Engine) StreamCall(s *Stream, at, from Time, arg any) {
 		at = e.now
 	}
 	if s.ev.pos == 0 {
-		if s.ev.kind != kindStream {
-			panic("sim: StreamCall on an unbound Stream")
-		}
 		s.ev.at, s.ev.schedAt, s.ev.seq = at, from, e.seq
+		s.ev.kind = kindStream
+		s.ev.handler = h
+		s.ev.arg = s
 		s.arg = arg
 		e.heapPush(&s.ev)
 	} else {
@@ -112,7 +105,7 @@ func (e *Engine) StreamCall(s *Stream, at, from Time, arg any) {
 			s.tail = b
 			s.ti = 0
 		}
-		b.ent[s.ti] = streamEntry{at: at, schedAt: from, seq: e.seq, arg: arg}
+		b.ent[s.ti] = streamEntry{at: at, schedAt: from, seq: e.seq, h: h, arg: arg}
 		s.ti++
 		e.backlog++
 	}
@@ -128,16 +121,16 @@ func (e *Engine) StreamCall(s *Stream, at, from Time, arg any) {
 // may push onto this same stream.
 func (e *Engine) dispatchStream(ev *Event) {
 	s := ev.arg.(*Stream)
-	arg := s.arg
+	h, arg := ev.handler, s.arg
 	b := s.head
 	if b == nil {
-		s.arg = nil
+		ev.handler, s.arg = nil, nil
 		e.heapPopMin()
 	} else {
 		nx := &b.ent[s.hi]
 		ev.at, ev.schedAt, ev.seq = nx.at, nx.schedAt, nx.seq
-		s.arg = nx.arg
-		nx.arg = nil
+		ev.handler, s.arg = nx.h, nx.arg
+		nx.h, nx.arg = nil, nil
 		s.hi++
 		e.backlog--
 		if b == s.tail && s.hi == s.ti {
@@ -149,7 +142,7 @@ func (e *Engine) dispatchStream(ev *Event) {
 		}
 		e.siftDown(0, ev)
 	}
-	ev.handler.OnEvent(arg)
+	h.OnEvent(arg)
 }
 
 // shift moves the entries queued behind the head by d (FastForward shifts
@@ -173,7 +166,7 @@ func (s *Stream) shift(d Time) {
 }
 
 // getBlock draws an entry block from the engine-wide free list. Blocks come
-// back with every payload reference already cleared by dispatch.
+// back with every handler and payload reference already cleared by dispatch.
 func (e *Engine) getBlock() *streamBlock {
 	b := e.freeBlocks
 	if b == nil {

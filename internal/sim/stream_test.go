@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // stamped is a stream payload carrying a stamp of the time it was pushed,
@@ -19,10 +20,10 @@ func TestStreamOneResidency(t *testing.T) {
 	eng := NewEngine()
 	var log []string
 	var s Stream
-	s.Bind(&timerRecorder{log: &log, eng: eng})
+	r := &timerRecorder{log: &log, eng: eng}
 	const n = 3*streamBlockLen + 7
 	for i := 0; i < n; i++ {
-		eng.StreamCall(&s, Time(100+i/2), 0, i)
+		eng.StreamCall(&s, Time(100+i/2), 0, r, i)
 	}
 	if len(eng.queue) != 1 || eng.Pending() != n {
 		t.Fatalf("heap holds %d, Pending %d; want 1, %d", len(eng.queue), eng.Pending(), n)
@@ -40,8 +41,8 @@ func TestStreamOneResidency(t *testing.T) {
 			t.Fatalf("entry %d fired as %s, want %s", i, rec, want)
 		}
 	}
-	if eng.Pending() != 0 || eng.Processed != n || s.arg != nil {
-		t.Fatalf("after drain: Pending %d, Processed %d, head payload %v", eng.Pending(), eng.Processed, s.arg)
+	if eng.Pending() != 0 || eng.Processed != n || s.ev.handler != nil || s.arg != nil {
+		t.Fatalf("after drain: Pending %d, Processed %d, head handler %v, payload %v", eng.Pending(), eng.Processed, s.ev.handler, s.arg)
 	}
 	// Drained blocks are back on the engine's free list, holding no payload
 	// alive: refilling the stream allocates nothing.
@@ -57,10 +58,10 @@ func TestStreamOneResidency(t *testing.T) {
 	if blocks != 4 {
 		t.Fatalf("%d blocks on the free list, want 4", blocks)
 	}
-	s.Bind(handlerFunc(func(any) {}))
+	nop := handlerFunc(func(any) {})
 	if allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < n; i++ {
-			eng.StreamCall(&s, eng.Now()+Time(i), eng.Now(), nil)
+			eng.StreamCall(&s, eng.Now()+Time(i), eng.Now(), nop, nil)
 		}
 		eng.RunAll()
 	}); allocs != 0 {
@@ -76,17 +77,89 @@ func TestStreamHandlerPushesOntoOwnStream(t *testing.T) {
 	var s Stream
 	left := 5
 	var fired []int64
-	s.Bind(handlerFunc(func(any) {
+	var h handlerFunc
+	h = func(any) {
 		fired = append(fired, int64(eng.Now()))
 		if left--; left > 0 {
-			eng.StreamCall(&s, eng.Now()+10, eng.Now(), nil)
+			eng.StreamCall(&s, eng.Now()+10, eng.Now(), h, nil)
 		}
-	}))
-	eng.StreamCall(&s, 10, 0, nil)
-	eng.StreamCall(&s, 15, 0, nil)
+	}
+	eng.StreamCall(&s, 10, 0, h, nil)
+	eng.StreamCall(&s, 15, 0, h, nil)
 	eng.RunAll()
 	if fmt.Sprint(fired) != "[10 15 20 25 30 35]" {
 		t.Fatalf("fired at %v", fired)
+	}
+}
+
+// sharedRecv is one of several receivers pushing onto one stream, like the
+// arrival side of one of several links with the same delay.
+type sharedRecv struct {
+	id  int
+	log *[]string
+	eng *Engine
+	// onFire, when set, runs inside the dispatch.
+	onFire func()
+}
+
+func (r *sharedRecv) OnEvent(arg any) {
+	*r.log = append(*r.log, fmt.Sprintf("r%d got %v @%d", r.id, arg, r.eng.Now()))
+	if r.onFire != nil {
+		r.onFire()
+	}
+}
+
+// TestStreamSharedHandlers: a zero Stream, with no set-up call, carries
+// entries for any number of handlers. Each entry fires the handler it was
+// pushed with, with its own payload, in key order; the lot occupies one
+// heap slot; and a handler may push an entry for another handler onto the
+// stream that is dispatching it, whether or not its own entry was the last.
+func TestStreamSharedHandlers(t *testing.T) {
+	eng := NewEngine()
+	var log []string
+	var s Stream
+	const n = streamBlockLen + 5 // the entries span a block boundary
+	recv := make([]*sharedRecv, n)
+	for i := range recv {
+		recv[i] = &sharedRecv{id: i, log: &log, eng: eng}
+		eng.StreamCall(&s, Time(100+i), 0, recv[i], 1000+i)
+	}
+	if len(eng.queue) != 1 || eng.Pending() != n {
+		t.Fatalf("heap holds %d, Pending %d with %d handlers pending; want 1, %d", len(eng.queue), eng.Pending(), n, n)
+	}
+	// Receiver 2 extends the stream mid-run on behalf of receiver 0; the
+	// last receiver does the same from the entry that drains the stream.
+	extend := func() { eng.StreamCall(&s, eng.Now()+500, eng.Now(), recv[0], "extra") }
+	recv[2].onFire, recv[n-1].onFire = extend, extend
+	eng.RunAll()
+	if len(log) != n+2 {
+		t.Fatalf("dispatched %d entries, want %d: %v", len(log), n+2, log)
+	}
+	for i := 0; i < n; i++ {
+		if want := fmt.Sprintf("r%d got %d @%d", i, 1000+i, 100+i); log[i] != want {
+			t.Fatalf("entry %d fired as %q, want %q", i, log[i], want)
+		}
+	}
+	if log[n] != "r0 got extra @602" || log[n+1] != fmt.Sprintf("r0 got extra @%d", 100+n-1+500) {
+		t.Fatalf("entries pushed from inside the dispatch fired as %q", log[n:])
+	}
+	if eng.Pending() != 0 || len(eng.queue) != 0 {
+		t.Fatalf("after drain: Pending %d, heap %d", eng.Pending(), len(eng.queue))
+	}
+}
+
+// TestStreamEntrySize pins the layout the block length is derived from: a
+// 56-byte entry (key, handler, payload), and a block that stays inside the
+// allocator's 2048-byte size class.
+func TestStreamEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are stated for 64-bit words")
+	}
+	if got := unsafe.Sizeof(streamEntry{}); got != 56 {
+		t.Fatalf("streamEntry is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(streamBlock{}); got > 2048 || got+unsafe.Sizeof(streamEntry{}) <= 2048 {
+		t.Fatalf("streamBlock is %d bytes: want the most entries that fit 2048", got)
 	}
 }
 
@@ -107,13 +180,11 @@ func TestFastForwardStreamInFlight(t *testing.T) {
 		p := arg.(*stamped)
 		log = append(log, fmt.Sprintf("e%d@%d after %d", p.id, eng.Now(), eng.Local()-p.pushed))
 	})
-	a.Bind(fire)
-	b.Bind(fire)
 	const n = 2*streamBlockLen + 3
 	for i := 0; i < n; i++ {
-		eng.StreamCall(&a, Time(1000+2*i), Time(i), &stamped{id: i, pushed: eng.Local()})
+		eng.StreamCall(&a, Time(1000+2*i), Time(i), fire, &stamped{id: i, pushed: eng.Local()})
 	}
-	eng.StreamCall(&b, 1005, 5, &stamped{id: n, pushed: eng.Local()})
+	eng.StreamCall(&b, 1005, 5, fire, &stamped{id: n, pushed: eng.Local()})
 	eng.AtCall(1006, r, 77) // ties a's entry 3 on the deadline; emitted earlier, so it fires first
 	var pin Timer
 	eng.ArmPinnedTimerAt(&pin, 5004, r, 99)
@@ -164,7 +235,7 @@ func TestFastForwardStreamInFlight(t *testing.T) {
 	}
 
 	// Entries in flight do not hide a pinned deadline from the skip bound.
-	eng.StreamCall(&a, eng.Now()+10, eng.Now(), &stamped{})
+	eng.StreamCall(&a, eng.Now()+10, eng.Now(), fire, &stamped{})
 	eng.ArmPinnedTimer(&pin, 100, r, 99)
 	if got := eng.NextPinnedTime(); got != eng.Now()+100 {
 		t.Fatalf("NextPinnedTime = %v with a stream pending, want %v", got, eng.Now()+100)
@@ -191,21 +262,19 @@ func TestStreamCallOutOfOrderPanics(t *testing.T) {
 		fn()
 	}
 	eng := NewEngine()
-	var s, unbound Stream
-	s.Bind(handlerFunc(func(any) {}))
-	eng.StreamCall(&s, 100, 50, nil)
-	eng.StreamCall(&s, 100, 50, nil) // an equal key is in order: seq breaks the tie
-	mustPanic("earlier deadline", func() { eng.StreamCall(&s, 99, 50, nil) })
-	mustPanic("equal deadline, earlier stamp", func() { eng.StreamCall(&s, 100, 49, nil) })
+	var s Stream
+	h := handlerFunc(func(any) {})
+	eng.StreamCall(&s, 100, 50, h, nil)
+	eng.StreamCall(&s, 100, 50, h, nil) // an equal key is in order: seq breaks the tie
+	mustPanic("earlier deadline", func() { eng.StreamCall(&s, 99, 50, h, nil) })
+	mustPanic("equal deadline, earlier stamp", func() { eng.StreamCall(&s, 100, 49, h, nil) })
 	eng.FastForward(1000)
-	mustPanic("deadline below the shifted tail", func() { eng.StreamCall(&s, 1099, 1050, nil) })
-	mustPanic("stamp below the shifted tail", func() { eng.StreamCall(&s, 1100, 1049, nil) })
-	eng.StreamCall(&s, 1100, 1050, nil)
-	mustPanic("Bind with entries pending", func() { s.Bind(handlerFunc(func(any) {})) })
-	mustPanic("push onto an unbound stream", func() { eng.StreamCall(&unbound, 2000, 2000, nil) })
+	mustPanic("deadline below the shifted tail", func() { eng.StreamCall(&s, 1099, 1050, h, nil) })
+	mustPanic("stamp below the shifted tail", func() { eng.StreamCall(&s, 1100, 1049, h, nil) })
+	eng.StreamCall(&s, 1100, 1050, h, nil)
 	// Once drained the stream has no tail: any key is in order.
 	eng.RunAll()
-	eng.StreamCall(&s, eng.Now(), eng.Now(), nil)
+	eng.StreamCall(&s, eng.Now(), eng.Now(), h, nil)
 	eng.RunAll()
 	if eng.Processed != 4 {
 		t.Fatalf("dispatched %d entries, want 4", eng.Processed)

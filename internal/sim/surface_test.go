@@ -47,15 +47,13 @@ func TestStreamCallStampAndClamp(t *testing.T) {
 	n := 0
 	h := surfHandler{&n}
 	var s, late Stream
-	s.Bind(h)
-	late.Bind(h)
 	eng.ScheduleCall(10, Func(func() {
-		eng.StreamCall(&late, 3, 2, nil) // past deadline: fires at 10
+		eng.StreamCall(&late, 3, 2, h, nil) // past deadline: fires at 10
 		if late.ev.at != 10 || late.ev.schedAt != 2 {
 			t.Errorf("clamped push keyed (%d, %d), want (10, 2)", late.ev.at, late.ev.schedAt)
 		}
 	}), nil)
-	eng.StreamCall(&s, Duration(1e6), Duration(1e3), nil)
+	eng.StreamCall(&s, Duration(1e6), Duration(1e3), h, nil)
 	eng.ScheduleCall(-5, h, nil)
 	eng.RunAll()
 	if n != 3 {
@@ -66,7 +64,7 @@ func TestStreamCallStampAndClamp(t *testing.T) {
 			t.Fatal("StreamCall(from > at) did not panic")
 		}
 	}()
-	eng.StreamCall(&s, 1, 2, nil)
+	eng.StreamCall(&s, 1, 2, h, nil)
 }
 
 // TestArmPinnedTimerSurface: the relative pinned arm lands on the pinned

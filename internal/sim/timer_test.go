@@ -207,16 +207,23 @@ func TestTimerArmPast(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Differential fuzz: an identical randomized script — timer arm/stop/re-arm,
-// pushes onto k FIFO streams, pooled events, a pinned deadline, mid-run
-// FastForwards — is applied to two engines. One goes through the embedded
-// surfaces (Timer/wheel, Stream); the reference keeps every timer on the
-// heap (armOnHeap) and gives every stream entry a heap residency of its
-// own, with the same key. Both must dispatch the identical event sequence.
-// Both consume one seq per operation, so equal-instant tie-breaking must
-// match exactly.
+// pushes onto k FIFO streams (one of them shared by several handlers),
+// pooled events, a pinned deadline, mid-run FastForwards — is applied to two
+// engines. One goes through the embedded surfaces (Timer/wheel, Stream); the
+// reference keeps every timer on the heap (armOnHeap) and gives every stream
+// entry a heap residency of its own, with the same key and handler. Both
+// must dispatch the identical event sequence. Both consume one seq per
+// operation, so equal-instant tie-breaking must match exactly.
 // ---------------------------------------------------------------------------
 
-const diffStreams = 6
+const (
+	diffStreams = 7
+	// Stream diffShared is one wire shared by every link of one delay: each
+	// push names one of diffReceivers handlers of its own, beside the six
+	// single-handler streams' one each.
+	diffShared    = diffStreams - 1
+	diffReceivers = 4
+)
 
 // armOnHeap arms t like ArmTimer but places it straight on the heap whatever
 // its deadline — the placement a pinned arm gets — and then clears the pinned
@@ -236,11 +243,13 @@ type diffDriver struct {
 	handlers []diffFire
 	opsLeft  int
 
-	// Stream i is a constant-delay wire (i%3 == 0), a cut link whose
-	// pushes carry an emission stamp in the engine's past (1), or a jitter
-	// queue whose random release times clamp to the previous one (2).
+	// Stream i is a constant-delay wire (i%3 == 0, the shared one included),
+	// a cut link whose pushes carry an emission stamp in the engine's past
+	// (1), or a jitter queue whose random release times clamp to the
+	// previous one (2). The streams are zero values: nothing sets one up.
 	streams    [diffStreams]Stream
 	jitterTail [diffStreams]Time
+	recv       [diffShared + diffReceivers]diffStreamFire
 	entries    int
 
 	pinned Timer
@@ -263,12 +272,17 @@ type diffEntry struct {
 	localAt Time
 }
 
-type diffStreamFire diffDriver
+// diffStreamFire is one receiver of stream entries; the record names it, so
+// an entry dispatched to another entry's handler shows.
+type diffStreamFire struct {
+	d  *diffDriver
+	id int
+}
 
 func (f *diffStreamFire) OnEvent(arg any) {
-	d := (*diffDriver)(f)
+	d := f.d
 	ent := arg.(*diffEntry)
-	rec := fmt.Sprintf("s%d@%d", ent.id, d.eng.Now())
+	rec := fmt.Sprintf("s%d/%d@%d", ent.id, f.id, d.eng.Now())
 	if ent.localAt != d.eng.Local() {
 		rec += fmt.Sprintf("(stamp %d)", ent.localAt)
 	}
@@ -286,12 +300,16 @@ func (f *diffPinnedFire) OnEvent(any) {
 func (d *diffDriver) push(i int) {
 	now := d.eng.Now()
 	at, from := now, now
+	h := &d.recv[i]
+	if i == diffShared {
+		h = &d.recv[diffShared+d.rng.Intn(diffReceivers)]
+	}
 	switch i % 3 {
 	case 0:
 		at = now + Time(3)<<uint(5*i)
 		// A pooled event with the same deadline and emission time as the
 		// entry that follows it: only seq separates the two.
-		d.eng.AtCall(at, &d.handlers[i], nil)
+		d.eng.AtCall(at, &d.handlers[i%len(d.handlers)], nil)
 	case 1:
 		from = now - 7
 		at = from + Time(11)<<uint(4*i)
@@ -304,18 +322,15 @@ func (d *diffDriver) push(i int) {
 	}
 	ent := &diffEntry{id: d.entries, localAt: d.eng.Local() + at - now}
 	d.entries++
-	h := (*diffStreamFire)(d)
 	switch {
 	case d.embedded:
-		d.eng.StreamCall(&d.streams[i], at, from, ent)
+		d.eng.StreamCall(&d.streams[i], at, from, h, ent)
 	case from == now:
 		d.eng.AtCall(at, h, ent)
 	default:
 		// The pooled surface cannot carry a stamp; a stream of one entry
 		// is a per-entry heap residency with the same key.
-		one := new(Stream)
-		one.Bind(h)
-		d.eng.StreamCall(one, at, from, ent)
+		d.eng.StreamCall(new(Stream), at, from, h, ent)
 	}
 }
 
@@ -342,7 +357,7 @@ func (d *diffDriver) OnEvent(any) {
 	case op == 2: // stop
 		d.eng.StopTimer(&d.timers[slot])
 	case op <= 5: // a burst onto one stream
-		i := slot % diffStreams
+		i := d.rng.Intn(diffStreams)
 		n := 1 + d.rng.Intn(3)
 		if d.rng.Intn(8) == 0 {
 			n += 2 * streamBlockLen // span entry blocks
@@ -381,8 +396,8 @@ func runTimerDiff(seed uint64, embedded bool, steps, slots int) []string {
 	for i := range d.handlers {
 		d.handlers[i] = diffFire{d: d, id: i}
 	}
-	for i := range d.streams {
-		d.streams[i].Bind((*diffStreamFire)(d))
+	for i := range d.recv {
+		d.recv[i] = diffStreamFire{d: d, id: i}
 	}
 	eng.ScheduleCall(0, d, nil)
 	eng.RunAll()
@@ -403,7 +418,9 @@ func TestTimerHeapDifferential(t *testing.T) {
 			t.Fatalf("seed %d: a payload fired with a stale stamp or the engine did not drain: %v", seed, wheel)
 		}
 		if seed == 1 {
-			for _, kind := range []string{" 1@", " s1@", " pin@"} {
+			// A timer, a stream entry, the pinned deadline, and every
+			// receiver of the shared stream.
+			for _, kind := range []string{" 1@", " s1/", " pin@", "/6@", "/7@", "/8@", "/9@"} {
 				if !strings.Contains(fmt.Sprint(wheel), kind) {
 					t.Fatalf("differential script fired no %q event; widen the op mix", kind)
 				}

@@ -162,7 +162,6 @@ func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
 	c.Cwnd = float64(cfg.InitialCwndSegments * cfg.MSS)
 	c.Ssthresh = 1 << 40
 	src.Register(cfg.Key.Reverse(), c)
-	c.jitter.Bind((*connInject)(c))
 	c.cc.Init(c)
 	// The flow start is pinned: it is a traffic discontinuity the fluid
 	// fast-forward layer must never skip across. Later pacing re-arms
@@ -366,7 +365,7 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 		if tail := c.jitter.TailAt(); at < tail {
 			at = tail
 		}
-		c.eng.StreamCall(&c.jitter, at, emit, p)
+		c.eng.StreamCall(&c.jitter, at, emit, (*connInject)(c), p)
 	} else {
 		c.node.Inject(p)
 	}
