@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint fmt-check test race race-shard speedup-smoke fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke benchjson ab report sweep clean
+.PHONY: check build vet lint fmt-check test race race-shard fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke ab report sweep clean
 
 check: build vet lint fmt-check race
 
@@ -51,11 +51,6 @@ race-shard:
 	$(GO) test -race ./internal/shard
 	$(GO) test -race -run 'TestShardDifferential|TestBackboneShardDifferential' ./experiments
 
-# Wall-clock scaling gate (needs >= 2 cores): the auto-partitioned 2-shard
-# chain spec must not run materially slower than single-engine.
-speedup-smoke:
-	CEBINAE_SPEEDUP_SMOKE=1 $(GO) test -run 'TestShardSpeedupSmoke' -v ./internal/benchkit/
-
 # The fluid fast-forward gate: the short fluid-vs-packet differentials
 # (error bound, determinism, forced-off byte-identity), the golden of three
 # arming cells, and the clock they rest on (Engine.Local stands still during
@@ -80,9 +75,12 @@ scenario-conformance:
 # The memory pins: what a run allocates must grow with the window, not
 # with the packets delivered — the goodput log at ≤ 6 B a record, the TCP
 # scoreboard and FQ-CoDel's flow queues at nothing once warm, and a whole
-# experiments.Run at ≤ 32 B per delivered segment.
+# experiments.Run at ≤ 32 B per delivered segment — plus the zero-alloc
+# hot paths: engine dispatch, timer re-arm, one-hop forwarding (alone and
+# with thousands of packets on the wire), a steady-state TCP round trip,
+# and the 10⁵-flow replay send path at ≤ 0.01 allocs a packet.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The
@@ -100,18 +98,15 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# One iteration of every benchmark — the CI bit-rot gate for the perf
-# harness.
+# One iteration of every benchmark — the CI bit-rot gate for the
+# Benchmark functions.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# Re-measure the perf suite and update BENCH_baseline.json's "current"
-# section (the frozen "baseline" section is preserved).
-benchjson:
-	$(GO) run ./cmd/cebinae-bench -benchjson BENCH_baseline.json
-
-# Alternating parent/change pairs of one benchmark workload, with the
-# quartiles, win count and verdict a performance claim needs:
+# The one recorded performance number is `go run ./benchmark`
+# (BENCHMARK.json's workloads); a claimed gain is alternating
+# parent/change pairs of one workload, with the quartiles, win count and
+# verdict the claim needs:
 #   make ab REV=HEAD~1 W=dumbbell_fifo_1g [PAIRS=10] [SECONDS=7]
 PAIRS ?= 10
 SECONDS ?= 7

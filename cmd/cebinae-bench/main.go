@@ -12,7 +12,6 @@
 //	cebinae-bench -only fig7,fig12,table3
 //	cebinae-bench -scale medium -p 8 -resume bench.jsonl   # checkpoint + resume
 //	cebinae-bench -scenario 'scenarios/*.json' -only scenario/multihop   # spec-file sections
-//	cebinae-bench -benchjson BENCH_baseline.json           # perf snapshot only
 //	cebinae-bench -scale medium -cpuprofile cpu.pprof      # profile the fleet
 //
 // Live progress, per-job wall times, and the parallel-speedup summary go
@@ -20,20 +19,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"cebinae/experiments"
-	"cebinae/internal/benchkit"
 	"cebinae/internal/cli"
 	"cebinae/internal/fleet"
 	"cebinae/internal/scenario"
@@ -49,8 +45,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "per-job wall-clock watchdog (0 = none), e.g. 10m")
 		resume     = flag.String("resume", "", "JSONL checkpoint store path; already-completed jobs in it are skipped")
 		scenFiles  = flag.String("scenario", "", "comma list of declarative scenario files or globs appended to the report as extra sections (ids: scenario/<name>)")
-		benchjson  = flag.String("benchjson", "", "run the perf microbenchmark suite and write results to this JSON file (skips the report)")
-		benchHeavy = flag.Bool("bench-heavy", false, "with -benchjson: also score the million-flow backbone tier (tens of seconds per op, hundreds of MB live)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		fastfwd    = flag.Bool("fastforward", false, "fluid fast-forward: skip quiescent stretches with closed-form counter advancement (single-shard fifo/fq/cebinae dumbbells only; forced off elsewhere)")
@@ -63,11 +57,7 @@ func main() {
 		cli.Fatal(err)
 	}
 
-	if *benchjson != "" {
-		err = runBenchJSON(*benchjson, *benchHeavy)
-	} else {
-		err = runReport(*scaleFlag, *only, *outPath, *parallel, *shards, *timeout, *resume, *scenFiles)
-	}
+	err = runReport(*scaleFlag, *only, *outPath, *parallel, *shards, *timeout, *resume, *scenFiles)
 	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
 	// stop them explicitly before deciding the exit path.
 	if perr := stopProfiles(); err == nil {
@@ -76,58 +66,6 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-}
-
-// benchSnapshot is the BENCH_baseline.json shape: the frozen pre-refactor
-// numbers (kept verbatim across regenerations) next to the current measured
-// suite, so every PR leaves a comparable point on the perf trajectory.
-type benchSnapshot struct {
-	Note     string            `json:"note,omitempty"`
-	Go       string            `json:"go"`
-	Baseline []benchkit.Result `json:"baseline,omitempty"`
-	Current  []benchkit.Result `json:"current"`
-}
-
-func runBenchJSON(path string, heavy bool) error {
-	snap := benchSnapshot{Go: runtime.Version()}
-	if old, err := os.ReadFile(path); err == nil {
-		var prev benchSnapshot
-		if json.Unmarshal(old, &prev) == nil {
-			snap.Note = prev.Note
-			snap.Baseline = prev.Baseline
-		}
-	}
-	fmt.Fprintln(os.Stderr, "cebinae-bench: running perf suite (this takes a few minutes)")
-	snap.Current = benchkit.RunSuite(heavy)
-	for _, r := range snap.Current {
-		fmt.Fprintf(os.Stderr, "  %-24s %14.1f ns/op %10d B/op %8d allocs/op%s\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, metricExtras(r.Metrics))
-	}
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// metricExtras renders a benchmark's custom b.ReportMetric values (the
-// FastForward row's speedup and error bound, the grid's shard speedups)
-// for the human-readable suite listing, in sorted-key order so the
-// output is stable.
-func metricExtras(metrics map[string]float64) string {
-	if len(metrics) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(metrics))
-	for k := range metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "  %.3g %s", metrics[k], k)
-	}
-	return sb.String()
 }
 
 // scenarioSections loads each matched scenario file and packages it as a

@@ -51,16 +51,16 @@ func main() {
 		return
 	}
 
+	s, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, nShards, *backbone)
+	if err != nil {
+		cli.Fatal(err)
+	}
+
 	if *backbone > 0 {
 		if err := runBackbone(*backbone, *qdisc, *duration, *seed, nShards); err != nil {
 			cli.Fatal(err)
 		}
 		return
-	}
-
-	s, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, nShards)
-	if err != nil {
-		cli.Fatal(err)
 	}
 
 	start := time.Now()
@@ -162,8 +162,17 @@ func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64, s
 }
 
 // buildScenario turns the CLI flags into a runnable Scenario; every
-// validation failure the command can hit funnels through here.
-func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, shards int) (experiments.Scenario, error) {
+// validation failure the command can hit funnels through here, the
+// backbone run's included.
+func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, shards, backbone int) (experiments.Scenario, error) {
+	switch {
+	case buffer < 1:
+		return experiments.Scenario{}, fmt.Errorf("-buffer %d: want at least 1 MTU", buffer)
+	case duration <= 0:
+		return experiments.Scenario{}, fmt.Errorf("-duration %v: want a positive simulated duration", duration)
+	case backbone < 0:
+		return experiments.Scenario{}, fmt.Errorf("-backbone %d: want a standing-flow count, or 0 for the dumbbell", backbone)
+	}
 	bps, err := cli.ParseBandwidth(bw)
 	if err != nil {
 		return experiments.Scenario{}, err
@@ -193,6 +202,9 @@ func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration tim
 	if tau >= 0 && s.Qdisc == experiments.Cebinae {
 		p := experiments.DefaultCebinaeParams(s)
 		p.Tau = tau
+		if err := p.Validate(s.BottleneckBps, s.BufferBytes); err != nil {
+			return experiments.Scenario{}, fmt.Errorf("-tau %v: %w", tau, err)
+		}
 		s.Params = &p
 	}
 	return s, nil

@@ -12,7 +12,7 @@ import (
 // Scenario the runner will execute, including the sharding knob.
 func TestBuildScenarioValid(t *testing.T) {
 	s, err := buildScenario("100M", 850, "newreno:16,cubic:1", "50ms,80ms", "cebinae",
-		20*time.Second, 42, -1, 2)
+		20*time.Second, 42, -1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +40,14 @@ func TestBuildScenarioValid(t *testing.T) {
 // TestBuildScenarioTauOverride: a non-negative -tau must materialise Params
 // with that τ for Cebinae, and be ignored for other disciplines.
 func TestBuildScenarioTauOverride(t *testing.T) {
-	s, err := buildScenario("100M", 850, "newreno:2", "40ms", "cebinae", time.Second, 1, 0.05, 1)
+	s, err := buildScenario("100M", 850, "newreno:2", "40ms", "cebinae", time.Second, 1, 0.05, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Params == nil || s.Params.Tau != 0.05 {
 		t.Fatalf("Params = %+v, want Tau 0.05", s.Params)
 	}
-	s, err = buildScenario("100M", 850, "newreno:2", "40ms", "fifo", time.Second, 1, 0.05, 1)
+	s, err = buildScenario("100M", 850, "newreno:2", "40ms", "fifo", time.Second, 1, 0.05, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,12 @@ func TestBuildScenarioTauOverride(t *testing.T) {
 // diagnostic naming the bad input rather than a zero-value scenario.
 func TestBuildScenarioErrors(t *testing.T) {
 	type args struct {
-		bw, flows, rtt, qdisc string
-		shards                int
+		bw, flows, rtt, qdisc    string
+		buffer, shards, backbone int
+		duration                 time.Duration
+		tau                      float64
 	}
-	ok := args{bw: "100M", flows: "newreno:2", rtt: "40ms", qdisc: "fifo", shards: 1}
+	ok := args{bw: "100M", flows: "newreno:2", rtt: "40ms", qdisc: "fifo", buffer: 850, shards: 1, duration: time.Second, tau: -1}
 	cases := []struct {
 		name    string
 		mutate  func(*args)
@@ -78,12 +80,17 @@ func TestBuildScenarioErrors(t *testing.T) {
 		{"negative rtt", func(a *args) { a.rtt = "-1ms" }, "rtt"},
 		{"unknown qdisc", func(a *args) { a.qdisc = "red" }, "qdisc"},
 		{"zero shards", func(a *args) { a.shards = 0 }, "shards"},
+		{"tau above 1", func(a *args) { a.qdisc = "cebinae"; a.tau = 5 }, "-tau"},
+		{"zero duration", func(a *args) { a.duration = 0 }, "-duration"},
+		{"negative duration", func(a *args) { a.duration = -time.Second }, "-duration"},
+		{"negative buffer", func(a *args) { a.buffer = -5 }, "-buffer"},
+		{"negative backbone", func(a *args) { a.backbone = -5 }, "-backbone"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mutate(&a)
-			_, err := buildScenario(a.bw, 850, a.flows, a.rtt, a.qdisc, time.Second, 1, -1, a.shards)
+			_, err := buildScenario(a.bw, a.buffer, a.flows, a.rtt, a.qdisc, a.duration, 1, a.tau, a.shards, a.backbone)
 			if err == nil {
 				t.Fatalf("%+v accepted", a)
 			}

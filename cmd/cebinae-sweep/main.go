@@ -388,8 +388,8 @@ func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad threshold %q", part)
+		if err != nil || v < 0 || v > 100 {
+			return nil, fmt.Errorf("bad -thresholds value %q (want a percentage in [0,100])", part)
 		}
 		out = append(out, v)
 	}

@@ -49,7 +49,7 @@ func TestParseFloats(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2.5 || got[2] != 100 {
 		t.Fatalf("parsed %v", got)
 	}
-	for _, bad := range []string{"x", "-1"} {
+	for _, bad := range []string{"x", "-1", "500", "100.5"} {
 		if _, err := parseFloats(bad); err == nil {
 			t.Fatalf("threshold %q accepted", bad)
 		}

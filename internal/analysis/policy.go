@@ -16,8 +16,7 @@ type Policy struct {
 // system (progress/ETA display, per-job watchdog timeouts, worker
 // scheduling) and owns the real clock by design; determinism there is
 // guaranteed by sorting job results, which mapiter still polices.
-// internal/analysis (this tooling) and internal/benchkit (the benchmark
-// harness, which times real executions) are likewise host-side.
+// internal/analysis (this tooling) is likewise host-side.
 var simulationPackages = []string{
 	"cebinae/internal/sim",
 	"cebinae/internal/netem",

@@ -95,7 +95,7 @@ func (p Params) Validate(capacityBps float64, bufferBytes int) error {
 		return fmt.Errorf("core: L (%v) must lie in [0, dT−vdT] = [0, %v]", p.L, p.DT-p.VDT)
 	}
 	if p.DeltaPort <= 0 || p.DeltaPort > 1 || p.DeltaFlow < 0 || p.DeltaFlow > 1 || p.Tau < 0 || p.Tau > 1 {
-		return fmt.Errorf("core: thresholds must lie in (0,1]: δp=%v δf=%v τ=%v", p.DeltaPort, p.DeltaFlow, p.Tau)
+		return fmt.Errorf("core: δp must lie in (0,1], δf and τ in [0,1]: δp=%v δf=%v τ=%v", p.DeltaPort, p.DeltaFlow, p.Tau)
 	}
 	if p.P < 1 {
 		return fmt.Errorf("core: P (%d) must be ≥ 1", p.P)

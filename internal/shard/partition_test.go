@@ -212,3 +212,26 @@ func TestAutoPlanRecordsBuilder(t *testing.T) {
 		t.Fatalf("cluster lookahead %d, plan promised %d", w, p.Lookahead)
 	}
 }
+
+// TestDumbbell4AutoPlanFindsFourRegions pins the planner on a uniform
+// 40 ms dumbbell of 12 flows: four regions, three sender groups cut at
+// their ~20 ms access links plus the switches-and-receivers region, never
+// the 0.1 ms bottleneck.
+func TestDumbbell4AutoPlanFindsFourRegions(t *testing.T) {
+	p := AutoPlan(4, func(f netem.Fabric) {
+		netem.BuildDumbbellOn(f, netem.DumbbellConfig{
+			FlowCount:       12,
+			BottleneckBps:   100e6,
+			BottleneckDelay: sim.Time(0.1e6),
+			RTTs:            []sim.Time{sim.Time(40e6)},
+			BottleneckQdisc: func(dev *netem.Device) netem.Qdisc { return qdisc.NewFIFO(850 * 1500) },
+			DefaultQdisc:    func() netem.Qdisc { return qdisc.NewFIFO(16 << 20) },
+		})
+	})
+	if p.Shards != 4 {
+		t.Fatalf("planner found %d regions, want 4", p.Shards)
+	}
+	if p.Lookahead < 1e7 {
+		t.Fatalf("lookahead %d; cutting sender access links should buy ~2e7", p.Lookahead)
+	}
+}

@@ -231,3 +231,27 @@ func TestFiniteFlowCompletes(t *testing.T) {
 		t.Fatalf("receiver got %d bytes, want %d", got, 2<<20)
 	}
 }
+
+// TestTCPRTTZeroAlloc pins the full transport timer plane: at steady
+// state, a round-trip's worth of simulated TCP — pacing and RTO timer
+// re-arms, delayed-ACK arms/cancels, SACK scoreboard updates, sent-record
+// recycling — runs without allocating.
+func TestTCPRTTZeroAlloc(t *testing.T) {
+	const rtt = sim.Time(20e6)
+	eng := sim.NewEngine()
+	d := dumbbell(eng, 1, 100e6, []sim.Time{rtt}, 450*1500)
+	key := packet.FlowKey{Src: d.Senders[0].ID, Dst: d.Receivers[0].ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	tcp.NewConn(eng, d.Senders[0], tcp.Config{Key: key})
+	tcp.NewReceiver(eng, d.Receivers[0], tcp.ReceiverConfig{Key: key, DelAckCount: 2})
+	// Warm well past slow start so pools, rings, and the scoreboard have
+	// reached their steady-state sizes.
+	horizon := sim.Time(2e9)
+	eng.Run(horizon)
+	allocs := testing.AllocsPerRun(20, func() {
+		horizon += rtt
+		eng.Run(horizon)
+	})
+	if allocs != 0 {
+		t.Fatalf("one RTT of steady-state TCP allocates %.1f objects, want 0", allocs)
+	}
+}
