@@ -43,18 +43,20 @@ race:
 
 # The sharded-engine determinism gate under the race detector: the SPSC
 # handoff queues rely on barrier happens-before rather than atomics, so
-# these are the tests that catch a reintroduced data race. The experiments
-# differentials all run the min-cut auto-partitioned path (including the
-# backbone's 3-shard cut-access-link case). CI runs this as its own cached
-# job; `make race` still covers the whole tree.
+# these are the tests that catch a reintroduced data race. The two
+# experiments differentials (the parking lot and the backbone, the only
+# runners that still partition) run the min-cut auto-partitioned path,
+# including the backbone's 3-shard cut-access-link case. CI runs this as
+# its own cached job; `make race` still covers the whole tree.
 race-shard:
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'TestShardDifferential|TestBackboneShardDifferential' ./experiments
+	$(GO) test -race -run 'TestShardDifferentialParkingLot|TestBackboneShardDifferential' ./experiments
 
 # The fluid fast-forward gate: the short fluid-vs-packet differentials
-# (error bound, determinism, forced-off byte-identity), the golden of three
-# arming cells, and the clock they rest on (Engine.Local stands still during
-# a skip; an FQ-CoDel sojourn excludes skipped time), plus the 10-minute
+# (error bound, determinism, forced-off byte-identity for an ineligible
+# qdisc), the golden of three arming cells, and the clock they rest on
+# (Engine.Local stands still during a skip; an FQ-CoDel sojourn excludes
+# skipped time), plus the 10-minute
 # scored cell, which must run ≥ 5× faster wall-clock with ≤ 1% per-flow
 # goodput error against the exact packet-level run.
 fastforward-smoke:

@@ -41,23 +41,20 @@ func main() {
 		only       = flag.String("only", "", "comma list of experiment ids to run (default: all)")
 		outPath    = flag.String("o", "", "also write the report to this file")
 		parallel   = flag.Int("p", 0, "worker pool size (0 = GOMAXPROCS)")
-		shards     = flag.String("shards", "1", "engines per scenario (a count or \"auto\"; placement is min-cut partitioned); the worker pool is divided by this so sweeps and sharding compose")
 		timeout    = flag.Duration("timeout", 0, "per-job wall-clock watchdog (0 = none), e.g. 10m")
 		resume     = flag.String("resume", "", "JSONL checkpoint store path; already-completed jobs in it are skipped")
 		scenFiles  = flag.String("scenario", "", "comma list of declarative scenario files or globs appended to the report as extra sections (ids: scenario/<name>)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		fastfwd    = flag.Bool("fastforward", false, "fluid fast-forward: skip quiescent stretches with closed-form counter advancement (single-shard fifo/fq/cebinae dumbbells only; forced off elsewhere)")
 	)
 	flag.Parse()
-	experiments.SetDefaultFastForward(*fastfwd)
 
 	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		cli.Fatal(err)
 	}
 
-	err = runReport(*scaleFlag, *only, *outPath, *parallel, *shards, *timeout, *resume, *scenFiles)
+	err = runReport(*scaleFlag, *only, *outPath, *parallel, *timeout, *resume, *scenFiles)
 	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
 	// stop them explicitly before deciding the exit path.
 	if perr := stopProfiles(); err == nil {
@@ -95,19 +92,11 @@ func scenarioSections(patterns string) ([]experiments.BenchSection, error) {
 	return sections, nil
 }
 
-func runReport(scaleFlag, only, outPath string, parallel int, shardsFlag string, timeout time.Duration, resume, scenFiles string) error {
+func runReport(scaleFlag, only, outPath string, parallel int, timeout time.Duration, resume, scenFiles string) error {
 	scale, err := parseScale(scaleFlag)
 	if err != nil {
 		return err
 	}
-	shards, err := experiments.ParseShards(shardsFlag)
-	if err != nil {
-		return err
-	}
-	experiments.SetDefaultShards(shards)
-	// The fleet budgets cores per job, so "auto" resolves to its concrete
-	// machine-sized count before the pool is divided.
-	shardCores := experiments.ResolvedShards(shards)
 
 	sections := experiments.BenchSections(scale)
 	if scenFiles != "" {
@@ -136,7 +125,6 @@ func runReport(scaleFlag, only, outPath string, parallel int, shardsFlag string,
 
 	opts := fleet.Options{
 		Parallelism: parallel,
-		CoresPerJob: shardCores,
 		Timeout:     timeout,
 		Progress:    os.Stderr,
 	}

@@ -31,7 +31,7 @@ func TestParseScale(t *testing.T) {
 // TestOnlyMatchingNothing: a filter that selects no section is an error
 // before any job runs, not an empty report.
 func TestOnlyMatchingNothing(t *testing.T) {
-	err := runReport("quick", "no-such-experiment", "", 1, "1", 0, "", "")
+	err := runReport("quick", "no-such-experiment", "", 1, 0, "", "")
 	if err == nil || !strings.Contains(err.Error(), `no experiments match "no-such-experiment"`) {
 		t.Fatalf("runReport with an unmatched -only returned %v", err)
 	}

@@ -7,8 +7,8 @@
 //
 //	cebinae-sim -bw 100M -buffer 850 -flows newreno:16,cubic:1 -rtt 50ms -qdisc cebinae -duration 30s
 //	cebinae-sim -bw 1G -buffer 4200 -flows newreno:128,bbr:1 -rtt 50ms -qdisc fifo -duration 10s
-//	cebinae-sim -backbone 100000 -duration 400ms -shards 4   # 1e5-flow replay tier
-//	cebinae-sim -scenario scenarios/multihop.json -shards auto   # declarative workload
+//	cebinae-sim -backbone 100000 -duration 400ms   # 1e5-flow replay tier
+//	cebinae-sim -scenario scenarios/multihop.json  # declarative workload
 package main
 
 import (
@@ -31,33 +31,25 @@ func main() {
 		duration = flag.Duration("duration", 20*time.Second, "simulated duration")
 		seed     = flag.Uint64("seed", 42, "simulation seed")
 		tau      = flag.Float64("tau", -1, "override Cebinae τ (fraction; -1 = default 0.01)")
-		shards   = flag.String("shards", "1", "engines for the run (conservative parallel sharding): a count, or \"auto\" to size to the machine; placement is min-cut partitioned either way")
 		backbone = flag.Int("backbone", 0, "run the backbone replay tier with this many standing flows (e.g. 100000) instead of the TCP dumbbell")
-		specFile = flag.String("scenario", "", "run a declarative scenario file (see scenarios/); the spec owns every knob except -shards, which overrides when given explicitly")
-		fastfwd  = flag.Bool("fastforward", false, "fluid fast-forward: skip quiescent stretches with closed-form counter advancement (single-shard fifo/fq/cebinae dumbbells only; forced off elsewhere)")
+		specFile = flag.String("scenario", "", "run a declarative scenario file (see scenarios/); the spec owns every knob")
 	)
 	flag.Parse()
-	experiments.SetDefaultFastForward(*fastfwd)
-
-	nShards, err := experiments.ParseShards(*shards)
-	if err != nil {
-		cli.Fatal(err)
-	}
 
 	if *specFile != "" {
-		if err := runScenarioFile(*specFile, nShards); err != nil {
+		if err := runScenarioFile(*specFile); err != nil {
 			cli.Fatal(err)
 		}
 		return
 	}
 
-	s, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, nShards, *backbone)
+	s, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, *backbone)
 	if err != nil {
 		cli.Fatal(err)
 	}
 
 	if *backbone > 0 {
-		if err := runBackbone(*backbone, *qdisc, *duration, *seed, nShards); err != nil {
+		if err := runBackbone(*backbone, *qdisc, *duration, *seed); err != nil {
 			cli.Fatal(err)
 		}
 		return
@@ -80,22 +72,11 @@ func main() {
 		fmt.Printf("cebinae: %d rotations, %d recomputes, %d phase changes, %d delayed, %d LBF drops, %d buffer drops, %d ECN marks\n",
 			st.Rotations, st.Recomputes, st.PhaseChanges, st.Delayed, st.LBFDrops, st.BufferDrops, st.ECNMarked)
 	}
-	if *fastfwd {
-		ff := r.FF
-		if ff.ForcedOff {
-			fmt.Println("fast-forward: forced off (sharded run or ineligible qdisc), exact packet-level result")
-		} else {
-			fmt.Printf("fast-forward: %d arms, %d skips, %.3fs of %.3fs skipped (%.1f%%)\n",
-				ff.Arms, ff.Skips, ff.SkippedTime.Seconds(), duration.Seconds(),
-				100*ff.SkippedTime.Seconds()/duration.Seconds())
-		}
-	}
 }
 
 // runScenarioFile loads, compiles, and runs one declarative scenario
-// file, printing its canonical report. The spec owns every knob; only an
-// explicitly-passed -shards flag overrides its shard hint.
-func runScenarioFile(path string, shards int) error {
+// file, printing its canonical report.
+func runScenarioFile(path string) error {
 	spec, err := scenario.Load(path)
 	if err != nil {
 		return err
@@ -103,9 +84,6 @@ func runScenarioFile(path string, shards int) error {
 	c, err := scenario.Compile(spec)
 	if err != nil {
 		return err
-	}
-	if flagWasSet("shards") {
-		c.SetShards(shards)
 	}
 	start := time.Now()
 	report := c.RunReport()
@@ -116,22 +94,10 @@ func runScenarioFile(path string, shards int) error {
 	return nil
 }
 
-// flagWasSet reports whether the named flag appeared on the command line
-// (as opposed to holding its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 // runBackbone drives the replay scale tier from the CLI: the canonical
 // tier for the requested standing population, with the horizon, core
-// discipline, seed, and shard count taken from the shared flags.
-func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64, shards int) error {
+// discipline, and seed taken from the shared flags.
+func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64) error {
 	cfg := experiments.BackboneTier(flows, experiments.Full)
 	switch k := experiments.QdiscKind(qdisc); k {
 	case experiments.FIFO, experiments.Cebinae:
@@ -139,13 +105,9 @@ func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64, s
 	default:
 		return fmt.Errorf("backbone cores support fifo and cebinae only, not %q", qdisc)
 	}
-	if shards < 1 && shards != experiments.ShardAuto {
-		return fmt.Errorf("shards wants a positive count or auto, got %d", shards)
-	}
 	cfg.Duration = experiments.SimTime(duration.Nanoseconds())
 	cfg.Trace.Duration = cfg.Duration
 	cfg.Trace.Seed = seed
-	cfg.Shards = shards
 	if err := cfg.Trace.Validate(); err != nil {
 		return err
 	}
@@ -164,7 +126,7 @@ func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64, s
 // buildScenario turns the CLI flags into a runnable Scenario; every
 // validation failure the command can hit funnels through here, the
 // backbone run's included.
-func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, shards, backbone int) (experiments.Scenario, error) {
+func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, backbone int) (experiments.Scenario, error) {
 	switch {
 	case buffer < 1:
 		return experiments.Scenario{}, fmt.Errorf("-buffer %d: want at least 1 MTU", buffer)
@@ -181,9 +143,6 @@ func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration tim
 	if err != nil {
 		return experiments.Scenario{}, err
 	}
-	if shards < 1 && shards != experiments.ShardAuto {
-		return experiments.Scenario{}, fmt.Errorf("shards wants a positive count or auto, got %d", shards)
-	}
 	s := experiments.Scenario{
 		Name:          "cli",
 		BottleneckBps: bps,
@@ -192,7 +151,6 @@ func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration tim
 		Duration:      experiments.SimTime(duration.Nanoseconds()),
 		Qdisc:         experiments.QdiscKind(qdisc),
 		Seed:          seed,
-		Shards:        shards,
 	}
 	switch s.Qdisc {
 	case experiments.FIFO, experiments.FQ, experiments.Cebinae:

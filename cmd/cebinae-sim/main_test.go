@@ -9,10 +9,10 @@ import (
 )
 
 // TestBuildScenarioValid checks that a full flag set round-trips into the
-// Scenario the runner will execute, including the sharding knob.
+// Scenario the runner will execute.
 func TestBuildScenarioValid(t *testing.T) {
 	s, err := buildScenario("100M", 850, "newreno:16,cubic:1", "50ms,80ms", "cebinae",
-		20*time.Second, 42, -1, 2, 0)
+		20*time.Second, 42, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +22,8 @@ func TestBuildScenarioValid(t *testing.T) {
 	if s.BufferBytes != 850*1500 {
 		t.Errorf("buffer %d, want %d", s.BufferBytes, 850*1500)
 	}
-	if s.Duration != experiments.SimTime(20e9) || s.Seed != 42 || s.Shards != 2 {
-		t.Errorf("duration=%d seed=%d shards=%d", s.Duration, s.Seed, s.Shards)
+	if s.Duration != experiments.SimTime(20e9) || s.Seed != 42 {
+		t.Errorf("duration=%d seed=%d", s.Duration, s.Seed)
 	}
 	if len(s.Groups) != 2 || s.Groups[0].CC != "newreno" || s.Groups[0].Count != 16 ||
 		s.Groups[1].CC != "cubic" || s.Groups[1].Count != 1 {
@@ -40,14 +40,14 @@ func TestBuildScenarioValid(t *testing.T) {
 // TestBuildScenarioTauOverride: a non-negative -tau must materialise Params
 // with that τ for Cebinae, and be ignored for other disciplines.
 func TestBuildScenarioTauOverride(t *testing.T) {
-	s, err := buildScenario("100M", 850, "newreno:2", "40ms", "cebinae", time.Second, 1, 0.05, 1, 0)
+	s, err := buildScenario("100M", 850, "newreno:2", "40ms", "cebinae", time.Second, 1, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Params == nil || s.Params.Tau != 0.05 {
 		t.Fatalf("Params = %+v, want Tau 0.05", s.Params)
 	}
-	s, err = buildScenario("100M", 850, "newreno:2", "40ms", "fifo", time.Second, 1, 0.05, 1, 0)
+	s, err = buildScenario("100M", 850, "newreno:2", "40ms", "fifo", time.Second, 1, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestBuildScenarioTauOverride(t *testing.T) {
 // diagnostic naming the bad input rather than a zero-value scenario.
 func TestBuildScenarioErrors(t *testing.T) {
 	type args struct {
-		bw, flows, rtt, qdisc    string
-		buffer, shards, backbone int
-		duration                 time.Duration
-		tau                      float64
+		bw, flows, rtt, qdisc string
+		buffer, backbone      int
+		duration              time.Duration
+		tau                   float64
 	}
-	ok := args{bw: "100M", flows: "newreno:2", rtt: "40ms", qdisc: "fifo", buffer: 850, shards: 1, duration: time.Second, tau: -1}
+	ok := args{bw: "100M", flows: "newreno:2", rtt: "40ms", qdisc: "fifo", buffer: 850, duration: time.Second, tau: -1}
 	cases := []struct {
 		name    string
 		mutate  func(*args)
@@ -79,7 +79,6 @@ func TestBuildScenarioErrors(t *testing.T) {
 		{"zero rtt", func(a *args) { a.rtt = "0s" }, "rtt"},
 		{"negative rtt", func(a *args) { a.rtt = "-1ms" }, "rtt"},
 		{"unknown qdisc", func(a *args) { a.qdisc = "red" }, "qdisc"},
-		{"zero shards", func(a *args) { a.shards = 0 }, "shards"},
 		{"tau above 1", func(a *args) { a.qdisc = "cebinae"; a.tau = 5 }, "-tau"},
 		{"zero duration", func(a *args) { a.duration = 0 }, "-duration"},
 		{"negative duration", func(a *args) { a.duration = -time.Second }, "-duration"},
@@ -90,7 +89,7 @@ func TestBuildScenarioErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mutate(&a)
-			_, err := buildScenario(a.bw, a.buffer, a.flows, a.rtt, a.qdisc, a.duration, 1, a.tau, a.shards, a.backbone)
+			_, err := buildScenario(a.bw, a.buffer, a.flows, a.rtt, a.qdisc, a.duration, 1, a.tau, a.backbone)
 			if err == nil {
 				t.Fatalf("%+v accepted", a)
 			}

@@ -44,7 +44,6 @@ func main() {
 		rtt        = flag.String("rtt", "50ms", "comma list of per-group base RTTs (one value applies to all)")
 		seed       = flag.Uint64("seed", def.Seed, "simulation seed")
 		parallel   = flag.Int("p", 0, "worker pool size (0 = GOMAXPROCS)")
-		shards     = flag.String("shards", "1", "engines per grid cell (a count or \"auto\"; placement is min-cut partitioned); the worker pool is divided by this")
 		timeout    = flag.Duration("timeout", 0, "per-job wall-clock watchdog (0 = none), e.g. 10m")
 		backbone   = flag.String("backbone", "", "comma list of standing-flow tiers (e.g. 20000,100000): sweep the backbone replay grid (tiers × qdiscs) instead of the dumbbell family")
 		specFiles  = flag.String("scenario", "", "comma list of declarative scenario files or globs (e.g. 'scenarios/*.json'): the sweep grid is the scenarios' jobs instead of a hardcoded family")
@@ -53,31 +52,21 @@ func main() {
 		csvPath    = flag.String("csv", "sweep.csv", "CSV summary path (empty = skip)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		fastfwd    = flag.Bool("fastforward", false, "fluid fast-forward: skip quiescent stretches with closed-form counter advancement (single-shard fifo/fq/cebinae dumbbells only; forced off elsewhere)")
 	)
 	flag.Parse()
-	experiments.SetDefaultFastForward(*fastfwd)
 
 	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		cli.Fatal(err)
 	}
 	sweep := func() error {
-		nShards, err := experiments.ParseShards(*shards)
-		if err != nil {
-			return err
-		}
-		experiments.SetDefaultShards(nShards)
-		// The fleet budgets cores per job, so "auto" resolves to its
-		// concrete machine-sized count before the pool is divided.
-		shardCores := experiments.ResolvedShards(nShards)
-
 		switch {
 		case *specFiles != "":
-			return runScenarioSweep(*specFiles, nShards, *parallel, shardCores, *timeout, *storePath, *resume)
+			return runScenarioSweep(*specFiles, *parallel, *timeout, *storePath, *resume)
 		case *backbone != "":
-			return runBackboneSweep(*backbone, *qdiscs, *scales, *parallel, shardCores, *timeout, *storePath, *resume, *csvPath)
+			return runBackboneSweep(*backbone, *qdiscs, *scales, *parallel, *timeout, *storePath, *resume, *csvPath)
 		}
+		var err error
 		cfg := def
 		cfg.BufferBytes = *buffer * 1500
 		cfg.Seed = *seed
@@ -96,7 +85,7 @@ func main() {
 		if cfg.ThresholdPcts, err = parseFloats(*thresholds); err != nil {
 			return err
 		}
-		return runDumbbellSweep(cfg, *parallel, shardCores, *timeout, *storePath, *resume, *csvPath)
+		return runDumbbellSweep(cfg, *parallel, *timeout, *storePath, *resume, *csvPath)
 	}
 	err = sweep()
 	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
@@ -112,7 +101,7 @@ func main() {
 // runDumbbellSweep is the default grid: qdisc × scale × threshold cells of
 // one dumbbell family, checkpointed to the store, then rendered as a text
 // table and a CSV summary.
-func runDumbbellSweep(cfg experiments.SweepConfig, parallel, shardCores int, timeout time.Duration, storePath string, resume bool, csvPath string) error {
+func runDumbbellSweep(cfg experiments.SweepConfig, parallel int, timeout time.Duration, storePath string, resume bool, csvPath string) error {
 	if !resume {
 		if _, err := os.Stat(storePath); err == nil {
 			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", storePath)
@@ -129,7 +118,6 @@ func runDumbbellSweep(cfg experiments.SweepConfig, parallel, shardCores int, tim
 	start := time.Now()
 	sum, err := fleet.Run(jobs, fleet.Options{
 		Parallelism: parallel,
-		CoresPerJob: shardCores,
 		Timeout:     timeout,
 		Store:       store,
 		Progress:    os.Stderr,
@@ -174,7 +162,7 @@ func runDumbbellSweep(cfg experiments.SweepConfig, parallel, shardCores int, tim
 // tournament/buffer-sweep specs, one job otherwise) to a single
 // checkpointed run, then each scenario's canonical report is reassembled
 // from the store — same resume semantics as the hardcoded grids.
-func runScenarioSweep(patterns string, shards, parallel, shardCores int, timeout time.Duration, storePath string, resume bool) error {
+func runScenarioSweep(patterns string, parallel int, timeout time.Duration, storePath string, resume bool) error {
 	var paths []string
 	for _, pat := range strings.Split(patterns, ",") {
 		pat = strings.TrimSpace(pat)
@@ -186,9 +174,6 @@ func runScenarioSweep(patterns string, shards, parallel, shardCores int, timeout
 	}
 	sort.Strings(paths)
 
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
-
 	var compiled []*scenario.Compiled
 	var jobs []fleet.Job
 	for _, path := range paths {
@@ -199,9 +184,6 @@ func runScenarioSweep(patterns string, shards, parallel, shardCores int, timeout
 		c, err := scenario.Compile(spec)
 		if err != nil {
 			return err
-		}
-		if shardsSet {
-			c.SetShards(shards)
 		}
 		compiled = append(compiled, c)
 		jobs = append(jobs, c.Jobs("")...)
@@ -223,7 +205,6 @@ func runScenarioSweep(patterns string, shards, parallel, shardCores int, timeout
 	start := time.Now()
 	sum, err := fleet.Run(jobs, fleet.Options{
 		Parallelism: parallel,
-		CoresPerJob: shardCores,
 		Timeout:     timeout,
 		Store:       store,
 		Progress:    os.Stderr,
@@ -254,7 +235,7 @@ func runScenarioSweep(patterns string, shards, parallel, shardCores int, timeout
 // CSV plumbing as the dumbbell sweep. Only fifo and cebinae exist at the
 // backbone core, so when -qdiscs is left at its dumbbell default the grid
 // uses both rather than erroring on fq.
-func runBackboneSweep(tiers, qdiscs, scales string, parallel, shards int, timeout time.Duration, storePath string, resume bool, csvPath string) error {
+func runBackboneSweep(tiers, qdiscs, scales string, parallel int, timeout time.Duration, storePath string, resume bool, csvPath string) error {
 	flows, err := parseTiers(tiers)
 	if err != nil {
 		return err
@@ -297,7 +278,6 @@ func runBackboneSweep(tiers, qdiscs, scales string, parallel, shards int, timeou
 	start := time.Now()
 	sum, err := fleet.Run(jobs, fleet.Options{
 		Parallelism: parallel,
-		CoresPerJob: shards,
 		Timeout:     timeout,
 		Store:       store,
 		Progress:    os.Stderr,

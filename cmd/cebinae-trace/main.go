@@ -21,8 +21,6 @@ import (
 
 	"cebinae/experiments"
 	"cebinae/internal/cli"
-	"cebinae/internal/hhcache"
-	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 	"cebinae/internal/trace"
 )
@@ -43,11 +41,8 @@ func main() {
 		interval = flag.Duration("interval", 100*time.Millisecond, "poll round interval")
 		trials   = flag.Int("trials", 10, "independent trials (seeds)")
 		deltaF   = flag.Float64("deltaf", 0.01, "⊤ threshold δf")
-
-		fastfwd = flag.Bool("fastforward", false, "fluid fast-forward: skip quiescent stretches with closed-form counter advancement (single-shard fifo/fq/cebinae dumbbells only; the churning replay path forces it off)")
 	)
 	flag.Parse()
-	experiments.SetDefaultFastForward(*fastfwd)
 
 	cfg := trace.DefaultConfig()
 	cfg.FlowsPerMinute = *flowsPerMin
@@ -92,66 +87,10 @@ func main() {
 		cli.Fatal(errors.New("slots must be a power of two, stages positive"))
 	}
 
-	var fpSum, fpDen, fnSum, fnDen float64
-	for trial := 0; trial < *trials; trial++ {
-		tc := cfg
-		tc.Seed = *seed + uint64(trial)
-		tp := trace.Generate(tc)
-		cache := hhcache.New(*stages, *slots)
-		ival := sim.Duration(*interval)
-		for from := sim.Time(0); from < tc.Duration; from += ival {
-			to := from + ival
-			truth := trace.Aggregate(tp, from, to)
-			if len(truth) == 0 {
-				continue
-			}
-			trueTop := map[packet.FlowKey]bool{}
-			for _, fc := range truth {
-				if float64(fc.Bytes) >= float64(truth[0].Bytes)*(1-*deltaF) {
-					trueTop[fc.Flow] = true
-				}
-			}
-			for _, p := range tp {
-				if p.At >= from && p.At < to {
-					cache.Observe(p.Flow, int64(p.Bytes))
-				}
-			}
-			entries := cache.Poll()
-			var cacheMax int64
-			for _, e := range entries {
-				if e.Bytes > cacheMax {
-					cacheMax = e.Bytes
-				}
-			}
-			detected := map[packet.FlowKey]bool{}
-			for _, e := range entries {
-				if float64(e.Bytes) >= float64(cacheMax)*(1-*deltaF) {
-					detected[e.Flow] = true
-				}
-			}
-			for f := range detected {
-				if !trueTop[f] {
-					fpSum++
-				}
-			}
-			for f := range trueTop {
-				if !detected[f] {
-					fnSum++
-				}
-			}
-			fpDen += float64(len(truth) - len(trueTop))
-			fnDen += float64(len(trueTop))
-		}
-	}
-	fpr, fnr := 0.0, 0.0
-	if fpDen > 0 {
-		fpr = fpSum / fpDen
-	}
-	if fnDen > 0 {
-		fnr = fnSum / fnDen
-	}
+	pt := experiments.Fig13Score(experiments.Fig13Config{Trials: *trials, DeltaFlow: *deltaF, Trace: cfg},
+		*stages, *slots, sim.Duration(*interval))
 	fmt.Printf("cache %d×%d @ %v over %d trials: FPR=%.6f FNR=%.4f\n",
-		*stages, *slots, *interval, *trials, fpr, fnr)
+		*stages, *slots, *interval, *trials, pt.FPR, pt.FNR)
 }
 
 // runReplay sends the generated schedule through the live backbone path:

@@ -59,9 +59,9 @@ type BackboneConfig struct {
 	CacheSlots  int
 	// TopK is the heavy-hitter set size scored for recall.
 	TopK int
-	// Shards partitions the run (0 = package default, ShardAuto =
-	// machine-sized); the min-cut planner places the four-node chain,
-	// cutting the core link first and the access links beyond two shards.
+	// Shards partitions the run (≤ 1 = one engine); the min-cut planner
+	// places the four-node chain, cutting the core link first and the
+	// access links beyond two shards.
 	Shards int
 }
 

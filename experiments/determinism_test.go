@@ -30,60 +30,13 @@ func determinismScenario() Scenario {
 // determinism tests read as comparing canonical byte streams.
 func renderResult(r Result) string { return r.Report() }
 
-// differentialScenarios is the scenario family every shard count must
-// reproduce byte-for-byte: the full determinism scenario (Cebinae with
-// sampling) plus FIFO and FQ variants with different CC mixes, so the
-// comparison crosses the engine, netem's cut-link handoff, every
-// transport, and the metrics pipeline.
-func differentialScenarios() []Scenario {
-	base := determinismScenario()
-
-	fifo := base
-	fifo.Name, fifo.Qdisc, fifo.Duration = "diff/fifo", FIFO, Seconds(2)
-	fifo.Groups = []FlowGroup{
-		{CC: "newreno", Count: 2, RTT: Millis(30)},
-		{CC: "bbr", Count: 1, RTT: Millis(30)},
-		{CC: "vegas", Count: 1, RTT: Millis(80)},
-	}
-
-	fq := base
-	fq.Name, fq.Qdisc, fq.Duration = "diff/fq", FQ, Seconds(2)
-	fq.SampleInterval = 0
-
-	return []Scenario{base, fifo, fq}
-}
-
-// TestShardDifferential is the sharded engine's correctness gate: every
-// scenario run at 1, 2, 3, and 4 shards must produce byte-identical
-// rendered reports and identical event counts. Placement comes from the
-// min-cut planner, which on a dumbbell cuts the sender access links (the
-// widest window), so the comparison covers cut access links, not just the
-// bottleneck. `make race` runs this same test under the race detector,
-// which exercises the barrier protocol and the SPSC handoff queues.
-func TestShardDifferential(t *testing.T) {
-	for _, s := range differentialScenarios() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			s.Shards = 1
-			want := Run(s)
-			ref := renderResult(want)
-			for _, n := range []int{2, 3, 4} {
-				s.Shards = n
-				got := Run(s)
-				if got.Events != want.Events {
-					t.Errorf("shards=%d: event count %d, want %d (single-engine)", n, got.Events, want.Events)
-				}
-				if r := renderResult(got); r != ref {
-					t.Errorf("shards=%d: report not byte-identical to single-engine run:\n--- shards=1 ---\n%s--- shards=%d ---\n%s", n, ref, n, r)
-				}
-			}
-		})
-	}
-}
-
-// TestShardDifferentialParkingLot covers the multi-bottleneck chain — the
-// topology where sharding actually splits work across up to four engines
-// (one per switch) — under both FIFO and Cebinae bottlenecks.
+// TestShardDifferentialParkingLot is the sharded engine's correctness
+// gate on the multi-bottleneck chain — the topology where sharding
+// actually splits work across up to four engines (one per switch) — under
+// both FIFO and Cebinae bottlenecks: every shard count must reproduce the
+// single-engine event count and goodputs. `make race-shard` runs it under
+// the race detector, which exercises the barrier protocol and the SPSC
+// handoff queues.
 func TestShardDifferentialParkingLot(t *testing.T) {
 	dur := Seconds(2)
 	for _, kind := range []QdiscKind{FIFO, Cebinae} {

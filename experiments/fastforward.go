@@ -11,23 +11,20 @@ import (
 )
 
 // Fast-forward wiring: when a scenario requests fluid acceleration
-// (Scenario.FastForward or the CLI-set package default), Run builds a
-// fluid.Controller over the dumbbell before the clock starts. The
-// controller watches every device's transmit rate and queue occupancy
-// plus every flow's goodput meter, treats drops, ECN marks,
-// retransmissions, and Cebinae phase/config changes as discontinuities,
-// and — once quiescence is proven — skips between pinned control-plane
-// deadlines with closed-form counter advancement.
+// (Scenario.FastForward), Run builds a fluid.Controller over the dumbbell
+// before the clock starts. The controller watches every device's transmit
+// rate and queue occupancy plus every flow's goodput meter, treats drops,
+// ECN marks, retransmissions, and Cebinae phase/config changes as
+// discontinuities, and — once quiescence is proven — skips between pinned
+// control-plane deadlines with closed-form counter advancement.
 //
-// Eligibility is deliberately narrow: single-shard runs only (a sharded
-// cluster steps its engines through conservative windows, where a clock
-// skip on one shard would break the cross-shard ordering proof) and only
-// the bottleneck disciplines the fluid-vs-packet differentials cover
-// (fifo, fq, cebinae): whatever they stamp, they stamp from the engine's
-// Local clock, which a skip does not move. The strawman's token buckets
-// stamp Now(), and the calendar baselines, which keep no time at all, have
-// no differential. An ineligible request falls back to exact packet level
-// and reports Result.FF.ForcedOff.
+// Eligibility is deliberately narrow: only the bottleneck disciplines the
+// fluid-vs-packet differentials cover (fifo, fq, cebinae) qualify;
+// whatever they stamp, they stamp from the engine's Local clock, which a
+// skip does not move. The strawman's token buckets stamp Now(), and the
+// calendar baselines, which keep no time at all, have no differential. An
+// ineligible request falls back to exact packet level and reports
+// Result.FF.ForcedOff.
 
 // fluidEligible reports whether the bottleneck discipline supports
 // byte-consistent re-entry from a clock skip.
@@ -41,13 +38,13 @@ func fluidEligible(k QdiscKind) bool {
 
 // setupFastForward builds and starts the fluid controller for a
 // scenario, or reports the request was forced off. Must run after the
-// topology and the flows exist and before the cluster runs; warmup is the
+// topology and the flows exist and before the engine runs; warmup is the
 // edge Run will measure from.
 func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, fs *flowSet, warmup sim.Time) (*fluid.Controller, bool) {
-	if !s.FastForward && !defaultFastForward.Load() {
+	if !s.FastForward {
 		return nil, false
 	}
-	if effectiveShards(s.Shards) != 1 || !fluidEligible(s.Qdisc) {
+	if !fluidEligible(s.Qdisc) {
 		return nil, true
 	}
 	eng := d.Bottleneck.Node().Engine()

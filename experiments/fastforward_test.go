@@ -120,43 +120,6 @@ func TestFastForwardSaturatedNeverArms(t *testing.T) {
 	}
 }
 
-// TestFastForwardForcedOffShards: a multi-shard run cannot skip (the
-// conservative window protocol owns the clock), so a fast-forward request
-// must be forced off and the run must stay byte-identical to the same
-// scenario without the request.
-func TestFastForwardForcedOffShards(t *testing.T) {
-	base := ffCell(FIFO, Seconds(10))
-	base.Shards = 2
-	plain := Run(base)
-	ff := base
-	ff.FastForward = true
-	fr := Run(ff)
-	if !fr.FF.ForcedOff {
-		t.Fatalf("sharded run did not force fast-forward off: %+v", fr.FF)
-	}
-	if fr.FF.Skips != 0 || fr.FF.Arms != 0 {
-		t.Fatalf("forced-off run still skipped: %+v", fr.FF)
-	}
-	if plain.Report() != fr.Report() {
-		t.Fatal("forced-off fast-forward run is not byte-identical to the plain run")
-	}
-
-	if ResolvedShards(ShardAuto) > 1 {
-		auto := base
-		auto.Shards = ShardAuto
-		plainAuto := Run(auto)
-		ffAuto := auto
-		ffAuto.FastForward = true
-		frAuto := Run(ffAuto)
-		if !frAuto.FF.ForcedOff {
-			t.Fatalf("-shards auto run did not force fast-forward off: %+v", frAuto.FF)
-		}
-		if plainAuto.Report() != frAuto.Report() {
-			t.Fatal("-shards auto forced-off run is not byte-identical")
-		}
-	}
-}
-
 // TestFastForwardIneligibleQdisc: the calendar baselines are outside the
 // set fluidEligible admits, so a fast-forward request on them must fall
 // back to exact packet level.

@@ -251,7 +251,7 @@ func Fig13a(cfg Fig13Config) []Fig13Point {
 	var out []Fig13Point
 	for _, stages := range []int{1, 2, 4} {
 		for _, ivalMS := range []float64{20, 40, 60, 80, 100} {
-			out = append(out, fig13Point(cfg, stages, 2048, ms(ivalMS)))
+			out = append(out, Fig13Score(cfg, stages, 2048, ms(ivalMS)))
 		}
 	}
 	return out
@@ -262,21 +262,21 @@ func Fig13b(cfg Fig13Config) []Fig13Point {
 	var out []Fig13Point
 	for _, stages := range []int{1, 2, 4} {
 		for _, slots := range []int{512, 1024, 2048, 4096} {
-			out = append(out, fig13Point(cfg, stages, slots, ms(100)))
+			out = append(out, Fig13Score(cfg, stages, slots, ms(100)))
 		}
 	}
 	return out
 }
 
-// fig13Point replays trials of the synthetic trace through a cache of the
-// given geometry, comparing detected ⊤ flows against ground truth per
-// round interval.
-func fig13Point(cfg Fig13Config, stages, slots int, interval sim.Time) Fig13Point {
+// Fig13Score replays cfg.Trials trials of the synthetic trace — trial i
+// seeded cfg.Trace.Seed + i — through a cache of the given geometry,
+// comparing detected ⊤ flows against ground truth per round interval.
+func Fig13Score(cfg Fig13Config, stages, slots int, interval SimTime) Fig13Point {
 	var fpSum, fnSum float64
 	var fpDen, fnDen float64
 	for trial := 0; trial < cfg.Trials; trial++ {
 		tc := cfg.Trace
-		tc.Seed = uint64(trial + 1)
+		tc.Seed = cfg.Trace.Seed + uint64(trial)
 		pkts := trace.Generate(tc)
 		cache := hhcache.New(stages, slots)
 

@@ -7,7 +7,6 @@ import (
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/qdisc"
-	"cebinae/internal/shard"
 	"cebinae/internal/sim"
 )
 
@@ -18,8 +17,8 @@ import (
 // workloads like the community NS-3 reproduction's multi-hop Cebinae
 // topology (10 Gbps core, 40 senders in three groups) run without a
 // recompile. Construction order follows the config's declaration order
-// exactly, so node IDs — and everything derived from them — are identical
-// at any shard count.
+// exactly, so node IDs — and everything derived from them — are a pure
+// function of the config.
 
 // PortQdisc configures one port's (device's) queueing discipline. The
 // zero value selects a large drop-tail FIFO — the "every other port"
@@ -79,7 +78,6 @@ type GraphConfig struct {
 	WarmupFraction float64
 	MinRTO         SimTime
 	Seed           uint64
-	Shards         int
 }
 
 // GraphFlowResult is one flow's measured outcome.
@@ -161,26 +159,21 @@ type graphEdge struct {
 	dev, rev *netem.Device
 }
 
-// buildGraph constructs the topology on a fabric. Placement: switches are
-// spread over the shards in declaration order (switch i on shard
-// i·n/len(switches)); hosts colocate with their switch. The min-cut
-// planner then refines this via the recording pass exactly as every other
-// scenario builder.
-func buildGraph(f netem.Fabric, cfg GraphConfig) *graphTopo {
+// buildGraph constructs the topology on a network in declaration order:
+// switches, then links, then host groups.
+func buildGraph(w *netem.Network, cfg GraphConfig) *graphTopo {
 	t := &graphTopo{
 		swIndex: make(map[string]int, len(cfg.Switches)),
 		groupIx: make(map[string]int, len(cfg.Hosts)),
 	}
-	n := f.Shards()
-	shardOf := func(i int) int { return i * n / len(cfg.Switches) }
 	for i, sw := range cfg.Switches {
-		t.switches = append(t.switches, f.NodeOn(shardOf(i), sw.Name))
+		t.switches = append(t.switches, w.NewNode(sw.Name))
 		t.swIndex[sw.Name] = i
 	}
 	t.adj = make([][]graphEdge, len(cfg.Switches))
 	for _, l := range cfg.Links {
 		ai, bi := t.swIndex[l.A], t.swIndex[l.B]
-		da, db := f.Connect(t.switches[ai], t.switches[bi], netem.LinkConfig{RateBps: l.RateBps, Delay: l.Delay})
+		da, db := w.Connect(t.switches[ai], t.switches[bi], netem.LinkConfig{RateBps: l.RateBps, Delay: l.Delay})
 		da.SetQdisc(buildPortQdisc(l.QdiscAB, l.RateBps, da))
 		db.SetQdisc(buildPortQdisc(l.QdiscBA, l.RateBps, db))
 		t.adj[ai] = append(t.adj[ai], graphEdge{bi, da, db})
@@ -192,8 +185,8 @@ func buildGraph(f netem.Fabric, cfg GraphConfig) *graphTopo {
 		var nodes []*netem.Node
 		var hdevs, sdevs []*netem.Device
 		for i := 0; i < hg.Count; i++ {
-			h := f.NodeOn(shardOf(si), fmt.Sprintf("%s%d", hg.Name, i))
-			hd, sd := f.Connect(h, t.switches[si], netem.LinkConfig{RateBps: hg.RateBps, Delay: hg.Delay})
+			h := w.NewNode(fmt.Sprintf("%s%d", hg.Name, i))
+			hd, sd := w.Connect(h, t.switches[si], netem.LinkConfig{RateBps: hg.RateBps, Delay: hg.Delay})
 			hd.SetQdisc(qdisc.NewFIFO(64 << 20))
 			sd.SetQdisc(buildPortQdisc(hg.DownQdisc, hg.RateBps, sd))
 			nodes = append(nodes, h)
@@ -211,8 +204,7 @@ func buildGraph(f netem.Fabric, cfg GraphConfig) *graphTopo {
 // the BFS tree rooted at the host's attach switch, plus the last-hop
 // switch→host route, plus a route from every other host (whose only
 // egress is its access link). BFS expands neighbours in link declaration
-// order, so next hops — and therefore packet paths — are deterministic
-// and independent of shard count.
+// order, so next hops — and therefore packet paths — are deterministic.
 func (t *graphTopo) installRoutes(cfg GraphConfig) {
 	for gi := range t.hosts {
 		si := t.swIndex[cfg.Hosts[gi].Attach]
@@ -252,22 +244,7 @@ func (t *graphTopo) installRoutes(cfg GraphConfig) {
 	}
 }
 
-// RunGraph builds and runs one graph scenario; results are byte-identical
-// at any shard count.
-//
-// Unlike the fixed-shape scenarios, the graph family partitions by its
-// declared placement (switch i on shard i·n/len, hosts colocated with
-// their switch) rather than the min-cut auto-planner, and the shard count
-// is clamped to the switch count. The auto-planner would often prefer
-// cutting the (wider-delay) access links for a larger lookahead window,
-// but a data-driven topology can attach many identical-delay access
-// links to one switch, and dense synchronized workloads then produce
-// cross-cut arrivals that tie with local traffic on both deadline and
-// emission stamp — ordering freedom the conservative runner cannot
-// resolve identically to a single engine. Cutting only the declared
-// switch-to-switch links keeps every cut's delay distinct from the
-// access paths that share its destination engine, which removes the tie
-// class and preserves byte-identity at every shard count.
+// RunGraph builds and runs one graph scenario on one engine.
 func RunGraph(cfg GraphConfig) GraphResult {
 	if cfg.WarmupFraction == 0 {
 		cfg.WarmupFraction = 0.2
@@ -275,13 +252,8 @@ func RunGraph(cfg GraphConfig) GraphResult {
 	if cfg.MinRTO == 0 {
 		cfg.MinRTO = Seconds(1)
 	}
-	shards := effectiveShards(cfg.Shards)
-	if shards > len(cfg.Switches) {
-		shards = len(cfg.Switches)
-	}
-	build := func(f netem.Fabric) *graphTopo { return buildGraph(f, cfg) }
-	cl := shard.NewCluster(shards)
-	t := build(cl)
+	eng := sim.NewEngine()
+	t := buildGraph(netem.NewNetwork(eng), cfg)
 	t.installRoutes(cfg)
 
 	var ends []flowEnd
@@ -293,9 +265,9 @@ func RunGraph(cfg GraphConfig) GraphResult {
 	}
 	fs := attachFlows(ends, cfg.Seed, cfg.MinRTO)
 
-	cl.Run(cfg.Duration)
+	eng.RunUntil(cfg.Duration)
 
-	res := GraphResult{Name: cfg.Name, Events: cl.Processed()}
+	res := GraphResult{Name: cfg.Name, Events: eng.Processed}
 	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (« 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
 	warmup := sim.Time(float64(cfg.Duration) * cfg.WarmupFraction)
 	rates := fs.rates(warmup, cfg.Duration)

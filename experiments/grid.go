@@ -132,7 +132,6 @@ type TournamentConfig struct {
 	// 1 s RFC 6298 default; 200 ms approximates Linux).
 	MinRTO SimTime
 	Seed   uint64
-	Shards int
 }
 
 // Cells enumerates the matrix in deterministic order: discipline, then
@@ -162,7 +161,6 @@ func (c TournamentConfig) Cells() []GridCell {
 								Qdisc:    q,
 								MinRTO:   c.MinRTO,
 								Seed:     c.Seed,
-								Shards:   c.Shards,
 							},
 						})
 					}
@@ -189,7 +187,6 @@ type BufferSweepConfig struct {
 	// signature washes out.
 	MinRTO SimTime
 	Seed   uint64
-	Shards int
 }
 
 // Cells enumerates the sweep in deterministic order: discipline, then
@@ -211,7 +208,6 @@ func (c BufferSweepConfig) Cells() []GridCell {
 					Qdisc:         q,
 					MinRTO:        c.MinRTO,
 					Seed:          c.Seed,
-					Shards:        c.Shards,
 				},
 			})
 		}

@@ -21,7 +21,6 @@ func TestRunBytesPerSegment(t *testing.T) {
 		t.Fatalf("row 11 is not the 40-flow 1 Gbps cell: %+v", s)
 	}
 	s.Duration = sim.Duration(5e9)
-	s.Shards = 1
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	r := Run(s)

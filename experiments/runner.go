@@ -16,10 +16,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"strconv"
-	"sync/atomic"
 
 	"cebinae/internal/core"
 	"cebinae/internal/fluid"
@@ -115,109 +112,26 @@ type Scenario struct {
 	Seed           uint64
 	// SampleInterval enables time-series sampling when non-zero.
 	SampleInterval sim.Time
-	// Shards partitions the simulation across that many engines (one
-	// goroutine each) with conservative time-window synchronisation; 0
-	// selects the package default (SetDefaultShards) and ShardAuto sizes
-	// the partition to the machine. Placement is computed by min-cut
-	// graph partitioning over the topology (shard.AutoPlan), which
-	// degrades gracefully when the topology cannot split as far as
-	// requested. Results are byte-identical at any shard count.
-	Shards int
 	// FastForward enables the hybrid fluid/packet accelerator
 	// (internal/fluid): when every link's rate and occupancy have been
 	// provably quiescent for a stability window, the run skips ahead in
 	// closed form between control-plane deadlines, falling back to exact
 	// packet level on any discontinuity. Off by default (false keeps
-	// every report byte-identical to the pure packet-level run); the
-	// CLIs' -fastforward flag sets the package default
-	// (SetDefaultFastForward). Fluid mode only engages on single-shard
-	// runs with a fifo/fq/cebinae bottleneck — anything else forces it
-	// off (Result.FF.ForcedOff) and runs exact.
+	// every report byte-identical to the pure packet-level run). Fluid
+	// mode only engages with a fifo/fq/cebinae bottleneck — anything else
+	// forces it off (Result.FF.ForcedOff) and runs exact.
 	FastForward bool
 }
 
-// ShardAuto, as a Scenario.Shards / SetDefaultShards value, requests a
-// machine-sized shard count: min(GOMAXPROCS, 4). Four is the largest
-// partition the scored benchmarks pin down; beyond it barrier overhead
-// grows faster than the topologies here can amortise. Results remain
-// byte-identical whatever count "auto" resolves to on a given host.
-const ShardAuto = -1
-
-// ParseShards parses a CLI -shards value: "auto" selects ShardAuto, any
-// positive integer selects that exact count.
-func ParseShards(s string) (int, error) {
-	if s == "auto" {
-		return ShardAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("experiments: -shards wants a positive integer or \"auto\", got %q", s)
-	}
-	return n, nil
-}
-
-// defaultShards is used when Scenario.Shards is zero. SetDefaultShards
-// lets the CLIs apply a -shards flag to every scenario they construct;
-// it is atomic so fleet worker goroutines read it safely regardless of
-// when the caller sets it. The zero value means "unset" and resolves
-// to 1.
-var defaultShards atomic.Int64
-
-// SetDefaultShards sets the shard count scenarios use when their Shards
-// field is zero: a positive count, or ShardAuto for machine-sized
-// partitioning. Other values select 1.
-func SetDefaultShards(n int) {
-	if n < 1 && n != ShardAuto {
-		n = 1
-	}
-	defaultShards.Store(int64(n))
-}
-
-// effectiveShards resolves a configured shard count against the package
-// default and ShardAuto, returning the partition count to request from
-// the planner. The planner itself clamps to what the topology supports,
-// so no topology ceiling is applied here.
-func effectiveShards(configured int) int {
-	n := configured
-	if n == 0 {
-		n = int(defaultShards.Load())
-	}
-	if n == ShardAuto {
-		n = runtime.GOMAXPROCS(0)
-		if n > 4 {
-			n = 4
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// ResolvedShards reports the concrete engine count a configured shard
-// value resolves to on this machine — in particular what ShardAuto will
-// use — for callers that budget worker pools by cores per job.
-func ResolvedShards(configured int) int { return effectiveShards(configured) }
-
-// defaultFastForward is used when Scenario.FastForward is false; the
-// CLIs' -fastforward flag sets it (atomic for the same reason as
-// defaultShards: fleet workers read it from many goroutines).
-var defaultFastForward atomic.Bool
-
-// SetDefaultFastForward turns the fluid fast-forward accelerator on or
-// off for every scenario that does not set its own FastForward field.
-func SetDefaultFastForward(on bool) { defaultFastForward.Store(on) }
-
 // newCluster builds the partitioned cluster for the topology `build`
-// constructs. Every multi-shard request flows through the min-cut
-// partitioner: AutoPlan records the builder's construction trace against
-// a throwaway fabric, computes the widest-lookahead load-balanced
-// partition, and the returned cluster places the second (real) build of
-// the same topology accordingly. Single-shard requests skip the
-// recording pass.
-func newCluster(configured int, build func(netem.Fabric)) *shard.Cluster {
-	n := effectiveShards(configured)
-	if n == 1 {
+// constructs, on max(n, 1) engines. A multi-shard request flows through
+// the min-cut partitioner: AutoPlan records the builder's construction
+// trace against a throwaway fabric, computes the widest-lookahead
+// load-balanced partition, and the returned cluster places the second
+// (real) build of the same topology accordingly. Single-shard requests
+// skip the recording pass.
+func newCluster(n int, build func(netem.Fabric)) *shard.Cluster {
+	if n <= 1 {
 		return shard.NewCluster(1)
 	}
 	return shard.NewClusterWithPlan(shard.AutoPlan(n, build))
@@ -251,10 +165,10 @@ type Result struct {
 	Events   uint64
 	// FF reports the fluid fast-forward controller's activity when the
 	// scenario requested fast-forward (zero value otherwise). ForcedOff
-	// is set when the request could not be honoured (multi-shard run or
-	// an ineligible bottleneck qdisc) and the run fell back to exact
-	// packet level. Deliberately not part of Report(), so fast-forward
-	// bookkeeping never perturbs the byte-identity contract.
+	// is set when the request could not be honoured (an ineligible
+	// bottleneck qdisc) and the run fell back to exact packet level.
+	// Deliberately not part of Report(), so fast-forward bookkeeping
+	// never perturbs the byte-identity contract.
 	FF FFStats
 }
 
@@ -340,30 +254,21 @@ func Run(s Scenario) Result {
 		rtts[i] = f.RTT
 	}
 
-	// The builder runs twice on multi-shard runs: once against the
-	// planner's recording fabric and once for real, so cq must come from
-	// the last (real) pass. The min-cut plan usually cuts the sender
-	// access links rather than the bottleneck — their delay dominates
-	// whenever base RTTs exceed the 200 µs bottleneck round trip, which
-	// widens the conservative window from 100 µs to the access delay.
+	eng := sim.NewEngine()
 	var cq *core.Qdisc
-	build := func(f netem.Fabric) *netem.Dumbbell {
-		return netem.BuildDumbbellOn(f, netem.DumbbellConfig{
-			FlowCount:       len(flat),
-			BottleneckBps:   s.BottleneckBps,
-			BottleneckDelay: sim.Duration(100e3),
-			RTTs:            rtts,
-			AccessBps:       s.AccessBps,
-			BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
-				q, c := buildQdisc(s, dev)
-				cq = c
-				return q
-			},
-			DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
-		})
-	}
-	cl := newCluster(s.Shards, func(f netem.Fabric) { build(f) })
-	d := build(cl)
+	d := netem.BuildDumbbell(netem.NewNetwork(eng), netem.DumbbellConfig{
+		FlowCount:       len(flat),
+		BottleneckBps:   s.BottleneckBps,
+		BottleneckDelay: sim.Duration(100e3),
+		RTTs:            rtts,
+		AccessBps:       s.AccessBps,
+		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
+			q, c := buildQdisc(s, dev)
+			cq = c
+			return q
+		},
+		DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
+	})
 
 	ends := make([]flowEnd, len(flat))
 	for i, f := range flat {
@@ -377,25 +282,22 @@ func Run(s Scenario) Result {
 
 	var sampler *stateSampler
 	if s.SampleInterval > 0 && cq != nil {
-		// The sampler lives on the bottleneck's shard: it reads the
-		// qdisc's state, so it must run on the engine that owns it. The
-		// state buffer is pre-sized from the run length so appends never
-		// reallocate.
-		beng := d.Bottleneck.Node().Engine()
+		// The state buffer is pre-sized from the run length so appends
+		// never reallocate.
 		n := int((s.Duration + s.SampleInterval - 1) / s.SampleInterval)
 		sampler = &stateSampler{
-			eng: beng, cq: cq, interval: s.SampleInterval,
+			eng: eng, cq: cq, interval: s.SampleInterval,
 			states: make([]byte, 0, n),
 		}
 		// Pinned: sample instants are measurement epochs the fluid
 		// fast-forward layer must never skip across (placement is
 		// invisible to the event stream when fast-forward is unused).
-		beng.ArmPinnedTimer(&sampler.timer, s.SampleInterval, sampler, nil)
+		eng.ArmPinnedTimer(&sampler.timer, s.SampleInterval, sampler, nil)
 	}
 
-	cl.Run(s.Duration)
+	eng.RunUntil(s.Duration)
 
-	res := Result{Scenario: s, Events: cl.Processed()}
+	res := Result{Scenario: s, Events: eng.Processed}
 	if ffc != nil {
 		res.FF = ffc.Stats()
 	} else if ffForcedOff {

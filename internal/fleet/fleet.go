@@ -61,12 +61,6 @@ type Result struct {
 type Options struct {
 	// Parallelism is the worker count; <= 0 selects runtime.GOMAXPROCS(0).
 	Parallelism int
-	// CoresPerJob declares how many cores each job uses internally (a
-	// sharded simulation runs one goroutine per shard). The effective
-	// worker count is divided by it so sweeps and intra-job sharding
-	// compose instead of oversubscribing the machine; <= 1 means
-	// single-threaded jobs and leaves Parallelism untouched.
-	CoresPerJob int
 	// Attempts bounds how many times a panicking job is tried before it
 	// is recorded as failed; <= 0 selects 2 (one retry). Ordinary errors
 	// are deterministic outcomes and are recorded without retry.
@@ -129,9 +123,6 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.CoresPerJob > 1 {
-		workers = max(1, workers/opts.CoresPerJob)
 	}
 	attempts := opts.Attempts
 	if attempts <= 0 {

@@ -166,39 +166,3 @@ func TestProgressReportsEveryJob(t *testing.T) {
 		t.Fatalf("progress output missing counters/summary:\n%s", out)
 	}
 }
-
-// TestCoresPerJobDividesWorkers pins the core-budget composition rule:
-// with CoresPerJob = Parallelism the pool collapses to one worker, so
-// jobs never overlap — a sharded job's internal goroutines get the cores
-// a second concurrent job would otherwise steal. CoresPerJob beyond the
-// worker count still leaves one worker (the pool must always drain).
-func TestCoresPerJobDividesWorkers(t *testing.T) {
-	for _, tc := range []struct{ parallelism, cores int }{
-		{4, 4}, // exact division -> 1 worker
-		{2, 8}, // over-budget -> floor at 1 worker
-		{1, 3}, // already sequential
-	} {
-		var inFlight, overlaps atomic.Int32
-		jobs := make([]Job, 6)
-		for i := range jobs {
-			jobs[i] = Job{ID: fmt.Sprintf("j%d", i), Run: func() (any, error) {
-				if inFlight.Add(1) > 1 {
-					overlaps.Add(1)
-				}
-				time.Sleep(2 * time.Millisecond)
-				inFlight.Add(-1)
-				return nil, nil
-			}}
-		}
-		sum, err := Run(jobs, Options{Parallelism: tc.parallelism, CoresPerJob: tc.cores})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sum.Results) != len(jobs) || sum.Failed != 0 {
-			t.Fatalf("P=%d cores=%d: %d results, %d failed", tc.parallelism, tc.cores, len(sum.Results), sum.Failed)
-		}
-		if n := overlaps.Load(); n != 0 {
-			t.Errorf("P=%d cores=%d: %d jobs observed running concurrently, want sequential", tc.parallelism, tc.cores, n)
-		}
-	}
-}

@@ -15,8 +15,7 @@ import (
 //	 …  ├─ SW1 ══bottleneck══ SW2 ┤ …
 //	sN ─┘                     └─ rN
 type Dumbbell struct {
-	// Net is the network holding SW1 and the senders (the whole topology
-	// on a single-Network fabric).
+	// Net is the network the topology is built on.
 	Net       *Network
 	Senders   []*Node
 	Receivers []*Node
@@ -57,26 +56,8 @@ func (c *DumbbellConfig) RTTForFlow(i int) sim.Time {
 	return c.RTTs[i]
 }
 
-// BuildDumbbell constructs the topology on a single network and installs
-// routes.
+// BuildDumbbell constructs the topology on a network and installs routes.
 func BuildDumbbell(w *Network, cfg DumbbellConfig) *Dumbbell {
-	return BuildDumbbellOn(w, cfg)
-}
-
-// BuildDumbbellOn constructs the dumbbell on an arbitrary fabric.
-//
-// Partition plan: a dumbbell has exactly one shardable boundary — the
-// bottleneck link. Receivers stay in their switch's region because their
-// access delay is zero (a zero-delay cut would leave no lookahead), and
-// senders stay in SW1's region because same-RTT senders have identical
-// access delays: splitting them across regions would make exact
-// same-nanosecond arrival ties at SW1 likely, which is precisely where a
-// conservative parallel run could order events differently from the
-// single-engine run. So region 0 is SW1 plus every sender, the last
-// region is SW2 plus every receiver, and the only cut link is the
-// bottleneck itself (lookahead = BottleneckDelay). Any fabric with more
-// than two shards leaves the middle shards idle.
-func BuildDumbbellOn(f Fabric, cfg DumbbellConfig) *Dumbbell {
 	if cfg.FlowCount <= 0 {
 		panic("netem: dumbbell needs at least one flow")
 	}
@@ -87,14 +68,11 @@ func BuildDumbbellOn(f Fabric, cfg DumbbellConfig) *Dumbbell {
 	if access == 0 {
 		access = 10 * cfg.BottleneckBps
 	}
-	left, right := 0, f.Shards()-1
+	d := &Dumbbell{Net: w}
+	d.SW1 = w.NewNode("sw1")
+	d.SW2 = w.NewNode("sw2")
 
-	d := &Dumbbell{}
-	d.SW1 = f.NodeOn(left, "sw1")
-	d.SW2 = f.NodeOn(right, "sw2")
-	d.Net = d.SW1.Network()
-
-	btl, btlRev := f.Connect(d.SW1, d.SW2, LinkConfig{RateBps: cfg.BottleneckBps, Delay: cfg.BottleneckDelay})
+	btl, btlRev := w.Connect(d.SW1, d.SW2, LinkConfig{RateBps: cfg.BottleneckBps, Delay: cfg.BottleneckDelay})
 	d.Bottleneck, d.BottleneckRev = btl, btlRev
 	btl.SetQdisc(cfg.BottleneckQdisc(btl))
 	btlRev.SetQdisc(cfg.DefaultQdisc())
@@ -110,10 +88,10 @@ func BuildDumbbellOn(f Fabric, cfg DumbbellConfig) *Dumbbell {
 			sendDelay = 0
 		}
 
-		s := f.NodeOn(left, fmt.Sprintf("s%d", i))
-		r := f.NodeOn(right, fmt.Sprintf("r%d", i))
-		sDev, sw1Dev := f.Connect(s, d.SW1, LinkConfig{RateBps: access, Delay: sendDelay})
-		sw2Dev, rDev := f.Connect(d.SW2, r, LinkConfig{RateBps: access, Delay: recvDelay})
+		s := w.NewNode(fmt.Sprintf("s%d", i))
+		r := w.NewNode(fmt.Sprintf("r%d", i))
+		sDev, sw1Dev := w.Connect(s, d.SW1, LinkConfig{RateBps: access, Delay: sendDelay})
+		sw2Dev, rDev := w.Connect(d.SW2, r, LinkConfig{RateBps: access, Delay: recvDelay})
 		for _, dev := range []*Device{sDev, sw1Dev, sw2Dev, rDev} {
 			dev.SetQdisc(cfg.DefaultQdisc())
 		}

@@ -21,7 +21,6 @@ type AFQ struct {
 	limitBytes int
 	round      int64 // round currently in service
 	queues     []ring
-	queued     []int // bytes per queue
 	bytes      int
 	packets    int
 	sketch     *cmsketch.Sketch
@@ -47,7 +46,6 @@ func NewAFQ(nQ int, bpr int64, limitBytes, sketchCols int) *AFQ {
 		BpR:        bpr,
 		limitBytes: limitBytes,
 		queues:     make([]ring, nQ),
-		queued:     make([]int, nQ),
 		sketch:     cmsketch.New(4, sketchCols),
 	}
 }
@@ -73,7 +71,6 @@ func (a *AFQ) Enqueue(p *packet.Packet) bool {
 	}
 	a.sketch.UpdateMax(p.Flow, bid)
 	idx := int(slot % int64(a.NQ))
-	a.queued[idx] += int(p.Size)
 	a.bytes += int(p.Size)
 	a.packets++
 	a.queues[idx].push(p)
@@ -86,7 +83,6 @@ func (a *AFQ) Dequeue() *packet.Packet {
 	for tries := 0; tries <= a.NQ; tries++ {
 		idx := int(a.round % int64(a.NQ))
 		if p := a.queues[idx].pop(); p != nil {
-			a.queued[idx] -= int(p.Size)
 			a.bytes -= int(p.Size)
 			a.packets--
 			return p

@@ -53,16 +53,6 @@ func canonicalSpecs() map[string]*Spec {
 				Duration: dur(2 * time.Second),
 			},
 		},
-		// The cut-link delivery pin (experiments.CanonicalCross).
-		"cross.json": {
-			Version: 1, Name: "cross", Kind: "cross",
-			Cross: &CrossSpec{
-				Rate: 1e9, Delay: Dur(1e6), BufferBytes: 1 << 20,
-				Sends:       []Dur{0, 5e5, 17e5, 32e5, 32e5 + 1},
-				PacketBytes: 1500, PayloadBytes: 1448,
-				Until: Dur(1e7),
-			},
-		},
 		// The 100k-standing-flow backbone tier (experiments.BackboneTier).
 		"backbone-1e5.json": {
 			Version: 1, Name: "backbone-100k", Kind: "backbone",

@@ -21,7 +21,6 @@ type Compiled struct {
 	Spec     *Spec
 	Dumbbell *experiments.Scenario
 	Chain    *experiments.ChainConfig
-	Cross    *experiments.CrossConfig
 	Backbone *experiments.BackboneConfig
 	Graph    *experiments.GraphConfig
 	// Grid holds the enumerated cells for tournament and buffer_sweep
@@ -29,10 +28,8 @@ type Compiled struct {
 	Grid []experiments.GridCell
 
 	// What the spec kind decides for a single-config scenario, bound once
-	// by Compile (nil for the grid kinds): the config's shard field, its
-	// runner, the result's report text, and the same text from a
-	// checkpointed result.
-	shards *int
+	// by Compile (nil for the grid kinds): its runner, the result's report
+	// text, and the same text from a checkpointed result.
 	run    func() any
 	text   func(any) string
 	decode func(get experiments.Getter, id string) (string, error)
@@ -41,8 +38,7 @@ type Compiled struct {
 // bind records the runner and renderer of a single-config kind. run reads
 // *cfg when called, not when bound, so edits made through the exported
 // config pointer after Compile take effect.
-func bind[C, R any](c *Compiled, cfg *C, shards *int, run func(C) R, text func(R) string) {
-	c.shards = shards
+func bind[C, R any](c *Compiled, cfg *C, run func(C) R, text func(R) string) {
 	c.run = func() any { return run(*cfg) }
 	c.text = func(v any) string { return text(v.(R)) }
 	c.decode = func(get experiments.Getter, id string) (string, error) {
@@ -92,7 +88,6 @@ func Compile(s *Spec) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Spec: s}
-	shards := int(s.Shards)
 	switch s.Kind {
 	case "dumbbell":
 		d := s.Dumbbell
@@ -107,7 +102,6 @@ func Compile(s *Spec) (*Compiled, error) {
 			WarmupFraction: d.WarmupFraction,
 			Seed:           s.Seed,
 			SampleInterval: d.SampleInterval.Time(),
-			Shards:         shards,
 		}
 		if d.Tau != nil {
 			p := experiments.DefaultCebinaeParams(sc)
@@ -115,7 +109,7 @@ func Compile(s *Spec) (*Compiled, error) {
 			sc.Params = &p
 		}
 		c.Dumbbell = &sc
-		bind(c, c.Dumbbell, &c.Dumbbell.Shards, experiments.Run, experiments.Result.Report)
+		bind(c, c.Dumbbell, experiments.Run, experiments.Result.Report)
 	case "chain":
 		ch := s.Chain
 		c.Chain = &experiments.ChainConfig{
@@ -133,27 +127,8 @@ func Compile(s *Spec) (*Compiled, error) {
 			CebinaeRTT:    ch.CebinaeRTT.Time(),
 			Duration:      ch.Duration.Time(),
 			Seed:          s.Seed,
-			Shards:        shards,
 		}
-		bind(c, c.Chain, &c.Chain.Shards, experiments.RunChain, experiments.ChainResult.Report)
-	case "cross":
-		cr := s.Cross
-		sends := make([]experiments.SimTime, len(cr.Sends))
-		for i, at := range cr.Sends {
-			sends[i] = at.Time()
-		}
-		c.Cross = &experiments.CrossConfig{
-			Name:         s.Name,
-			RateBps:      float64(cr.Rate),
-			Delay:        cr.Delay.Time(),
-			BufferBytes:  cr.BufferBytes,
-			Sends:        sends,
-			PacketBytes:  cr.PacketBytes,
-			PayloadBytes: cr.PayloadBytes,
-			Until:        cr.Until.Time(),
-			Shards:       shards,
-		}
-		bind(c, c.Cross, &c.Cross.Shards, experiments.RunCross, experiments.CrossResult.Report)
+		bind(c, c.Chain, experiments.RunChain, experiments.ChainResult.Report)
 	case "backbone":
 		b := s.Backbone
 		scale := map[string]experiments.Scale{
@@ -163,9 +138,8 @@ func Compile(s *Spec) (*Compiled, error) {
 		if b.Qdisc != "" {
 			cfg.Qdisc = experiments.QdiscKind(b.Qdisc)
 		}
-		cfg.Shards = shards
 		c.Backbone = &cfg
-		bind(c, c.Backbone, &c.Backbone.Shards, experiments.RunBackbone, experiments.BackboneResult.Render)
+		bind(c, c.Backbone, experiments.RunBackbone, experiments.BackboneResult.Render)
 	case "graph":
 		g := s.Graph
 		gc := experiments.GraphConfig{
@@ -174,7 +148,6 @@ func Compile(s *Spec) (*Compiled, error) {
 			WarmupFraction: g.WarmupFraction,
 			MinRTO:         g.MinRTO.Time(),
 			Seed:           s.Seed,
-			Shards:         shards,
 		}
 		for _, sw := range g.Switches {
 			gc.Switches = append(gc.Switches, experiments.GraphSwitch{Name: sw.Name})
@@ -198,7 +171,7 @@ func Compile(s *Spec) (*Compiled, error) {
 			})
 		}
 		c.Graph = &gc
-		bind(c, c.Graph, &c.Graph.Shards, experiments.RunGraph, experiments.GraphResult.Report)
+		bind(c, c.Graph, experiments.RunGraph, experiments.GraphResult.Report)
 	case "tournament":
 		t := s.Tournament
 		c.Grid = experiments.TournamentConfig{
@@ -213,7 +186,6 @@ func Compile(s *Spec) (*Compiled, error) {
 			Duration:      t.Duration.Time(),
 			MinRTO:        t.MinRTO.Time(),
 			Seed:          s.Seed,
-			Shards:        shards,
 		}.Cells()
 	default: // buffer_sweep
 		b := s.BufferSweep
@@ -226,21 +198,23 @@ func Compile(s *Spec) (*Compiled, error) {
 			Duration:      b.Duration.Time(),
 			MinRTO:        b.MinRTO.Time(),
 			Seed:          s.Seed,
-			Shards:        shards,
 		}.Cells()
 	}
 	return c, nil
 }
 
-// SetShards overrides the compiled scenario's shard count (the CLIs'
-// explicit -shards flag wins over the spec's hint).
+// SetShards sets the engine count of a chain or backbone scenario, the
+// two kinds whose runners still partition across engines. Every other
+// kind runs on one engine, so asking one for shards is a caller bug: it
+// panics naming the kind rather than doing nothing.
 func (c *Compiled) SetShards(n int) {
-	if c.shards != nil {
-		*c.shards = n
-		return
-	}
-	for i := range c.Grid {
-		c.Grid[i].Scenario.Shards = n
+	switch {
+	case c.Chain != nil:
+		c.Chain.Shards = n
+	case c.Backbone != nil:
+		c.Backbone.Shards = n
+	default:
+		panic(fmt.Sprintf("scenario: SetShards on a %q scenario: only chain and backbone run sharded", c.Spec.Kind))
 	}
 }
 

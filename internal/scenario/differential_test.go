@@ -2,16 +2,14 @@ package scenario
 
 import (
 	"testing"
-	"time"
 
 	"cebinae/experiments"
 )
 
 // These tests pin the format's core contract: a canonical spec file
 // compiles to the same construction as the hand-built Go scenario it
-// mirrors, so the two produce byte-identical reports — at one shard and
-// under the min-cut auto-partitioner alike. Any drift between the
-// declarative and programmatic paths (defaulting, unit parsing,
+// mirrors, so the two produce byte-identical reports. Any drift between
+// the declarative and programmatic paths (defaulting, unit parsing,
 // lowering, construction order) breaks these bytes.
 
 func mustLoad(t *testing.T, name string) *Spec {
@@ -23,71 +21,45 @@ func mustLoad(t *testing.T, name string) *Spec {
 	return s
 }
 
-func compileAt(t *testing.T, s *Spec, shards int) *Compiled {
+func runSpec(t *testing.T, s *Spec) string {
 	t.Helper()
 	c, err := Compile(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetShards(shards)
-	return c
+	return c.RunReport()
 }
-
-var differentialShardCounts = []int{1, experiments.ShardAuto}
 
 // TestDifferentialDumbbell compares dumbbell.json against the hand-built
 // determinism scenario (the experiments package's own differential
 // workload).
 func TestDifferentialDumbbell(t *testing.T) {
-	spec := mustLoad(t, "dumbbell.json")
-	for _, shards := range differentialShardCounts {
-		goBuilt := experiments.Scenario{
-			Name:          "determinism",
-			BottleneckBps: 50e6,
-			BufferBytes:   1 << 20,
-			Groups: []experiments.FlowGroup{
-				{CC: "newreno", Count: 3, RTT: experiments.Millis(20)},
-				{CC: "cubic", Count: 2, RTT: experiments.Millis(60)},
-				{CC: "newreno", Count: 1, RTT: experiments.Millis(40), StartAt: experiments.Seconds(1)},
-			},
-			Duration:       experiments.Seconds(4),
-			Qdisc:          experiments.Cebinae,
-			Seed:           7,
-			SampleInterval: experiments.Millis(200),
-			Shards:         shards,
-		}
-		want := experiments.Run(goBuilt).Report()
-		got := compileAt(t, spec, shards).RunReport()
-		if got != want {
-			t.Errorf("shards=%d: spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", shards, want, got)
-		}
+	goBuilt := experiments.Scenario{
+		Name:          "determinism",
+		BottleneckBps: 50e6,
+		BufferBytes:   1 << 20,
+		Groups: []experiments.FlowGroup{
+			{CC: "newreno", Count: 3, RTT: experiments.Millis(20)},
+			{CC: "cubic", Count: 2, RTT: experiments.Millis(60)},
+			{CC: "newreno", Count: 1, RTT: experiments.Millis(40), StartAt: experiments.Seconds(1)},
+		},
+		Duration:       experiments.Seconds(4),
+		Qdisc:          experiments.Cebinae,
+		Seed:           7,
+		SampleInterval: experiments.Millis(200),
+	}
+	want := experiments.Run(goBuilt).Report()
+	if got := runSpec(t, mustLoad(t, "dumbbell.json")); got != want {
+		t.Errorf("spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", want, got)
 	}
 }
 
 // TestDifferentialChain compares chain.json against
 // experiments.CanonicalChain.
 func TestDifferentialChain(t *testing.T) {
-	spec := mustLoad(t, "chain.json")
-	for _, shards := range differentialShardCounts {
-		goBuilt := experiments.CanonicalChain(experiments.Cebinae, experiments.Seconds(2), shards)
-		want := experiments.RunChain(goBuilt).Report()
-		got := compileAt(t, spec, shards).RunReport()
-		if got != want {
-			t.Errorf("shards=%d: spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", shards, want, got)
-		}
-	}
-}
-
-// TestDifferentialCross compares cross.json against
-// experiments.CanonicalCross.
-func TestDifferentialCross(t *testing.T) {
-	spec := mustLoad(t, "cross.json")
-	for _, shards := range differentialShardCounts {
-		want := experiments.RunCross(experiments.CanonicalCross(shards)).Report()
-		got := compileAt(t, spec, shards).RunReport()
-		if got != want {
-			t.Errorf("shards=%d: spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", shards, want, got)
-		}
+	want := experiments.RunChain(experiments.CanonicalChain(experiments.Cebinae, experiments.Seconds(2), 1)).Report()
+	if got := runSpec(t, mustLoad(t, "chain.json")); got != want {
+		t.Errorf("spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", want, got)
 	}
 }
 
@@ -96,37 +68,11 @@ func TestDifferentialCross(t *testing.T) {
 // full 400 ms horizon; the test dials both sides to the quick scale so
 // the comparison still exercises the exact compile path within the test
 // budget.
-// TestDifferentialMultihopShards pins shard-identity for the graph
-// family on the shipped multihop topology — the dense (10 Gbps core,
-// µs-scale paths, synchronized senders) workload where the runner must
-// cut only the declared switch links: cutting the forty identical-delay
-// access links instead creates same-(deadline, emission-stamp) ties the
-// conservative runner cannot order like a single engine. The shipped
-// 2 s horizon is dialed down to keep the test in budget; explicit shard
-// counts matter here because "auto" degrades to 1 on single-core
-// machines.
-func TestDifferentialMultihopShards(t *testing.T) {
-	spec := mustLoad(t, "multihop.json")
-	spec.Graph.Duration = dur(300 * time.Millisecond)
-	want := compileAt(t, spec, 1).RunReport()
-	for _, shards := range []int{2, 4, experiments.ShardAuto} {
-		got := compileAt(t, spec, shards).RunReport()
-		if got != want {
-			t.Errorf("shards=%d: report differs from single-engine run\n--- 1\n%s--- %d\n%s", shards, want, shards, got)
-		}
-	}
-}
-
 func TestDifferentialBackbone(t *testing.T) {
 	spec := mustLoad(t, "backbone-1e5.json")
 	spec.Backbone.Scale = "quick"
-	for _, shards := range differentialShardCounts {
-		goBuilt := experiments.BackboneTier(100000, experiments.Quick)
-		goBuilt.Shards = shards
-		want := experiments.RunBackbone(goBuilt).Render()
-		got := compileAt(t, spec, shards).RunReport()
-		if got != want {
-			t.Errorf("shards=%d: spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", shards, want, got)
-		}
+	want := experiments.RunBackbone(experiments.BackboneTier(100000, experiments.Quick)).Render()
+	if got := runSpec(t, spec); got != want {
+		t.Errorf("spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", want, got)
 	}
 }

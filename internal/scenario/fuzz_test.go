@@ -20,6 +20,7 @@ func FuzzScenarioLoad(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"version":1,"name":"x","kind":"cross","cross":{"rate":"1G","delay":"1ms","buffer_bytes":1,"sends":[0],"packet_bytes":100,"payload_bytes":0,"until":"1ms"}}`))
+	f.Add([]byte(`{"version":1,"name":"s","kind":"dumbbell","shards":2}`))
 	f.Add([]byte(`{"version":2}`))
 	f.Add([]byte(`{"version":1,"name":"y","kind":"dumbbell","dumbbell":{"rate":-1}}`))
 	f.Add([]byte(`{`))

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -30,14 +31,6 @@ func tinySpecs() []*Spec {
 				Rate: 50e6, BufferBytes: 100 * 1500,
 				LinkDelay: dur(time.Millisecond), AccessDelay: dur(time.Millisecond),
 				Qdisc: "fifo", Duration: dur(300 * time.Millisecond),
-			},
-		},
-		{
-			Version: 1, Name: "tiny-cross", Kind: "cross",
-			Cross: &CrossSpec{
-				Rate: 1e9, Delay: Dur(1e6), BufferBytes: 1 << 20,
-				Sends: []Dur{0, 5e5}, PacketBytes: 1500, PayloadBytes: 1448,
-				Until: Dur(1e7),
 			},
 		},
 		{
@@ -114,7 +107,6 @@ func TestJobsRenderMatchesRunReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.SetShards(1)
 			direct := c.RunReport()
 			got, err := c.Render("t/", runJobsGetter(t, c, "t/"))
 			if err != nil {
@@ -131,16 +123,15 @@ func TestJobsRenderMatchesRunReport(t *testing.T) {
 // section is named scenario/<name>, carries the same jobs, and its Render
 // closure reproduces the direct report.
 func TestSectionWrapsJobsAndRender(t *testing.T) {
-	spec := tinySpecs()[2] // cross: the cheapest kind
-	c, err := Compile(spec)
+	c, err := Compile(tinySpecs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	sec := c.Section("p/")
-	if sec.ID != "scenario/tiny-cross" {
+	if sec.ID != "scenario/tiny-dumbbell" {
 		t.Errorf("section ID = %q", sec.ID)
 	}
-	if !strings.Contains(sec.Desc, "cross") {
+	if !strings.Contains(sec.Desc, "dumbbell") {
 		t.Errorf("section Desc = %q", sec.Desc)
 	}
 	if len(sec.Jobs) != 1 || !strings.HasPrefix(sec.Jobs[0].ID, "p/scenario/") {
@@ -155,37 +146,36 @@ func TestSectionWrapsJobsAndRender(t *testing.T) {
 	}
 }
 
-// TestSetShardsCoversEveryKind pins the override the CLIs' explicit
-// -shards flag applies, for each compiled representation.
+// TestSetShardsCoversEveryKind pins SetShards for each compiled
+// representation: chain and backbone take the count, and every other kind
+// — one engine, no shard field — panics naming its kind instead of
+// ignoring the request.
 func TestSetShardsCoversEveryKind(t *testing.T) {
 	for _, spec := range tinySpecs() {
 		c, err := Compile(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetShards(2)
-		var got int
 		switch {
-		case c.Dumbbell != nil:
-			got = c.Dumbbell.Shards
 		case c.Chain != nil:
-			got = c.Chain.Shards
-		case c.Cross != nil:
-			got = c.Cross.Shards
-		case c.Backbone != nil:
-			got = c.Backbone.Shards
-		case c.Graph != nil:
-			got = c.Graph.Shards
-		default:
-			for _, cell := range c.Grid {
-				if cell.Scenario.Shards != 2 {
-					t.Errorf("%s: grid cell %s shards = %d", spec.Name, cell.ID, cell.Scenario.Shards)
-				}
+			c.SetShards(2)
+			if c.Chain.Shards != 2 {
+				t.Errorf("%s: shards = %d after SetShards(2)", spec.Name, c.Chain.Shards)
 			}
-			continue
-		}
-		if got != 2 {
-			t.Errorf("%s: shards = %d after SetShards(2)", spec.Name, got)
+		case c.Backbone != nil:
+			c.SetShards(2)
+			if c.Backbone.Shards != 2 {
+				t.Errorf("%s: shards = %d after SetShards(2)", spec.Name, c.Backbone.Shards)
+			}
+		default:
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprintf("%q", spec.Kind)) {
+						t.Errorf("%s: SetShards(2) on a %s spec: recovered %v, want a panic naming the kind", spec.Name, spec.Kind, r)
+					}
+				}()
+				c.SetShards(2)
+			}()
 		}
 	}
 }
@@ -216,7 +206,7 @@ func TestRunReadsConfigAtCallTime(t *testing.T) {
 // fails and a getter that returns malformed JSON both surface as errors,
 // not panics or empty reports.
 func TestRenderDecodeFailures(t *testing.T) {
-	c, err := Compile(tinySpecs()[2])
+	c, err := Compile(tinySpecs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

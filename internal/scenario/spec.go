@@ -3,10 +3,10 @@
 // topologies and CCA mixes are data files instead of recompiles. The
 // format's correctness contract is byte-identity — a canonical spec file
 // compiles to the same construction, and therefore the same report bytes,
-// as the hand-built Go scenario it mirrors, at any shard count. Loading
-// is stdlib-only (encoding/json with unknown fields rejected), emission
-// is canonical (Emit ∘ Load is the identity on canonical files), and
-// both directions are fuzzed.
+// as the hand-built Go scenario it mirrors. Loading is stdlib-only
+// (encoding/json with unknown fields rejected), emission is canonical
+// (Emit ∘ Load is the identity on canonical files), and both directions
+// are fuzzed.
 package scenario
 
 import (
@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 )
 
@@ -25,15 +26,13 @@ const Version = 1
 type Spec struct {
 	Version int    `json:"version"`
 	Name    string `json:"name"`
-	// Kind selects the scenario family: dumbbell, chain, cross, backbone,
-	// graph, tournament, or buffer_sweep.
-	Kind   string `json:"kind"`
-	Seed   uint64 `json:"seed,omitempty"`
-	Shards Shards `json:"shards,omitempty"`
+	// Kind selects the scenario family: dumbbell, chain, backbone, graph,
+	// tournament, or buffer_sweep.
+	Kind string `json:"kind"`
+	Seed uint64 `json:"seed,omitempty"`
 
 	Dumbbell    *DumbbellSpec    `json:"dumbbell,omitempty"`
 	Chain       *ChainSpec       `json:"chain,omitempty"`
-	Cross       *CrossSpec       `json:"cross,omitempty"`
 	Backbone    *BackboneSpec    `json:"backbone,omitempty"`
 	Graph       *GraphSpec       `json:"graph,omitempty"`
 	Tournament  *TournamentSpec  `json:"tournament,omitempty"`
@@ -78,17 +77,6 @@ type ChainSpec struct {
 	Qdisc       string   `json:"qdisc"`
 	CebinaeRTT  Dur      `json:"cebinae_rtt,omitempty"`
 	Duration    Dur      `json:"duration"`
-}
-
-// CrossSpec is the cut-link delivery scenario (experiments.CrossConfig).
-type CrossSpec struct {
-	Rate         Rate  `json:"rate"`
-	Delay        Dur   `json:"delay"`
-	BufferBytes  int   `json:"buffer_bytes"`
-	Sends        []Dur `json:"sends"`
-	PacketBytes  int   `json:"packet_bytes"`
-	PayloadBytes int   `json:"payload_bytes"`
-	Until        Dur   `json:"until"`
 }
 
 // BackboneSpec is the trace-replay backbone tier
@@ -190,6 +178,9 @@ func Parse(data []byte) (*Spec, error) {
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
+		if name := unknownField(err); removedFields[name] != "" {
+			return nil, vErr(name, "%s", removedFields[name])
+		}
 		return nil, fmt.Errorf("scenario: parse: %s", jsonErr(err))
 	}
 	// A spec is one JSON object; trailing content is a second document.
@@ -206,6 +197,18 @@ func Parse(data []byte) (*Spec, error) {
 // message the diagnostics goldens can pin.
 func jsonErr(err error) string {
 	return strings.TrimPrefix(err.Error(), "json: ")
+}
+
+// unknownField names the field a strict decode refused, or "" when the
+// decode failed for another reason.
+func unknownField(err error) string {
+	quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field ")
+	if !ok {
+		return ""
+	}
+	// A name that does not unquote comes back "", which is no field.
+	name, _ := strconv.Unquote(quoted)
+	return name
 }
 
 // Load reads and parses a spec file.

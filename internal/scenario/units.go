@@ -11,7 +11,7 @@ import (
 )
 
 // The spec's scalar vocabulary. Each type accepts the human form a config
-// author writes ("10G", "40ms", "auto") alongside the raw number, and
+// author writes ("10G", "40ms") alongside the raw number, and
 // marshals back to one canonical rendering, so parse → emit → parse is
 // the identity and canonical files are byte-stable under Emit.
 
@@ -112,38 +112,3 @@ func (d Dur) MarshalJSON() ([]byte, error) {
 
 // Time converts to the simulator clock.
 func (d Dur) Time() experiments.SimTime { return experiments.SimTime(d) }
-
-// Shards is a shard count: a positive integer, the string "auto"
-// (machine-sized via the min-cut planner), or absent (0, the package
-// default — a single engine unless the CLI overrides).
-type Shards int
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (n *Shards) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := experiments.ParseShards(s)
-		if err != nil {
-			return fmt.Errorf("shards wants a positive integer or \"auto\", got %q", s)
-		}
-		*n = Shards(v)
-		return nil
-	}
-	var v int
-	if err := json.Unmarshal(b, &v); err != nil || v < 1 {
-		return fmt.Errorf("shards wants a positive integer or \"auto\", got %s", strings.TrimSpace(string(b)))
-	}
-	*n = Shards(v)
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (n Shards) MarshalJSON() ([]byte, error) {
-	if int(n) == experiments.ShardAuto {
-		return json.Marshal("auto")
-	}
-	return json.Marshal(int(n))
-}

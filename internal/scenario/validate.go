@@ -17,7 +17,6 @@ import (
 var kinds = map[string][]string{
 	"dumbbell":     {"afq", "cebinae", "fifo", "fq", "pcq", "strawman"},
 	"chain":        {"cebinae", "fifo", "fq"},
-	"cross":        nil, // both ports are always FIFO
 	"backbone":     {"cebinae", "fifo"},
 	"graph":        {"cebinae", "fifo", "fq"},
 	"tournament":   {"afq", "cebinae", "fifo", "fq", "pcq", "strawman"},
@@ -25,7 +24,19 @@ var kinds = map[string][]string{
 }
 
 // kindOrder lists the kinds in the order diagnostics enumerate them.
-var kindOrder = []string{"dumbbell", "chain", "cross", "backbone", "graph", "tournament", "buffer_sweep"}
+var kindOrder = []string{"dumbbell", "chain", "backbone", "graph", "tournament", "buffer_sweep"}
+
+// crossRemoved and shardsRemoved are the diagnostics for what version 1
+// once accepted and no longer does. The format version stays 1: every
+// file that never said either still loads and means what it meant.
+const (
+	crossRemoved  = "removed: the cross kind only exercised a link cut between shards, and scenario files no longer run sharded"
+	shardsRemoved = "removed: scenario files run on one engine; run independent scenarios in parallel with -p instead"
+)
+
+// removedFields maps the spec keys the strict loader refuses by name, so
+// a spec that still says one is told why instead of "unknown field".
+var removedFields = map[string]string{"cross": crossRemoved, "shards": shardsRemoved}
 
 func vErr(path, format string, args ...any) error {
 	return fmt.Errorf("scenario: %s: %s", path, fmt.Sprintf(format, args...))
@@ -114,13 +125,15 @@ func Validate(s *Spec) error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: name: required")
 	}
+	if s.Kind == "cross" {
+		return vErr("kind", "%s", crossRemoved)
+	}
 	if _, ok := kinds[s.Kind]; !ok {
 		return fmt.Errorf("scenario: kind: unknown scenario kind %q (known: %s)", s.Kind, strings.Join(kindOrder, ", "))
 	}
 	sections := map[string]bool{
 		"dumbbell":     s.Dumbbell != nil,
 		"chain":        s.Chain != nil,
-		"cross":        s.Cross != nil,
 		"backbone":     s.Backbone != nil,
 		"graph":        s.Graph != nil,
 		"tournament":   s.Tournament != nil,
@@ -139,8 +152,6 @@ func Validate(s *Spec) error {
 		return validateDumbbell(s.Dumbbell)
 	case "chain":
 		return validateChain(s.Chain)
-	case "cross":
-		return validateCross(s.Cross)
 	case "backbone":
 		return validateBackbone(s.Backbone)
 	case "graph":
@@ -227,33 +238,6 @@ func validateChain(c *ChainSpec) error {
 		return err
 	}
 	return checkPositiveDur("chain.duration", c.Duration)
-}
-
-func validateCross(c *CrossSpec) error {
-	if err := checkPositiveRate("cross.rate", c.Rate); err != nil {
-		return err
-	}
-	if err := checkPositiveDur("cross.delay", c.Delay); err != nil {
-		return err
-	}
-	if c.BufferBytes <= 0 {
-		return vErr("cross.buffer_bytes", "must be positive, got %d", c.BufferBytes)
-	}
-	if len(c.Sends) == 0 {
-		return vErr("cross.sends", "at least one injection instant required")
-	}
-	for i, at := range c.Sends {
-		if err := checkNonNegativeDur(fmt.Sprintf("cross.sends[%d]", i), at); err != nil {
-			return err
-		}
-	}
-	if c.PacketBytes <= 0 {
-		return vErr("cross.packet_bytes", "must be positive, got %d", c.PacketBytes)
-	}
-	if c.PayloadBytes < 0 || c.PayloadBytes > c.PacketBytes {
-		return vErr("cross.payload_bytes", "must be in [0, packet_bytes], got %d", c.PayloadBytes)
-	}
-	return checkPositiveDur("cross.until", c.Until)
 }
 
 func validateBackbone(b *BackboneSpec) error {

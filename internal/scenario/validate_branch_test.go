@@ -37,10 +37,11 @@ func TestValidateBranches(t *testing.T) {
 		edit func(*Spec)
 		want string
 	}{
-		{"name required", "cross.json", func(s *Spec) { s.Name = "" }, "scenario: name: required"},
-		{"unknown kind", "cross.json", func(s *Spec) { s.Kind = "mesh" }, "unknown scenario kind"},
-		{"missing section", "cross.json", func(s *Spec) { s.Cross = nil }, `requires a "cross" section`},
-		{"mismatched section", "cross.json", func(s *Spec) { s.Chain = &ChainSpec{} }, `section does not match kind "cross"`},
+		{"name required", "chain.json", func(s *Spec) { s.Name = "" }, "scenario: name: required"},
+		{"unknown kind", "chain.json", func(s *Spec) { s.Kind = "mesh" }, "unknown scenario kind"},
+		{"removed kind", "chain.json", func(s *Spec) { s.Kind = "cross" }, "scenario: kind: removed: the cross kind"},
+		{"missing section", "chain.json", func(s *Spec) { s.Chain = nil }, `requires a "chain" section`},
+		{"mismatched section", "chain.json", func(s *Spec) { s.Dumbbell = &DumbbellSpec{} }, `section does not match kind "chain"`},
 
 		{"dumbbell buffer", "dumbbell.json", func(s *Spec) { s.Dumbbell.BufferBytes = 0 }, "dumbbell.buffer_bytes"},
 		{"dumbbell no groups", "dumbbell.json", func(s *Spec) { s.Dumbbell.Groups = nil }, "dumbbell.groups: at least one"},
@@ -65,15 +66,6 @@ func TestValidateBranches(t *testing.T) {
 		{"chain access delay", "chain.json", func(s *Spec) { s.Chain.AccessDelay = 0 }, "chain.access_delay"},
 		{"chain cebinae rtt", "chain.json", func(s *Spec) { s.Chain.CebinaeRTT = -1 }, "chain.cebinae_rtt"},
 		{"chain duration", "chain.json", func(s *Spec) { s.Chain.Duration = 0 }, "chain.duration"},
-
-		{"cross rate", "cross.json", func(s *Spec) { s.Cross.Rate = -1 }, "cross.rate"},
-		{"cross delay", "cross.json", func(s *Spec) { s.Cross.Delay = 0 }, "cross.delay"},
-		{"cross buffer", "cross.json", func(s *Spec) { s.Cross.BufferBytes = 0 }, "cross.buffer_bytes"},
-		{"cross no sends", "cross.json", func(s *Spec) { s.Cross.Sends = nil }, "cross.sends: at least one"},
-		{"cross send negative", "cross.json", func(s *Spec) { s.Cross.Sends[1] = -1 }, "cross.sends[1]"},
-		{"cross packet", "cross.json", func(s *Spec) { s.Cross.PacketBytes = 0 }, "cross.packet_bytes"},
-		{"cross payload", "cross.json", func(s *Spec) { s.Cross.PayloadBytes = 9000 }, "cross.payload_bytes"},
-		{"cross until", "cross.json", func(s *Spec) { s.Cross.Until = 0 }, "cross.until"},
 
 		{"backbone flows", "backbone-1e5.json", func(s *Spec) { s.Backbone.Flows = 0 }, "backbone.flows"},
 		{"backbone scale", "backbone-1e5.json", func(s *Spec) { s.Backbone.Scale = "huge" }, "backbone.scale"},

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -216,17 +217,18 @@ func TestAutoPlanRecordsBuilder(t *testing.T) {
 // TestDumbbell4AutoPlanFindsFourRegions pins the planner on a uniform
 // 40 ms dumbbell of 12 flows: four regions, three sender groups cut at
 // their ~20 ms access links plus the switches-and-receivers region, never
-// the 0.1 ms bottleneck.
+// the 0.1 ms bottleneck. The dumbbell is built inline in netem's
+// construction order (switches, bottleneck, then each sender/receiver
+// pair), since netem's own dumbbell builder takes a single network.
 func TestDumbbell4AutoPlanFindsFourRegions(t *testing.T) {
 	p := AutoPlan(4, func(f netem.Fabric) {
-		netem.BuildDumbbellOn(f, netem.DumbbellConfig{
-			FlowCount:       12,
-			BottleneckBps:   100e6,
-			BottleneckDelay: sim.Time(0.1e6),
-			RTTs:            []sim.Time{sim.Time(40e6)},
-			BottleneckQdisc: func(dev *netem.Device) netem.Qdisc { return qdisc.NewFIFO(850 * 1500) },
-			DefaultQdisc:    func() netem.Qdisc { return qdisc.NewFIFO(16 << 20) },
-		})
+		sw1, sw2 := f.NodeOn(0, "sw1"), f.NodeOn(0, "sw2")
+		f.Connect(sw1, sw2, netem.LinkConfig{RateBps: 100e6, Delay: sim.Time(0.1e6)})
+		for i := 0; i < 12; i++ {
+			s, r := f.NodeOn(0, fmt.Sprintf("s%d", i)), f.NodeOn(0, fmt.Sprintf("r%d", i))
+			f.Connect(s, sw1, netem.LinkConfig{RateBps: 1e9, Delay: sim.Time(19.9e6)})
+			f.Connect(sw2, r, netem.LinkConfig{RateBps: 1e9})
+		}
 	})
 	if p.Shards != 4 {
 		t.Fatalf("planner found %d regions, want 4", p.Shards)
