@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint fmt-check test race race-shard fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke ab report sweep clean
+.PHONY: check build vet lint fmt-check test race race-shard fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke ab report-diff report sweep clean
 
 check: build vet lint fmt-check race
 
@@ -74,15 +74,18 @@ scenario-conformance:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 25s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzFlowMeterEquivalence -fuzztime 10s ./internal/metrics/
 
-# The memory pins: what a run allocates must grow with the window, not
-# with the packets delivered — the goodput log at ≤ 6 B a record, the TCP
-# scoreboard and FQ-CoDel's flow queues at nothing once warm, and a whole
-# experiments.Run at ≤ 32 B per delivered segment — plus the zero-alloc
-# hot paths: engine dispatch, timer re-arm, one-hop forwarding (alone and
-# with thousands of packets on the wire), a steady-state TCP round trip,
-# and the 10⁵-flow replay send path at ≤ 0.01 allocs a packet.
+# The memory and event pins: what a run allocates must grow with the
+# window, not with the packets delivered — the goodput log at ≤ 6 B a
+# record, the TCP scoreboard and FQ-CoDel's flow queues at nothing once
+# warm, and a whole experiments.Run at ≤ 32 B per delivered segment — plus
+# the zero-alloc hot paths: engine dispatch, timer re-arm, one-hop
+# forwarding (alone and with thousands of packets on the wire), a
+# steady-state TCP round trip, and the 10⁵-flow replay send path at ≤ 0.01
+# allocs a packet. The event budget rides along: one event per uncontended
+# hop and one more per queued packet, and ≤ 8.1 events per delivered
+# segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The
@@ -115,6 +118,13 @@ SECONDS ?= 7
 
 ab:
 	sh scripts/ab.sh $(REV) $(W) $(PAIRS) $(SECONDS)
+
+# The byte gate for a change that may move only event counts: the quick
+# report of REV and of this tree, cmp-identical once every `events=N` and
+# `events: N` is masked. Prints nothing and exits 0 when they match:
+#   make report-diff REV=HEAD~1
+report-diff:
+	@sh scripts/report_diff.sh $(REV)
 
 # Regenerate the quick evaluation report on all cores with checkpointing.
 report:

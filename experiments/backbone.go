@@ -281,9 +281,9 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 		Finished:      source.Stats.Finished,
 		PeakActive:    source.Stats.PeakActive,
 		SentPackets:   source.Stats.SentPackets,
-		CoreTxPackets: coreFwd.Stats.TxPackets,
-		CoreTxBytes:   coreFwd.Stats.TxBytes,
-		CoreDropPkts:  coreFwd.Stats.DropPackets,
+		CoreTxPackets: coreFwd.Stats().TxPackets,
+		CoreTxBytes:   coreFwd.Stats().TxBytes,
+		CoreDropPkts:  coreFwd.Stats().DropPackets,
 		SinkPackets:   sink.Stats.Packets,
 		LostBytes:     sink.Stats.LostBytes,
 		CEMarks:       sink.Stats.CEMarks,

@@ -35,3 +35,22 @@ func TestRunBytesPerSegment(t *testing.T) {
 		t.Fatalf("Run allocated %.1f B per delivered segment, want ≤ 32", per)
 	}
 }
+
+// TestRunEventsPerSegment pins the event budget of the dumbbell_fifo_1g
+// benchmark workload's traffic (the row-11 cell above behind FIFO, seed 1)
+// at a 3-second horizon: engine events dispatched per segment the
+// bottleneck carried, ≤ 8.1. A hop costs one event, the arrival, plus a
+// transmit completion only when a packet waits behind the one on the link;
+// a completion event on every hop reads ≈ 13.
+func TestRunEventsPerSegment(t *testing.T) {
+	s := Table2Scenario(Table2Rows()[10], FIFO, Quick)
+	s.Duration = sim.Duration(3e9)
+	s.Seed = 1
+	r := Run(s)
+	segments := r.ThroughputBps * s.Duration.Seconds() / 8 / 1500
+	per := float64(r.Events) / segments
+	t.Logf("%.2f events per delivered segment (%d events, %.0f segments)", per, r.Events, segments)
+	if per > 8.1 {
+		t.Fatalf("Run dispatched %.2f events per delivered segment, want ≤ 8.1", per)
+	}
+}

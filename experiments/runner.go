@@ -317,7 +317,7 @@ func Run(s Scenario) Result {
 		res.GoodputBps += rate * 8
 	}
 	res.JFI = metrics.JFI(rates)
-	res.ThroughputBps = float64(d.Bottleneck.Stats.TxBytes) * 8 / s.Duration.Seconds()
+	res.ThroughputBps = float64(d.Bottleneck.Stats().TxBytes) * 8 / s.Duration.Seconds()
 	if cq != nil {
 		res.CebStats = cq.Stats
 	}

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
 
 	"cebinae/internal/core"
 	"cebinae/internal/fleet"
@@ -66,6 +69,32 @@ type SweepResult struct {
 	GoodputBps    float64 `json:"goodput_bps"`
 	JFI           float64 `json:"jfi"`
 }
+
+// WriteSweepCSV emits a header row, then one row per sweep grid cell in the
+// order given (use DecodeSweepResults for the canonical
+// qdisc/scale/threshold sort), so the measured data can be re-plotted
+// outside Go.
+func WriteSweepCSV(w io.Writer, rows []SweepResult) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"qdisc", "scale", "threshold_pct", "duration_s", "throughput_mbps", "goodput_mbps", "jfi"}); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		rec := []string{
+			string(r.Qdisc), f(r.Scale), f(r.ThresholdPct), f(r.DurationS),
+			f(r.ThroughputBps / 1e6), f(r.GoodputBps / 1e6), f(r.JFI),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// f formats a CSV number: the shortest form that keeps 8 significant
+// digits.
+func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
 // Points enumerates the grid in deterministic order.
 func (c SweepConfig) Points() []SweepPoint {

@@ -46,12 +46,15 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// scheduleMethods are sim.Engine scheduling entry points whose call order
-// is observable (FIFO tie-breaking at equal timestamps): each draws one
-// sequence number per call.
+// scheduleMethods are sim.Engine entry points whose call order is
+// observable (FIFO tie-breaking at equal timestamps): each draws one
+// sequence number per call. DrawSeq draws one and schedules nothing; its
+// counterpart ScheduleOwned is absent because it takes its key, seq
+// included, from the caller and draws none, so the order of its calls
+// leaves no trace in the event stream.
 var scheduleMethods = map[string]bool{
 	"ScheduleCall":     true,
-	"ScheduleOwned":    true,
+	"DrawSeq":          true,
 	"AtCall":           true,
 	"StreamCall":       true,
 	"ArmTimer":         true,

@@ -55,6 +55,14 @@ func pushWires(eng *sim.Engine, wires map[flowKey]*sim.Stream) {
 	}
 }
 
+// Drawing a sequence number for a completion to arm later puts visit order
+// into the key as surely as scheduling does.
+func drawCompletionSeqs(eng *sim.Engine, seqs map[flowKey]uint64) {
+	for k := range seqs { // want `map range schedules events via DrawSeq in iteration order`
+		seqs[k] = eng.DrawSeq()
+	}
+}
+
 // Arming timers from a map range is scheduling too: each ArmTimer
 // consumes a sequence number, so visit order leaks into equal-instant
 // tie-breaking exactly as ScheduleCall's does.

@@ -72,6 +72,15 @@ func stopAll(eng *sim.Engine, timers map[flowKey]*sim.Timer) {
 	}
 }
 
+// Arming owned events under keys drawn beforehand is fine: ScheduleOwned
+// draws no sequence number, so the heap orders them by their keys whatever
+// order the map visits them in.
+func armCompletions(eng *sim.Engine, evs map[flowKey]*sim.Event, seqs map[flowKey]uint64, h sim.Handler) {
+	for k, ev := range evs {
+		eng.ScheduleOwned(ev, sim.Time(10), sim.Time(1), seqs[k], h, nil)
+	}
+}
+
 // Helpers whose bodies are order-free must not be flagged when called
 // from a map range — stopping a timer consumes no sequence number.
 func stop(eng *sim.Engine, t *sim.Timer) {

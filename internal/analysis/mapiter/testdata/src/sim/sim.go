@@ -27,4 +27,9 @@ func (e *Engine) StopTimer(t *Timer) bool                              { return 
 
 type Stream struct{ n int }
 
-func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, a any) {}
+func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, a any) uint64 { return 0 }
+
+type Event struct{ at Time }
+
+func (e *Engine) DrawSeq() uint64                                                         { return 0 }
+func (e *Engine) ScheduleOwned(ev *Event, at, schedAt Time, seq uint64, h Handler, a any) {}

@@ -49,7 +49,7 @@ func TestWatchCebinae(t *testing.T) {
 	c.WatchDevice(dev)
 	// The flow total is the device's wire-byte counter, so the Cebinae
 	// feed needs no goodput→wire scaling: wireFactor 1.
-	c.WatchFlow(key, 0, func() int64 { return int64(dev.Stats.TxBytes) }, nil)
+	c.WatchFlow(key, 0, func() int64 { return int64(dev.Stats().TxBytes) }, nil)
 	c.WatchCebinae(cq, 1)
 	c.Start()
 	eng.Run(horizon)

@@ -286,7 +286,7 @@ func (c *Controller) WatchDevice(dev *netem.Device) {
 		h.vals = make([]int64, c.cfg.Stable)
 	}
 	c.devices = append(c.devices, wd)
-	c.WatchCounter(func() uint64 { return dev.Stats.DropPackets })
+	c.WatchCounter(func() uint64 { return dev.Stats().DropPackets })
 }
 
 // WatchDeviceContested is WatchDevice for a link that multiple watched
@@ -423,7 +423,7 @@ func (c *Controller) discoDelta() bool {
 // counter values (after construction, a disarm, or a history reset).
 func (c *Controller) syncCounters() {
 	for _, wd := range c.devices {
-		st := &wd.dev.Stats
+		st := wd.dev.Stats()
 		wd.lastTxB, wd.lastTxP = st.TxBytes, st.TxPackets
 		wd.lastRxB, wd.lastRxP = st.RxBytes, st.RxPackets
 	}
@@ -458,7 +458,7 @@ func (c *Controller) sampleTick() {
 	}
 	stable := true
 	for _, wd := range c.devices {
-		st := &wd.dev.Stats
+		st := wd.dev.Stats()
 		// All four rings advance every window, but only TX bytes and
 		// occupancy gate stability: the companion counters are
 		// functionally dependent on them in steady state, and their
@@ -595,11 +595,12 @@ func (c *Controller) skip(d sim.Time) {
 	c.eng.FastForward(d)
 	sec := d.Seconds()
 	for _, wd := range c.devices {
-		st := &wd.dev.Stats
-		st.TxBytes += creditU(wd.rateTxB*sec, &wd.remTxB)
-		st.TxPackets += creditU(wd.rateTxP*sec, &wd.remTxP)
-		st.RxBytes += creditU(wd.rateRxB*sec, &wd.remRxB)
-		st.RxPackets += creditU(wd.rateRxP*sec, &wd.remRxP)
+		wd.dev.Credit(netem.DeviceStats{
+			TxBytes:   creditU(wd.rateTxB*sec, &wd.remTxB),
+			TxPackets: creditU(wd.rateTxP*sec, &wd.remTxP),
+			RxBytes:   creditU(wd.rateRxB*sec, &wd.remRxB),
+			RxPackets: creditU(wd.rateRxP*sec, &wd.remRxP),
+		})
 	}
 	target := c.eng.Now()
 	for _, wf := range c.flows {

@@ -42,7 +42,7 @@ func TestFastForwardSkipsAndFidelity(t *testing.T) {
 	// Exact packet-level baseline.
 	engExact, devExact := buildCBRLink()
 	engExact.Run(horizon)
-	exactTx := devExact.Stats.TxBytes
+	exactTx := devExact.Stats().TxBytes
 	exactEvents := engExact.Processed
 	if exactTx == 0 {
 		t.Fatal("baseline moved no bytes")
@@ -69,7 +69,7 @@ func TestFastForwardSkipsAndFidelity(t *testing.T) {
 		t.Fatalf("fluid run dispatched %d events, baseline %d — no work saved",
 			eng.Processed, exactEvents)
 	}
-	ffTx := dev.Stats.TxBytes
+	ffTx := dev.Stats().TxBytes
 	diff := float64(ffTx) - float64(exactTx)
 	if diff < 0 {
 		diff = -diff
@@ -86,7 +86,7 @@ func TestFastForwardDeterministic(t *testing.T) {
 		c.WatchDevice(dev)
 		c.Start()
 		eng.Run(horizon)
-		return dev.Stats.TxBytes, c.Stats()
+		return dev.Stats().TxBytes, c.Stats()
 	}
 	tx1, st1 := run()
 	tx2, st2 := run()
@@ -137,8 +137,8 @@ func TestForceOff(t *testing.T) {
 	}
 	// The run continues at packet level after ForceOff, so the second
 	// half still moves real bytes.
-	if dev.Stats.TxBytes < uint64(20e6/8) { // ≥1 s worth at 20 Mbps
-		t.Fatalf("too few bytes after forced fall-back: %d", dev.Stats.TxBytes)
+	if dev.Stats().TxBytes < uint64(20e6/8) { // ≥1 s worth at 20 Mbps
+		t.Fatalf("too few bytes after forced fall-back: %d", dev.Stats().TxBytes)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestWatchFlowStability(t *testing.T) {
 	c := New(eng, Config{})
 	c.WatchDevice(dev)
 	var credited int64
-	c.WatchFlow(packet.FlowKey{}, 0, func() int64 { return int64(dev.Stats.TxBytes) },
+	c.WatchFlow(packet.FlowKey{}, 0, func() int64 { return int64(dev.Stats().TxBytes) },
 		func(at sim.Time, bytes int64) { credited += bytes })
 	c.Start()
 	eng.Run(horizon)

@@ -68,8 +68,8 @@ func (m *Monitor) sample() {
 	if m.stopped {
 		return
 	}
-	tx := m.dev.Stats.TxBytes
-	drops := m.dev.Stats.DropPackets
+	st := m.dev.Stats()
+	tx, drops := st.TxBytes, st.DropPackets
 	s := Sample{
 		At:           m.eng.Now(),
 		QueueBytes:   m.dev.Qdisc().BytesQueued(),

@@ -15,8 +15,8 @@ func (nullEndpoint) Deliver(p *packet.Packet) {}
 
 // newHop builds a two-node 1 Gbps store-and-forward hop and returns the
 // network with a forward func that carries one packet across it: pool
-// alloc, qdisc enqueue/dequeue, persistent transmit event, wire-stream
-// propagation entry, delivery, pool release.
+// alloc, qdisc enqueue/dequeue, wire-stream propagation entry pushed as
+// serialisation starts, delivery, pool release.
 func newHop() (*netem.Network, func()) {
 	eng := sim.NewEngine()
 	w := netem.NewNetwork(eng)
@@ -125,6 +125,36 @@ func TestNetemForwardZeroAlloc(t *testing.T) {
 	}
 	if reuses := w.Pool().Reuses; reuses == 0 {
 		t.Fatal("packet pool never recycled a packet")
+	}
+}
+
+// TestNetemForwardEvents pins the event budget of a hop: a packet that
+// finds the link idle costs exactly one event, its arrival, and a packet
+// queued behind another adds exactly one, the completion that starts it.
+func TestNetemForwardEvents(t *testing.T) {
+	w, forward := newHop()
+	eng := w.Engine
+	forward()
+	before := eng.Processed
+	for i := 0; i < 100; i++ {
+		forward()
+	}
+	if got := eng.Processed - before; got != 100 {
+		t.Fatalf("100 uncontended packets cost %d events, want 100", got)
+	}
+
+	a := w.Nodes()[0]
+	dev := a.Devices()[0]
+	before = eng.Processed
+	for i := 0; i < 3; i++ {
+		p := a.AllocPacket()
+		p.Flow = packet.FlowKey{Src: a.ID, Dst: w.Nodes()[1].ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+		p.Size = 1500
+		dev.Send(p)
+	}
+	eng.RunAll()
+	if got := eng.Processed - before; got != 5 {
+		t.Fatalf("3 back-to-back packets cost %d events, want 3 arrivals + 2 completions", got)
 	}
 }
 

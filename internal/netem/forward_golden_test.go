@@ -19,8 +19,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // traceRig is the five-node network behind TestForwardTraceGolden:
 //
 //	a ──D──┐
-//	│0     c ──D── d ──D2── e      D = 100 µs on three links, D2 = 250 µs
-//	b ──D──┘                       on one, 0 on the a—b shortcut
+//	│S     c ──D── d ──D2── e      D = 100 µs on three links, D2 = 250 µs
+//	b ──D──┘                       on one, S on the a—b shortcut
 //
 // a and b have identical access links, so equal-sized packets they send at
 // one instant reach c in the same nanosecond; c→d is slower and drops (a
@@ -99,7 +99,10 @@ func (r *traceRig) OnEvent(any) {
 	r.eng.ScheduleCall(gap, r, nil)
 }
 
-func runForwardTrace(seed uint64, steps int) string {
+// runForwardTrace runs the rig with an a—b shortcut of the given delay and
+// returns the engine's event count and a digest of the records: how many,
+// how many drops at c→d, and the hash of the whole trace.
+func runForwardTrace(seed uint64, steps int, shortcut sim.Time) (events uint64, digest string) {
 	eng := sim.NewEngine()
 	w := NewNetwork(eng)
 	r := &traceRig{eng: eng, rng: sim.NewRand(seed), steps: steps}
@@ -115,7 +118,7 @@ func runForwardTrace(seed uint64, steps int) string {
 	bc, cb := link(b, c, 1e9, D)
 	cd, dc := link(c, d, 500e6, D)
 	de, ed := link(d, e, 1e9, D2)
-	ab, ba := link(a, b, 1e9, 0)
+	ab, ba := link(a, b, 1e9, shortcut)
 	cd.SetQdisc(&coinQdisc{FIFO: qdisc.NewFIFO(20 * 1500), rig: r, node: c, coin: sim.NewRand(seed ^ 0xC01)})
 	for _, rt := range []struct {
 		at   *Node
@@ -150,26 +153,17 @@ func runForwardTrace(seed uint64, steps int) string {
 	eng.ScheduleCall(0, r, nil)
 	eng.RunAll()
 	trace := r.log.String()
-	return fmt.Sprintf("seed=%d events=%d records=%d drops=%d trace=%x\n",
-		seed, eng.Processed, strings.Count(trace, "\n"), cd.Stats.DropPackets, sha256.Sum256([]byte(trace)))
+	return eng.Processed, fmt.Sprintf("records=%d drops=%d trace=%x",
+		strings.Count(trace, "\n"), cd.Stats().DropPackets, sha256.Sum256([]byte(trace)))
 }
 
-// TestForwardTraceGolden is the byte gate for dispatch order inside netem:
-// the time, node, flow and sequence number of every delivery and drop on
-// the rig above, and the engine's event count, digested per seed against
-// testdata/forward_trace_golden.txt. The file was recorded at the commit
-// before links of one delay began to share a wire stream, where every
-// direction of every link had a heap residency of its own; a same-instant
-// tie between two links resolved differently, an arrival handed to the wrong
-// peer or a sequence number drawn elsewhere moves these bytes.
-func TestForwardTraceGolden(t *testing.T) {
-	var got strings.Builder
-	for seed := uint64(1); seed <= 4; seed++ {
-		got.WriteString(runForwardTrace(seed, 3000))
-	}
-	path := filepath.Join("testdata", "forward_trace_golden.txt")
+// checkTraceGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkTraceGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -178,7 +172,44 @@ func TestForwardTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update at the parent commit): %v", err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("forwarding trace drifted from %s:\n got:\n%swant:\n%s", path, got.String(), want)
+	if got != string(want) {
+		t.Errorf("forwarding trace drifted from %s:\n got:\n%swant:\n%s", path, got, want)
 	}
+}
+
+// TestForwardTraceGolden is the byte gate for dispatch order inside netem:
+// the time, node, flow and sequence number of every delivery and drop on
+// the rig above with a zero-delay a—b shortcut, and the engine's event
+// count, digested per seed against testdata/forward_trace_golden.txt. A
+// same-instant tie between two links resolved differently, an arrival
+// handed to the wrong peer or a sequence number drawn elsewhere moves these
+// bytes.
+//
+// The shortcut's zero delay is where one tie is declared rather than
+// inherited: an arrival is pushed, seq and all, when its serialisation
+// starts, so a zero-delay arrival dispatches ahead of zero-delay events
+// scheduled at its completion instant. The file was recorded when that rule
+// came in; TestForwardTraceGoldenDelayed pins every tie on a link with
+// delay to the order it had before.
+func TestForwardTraceGolden(t *testing.T) {
+	var got strings.Builder
+	for seed := uint64(1); seed <= 4; seed++ {
+		events, digest := runForwardTrace(seed, 3000, 0)
+		fmt.Fprintf(&got, "seed=%d events=%d %s\n", seed, events, digest)
+	}
+	checkTraceGolden(t, "forward_trace_golden.txt", got.String())
+}
+
+// TestForwardTraceGoldenDelayed is the same rig with 1 ns on the a—b
+// shortcut, so every link has propagation delay, against
+// testdata/forward_trace_delayed_golden.txt, recorded at the commit before
+// one event per packet-hop. It holds no event count, which that change
+// moved on purpose.
+func TestForwardTraceGoldenDelayed(t *testing.T) {
+	var got strings.Builder
+	for seed := uint64(1); seed <= 4; seed++ {
+		_, digest := runForwardTrace(seed, 3000, 1)
+		fmt.Fprintf(&got, "seed=%d %s\n", seed, digest)
+	}
+	checkTraceGolden(t, "forward_trace_delayed_golden.txt", got.String())
 }

@@ -45,14 +45,14 @@ type Endpoint interface {
 // Handoff receives packets leaving the transmit side of a cut link — a
 // link whose peer device lives in a different Network (and typically on a
 // different engine). Instead of pushing the packet onto its own wire, the
-// device passes each serialised packet to the handoff with
-// the time its last bit left the device (sent) and its computed arrival
-// time; the remote runner delivers it by calling InjectArrivalFrom on the
-// opposite half, carrying `sent` so the arrival sorts among same-instant
-// remote events exactly where a single merged engine would have placed
-// it. The handoff takes ownership of the packet: it must copy what it
-// needs and release the packet to the source network's pool before
-// returning.
+// device passes each packet to the handoff as its serialisation starts,
+// with the instant its last bit will leave the device (sent) and its
+// arrival time; the remote runner delivers it by calling InjectArrivalFrom
+// on the opposite half, carrying `sent` so the arrival sorts among
+// same-instant remote events exactly where a single merged engine would
+// have placed it. The handoff takes ownership of the packet: it must copy
+// what it needs and release the packet to the source network's pool
+// before returning.
 type Handoff interface {
 	// Handoff transfers p to the remote runner.
 	//
@@ -73,54 +73,77 @@ type DeviceStats struct {
 // Device is one direction-capable attachment point of a node to a link. A
 // full-duplex link is a pair of peered devices, each with its own qdisc and
 // transmitter.
+//
+// A packet-hop costs one event: the moment a packet's serialisation starts,
+// its arrival at the far end is pushed onto the wire (or handed off) with
+// the time and stamp, (end+delay, end), that a push at the completion
+// instant `end` would give it, and the seq a completion scheduled at the
+// start would draw. The completion itself — count the packet sent, pull the
+// next one — is an event only when a packet is waiting behind it; otherwise
+// it stays a phantom key (txEnd, txStart, txSeq) that the next Send or
+// Kick, finding it behind the event now dispatching, completes on the spot.
+// On a link with propagation delay that keeps every tie where it was; on a
+// zero-delay link the arrival falls at `end` itself and, its seq drawn at
+// the start, dispatches ahead of zero-delay events scheduled at `end`.
 type Device struct {
-	Name  string
-	node  *Node
-	rate  float64  // link rate in bits per second
-	delay sim.Time // one-way propagation delay
-
+	// The transmit path's state comes first, so the fields a packet start
+	// or a Send touches share as few cache lines as possible.
+	eng   *sim.Engine
 	qdisc Qdisc
-	busy  bool
 
-	// handoff, when non-nil, marks this device as the local half of a cut
-	// link: completed transmissions are handed to it instead of being
-	// pushed onto the wire.
-	handoff Handoff
+	// tx is set from the start of a packet's serialisation until its
+	// completion has run; txArmed says the completion is pending as txEvent.
+	// txStart and txEnd are Local() readings of the start and completion
+	// instants, so a fast-forward skip moves the completion with every other
+	// pending event; with txSeq, the seq the arrival drew at the start, they
+	// are the completion's key. txSize is the packet's size, counted as
+	// transmitted at txEnd.
+	tx, txArmed    bool
+	txSize         int32
+	txStart, txEnd sim.Time
+	txSeq          uint64
 
-	// txEvent is the device's persistent transmit-completion event: a
-	// device serialises at most one packet at a time, so one caller-owned
-	// event (rescheduled in place) replaces a per-packet allocation.
-	// txPacket is the packet currently on the wire.
-	txEvent  sim.Event
-	txPacket *packet.Packet
-
-	// wire holds the packets in propagation from this device, each entry
-	// dispatching to arrive — the receive side of the hop: the peer for a
-	// local link, this device itself for the half of a cut link (whose
-	// remote half hands its transmissions to InjectArrivalFrom). Transmit
-	// completions fire in time order, so now+delay is sorted across every
-	// local link of one delay: both directions of a link and every other
-	// link of that delay on the Network push onto one shared sim.Stream
-	// (Network.wires), and the event heap holds one entry per distinct
-	// delay, not one per non-empty wire. A cut-link half keeps a stream of
-	// its own, because its entries carry the remote engine's stamps and are
-	// sorted only per link.
+	// wire is the stream the packet now starting is pushed onto: every local
+	// link that shares this device's propagation delay and current
+	// serialisation time shares it (Network.wires). Within one such class an
+	// arrival's key (start+ser+delay, start+ser) grows with the start
+	// instant, and starts happen in dispatch order, so the class's entries
+	// are sorted by construction and the event heap holds one entry per
+	// busy class. A cut-link half pushes nothing locally; its wire is its
+	// own inbound stream, fed by InjectArrivalFrom in the order the remote
+	// half transmitted.
 	wire   *sim.Stream
 	arrive sim.Handler
 
 	// serialiseSize/serialiseTime memoise the last packet size's
-	// serialisation delay. Traffic on a device is dominated by long runs
-	// of equal-sized packets (full segments one way, bare ACKs the other),
-	// so the memo removes the per-packet float division while staying
-	// bit-identical to computing the delay fresh each time (a precomputed
-	// ns-per-byte multiplier rounds differently and would perturb runs).
+	// serialisation delay (and, through it, the wire). Traffic on a device
+	// is dominated by long runs of equal-sized packets (full segments one
+	// way, bare ACKs the other), so the memo removes the per-packet float
+	// division and wire lookup while staying bit-identical to computing the
+	// delay fresh each time (a precomputed ns-per-byte multiplier rounds
+	// differently and would perturb runs).
 	serialiseSize int32
 	serialiseTime sim.Time
+	delay         sim.Time // one-way propagation delay
+	rate          float64  // link rate in bits per second
 
-	Stats DeviceStats
+	stats DeviceStats
+
+	// txEvent is the completion, armed under the phantom's key as soon as
+	// the qdisc holds a packet to pull at txEnd. One caller-owned event,
+	// rearmed in place, serves every packet.
+	txEvent sim.Event
+
+	// handoff, when non-nil, marks this device as the local half of a cut
+	// link: started transmissions are handed to it instead of being pushed
+	// onto the wire.
+	handoff Handoff
+
+	Name string
+	node *Node
 
 	// OnTransmit, when non-nil, observes every packet at the instant its
-	// serialisation completes (used by monitors).
+	// serialisation starts (used by monitors).
 	OnTransmit func(p *packet.Packet)
 }
 
@@ -133,9 +156,32 @@ func (d *Device) Delay() sim.Time { return d.delay }
 // Qdisc returns the attached queue discipline.
 func (d *Device) Qdisc() Qdisc { return d.qdisc }
 
-// Busy reports whether a packet is currently being serialised onto the
-// link. While true, NextHandoffBound is the exact completion instant.
-func (d *Device) Busy() bool { return d.busy }
+// Busy reports whether a packet is being serialised onto the link: its
+// completion has not dispatched yet. While true, NextHandoffBound is the
+// exact completion instant.
+func (d *Device) Busy() bool { return d.tx && !d.completed() }
+
+// Stats returns the device's counters. A packet counts as transmitted from
+// its completion instant on, whether or not an event marked it.
+func (d *Device) Stats() DeviceStats {
+	st := d.stats
+	if d.tx && d.completed() {
+		st.TxPackets++
+		st.TxBytes += uint64(d.txSize)
+	}
+	return st
+}
+
+// Credit adds traffic carried in closed form, which no packet event
+// accounts for (a fluid fast-forward skip), to the counters.
+func (d *Device) Credit(c DeviceStats) {
+	d.stats.TxPackets += c.TxPackets
+	d.stats.TxBytes += c.TxBytes
+	d.stats.RxPackets += c.RxPackets
+	d.stats.RxBytes += c.RxBytes
+	d.stats.DropPackets += c.DropPackets
+	d.stats.DropBytes += c.DropBytes
+}
 
 // SetQdisc replaces the queue discipline. Must be called before traffic
 // flows through the device.
@@ -147,58 +193,113 @@ func (d *Device) Node() *Node { return d.node }
 // Send admits a packet to the device's qdisc and kicks the transmitter.
 // Refused packets are released back to the network's pool.
 func (d *Device) Send(p *packet.Packet) {
+	idle := d.idle()
 	if !d.qdisc.Enqueue(p) {
-		d.Stats.DropPackets++
-		d.Stats.DropBytes += uint64(p.Size)
+		d.stats.DropPackets++
+		d.stats.DropBytes += uint64(p.Size)
 		d.node.net.pool.Put(p)
 		return
 	}
-	if !d.busy {
+	if idle {
 		d.transmitNext()
+	} else {
+		d.arm()
 	}
 }
 
-// transmitNext pulls the next packet from the qdisc and serialises it onto
-// the link. The device stays busy until the qdisc runs dry. Serialisation
-// completion is the device's persistent txEvent — no allocation per packet.
+// txKey returns the completion and start instants of the packet on the
+// link on the Now() clock, where its key lives.
+func (d *Device) txKey() (end, start sim.Time) {
+	off := d.eng.Now() - d.eng.Local()
+	return d.txEnd + off, d.txStart + off
+}
+
+// completed reports whether the completion of the packet now on the link
+// sorts before the event now dispatching.
+func (d *Device) completed() bool {
+	end, start := d.txKey()
+	return d.eng.Dispatched(end, start, d.txSeq)
+}
+
+// idle reports whether the transmitter is free. A completion that has
+// fallen due with no event armed for it runs here first, so the qdisc sees
+// its Dequeue — empty, as nothing was queued behind the packet — before
+// whatever the caller does next: FQ-CoDel detaches emptied flows there.
+func (d *Device) idle() bool {
+	if !d.tx {
+		return true
+	}
+	if d.txArmed || !d.completed() {
+		return false
+	}
+	d.complete()
+	return !d.tx
+}
+
+// arm schedules the completion of the packet now on the link, once a packet
+// waits in the qdisc for it.
+func (d *Device) arm() {
+	if d.txArmed {
+		return
+	}
+	d.txArmed = true
+	end, start := d.txKey()
+	d.eng.ScheduleOwned(&d.txEvent, end, start, d.txSeq, (*deviceTxDone)(d), nil)
+}
+
+// complete is a transmit completion: count the packet sent and start on the
+// next one.
+func (d *Device) complete() {
+	d.tx = false
+	d.stats.TxPackets++
+	d.stats.TxBytes += uint64(d.txSize)
+	d.transmitNext()
+}
+
+// transmitNext pulls the next packet from the qdisc and starts serialising
+// it: its arrival goes onto the wire (or to the handoff) at once, and its
+// completion is armed only if the qdisc still holds packets. A dry qdisc
+// leaves the device idle.
 func (d *Device) transmitNext() {
 	p := d.qdisc.Dequeue()
 	if p == nil {
-		d.busy = false
 		return
 	}
-	d.busy = true
 	if p.Size != d.serialiseSize {
 		d.serialiseSize = p.Size
 		d.serialiseTime = sim.Time(float64(p.Size*8) / d.rate * 1e9)
+		if d.handoff == nil {
+			d.wire = d.node.net.wireFor(d.delay, d.serialiseTime)
+		}
 	}
-	d.txPacket = p
-	d.node.net.Engine.ScheduleOwned(&d.txEvent, d.serialiseTime, (*deviceTxDone)(d), nil)
+	eng := d.eng
+	end := eng.Now() + d.serialiseTime
+	local := eng.Local()
+	d.tx = true
+	d.txStart, d.txEnd, d.txSize = local, local+d.serialiseTime, p.Size
+	if d.OnTransmit != nil {
+		d.OnTransmit(p)
+	}
+	if d.handoff != nil {
+		d.txSeq = eng.DrawSeq()
+		d.handoff.Handoff(p, end, end+d.delay)
+	} else {
+		d.txSeq = eng.StreamCall(d.wire, end+d.delay, end, d.arrive, p)
+	}
+	if d.qdisc.Len() > 0 {
+		d.arm()
+	}
 }
 
 // deviceTxDone is the Device's transmit-completion event handler view.
 type deviceTxDone Device
 
-// OnEvent fires when the head packet's last bit leaves the device: account
-// it, push it onto the wire towards the peer (the receive side of the
-// hop), and start on the next packet.
+// OnEvent fires when the last bit of the packet on the link leaves the
+// device with another waiting in the qdisc.
 func (t *deviceTxDone) OnEvent(any) {
 	d := (*Device)(t)
-	p := d.txPacket
-	d.txPacket = nil
-	d.Stats.TxPackets++
-	d.Stats.TxBytes += uint64(p.Size)
-	if d.OnTransmit != nil {
-		d.OnTransmit(p)
-	}
-	eng := d.node.net.Engine
-	now := eng.Now()
-	if d.handoff != nil {
-		d.handoff.Handoff(p, now, now+d.delay)
-	} else {
-		eng.StreamCall(d.wire, now+d.delay, now, d.arrive, p)
-	}
-	d.transmitNext()
+	d.txArmed = false
+	d.complete()
 }
 
 // deviceArrival is the Device's propagation-arrival event handler view.
@@ -210,47 +311,48 @@ func (r *deviceArrival) OnEvent(arg any) {
 
 // InjectArrivalFrom queues p's arrival on this half of a cut link at
 // absolute virtual time t, ordered among same-instant local events by the
-// time the remote half emitted it (sent) — the stamp a single merged engine
-// would have given the wire entry it pushed at transmit completion, so cuts
-// through dense-traffic links (same-nanosecond arrival collisions) stay
-// byte-identical to the single-engine run. It is the surface a local
-// link's transmitter pushes onto, so a sharded run dispatches exactly one
-// arrival event per hop, like the single-engine run. Calls must come in
-// (t, sent) order, which is the order the remote half transmitted in. p
-// must be owned by this device's network (drawn from its pool or handed
-// over for good).
+// instant the remote half's transmission completed (sent) — the stamp a
+// single merged engine gives the wire entry it pushes, so cuts through
+// dense-traffic links (same-nanosecond arrival collisions) stay
+// byte-identical to the single-engine run. A sharded run thus dispatches
+// exactly one arrival event per hop, like the single-engine run. Calls must
+// come in (t, sent) order, which is the order the remote half transmitted
+// in. p must be owned by this device's network (drawn from its pool or
+// handed over for good).
 func (d *Device) InjectArrivalFrom(t, sent sim.Time, p *packet.Packet) {
-	d.node.net.Engine.StreamCall(d.wire, t, sent, d.arrive, p)
+	d.eng.StreamCall(d.wire, t, sent, d.arrive, p)
 }
 
 // NextHandoffBound returns a lower bound on the virtual time at which
-// this device could next complete a transmission. While a packet is on
-// the wire that is its completion instant; a quiescent transmitter can
-// only start again in response to a future event on its engine (a Send
-// or Kick happens inside some dispatch), so the engine's next-event
-// bound applies. Conservative-parallel runners evaluate this at a
-// window barrier — when every event up to the horizon has fired — to
-// prove a cut link idle and widen the next lookahead window beyond the
-// link's propagation delay.
+// this device could next hand off a transmission. While a packet is being
+// serialised that is its completion instant: the next packet cannot start
+// before it, and the one on the link was handed off when it started. A
+// quiescent transmitter can only start again in response to a future
+// event on its engine (a Send or Kick happens inside some dispatch), so
+// the engine's next-event bound applies. Conservative-parallel runners
+// evaluate this at a window barrier — when every event up to the horizon
+// has fired — to prove a cut link idle and widen the next lookahead window
+// beyond the link's propagation delay.
 func (d *Device) NextHandoffBound() sim.Time {
-	if d.busy {
-		return d.txEvent.At()
+	if d.Busy() {
+		end, _ := d.txKey()
+		return end
 	}
-	return d.node.net.Engine.NextEventTime()
+	return d.eng.NextEventTime()
 }
 
 // Kick restarts the transmitter if it is idle and the qdisc has become
 // non-empty without an Enqueue through Send (used by qdiscs that release
 // previously gated packets, such as the Cebinae LBF on queue rotation).
 func (d *Device) Kick() {
-	if !d.busy && d.qdisc.Len() > 0 {
+	if d.idle() && d.qdisc.Len() > 0 {
 		d.transmitNext()
 	}
 }
 
 func (d *Device) receive(p *packet.Packet) {
-	d.Stats.RxPackets++
-	d.Stats.RxBytes += uint64(p.Size)
+	d.stats.RxPackets++
+	d.stats.RxBytes += uint64(p.Size)
 	d.node.receive(p)
 }
 
@@ -370,16 +472,20 @@ type Network struct {
 	nodes  []*Node
 	pool   packet.Pool
 	// wires is the wire stream of every local link, by propagation delay
-	// (see Device.wire). Looked up only while the topology is built.
-	wires map[sim.Time]*sim.Stream
+	// and serialisation time (see Device.wire). Looked up only when a
+	// device's packet size changes.
+	wires map[wireClass]*sim.Stream
 }
+
+// wireClass is the key of a shared wire stream.
+type wireClass struct{ delay, serialise sim.Time }
 
 // Pool exposes the network's packet free list (diagnostics and benchmarks).
 func (w *Network) Pool() *packet.Pool { return &w.pool }
 
 // NewNetwork creates an empty network bound to eng.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{Engine: eng, wires: make(map[sim.Time]*sim.Stream)}
+	return &Network{Engine: eng, wires: make(map[wireClass]*sim.Stream)}
 }
 
 // NewNode adds a node with a unique ID.
@@ -415,8 +521,8 @@ type LinkConfig struct {
 }
 
 // checkLink panics on a link no device could serve, naming the link: a
-// negative delay would otherwise surface at the first transmit completion,
-// inside sim.StreamCall, far from the topology that stated it.
+// negative delay would otherwise surface at the first transmission, inside
+// sim.StreamCall, far from the topology that stated it.
 func checkLink(a, b string, cfg LinkConfig) {
 	if cfg.RateBps <= 0 {
 		panic(fmt.Sprintf("netem: link %s<->%s: non-positive rate %v", a, b, cfg.RateBps))
@@ -429,7 +535,7 @@ func checkLink(a, b string, cfg LinkConfig) {
 // newDevice attaches to a the transmit side of a link towards the node named
 // peer.
 func newDevice(a *Node, peer string, cfg LinkConfig) *Device {
-	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peer), node: a, rate: cfg.RateBps, delay: cfg.Delay}
+	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peer), node: a, eng: a.net.Engine, rate: cfg.RateBps, delay: cfg.Delay, serialiseSize: -1}
 	if cfg.QdiscFactory != nil {
 		d.qdisc = cfg.QdiscFactory()
 	}
@@ -438,12 +544,13 @@ func newDevice(a *Node, peer string, cfg LinkConfig) *Device {
 }
 
 // wireFor returns the stream shared by every local link with the given
-// propagation delay.
-func (w *Network) wireFor(delay sim.Time) *sim.Stream {
-	s := w.wires[delay]
+// propagation delay and serialisation time.
+func (w *Network) wireFor(delay, serialise sim.Time) *sim.Stream {
+	c := wireClass{delay, serialise}
+	s := w.wires[c]
 	if s == nil {
 		s = new(sim.Stream)
-		w.wires[delay] = s
+		w.wires[c] = s
 	}
 	return s
 }
@@ -455,8 +562,7 @@ func (w *Network) wireFor(delay sim.Time) *sim.Stream {
 func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
 	checkLink(a.Name, b.Name, cfg)
 	da, db := newDevice(a, b.Name, cfg), newDevice(b, a.Name, cfg)
-	da.wire, da.arrive = w.wireFor(cfg.Delay), (*deviceArrival)(db)
-	db.wire, db.arrive = da.wire, (*deviceArrival)(da)
+	da.arrive, db.arrive = (*deviceArrival)(db), (*deviceArrival)(da)
 	return da, db
 }
 

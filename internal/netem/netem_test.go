@@ -74,8 +74,8 @@ func TestBackToBackSerialisation(t *testing.T) {
 			t.Fatalf("packet %d at %v, want %v", i, at, want)
 		}
 	}
-	if da.Stats.TxPackets != 3 || da.Stats.TxBytes != 3000 {
-		t.Fatalf("tx stats wrong: %+v", da.Stats)
+	if da.Stats().TxPackets != 3 || da.Stats().TxBytes != 3000 {
+		t.Fatalf("tx stats wrong: %+v", da.Stats())
 	}
 }
 
@@ -170,7 +170,7 @@ func TestDropStatsOnQdiscRefusal(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Inject(&packet.Packet{Flow: key, Size: 600})
 	}
-	if da.Stats.DropPackets == 0 {
+	if da.Stats().DropPackets == 0 {
 		t.Fatal("tail drops must be counted on the device")
 	}
 }
@@ -280,12 +280,12 @@ func TestBuildParkingLotShapeAndRouting(t *testing.T) {
 		t.Fatal("cross flow path broken")
 	}
 	// Cross traffic at hop 2 must traverse bottleneck 1 only.
-	if pl.Bottlenecks[1].Stats.TxPackets == 0 {
+	if pl.Bottlenecks[1].Stats().TxPackets == 0 {
 		t.Fatal("cross flow should use its hop's bottleneck")
 	}
-	if pl.Bottlenecks[0].Stats.TxPackets != 1 || pl.Bottlenecks[2].Stats.TxPackets != 1 {
+	if pl.Bottlenecks[0].Stats().TxPackets != 1 || pl.Bottlenecks[2].Stats().TxPackets != 1 {
 		t.Fatalf("long flow should cross every hop exactly once: %d/%d",
-			pl.Bottlenecks[0].Stats.TxPackets, pl.Bottlenecks[2].Stats.TxPackets)
+			pl.Bottlenecks[0].Stats().TxPackets, pl.Bottlenecks[2].Stats().TxPackets)
 	}
 }
 
@@ -386,47 +386,210 @@ type nopHandoff struct{}
 
 func (nopHandoff) Handoff(*packet.Packet, sim.Time, sim.Time) {}
 
-// TestWiresSharedByDelay: on one Network, both directions of a link and
-// every other link with the same propagation delay push onto one wire
-// stream, a different delay gets a different one, the half of a cut link
-// keeps a private one (its entries carry another engine's stamps), and two
-// Networks — two engines — never share.
-func TestWiresSharedByDelay(t *testing.T) {
-	w := NewNetwork(sim.NewEngine())
+// TestWiresSharedByClass: on one Network, every device whose packet now
+// starting has the same propagation delay and serialisation time pushes
+// onto one wire stream — both directions of a link and any other link of
+// that delay and rate — while another delay, rate or packet size gets
+// another stream; the half of a cut link keeps a private inbound stream
+// (its entries carry another engine's stamps), and two Networks — two
+// engines — never share.
+func TestWiresSharedByClass(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewNetwork(eng)
 	a, b, c := w.NewNode("a"), w.NewNode("b"), w.NewNode("c")
-	ab, ba := w.Connect(a, b, LinkConfig{RateBps: 1e9, Delay: 100})
-	bc, cb := w.Connect(b, c, LinkConfig{RateBps: 1e6, Delay: 100})
-	ac, ca := w.Connect(a, c, LinkConfig{RateBps: 1e9, Delay: 101})
-	zero, _ := w.Connect(a, c, LinkConfig{RateBps: 1e9})
+	link := func(x, y *Node, bps float64, delay sim.Time) (*Device, *Device) {
+		return w.Connect(x, y, LinkConfig{RateBps: bps, Delay: delay, QdiscFactory: fifoFactory})
+	}
+	ab, ba := link(a, b, 1e9, 100)
+	bc, cb := link(b, c, 1e9, 100)
+	slow, _ := link(b, c, 1e6, 100)
+	ac, ca := link(a, c, 1e9, 101)
+	zero, _ := link(a, c, 1e9, 0)
+	start := func(d *Device, size int32) *sim.Stream {
+		p := d.node.AllocPacket()
+		p.Size = size
+		d.Send(p)
+		return d.wire
+	}
+	for _, d := range []*Device{ab, ba, bc, cb, slow, ac, ca, zero} {
+		start(d, 1000)
+	}
 	for _, d := range []*Device{ba, bc, cb} {
 		if d.wire != ab.wire {
-			t.Fatalf("%s and %s have delay 100 on one network but separate wire streams", d.Name, ab.Name)
+			t.Fatalf("%s and %s start 1000 B at 1 Gbps over 100 ns on one network but on separate wire streams", d.Name, ab.Name)
 		}
 	}
-	if ac.wire != ca.wire || ac.wire == ab.wire || zero.wire == ab.wire || zero.wire == ac.wire {
-		t.Fatal("links of different delays must not share a wire stream, and the two directions of one must")
+	if ac.wire != ca.wire || ac.wire == ab.wire || zero.wire == ab.wire || zero.wire == ac.wire || slow.wire == ab.wire {
+		t.Fatal("links of different delays or rates must not share a wire stream, and the two directions of one must")
+	}
+	eng.RunAll()
+	if start(ab, 1000) != ba.wire || start(ba, 52) == ab.wire {
+		t.Fatal("a device must move to the stream of its packet's serialisation time")
 	}
 	if ab.arrive != sim.Handler((*deviceArrival)(ba)) || ba.arrive != sim.Handler((*deviceArrival)(ab)) {
 		t.Fatal("a local device's entries must arrive at its peer")
 	}
-	half := w.ConnectHalf(a, "remote", LinkConfig{RateBps: 1e9, Delay: 100}, nopHandoff{})
-	other := w.ConnectHalf(b, "remote", LinkConfig{RateBps: 1e9, Delay: 100}, nopHandoff{})
-	if half.wire == nil || half.wire == ab.wire || half.wire == other.wire {
-		t.Fatal("a cut-link half must keep a private wire stream")
+	half := w.ConnectHalf(a, "remote", LinkConfig{RateBps: 1e9, Delay: 100, QdiscFactory: fifoFactory}, nopHandoff{})
+	other := w.ConnectHalf(b, "remote", LinkConfig{RateBps: 1e9, Delay: 100, QdiscFactory: fifoFactory}, nopHandoff{})
+	inbound := half.wire
+	if inbound == nil || start(half, 1000) != inbound || inbound == ab.wire || inbound == other.wire {
+		t.Fatal("a cut-link half must keep a private wire stream, whatever it sends")
 	}
 	if half.arrive != sim.Handler((*deviceArrival)(half)) {
 		t.Fatal("a cut-link half receives its own injected arrivals")
 	}
 	w2 := NewNetwork(sim.NewEngine())
-	xy, _ := w2.Connect(w2.NewNode("x"), w2.NewNode("y"), LinkConfig{RateBps: 1e9, Delay: 100})
-	if xy.wire == ab.wire {
+	xy, _ := w2.Connect(w2.NewNode("x"), w2.NewNode("y"), LinkConfig{RateBps: 1e9, Delay: 100, QdiscFactory: fifoFactory})
+	if start(xy, 1000) == ab.wire {
 		t.Fatal("two networks share a wire stream")
+	}
+}
+
+// callLog wraps a FIFO and records every call the device makes on it.
+type callLog struct {
+	*qdisc.FIFO
+	calls []string
+}
+
+func (q *callLog) Enqueue(p *packet.Packet) bool {
+	q.calls = append(q.calls, fmt.Sprintf("E%d", p.Seq))
+	return q.FIFO.Enqueue(p)
+}
+
+func (q *callLog) Dequeue() *packet.Packet {
+	p := q.FIFO.Dequeue()
+	if p == nil {
+		q.calls = append(q.calls, "D-")
+	} else {
+		q.calls = append(q.calls, fmt.Sprintf("D%d", p.Seq))
+	}
+	return p
+}
+
+// hopRig is one 8 Mbps hop (1000 B serialise in 1 ms) with 1 ms of
+// propagation, a logging qdisc on the sending side and a sink behind it.
+type hopRig struct {
+	eng  *sim.Engine
+	dev  *Device
+	q    *callLog
+	sink *sink
+	key  packet.FlowKey
+	a    *Node
+}
+
+func newHopRig() *hopRig {
+	eng := sim.NewEngine()
+	w := NewNetwork(eng)
+	a, b := w.NewNode("a"), w.NewNode("b")
+	da, _ := w.Connect(a, b, LinkConfig{RateBps: 8e6, Delay: sim.Duration(1e6), QdiscFactory: fifoFactory})
+	r := &hopRig{eng: eng, dev: da, q: &callLog{FIFO: qdisc.NewFIFO(1 << 20)}, sink: &sink{eng: eng}, a: a}
+	da.SetQdisc(r.q)
+	r.key = packet.FlowKey{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP}
+	b.Register(r.key, r.sink)
+	a.AddRoute(b.ID, da)
+	return r
+}
+
+func (r *hopRig) send(seq int64) {
+	p := r.a.AllocPacket()
+	p.Flow, p.Seq, p.Size = r.key, seq, 1000
+	r.a.Inject(p)
+}
+
+// TestCompletionKeyDecidesBusy (rules 1 and 3): a Send at exactly a
+// packet's completion instant finds the device busy if the Send's event
+// sorts before that completion's key and free if it sorts after; the Tx
+// counters flip at the same point, and either way the next packet starts
+// at the completion instant.
+func TestCompletionKeyDecidesBusy(t *testing.T) {
+	const T = sim.Time(1e6) // 1000 B at 8 Mbps
+	for _, tc := range []struct {
+		name  string
+		early bool
+		want  string
+	}{
+		{"drawn before the start", true, "busy=true tx=0"},
+		{"drawn after the start", false, "busy=false tx=1"},
+	} {
+		r := newHopRig()
+		var seen string
+		probe := sim.Func(func() {
+			seen = fmt.Sprintf("busy=%v tx=%d", r.dev.Busy(), r.dev.Stats().TxPackets)
+			r.send(2)
+		})
+		if tc.early {
+			r.eng.AtCall(T, probe, nil)
+		}
+		r.eng.AtCall(0, sim.Func(func() { r.send(1) }), nil)
+		if !tc.early {
+			r.eng.AtCall(0, sim.Func(func() { r.eng.AtCall(T, probe, nil) }), nil)
+		}
+		r.eng.RunAll()
+		if seen != tc.want {
+			t.Errorf("%s: a Send at the completion instant saw %s, want %s", tc.name, seen, tc.want)
+		}
+		if want := fmt.Sprint([]sim.Time{2 * T, 3 * T}); fmt.Sprint(r.sink.at) != want {
+			t.Errorf("%s: deliveries at %v, want %s", tc.name, r.sink.at, want)
+		}
+		if st := r.dev.Stats(); st.TxPackets != 2 || st.TxBytes != 2000 {
+			t.Errorf("%s: tx stats %+v, want 2 packets", tc.name, st)
+		}
+	}
+}
+
+// TestEmptyDequeueReplayed (rule 2): the qdisc sees the same calls in the
+// same order as when every completion was an event — the Dequeue that
+// finds it empty at a completion nobody waited for comes before the next
+// Enqueue or Kick, however much later that is.
+func TestEmptyDequeueReplayed(t *testing.T) {
+	r := newHopRig()
+	r.eng.AtCall(0, sim.Func(func() { r.send(1) }), nil)
+	r.eng.AtCall(sim.Time(5e6), sim.Func(func() { r.send(2); r.send(3) }), nil)
+	r.eng.AtCall(sim.Time(20e6), sim.Func(r.dev.Kick), nil)
+	r.eng.RunAll()
+	if got, want := strings.Join(r.q.calls, " "), "E1 D1 D- E2 D2 E3 D3 D-"; got != want {
+		t.Fatalf("qdisc calls %q, want %q", got, want)
+	}
+}
+
+// TestCompletionMovesWithFastForward (rule 4): a skip taken while a packet
+// is being serialised moves its completion with it — busy until the
+// shifted instant, counted from then on — and a packet started after the
+// skip completes one serialisation time later, not a skip later.
+func TestCompletionMovesWithFastForward(t *testing.T) {
+	r := newHopRig()
+	const skip, ser = sim.Time(10e6), sim.Time(1e6)
+	var seen []string
+	check := sim.Func(func() {
+		seen = append(seen, fmt.Sprintf("%d busy=%v tx=%d", r.eng.Now(), r.dev.Busy(), r.dev.Stats().TxPackets))
+	})
+	r.eng.AtCall(0, sim.Func(func() { r.send(1) }), nil)
+	r.eng.AtCall(ser/2, sim.Func(func() {
+		r.eng.FastForward(skip)
+		r.eng.ScheduleCall(ser/2-1, check, nil)
+		r.eng.ScheduleCall(ser/2, check, nil)
+		if got := r.dev.NextHandoffBound(); got != skip+ser {
+			t.Errorf("completion bound %v after the skip, want %v", got, skip+ser)
+		}
+		r.eng.ScheduleCall(2*ser, sim.Func(func() {
+			r.send(2)
+			r.eng.ScheduleCall(ser-1, check, nil)
+			r.eng.ScheduleCall(ser, check, nil)
+		}), nil)
+	}), nil)
+	r.eng.RunAll()
+	want := "[10999999 busy=true tx=0 11000000 busy=false tx=1 13499999 busy=true tx=1 13500000 busy=false tx=2]"
+	if got := fmt.Sprint(seen); got != want {
+		t.Fatalf("across the skip: %s, want %s", got, want)
+	}
+	if want := fmt.Sprint([]sim.Time{skip + 2*ser, 14500000}); fmt.Sprint(r.sink.at) != want {
+		t.Fatalf("delivered at %v, want %s", r.sink.at, want)
 	}
 }
 
 // TestConnectRejectsBadLink: a rate or delay no link can have is refused
 // where the topology states it, by both constructors, naming the link — not
-// at the first transmit completion.
+// at the first transmission.
 func TestConnectRejectsBadLink(t *testing.T) {
 	w := NewNetwork(sim.NewEngine())
 	a, b := w.NewNode("left"), w.NewNode("right")

@@ -74,7 +74,7 @@ func runDiffTCP(t *testing.T) (*coreMix, uint64) {
 		tcp.NewReceiver(c.eng, c.dst, tcp.ReceiverConfig{Key: key})
 	}
 	c.eng.RunUntil(diffHorizon)
-	return mix, c.bottleneck.Stats.DropPackets
+	return mix, c.bottleneck.Stats().DropPackets
 }
 
 func runDiffReplay(t *testing.T) (*coreMix, uint64) {
@@ -99,7 +99,7 @@ func runDiffReplay(t *testing.T) (*coreMix, uint64) {
 	NewSource(c.src, schedule, Config{To: c.dst.ID, ClosedLoop: true, PacketBytes: 1500})
 	NewSink(c.dst, SinkConfig{ClosedLoop: true})
 	c.eng.RunUntil(diffHorizon)
-	return mix, c.bottleneck.Stats.DropPackets
+	return mix, c.bottleneck.Stats().DropPackets
 }
 
 func TestReplayMatchesTCPAtTheSwitch(t *testing.T) {

@@ -107,7 +107,7 @@ func runScheduleFromTrace(t *testing.T, closed bool) (SourceStats, SinkStats, ne
 	src := NewSource(c.src, schedule, Config{To: c.dst.ID, ClosedLoop: closed})
 	sink := NewSink(c.dst, SinkConfig{ClosedLoop: closed})
 	c.eng.RunUntil(sim.Time(300e6))
-	return src.Stats, sink.Stats, c.bottleneck.Stats
+	return src.Stats, sink.Stats, c.bottleneck.Stats()
 }
 
 func TestReplayDeterministic(t *testing.T) {

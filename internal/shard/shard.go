@@ -25,15 +25,17 @@
 // counter in builder call order, so flow keys, RNG seeds, and connection
 // state match the single-engine build exactly. Each hop costs exactly one
 // arrival event in both modes — an entry on a wire stream, pushed by the
-// local transmitter (onto the stream its delay shares) or injected with
-// the source's emission stamp across a cut (onto the cut-link half's own)
-// — so engine event counts match.
+// local transmitter as serialisation starts (onto the stream its delay and
+// serialisation time share) or injected with the source's completion stamp
+// across a cut (onto the cut-link half's own) — plus a transmit completion
+// on the source exactly when a packet waits behind the one on the link, so
+// engine event counts match.
 // Cross-shard arrivals carry the virtual time their last bit left the
 // source device, and the destination engine orders events by
 // (time, emission time, seq) — so a same-nanosecond tie between an
 // injected arrival and a local event resolves exactly as it would on a
-// single merged engine, where the arrival was pushed onto the wire at
-// transmit completion. That makes even dense-traffic links
+// single merged engine, where the arrival is keyed by that same
+// completion instant. That makes even dense-traffic links
 // (access links at backbone flow counts) safe to cut. The residual
 // freedom is the coincidence class where both the instant and the
 // emission time collide across shards; there the drain order
@@ -315,8 +317,8 @@ func satAdd(t, d sim.Time) sim.Time {
 // nextHorizon picks the next window horizon with the cluster quiescent at
 // `from` (every event up to `from` dispatched, workers parked at the
 // barrier, so reading shard state here is race-free). The classic
-// conservative choice is from+w — any transmission completing inside the
-// window lands at least the minimum cut delay beyond its send time. When
+// conservative choice is from+w — any transmission starting inside the
+// window lands at least the minimum cut delay beyond its start. When
 // every cut link can prove its next possible handoff lies further out —
 // no packet mid-serialisation, no pending local event, no queued inbound
 // arrival that could wake the source shard any earlier — the window
@@ -347,8 +349,9 @@ func (c *Cluster) nextHorizon(from, until, w sim.Time) sim.Time {
 		c.wake[i] = wk
 	}
 	// bound: no cross-shard arrival generated after `from` can precede it.
-	// A busy device's next handoff is exactly its in-flight completion
-	// (later sends queue behind it); an idle device can only start
+	// A busy device hands its next packet off no earlier than its
+	// in-flight completion, when that packet can start (the one on the
+	// link was handed off when it started); an idle device can only start
 	// transmitting inside some future dispatch on its shard.
 	bound := sim.MaxTime
 	for _, l := range c.links {
@@ -476,8 +479,9 @@ type cutLink struct {
 	q        spsc
 }
 
-// Handoff runs on the source shard's goroutine at transmit completion
-// (a run phase): copy the packet into a pool-free record, release the
+// Handoff runs on the source shard's goroutine as the packet's
+// serialisation starts (a run phase): copy the packet into a pool-free
+// record, release the
 // source packet, and queue the record for the destination's next drain
 // phase.
 func (l *cutLink) Handoff(p *packet.Packet, sent, arrival sim.Time) {

@@ -5,21 +5,28 @@
 // fire in scheduling order (FIFO tie-breaking), which makes runs fully
 // deterministic for a fixed seed and workload.
 //
-// Every event is a Handler plus a payload, and four scheduling surfaces
-// share one totally-ordered event sequence. They differ in who owns the
-// memory behind a pending occurrence:
+// Every event is a Handler plus a payload, dispatched in the order of its
+// key (at, schedAt, seq): its time, the time it was scheduled, and a
+// sequence number drawn from one per-engine counter when it was scheduled.
+// Four scheduling surfaces share that one totally-ordered sequence. They
+// differ in who owns the memory behind a pending occurrence:
 //
 //   - ScheduleCall / AtCall return nothing; the event structs behind them
 //     are recycled on a per-engine free list, so steady-state scheduling is
 //     allocation-free. A pooled event cannot be cancelled.
 //   - ScheduleOwned is for strictly sequential occurrences (a device's
 //     transmit completions): the caller embeds one Event and reuses it for
-//     every occurrence. It cannot be re-armed while pending.
+//     every occurrence. It cannot be re-armed while pending. It is the one
+//     surface that draws no seq: the caller passes the whole key, with a
+//     seq drawn earlier, so an occurrence decided at one instant and armed
+//     at a later one still sorts where scheduling it when decided would
+//     have.
 //   - StreamCall appends to a caller-owned Stream: many occurrences
 //     pending at once, each with its own handler and payload, pushed in
-//     dispatch order (packets in propagation on every link of one delay,
-//     cross-engine arrivals from one cut link). Only the head occupies the
-//     event heap; see stream.go.
+//     dispatch order (packets in propagation on every link of one delay and
+//     serialisation time, cross-engine arrivals from one cut link). Only
+//     the head occupies the event heap; see stream.go. It returns the seq
+//     it drew.
 //   - ArmTimer / ArmPinnedTimer / ArmPinnedTimerAt / StopTimer drive a
 //     caller-embedded Timer: the one cancellable, reschedulable-in-place
 //     surface, for deadlines that are usually re-armed or stopped before
@@ -34,6 +41,14 @@
 // a Timer.
 // Cold-path and test code that has a plain func and no struct to hang a
 // handler on wraps it in Func.
+//
+// An occurrence need not be scheduled to be ordered. A caller that keeps a
+// key without scheduling it — a transmitter keeps its packet's completion
+// (end of serialisation, start of serialisation, the seq its arrival drew)
+// and arms it only once a packet waits behind it — asks Dispatched whether
+// that key sorts before the event now dispatching, which is exactly whether
+// it would have fired by now; DrawSeq draws a seq for such a key when no
+// push draws one.
 //
 // The engine reads time two ways. Now() is the simulation clock: events are
 // scheduled on it and results are reported on it. Local() is Now() minus all
@@ -110,14 +125,15 @@ const (
 // ScheduleOwned.
 type Event struct {
 	at Time
-	// schedAt is the virtual time at which the event was scheduled. It is
-	// the middle key of the dispatch order (see eventLess): for locally
-	// scheduled events it equals Now() at scheduling time, which is
-	// non-decreasing in seq, so it never perturbs single-engine order.
-	// Its purpose is cross-engine injection (StreamCall): an entry
-	// injected by a conservative-parallel runner carries the virtual time
-	// the *source* engine emitted it, which slots it among same-instant
-	// local events exactly where a single merged engine would have.
+	// schedAt is the virtual time at which the event was scheduled, or
+	// would have been: the middle key of the dispatch order (see
+	// eventLess). For pooled events and timers it equals Now() at
+	// scheduling time, which is non-decreasing in seq, so among them it
+	// never perturbs the order. A wire arrival pushed as its packet's
+	// serialisation starts carries the completion instant it would have
+	// been pushed at, and an entry injected by a conservative-parallel
+	// runner the virtual time the *source* engine emitted it, which slots
+	// each among same-instant events where scheduling it then would have.
 	schedAt Time
 	seq     uint64
 	// pos is the event's heap position plus one; 0 means not queued
@@ -141,11 +157,17 @@ func (e *Event) At() Time { return e.at }
 // Engine is a discrete-event scheduler. It is not safe for concurrent use;
 // simulations are single-goroutine by design.
 type Engine struct {
-	now   Time
-	seq   uint64
-	queue []*Event // 4-ary min-heap ordered by (at, schedAt, seq)
-	free  []*Event // recycled kindPooled events
-	wheel timerWheel
+	now Time
+	seq uint64
+	// curSched and curSeq complete the key of the event now dispatching,
+	// whose time is now; Dispatched compares against it. Once Run has
+	// settled the clock at its horizon they read (now, the next seq): every
+	// key at or before the clock drawn so far has dispatched.
+	curSched Time
+	curSeq   uint64
+	queue    []*Event // 4-ary min-heap ordered by (at, schedAt, seq)
+	free     []*Event // recycled kindPooled events
+	wheel    timerWheel
 	// freeBlocks is the free list of Stream entry blocks, shared by every
 	// stream on the engine; backlog counts stream entries queued behind
 	// their stream's head (the head is counted by its heap residency).
@@ -215,25 +237,38 @@ func (e *Engine) AtCall(t Time, h Handler, arg any) {
 }
 
 // ScheduleOwned schedules ev — a caller-owned Event, typically embedded in
-// a long-lived struct — to run h.OnEvent(arg) after delay d. The event must
-// not currently be pending. Reusing one Event for a strictly sequential
-// stream of occurrences (e.g. a device's transmit completions) costs no
-// allocation at all.
-func (e *Engine) ScheduleOwned(ev *Event, d Time, h Handler, arg any) {
+// a long-lived struct — to run h.OnEvent(arg) under the explicit key
+// (at, schedAt, seq). The seq must already have been drawn (StreamCall
+// returns the one it draws, DrawSeq draws one on its own), so a caller can
+// arm an occurrence later than it was decided and still have it sort
+// exactly where scheduling it at the time would have. Reusing one Event
+// for a strictly sequential series of occurrences (a device's transmit
+// completions) costs no allocation at all. Panics if ev is still pending,
+// if schedAt > at, if seq has not been drawn, or if the key has already
+// dispatched.
+func (e *Engine) ScheduleOwned(ev *Event, at, schedAt Time, seq uint64, h Handler, arg any) {
 	if ev.pos != 0 {
 		panic("sim: ScheduleOwned on an event that is still pending")
 	}
-	if d < 0 {
-		d = 0
+	if schedAt > at || seq >= e.seq || e.Dispatched(at, schedAt, seq) {
+		panic("sim: ScheduleOwned with a key that is undrawn or already dispatched")
 	}
-	ev.at = e.now + d
-	ev.schedAt = e.now
-	ev.seq = e.seq
+	ev.at = at
+	ev.schedAt = schedAt
+	ev.seq = seq
 	ev.kind = kindOwned
 	ev.handler = h
 	ev.arg = arg
-	e.seq++
 	e.heapPush(ev)
+}
+
+// DrawSeq draws the next sequence number without scheduling anything: the
+// tie-break an occurrence would carry had it been scheduled now, kept by a
+// caller that may arm the occurrence later with ScheduleOwned.
+func (e *Engine) DrawSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
 }
 
 // recycle clears a pooled event's references and returns it to the free
@@ -302,10 +337,11 @@ func (e *Engine) Run(until Time) Time {
 		}
 		next := e.queue[0]
 		if next.at > until {
-			e.now = until
+			e.settle(until)
 			return e.now
 		}
 		e.now = next.at
+		e.curSched, e.curSeq = next.schedAt, next.seq
 		e.Processed++
 		if next.kind == kindStream {
 			e.dispatchStream(next)
@@ -334,12 +370,37 @@ func (e *Engine) Run(until Time) Time {
 			h.OnEvent(arg)
 		}
 	}
-	// Settle the clock at the horizon when the queue drained early — except
-	// for RunAll's open horizon, where the clock stays at the last event.
-	if e.now < until && !e.stopped && until != MaxTime {
-		e.now = until
+	// Settle the clock at the horizon when the queue drained — except for
+	// RunAll's open horizon, where the clock stays at the last event.
+	if !e.stopped && until != MaxTime {
+		e.settle(until)
 	}
 	return e.now
+}
+
+// settle parks the clock at a horizon every event up to which has
+// dispatched: Dispatched then reports every key at or before it as fired,
+// except those drawn from here on.
+func (e *Engine) settle(until Time) {
+	e.now = until
+	e.curSched, e.curSeq = until, e.seq
+}
+
+// Dispatched reports whether an event keyed (at, schedAt, seq) sorts before
+// the event now dispatching: had it been scheduled, it would already have
+// fired. Between Run calls, after Run has settled the clock at its horizon,
+// so has every key at or before the clock drawn until then. A component that
+// computes an occurrence's key without scheduling it (a transmit
+// completion nobody waits for) asks this to learn whether the occurrence
+// is behind it.
+func (e *Engine) Dispatched(at, schedAt Time, seq uint64) bool {
+	if at != e.now {
+		return at < e.now
+	}
+	if schedAt != e.curSched {
+		return schedAt < e.curSched
+	}
+	return seq < e.curSeq
 }
 
 // RunAll dispatches every event until the queue drains or Stop is called.
@@ -363,9 +424,10 @@ func (e *Engine) RunUntil(t Time) Time { return e.Run(t) }
 // over []*Event (instead of container/heap's interface dispatch and `any`
 // boxing) keeps push/pop monomorphic and allocation-free. FIFO tie-breaking
 // for same-instant events falls out of comparing the monotonically
-// increasing seq; the schedAt middle key is a no-op for locally scheduled
-// events (it is non-decreasing in seq) and exists so cross-engine
-// injections (StreamCall) sort by emission time first — see the Event
+// increasing seq; the schedAt middle key is a no-op among events scheduled
+// when they were decided (it is non-decreasing in seq) and exists so wire
+// arrivals pushed ahead of their completion and cross-engine injections
+// (StreamCall) sort by the instant they stand for first — see the Event
 // field comment.
 // ---------------------------------------------------------------------------
 

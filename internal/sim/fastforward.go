@@ -116,6 +116,9 @@ func (e *Engine) FastForward(d Time) {
 	}
 
 	e.now = target
+	// The event now dispatching moves with the clock, so a key that had
+	// dispatched before the skip still has after it.
+	e.curSched += d
 	e.skipped += d
 }
 

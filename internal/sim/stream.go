@@ -2,8 +2,8 @@ package sim
 
 // Stream is a caller-owned FIFO of pending events, each with its own handler
 // and payload: the surface for sequences whose keys are sorted by
-// construction — packets in propagation on every link of one constant
-// delay, arrivals injected from one cut link, a connection's
+// construction — packets in propagation on every link of one delay and
+// serialisation time, arrivals injected from one cut link, a connection's
 // order-preserving send jitter. The zero Stream is ready; push with
 // Engine.StreamCall.
 //
@@ -15,9 +15,10 @@ package sim
 // global minimum, and the merged dispatch order is the one a heap holding
 // every entry would produce. The heap then carries one event per busy
 // stream instead of one per entry, and whoever can prove that several
-// producers push in key order between them (transmit completions fire in
-// time order, so now+delay is sorted across every link with that delay)
-// lets them share one stream and one residency.
+// producers push in key order between them (serialisations start in
+// dispatch order, so start+ser+delay is sorted across every link of one
+// delay and serialisation time) lets them share one stream and one
+// residency.
 //
 // The head entry lives in the residency itself; the entries behind it live
 // in fixed-size blocks drawn from an engine-wide free list and returned as
@@ -66,17 +67,22 @@ func (s *Stream) TailAt() Time { return s.tailAt }
 
 // StreamCall appends an entry to s that runs h.OnEvent(arg) at absolute
 // virtual time at (clamped to now), ordered among same-instant events as if
-// scheduled when the clock read `from`. A local push passes Now(); a
-// conservative-parallel runner (internal/shard) injecting a packet handed
-// across a cut link passes the virtual time the source engine emitted it —
-// possibly in this engine's past — which slots the arrival among
-// same-instant local events exactly where a single merged engine,
-// scheduling it at transmit completion, would have.
+// scheduled when the clock read `from` — which may lie in the past or the
+// future. A transmitter pushing a packet's arrival as its serialisation
+// starts passes the completion instant, where the arrival would otherwise
+// have been pushed; a conservative-parallel runner (internal/shard)
+// injecting a packet handed across a cut link passes the completion
+// instant on the source engine, possibly in this engine's past, which
+// slots the arrival among same-instant local events exactly where a single
+// merged engine would have.
+//
+// It returns the sequence number the entry drew, for a caller that keys a
+// related occurrence to it (ScheduleOwned).
 //
 // Panics if from > at (an arrival cannot precede its emission) or if the
 // key (at, from) sorts before the stream's pending tail: FIFO order is the
 // stream's precondition, and a violation would silently reorder dispatch.
-func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, arg any) {
+func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, arg any) uint64 {
 	if from > at {
 		panic("sim: StreamCall with scheduling stamp after the deadline")
 	}
@@ -109,8 +115,9 @@ func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, arg any) {
 		s.ti++
 		e.backlog++
 	}
-	e.seq++
 	s.tailAt, s.tailSched = at, from
+	e.seq++
+	return e.seq - 1
 }
 
 // dispatchStream fires the head entry of the stream whose residency ev is

@@ -22,7 +22,7 @@ func TestConvenienceSurfaces(t *testing.T) {
 	}
 	fired := 0
 	var ev Event
-	eng.ScheduleOwned(&ev, Duration(2*time.Millisecond), surfHandler{&fired}, nil)
+	eng.ScheduleOwned(&ev, Duration(2*time.Millisecond), 0, eng.DrawSeq(), surfHandler{&fired}, nil)
 	if ev.At() != Duration(2e6) {
 		t.Fatalf("ScheduleOwned(Duration(2ms)) deadline = %v, want 2ms", ev.At())
 	}

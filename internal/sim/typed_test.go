@@ -59,7 +59,8 @@ func TestAtCallClampsPast(t *testing.T) {
 }
 
 // TestScheduleOwned exercises the caller-owned persistent event: reusable
-// after firing, and double-schedule panics.
+// after firing, armed late under a key drawn earlier, and refused when
+// still pending or when its key is undrawn or already behind the clock.
 func TestScheduleOwned(t *testing.T) {
 	eng := NewEngine()
 	r := &recorder{eng: eng}
@@ -67,7 +68,7 @@ func TestScheduleOwned(t *testing.T) {
 	if ev.pos != 0 {
 		t.Fatal("zero-value Event must read as not queued")
 	}
-	eng.ScheduleOwned(&ev, 1, r, 1)
+	eng.ScheduleOwned(&ev, 1, 0, eng.DrawSeq(), r, 1)
 	if ev.pos == 0 {
 		t.Fatal("scheduled owned event must read as queued")
 	}
@@ -75,19 +76,71 @@ func TestScheduleOwned(t *testing.T) {
 	if ev.pos != 0 {
 		t.Fatal("fired owned event must read as not queued")
 	}
-	eng.ScheduleOwned(&ev, 1, r, 2) // reuse after firing
+	eng.ScheduleOwned(&ev, 2, 1, eng.DrawSeq(), r, 2) // reuse after firing
 	eng.RunAll()
 	if len(r.fired) != 2 || r.fired[1] != 2 {
 		t.Fatalf("owned event reuse: fired=%v", r.fired)
 	}
 
-	eng.ScheduleOwned(&ev, 1, r, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double ScheduleOwned must panic")
+	// A key drawn before a pooled event at the same instant sorts ahead of
+	// it even when the owned event is armed afterwards.
+	seq := eng.DrawSeq()
+	eng.ScheduleCall(5, r, "pooled")
+	eng.ScheduleOwned(&ev, 7, 2, seq, r, "owned")
+	eng.RunAll()
+	if got := r.fired[2:]; len(got) != 2 || got[0] != "owned" || got[1] != "pooled" {
+		t.Fatalf("late-armed owned event fired out of key order: %v", got)
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("an undrawn seq", func() { eng.ScheduleOwned(&ev, 10, 7, eng.DrawSeq()+1, r, nil) })
+	mustPanic("a dispatched key", func() { eng.ScheduleOwned(&ev, 7, 2, seq, r, nil) })
+	mustPanic("a stamp after the deadline", func() { eng.ScheduleOwned(&ev, 8, 9, eng.DrawSeq(), r, nil) })
+	eng.ScheduleOwned(&ev, 8, 7, eng.DrawSeq(), r, 3)
+	mustPanic("double ScheduleOwned", func() { eng.ScheduleOwned(&ev, 9, 7, eng.DrawSeq(), r, 5) })
+}
+
+// TestDispatched: the query compares a key against the event now
+// dispatching — time, then scheduling stamp, then seq — and, once Run has
+// settled the clock at a horizon, counts everything at or before it.
+func TestDispatched(t *testing.T) {
+	eng := NewEngine()
+	if eng.Dispatched(0, 0, 0) {
+		t.Fatal("a fresh engine reports a key as dispatched")
+	}
+	var got []bool
+	probe := Func(func() {
+		got = append(got,
+			eng.Dispatched(9, 9, 0),      // earlier instant
+			eng.Dispatched(10, 4, 99),    // same instant, earlier stamp
+			eng.Dispatched(10, 5, 0),     // same instant and stamp, earlier seq
+			eng.Dispatched(10, 5, 1<<40), // later seq
+			eng.Dispatched(10, 6, 0),     // later stamp
+			eng.Dispatched(11, 0, 0),     // later instant
+		)
+	})
+	eng.ScheduleCall(5, Func(func() { eng.ScheduleCall(5, probe, nil) }), nil)
+	eng.Run(20)
+	want := []bool{true, true, true, false, false, false}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Dispatched inside a dispatch = %v, want %v", got, want)
 		}
-	}()
-	eng.ScheduleOwned(&ev, 2, r, 5)
+	}
+	if !eng.Dispatched(20, 19, 1<<40) || eng.Dispatched(21, 0, 0) {
+		t.Fatal("after Run(20) settles, every key up to 20 and none after it is dispatched")
+	}
+	if seq := eng.DrawSeq(); eng.Dispatched(20, 20, seq) || !eng.Dispatched(20, 20, seq-1) {
+		t.Fatal("after Run(20) settles, a key drawn at 20 since is not dispatched")
+	}
 }
 
 // TestPooledRecycling checks that ScheduleCall events actually return to the

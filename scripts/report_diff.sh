@@ -1,0 +1,39 @@
+#!/bin/sh
+# The quick report of REV against this tree's, event counts masked: the gate
+# for a change that is allowed to move how many events a run dispatches and
+# nothing else.
+#
+#   scripts/report_diff.sh REV        (or: make report-diff REV=…)
+#
+# REV is exported with `git archive` into .bench_build/<sha> (git-ignored;
+# no worktree is registered, so `rm -rf .bench_build` is the whole clean-up),
+# as scripts/ab.sh does. cebinae-bench is built on both sides and runs
+# `-scale quick -p 2` from its own root; every `events=N` and `events: N` in
+# the two reports becomes `events=*` / `events: *`, and the masked reports
+# must match byte for byte. On a match it prints nothing and exits 0;
+# otherwise it prints the diff and exits 1.
+set -eu
+
+[ $# -ge 1 ] || { echo "usage: $0 REV" >&2; exit 2; }
+rev=$1
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+sha=$(git rev-parse --short "$rev^{commit}")
+build=$root/.bench_build
+parent=$build/$sha
+rm -rf "$parent"
+mkdir -p "$parent"
+git archive "$sha" | tar -xf - -C "$parent"
+(cd "$parent" && go build -o "$build/rd-parent" ./cmd/cebinae-bench)
+go build -o "$build/rd-change" ./cmd/cebinae-bench
+
+# report SIDE DIR BINARY: the masked quick report of one side.
+report() {
+	(cd "$2" && "$3" -scale quick -p 2 >"$build/rd-$1.raw" 2>"$build/rd-$1.log") ||
+		{ echo "report_diff: the $1 report failed (stderr in $build/rd-$1.log)" >&2; exit 1; }
+	sed -e 's/events=[0-9][0-9]*/events=*/g' -e 's/events: [0-9][0-9]*/events: */g' "$build/rd-$1.raw" >"$build/rd-$1.txt"
+}
+report parent "$parent" "$build/rd-parent"
+report change "$root" "$build/rd-change"
+diff "$build/rd-parent.txt" "$build/rd-change.txt"
