@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint fmt-check test race race-shard fastforward-smoke scenario-conformance mem-smoke cover bench bench-smoke ab report-diff report sweep clean
+.PHONY: check build vet lint fmt-check test race race-shard fastforward-smoke scenario-conformance cli-smoke mem-smoke cover bench bench-smoke ab report-diff report sweep clean
 
 check: build vet lint fmt-check race
 
@@ -73,6 +73,13 @@ scenario-conformance:
 	$(GO) test -run 'TestCanonicalFiles|TestEmitLoadIdentity|TestDifferential|TestDiagnosticsGolden|TestTournamentConformance|TestBufferSweepConformance' ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 25s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzFlowMeterEquivalence -fuzztime 10s ./internal/metrics/
+
+# The three CLIs end to end on tiny inputs (scripts/cli_smoke.sh):
+# cebinae-sim -scenario on scenarios/dumbbell.json, cebinae-sweep on a
+# two-cell grid and on -backbone 1000, cebinae-bench -only table3,fig13.
+# Each must exit 0 with a non-empty report on stdout.
+cli-smoke:
+	@sh scripts/cli_smoke.sh
 
 # The memory and event pins: what a run allocates must grow with the
 # window, not with the packets delivered — the goodput log at ≤ 6 B a

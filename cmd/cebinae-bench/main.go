@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -93,7 +92,7 @@ func scenarioSections(patterns string) ([]experiments.BenchSection, error) {
 }
 
 func runReport(scaleFlag, only, outPath string, parallel int, timeout time.Duration, resume, scenFiles string) error {
-	scale, err := parseScale(scaleFlag)
+	scale, err := experiments.ParseScale(scaleFlag)
 	if err != nil {
 		return err
 	}
@@ -181,20 +180,4 @@ func workerCount(p int) int {
 		return fleet.DefaultParallelism()
 	}
 	return p
-}
-
-func parseScale(s string) (experiments.Scale, error) {
-	switch s {
-	case "quick":
-		return experiments.Quick, nil
-	case "medium":
-		return experiments.Medium, nil
-	case "full":
-		return experiments.Full, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 || v > 1 {
-		return 0, fmt.Errorf("bad scale %q (want quick|medium|full or a fraction in (0,1])", s)
-	}
-	return experiments.Scale(v), nil
 }

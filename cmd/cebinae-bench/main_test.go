@@ -3,27 +3,22 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"cebinae/experiments"
 )
 
+// TestParseScale: the -scale flag admits the named scales and fractions in
+// (0, 1] and refuses anything else before a section is enumerated. A good
+// scale gets as far as the -only filter, which here matches nothing.
 func TestParseScale(t *testing.T) {
-	good := map[string]experiments.Scale{
-		"quick":  experiments.Quick,
-		"medium": experiments.Medium,
-		"full":   experiments.Full,
-		"0.5":    0.5,
-		"1":      1,
-	}
-	for in, want := range good {
-		got, err := parseScale(in)
-		if err != nil || got != want {
-			t.Errorf("parseScale(%q) = %v, %v; want %v", in, got, err, want)
+	for _, in := range []string{"quick", "medium", "full", "0.5", "1"} {
+		err := runReport(in, "no-such-experiment", "", 1, 0, "", "")
+		if err == nil || !strings.Contains(err.Error(), "no experiments match") {
+			t.Errorf("-scale %q: runReport returned %v, want the unmatched -only error", in, err)
 		}
 	}
 	for _, bad := range []string{"0", "1.5", "-0.1", "huge", ""} {
-		if got, err := parseScale(bad); err == nil {
-			t.Errorf("parseScale(%q) = %v, want an error", bad, got)
+		err := runReport(bad, "no-such-experiment", "", 1, 0, "", "")
+		if err == nil || strings.Contains(err.Error(), "no experiments match") {
+			t.Errorf("-scale %q: runReport returned %v, want a scale error", bad, err)
 		}
 	}
 }

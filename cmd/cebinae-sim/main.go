@@ -18,6 +18,7 @@ import (
 
 	"cebinae/experiments"
 	"cebinae/internal/cli"
+	"cebinae/internal/fleet"
 	"cebinae/internal/scenario"
 )
 
@@ -74,8 +75,9 @@ func main() {
 	}
 }
 
-// runScenarioFile loads, compiles, and runs one declarative scenario
-// file, printing its canonical report.
+// runScenarioFile loads and compiles one declarative scenario file, runs
+// its section on a one-worker fleet, and prints its canonical report. A
+// job that panics is retried once and then reported as an error.
 func runScenarioFile(path string) error {
 	spec, err := scenario.Load(path)
 	if err != nil {
@@ -85,8 +87,16 @@ func runScenarioFile(path string) error {
 	if err != nil {
 		return err
 	}
+	sec := c.Section("")
 	start := time.Now()
-	report := c.RunReport()
+	sum, err := fleet.Run(sec.Jobs, fleet.Options{Parallelism: 1})
+	if err != nil {
+		return err
+	}
+	report, err := sec.Render(experiments.SummaryGetter(sum))
+	if err != nil {
+		return err
+	}
 	elapsed := time.Since(start)
 	fmt.Printf("%s scenario %q (%s)\n", spec.Kind, spec.Name, path)
 	fmt.Print(report)

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,12 +60,13 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
+	d := sweeper{parallel: *parallel, timeout: *timeout, storePath: *storePath, resume: *resume, out: os.Stdout, log: os.Stderr}
 	sweep := func() error {
 		switch {
 		case *specFiles != "":
-			return runScenarioSweep(*specFiles, *parallel, *timeout, *storePath, *resume)
+			return d.scenarios(*specFiles)
 		case *backbone != "":
-			return runBackboneSweep(*backbone, *qdiscs, *scales, *parallel, *timeout, *storePath, *resume, *csvPath)
+			return d.backbone(*backbone, *qdiscs, *scales, *csvPath)
 		}
 		var err error
 		cfg := def
@@ -85,7 +87,7 @@ func main() {
 		if cfg.ThresholdPcts, err = parseFloats(*thresholds); err != nil {
 			return err
 		}
-		return runDumbbellSweep(cfg, *parallel, *timeout, *storePath, *resume, *csvPath)
+		return d.run("grid cell", cfg.Jobs(), table(d.out, *csvPath, experiments.SweepResult.Less, experiments.RenderSweep, experiments.WriteSweepCSV))
 	}
 	err = sweep()
 	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
@@ -98,71 +100,86 @@ func main() {
 	}
 }
 
-// runDumbbellSweep is the default grid: qdisc × scale × threshold cells of
-// one dumbbell family, checkpointed to the store, then rendered as a text
-// table and a CSV summary.
-func runDumbbellSweep(cfg experiments.SweepConfig, parallel int, timeout time.Duration, storePath string, resume bool, csvPath string) error {
-	if !resume {
-		if _, err := os.Stat(storePath); err == nil {
-			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", storePath)
+// sweeper runs every mode's grid: the options they share and where their
+// output goes.
+type sweeper struct {
+	parallel  int
+	timeout   time.Duration
+	storePath string
+	resume    bool
+	out       io.Writer // the deterministic report
+	log       io.Writer // progress and timing
+}
+
+// run refuses to reuse an existing store without -resume, runs the jobs
+// through the fleet checkpointed to the store (cells already in it are
+// not re-run), hands the summary to report, then prints the timing line
+// and fails if any cell did. noun names one job in the messages.
+func (d sweeper) run(noun string, jobs []fleet.Job, report func(*fleet.Summary) error) error {
+	if !d.resume {
+		if _, err := os.Stat(d.storePath); err == nil {
+			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", d.storePath)
 		}
 	}
-	store, err := fleet.OpenStore(storePath)
+	store, err := fleet.OpenStore(d.storePath)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
 
-	jobs := cfg.Jobs()
-	fmt.Fprintf(os.Stderr, "cebinae-sweep: %d grid cells (%d already in %s)\n", len(jobs), store.Len(), storePath)
+	fmt.Fprintf(d.log, "cebinae-sweep: %d %ss (%d already in %s)\n", len(jobs), noun, store.Len(), d.storePath)
 	start := time.Now()
 	sum, err := fleet.Run(jobs, fleet.Options{
-		Parallelism: parallel,
-		Timeout:     timeout,
+		Parallelism: d.parallel,
+		Timeout:     d.timeout,
 		Store:       store,
-		Progress:    os.Stderr,
+		Progress:    d.log,
 	})
 	if err != nil {
 		return err
 	}
-
-	rows, err := experiments.DecodeSweepResults(sum.Results)
-	if err != nil {
+	if err := report(sum); err != nil {
 		return err
 	}
-	fmt.Print(experiments.RenderSweep(rows))
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteSweepCSV(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "cebinae-sweep: %v elapsed for %v of simulation work — %.2fx vs sequential; JSONL %s",
-		time.Since(start).Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), storePath)
-	if csvPath != "" {
-		fmt.Fprintf(os.Stderr, ", CSV %s", csvPath)
-	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintf(d.log, "cebinae-sweep: %v elapsed for %v of simulation work — %.2fx vs sequential; JSONL %s\n",
+		time.Since(start).Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), d.storePath)
 	if sum.Failed > 0 {
-		return fmt.Errorf("%d grid cell(s) failed — inspect %s", sum.Failed, storePath)
+		return fmt.Errorf("%d %s(s) failed — inspect %s", sum.Failed, noun, d.storePath)
 	}
 	return nil
 }
 
-// runScenarioSweep is the -scenario grid: every matched spec file loads,
-// compiles, and contributes its fleet jobs (one per grid cell for
+// table is the report of the dumbbell and backbone grids: the rows of the
+// cells that succeeded, sorted by less, printed by render and written by
+// writeCSV to csvPath (unless it is empty).
+func table[T any](out io.Writer, csvPath string, less func(a, b T) bool, render func([]T) string, writeCSV func(io.Writer, []T) error) func(*fleet.Summary) error {
+	return func(sum *fleet.Summary) error {
+		rows, err := experiments.DecodeOK(sum.Results, less)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, render(rows))
+		if csvPath == "" {
+			return nil
+		}
+		f, err := os.Create(csvPath)
+		if err != nil {
+			return err
+		}
+		if err := writeCSV(f, rows); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+}
+
+// scenarios is the -scenario grid: every matched spec file loads,
+// compiles, and contributes its section (one job per grid cell for
 // tournament/buffer-sweep specs, one job otherwise) to a single
-// checkpointed run, then each scenario's canonical report is reassembled
-// from the store — same resume semantics as the hardcoded grids.
-func runScenarioSweep(patterns string, parallel int, timeout time.Duration, storePath string, resume bool) error {
+// checkpointed run, then each section renders its scenario's canonical
+// report from the store.
+func (d sweeper) scenarios(patterns string) error {
 	var paths []string
 	for _, pat := range strings.Split(patterns, ",") {
 		pat = strings.TrimSpace(pat)
@@ -174,9 +191,9 @@ func runScenarioSweep(patterns string, parallel int, timeout time.Duration, stor
 	}
 	sort.Strings(paths)
 
-	var compiled []*scenario.Compiled
-	var jobs []fleet.Job
-	for _, path := range paths {
+	specs := make([]*scenario.Spec, len(paths))
+	sections := make([]experiments.BenchSection, len(paths))
+	for i, path := range paths {
 		spec, err := scenario.Load(path)
 		if err != nil {
 			return err
@@ -185,57 +202,26 @@ func runScenarioSweep(patterns string, parallel int, timeout time.Duration, stor
 		if err != nil {
 			return err
 		}
-		compiled = append(compiled, c)
-		jobs = append(jobs, c.Jobs("")...)
+		specs[i], sections[i] = spec, c.Section("")
 	}
-
-	if !resume {
-		if _, err := os.Stat(storePath); err == nil {
-			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", storePath)
+	return d.run("scenario job", experiments.SectionJobs(sections), func(sum *fleet.Summary) error {
+		get := experiments.SummaryGetter(sum)
+		for i, s := range sections {
+			text, err := s.Render(get)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(d.out, "== %s scenario %q (%s)\n%s", specs[i].Kind, specs[i].Name, paths[i], text)
 		}
-	}
-	store, err := fleet.OpenStore(storePath)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-
-	fmt.Fprintf(os.Stderr, "cebinae-sweep: %d scenario jobs from %d files (%d already in %s)\n",
-		len(jobs), len(paths), store.Len(), storePath)
-	start := time.Now()
-	sum, err := fleet.Run(jobs, fleet.Options{
-		Parallelism: parallel,
-		Timeout:     timeout,
-		Store:       store,
-		Progress:    os.Stderr,
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-
-	get := experiments.SummaryGetter(sum)
-	for i, c := range compiled {
-		report, err := c.Render("", get)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("== %s scenario %q (%s)\n%s", c.Spec.Kind, c.Spec.Name, paths[i], report)
-	}
-
-	fmt.Fprintf(os.Stderr, "cebinae-sweep: %v elapsed for %v of simulation work — %.2fx vs sequential; JSONL %s\n",
-		time.Since(start).Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), storePath)
-	if sum.Failed > 0 {
-		return fmt.Errorf("%d scenario job(s) failed — inspect %s", sum.Failed, storePath)
-	}
-	return nil
 }
 
-// runBackboneSweep is the -backbone grid: standing-flow tiers × core
-// disciplines through the replay scale tier, same checkpoint/resume and
-// CSV plumbing as the dumbbell sweep. Only fifo and cebinae exist at the
+// backbone is the -backbone grid: standing-flow tiers × core disciplines
+// through the replay scale tier. Only fifo and cebinae exist at the
 // backbone core, so when -qdiscs is left at its dumbbell default the grid
 // uses both rather than erroring on fq.
-func runBackboneSweep(tiers, qdiscs, scales string, parallel int, timeout time.Duration, storePath string, resume bool, csvPath string) error {
+func (d sweeper) backbone(tiers, qdiscs, scales, csvPath string) error {
 	flows, err := parseTiers(tiers)
 	if err != nil {
 		return err
@@ -261,56 +247,8 @@ func runBackboneSweep(tiers, qdiscs, scales string, parallel int, timeout time.D
 	if len(scaleList) != 1 {
 		return fmt.Errorf("the backbone grid takes exactly one scale, got %d", len(scaleList))
 	}
-
-	if !resume {
-		if _, err := os.Stat(storePath); err == nil {
-			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", storePath)
-		}
-	}
-	store, err := fleet.OpenStore(storePath)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-
-	jobs := experiments.BackboneSweepJobs(flows, kinds, scaleList[0])
-	fmt.Fprintf(os.Stderr, "cebinae-sweep: %d backbone cells (%d already in %s)\n", len(jobs), store.Len(), storePath)
-	start := time.Now()
-	sum, err := fleet.Run(jobs, fleet.Options{
-		Parallelism: parallel,
-		Timeout:     timeout,
-		Store:       store,
-		Progress:    os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-
-	rows, err := experiments.DecodeBackboneSweep(sum.Results)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.RenderBackboneSweep(rows))
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteBackboneSweepCSV(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "cebinae-sweep: %v elapsed for %v of simulation work — %.2fx vs sequential; JSONL %s\n",
-		time.Since(start).Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), storePath)
-	if sum.Failed > 0 {
-		return fmt.Errorf("%d backbone cell(s) failed — inspect %s", sum.Failed, storePath)
-	}
-	return nil
+	return d.run("backbone cell", experiments.BackboneSweepJobs(flows, kinds, scaleList[0]),
+		table(d.out, csvPath, experiments.BackboneSweepResult.Less, experiments.RenderBackboneSweep, experiments.WriteBackboneSweepCSV))
 }
 
 // parseTiers reads the -backbone flag: a comma list of positive
@@ -346,20 +284,11 @@ func parseQdiscs(s string) ([]experiments.QdiscKind, error) {
 func parseScales(s string) ([]experiments.Scale, error) {
 	var out []experiments.Scale
 	for _, part := range strings.Split(s, ",") {
-		switch part = strings.TrimSpace(part); part {
-		case "quick":
-			out = append(out, experiments.Quick)
-		case "medium":
-			out = append(out, experiments.Medium)
-		case "full":
-			out = append(out, experiments.Full)
-		default:
-			v, err := strconv.ParseFloat(part, 64)
-			if err != nil || v <= 0 || v > 1 {
-				return nil, fmt.Errorf("bad scale %q (want quick|medium|full or a fraction in (0,1])", part)
-			}
-			out = append(out, experiments.Scale(v))
+		v, err := experiments.ParseScale(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, v)
 	}
 	return out, nil
 }

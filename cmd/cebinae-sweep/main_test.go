@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"cebinae/experiments"
 	"cebinae/internal/cli"
+	"cebinae/internal/scenario"
 )
 
 func TestParseQdiscs(t *testing.T) {
@@ -121,5 +126,112 @@ func TestParseTiers(t *testing.T) {
 		if _, err := parseTiers(bad); err == nil {
 			t.Fatalf("tier list %q accepted", bad)
 		}
+	}
+}
+
+// twoCellGrid is a dumbbell sweep of two short cells: FIFO, and Cebinae at
+// one threshold.
+func twoCellGrid() experiments.SweepConfig {
+	cfg := experiments.DefaultSweepConfig()
+	cfg.Qdiscs = []experiments.QdiscKind{experiments.FIFO, experiments.Cebinae}
+	cfg.Scales = []experiments.Scale{0.01}
+	cfg.ThresholdPcts = []float64{5}
+	cfg.Groups = []experiments.FlowGroup{{CC: "newreno", Count: 2, RTT: experiments.Millis(20)}}
+	return cfg
+}
+
+// sweepGrid runs the dumbbell mode on cfg and returns its stdout,
+// its stderr and the CSV it wrote.
+func sweepGrid(t *testing.T, cfg experiments.SweepConfig, store string, resume bool) (string, string, string, error) {
+	t.Helper()
+	var out, log bytes.Buffer
+	d := sweeper{parallel: 2, storePath: store, resume: resume, out: &out, log: &log}
+	csvPath := filepath.Join(t.TempDir(), "sweep.csv")
+	err := d.run("grid cell", cfg.Jobs(), table(d.out, csvPath, experiments.SweepResult.Less, experiments.RenderSweep, experiments.WriteSweepCSV))
+	csv, _ := os.ReadFile(csvPath)
+	return out.String(), log.String(), string(csv), err
+}
+
+// TestSweepRefusesExistingStore: without -resume an existing store is
+// refused before any cell runs, and the store is left as it was.
+func TestSweepRefusesExistingStore(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "sweep.jsonl")
+	if err := os.WriteFile(store, []byte("kept\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, _, _, err := sweepGrid(t, twoCellGrid(), store, false)
+	if err == nil || !strings.Contains(err.Error(), "already exists; pass -resume") {
+		t.Fatalf("existing store without -resume: err = %v", err)
+	}
+	if out != "" {
+		t.Errorf("a refused sweep printed %q", out)
+	}
+	if data, _ := os.ReadFile(store); string(data) != "kept\n" {
+		t.Errorf("a refused sweep touched the store: %q", data)
+	}
+}
+
+// TestSweepResumeRerunsNothing: a second run over a complete store with
+// -resume takes every cell from it, appends nothing, and prints the same
+// table and CSV as the run that measured them.
+func TestSweepResumeRerunsNothing(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "sweep.jsonl")
+	out1, _, csv1, err := sweepGrid(t, twoCellGrid(), store, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(stored), "\n"); n != 2 {
+		t.Fatalf("first run stored %d lines, want 2", n)
+	}
+	out2, log2, csv2, err := sweepGrid(t, twoCellGrid(), store, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log2, "2 grid cells (2 already in") || !strings.Contains(log2, "(2 cached, 0 failed)") {
+		t.Errorf("resumed run did not take both cells from the store:\n%s", log2)
+	}
+	if again, _ := os.ReadFile(store); !bytes.Equal(again, stored) {
+		t.Errorf("resumed run appended to the store:\n%s", again)
+	}
+	if out2 != out1 || csv2 != csv1 {
+		t.Errorf("resumed output differs\n--- first\n%s%s--- resumed\n%s%s", out1, csv1, out2, csv2)
+	}
+	if strings.Count(out1, "\n") != 3 || strings.Count(csv1, "\n") != 3 {
+		t.Errorf("want a header and two rows in each of table and CSV:\n%s%s", out1, csv1)
+	}
+}
+
+// TestSweepScenarioMatchesGoRunner: the -scenario mode renders a spec
+// file's section to exactly its Go runner's Report(), under the header
+// naming kind, name and file.
+func TestSweepScenarioMatchesGoRunner(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiny.json")
+	spec := `{"version": 1, "name": "tiny", "kind": "dumbbell", "seed": 3, "dumbbell": {
+		"rate": "20M", "buffer_bytes": 150000, "duration": "300ms", "qdisc": "fifo",
+		"groups": [{"cc": "newreno", "count": 2, "rtt": "10ms"}]}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, log bytes.Buffer
+	d := sweeper{parallel: 1, storePath: filepath.Join(dir, "s.jsonl"), out: &out, log: &log}
+	if err := d.scenarios(path); err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `== dumbbell scenario "tiny" (` + path + ")\n" + experiments.Run(*c.Dumbbell).Report()
+	if out.String() != want {
+		t.Errorf("-scenario output differs from the Go runner\n--- got\n%s--- want\n%s", out.String(), want)
 	}
 }

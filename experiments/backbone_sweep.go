@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"cebinae/internal/fleet"
@@ -49,18 +47,18 @@ type BackboneSweepResult struct {
 // BackboneSweepJobs wraps every (flows, qdisc) cell as a fleet job at the
 // given scale.
 func BackboneSweepJobs(flows []int, qdiscs []QdiscKind, scale Scale) []fleet.Job {
-	var jobs []fleet.Job
+	var cells []Cell[BackboneSweepResult]
 	for _, n := range flows {
 		for _, q := range qdiscs {
 			pt := BackboneSweepPoint{Flows: n, Qdisc: q, Scale: float64(scale)}
-			jobs = append(jobs, fleet.Job{
-				ID:   pt.ID(),
+			cells = append(cells, Cell[BackboneSweepResult]{
+				Key:  pt.ID(),
 				Desc: fmt.Sprintf("backbone %s with %d standing flows at scale %g", pt.Qdisc, pt.Flows, pt.Scale),
-				Run:  func() (any, error) { return RunBackboneSweepPoint(pt), nil },
+				Run:  func() BackboneSweepResult { return RunBackboneSweepPoint(pt) },
 			})
 		}
 	}
-	return jobs
+	return cellJobs("", "", cells)
 }
 
 // RunBackboneSweepPoint measures one grid cell with its own cluster.
@@ -83,28 +81,12 @@ func RunBackboneSweepPoint(pt BackboneSweepPoint) BackboneSweepResult {
 	}
 }
 
-// DecodeBackboneSweep converts a fleet run's successful results back into
-// backbone rows, sorted by (qdisc, flows) for stable output.
-func DecodeBackboneSweep(results []fleet.Result) ([]BackboneSweepResult, error) {
-	var out []BackboneSweepResult
-	for _, r := range results {
-		if !r.OK {
-			continue
-		}
-		var br BackboneSweepResult
-		if err := json.Unmarshal(r.Value, &br); err != nil {
-			return nil, fmt.Errorf("experiments: decode backbone sweep result %s: %w", r.ID, err)
-		}
-		out = append(out, br)
+// Less orders backbone rows by (qdisc, flows), the table's order.
+func (a BackboneSweepResult) Less(b BackboneSweepResult) bool {
+	if a.Qdisc != b.Qdisc {
+		return a.Qdisc < b.Qdisc
 	}
-	sort.Slice(out, func(i, k int) bool {
-		a, b := out[i], out[k]
-		if a.Qdisc != b.Qdisc {
-			return a.Qdisc < b.Qdisc
-		}
-		return a.Flows < b.Flows
-	})
-	return out, nil
+	return a.Flows < b.Flows
 }
 
 // RenderBackboneSweep prints the measured grid as an aligned text table.
@@ -121,7 +103,8 @@ func RenderBackboneSweep(rows []BackboneSweepResult) string {
 }
 
 // WriteBackboneSweepCSV emits one row per backbone grid cell, in the order
-// given (use DecodeBackboneSweep for the canonical qdisc/flows sort).
+// given (DecodeOK with BackboneSweepResult.Less gives the canonical
+// qdisc/flows sort).
 func WriteBackboneSweepCSV(w io.Writer, rows []BackboneSweepResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"qdisc", "flows", "scale", "duration_s", "peak_active", "flows_seen",

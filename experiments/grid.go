@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"cebinae/internal/fleet"
 )
 
 // The grid scenario family enumerates dumbbell cells over a parameter
@@ -13,8 +11,8 @@ import (
 // after CoCo-Beholder's testbed matrices) and the buffer-depth fairness
 // sweep (a fixed CC mix — canonically BBRv1 vs Cubic — across buffer
 // sizes, after the BBR-fairness study's grid). Cells are independent
-// simulations, so a grid fans out over the fleet worker pool one job per
-// cell and reassembles deterministically by cell ID.
+// simulations, so a grid is a section of one Cell per GridCell (keyed by
+// its ID) rendered by GridResult.Report.
 
 // GridCell is one independent dumbbell simulation within a grid.
 type GridCell struct {
@@ -73,44 +71,6 @@ func (r GridResult) Report() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// RunGrid runs every cell sequentially.
-func RunGrid(name string, cells []GridCell) GridResult {
-	r := GridResult{Name: name}
-	for _, c := range cells {
-		r.Cells = append(r.Cells, RunGridCell(c))
-	}
-	return r
-}
-
-// GridJobs wraps the cells as fleet jobs (IDs prefixed for checkpoint
-// namespacing); RenderGrid reassembles the stored results into the same
-// report RunGrid would print.
-func GridJobs(prefix string, cells []GridCell) []fleet.Job {
-	jobs := make([]fleet.Job, len(cells))
-	for i, c := range cells {
-		c := c
-		jobs[i] = fleet.Job{
-			ID:   prefix + c.ID,
-			Desc: c.Label,
-			Run:  func() (any, error) { return RunGridCell(c), nil },
-		}
-	}
-	return jobs
-}
-
-// RenderGrid assembles a grid report from checkpointed cell results.
-func RenderGrid(name, prefix string, cells []GridCell, get Getter) (string, error) {
-	r := GridResult{Name: name}
-	for _, c := range cells {
-		cell, err := decodeJob[GridCellResult](get, prefix+c.ID)
-		if err != nil {
-			return "", err
-		}
-		r.Cells = append(r.Cells, cell)
-	}
-	return r.Report(), nil
 }
 
 // TournamentConfig generates the CCA tournament matrix: every unordered

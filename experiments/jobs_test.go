@@ -77,6 +77,54 @@ func TestSummaryGetterSurfacesFailures(t *testing.T) {
 	}
 }
 
+// TestDecodeOKSkipsFailuresAndSorts: failed jobs contribute no row, the
+// rest come back in less order whatever order the summary held them in,
+// and a malformed value is an error naming its job.
+func TestDecodeOKSkipsFailuresAndSorts(t *testing.T) {
+	results := []fleet.Result{
+		{ID: "a", OK: true, Value: []byte("3")},
+		{ID: "b", OK: false, Err: "boom"},
+		{ID: "c", OK: true, Value: []byte("1")},
+		{ID: "d", OK: true, Value: []byte("2")},
+	}
+	got, err := DecodeOK(results, func(a, b int) bool { return a < b })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("decoded %v, want [1 2 3]", got)
+	}
+	results[0].Value = []byte(`"x"`)
+	if _, err := DecodeOK(results, func(a, b int) bool { return a < b }); err == nil || !strings.Contains(err.Error(), "decode a") {
+		t.Fatalf("malformed value: got %v", err)
+	}
+}
+
+// TestParseScale covers the named scales, fractions, and every malformed
+// or out-of-range value cebinae-bench's -scale and cebinae-sweep's
+// -scales must refuse.
+func TestParseScale(t *testing.T) {
+	good := map[string]Scale{
+		"quick":  Quick,
+		"medium": Medium,
+		"full":   Full,
+		"0.5":    0.5,
+		"0.25":   0.25,
+		"1":      1,
+	}
+	for in, want := range good {
+		got, err := ParseScale(in)
+		if err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"0", "1.5", "-0.1", "huge", "", "quick,full"} {
+		if got, err := ParseScale(bad); err == nil {
+			t.Errorf("ParseScale(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
 func tinySweep() SweepConfig {
 	cfg := DefaultSweepConfig()
 	cfg.Qdiscs = []QdiscKind{FIFO, Cebinae}
@@ -153,7 +201,7 @@ func TestSweepCSVRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := DecodeSweepResults(sum.Results)
+	rows, err := DecodeOK(sum.Results, SweepResult.Less)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"cebinae/internal/core"
@@ -71,7 +69,7 @@ type SweepResult struct {
 }
 
 // WriteSweepCSV emits a header row, then one row per sweep grid cell in the
-// order given (use DecodeSweepResults for the canonical
+// order given (DecodeOK with SweepResult.Less gives the canonical
 // qdisc/scale/threshold sort), so the measured data can be re-plotted
 // outside Go.
 func WriteSweepCSV(w io.Writer, rows []SweepResult) error {
@@ -116,16 +114,15 @@ func (c SweepConfig) Points() []SweepPoint {
 // Jobs wraps every grid point as a fleet job.
 func (c SweepConfig) Jobs() []fleet.Job {
 	pts := c.Points()
-	jobs := make([]fleet.Job, len(pts))
+	cells := make([]Cell[SweepResult], len(pts))
 	for i, pt := range pts {
-		pt := pt
-		jobs[i] = fleet.Job{
-			ID:   pt.ID(),
+		cells[i] = Cell[SweepResult]{
+			Key:  pt.ID(),
 			Desc: fmt.Sprintf("%s at scale %g, thresholds %g%%", pt.Qdisc, pt.Scale, pt.ThresholdPct),
-			Run:  func() (any, error) { return RunSweepPoint(c, pt), nil },
+			Run:  func() SweepResult { return RunSweepPoint(c, pt) },
 		}
 	}
-	return jobs
+	return cellJobs("", "", cells)
 }
 
 // RunSweepPoint measures one grid cell with its own engine.
@@ -160,31 +157,15 @@ func RunSweepPoint(c SweepConfig, pt SweepPoint) SweepResult {
 	}
 }
 
-// DecodeSweepResults converts a fleet run's successful results back into
-// sweep rows, sorted by (qdisc, scale, threshold) for stable output.
-func DecodeSweepResults(results []fleet.Result) ([]SweepResult, error) {
-	var out []SweepResult
-	for _, r := range results {
-		if !r.OK {
-			continue
-		}
-		var sr SweepResult
-		if err := json.Unmarshal(r.Value, &sr); err != nil {
-			return nil, fmt.Errorf("experiments: decode sweep result %s: %w", r.ID, err)
-		}
-		out = append(out, sr)
+// Less orders sweep rows by (qdisc, scale, threshold), the table's order.
+func (a SweepResult) Less(b SweepResult) bool {
+	if a.Qdisc != b.Qdisc {
+		return a.Qdisc < b.Qdisc
 	}
-	sort.Slice(out, func(i, k int) bool {
-		a, b := out[i], out[k]
-		if a.Qdisc != b.Qdisc {
-			return a.Qdisc < b.Qdisc
-		}
-		if a.Scale != b.Scale {
-			return a.Scale < b.Scale
-		}
-		return a.ThresholdPct < b.ThresholdPct
-	})
-	return out, nil
+	if a.Scale != b.Scale {
+		return a.Scale < b.Scale
+	}
+	return a.ThresholdPct < b.ThresholdPct
 }
 
 // RenderSweep prints the measured grid as an aligned text table.

@@ -14,10 +14,19 @@ import (
 // slots ahead of the round currently being served, the packet is dropped —
 // the Eq. 1 constraint (buffer_req ≤ BpR × nQ) that caps AFQ's scalability
 // in flows, RTT, and burstiness.
+//
+// Built by NewPCQ, the same calendar is the fair-queueing instantiation of
+// Programmable Calendar Queues (Sharma et al., NSDI '20), the other
+// scalability comparison the paper's §5.5 names ("AFQ or PCQ"). The only
+// difference is the beyond-horizon packet: PCQ enqueues it into the *last*
+// slot instead of dropping it, trading fairness degradation for delivery.
+// Rotation is queue-drain driven in both: when the head queue empties it
+// is recycled to the tail as the farthest-future slot.
 type AFQ struct {
 	NQ  int   // number of calendar queues (priority levels consumed)
 	BpR int64 // bytes per round, per flow
 
+	squash     bool // PCQ: squash beyond-horizon packets instead of dropping them
 	limitBytes int
 	round      int64 // round currently in service
 	queues     []ring
@@ -25,7 +34,9 @@ type AFQ struct {
 	packets    int
 	sketch     *cmsketch.Sketch
 
-	Drops         uint64 // horizon (Eq. 1) drops
+	// BeyondHorizon counts packets whose bid round lay past the nQ-slot
+	// horizon (Eq. 1): dropped by AFQ, squashed into the last slot by PCQ.
+	BeyondHorizon uint64
 	OverflowDrops uint64 // shared-buffer drops
 }
 
@@ -33,7 +44,7 @@ type AFQ struct {
 // prototype's scale (4 rows); cols sizes collision probability.
 func NewAFQ(nQ int, bpr int64, limitBytes, sketchCols int) *AFQ {
 	if nQ <= 0 || bpr <= 0 {
-		panic("qdisc: AFQ needs positive nQ and BpR")
+		panic("qdisc: a calendar queue needs positive nQ and BpR")
 	}
 	if limitBytes <= 0 {
 		limitBytes = 32 << 20
@@ -50,8 +61,15 @@ func NewAFQ(nQ int, bpr int64, limitBytes, sketchCols int) *AFQ {
 	}
 }
 
-// Enqueue implements the AFQ schedule: compute the flow's bid, map it to a
-// calendar slot, drop beyond the horizon.
+// NewPCQ builds a PCQ instance (geometry as NewAFQ).
+func NewPCQ(nQ int, bpr int64, limitBytes, sketchCols int) *AFQ {
+	q := NewAFQ(nQ, bpr, limitBytes, sketchCols)
+	q.squash = true
+	return q
+}
+
+// Enqueue computes the flow's bid and maps it to a calendar slot; beyond
+// the horizon it drops (AFQ) or squashes into the last slot (PCQ).
 func (a *AFQ) Enqueue(p *packet.Packet) bool {
 	if a.bytes+int(p.Size) > a.limitBytes {
 		a.OverflowDrops++
@@ -66,8 +84,11 @@ func (a *AFQ) Enqueue(p *packet.Packet) bool {
 	bid += int64(p.Size)
 	slot := bid / a.BpR
 	if slot >= a.round+int64(a.NQ) {
-		a.Drops++ // beyond the calendar horizon (Eq. 1)
-		return false
+		a.BeyondHorizon++
+		if !a.squash {
+			return false
+		}
+		slot = a.round + int64(a.NQ) - 1
 	}
 	a.sketch.UpdateMax(p.Flow, bid)
 	idx := int(slot % int64(a.NQ))

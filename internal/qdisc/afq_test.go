@@ -50,7 +50,7 @@ func TestAFQHorizonDrop(t *testing.T) {
 	if admitted >= 5 {
 		t.Fatalf("Eq.1 horizon must cap the burst: admitted %d of 10", admitted)
 	}
-	if a.Drops == 0 {
+	if a.BeyondHorizon == 0 {
 		t.Fatal("horizon drops not counted")
 	}
 }
@@ -121,7 +121,7 @@ func TestAFQManyFlowsExceedHorizon(t *testing.T) {
 				a.Enqueue(afqPkt(f+1, 1500))
 			}
 		}
-		return a.Drops
+		return a.BeyondHorizon
 	}
 	if d := run(4); d != 0 {
 		t.Fatalf("4 flows × 8 packets must fit a 32-slot calendar, dropped %d", d)
@@ -136,7 +136,7 @@ func TestAFQManyFlowsExceedHorizon(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		a.Enqueue(afqPkt(1, 1500))
 	}
-	if a.Drops == 0 {
+	if a.BeyondHorizon == 0 {
 		t.Fatal("per-flow burst beyond nQ slots must drop")
 	}
 }

@@ -32,7 +32,7 @@ func TestPCQSquashesInsteadOfDropping(t *testing.T) {
 			t.Fatalf("PCQ must admit beyond-horizon packet %d", i)
 		}
 	}
-	if q.HorizonSquashed == 0 {
+	if q.BeyondHorizon == 0 {
 		t.Fatal("beyond-horizon packets must be counted as squashed")
 	}
 	delivered := 0

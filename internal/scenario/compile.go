@@ -1,11 +1,9 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"cebinae/experiments"
-	"cebinae/internal/fleet"
 )
 
 // The compiler lowers a validated spec onto the experiments builders.
@@ -16,7 +14,7 @@ import (
 // runner the same struct, so every downstream byte matches.
 
 // Compiled is a lowered spec: exactly one config pointer (or the Grid
-// slice) is populated, matching Spec.Kind.
+// slice) is populated, matching Spec.Kind. Section is how it runs.
 type Compiled struct {
 	Spec     *Spec
 	Dumbbell *experiments.Scenario
@@ -26,32 +24,6 @@ type Compiled struct {
 	// Grid holds the enumerated cells for tournament and buffer_sweep
 	// specs, in canonical generation order.
 	Grid []experiments.GridCell
-
-	// What the spec kind decides for a single-config scenario, bound once
-	// by Compile (nil for the grid kinds): its runner, the result's report
-	// text, and the same text from a checkpointed result.
-	run    func() any
-	text   func(any) string
-	decode func(get experiments.Getter, id string) (string, error)
-}
-
-// bind records the runner and renderer of a single-config kind. run reads
-// *cfg when called, not when bound, so edits made through the exported
-// config pointer after Compile take effect.
-func bind[C, R any](c *Compiled, cfg *C, run func(C) R, text func(R) string) {
-	c.run = func() any { return run(*cfg) }
-	c.text = func(v any) string { return text(v.(R)) }
-	c.decode = func(get experiments.Getter, id string) (string, error) {
-		var r R
-		raw, err := get(id)
-		if err != nil {
-			return "", err
-		}
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return "", fmt.Errorf("scenario: decode %s: %w", id, err)
-		}
-		return text(r), nil
-	}
 }
 
 func qdiscKinds(names []string) []experiments.QdiscKind {
@@ -109,7 +81,6 @@ func Compile(s *Spec) (*Compiled, error) {
 			sc.Params = &p
 		}
 		c.Dumbbell = &sc
-		bind(c, c.Dumbbell, experiments.Run, experiments.Result.Report)
 	case "chain":
 		ch := s.Chain
 		c.Chain = &experiments.ChainConfig{
@@ -128,18 +99,14 @@ func Compile(s *Spec) (*Compiled, error) {
 			Duration:      ch.Duration.Time(),
 			Seed:          s.Seed,
 		}
-		bind(c, c.Chain, experiments.RunChain, experiments.ChainResult.Report)
 	case "backbone":
 		b := s.Backbone
-		scale := map[string]experiments.Scale{
-			"quick": experiments.Quick, "medium": experiments.Medium, "full": experiments.Full,
-		}[b.Scale]
+		scale, _ := experiments.ParseScale(b.Scale) // Validate admitted only quick, medium or full
 		cfg := experiments.BackboneTier(b.Flows, scale)
 		if b.Qdisc != "" {
 			cfg.Qdisc = experiments.QdiscKind(b.Qdisc)
 		}
 		c.Backbone = &cfg
-		bind(c, c.Backbone, experiments.RunBackbone, experiments.BackboneResult.Render)
 	case "graph":
 		g := s.Graph
 		gc := experiments.GraphConfig{
@@ -171,7 +138,6 @@ func Compile(s *Spec) (*Compiled, error) {
 			})
 		}
 		c.Graph = &gc
-		bind(c, c.Graph, experiments.RunGraph, experiments.GraphResult.Report)
 	case "tournament":
 		t := s.Tournament
 		c.Grid = experiments.TournamentConfig{
@@ -218,45 +184,35 @@ func (c *Compiled) SetShards(n int) {
 	}
 }
 
-// RunReport runs the compiled scenario sequentially and returns its
-// canonical report text.
-func (c *Compiled) RunReport() string {
-	if c.Grid != nil {
-		return experiments.RunGrid(c.Spec.Name, c.Grid).Report()
-	}
-	return c.text(c.run())
-}
-
-// jobID namespaces a compiled scenario's checkpoint keys.
-func (c *Compiled) jobID(prefix string) string { return prefix + "scenario/" + c.Spec.Name }
-
-// Jobs wraps the compiled scenario as fleet jobs: one per grid cell, or
-// a single job for the other kinds.
-func (c *Compiled) Jobs(prefix string) []fleet.Job {
-	id := c.jobID(prefix)
-	if c.Grid != nil {
-		return experiments.GridJobs(id+"/", c.Grid)
-	}
-	run := func() (any, error) { return c.run(), nil }
-	return []fleet.Job{{ID: id, Desc: c.Spec.Kind + " scenario " + c.Spec.Name, Run: run}}
-}
-
-// Render reassembles the checkpointed job values written by Jobs into
-// the same report RunReport would print.
-func (c *Compiled) Render(prefix string, get experiments.Getter) (string, error) {
-	id := c.jobID(prefix)
-	if c.Grid != nil {
-		return experiments.RenderGrid(c.Spec.Name, id+"/", c.Grid, get)
-	}
-	return c.decode(get, id)
-}
-
-// Section packages the compiled scenario as one bench-report section.
+// Section packages the compiled scenario as one report section, id
+// scenario/<name>: one cell per grid cell for the grid kinds, one cell
+// otherwise. Its jobs read the exported config when they run, so edits
+// made through it after Compile reach the run.
 func (c *Compiled) Section(prefix string) experiments.BenchSection {
-	return experiments.BenchSection{
-		ID:     "scenario/" + c.Spec.Name,
-		Desc:   c.Spec.Kind + " scenario " + c.Spec.Name,
-		Jobs:   c.Jobs(prefix),
-		Render: func(get experiments.Getter) (string, error) { return c.Render(prefix, get) },
+	id, desc := "scenario/"+c.Spec.Name, c.Spec.Kind+" scenario "+c.Spec.Name
+	switch {
+	case c.Dumbbell != nil:
+		return experiments.NewSection(prefix, id, desc,
+			[]experiments.Cell[experiments.Result]{{Run: func() experiments.Result { return experiments.Run(*c.Dumbbell) }}},
+			experiments.Only(experiments.Result.Report))
+	case c.Chain != nil:
+		return experiments.NewSection(prefix, id, desc,
+			[]experiments.Cell[experiments.ChainResult]{{Run: func() experiments.ChainResult { return experiments.RunChain(*c.Chain) }}},
+			experiments.Only(experiments.ChainResult.Report))
+	case c.Backbone != nil:
+		return experiments.NewSection(prefix, id, desc,
+			[]experiments.Cell[experiments.BackboneResult]{{Run: func() experiments.BackboneResult { return experiments.RunBackbone(*c.Backbone) }}},
+			experiments.Only(experiments.BackboneResult.Render))
+	case c.Graph != nil:
+		return experiments.NewSection(prefix, id, desc,
+			[]experiments.Cell[experiments.GraphResult]{{Run: func() experiments.GraphResult { return experiments.RunGraph(*c.Graph) }}},
+			experiments.Only(experiments.GraphResult.Report))
 	}
+	cells := make([]experiments.Cell[experiments.GridCellResult], len(c.Grid))
+	for i, g := range c.Grid {
+		cells[i] = experiments.Cell[experiments.GridCellResult]{Key: g.ID, Desc: g.Label, Run: func() experiments.GridCellResult { return experiments.RunGridCell(g) }}
+	}
+	return experiments.NewSection(prefix, id, desc, cells, func(r []experiments.GridCellResult) string {
+		return experiments.GridResult{Name: c.Spec.Name, Cells: r}.Report()
+	})
 }

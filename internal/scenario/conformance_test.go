@@ -1,21 +1,50 @@
 package scenario
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"cebinae/experiments"
+	"cebinae/internal/fleet"
 )
 
-// cellByID indexes a grid run's cells.
-func cellByID(t *testing.T, r experiments.GridResult, id string) experiments.GridCellResult {
+// runGrid runs a grid scenario's section on a one-worker fleet and
+// returns its report and its cells' results in generation order.
+func runGrid(t *testing.T, c *Compiled) (string, []experiments.GridCellResult) {
 	t.Helper()
-	for _, c := range r.Cells {
+	sec := c.Section("")
+	sum, err := fleet.Run(sec.Jobs, fleet.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := experiments.SummaryGetter(sum)
+	report, err := sec.Render(get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]experiments.GridCellResult, len(sec.Jobs))
+	for i, job := range sec.Jobs {
+		raw, err := get(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &cells[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return report, cells
+}
+
+// cellByID indexes a grid run's cells.
+func cellByID(t *testing.T, cells []experiments.GridCellResult, id string) experiments.GridCellResult {
+	t.Helper()
+	for _, c := range cells {
 		if c.ID == id {
 			return c
 		}
 	}
-	t.Fatalf("no cell %q in grid %s", id, r.Name)
+	t.Fatalf("no cell %q", id)
 	return experiments.GridCellResult{}
 }
 
@@ -34,12 +63,12 @@ func TestTournamentConformance(t *testing.T) {
 	if len(c.Grid) != 48 {
 		t.Fatalf("tournament enumerates %d cells, want 48", len(c.Grid))
 	}
-	first := experiments.RunGrid(spec.Name, c.Grid)
-	second := experiments.RunGrid(spec.Name, c.Grid)
-	if first.Report() != second.Report() {
-		t.Errorf("tournament is not deterministic across two runs\n--- first\n%s--- second\n%s", first.Report(), second.Report())
+	first, cells := runGrid(t, c)
+	second, _ := runGrid(t, c)
+	if first != second {
+		t.Errorf("tournament is not deterministic across two runs\n--- first\n%s--- second\n%s", first, second)
 	}
-	for _, cell := range first.Cells {
+	for _, cell := range cells {
 		if cell.JFI <= 0 || cell.JFI > 1 {
 			t.Errorf("cell %s: JFI %v out of range", cell.ID, cell.JFI)
 		}
@@ -66,7 +95,7 @@ func TestBufferSweepConformance(t *testing.T) {
 	if len(c.Grid) != 8 {
 		t.Fatalf("sweep enumerates %d cells, want 8", len(c.Grid))
 	}
-	r := experiments.RunGrid(spec.Name, c.Grid)
+	report, r := runGrid(t, c)
 
 	// Determinism spot-check on the two assertion-bearing FIFO cells.
 	for _, id := range []string{"fifo/b31250", "fifo/b2000000"} {
@@ -107,7 +136,7 @@ func TestBufferSweepConformance(t *testing.T) {
 
 	// The report names cells by ID; sanity-pin the rendering so sweep
 	// output stays greppable.
-	if !strings.Contains(r.Report(), "fifo/b31250") {
-		t.Errorf("sweep report missing cell IDs:\n%s", r.Report())
+	if !strings.Contains(report, "fifo/b31250") {
+		t.Errorf("sweep report missing cell IDs:\n%s", report)
 	}
 }

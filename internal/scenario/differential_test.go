@@ -27,7 +27,7 @@ func runSpec(t *testing.T, s *Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.RunReport()
+	return runSection(t, c.Section(""))
 }
 
 // TestDifferentialDumbbell compares dumbbell.json against the hand-built

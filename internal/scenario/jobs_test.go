@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cebinae/experiments"
+	"cebinae/internal/fleet"
 )
 
 // tinySpecs declares one fast spec per kind, sized so running each twice
@@ -66,40 +67,51 @@ func tinySpecs() []*Spec {
 	}
 }
 
-// runJobsGetter executes every fleet job a compiled scenario produces and
-// returns a Getter over the marshalled results — the same shape the
-// checkpoint store hands Render in the CLIs.
-func runJobsGetter(t *testing.T, c *Compiled, prefix string) experiments.Getter {
+// runSection runs a section's jobs on a one-worker fleet and renders it
+// from the summary — the path every CLI takes, JSON round-trip included.
+func runSection(t *testing.T, sec experiments.BenchSection) string {
 	t.Helper()
-	values := map[string]json.RawMessage{}
-	for _, job := range c.Jobs(prefix) {
+	for _, job := range sec.Jobs {
 		if job.ID == "" || job.Desc == "" {
 			t.Errorf("job missing ID/Desc: %+v", job)
 		}
-		v, err := job.Run()
-		if err != nil {
-			t.Fatalf("job %s: %v", job.ID, err)
-		}
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("job %s: marshal: %v", job.ID, err)
-		}
-		values[job.ID] = raw
 	}
-	return func(id string) (json.RawMessage, error) {
-		raw, ok := values[id]
-		if !ok {
-			t.Fatalf("render asked for unknown job %s", id)
-		}
-		return raw, nil
+	sum, err := fleet.Run(sec.Jobs, fleet.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	text, err := sec.Render(experiments.SummaryGetter(sum))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
 }
 
-// TestJobsRenderMatchesRunReport is the fleet-path contract for every
-// scenario kind: running the compiled scenario through its checkpointable
-// jobs and reassembling the report with Render produces exactly the bytes
-// RunReport prints from a direct sequential run.
-func TestJobsRenderMatchesRunReport(t *testing.T) {
+// directReport runs the compiled config through its Go runner, with no
+// fleet, checkpoint or JSON in between.
+func directReport(c *Compiled) string {
+	switch {
+	case c.Dumbbell != nil:
+		return experiments.Run(*c.Dumbbell).Report()
+	case c.Chain != nil:
+		return experiments.RunChain(*c.Chain).Report()
+	case c.Backbone != nil:
+		return experiments.RunBackbone(*c.Backbone).Render()
+	case c.Graph != nil:
+		return experiments.RunGraph(*c.Graph).Report()
+	}
+	r := experiments.GridResult{Name: c.Spec.Name}
+	for _, cell := range c.Grid {
+		r.Cells = append(r.Cells, experiments.RunGridCell(cell))
+	}
+	return r.Report()
+}
+
+// TestSectionMatchesDirectReport is the fleet-path contract for every
+// scenario kind: the compiled scenario's section, run through the fleet
+// and rendered from its checkpointed values, prints exactly the bytes its
+// Go runner's Report() gives from a direct run.
+func TestSectionMatchesDirectReport(t *testing.T) {
 	for _, spec := range tinySpecs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -107,21 +119,17 @@ func TestJobsRenderMatchesRunReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct := c.RunReport()
-			got, err := c.Render("t/", runJobsGetter(t, c, "t/"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != direct {
-				t.Errorf("fleet-rendered report differs from direct run\n--- jobs\n%s--- direct\n%s", got, direct)
+			got, want := runSection(t, c.Section("t/")), directReport(c)
+			if got != want {
+				t.Errorf("section report differs from direct run\n--- section\n%s--- direct\n%s", got, want)
 			}
 		})
 	}
 }
 
 // TestSectionWrapsJobsAndRender pins the bench-report packaging: the
-// section is named scenario/<name>, carries the same jobs, and its Render
-// closure reproduces the direct report.
+// section is named scenario/<name>, its job IDs carry the prefix, and its
+// Render closure reproduces the direct report.
 func TestSectionWrapsJobsAndRender(t *testing.T) {
 	c, err := Compile(tinySpecs()[0])
 	if err != nil {
@@ -134,14 +142,10 @@ func TestSectionWrapsJobsAndRender(t *testing.T) {
 	if !strings.Contains(sec.Desc, "dumbbell") {
 		t.Errorf("section Desc = %q", sec.Desc)
 	}
-	if len(sec.Jobs) != 1 || !strings.HasPrefix(sec.Jobs[0].ID, "p/scenario/") {
+	if len(sec.Jobs) != 1 || sec.Jobs[0].ID != "p/scenario/tiny-dumbbell" {
 		t.Fatalf("section jobs = %+v", sec.Jobs)
 	}
-	got, err := sec.Render(runJobsGetter(t, c, "p/"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != c.RunReport() {
+	if runSection(t, sec) != directReport(c) {
 		t.Errorf("section render differs from direct run")
 	}
 }
@@ -180,9 +184,9 @@ func TestSetShardsCoversEveryKind(t *testing.T) {
 	}
 }
 
-// TestRunReadsConfigAtCallTime: the runner bound by Compile reads the
-// exported config when it runs, so an edit made after Compile (what the
-// benchmark and the CLIs do through the pointer) reaches the run.
+// TestRunReadsConfigAtCallTime: a section's jobs read the exported config
+// when they run, not when Compile or Section built them, so an edit made
+// through the pointer (what the benchmark and the CLIs do) reaches the run.
 func TestRunReadsConfigAtCallTime(t *testing.T) {
 	c, err := Compile(tinySpecs()[0])
 	if err != nil {
@@ -191,14 +195,15 @@ func TestRunReadsConfigAtCallTime(t *testing.T) {
 	if c.Dumbbell == nil {
 		t.Fatalf("tinySpecs()[0] is %s, want the dumbbell", c.Spec.Kind)
 	}
-	before := c.RunReport()
+	sec := c.Section("")
+	before := runSection(t, sec)
 	c.Dumbbell.Seed++
-	after := c.RunReport()
+	after := runSection(t, sec)
 	if after == before {
-		t.Fatal("RunReport ignored an edit made to *c.Dumbbell after Compile")
+		t.Fatal("the section ignored an edit made to *c.Dumbbell after Compile")
 	}
 	if want := experiments.Run(*c.Dumbbell).Report(); after != want {
-		t.Errorf("RunReport after the edit differs from Run(*c.Dumbbell)")
+		t.Errorf("the section after the edit differs from Run(*c.Dumbbell)")
 	}
 }
 
@@ -210,12 +215,13 @@ func TestRenderDecodeFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Render("", func(id string) (json.RawMessage, error) {
+	sec := c.Section("")
+	if _, err := sec.Render(func(id string) (json.RawMessage, error) {
 		return nil, strings.NewReader("").UnreadRune()
 	}); err == nil {
 		t.Error("getter failure not propagated")
 	}
-	if _, err := c.Render("", func(id string) (json.RawMessage, error) {
+	if _, err := sec.Render(func(id string) (json.RawMessage, error) {
 		return json.RawMessage(`{"bad":`), nil
 	}); err == nil || !strings.Contains(err.Error(), "decode") {
 		t.Errorf("malformed value: got %v", err)
