@@ -13,12 +13,12 @@ import (
 )
 
 // BenchmarkAblationPerFlowTop compares aggregate-⊤ against per-flow-⊤ on a
-// both-flows-bottlenecked RTT pair (JFI reported as "jfi").
+// both-flows-bottlenecked RTT pair (the ext-perflow section's two runs).
 func BenchmarkAblationPerFlowTop(b *testing.B) {
+	runs := experiments.ExtPerFlowScenarios(benchScale)
 	for i := 0; i < b.N; i++ {
-		r := experiments.ExtPerFlow(benchScale)
-		b.ReportMetric(r.AggregateJFI, "jfi-aggregate")
-		b.ReportMetric(r.PerFlowJFI, "jfi-perflow")
+		b.ReportMetric(experiments.Run(runs[0]).JFI, "jfi-aggregate")
+		b.ReportMetric(experiments.Run(runs[1]).JFI, "jfi-perflow")
 	}
 }
 
@@ -32,7 +32,7 @@ func BenchmarkAblationECNMarking(b *testing.B) {
 			Groups: []experiments.FlowGroup{{CC: "newreno", Count: 1, RTT: experiments.Millis(20)}},
 		})
 		p.MarkECN = mark
-		// Manual wiring: one ECN DCTCP flow + one NewReno flow.
+		// Manual wiring: one DCTCP flow (ECN-capable by its CC) + one NewReno flow.
 		eng := cebinae.NewEngine()
 		net := cebinae.NewNetwork(eng)
 		d := cebinae.BuildDumbbell(net, cebinae.DumbbellConfig{
@@ -51,7 +51,7 @@ func BenchmarkAblationECNMarking(b *testing.B) {
 		for i, name := range []string{"dctcp", "newreno"} {
 			key := cebinae.FlowKey{Src: d.Senders[i].ID, Dst: d.Receivers[i].ID, SrcPort: 1, DstPort: uint16(50 + i), Proto: 6}
 			cc, _ := cebinae.NewCC(name)
-			cebinae.NewConn(eng, d.Senders[i], cebinae.ConnConfig{Key: key, CC: cc, ECN: name == "dctcp", MinRTO: cebinae.Seconds(1)})
+			cebinae.NewConn(eng, d.Senders[i], cebinae.ConnConfig{Key: key, CC: cc, MinRTO: cebinae.Seconds(1)})
 			recv := cebinae.NewReceiver(eng, d.Receivers[i], cebinae.ReceiverConfig{Key: key})
 			m := &cebinae.FlowMeter{}
 			recv.GoodputAt = m.Record

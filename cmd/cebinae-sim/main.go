@@ -77,7 +77,7 @@ func main() {
 
 // runScenarioFile loads and compiles one declarative scenario file, runs
 // its section on a one-worker fleet, and prints its canonical report. A
-// job that panics is retried once and then reported as an error.
+// job that panics runs once and is reported as an error.
 func runScenarioFile(path string) error {
 	spec, err := scenario.Load(path)
 	if err != nil {
@@ -87,13 +87,8 @@ func runScenarioFile(path string) error {
 	if err != nil {
 		return err
 	}
-	sec := c.Section("")
 	start := time.Now()
-	sum, err := fleet.Run(sec.Jobs, fleet.Options{Parallelism: 1})
-	if err != nil {
-		return err
-	}
-	report, err := sec.Render(experiments.SummaryGetter(sum))
+	report, err := experiments.RunSection(c.Section(""), fleet.Options{Parallelism: 1})
 	if err != nil {
 		return err
 	}

@@ -12,8 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 
 	"cebinae/experiments"
+	"cebinae/internal/fleet"
 )
 
 func main() {
@@ -25,6 +27,14 @@ func main() {
 	fmt.Printf("  long NewReno: %.2f Mbps | BIC cross: %.2f | Vegas cross: %.2f | Cubic cross: %.2f\n\n",
 		ideal[0]/1e6, ideal[8]/1e6, ideal[10]/1e6, ideal[18]/1e6)
 
-	res := experiments.Fig11(experiments.Scale(*scale))
-	fmt.Print(res.Render())
+	// One fleet job per discipline, rendered as cebinae-bench's fig11.
+	sec, err := experiments.FindSection(experiments.Scale(*scale), "fig11")
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := experiments.RunSection(sec, fleet.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(report)
 }

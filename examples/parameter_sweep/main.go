@@ -10,8 +10,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 
 	"cebinae/experiments"
+	"cebinae/internal/fleet"
 )
 
 func main() {
@@ -19,6 +21,15 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("Sweeping δp = δf = τ for 16 NewReno vs 1 Cubic on 100 Mbps…")
-	res := experiments.Fig12(experiments.Scale(*scale))
-	fmt.Print(res.Render())
+	// One fleet job per threshold (and per reference), rendered as
+	// cebinae-bench's fig12.
+	sec, err := experiments.FindSection(experiments.Scale(*scale), "fig12")
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := experiments.RunSection(sec, fleet.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(report)
 }

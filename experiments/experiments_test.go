@@ -1,9 +1,34 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"cebinae/internal/fleet"
 )
+
+// sectionValues runs a section's jobs through the fleet and decodes their
+// values in job order.
+func sectionValues[T any](t *testing.T, sec BenchSection) []T {
+	t.Helper()
+	sum, err := fleet.Run(sec.Jobs, fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := SummaryGetter(sum)
+	out := make([]T, len(sec.Jobs))
+	for i, j := range sec.Jobs {
+		raw, err := get(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
 
 func TestTable2RowsShape(t *testing.T) {
 	rows := Table2Rows()
@@ -133,10 +158,19 @@ func TestTable3MatchesPaperBallpark(t *testing.T) {
 	}
 }
 
-func TestFig13AccuracyTrends(t *testing.T) {
+// scoreFig13 scores Fig13Points from index from on, at trials per point.
+func scoreFig13(trials, from int) []Fig13Point {
 	cfg := DefaultFig13Config(Quick)
-	cfg.Trials = 3
-	pts := Fig13b(cfg)
+	cfg.Trials = trials
+	pts := Fig13Points()[from:]
+	for i, p := range pts {
+		pts[i] = Fig13Score(cfg, p.Stages, p.Slots, p.Interval)
+	}
+	return pts
+}
+
+func TestFig13AccuracyTrends(t *testing.T) {
+	pts := scoreFig13(3, fig13PanelA) // panel (b)
 	// Collect FNR by stages at the largest slot count.
 	fnr := map[int]float64{}
 	for _, p := range pts {
@@ -172,15 +206,20 @@ func TestFig7Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	r := Fig7(Medium)
-	if r.JFI[Cebinae] < r.JFI[FIFO]+0.3 {
-		t.Fatalf("Cebinae JFI %.3f vs FIFO %.3f: insufficient improvement", r.JFI[Cebinae], r.JFI[FIFO])
+	sec, err := FindSection(Medium, "fig7")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.JFI[Cebinae] < 0.85 {
-		t.Fatalf("Cebinae JFI %.3f below reproduction bar", r.JFI[Cebinae])
+	rs := sectionValues[Result](t, sec)
+	fifo, ceb := rs[0], rs[1]
+	if ceb.JFI < fifo.JFI+0.3 {
+		t.Fatalf("Cebinae JFI %.3f vs FIFO %.3f: insufficient improvement", ceb.JFI, fifo.JFI)
 	}
-	renoFIFO := r.Goodputs[FIFO][16]
-	renoCeb := r.Goodputs[Cebinae][16]
+	if ceb.JFI < 0.85 {
+		t.Fatalf("Cebinae JFI %.3f below reproduction bar", ceb.JFI)
+	}
+	renoFIFO := fifo.Flows[16].GoodputBps
+	renoCeb := ceb.Flows[16].GoodputBps
 	if renoCeb > renoFIFO/2 {
 		t.Fatalf("NewReno capture not curtailed: %.1f → %.1f Mbps", renoFIFO/1e6, renoCeb/1e6)
 	}
@@ -194,13 +233,14 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if !strings.Contains(out, "SRAM") {
 		t.Fatal("table 3 renderer broken")
 	}
-	f := Fig1(Quick)
-	if !strings.Contains(f.Render(), "Cebinae") {
-		t.Fatal("fig1 renderer broken")
+	sec, err := FindSection(Quick, "fig1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg := DefaultFig13Config(Quick)
-	cfg.Trials = 2
-	if !strings.Contains(RenderFig13(Fig13a(cfg), Fig13b(cfg)), "FNR") {
+	if out, err := RunSection(sec, fleet.Options{}); err != nil || !strings.Contains(out, "Cebinae") {
+		t.Fatalf("fig1 renderer broken (%v):\n%s", err, out)
+	}
+	if !strings.Contains(RenderFig13(scoreFig13(2, 0)), "FNR") {
 		t.Fatal("fig13 renderer broken")
 	}
 }

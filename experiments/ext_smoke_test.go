@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"cebinae/internal/fleet"
 )
 
 func TestExtensionsSmoke(t *testing.T) {
@@ -19,5 +21,13 @@ func TestExtensionsSmoke(t *testing.T) {
 		udp = append(udp, ExtBlindUDP(k, Quick))
 	}
 	fmt.Print(RenderExtBlindUDP(udp))
-	fmt.Print(RenderExtPerFlow(ExtPerFlow(Quick)))
+	sec, err := FindSection(Quick, "ext-perflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunSection(sec, fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Print(out)
 }

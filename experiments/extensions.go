@@ -16,8 +16,8 @@ import (
 
 // This file holds experiments beyond the paper's evaluation, exercising the
 // repository's extensions: short-flow protection under churn, blind-UDP
-// containment, and the §7 per-flow-⊤ isolation mode. They are clearly
-// labelled as extensions in reports.
+// containment, the §7 per-flow-⊤ isolation mode and the §3.2 strawman.
+// They are clearly labelled as extensions in reports.
 
 // ---------------------------------------------------------------------------
 // Extension 1 — short-flow completion times under churn: one long-lived
@@ -208,26 +208,20 @@ func RenderExtBlindUDP(results []ExtBlindUDPResult) string {
 // the per-flow extension.
 // ---------------------------------------------------------------------------
 
-// ExtPerFlowResult compares the two ⊤-tracking modes.
-type ExtPerFlowResult struct {
-	AggregateJFI float64
-	PerFlowJFI   float64
-	AggregateGp  float64
-	PerFlowGp    float64
-}
-
-// ExtPerFlow runs the ablation.
-func ExtPerFlow(scale Scale) ExtPerFlowResult {
+// ExtPerFlowScenarios is the ablation: aggregate ⊤ tracking, then the
+// per-flow extension.
+func ExtPerFlowScenarios(scale Scale) []Scenario {
 	dur := sim.Time(float64(scale) * 100e9)
 	if dur < Seconds(20) {
 		dur = Seconds(20)
 	}
-	run := func(perFlow bool) (float64, float64) {
+	out := make([]Scenario, 2)
+	for i, mode := range []string{"aggregate", "per-flow"} {
 		p := core.DefaultParams(50e6, 420*1500, ms(80))
 		p.DeltaFlow = 0.9
-		p.PerFlowTop = perFlow
-		r := Run(Scenario{
-			Name:          fmt.Sprintf("ext-perflow/%v", perFlow),
+		p.PerFlowTop = i == 1
+		out[i] = Scenario{
+			Name:          "ext-perflow/" + mode,
 			BottleneckBps: 50e6,
 			BufferBytes:   420 * 1500,
 			Groups: []FlowGroup{
@@ -238,22 +232,23 @@ func ExtPerFlow(scale Scale) ExtPerFlowResult {
 			Qdisc:    Cebinae,
 			Params:   &p,
 			Seed:     5,
-		})
-		return r.JFI, r.GoodputBps
+		}
 	}
-	var out ExtPerFlowResult
-	out.AggregateJFI, out.AggregateGp = run(false)
-	out.PerFlowJFI, out.PerFlowGp = run(true)
 	return out
 }
 
-// RenderExtPerFlow prints the ablation.
-func RenderExtPerFlow(r ExtPerFlowResult) string {
+// RenderExtPerFlow prints the ablation, one row per ⊤-tracking mode.
+func RenderExtPerFlow(rs []Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — §7 per-flow ⊤ ablation (2 NewReno, RTT 10 vs 80 ms, both ⊤)\n")
 	fmt.Fprintf(&b, "%10s | %6s | %14s\n", "mode", "JFI", "goodput[Mbps]")
-	fmt.Fprintf(&b, "%10s | %6.3f | %14.2f\n", "aggregate", r.AggregateJFI, r.AggregateGp/1e6)
-	fmt.Fprintf(&b, "%10s | %6.3f | %14.2f\n", "per-flow", r.PerFlowJFI, r.PerFlowGp/1e6)
+	for _, r := range rs {
+		mode := "aggregate"
+		if r.Scenario.Params.PerFlowTop {
+			mode = "per-flow"
+		}
+		fmt.Fprintf(&b, "%10s | %6.3f | %14.2f\n", mode, r.JFI, r.GoodputBps/1e6)
+	}
 	return b.String()
 }
 
@@ -263,23 +258,14 @@ func RenderExtPerFlow(r ExtPerFlowResult) string {
 // freezes the unfair allocation; Cebinae redistributes.
 // ---------------------------------------------------------------------------
 
-// ExtStrawmanResult holds the incumbent and mean-latecomer tail goodputs
-// per discipline.
-type ExtStrawmanResult struct {
-	Kind         QdiscKind
-	IncumbentBps float64
-	LatecomerBps float64 // mean across the four Vegas flows
-	OverallJFI   float64
-}
-
-// ExtStrawman runs the scenario under one discipline.
-func ExtStrawman(kind QdiscKind, scale Scale) ExtStrawmanResult {
+// ExtStrawmanScenarios is the scenario under FIFO, the strawman and
+// Cebinae.
+func ExtStrawmanScenarios(scale Scale) []Scenario {
 	dur := sim.Time(float64(scale) * 100e9)
 	if dur < Seconds(30) {
 		dur = Seconds(30)
 	}
-	r := Run(Scenario{
-		Name:          fmt.Sprintf("ext-strawman/%s", kind),
+	return perKind("ext-strawman/cubic+4vegas", Scenario{
 		BottleneckBps: 50e6,
 		BufferBytes:   420 * 1500,
 		Groups: []FlowGroup{
@@ -287,25 +273,24 @@ func ExtStrawman(kind QdiscKind, scale Scale) ExtStrawmanResult {
 			{CC: "vegas", Count: 4, RTT: ms(40), StartAt: Seconds(10)},
 		},
 		Duration:       dur,
-		Qdisc:          kind,
 		WarmupFraction: 0.65, // measure well after the latecomers arrive
 		Seed:           31,
-	})
-	out := ExtStrawmanResult{Kind: kind, IncumbentBps: r.Flows[0].GoodputBps, OverallJFI: r.JFI}
-	for _, f := range r.Flows[1:] {
-		out.LatecomerBps += f.GoodputBps
-	}
-	out.LatecomerBps /= 4
-	return out
+	}, FIFO, Strawman, Cebinae)
 }
 
-// RenderExtStrawman prints the comparison.
-func RenderExtStrawman(results []ExtStrawmanResult) string {
+// RenderExtStrawman prints the incumbent's and the mean latecomer's tail
+// goodput per discipline.
+func RenderExtStrawman(rs []Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — §3.2 strawman vs Cebinae: Cubic incumbent, 4 late Vegas, 50 Mbps\n")
 	fmt.Fprintf(&b, "%9s | %15s | %15s | %6s\n", "qdisc", "incumbent[Mbps]", "latecomer[Mbps]", "JFI")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%9s | %15.2f | %15.2f | %6.3f\n", r.Kind, r.IncumbentBps/1e6, r.LatecomerBps/1e6, r.OverallJFI)
+	for _, r := range rs {
+		var late float64
+		for _, f := range r.Flows[1:] {
+			late += f.GoodputBps
+		}
+		late /= float64(len(r.Flows) - 1)
+		fmt.Fprintf(&b, "%9s | %15.2f | %15.2f | %6.3f\n", r.Scenario.Qdisc, r.Flows[0].GoodputBps/1e6, late/1e6, r.JFI)
 	}
 	return b.String()
 }

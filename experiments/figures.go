@@ -4,72 +4,73 @@ import (
 	"fmt"
 	"strings"
 
+	"cebinae/internal/core"
 	"cebinae/internal/metrics"
 	"cebinae/internal/sim"
 )
+
+// The paper's dumbbell figures. Each is a list of scenarios — one
+// independent run apiece, named "<section>/<key>" — and a renderer over
+// the runs' Results in scenario order; BenchSections runs every scenario
+// as its own fleet job.
+
+// perKind is one copy of base per discipline, named "<name>/<kind>".
+func perKind(name string, base Scenario, kinds ...QdiscKind) []Scenario {
+	out := make([]Scenario, len(kinds))
+	for i, k := range kinds {
+		s := base
+		s.Name, s.Qdisc = name+"/"+string(k), k
+		out[i] = s
+	}
+	return out
+}
+
+// msName formats an RTT for a scenario name ("16ms").
+func msName(t sim.Time) string { return fmt.Sprintf("%gms", float64(t)/1e6) }
 
 // ---------------------------------------------------------------------------
 // Figure 1: two NewReno flows with differing RTTs, FIFO vs Cebinae goodput
 // time series over 50 s on a 100 Mbps bottleneck.
 // ---------------------------------------------------------------------------
 
-// Fig1Result holds the two time series pairs.
-type Fig1Result struct {
-	Interval sim.Time
-	// Series[kind][flow] is the goodput series in bytes/sec.
-	Series map[QdiscKind][][]float64
-	JFI    map[QdiscKind]float64
-	// State is Cebinae's per-second phase ('u' unsaturated / 'S'
-	// saturated) — the background colouring of the paper's figure.
-	State []byte
-}
-
-// Fig1 runs the experiment at the given scale (Full = the paper's 50 s).
-func Fig1(scale Scale) Fig1Result {
-	dur := sim.Time(float64(scale) * 50e9 / 1.0)
+// Fig1Scenarios is Fig. 1's runs, FIFO then Cebinae (Full = the paper's
+// 50 s).
+func Fig1Scenarios(scale Scale) []Scenario {
+	dur := sim.Time(float64(scale) * 50e9)
 	if dur < sim.Duration(5e9) {
 		dur = sim.Duration(5e9)
 	}
-	out := Fig1Result{Interval: sim.Duration(1e9), Series: map[QdiscKind][][]float64{}, JFI: map[QdiscKind]float64{}}
-	for _, kind := range []QdiscKind{FIFO, Cebinae} {
-		r := Run(Scenario{
-			Name:          fmt.Sprintf("fig1/%s", kind),
-			BottleneckBps: 100e6,
-			BufferBytes:   450 * 1500,
-			Groups: []FlowGroup{
-				{CC: "newreno", Count: 1, RTT: ms(20.4)},
-				{CC: "newreno", Count: 1, RTT: ms(40)},
-			},
-			Duration:       dur,
-			Qdisc:          kind,
-			SampleInterval: sim.Duration(1e9),
-			Seed:           7,
-		})
-		out.Series[kind] = [][]float64{r.Flows[0].Series, r.Flows[1].Series}
-		out.JFI[kind] = r.JFI
-		if kind == Cebinae {
-			out.State = r.StateSeries
-		}
-	}
-	return out
+	return perKind("fig1", Scenario{
+		BottleneckBps: 100e6,
+		BufferBytes:   450 * 1500,
+		Groups: []FlowGroup{
+			{CC: "newreno", Count: 1, RTT: ms(20.4)},
+			{CC: "newreno", Count: 1, RTT: ms(40)},
+		},
+		Duration:       dur,
+		SampleInterval: sim.Duration(1e9),
+		Seed:           7,
+	}, FIFO, Cebinae)
 }
 
-// Render prints the series as aligned columns (MBps, as the paper's axis).
-func (f Fig1Result) Render() string {
+// RenderFig1 prints the series as aligned columns (MBps, as the paper's
+// axis) beside Cebinae's per-second phase ('u' unsaturated / 'S'
+// saturated), the background colouring of the paper's figure.
+func RenderFig1(rs []Result) string {
+	fifo, ceb := rs[0], rs[1]
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig.1 — goodput [MBps] of 2 NewReno flows (RTT 20.4 ms vs 40 ms), 100 Mbps bottleneck\n")
 	fmt.Fprintf(&b, "%5s | %12s %12s | %15s %15s | %s\n", "t[s]", "FIFO 20.4ms", "FIFO 40ms", "Cebinae 20.4ms", "Cebinae 40ms", "state")
-	fifo, ceb := f.Series[FIFO], f.Series[Cebinae]
-	for i := range fifo[0] {
+	for i := range fifo.Flows[0].Series {
 		state := byte(' ')
-		if i < len(f.State) {
-			state = f.State[i]
+		if i < len(ceb.StateSeries) {
+			state = ceb.StateSeries[i]
 		}
 		fmt.Fprintf(&b, "%5d | %12.2f %12.2f | %15.2f %15.2f | %c\n", i+1,
-			fifo[0][i]/1e6, fifo[1][i]/1e6, ceb[0][i]/1e6, ceb[1][i]/1e6, state)
+			fifo.Flows[0].Series[i]/1e6, fifo.Flows[1].Series[i]/1e6, ceb.Flows[0].Series[i]/1e6, ceb.Flows[1].Series[i]/1e6, state)
 	}
 	fmt.Fprintf(&b, "(state: u = unsaturated, S = saturated — the paper's background colouring)\n")
-	fmt.Fprintf(&b, "JFI: FIFO=%.3f Cebinae=%.3f\n", f.JFI[FIFO], f.JFI[Cebinae])
+	fmt.Fprintf(&b, "JFI: FIFO=%.3f Cebinae=%.3f\n", fifo.JFI, ceb.JFI)
 	return b.String()
 }
 
@@ -78,48 +79,31 @@ func (f Fig1Result) Render() string {
 // bars under FIFO and Cebinae.
 // ---------------------------------------------------------------------------
 
-// Fig7Result carries per-flow goodputs per discipline.
-type Fig7Result struct {
-	Goodputs map[QdiscKind][]float64 // bits/sec, flows 0–15 Vegas, 16 NewReno
-	JFI      map[QdiscKind]float64
+// Fig7Scenarios is the starvation-prevention experiment, FIFO then
+// Cebinae.
+func Fig7Scenarios(scale Scale) []Scenario {
+	return perKind("fig7", Scenario{
+		BottleneckBps: 100e6,
+		BufferBytes:   850 * 1500,
+		Groups: []FlowGroup{
+			{CC: "vegas", Count: 16, RTT: ms(100)},
+			{CC: "newreno", Count: 1, RTT: ms(100)},
+		},
+		Duration: sim.Time(float64(scale) * 100e9),
+		Seed:     7,
+	}, FIFO, Cebinae)
 }
 
-// Fig7 runs the starvation-prevention experiment.
-func Fig7(scale Scale) Fig7Result {
-	dur := sim.Time(float64(scale) * 100e9)
-	out := Fig7Result{Goodputs: map[QdiscKind][]float64{}, JFI: map[QdiscKind]float64{}}
-	for _, kind := range []QdiscKind{FIFO, Cebinae} {
-		r := Run(Scenario{
-			Name:          fmt.Sprintf("fig7/%s", kind),
-			BottleneckBps: 100e6,
-			BufferBytes:   850 * 1500,
-			Groups: []FlowGroup{
-				{CC: "vegas", Count: 16, RTT: ms(100)},
-				{CC: "newreno", Count: 1, RTT: ms(100)},
-			},
-			Duration: dur,
-			Qdisc:    kind,
-			Seed:     7,
-		})
-		gp := make([]float64, len(r.Flows))
-		for i, fl := range r.Flows {
-			gp[i] = fl.GoodputBps
-		}
-		out.Goodputs[kind] = gp
-		out.JFI[kind] = r.JFI
-	}
-	return out
-}
-
-// Render prints per-flow bars.
-func (f Fig7Result) Render() string {
+// RenderFig7 prints per-flow bars.
+func RenderFig7(rs []Result) string {
+	fifo, ceb := rs[0], rs[1]
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig.7 — 16 Vegas (0–15) + 1 NewReno (16), 100 Mbps: per-flow goodput [Mbps]\n")
 	fmt.Fprintf(&b, "%4s | %8s | %8s\n", "flow", "FIFO", "Cebinae")
-	for i := range f.Goodputs[FIFO] {
-		fmt.Fprintf(&b, "%4d | %8.2f | %8.2f\n", i, f.Goodputs[FIFO][i]/1e6, f.Goodputs[Cebinae][i]/1e6)
+	for i := range fifo.Flows {
+		fmt.Fprintf(&b, "%4d | %8.2f | %8.2f\n", i, fifo.Flows[i].GoodputBps/1e6, ceb.Flows[i].GoodputBps/1e6)
 	}
-	fmt.Fprintf(&b, "JFI: FIFO=%.3f Cebinae=%.3f\n", f.JFI[FIFO], f.JFI[Cebinae])
+	fmt.Fprintf(&b, "JFI: FIFO=%.3f Cebinae=%.3f\n", fifo.JFI, ceb.JFI)
 	return b.String()
 }
 
@@ -128,52 +112,39 @@ func (f Fig7Result) Render() string {
 // (b) 128 NewReno vs 4 Vegas on 1 Gbps with RTTs 100/64 ms.
 // ---------------------------------------------------------------------------
 
-// Fig8Result carries the goodput CDFs per discipline.
-type Fig8Result struct {
-	Label string
-	CDF   map[QdiscKind][]metrics.CDFPoint
-	JFI   map[QdiscKind]float64
-}
-
-// Fig8a: aggressive BBR flows against many NewReno flows.
-func Fig8a(scale Scale) Fig8Result {
-	return fig8(scale, "fig8a", []FlowGroup{
+// Fig8aScenarios: aggressive BBR flows against many NewReno flows.
+func Fig8aScenarios(scale Scale) []Scenario {
+	return fig8("fig8a", scale, []FlowGroup{
 		{CC: "newreno", Count: 128, RTT: ms(50)},
 		{CC: "bbr", Count: 2, RTT: ms(50)},
 	}, 4200*1500)
 }
 
-// Fig8b: Vegas starvation among many NewReno flows.
-func Fig8b(scale Scale) Fig8Result {
-	return fig8(scale, "fig8b", []FlowGroup{
+// Fig8bScenarios: Vegas starvation among many NewReno flows.
+func Fig8bScenarios(scale Scale) []Scenario {
+	return fig8("fig8b", scale, []FlowGroup{
 		{CC: "newreno", Count: 128, RTT: ms(100)},
 		{CC: "vegas", Count: 4, RTT: ms(64)},
 	}, 8500*1500)
 }
 
-func fig8(scale Scale, label string, groups []FlowGroup, buf int) Fig8Result {
-	dur := table2Duration(1e9, scale)
-	out := Fig8Result{Label: label, CDF: map[QdiscKind][]metrics.CDFPoint{}, JFI: map[QdiscKind]float64{}}
-	for _, kind := range []QdiscKind{FIFO, Cebinae} {
-		r := Run(Scenario{
-			Name:          fmt.Sprintf("%s/%s", label, kind),
-			BottleneckBps: 1e9,
-			BufferBytes:   buf,
-			Groups:        groups,
-			Duration:      dur,
-			Qdisc:         kind,
-			Seed:          7,
-		})
-		out.CDF[kind] = metrics.CDFSorted(r.SortedGoodputs())
-		out.JFI[kind] = r.JFI
-	}
-	return out
+func fig8(label string, scale Scale, groups []FlowGroup, buf int) []Scenario {
+	return perKind(label, Scenario{
+		BottleneckBps: 1e9,
+		BufferBytes:   buf,
+		Groups:        groups,
+		Duration:      table2Duration(1e9, scale),
+		Seed:          7,
+	}, FIFO, Cebinae)
 }
 
-// Render prints decile points of both CDFs.
-func (f Fig8Result) Render() string {
+// RenderFig8 prints decile points of both goodput CDFs, titled by the
+// runs' section (fig8a or fig8b).
+func RenderFig8(rs []Result) string {
+	label, _, _ := strings.Cut(rs[0].Scenario.Name, "/")
+	fifo, ceb := metrics.CDFSorted(rs[0].SortedGoodputs()), metrics.CDFSorted(rs[1].SortedGoodputs())
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — goodput CDF [Mbps]\n%6s | %8s | %8s\n", f.Label, "pct", "FIFO", "Cebinae")
+	fmt.Fprintf(&b, "%s — goodput CDF [Mbps]\n%6s | %8s | %8s\n", label, "pct", "FIFO", "Cebinae")
 	quantile := func(pts []metrics.CDFPoint, p float64) float64 {
 		for _, pt := range pts {
 			if pt.P >= p {
@@ -186,10 +157,9 @@ func (f Fig8Result) Render() string {
 		return pts[len(pts)-1].Value
 	}
 	for _, p := range []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0} {
-		fmt.Fprintf(&b, "%5.0f%% | %8.2f | %8.2f\n", p*100,
-			quantile(f.CDF[FIFO], p)/1e6, quantile(f.CDF[Cebinae], p)/1e6)
+		fmt.Fprintf(&b, "%5.0f%% | %8.2f | %8.2f\n", p*100, quantile(fifo, p)/1e6, quantile(ceb, p)/1e6)
 	}
-	fmt.Fprintf(&b, "JFI: FIFO=%.3f Cebinae=%.3f\n", f.JFI[FIFO], f.JFI[Cebinae])
+	fmt.Fprintf(&b, "JFI: FIFO=%.3f Cebinae=%.3f\n", rs[0].JFI, rs[1].JFI)
 	return b.String()
 }
 
@@ -199,50 +169,38 @@ func (f Fig8Result) Render() string {
 // asymmetry point, under FIFO, FQ, and Cebinae.
 // ---------------------------------------------------------------------------
 
-// Fig9Point is one RTT-asymmetry measurement.
-type Fig9Point struct {
-	VarRTT     sim.Time
-	JFI        map[QdiscKind]float64
-	GoodputBps map[QdiscKind]float64
-}
+var fig9Kinds = []QdiscKind{FIFO, FQ, Cebinae}
 
-// Fig9 sweeps the variable group's RTT.
-func Fig9(scale Scale) []Fig9Point {
-	dur := sim.Time(float64(scale) * 100e9)
-	var out []Fig9Point
+// Fig9Scenarios sweeps the variable group's RTT, each point under FIFO,
+// FQ and Cebinae.
+func Fig9Scenarios(scale Scale) []Scenario {
+	var out []Scenario
 	for _, rtt := range []sim.Time{ms(16), ms(32), ms(64), ms(128), ms(256)} {
-		pt := Fig9Point{VarRTT: rtt, JFI: map[QdiscKind]float64{}, GoodputBps: map[QdiscKind]float64{}}
-		for _, kind := range []QdiscKind{FIFO, FQ, Cebinae} {
-			r := Run(Scenario{
-				Name:          fmt.Sprintf("fig9/%v/%s", rtt, kind),
-				BottleneckBps: 400e6,
-				BufferBytes:   3 << 20,
-				Groups: []FlowGroup{
-					{CC: "cubic", Count: 4, RTT: ms(256)},
-					{CC: "cubic", Count: 4, RTT: rtt},
-				},
-				Duration: dur,
-				Qdisc:    kind,
-				Seed:     7,
-			})
-			pt.JFI[kind] = r.JFI
-			pt.GoodputBps[kind] = r.GoodputBps
-		}
-		out = append(out, pt)
+		out = append(out, perKind("fig9/"+msName(rtt), Scenario{
+			BottleneckBps: 400e6,
+			BufferBytes:   3 << 20,
+			Groups: []FlowGroup{
+				{CC: "cubic", Count: 4, RTT: ms(256)},
+				{CC: "cubic", Count: 4, RTT: rtt},
+			},
+			Duration: sim.Time(float64(scale) * 100e9),
+			Seed:     7,
+		}, fig9Kinds...)...)
 	}
 	return out
 }
 
-// RenderFig9 prints the two panels' series.
-func RenderFig9(pts []Fig9Point) string {
+// RenderFig9 prints the two panels' series, one row per RTT point.
+func RenderFig9(rs []Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig.9 — 4+4 Cubic, fixed 256 ms vs varying RTT, 400 Mbps\n")
 	fmt.Fprintf(&b, "%8s | %7s %7s %7s | %9s %9s %9s\n", "RTT[ms]", "JFI-F", "JFI-FQ", "JFI-C", "Gp-F", "Gp-FQ", "Gp-C")
-	for _, p := range pts {
+	for i := 0; i < len(rs); i += len(fig9Kinds) {
+		f, q, c := rs[i], rs[i+1], rs[i+2]
 		fmt.Fprintf(&b, "%8.0f | %7.3f %7.3f %7.3f | %9.1f %9.1f %9.1f\n",
-			float64(p.VarRTT)/1e6,
-			p.JFI[FIFO], p.JFI[FQ], p.JFI[Cebinae],
-			p.GoodputBps[FIFO]/1e6, p.GoodputBps[FQ]/1e6, p.GoodputBps[Cebinae]/1e6)
+			float64(f.Scenario.Groups[1].RTT)/1e6,
+			f.JFI, q.JFI, c.JFI,
+			f.GoodputBps/1e6, q.GoodputBps/1e6, c.GoodputBps/1e6)
 	}
 	return b.String()
 }
@@ -252,46 +210,81 @@ func RenderFig9(pts []Fig9Point) string {
 // state, a NewReno flow arrives ≈5 s, a Cubic flow ≈25 s.
 // ---------------------------------------------------------------------------
 
-// Fig10Result holds the per-second JFI series per discipline.
-type Fig10Result struct {
-	Interval sim.Time
-	JFI      map[QdiscKind][]float64
-}
-
-// Fig10 runs the arrival dynamics experiment (Full = 50 s).
-func Fig10(scale Scale) Fig10Result {
+// Fig10Scenarios is the arrival dynamics experiment under FIFO, FQ and
+// Cebinae (Full = 50 s).
+func Fig10Scenarios(scale Scale) []Scenario {
 	dur := sim.Time(float64(scale) * 50e9)
 	if dur < sim.Duration(30e9) {
 		dur = sim.Duration(30e9) // need to reach past the 25 s arrival
 	}
-	out := Fig10Result{Interval: sim.Duration(1e9), JFI: map[QdiscKind][]float64{}}
-	for _, kind := range []QdiscKind{FIFO, FQ, Cebinae} {
-		r := Run(Scenario{
-			Name:          fmt.Sprintf("fig10/%s", kind),
-			BottleneckBps: 100e6,
-			BufferBytes:   850 * 1500,
-			Groups: []FlowGroup{
-				{CC: "vegas", Count: 32, RTT: ms(40)},
-				{CC: "newreno", Count: 1, RTT: ms(40), StartAt: sim.Duration(5e9)},
-				{CC: "cubic", Count: 1, RTT: ms(40), StartAt: sim.Duration(25e9)},
-			},
-			Duration:       dur,
-			Qdisc:          kind,
-			SampleInterval: sim.Duration(1e9),
-			Seed:           7,
-		})
-		out.JFI[kind] = r.JFISeries
+	return perKind("fig10", Scenario{
+		BottleneckBps: 100e6,
+		BufferBytes:   850 * 1500,
+		Groups: []FlowGroup{
+			{CC: "vegas", Count: 32, RTT: ms(40)},
+			{CC: "newreno", Count: 1, RTT: ms(40), StartAt: sim.Duration(5e9)},
+			{CC: "cubic", Count: 1, RTT: ms(40), StartAt: sim.Duration(25e9)},
+		},
+		Duration:       dur,
+		SampleInterval: sim.Duration(1e9),
+		Seed:           7,
+	}, FIFO, FQ, Cebinae)
+}
+
+// RenderFig10 prints the per-second JFI series.
+func RenderFig10(rs []Result) string {
+	f, q, c := rs[0].JFISeries, rs[1].JFISeries, rs[2].JFISeries
+	var b strings.Builder
+	fmt.Fprintf(&b, "Fig.10 — JFI/s; 32 Vegas steady, NewReno @5s, Cubic @25s, 100 Mbps\n")
+	fmt.Fprintf(&b, "%5s | %6s %6s %8s\n", "t[s]", "FIFO", "FQ", "Cebinae")
+	for i := range f {
+		fmt.Fprintf(&b, "%5d | %6.3f %6.3f %8.3f\n", i+1, f[i], q[i], c[i])
+	}
+	return b.String()
+}
+
+// ---------------------------------------------------------------------------
+// Figure 12: parameter sensitivity — 16 NewReno vs 1 Cubic on 100 Mbps,
+// sweeping δp = δf = τ together from 1% to 100%; JFI and goodput, with
+// FIFO and FQ reference lines.
+// ---------------------------------------------------------------------------
+
+// Fig12Scenarios is the FIFO and FQ references, then Cebinae at each
+// threshold.
+func Fig12Scenarios(scale Scale) []Scenario {
+	base := Scenario{
+		BottleneckBps: 100e6,
+		BufferBytes:   850 * 1500,
+		Groups: []FlowGroup{
+			{CC: "newreno", Count: 16, RTT: ms(50)},
+			{CC: "cubic", Count: 1, RTT: ms(50)},
+		},
+		Duration: sim.Time(float64(scale) * 100e9),
+		Seed:     7,
+	}
+	out := perKind("fig12", base, FIFO, FQ)
+	for _, pct := range []float64{1, 2, 5, 10, 25, 50, 75, 100} {
+		p := core.DefaultParams(base.BottleneckBps, base.BufferBytes, ms(50))
+		p.DeltaPort = pct / 100
+		p.DeltaFlow = pct / 100
+		p.Tau = pct / 100
+		s := base
+		s.Name, s.Qdisc, s.Params = fmt.Sprintf("fig12/ceb/%g", pct), Cebinae, &p
+		out = append(out, s)
 	}
 	return out
 }
 
-// Render prints the series.
-func (f Fig10Result) Render() string {
+// RenderFig12 prints the sweep and the reference lines.
+func RenderFig12(rs []Result) string {
+	fifo, fq := rs[0], rs[1]
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig.10 — JFI/s; 32 Vegas steady, NewReno @5s, Cubic @25s, 100 Mbps\n")
-	fmt.Fprintf(&b, "%5s | %6s %6s %8s\n", "t[s]", "FIFO", "FQ", "Cebinae")
-	for i := range f.JFI[FIFO] {
-		fmt.Fprintf(&b, "%5d | %6.3f %6.3f %8.3f\n", i+1, f.JFI[FIFO][i], f.JFI[FQ][i], f.JFI[Cebinae][i])
+	fmt.Fprintf(&b, "Fig.12 — 16 NewReno vs 1 Cubic, 100 Mbps; thresholds δp=δf=τ swept together\n")
+	fmt.Fprintf(&b, "%9s | %6s | %14s\n", "thresh[%]", "JFI", "goodput[Mbps]")
+	for _, r := range rs[2:] {
+		fmt.Fprintf(&b, "%9g | %6.3f | %14.2f\n", r.Scenario.Params.Tau*100, r.JFI, r.GoodputBps/1e6)
 	}
+	fmt.Fprintf(&b, "ref FIFO: JFI=%.3f goodput=%.2f | ref FQ: JFI=%.3f goodput=%.2f\n",
+		fifo.JFI, fifo.GoodputBps/1e6, fq.JFI, fq.GoodputBps/1e6)
 	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cebinae/internal/core"
 	"cebinae/internal/hhcache"
 	"cebinae/internal/maxmin"
 	"cebinae/internal/metrics"
@@ -20,17 +19,6 @@ import (
 // three 100 Mbps bottlenecks. Measured against the ideal max-min
 // allocation via the normalised JFI of §5.3.
 // ---------------------------------------------------------------------------
-
-// Fig11Result carries per-flow goodputs, the ideal allocation, and the
-// normalised JFI per discipline.
-type Fig11Result struct {
-	// Labels[i] names flow i (paper indexing: 0–7 NewReno long, 8–9 Bic,
-	// 10–17 Vegas, 18–21 Cubic).
-	Labels     []string
-	IdealBps   []float64
-	GoodputBps map[QdiscKind][]float64
-	NormJFI    map[QdiscKind]float64
-}
 
 // Fig11Ideal computes the water-filling allocation for the topology.
 func Fig11Ideal() []float64 {
@@ -57,120 +45,33 @@ func Fig11Ideal() []float64 {
 	return rates
 }
 
-// Fig11 runs the parking-lot experiment under FIFO and Cebinae.
-func Fig11(scale Scale) Fig11Result {
+// Fig11Chains is the parking-lot experiment under FIFO, then Cebinae.
+func Fig11Chains(scale Scale) []ChainConfig {
 	dur := sim.Time(float64(scale) * 100e9)
-	res := Fig11Result{
-		IdealBps:   Fig11Ideal(),
-		GoodputBps: map[QdiscKind][]float64{},
-		NormJFI:    map[QdiscKind]float64{},
-	}
-	for i := 0; i < 8; i++ {
-		res.Labels = append(res.Labels, fmt.Sprintf("newreno-long%d", i))
-	}
-	for i := 0; i < 2; i++ {
-		res.Labels = append(res.Labels, fmt.Sprintf("bic-x1.%d", i))
-	}
-	for i := 0; i < 8; i++ {
-		res.Labels = append(res.Labels, fmt.Sprintf("vegas-x2.%d", i))
-	}
-	for i := 0; i < 4; i++ {
-		res.Labels = append(res.Labels, fmt.Sprintf("cubic-x3.%d", i))
-	}
-
-	for _, kind := range []QdiscKind{FIFO, Cebinae} {
-		res.GoodputBps[kind] = RunChain(CanonicalChain(kind, dur, 0)).Goodputs()
-		ideal := make([]float64, len(res.IdealBps))
-		copy(ideal, res.IdealBps)
-		res.NormJFI[kind] = metrics.NormalizedJFI(res.GoodputBps[kind], ideal)
-	}
-	return res
-}
-
-// Render prints per-flow goodputs against the ideal.
-func (f Fig11Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig.11 — parking lot (3×100 Mbps): per-flow goodput [Mbps] vs ideal max-min\n")
-	fmt.Fprintf(&b, "%4s %-16s | %6s | %8s | %8s\n", "flow", "kind", "ideal", "FIFO", "Cebinae")
-	for i := range f.Labels {
-		fmt.Fprintf(&b, "%4d %-16s | %6.2f | %8.2f | %8.2f\n", i, f.Labels[i],
-			f.IdealBps[i]/1e6, f.GoodputBps[FIFO][i]/1e6, f.GoodputBps[Cebinae][i]/1e6)
-	}
-	fmt.Fprintf(&b, "normalised JFI: FIFO=%.3f Cebinae=%.3f\n", f.NormJFI[FIFO], f.NormJFI[Cebinae])
-	return b.String()
-}
-
-// ---------------------------------------------------------------------------
-// Figure 12: parameter sensitivity — 16 NewReno vs 1 Cubic on 100 Mbps,
-// sweeping δp = δf = τ together from 1% to 100%; JFI and goodput, with
-// FIFO and FQ reference lines.
-// ---------------------------------------------------------------------------
-
-// Fig12Point is one threshold setting's outcome.
-type Fig12Point struct {
-	ThresholdPct float64
-	JFI          float64
-	GoodputBps   float64
-}
-
-// Fig12Result carries the sweep plus reference baselines.
-type Fig12Result struct {
-	Points      []Fig12Point
-	FIFOJFI     float64
-	FIFOGoodput float64
-	FQJFI       float64
-	FQGoodput   float64
-}
-
-// Fig12 runs the sweep.
-func Fig12(scale Scale) Fig12Result {
-	dur := sim.Time(float64(scale) * 100e9)
-	base := Scenario{
-		BottleneckBps: 100e6,
-		BufferBytes:   850 * 1500,
-		Groups: []FlowGroup{
-			{CC: "newreno", Count: 16, RTT: ms(50)},
-			{CC: "cubic", Count: 1, RTT: ms(50)},
-		},
-		Duration: dur,
-		Seed:     7,
-	}
-	var out Fig12Result
-	{
-		s := base
-		s.Name, s.Qdisc = "fig12/fifo", FIFO
-		r := Run(s)
-		out.FIFOJFI, out.FIFOGoodput = r.JFI, r.GoodputBps
-	}
-	{
-		s := base
-		s.Name, s.Qdisc = "fig12/fq", FQ
-		r := Run(s)
-		out.FQJFI, out.FQGoodput = r.JFI, r.GoodputBps
-	}
-	for _, pct := range []float64{1, 2, 5, 10, 25, 50, 75, 100} {
-		p := core.DefaultParams(base.BottleneckBps, base.BufferBytes, ms(50))
-		p.DeltaPort = pct / 100
-		p.DeltaFlow = pct / 100
-		p.Tau = pct / 100
-		s := base
-		s.Name, s.Qdisc, s.Params = fmt.Sprintf("fig12/ceb/%g", pct), Cebinae, &p
-		r := Run(s)
-		out.Points = append(out.Points, Fig12Point{ThresholdPct: pct, JFI: r.JFI, GoodputBps: r.GoodputBps})
+	out := make([]ChainConfig, 2)
+	for i, kind := range []QdiscKind{FIFO, Cebinae} {
+		out[i] = CanonicalChain(kind, dur, 0)
+		out[i].Name = "fig11/" + string(kind)
 	}
 	return out
 }
 
-// Render prints the sweep.
-func (f Fig12Result) Render() string {
+// RenderFig11 prints per-flow goodputs against the ideal max-min
+// allocation and each discipline's normalised JFI (§5.3). Flow i is named
+// by its CC and chain label (paper indexing: 0–7 NewReno long, 8–9 Bic,
+// 10–17 Vegas, 18–21 Cubic).
+func RenderFig11(rs []ChainResult) string {
+	fifo, ceb := rs[0], rs[1]
+	ideal := Fig11Ideal()
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig.12 — 16 NewReno vs 1 Cubic, 100 Mbps; thresholds δp=δf=τ swept together\n")
-	fmt.Fprintf(&b, "%9s | %6s | %14s\n", "thresh[%]", "JFI", "goodput[Mbps]")
-	for _, p := range f.Points {
-		fmt.Fprintf(&b, "%9g | %6.3f | %14.2f\n", p.ThresholdPct, p.JFI, p.GoodputBps/1e6)
+	fmt.Fprintf(&b, "Fig.11 — parking lot (3×100 Mbps): per-flow goodput [Mbps] vs ideal max-min\n")
+	fmt.Fprintf(&b, "%4s %-16s | %6s | %8s | %8s\n", "flow", "kind", "ideal", "FIFO", "Cebinae")
+	for i, f := range fifo.Flows {
+		fmt.Fprintf(&b, "%4d %-16s | %6.2f | %8.2f | %8.2f\n", i, f.CC+"-"+f.Label,
+			ideal[i]/1e6, f.GoodputBps/1e6, ceb.Flows[i].GoodputBps/1e6)
 	}
-	fmt.Fprintf(&b, "ref FIFO: JFI=%.3f goodput=%.2f | ref FQ: JFI=%.3f goodput=%.2f\n",
-		f.FIFOJFI, f.FIFOGoodput/1e6, f.FQJFI, f.FQGoodput/1e6)
+	fmt.Fprintf(&b, "normalised JFI: FIFO=%.3f Cebinae=%.3f\n",
+		metrics.NormalizedJFI(fifo.Goodputs(), ideal), metrics.NormalizedJFI(ceb.Goodputs(), ideal))
 	return b.String()
 }
 
@@ -246,26 +147,50 @@ func DefaultFig13Config(scale Scale) Fig13Config {
 	return Fig13Config{Trials: trials, DeltaFlow: 0.01, Trace: tc}
 }
 
-// Fig13a varies the round interval at 2048 slots.
-func Fig13a(cfg Fig13Config) []Fig13Point {
+var (
+	fig13Stages    = []int{1, 2, 4}
+	fig13Intervals = []float64{20, 40, 60, 80, 100} // ms, panel (a)
+	fig13Slots     = []int{512, 1024, 2048, 4096}   // panel (b)
+)
+
+// Fig13Points is Fig. 13's unscored points: panel (a) varies the round
+// interval at 2048 slots, then panel (b) the slot count at a 100 ms
+// interval, each for 1-, 2- and 4-stage caches. Fig13Score measures one.
+func Fig13Points() []Fig13Point {
 	var out []Fig13Point
-	for _, stages := range []int{1, 2, 4} {
-		for _, ivalMS := range []float64{20, 40, 60, 80, 100} {
-			out = append(out, Fig13Score(cfg, stages, 2048, ms(ivalMS)))
+	for _, stages := range fig13Stages {
+		for _, ivalMS := range fig13Intervals {
+			out = append(out, Fig13Point{Stages: stages, Slots: 2048, Interval: ms(ivalMS)})
+		}
+	}
+	for _, stages := range fig13Stages {
+		for _, slots := range fig13Slots {
+			out = append(out, Fig13Point{Stages: stages, Slots: slots, Interval: ms(100)})
 		}
 	}
 	return out
 }
 
-// Fig13b varies the slot count at a 100 ms interval.
-func Fig13b(cfg Fig13Config) []Fig13Point {
-	var out []Fig13Point
-	for _, stages := range []int{1, 2, 4} {
-		for _, slots := range []int{512, 1024, 2048, 4096} {
-			out = append(out, Fig13Score(cfg, stages, slots, ms(100)))
+// fig13PanelA is how many of Fig13Points belong to panel (a).
+var fig13PanelA = len(fig13Stages) * len(fig13Intervals)
+
+// fig13Cells scores each of Fig13Points in its own cell, keyed
+// "<panel>/<stages>x<slots>/<interval>".
+func fig13Cells(scale Scale) []Cell[Fig13Point] {
+	cfg := DefaultFig13Config(scale)
+	pts := Fig13Points()
+	cells := make([]Cell[Fig13Point], len(pts))
+	for i, p := range pts {
+		panel := "a"
+		if i >= fig13PanelA {
+			panel = "b"
+		}
+		cells[i] = Cell[Fig13Point]{
+			Key: fmt.Sprintf("%s/%dx%d/%s", panel, p.Stages, p.Slots, msName(p.Interval)),
+			Run: func() Fig13Point { return Fig13Score(cfg, p.Stages, p.Slots, p.Interval) },
 		}
 	}
-	return out
+	return cells
 }
 
 // Fig13Score replays cfg.Trials trials of the synthetic trace — trial i
@@ -341,8 +266,9 @@ func Fig13Score(cfg Fig13Config, stages, slots int, interval SimTime) Fig13Point
 	return pt
 }
 
-// RenderFig13 prints both panels.
-func RenderFig13(a, b []Fig13Point) string {
+// RenderFig13 prints both panels from the scored Fig13Points.
+func RenderFig13(pts []Fig13Point) string {
+	a, b := pts[:fig13PanelA], pts[fig13PanelA:]
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig.13a — FPR/FNR vs round interval (2048 slots)\n")
 	fmt.Fprintf(&sb, "%6s %9s | %10s | %8s\n", "stages", "ival[ms]", "FPR", "FNR")

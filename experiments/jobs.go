@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"cebinae/internal/fleet"
 )
 
-// This file is the one run path. Every independent simulation (each
-// Table-2 row, each figure, each extension×discipline cell, each cell of a
-// scenario file or a sweep) is a typed Cell; cellJobs turns cells into
-// fleet jobs, and a BenchSection pairs those jobs with a renderer that
-// reassembles their checkpointed JSON values into report text. Jobs
+// This file is the one run path. Every independent simulation (each run of
+// a figure's scenario list, each Table-2 row, each extension×discipline
+// cell, each cell of a scenario file or a sweep) is a typed Cell; cellJobs
+// turns cells into fleet jobs, and a BenchSection pairs those jobs with a
+// renderer that reassembles their checkpointed JSON values into report
+// text. A figure's cell value is the runner's own record (Result,
+// ChainResult, Fig13Point), so everything the figure derives from it —
+// CDFs, normalised JFI, reference lines — is computed at render time. Jobs
 // construct their own sim.Engine inside the closure, so results are
 // independent of worker count and scheduling order. Job IDs are the
 // checkpoint contract: a -resume store is keyed by them, so they must not
@@ -130,6 +134,17 @@ func ParseScale(s string) (Scale, error) {
 // -scale is never silently reused by a resume at another.
 func jobPrefix(scale Scale) string { return fmt.Sprintf("s%g/", float64(scale)) }
 
+// runCells makes one cell per run of section id, in run order. Each run
+// is named "<id>/<key>" (Scenario.Name, ChainConfig.Name), so its job ID
+// is the scale prefix plus its name.
+func runCells[R, T any](id string, runs []R, name func(R) string, run func(R) T) []Cell[T] {
+	cells := make([]Cell[T], len(runs))
+	for i, r := range runs {
+		cells[i] = Cell[T]{Key: strings.TrimPrefix(name(r), id+"/"), Run: func() T { return run(r) }}
+	}
+	return cells
+}
+
 // kindCells fans one experiment out over qdisc kinds, one cell per kind.
 func kindCells[T any](kinds []QdiscKind, run func(QdiscKind) T) []Cell[T] {
 	cells := make([]Cell[T], len(kinds))
@@ -151,58 +166,61 @@ func table2Cells(scale Scale) []Cell[Table2Row] {
 	return cells
 }
 
-// Fig13Panels bundles both accuracy panels into one JSON-marshalable
-// job value.
-type Fig13Panels struct {
-	A []Fig13Point `json:"a"`
-	B []Fig13Point `json:"b"`
-}
-
 // BenchSections enumerates the full evaluation (paper + extensions) in
-// report order at the given scale.
+// report order at the given scale. Every section but table2 is one cell
+// per simulation; a table2 cell is a whole row (its three disciplines),
+// the unit its renderer and its stored results are keyed by.
 func BenchSections(scale Scale) []BenchSection {
 	ext3 := []QdiscKind{FIFO, FQ, Cebinae}
 	pre := jobPrefix(scale)
+	dumbbell := func(id, desc string, runs []Scenario, render func([]Result) string) BenchSection {
+		return NewSection(pre, id, desc, runCells(id, runs, func(s Scenario) string { return s.Name }, Run), render)
+	}
 	return []BenchSection{
-		NewSection(pre, "fig1", "RTT unfairness time series (2 NewReno)",
-			[]Cell[Fig1Result]{{Run: func() Fig1Result { return Fig1(scale) }}}, Only(Fig1Result.Render)),
+		dumbbell("fig1", "RTT unfairness time series (2 NewReno)", Fig1Scenarios(scale), RenderFig1),
 		NewSection(pre, "table2", "25-configuration sweep × {FIFO, FQ, Cebinae}",
 			table2Cells(scale), RenderTable2),
-		NewSection(pre, "fig7", "16 Vegas vs 1 NewReno per-flow goodput",
-			[]Cell[Fig7Result]{{Run: func() Fig7Result { return Fig7(scale) }}}, Only(Fig7Result.Render)),
-		NewSection(pre, "fig8a", "128 NewReno vs 2 BBR goodput CDF",
-			[]Cell[Fig8Result]{{Run: func() Fig8Result { return Fig8a(scale) }}}, Only(Fig8Result.Render)),
-		NewSection(pre, "fig8b", "128 NewReno vs 4 Vegas goodput CDF",
-			[]Cell[Fig8Result]{{Run: func() Fig8Result { return Fig8b(scale) }}}, Only(Fig8Result.Render)),
-		NewSection(pre, "fig9", "RTT-asymmetry sweep (Cubic, 400 Mbps)",
-			[]Cell[[]Fig9Point]{{Run: func() []Fig9Point { return Fig9(scale) }}}, Only(RenderFig9)),
-		NewSection(pre, "fig10", "JFI time series with flow arrivals",
-			[]Cell[Fig10Result]{{Run: func() Fig10Result { return Fig10(scale) }}}, Only(Fig10Result.Render)),
+		dumbbell("fig7", "16 Vegas vs 1 NewReno per-flow goodput", Fig7Scenarios(scale), RenderFig7),
+		dumbbell("fig8a", "128 NewReno vs 2 BBR goodput CDF", Fig8aScenarios(scale), RenderFig8),
+		dumbbell("fig8b", "128 NewReno vs 4 Vegas goodput CDF", Fig8bScenarios(scale), RenderFig8),
+		dumbbell("fig9", "RTT-asymmetry sweep (Cubic, 400 Mbps)", Fig9Scenarios(scale), RenderFig9),
+		dumbbell("fig10", "JFI time series with flow arrivals", Fig10Scenarios(scale), RenderFig10),
 		NewSection(pre, "fig11", "parking-lot multi-bottleneck vs ideal max-min",
-			[]Cell[Fig11Result]{{Run: func() Fig11Result { return Fig11(scale) }}}, Only(Fig11Result.Render)),
-		NewSection(pre, "fig12", "threshold sensitivity sweep",
-			[]Cell[Fig12Result]{{Run: func() Fig12Result { return Fig12(scale) }}}, Only(Fig12Result.Render)),
+			runCells("fig11", Fig11Chains(scale), func(c ChainConfig) string { return c.Name }, RunChain), RenderFig11),
+		dumbbell("fig12", "threshold sensitivity sweep", Fig12Scenarios(scale), RenderFig12),
 		NewSection(pre, "table3", "Tofino resource usage model",
 			[]Cell[[]Table3Row]{{Run: Table3}}, Only(RenderTable3)),
-		NewSection(pre, "fig13", "heavy-hitter detection FPR/FNR",
-			[]Cell[Fig13Panels]{{Run: func() Fig13Panels {
-				cfg := DefaultFig13Config(scale)
-				return Fig13Panels{A: Fig13a(cfg), B: Fig13b(cfg)}
-			}}},
-			Only(func(p Fig13Panels) string { return RenderFig13(p.A, p.B) })),
+		NewSection(pre, "fig13", "heavy-hitter detection FPR/FNR", fig13Cells(scale), RenderFig13),
 		NewSection(pre, "ext-churn", "[extension] short-flow FCT under churn",
 			kindCells(ext3, func(k QdiscKind) ExtChurnResult { return ExtChurn(k, scale) }), RenderExtChurn),
 		NewSection(pre, "ext-udp", "[extension] blind-UDP containment",
 			kindCells(ext3, func(k QdiscKind) ExtBlindUDPResult { return ExtBlindUDP(k, scale) }), RenderExtBlindUDP),
-		NewSection(pre, "ext-perflow", "[extension] §7 per-flow ⊤ ablation",
-			[]Cell[ExtPerFlowResult]{{Run: func() ExtPerFlowResult { return ExtPerFlow(scale) }}}, Only(RenderExtPerFlow)),
-		NewSection(pre, "ext-scalability", "[extension] Eq.1 scalability: AFQ vs Cebinae RTT sweep",
-			[]Cell[[]ScalabilityPoint]{{Run: func() []ScalabilityPoint { return ExtScalability(scale) }}}, Only(RenderExtScalability)),
-		NewSection(pre, "ext-strawman", "[extension] §3.2 strawman vs Cebinae redistribution",
-			kindCells([]QdiscKind{FIFO, Strawman, Cebinae}, func(k QdiscKind) ExtStrawmanResult { return ExtStrawman(k, scale) }), RenderExtStrawman),
+		dumbbell("ext-perflow", "[extension] §7 per-flow ⊤ ablation", ExtPerFlowScenarios(scale), RenderExtPerFlow),
+		dumbbell("ext-scalability", "[extension] Eq.1 scalability: AFQ vs Cebinae RTT sweep", ExtScalabilityScenarios(scale), RenderExtScalability),
+		dumbbell("ext-strawman", "[extension] §3.2 strawman vs Cebinae redistribution", ExtStrawmanScenarios(scale), RenderExtStrawman),
 		NewSection(pre, "backbone", "[extension] backbone tier: 1e5-flow trace replay through Cebinae @10G",
 			[]Cell[BackboneResult]{{Run: func() BackboneResult { return RunBackbone(BackboneTier(100_000, scale)) }}}, Only(BackboneResult.Render)),
 	}
+}
+
+// FindSection returns BenchSections(scale)'s section id.
+func FindSection(scale Scale, id string) (BenchSection, error) {
+	for _, s := range BenchSections(scale) {
+		if s.ID == id {
+			return s, nil
+		}
+	}
+	return BenchSection{}, fmt.Errorf("experiments: no report section %q", id)
+}
+
+// RunSection runs one section's jobs through the fleet with opts and
+// renders its text.
+func RunSection(sec BenchSection, opts fleet.Options) (string, error) {
+	sum, err := fleet.Run(sec.Jobs, opts)
+	if err != nil {
+		return "", err
+	}
+	return sec.Render(SummaryGetter(sum))
 }
 
 // SectionJobs flattens the sections' jobs in order.
@@ -223,7 +241,7 @@ func SummaryGetter(sum *fleet.Summary) Getter {
 			return nil, fmt.Errorf("experiments: job %s was not run", id)
 		}
 		if !r.OK {
-			return nil, fmt.Errorf("experiments: job %s failed after %d attempt(s): %s", id, r.Attempts, r.Err)
+			return nil, fmt.Errorf("experiments: job %s failed: %s", id, r.Err)
 		}
 		return r.Value, nil
 	}

@@ -33,7 +33,13 @@ func TestBenchSectionsEnumerateUniqueJobs(t *testing.T) {
 	if byID["table2"] != 25 {
 		t.Errorf("table2 enumerates %d jobs, want 25 (one per row)", byID["table2"])
 	}
-	for id, n := range map[string]int{"ext-churn": 3, "ext-udp": 3, "ext-strawman": 3, "fig1": 1} {
+	if len(seen) != 119 {
+		t.Errorf("%d jobs, want 119 (one per simulation, one per table2 row)", len(seen))
+	}
+	for id, n := range map[string]int{
+		"fig1": 2, "fig9": 15, "fig11": 2, "fig12": 10, "fig13": 27,
+		"ext-churn": 3, "ext-udp": 3, "ext-scalability": 16, "ext-strawman": 3,
+	} {
 		if byID[id] != n {
 			t.Errorf("%s enumerates %d jobs, want %d", id, byID[id], n)
 		}
@@ -44,17 +50,11 @@ func TestBenchSectionsEnumerateUniqueJobs(t *testing.T) {
 // section through the orchestrator and checks the reassembled text equals
 // a direct sequential render — the JSON checkpoint roundtrip is lossless.
 func TestSectionRendersThroughFleet(t *testing.T) {
-	var table3 BenchSection
-	for _, s := range BenchSections(Quick) {
-		if s.ID == "table3" {
-			table3 = s
-		}
-	}
-	sum, err := fleet.Run(table3.Jobs, fleet.Options{Parallelism: 2})
+	table3, err := FindSection(Quick, "table3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := table3.Render(SummaryGetter(sum))
+	got, err := RunSection(table3, fleet.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSectionRendersThroughFleet(t *testing.T) {
 
 func TestSummaryGetterSurfacesFailures(t *testing.T) {
 	jobs := []fleet.Job{{ID: "doomed", Run: func() (any, error) { panic("blew up") }}}
-	sum, err := fleet.Run(jobs, fleet.Options{Attempts: 1})
+	sum, err := fleet.Run(jobs, fleet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

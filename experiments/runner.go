@@ -2,9 +2,10 @@
 // paper's evaluation (§5): a generic single-bottleneck scenario runner
 // (Table 2, Figs. 1, 7, 8, 9, 10, 12), a parking-lot multi-bottleneck
 // runner (Fig. 11), the heavy-hitter accuracy harness (Fig. 13), and the
-// Tofino resource model (Table 3). Each experiment has a builder returning
-// structured results plus a text renderer that prints the same rows/series
-// the paper reports.
+// Tofino resource model (Table 3). Each figure is a list of runs plus a
+// text renderer over the runner's results that prints the same
+// rows/series the paper reports; BenchSections runs every run as its own
+// fleet job.
 //
 // Experiments are no longer code-only: the same config structs are the
 // lowering targets of declarative scenario files (scenarios/*.json,
@@ -102,10 +103,6 @@ type Scenario struct {
 	// selects 1 s — the RFC 6298 minimum NS-3 uses, matching the paper's
 	// simulations; Linux-like stacks would use 200 ms.
 	MinRTO SimTime
-	// AFQQueues / AFQBpR configure the AFQ baseline's calendar geometry
-	// (defaults: 32 queues, 12.8 kB per round — a fixed hardware budget).
-	AFQQueues int
-	AFQBpR    int64
 	// WarmupFraction of the run is excluded from averaged metrics
 	// (default 1/5).
 	WarmupFraction float64
@@ -219,13 +216,10 @@ func buildQdisc(s Scenario, dev *netem.Device) (netem.Qdisc, *core.Qdisc) {
 	case Strawman:
 		return core.NewStrawman(dev.Node().Engine(), s.BottleneckBps, s.BufferBytes, sim.Duration(100e6), 0.01), nil
 	case AFQ, PCQ:
-		nq, bpr := s.AFQQueues, s.AFQBpR
-		if nq == 0 {
-			nq = 32
-		}
-		if bpr == 0 {
-			bpr = 12800
-		}
+		// A fixed hardware budget: 32 queues × 12.8 kB = 409.6 kB of
+		// calendar horizon per flow — ample at 10 ms, far below one flow's
+		// BDP share at 200 ms (the ext-scalability sweep).
+		const nq, bpr = 32, 12800
 		if s.Qdisc == PCQ {
 			return qdisc.NewPCQ(nq, bpr, s.BufferBytes, 8192), nil
 		}

@@ -10,62 +10,46 @@ import (
 // ---------------------------------------------------------------------------
 // Extension 4 — the §2 scalability argument, quantified: AFQ's calendar
 // must satisfy Eq. 1 (buffer_req ≤ BpR × nQ) for *every* flow, so with a
-// fixed hardware budget (nQ queues × BpR bytes) its fairness collapses as
-// RTT (and hence per-flow burst/buffer requirements) grows. Cebinae uses
-// two queues regardless. We sweep the base RTT for 8 NewReno flows under
-// AFQ, Cebinae, and FIFO with the same switch buffer and report goodput
-// and JFI per point.
+// fixed hardware budget (nQ queues × BpR bytes, see buildQdisc) its
+// fairness collapses as RTT (and hence per-flow burst/buffer requirements)
+// grows. Cebinae uses two queues regardless. We sweep the base RTT for 8
+// NewReno flows under AFQ, Cebinae, and FIFO with the same switch buffer
+// and report goodput and JFI per point.
 // ---------------------------------------------------------------------------
 
-// ScalabilityPoint is one RTT sweep measurement.
-type ScalabilityPoint struct {
-	RTT        sim.Time
-	GoodputBps map[QdiscKind]float64
-	JFI        map[QdiscKind]float64
-}
+var scalabilityKinds = []QdiscKind{FIFO, AFQ, PCQ, Cebinae}
 
-// ExtScalability runs the sweep.
-func ExtScalability(scale Scale) []ScalabilityPoint {
+// ExtScalabilityScenarios is the sweep: each RTT under FIFO, AFQ, PCQ and
+// Cebinae.
+func ExtScalabilityScenarios(scale Scale) []Scenario {
 	dur := sim.Time(float64(scale) * 100e9)
 	if dur < Seconds(10) {
 		dur = Seconds(10)
 	}
-	var out []ScalabilityPoint
+	var out []Scenario
 	for _, rtt := range []sim.Time{ms(10), ms(40), ms(100), ms(200)} {
-		pt := ScalabilityPoint{RTT: rtt, GoodputBps: map[QdiscKind]float64{}, JFI: map[QdiscKind]float64{}}
-		for _, kind := range []QdiscKind{FIFO, AFQ, PCQ, Cebinae} {
-			r := Run(Scenario{
-				Name:          fmt.Sprintf("ext-scal/%v/%s", rtt, kind),
-				BottleneckBps: 500e6,
-				BufferBytes:   8 << 20,
-				Groups:        []FlowGroup{{CC: "newreno", Count: 8, RTT: rtt}},
-				Duration:      dur,
-				Qdisc:         kind,
-				// Fixed AFQ hardware budget: 32 queues × 12.8 kB = 409.6 kB
-				// of calendar horizon per flow — ample at 10 ms, far below
-				// one flow's BDP share at 200 ms.
-				AFQQueues: 32,
-				AFQBpR:    12800,
-				Seed:      23,
-			})
-			pt.GoodputBps[kind] = r.GoodputBps
-			pt.JFI[kind] = r.JFI
-		}
-		out = append(out, pt)
+		out = append(out, perKind("ext-scalability/"+msName(rtt), Scenario{
+			BottleneckBps: 500e6,
+			BufferBytes:   8 << 20,
+			Groups:        []FlowGroup{{CC: "newreno", Count: 8, RTT: rtt}},
+			Duration:      dur,
+			Seed:          23,
+		}, scalabilityKinds...)...)
 	}
 	return out
 }
 
-// RenderExtScalability prints the sweep.
-func RenderExtScalability(pts []ScalabilityPoint) string {
+// RenderExtScalability prints the sweep, one row per RTT.
+func RenderExtScalability(rs []Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — Eq.1 scalability: 8 NewReno on 500 Mbps, AFQ/PCQ fixed at 32×12.8kB\n")
 	fmt.Fprintf(&b, "%8s | %9s %9s %9s %9s | %7s %7s %7s %7s\n", "RTT[ms]", "Gp-FIFO", "Gp-AFQ", "Gp-PCQ", "Gp-Ceb", "J-FIFO", "J-AFQ", "J-PCQ", "J-Ceb")
-	for _, p := range pts {
+	for i := 0; i < len(rs); i += len(scalabilityKinds) {
+		f, a, p, c := rs[i], rs[i+1], rs[i+2], rs[i+3]
 		fmt.Fprintf(&b, "%8.0f | %9.1f %9.1f %9.1f %9.1f | %7.3f %7.3f %7.3f %7.3f\n",
-			float64(p.RTT)/1e6,
-			p.GoodputBps[FIFO]/1e6, p.GoodputBps[AFQ]/1e6, p.GoodputBps[PCQ]/1e6, p.GoodputBps[Cebinae]/1e6,
-			p.JFI[FIFO], p.JFI[AFQ], p.JFI[PCQ], p.JFI[Cebinae])
+			float64(f.Scenario.Groups[0].RTT)/1e6,
+			f.GoodputBps/1e6, a.GoodputBps/1e6, p.GoodputBps/1e6, c.GoodputBps/1e6,
+			f.JFI, a.JFI, p.JFI, c.JFI)
 	}
 	return b.String()
 }

@@ -42,7 +42,7 @@ type Qdisc struct {
 	bufferBytes int
 
 	// Two physical queues; headq indexes the high-priority one.
-	queues      [2]pktRing
+	queues      [2]packet.Ring
 	headq       int
 	bytesQueued int
 
@@ -472,7 +472,7 @@ func (q *Qdisc) Enqueue(p *packet.Packet) bool {
 func (q *Qdisc) push(target int, p *packet.Packet) {
 	q.bytesQueued += int(p.Size)
 	q.Stats.Enqueued++
-	q.queues[target].push(p)
+	q.queues[target].Push(p)
 }
 
 // Dequeue serves the current round's queue and performs the egress-pipeline
@@ -490,9 +490,9 @@ func (q *Qdisc) push(target int, p *packet.Packet) {
 // for ⊥ flows to grow into. When unsaturated the discipline is work-
 // conserving.
 func (q *Qdisc) Dequeue() *packet.Packet {
-	p := q.queues[q.headq].pop()
+	p := q.queues[q.headq].Pop()
 	if p == nil && !q.saturated {
-		p = q.queues[1-q.headq].pop()
+		p = q.queues[1-q.headq].Pop()
 	}
 	if p == nil {
 		return nil
@@ -506,53 +506,11 @@ func (q *Qdisc) Dequeue() *packet.Packet {
 }
 
 // Len returns the number of queued packets.
-func (q *Qdisc) Len() int { return q.queues[0].len() + q.queues[1].len() }
+func (q *Qdisc) Len() int { return q.queues[0].Len() + q.queues[1].Len() }
 
 // BytesQueued returns the buffered byte total.
 func (q *Qdisc) BytesQueued() int { return q.bytesQueued }
 
 func (q *Qdisc) String() string {
 	return fmt.Sprintf("cebinae{sat=%v top=%d head=%d qlen=%d}", q.saturated, len(q.topSet), q.headq, q.Len())
-}
-
-// pktRing is a growable FIFO ring of packets (duplicated from
-// internal/qdisc to keep the packages decoupled). Its buffer's length is
-// always a power of two, so positions wrap with a mask.
-type pktRing struct {
-	buf        []*packet.Packet
-	head, tail int
-	count      int
-}
-
-func (r *pktRing) len() int { return r.count }
-
-func (r *pktRing) push(p *packet.Packet) {
-	if r.count == len(r.buf) {
-		// 16·2ᵏ: the masks below rely on a power-of-two length.
-		size := len(r.buf) * 2
-		if size == 0 {
-			size = 16
-		}
-		buf := make([]*packet.Packet, size)
-		for i := 0; i < r.count; i++ {
-			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = buf
-		r.head = 0
-		r.tail = r.count
-	}
-	r.buf[r.tail] = p
-	r.tail = (r.tail + 1) & (len(r.buf) - 1)
-	r.count++
-}
-
-func (r *pktRing) pop() *packet.Packet {
-	if r.count == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.count--
-	return p
 }

@@ -12,11 +12,11 @@ import (
 	"cebinae/internal/tcp"
 )
 
-// TestCebinaeECNPathWithDCTCP drives an ECN-capable DCTCP flow against a
-// NewReno flow through Cebinae: the LBF's CE marks on delayed packets
-// (Fig. 5 line 26) must reach the DCTCP sender as ECN echoes and modulate
-// its window — the pre-loss congestion signal the paper adds for
-// delay/ECN-based algorithms.
+// TestCebinaeECNPathWithDCTCP drives a DCTCP flow (ECN-capable because
+// DCTCP reacts to echoes) against a NewReno flow through Cebinae: the
+// LBF's CE marks on delayed packets (Fig. 5 line 26) must reach the DCTCP
+// sender as ECN echoes and modulate its window — the pre-loss congestion
+// signal the paper adds for delay/ECN-based algorithms.
 func TestCebinaeECNPathWithDCTCP(t *testing.T) {
 	eng := sim.NewEngine()
 	w := netem.NewNetwork(eng)
@@ -42,7 +42,7 @@ func TestCebinaeECNPathWithDCTCP(t *testing.T) {
 	for i, name := range []string{"dctcp", "newreno"} {
 		cc, _ := tcp.NewCC(name)
 		key := packet.FlowKey{Src: d.Senders[i].ID, Dst: d.Receivers[i].ID, SrcPort: 1, DstPort: uint16(100 + i), Proto: packet.ProtoTCP}
-		conns[i] = tcp.NewConn(eng, d.Senders[i], tcp.Config{Key: key, CC: cc, ECN: name == "dctcp"})
+		conns[i] = tcp.NewConn(eng, d.Senders[i], tcp.Config{Key: key, CC: cc})
 		recvs[i] = tcp.NewReceiver(eng, d.Receivers[i], tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
 		recvs[i].GoodputAt = m.Record
@@ -79,7 +79,7 @@ func TestDCTCPAlphaTracksMarking(t *testing.T) {
 	w := netem.NewNetwork(eng)
 	n := w.NewNode("x")
 	key := packet.FlowKey{Src: n.ID, Dst: 99, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
-	conn := tcp.NewConn(eng, n, tcp.Config{Key: key, CC: cc, ECN: true})
+	conn := tcp.NewConn(eng, n, tcp.Config{Key: key, CC: cc})
 	_ = conn
 
 	// All marked: alpha → 1.

@@ -25,7 +25,7 @@ type Strawman struct {
 	Interval  sim.Time
 	DeltaPort float64
 
-	fifo        pktRing
+	fifo        packet.Ring
 	bytesQueued int
 
 	limiting bool
@@ -133,13 +133,13 @@ func (s *Strawman) Enqueue(p *packet.Packet) bool {
 	}
 	s.bytesQueued += int(p.Size)
 	s.Stats.Enqueued++
-	s.fifo.push(p)
+	s.fifo.Push(p)
 	return true
 }
 
 // Dequeue serves FIFO and performs egress accounting.
 func (s *Strawman) Dequeue() *packet.Packet {
-	p := s.fifo.pop()
+	p := s.fifo.Pop()
 	if p == nil {
 		return nil
 	}
@@ -152,7 +152,7 @@ func (s *Strawman) Dequeue() *packet.Packet {
 }
 
 // Len returns the queued packet count.
-func (s *Strawman) Len() int { return s.fifo.len() }
+func (s *Strawman) Len() int { return s.fifo.Len() }
 
 // BytesQueued returns the buffered byte total.
 func (s *Strawman) BytesQueued() int { return s.bytesQueued }

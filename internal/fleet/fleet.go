@@ -3,8 +3,10 @@
 // parameter Cartesian product, a figure suite) is expressed as a slice of
 // Jobs and fanned out over a bounded worker pool. The runner provides:
 //
-//   - per-job panic recovery with bounded retry, so one diverging
-//     simulation cannot kill the remaining jobs of a sweep;
+//   - per-job panic recovery, so one diverging simulation cannot kill the
+//     remaining jobs of a sweep. Each job runs once: jobs are
+//     deterministic, so a retried panic would either panic again or
+//     succeed and hide a determinism bug;
 //   - a wall-clock watchdog per job, so a runaway simulation is marked
 //     failed instead of hanging the pool;
 //   - an optional checkpointed JSONL result store (one line per completed
@@ -43,14 +45,13 @@ type Job struct {
 // persists. Only deterministic fields are serialised: wall time and cache
 // provenance vary run-to-run and are reported out of band.
 type Result struct {
-	ID       string          `json:"id"`
-	OK       bool            `json:"ok"`
-	Attempts int             `json:"attempts"`
-	Err      string          `json:"err,omitempty"`
-	Value    json.RawMessage `json:"value,omitempty"`
+	ID    string          `json:"id"`
+	OK    bool            `json:"ok"`
+	Err   string          `json:"err,omitempty"`
+	Value json.RawMessage `json:"value,omitempty"`
 
-	// Wall is the job's total wall-clock time across attempts (zero for
-	// results loaded from a store).
+	// Wall is the job's wall-clock time (zero for results loaded from a
+	// store).
 	Wall time.Duration `json:"-"`
 	// Cached marks results that were skipped because the store already
 	// held them.
@@ -61,10 +62,6 @@ type Result struct {
 type Options struct {
 	// Parallelism is the worker count; <= 0 selects runtime.GOMAXPROCS(0).
 	Parallelism int
-	// Attempts bounds how many times a panicking job is tried before it
-	// is recorded as failed; <= 0 selects 2 (one retry). Ordinary errors
-	// are deterministic outcomes and are recorded without retry.
-	Attempts int
 	// Timeout is the per-job wall-clock watchdog; <= 0 disables it. A
 	// job that exceeds it is recorded as failed and its goroutine is
 	// abandoned (Go cannot kill it), so the pool keeps draining.
@@ -124,10 +121,6 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	attempts := opts.Attempts
-	if attempts <= 0 {
-		attempts = 2
-	}
 
 	start := time.Now()
 	sum := &Summary{Results: make([]Result, 0, len(jobs))}
@@ -162,7 +155,7 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 		go func() {
 			defer wg.Done()
 			for j := range feed {
-				r := execute(j, attempts, opts.Timeout)
+				r := execute(j, opts.Timeout)
 				mu.Lock()
 				if opts.Store != nil && storeErr == nil {
 					if err := opts.Store.Append(r); err != nil {
@@ -210,42 +203,30 @@ func validate(jobs []Job) error {
 	return nil
 }
 
-// execute runs one job to a recorded Result: panics are retried up to the
-// attempt budget, ordinary errors and timeouts are recorded immediately.
-func execute(j Job, attempts int, timeout time.Duration) (res Result) {
-	res = Result{ID: j.ID}
+// execute runs one job once to a recorded Result: a panic, an error or a
+// timeout is the job's recorded failure.
+func execute(j Job, timeout time.Duration) Result {
 	start := time.Now()
-	defer func() { res.Wall = time.Since(start) }()
-	for try := 1; try <= attempts; try++ {
-		res.Attempts = try
-		o := invoke(j, timeout)
-		switch {
-		case o.timedOut:
-			res.Err = fmt.Sprintf("watchdog: exceeded %v (runaway goroutine abandoned)", timeout)
-			return res
-		case o.panicked:
-			res.Err = o.err.Error()
-			continue // the one retryable failure mode
-		case o.err != nil:
-			res.Err = o.err.Error()
-			return res
-		default:
-			value, err := json.Marshal(o.value)
-			if err != nil {
-				res.Err = fmt.Sprintf("result not JSON-marshalable: %v", err)
-				return res
-			}
-			res.OK, res.Err, res.Value = true, "", value
-			return res
+	res := Result{ID: j.ID}
+	switch o := invoke(j, timeout); {
+	case o.timedOut:
+		res.Err = fmt.Sprintf("watchdog: exceeded %v (runaway goroutine abandoned)", timeout)
+	case o.err != nil:
+		res.Err = o.err.Error()
+	default:
+		if value, err := json.Marshal(o.value); err != nil {
+			res.Err = fmt.Sprintf("result not JSON-marshalable: %v", err)
+		} else {
+			res.OK, res.Value = true, value
 		}
 	}
+	res.Wall = time.Since(start)
 	return res
 }
 
 type outcome struct {
 	value    any
 	err      error
-	panicked bool
 	timedOut bool
 }
 
@@ -257,7 +238,7 @@ func invoke(j Job, timeout time.Duration) outcome {
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("panic: %v", r), panicked: true}
+				ch <- outcome{err: fmt.Errorf("panic: %v", r)}
 			}
 		}()
 		v, err := j.Run()

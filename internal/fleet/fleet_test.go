@@ -38,37 +38,17 @@ func TestRunCollectsSortedResults(t *testing.T) {
 	}
 }
 
-func TestPanicRetriedThenRecordedOnce(t *testing.T) {
-	var calls atomic.Int32
-	flaky := Job{ID: "flaky", Run: func() (any, error) {
-		if calls.Add(1) < 3 {
-			panic("diverging simulation")
-		}
-		return "converged", nil
-	}}
-	sum, err := Run([]Job{flaky}, Options{Parallelism: 4, Attempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Results) != 1 {
-		t.Fatalf("recorded %d results, want exactly 1", len(sum.Results))
-	}
-	r := sum.Results[0]
-	if !r.OK || r.Attempts != 3 || r.Err != "" {
-		t.Fatalf("want success on attempt 3, got %+v", r)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("job ran %d times, want 3", calls.Load())
-	}
-}
-
+// TestAlwaysPanickingJobFailsWithoutKillingOthers: a panicking job runs
+// once — jobs are deterministic, so a retry could only panic again or hide
+// a determinism bug — and is recorded as failed while the rest complete.
 func TestAlwaysPanickingJobFailsWithoutKillingOthers(t *testing.T) {
+	var calls atomic.Int32
 	jobs := []Job{
 		ok("steady-1", 1.0),
-		{ID: "crasher", Run: func() (any, error) { panic("division by zero flow count") }},
+		{ID: "crasher", Run: func() (any, error) { calls.Add(1); panic("division by zero flow count") }},
 		ok("steady-2", 2.0),
 	}
-	sum, err := Run(jobs, Options{Parallelism: 3, Attempts: 2})
+	sum, err := Run(jobs, Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +56,8 @@ func TestAlwaysPanickingJobFailsWithoutKillingOthers(t *testing.T) {
 		t.Fatalf("failed = %d, want 1", sum.Failed)
 	}
 	r, _ := sum.Get("crasher")
-	if r.OK || r.Attempts != 2 || !strings.Contains(r.Err, "division by zero flow count") {
-		t.Fatalf("crasher result %+v", r)
+	if r.OK || calls.Load() != 1 || !strings.Contains(r.Err, "division by zero flow count") {
+		t.Fatalf("crasher result %+v after %d run(s)", r, calls.Load())
 	}
 	for _, id := range []string{"steady-1", "steady-2"} {
 		if r, _ := sum.Get(id); !r.OK {
@@ -92,12 +72,12 @@ func TestPlainErrorNotRetried(t *testing.T) {
 		calls.Add(1)
 		return nil, errors.New("unknown CC kangaroo")
 	}}
-	sum, err := Run([]Job{j}, Options{Attempts: 5})
+	sum, err := Run([]Job{j}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := sum.Results[0]
-	if r.OK || r.Attempts != 1 || calls.Load() != 1 {
+	if r.OK || calls.Load() != 1 {
 		t.Fatalf("plain error should record once: %+v (calls %d)", r, calls.Load())
 	}
 }

@@ -62,6 +62,8 @@ func TestStoreRoundtripAndResume(t *testing.T) {
 
 func TestStoreToleratesTruncatedFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
+	// The "attempts" field is what stores written before jobs ran once
+	// carry; decoding ignores it.
 	whole := `{"id":"done","ok":true,"attempts":1,"value":7}` + "\n"
 	partial := `{"id":"killed-mid-append","ok":tr`
 	if err := os.WriteFile(path, []byte(whole+partial), 0o644); err != nil {
@@ -83,7 +85,7 @@ func TestStoreToleratesTruncatedFinalLine(t *testing.T) {
 	// fresh line rather than concatenating onto the partial record — which
 	// would silently lose the append on the next load, then turn into
 	// mid-file corruption once anything else landed after it.
-	if err := st.Append(Result{ID: "after-tear", OK: true, Attempts: 1}); err != nil {
+	if err := st.Append(Result{ID: "after-tear", OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -119,7 +121,7 @@ func TestFailedJobsAreCheckpointedAndSkippedOnResume(t *testing.T) {
 	}
 	var calls atomic.Int32
 	bad := Job{ID: "bad", Run: func() (any, error) { calls.Add(1); panic("boom") }}
-	if _, err := Run([]Job{bad}, Options{Store: st, Attempts: 2}); err != nil {
+	if _, err := Run([]Job{bad}, Options{Store: st}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -129,12 +131,12 @@ func TestFailedJobsAreCheckpointedAndSkippedOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	sum, err := Run([]Job{bad}, Options{Store: st2, Attempts: 2})
+	sum, err := Run([]Job{bad}, Options{Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("recorded failure re-ran on resume (%d calls, want 2)", calls.Load())
+	if calls.Load() != 1 {
+		t.Fatalf("recorded failure re-ran on resume (%d calls, want 1)", calls.Load())
 	}
 	if sum.Failed != 1 || sum.Cached != 1 {
 		t.Fatalf("failed=%d cached=%d, want 1/1", sum.Failed, sum.Cached)

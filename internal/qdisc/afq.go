@@ -29,7 +29,7 @@ type AFQ struct {
 	squash     bool // PCQ: squash beyond-horizon packets instead of dropping them
 	limitBytes int
 	round      int64 // round currently in service
-	queues     []ring
+	queues     []packet.Ring
 	bytes      int
 	packets    int
 	sketch     *cmsketch.Sketch
@@ -56,7 +56,7 @@ func NewAFQ(nQ int, bpr int64, limitBytes, sketchCols int) *AFQ {
 		NQ:         nQ,
 		BpR:        bpr,
 		limitBytes: limitBytes,
-		queues:     make([]ring, nQ),
+		queues:     make([]packet.Ring, nQ),
 		sketch:     cmsketch.New(4, sketchCols),
 	}
 }
@@ -94,7 +94,7 @@ func (a *AFQ) Enqueue(p *packet.Packet) bool {
 	idx := int(slot % int64(a.NQ))
 	a.bytes += int(p.Size)
 	a.packets++
-	a.queues[idx].push(p)
+	a.queues[idx].Push(p)
 	return true
 }
 
@@ -103,7 +103,7 @@ func (a *AFQ) Enqueue(p *packet.Packet) bool {
 func (a *AFQ) Dequeue() *packet.Packet {
 	for tries := 0; tries <= a.NQ; tries++ {
 		idx := int(a.round % int64(a.NQ))
-		if p := a.queues[idx].pop(); p != nil {
+		if p := a.queues[idx].Pop(); p != nil {
 			a.bytes -= int(p.Size)
 			a.packets--
 			return p

@@ -40,7 +40,7 @@ type FQCoDel struct {
 type fqFlow struct {
 	key     packet.FlowKey
 	seq     uint64
-	q       ring
+	q       packet.Ring
 	bytes   int
 	deficit int
 	codel   codelState
@@ -87,7 +87,7 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 	fl.bytes += int(p.Size)
 	f.bytes += int(p.Size)
 	f.packets++
-	fl.q.push(p)
+	fl.q.Push(p)
 
 	if fl.where == 0 {
 		fl.deficit = f.quantum
@@ -101,7 +101,7 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 		if victim == nil {
 			break
 		}
-		dp := victim.q.pop()
+		dp := victim.q.Pop()
 		victim.bytes -= int(dp.Size)
 		f.bytes -= int(dp.Size)
 		f.packets--
@@ -177,7 +177,7 @@ func (f *FQCoDel) selectFlow() *fqFlow {
 func (f *FQCoDel) codelDequeue(fl *fqFlow) *packet.Packet {
 	now := f.eng.Local()
 	for {
-		p := fl.q.pop()
+		p := fl.q.Pop()
 		if p == nil {
 			return nil
 		}
@@ -215,7 +215,7 @@ func (f *FQCoDel) fattestFlow() *fqFlow {
 	var fat *fqFlow
 	//lint:ignore mapiter the comparison below is a total order — bytes descending with creation-seq tie-break — so the selected victim is independent of map iteration order (this is the PR-1 fix the analyzer guards)
 	for _, fl := range f.flows {
-		if fl.q.len() == 0 {
+		if fl.q.Len() == 0 {
 			continue
 		}
 		if fat == nil || fl.bytes > fat.bytes || (fl.bytes == fat.bytes && fl.seq < fat.seq) {

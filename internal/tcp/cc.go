@@ -62,9 +62,10 @@ type CongestionControl interface {
 	PacingRate(c *Conn) float64
 }
 
-// ECNReactor is an optional extension: algorithms that implement it (DCTCP)
-// receive every ECN-Echo themselves instead of the connection's default
-// RFC 3168 once-per-RTT window halving.
+// ECNReactor is an optional extension that makes a connection ECN-capable:
+// a connection whose algorithm implements it (DCTCP) sends its data ECT
+// and hands it every ECN-Echo. Any other connection sends Not-ECT, so the
+// network never marks it and it never sees an echo.
 type ECNReactor interface {
 	// OnECE is called for each ACK carrying an ECN-Echo.
 	OnECE(c *Conn, rs RateSample)

@@ -25,8 +25,6 @@ type Config struct {
 	StartAt sim.Time
 	// MinRTO clamps the retransmission timer (default 200 ms, as Linux).
 	MinRTO sim.Time
-	// ECN enables ECT marking on data segments and ECE-driven reductions.
-	ECN bool
 	// MaxCwndBytes optionally caps the congestion window (0 = no cap).
 	MaxCwndBytes float64
 	// SendJitter adds a uniform random host-processing delay in [0, J) to
@@ -109,8 +107,10 @@ type Conn struct {
 	pacingTimer  sim.Timer
 	nextSendTime sim.Time
 
-	// ECN state: one reduction per RTT on ECE.
-	eceSeq int64
+	// reactor is the CC's ECN response when it has one (ECNReactor): the
+	// connection is then ECN-capable, sending its data ECT and handing every
+	// ECN-Echo to the CC.
+	reactor ECNReactor
 
 	rng *sim.Rand
 	// jitter holds segments waiting out their send jitter; each release is
@@ -159,6 +159,7 @@ func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
 		rto:  sim.Duration(1e9), // initial RTO 1 s (RFC 6298)
 		rng:  sim.NewRand(cfg.Seed ^ cfg.Key.Hash(0x5EED)),
 	}
+	c.reactor, _ = cfg.CC.(ECNReactor)
 	c.Cwnd = float64(cfg.InitialCwndSegments * cfg.MSS)
 	c.Ssthresh = 1 << 40
 	src.Register(cfg.Key.Reverse(), c)
@@ -333,7 +334,7 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 	p.PayloadSize = size
 	p.Size = size + packet.HeaderBytes
 	p.Retransmit = retx
-	if c.cfg.ECN {
+	if c.reactor != nil {
 		p.ECN = packet.ECNECT
 	}
 	if c.pipe() == 0 {
@@ -459,19 +460,11 @@ func (c *Conn) Deliver(p *packet.Packet) {
 	c.dupAcks = 0
 	c.backoff = 0
 
-	if p.HasFlag(packet.FlagECE) && c.cfg.ECN {
-		if reactor, ok := c.cc.(ECNReactor); ok {
-			// The algorithm owns its ECN response (DCTCP-style
-			// fraction-proportional reduction).
-			c.Stats.ECEReductions++
-			reactor.OnECE(c, rs)
-		} else if c.sndUna > c.eceSeq && !c.inRecovery {
-			// Default: one window reduction per RTT (RFC 3168 style).
-			c.eceSeq = c.sndNxt
-			c.Stats.ECEReductions++
-			c.cc.OnEnterRecovery(c)
-			c.cc.OnExitRecovery(c)
-		}
+	if p.HasFlag(packet.FlagECE) && c.reactor != nil {
+		// The algorithm owns its ECN response (DCTCP-style
+		// fraction-proportional reduction).
+		c.Stats.ECEReductions++
+		c.reactor.OnECE(c, rs)
 	}
 
 	if c.inRecovery {

@@ -8,7 +8,7 @@ package tcp
 // (Fig. 5 line 26: the LBF CE-marks ECN-capable packets it delays), giving
 // an end-to-end ECN-responsive workload.
 //
-// Connections running DCTCP should set Config.ECN so data is ECT-marked.
+// DCTCP is an ECNReactor, so a connection running it sends its data ECT.
 type DCTCP struct {
 	reno
 	// G is the EWMA gain for the marking-fraction estimate (RFC 8257
