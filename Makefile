@@ -127,8 +127,9 @@ ab:
 	sh scripts/ab.sh $(REV) $(W) $(PAIRS) $(SECONDS)
 
 # The byte gate for a change that may move only event counts: the quick
-# report of REV and of this tree, cmp-identical once every `events=N` and
-# `events: N` is masked. Prints nothing and exits 0 when they match:
+# report of REV and of this tree, each with scenarios/*.json appended as
+# sections, cmp-identical once every `events=N` and `events: N` is masked.
+# Prints nothing and exits 0 when they match:
 #   make report-diff REV=HEAD~1
 report-diff:
 	@sh scripts/report_diff.sh $(REV)

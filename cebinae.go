@@ -98,7 +98,7 @@ func BuildDumbbell(w *Network, cfg DumbbellConfig) *Dumbbell { return netem.Buil
 
 // BuildParkingLot constructs a parking-lot chain topology.
 func BuildParkingLot(w *Network, cfg ParkingLotConfig) *ParkingLot {
-	return netem.BuildParkingLot(w, cfg)
+	return netem.BuildParkingLotOn(w, cfg)
 }
 
 // The Cebinae mechanism (the paper's contribution).

@@ -32,9 +32,11 @@ func TestOnlyMatchingNothing(t *testing.T) {
 	}
 }
 
+// TestScenarioSectionsNoMatch: a -scenario pattern that matches no file is
+// an error before any job runs.
 func TestScenarioSectionsNoMatch(t *testing.T) {
-	secs, err := scenarioSections(t.TempDir() + "/*.json")
+	err := runReport("quick", "", "", 1, 0, "", t.TempDir()+"/*.json")
 	if err == nil || !strings.Contains(err.Error(), "matches no files") {
-		t.Fatalf("scenarioSections on an empty directory = %d sections, %v", len(secs), err)
+		t.Fatalf("-scenario on an empty directory: runReport returned %v", err)
 	}
 }

@@ -14,19 +14,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"time"
 
 	"cebinae/experiments"
 	"cebinae/internal/cli"
 	"cebinae/internal/fleet"
 	"cebinae/internal/scenario"
+	"cebinae/internal/tcp"
 )
 
 func main() {
 	var (
 		bw       = flag.String("bw", "100M", "bottleneck bandwidth (e.g. 100M, 1G, 2.5G)")
 		buffer   = flag.Int("buffer", 850, "bottleneck buffer in MTUs (1500 B)")
-		flows    = flag.String("flows", "newreno:2", "comma list of cca:count groups (ccas: newreno cubic bic vegas bbr)")
+		flows    = flag.String("flows", "newreno:2", "comma list of cca:count groups (ccas: "+strings.Join(tcp.CCNames(), " ")+")")
 		rtt      = flag.String("rtt", "40ms", "comma list of per-group base RTTs (one value applies to all)")
 		qdisc    = flag.String("qdisc", "cebinae", "bottleneck discipline: fifo | fq | cebinae")
 		duration = flag.Duration("duration", 20*time.Second, "simulated duration")

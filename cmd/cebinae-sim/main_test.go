@@ -78,6 +78,7 @@ func TestBuildScenarioErrors(t *testing.T) {
 		{"bad rtt", func(a *args) { a.rtt = "soon" }, "rtt"},
 		{"zero rtt", func(a *args) { a.rtt = "0s" }, "rtt"},
 		{"negative rtt", func(a *args) { a.rtt = "-1ms" }, "rtt"},
+		{"sub-floor rtt", func(a *args) { a.rtt = "100us" }, "-rtt 100µs: below the dumbbell's 200µs floor"},
 		{"unknown qdisc", func(a *args) { a.qdisc = "red" }, "qdisc"},
 		{"tau above 1", func(a *args) { a.qdisc = "cebinae"; a.tau = 5 }, "-tau"},
 		{"zero duration", func(a *args) { a.duration = 0 }, "-duration"},

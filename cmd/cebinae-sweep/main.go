@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -180,29 +178,13 @@ func table[T any](out io.Writer, csvPath string, less func(a, b T) bool, render 
 // checkpointed run, then each section renders its scenario's canonical
 // report from the store.
 func (d sweeper) scenarios(patterns string) error {
-	var paths []string
-	for _, pat := range strings.Split(patterns, ",") {
-		pat = strings.TrimSpace(pat)
-		matches, err := filepath.Glob(pat)
-		if err != nil || len(matches) == 0 {
-			return fmt.Errorf("-scenario pattern %q matches no files", pat)
-		}
-		paths = append(paths, matches...)
+	files, err := scenario.LoadFiles(patterns)
+	if err != nil {
+		return err
 	}
-	sort.Strings(paths)
-
-	specs := make([]*scenario.Spec, len(paths))
-	sections := make([]experiments.BenchSection, len(paths))
-	for i, path := range paths {
-		spec, err := scenario.Load(path)
-		if err != nil {
-			return err
-		}
-		c, err := scenario.Compile(spec)
-		if err != nil {
-			return err
-		}
-		specs[i], sections[i] = spec, c.Section("")
+	sections := make([]experiments.BenchSection, len(files))
+	for i, f := range files {
+		sections[i] = f.Section("")
 	}
 	return d.run("scenario job", experiments.SectionJobs(sections), func(sum *fleet.Summary) error {
 		get := experiments.SummaryGetter(sum)
@@ -211,7 +193,7 @@ func (d sweeper) scenarios(patterns string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(d.out, "== %s scenario %q (%s)\n%s", specs[i].Kind, specs[i].Name, paths[i], text)
+			fmt.Fprintf(d.out, "== %s scenario %q (%s)\n%s", files[i].Spec.Kind, files[i].Spec.Name, files[i].Path, text)
 		}
 		return nil
 	})

@@ -23,7 +23,7 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("Computing ideal max-min allocation by water filling…")
-	ideal := experiments.Fig11Ideal()
+	ideal := experiments.ChainIdeal(experiments.CanonicalChain(experiments.FIFO, 0, 0))
 	fmt.Printf("  long NewReno: %.2f Mbps | BIC cross: %.2f | Vegas cross: %.2f | Cubic cross: %.2f\n\n",
 		ideal[0]/1e6, ideal[8]/1e6, ideal[10]/1e6, ideal[18]/1e6)
 

@@ -198,53 +198,28 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	schedule := trace.Flows(cfg.Trace)
 
 	// Chain: src — sw1 ═(core)═ sw2 — dst, partitioned by the min-cut
-	// planner. Two shards cut the core link ({src,sw1} | {sw2,dst}, 2 ms
-	// lookahead); three and four shards also cut the 200 µs access links.
-	// Cut access links are safe now that cross-shard injections carry
-	// their emission stamp (sim.Engine.StreamCall): even at 10⁵-flow
-	// density, where a 40 Gbps access link serialises a packet every
-	// ~150 ns and same-nanosecond ties between injected arrivals and the
-	// core queue's own events are systematic, the (time, emission, seq)
-	// order resolves them exactly as a single merged engine would — the
-	// differential tests assert byte-identity across all four counts.
-	type backboneTopo struct {
-		src, sw1, sw2, dst               *netem.Node
-		srcFwd, srcRev, coreFwd, coreRev *netem.Device
-		dstFwd, dstRev                   *netem.Device
-	}
+	// planner. Two shards cut the core link (2 ms lookahead); three and
+	// four also cut the 200 µs access links, which stay byte-identical
+	// because cross-shard injections carry their emission stamp.
 	edge := func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) }
-	build := func(f netem.Fabric) backboneTopo {
-		var t backboneTopo
-		n := f.Shards()
-		t.src = f.NodeOn(0, "src")
-		t.sw1 = f.NodeOn(0, "sw1")
-		t.sw2 = f.NodeOn(n-1, "sw2")
-		t.dst = f.NodeOn(n-1, "dst")
-		access := netem.LinkConfig{RateBps: cfg.AccessBps, Delay: sim.Duration(200e3), QdiscFactory: edge}
-		t.srcFwd, t.srcRev = f.Connect(t.src, t.sw1, access)
-		t.coreFwd, t.coreRev = f.Connect(t.sw1, t.sw2, netem.LinkConfig{RateBps: cfg.CoreBps, Delay: cfg.CoreDelay, QdiscFactory: edge})
-		t.dstFwd, t.dstRev = f.Connect(t.sw2, t.dst, access)
-		return t
+	access := netem.LinkConfig{RateBps: cfg.AccessBps, Delay: sim.Duration(200e3), QdiscFactory: edge}
+	build := func(f netem.Fabric) (src, dst *netem.Node, core *netem.Device) {
+		t := netem.NewTopo(f)
+		src, sw1, sw2 := t.Host("src"), t.Switch("sw1"), t.Switch("sw2")
+		dst = t.Host("dst")
+		t.Link(src, sw1, access)
+		core, _ = t.Link(sw1, sw2, netem.LinkConfig{RateBps: cfg.CoreBps, Delay: cfg.CoreDelay, QdiscFactory: edge})
+		t.Link(sw2, dst, access)
+		t.Route()
+		return src, dst, core
 	}
 	cl := newCluster(cfg.Shards, func(f netem.Fabric) { build(f) })
-	topo := build(cl)
-	src, sw1, sw2, dst := topo.src, topo.sw1, topo.sw2, topo.dst
-	srcFwd, srcRev := topo.srcFwd, topo.srcRev
-	coreFwd, coreRev := topo.coreFwd, topo.coreRev
-	dstFwd, dstRev := topo.dstFwd, topo.dstRev
+	src, dst, coreFwd := build(cl)
 
 	// The core egress discipline under test, on the engine that owns it.
 	rtt := 2 * (cfg.CoreDelay + 2*sim.Duration(200e3))
 	coreQ, cq := newPortQdisc(cfg.Qdisc, coreFwd, cfg.CoreBps, cfg.BufferBytes, rtt, nil)
 	coreFwd.SetQdisc(coreQ)
-
-	// Forward route src→dst and the reverse feedback path dst→src.
-	src.AddRoute(dst.ID, srcFwd)
-	sw1.AddRoute(dst.ID, coreFwd)
-	sw2.AddRoute(dst.ID, dstFwd)
-	dst.AddRoute(src.ID, dstRev)
-	sw2.AddRoute(src.ID, coreRev)
-	sw1.AddRoute(src.ID, srcRev)
 
 	obs := &backboneObserver{
 		sketch: cmsketch.New(cfg.SketchRows, cfg.SketchCols),

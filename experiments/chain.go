@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cebinae/internal/maxmin"
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/qdisc"
@@ -60,6 +61,30 @@ func CanonicalChain(kind QdiscKind, dur SimTime, shards int) ChainConfig {
 		Duration:      dur,
 		Shards:        shards,
 	}
+}
+
+// ChainIdeal is the max-min fair allocation (bits/sec, in paper order) of
+// the chain's flows by water filling: a long flow crosses every hop, a
+// hop-h cross flow hop h alone, and every hop carries BottleneckBps.
+func ChainIdeal(cfg ChainConfig) []float64 {
+	n := &maxmin.Network{Capacity: make([]float64, cfg.Hops)}
+	every := make([]int, cfg.Hops)
+	for h := range every {
+		n.Capacity[h], every[h] = cfg.BottleneckBps, h
+	}
+	for i := 0; i < cfg.LongFlows; i++ {
+		n.Routes = append(n.Routes, every)
+	}
+	for h, count := range cfg.CrossPerHop {
+		for i := 0; i < count; i++ {
+			n.Routes = append(n.Routes, []int{h})
+		}
+	}
+	rates, err := maxmin.Allocate(n)
+	if err != nil {
+		panic(err)
+	}
+	return rates
 }
 
 // ChainFlowResult is one chain flow's measured outcome.

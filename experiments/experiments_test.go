@@ -115,7 +115,7 @@ func TestRunScenarioSampling(t *testing.T) {
 }
 
 func TestFig11IdealMatchesWaterFilling(t *testing.T) {
-	ideal := Fig11Ideal()
+	ideal := ChainIdeal(CanonicalChain(FIFO, 0, 0))
 	if len(ideal) != 22 {
 		t.Fatalf("22 flows expected, got %d", len(ideal))
 	}

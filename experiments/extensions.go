@@ -50,7 +50,7 @@ func ExtChurn(kind QdiscKind, scale Scale) ExtChurnResult {
 	d := netem.BuildDumbbell(w, netem.DumbbellConfig{
 		FlowCount:       2, // host pair 0: long flow; host pair 1: churn
 		BottleneckBps:   rate,
-		BottleneckDelay: sim.Duration(100e3),
+		BottleneckDelay: bottleneckDelay,
 		RTTs:            []sim.Time{ms(40), ms(40)},
 		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
 			q, _ := newPortQdisc(kind, dev, rate, buf, ms(40), nil)
@@ -137,7 +137,7 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 	d := netem.BuildDumbbell(w, netem.DumbbellConfig{
 		FlowCount:       nTCP + 1,
 		BottleneckBps:   rate,
-		BottleneckDelay: sim.Duration(100e3),
+		BottleneckDelay: bottleneckDelay,
 		RTTs:            []sim.Time{ms(40)},
 		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
 			var q netem.Qdisc

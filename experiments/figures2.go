@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"cebinae/internal/hhcache"
-	"cebinae/internal/maxmin"
 	"cebinae/internal/metrics"
 	"cebinae/internal/packet"
 	"cebinae/internal/resource"
@@ -19,31 +18,6 @@ import (
 // three 100 Mbps bottlenecks. Measured against the ideal max-min
 // allocation via the normalised JFI of §5.3.
 // ---------------------------------------------------------------------------
-
-// Fig11Ideal computes the water-filling allocation for the topology.
-func Fig11Ideal() []float64 {
-	n := &maxmin.Network{
-		Capacity: []float64{100e6, 100e6, 100e6},
-		Routes:   make([][]int, 0, 22),
-	}
-	for i := 0; i < 8; i++ { // long NewReno flows traverse every hop
-		n.Routes = append(n.Routes, []int{0, 1, 2})
-	}
-	for i := 0; i < 2; i++ { // Bic at hop 1
-		n.Routes = append(n.Routes, []int{0})
-	}
-	for i := 0; i < 8; i++ { // Vegas at hop 2
-		n.Routes = append(n.Routes, []int{1})
-	}
-	for i := 0; i < 4; i++ { // Cubic at hop 3
-		n.Routes = append(n.Routes, []int{2})
-	}
-	rates, err := maxmin.Allocate(n)
-	if err != nil {
-		panic(err)
-	}
-	return rates
-}
 
 // Fig11Chains is the parking-lot experiment under FIFO, then Cebinae.
 func Fig11Chains(scale Scale) []ChainConfig {
@@ -62,7 +36,7 @@ func Fig11Chains(scale Scale) []ChainConfig {
 // 10–17 Vegas, 18–21 Cubic).
 func RenderFig11(rs []ChainResult) string {
 	fifo, ceb := rs[0], rs[1]
-	ideal := Fig11Ideal()
+	ideal := ChainIdeal(CanonicalChain(FIFO, 0, 0))
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig.11 — parking lot (3×100 Mbps): per-flow goodput [Mbps] vs ideal max-min\n")
 	fmt.Fprintf(&b, "%4s %-16s | %6s | %8s | %8s\n", "flow", "kind", "ideal", "FIFO", "Cebinae")

@@ -16,9 +16,9 @@ import (
 // lowering target of the "graph" scenario-file kind, which is how
 // workloads like the community NS-3 reproduction's multi-hop Cebinae
 // topology (10 Gbps core, 40 senders in three groups) run without a
-// recompile. Construction order follows the config's declaration order
-// exactly, so node IDs — and everything derived from them — are a pure
-// function of the config.
+// recompile. The config is declared on a netem.Topo in its own order, so
+// node IDs — and everything derived from them — and the BFS routes are a
+// pure function of the config.
 
 // PortQdisc configures one port's (device's) queueing discipline. The
 // zero value selects a large drop-tail FIFO — the "every other port"
@@ -136,114 +136,6 @@ func buildPortQdisc(cfg PortQdisc, rate float64, dev *netem.Device) netem.Qdisc 
 	return q
 }
 
-// graphTopo is one constructed instance of a GraphConfig.
-type graphTopo struct {
-	switches []*netem.Node
-	swIndex  map[string]int
-	// hosts[g][i] is host i of group g; hostDev/swDev its access-link
-	// device pair (host→switch, switch→host).
-	hosts   [][]*netem.Node
-	hostDev [][]*netem.Device
-	swDev   [][]*netem.Device
-	groupIx map[string]int
-	// adj[s] lists (neighbor switch, egress device) in link declaration
-	// order — the deterministic order BFS expands.
-	adj [][]graphEdge
-}
-
-type graphEdge struct {
-	to int
-	// dev is the local egress toward `to`; rev is the opposite direction
-	// (the device `to` uses to forward back), which route installation
-	// needs when the BFS tree crosses this edge.
-	dev, rev *netem.Device
-}
-
-// buildGraph constructs the topology on a network in declaration order:
-// switches, then links, then host groups.
-func buildGraph(w *netem.Network, cfg GraphConfig) *graphTopo {
-	t := &graphTopo{
-		swIndex: make(map[string]int, len(cfg.Switches)),
-		groupIx: make(map[string]int, len(cfg.Hosts)),
-	}
-	for i, sw := range cfg.Switches {
-		t.switches = append(t.switches, w.NewNode(sw.Name))
-		t.swIndex[sw.Name] = i
-	}
-	t.adj = make([][]graphEdge, len(cfg.Switches))
-	for _, l := range cfg.Links {
-		ai, bi := t.swIndex[l.A], t.swIndex[l.B]
-		da, db := w.Connect(t.switches[ai], t.switches[bi], netem.LinkConfig{RateBps: l.RateBps, Delay: l.Delay})
-		da.SetQdisc(buildPortQdisc(l.QdiscAB, l.RateBps, da))
-		db.SetQdisc(buildPortQdisc(l.QdiscBA, l.RateBps, db))
-		t.adj[ai] = append(t.adj[ai], graphEdge{bi, da, db})
-		t.adj[bi] = append(t.adj[bi], graphEdge{ai, db, da})
-	}
-	for gi, hg := range cfg.Hosts {
-		t.groupIx[hg.Name] = gi
-		si := t.swIndex[hg.Attach]
-		var nodes []*netem.Node
-		var hdevs, sdevs []*netem.Device
-		for i := 0; i < hg.Count; i++ {
-			h := w.NewNode(fmt.Sprintf("%s%d", hg.Name, i))
-			hd, sd := w.Connect(h, t.switches[si], netem.LinkConfig{RateBps: hg.RateBps, Delay: hg.Delay})
-			hd.SetQdisc(qdisc.NewFIFO(64 << 20))
-			sd.SetQdisc(buildPortQdisc(hg.DownQdisc, hg.RateBps, sd))
-			nodes = append(nodes, h)
-			hdevs = append(hdevs, hd)
-			sdevs = append(sdevs, sd)
-		}
-		t.hosts = append(t.hosts, nodes)
-		t.hostDev = append(t.hostDev, hdevs)
-		t.swDev = append(t.swDev, sdevs)
-	}
-	return t
-}
-
-// installRoutes wires every switch toward host h (group g, index i) along
-// the BFS tree rooted at the host's attach switch, plus the last-hop
-// switch→host route, plus a route from every other host (whose only
-// egress is its access link). BFS expands neighbours in link declaration
-// order, so next hops — and therefore packet paths — are deterministic.
-func (t *graphTopo) installRoutes(cfg GraphConfig) {
-	for gi := range t.hosts {
-		si := t.swIndex[cfg.Hosts[gi].Attach]
-		for hi, h := range t.hosts[gi] {
-			// BFS from the attach switch: parent[v] is the device v uses
-			// to forward toward the attach switch (and so toward h).
-			parent := make([]*netem.Device, len(t.switches))
-			visited := make([]bool, len(t.switches))
-			visited[si] = true
-			queue := []int{si}
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				for _, e := range t.adj[v] {
-					if !visited[e.to] {
-						visited[e.to] = true
-						parent[e.to] = e.rev
-						queue = append(queue, e.to)
-					}
-				}
-			}
-			for v := range t.switches {
-				if v == si {
-					t.switches[v].AddRoute(h.ID, t.swDev[gi][hi])
-				} else if parent[v] != nil {
-					t.switches[v].AddRoute(h.ID, parent[v])
-				}
-			}
-			for g2 := range t.hosts {
-				for h2, other := range t.hosts[g2] {
-					if other != h {
-						other.AddRoute(h.ID, t.hostDev[g2][h2])
-					}
-				}
-			}
-		}
-	}
-}
-
 // RunGraph builds and runs one graph scenario on one engine.
 func RunGraph(cfg GraphConfig) GraphResult {
 	if cfg.WarmupFraction == 0 {
@@ -252,15 +144,36 @@ func RunGraph(cfg GraphConfig) GraphResult {
 	if cfg.MinRTO == 0 {
 		cfg.MinRTO = Seconds(1)
 	}
+	// Declaration order is construction order: switches, then links, then
+	// host groups.
 	eng := sim.NewEngine()
-	t := buildGraph(netem.NewNetwork(eng), cfg)
-	t.installRoutes(cfg)
+	t := netem.NewTopo(netem.NewNetwork(eng))
+	switches := make(map[string]*netem.Node, len(cfg.Switches))
+	for _, sw := range cfg.Switches {
+		switches[sw.Name] = t.Switch(sw.Name)
+	}
+	for _, l := range cfg.Links {
+		da, db := t.Link(switches[l.A], switches[l.B], netem.LinkConfig{RateBps: l.RateBps, Delay: l.Delay})
+		da.SetQdisc(buildPortQdisc(l.QdiscAB, l.RateBps, da))
+		db.SetQdisc(buildPortQdisc(l.QdiscBA, l.RateBps, db))
+	}
+	hosts := make(map[string][]*netem.Node, len(cfg.Hosts))
+	for _, hg := range cfg.Hosts {
+		for i := 0; i < hg.Count; i++ {
+			h := t.Host(fmt.Sprintf("%s%d", hg.Name, i))
+			hd, sd := t.Link(h, switches[hg.Attach], netem.LinkConfig{RateBps: hg.RateBps, Delay: hg.Delay})
+			hd.SetQdisc(qdisc.NewFIFO(64 << 20))
+			sd.SetQdisc(buildPortQdisc(hg.DownQdisc, hg.RateBps, sd))
+			hosts[hg.Name] = append(hosts[hg.Name], h)
+		}
+	}
+	t.Route()
 
 	var ends []flowEnd
 	for _, fg := range cfg.Flows {
-		from, to := t.groupIx[fg.From], t.groupIx[fg.To]
-		for i, s := range t.hosts[from] {
-			ends = append(ends, flowEnd{s, t.hosts[to][i%len(t.hosts[to])], fg.CC, fg.StartAt})
+		to := hosts[fg.To]
+		for i, s := range hosts[fg.From] {
+			ends = append(ends, flowEnd{s, to[i%len(to)], fg.CC, fg.StartAt})
 		}
 	}
 	fs := attachFlows(ends, cfg.Seed, cfg.MinRTO)
@@ -277,7 +190,7 @@ func RunGraph(cfg GraphConfig) GraphResult {
 	// order — the order the flows were attached in.
 	idx := 0
 	for _, fg := range cfg.Flows {
-		n := len(t.hosts[t.groupIx[fg.From]])
+		n := len(hosts[fg.From])
 		g := GraphGroupResult{Group: fg.From + "->" + fg.To, Flows: n}
 		groupRates := rates[idx : idx+n]
 		for host, r := range groupRates {

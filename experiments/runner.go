@@ -120,6 +120,15 @@ type Scenario struct {
 	FastForward bool
 }
 
+// bottleneckDelay is the one-way propagation delay of every dumbbell's
+// shared link; each flow's sender access link makes up the rest of its RTT.
+const bottleneckDelay = SimTime(100e3)
+
+// MinRTT is the smallest base RTT a dumbbell flow can have: the
+// bottleneck's delay both ways, over zero-delay access links. Run panics
+// on a flow group below it; spec files and the -rtt flag are refused.
+const MinRTT = 2 * bottleneckDelay
+
 // newCluster builds the partitioned cluster for the topology `build`
 // constructs, on max(n, 1) engines. A multi-shard request flows through
 // the min-cut partitioner: AutoPlan records the builder's construction
@@ -253,7 +262,7 @@ func Run(s Scenario) Result {
 	d := netem.BuildDumbbell(netem.NewNetwork(eng), netem.DumbbellConfig{
 		FlowCount:       len(flat),
 		BottleneckBps:   s.BottleneckBps,
-		BottleneckDelay: sim.Duration(100e3),
+		BottleneckDelay: bottleneckDelay,
 		RTTs:            rtts,
 		AccessBps:       s.AccessBps,
 		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {

@@ -35,9 +35,9 @@ func ParseBandwidth(s string) (float64, error) {
 }
 
 // ParseGroups reads a -flows / -rtt flag pair: a comma list of cca[:count]
-// groups (a bare name is one flow) and a comma list of positive base RTTs,
-// one per group; a short RTT list applies its first value to the groups it
-// does not reach.
+// groups (a bare name is one flow) and a comma list of base RTTs no shorter
+// than experiments.MinRTT, one per group; a short RTT list applies its
+// first value to the groups it does not reach.
 func ParseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
 	var groups []experiments.FlowGroup
 	for _, part := range strings.Split(flows, ",") {
@@ -63,6 +63,9 @@ func ParseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
 			return nil, fmt.Errorf("bad rtt %q", sel)
 		}
 		groups[i].RTT = experiments.SimTime(d.Nanoseconds())
+		if groups[i].RTT < experiments.MinRTT {
+			return nil, fmt.Errorf("-rtt %v: below the dumbbell's %v floor (twice its bottleneck delay)", d, time.Duration(experiments.MinRTT))
+		}
 	}
 	return groups, nil
 }

@@ -41,6 +41,9 @@ func TestParseGroups(t *testing.T) {
 		{"newreno:2", "0s", nil},
 		{"newreno:2", "-1ms", nil},
 		{"newreno:2,cubic:1", "40ms,-40ms", nil},
+		{"newreno:2", "100us", nil},
+		{"newreno:2", "199999ns", nil},
+		{"newreno:2", "200us", []experiments.FlowGroup{{CC: "newreno", Count: 2, RTT: experiments.MinRTT}}},
 	}
 	for _, tc := range cases {
 		got, err := ParseGroups(tc.flows, tc.rtts)

@@ -17,10 +17,6 @@ type Graph struct {
 // GraphNode records one NodeOn call.
 type GraphNode struct {
 	Name string
-	// Hint is the shard the builder asked for. Auto-partitioning ignores
-	// it; it is kept for diagnostics (comparing the computed plan against
-	// the hand-written one).
-	Hint int
 }
 
 // GraphLink records one Connect call between the nodes at creation
@@ -56,7 +52,7 @@ func (r *Recorder) Shards() int { return r.shards }
 func (r *Recorder) NodeOn(shard int, name string) *Node {
 	n := r.inner.NodeOn(shard, name)
 	r.index[n] = len(r.Graph.Nodes)
-	r.Graph.Nodes = append(r.Graph.Nodes, GraphNode{Name: name, Hint: shard})
+	r.Graph.Nodes = append(r.Graph.Nodes, GraphNode{Name: name})
 	return n
 }
 

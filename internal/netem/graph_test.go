@@ -8,7 +8,7 @@ import (
 
 // TestRecorderCapturesGraph: the Recorder must report the caller-chosen
 // shard count, capture every NodeOn/Connect in construction order with
-// hints and link parameters intact, and still delegate to the inner
+// names and link parameters intact, and still delegate to the inner
 // fabric so the builder's wiring (routes, qdiscs) works during the
 // recording pass.
 func TestRecorderCapturesGraph(t *testing.T) {
@@ -30,7 +30,7 @@ func TestRecorderCapturesGraph(t *testing.T) {
 	if len(g.Nodes) != 2 || len(g.Links) != 1 {
 		t.Fatalf("recorded %d nodes / %d links, want 2 / 1", len(g.Nodes), len(g.Links))
 	}
-	if g.Nodes[0].Name != "a" || g.Nodes[0].Hint != 0 || g.Nodes[1].Name != "b" || g.Nodes[1].Hint != 2 {
+	if g.Nodes[0].Name != "a" || g.Nodes[1].Name != "b" {
 		t.Fatalf("recorded nodes %+v", g.Nodes)
 	}
 	l := g.Links[0]

@@ -1,7 +1,7 @@
 // Package netem provides the simulated network substrate: nodes, full-duplex
 // point-to-point links, store-and-forward devices with pluggable queue
-// disciplines, static routing, and topology builders for the scenarios the
-// Cebinae paper evaluates (dumbbell and parking-lot).
+// disciplines, static routing, and a topology builder (Topo) under the
+// scenarios the Cebinae paper evaluates (dumbbell and parking-lot).
 //
 // The model mirrors the role NS-3's NetDevice + traffic-control layer plays
 // in the paper's simulations: a device serialises packets onto its link at a
@@ -366,11 +366,13 @@ type Node struct {
 	devices []*Device
 	// routes is the next-hop table: routes[dst-routeBase], nil meaning no
 	// route. Node IDs are dense and cluster-global, so a switch's table is
-	// a full array; the window keeps a host that routes to one far peer at
-	// one entry.
+	// a full array over the hosts' IDs.
 	routes    []*Device
 	routeBase packet.NodeID
-	demux     map[packet.FlowKey]Endpoint
+	// uplink is a host's one link (Topo.Link): the next hop for every
+	// destination its table does not name, so hosts need no table.
+	uplink *Device
+	demux  map[packet.FlowKey]Endpoint
 
 	// defaultEp, when non-nil, receives packets addressed to this node
 	// whose flow key has no demux entry — the catch-all a replay sink
@@ -429,12 +431,18 @@ func (n *Node) RegisterDefault(ep Endpoint) {
 // (endpoint delivery or drop).
 func (n *Node) AllocPacket() *packet.Packet { return n.net.pool.Get() }
 
+// nextHop returns the device toward dst: the table's entry, or else a
+// host's uplink; nil when there is neither.
+func (n *Node) nextHop(dst packet.NodeID) *Device {
+	if i := int(dst) - int(n.routeBase); i >= 0 && i < len(n.routes) && n.routes[i] != nil {
+		return n.routes[i]
+	}
+	return n.uplink
+}
+
 // Inject routes a locally generated packet out of the proper device.
 func (n *Node) Inject(p *packet.Packet) {
-	var dev *Device
-	if i := int(p.Flow.Dst) - int(n.routeBase); i >= 0 && i < len(n.routes) {
-		dev = n.routes[i]
-	}
+	dev := n.nextHop(p.Flow.Dst)
 	if dev == nil {
 		n.Unroutable++
 		n.net.pool.Put(p)

@@ -241,7 +241,7 @@ func (f endpointFunc) Deliver(p *packet.Packet) { f(p) }
 func TestBuildParkingLotShapeAndRouting(t *testing.T) {
 	eng := sim.NewEngine()
 	w := NewNetwork(eng)
-	pl := BuildParkingLot(w, ParkingLotConfig{
+	pl := BuildParkingLotOn(w, ParkingLotConfig{
 		Hops:            3,
 		LongFlows:       2,
 		CrossPerHop:     []int{1, 2, 1},

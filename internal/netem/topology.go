@@ -2,9 +2,138 @@ package netem
 
 import (
 	"fmt"
+	"math"
 
+	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 )
+
+// Topo declares a topology on a Fabric in Mininet's idiom: Host, Switch
+// and Link create nodes and links on the fabric in call order, so node IDs
+// and device creation order are a function of the declaration alone, and
+// Route then installs every next hop the links imply. Placement is the
+// fabric's business: every node is asked for on partition 0, and a sharded
+// fabric's plan (internal/shard's AutoPlan) decides where it really lives.
+type Topo struct {
+	f     Fabric
+	nodes []topoNode
+	index map[*Node]int
+}
+
+// topoNode is one declared node. A host's one link is its default route;
+// a switch keeps its links, in declaration order, for Route.
+type topoNode struct {
+	*Node
+	host  bool
+	links []topoLink
+}
+
+// topoLink is a switch's end of a link: the far node's position, the
+// switch's device toward it and the far node's device back.
+type topoLink struct {
+	far       int
+	out, back *Device
+}
+
+// NewTopo starts an empty topology on f.
+func NewTopo(f Fabric) *Topo { return &Topo{f: f, index: make(map[*Node]int)} }
+
+// Host declares an end host: it carries transport endpoints and sends
+// everything out of its one link.
+func (t *Topo) Host(name string) *Node { return t.add(name, true) }
+
+// Switch declares a forwarding node.
+func (t *Topo) Switch(name string) *Node { return t.add(name, false) }
+
+func (t *Topo) add(name string, host bool) *Node {
+	n := t.f.NodeOn(0, name)
+	t.index[n] = len(t.nodes)
+	t.nodes = append(t.nodes, topoNode{Node: n, host: host})
+	return n
+}
+
+// Link connects two declared nodes on the fabric and returns the a→b and
+// b→a devices; their qdiscs are the caller's, as with Connect. A host's
+// link becomes its default route, so a host may have only one.
+func (t *Topo) Link(a, b *Node, cfg LinkConfig) (*Device, *Device) {
+	ia, ib := t.pos(a), t.pos(b)
+	ab, ba := t.f.Connect(a, b, cfg)
+	t.attach(ia, ib, ab, ba)
+	t.attach(ib, ia, ba, ab)
+	return ab, ba
+}
+
+// pos returns n's declaration position, refusing a node this topology did
+// not declare and a host's second link.
+func (t *Topo) pos(n *Node) int {
+	i, ok := t.index[n]
+	switch {
+	case !ok:
+		panic(fmt.Sprintf("netem: node %s is not declared on this topology", n.Name))
+	case t.nodes[i].host && n.uplink != nil:
+		panic(fmt.Sprintf("netem: host %s already has its link", n.Name))
+	}
+	return i
+}
+
+// attach records the node at position i's end of a link toward far.
+func (t *Topo) attach(i, far int, out, back *Device) {
+	if n := &t.nodes[i]; n.host {
+		n.uplink = out
+	} else {
+		n.links = append(n.links, topoLink{far, out, back})
+	}
+}
+
+// Route installs, on every switch, the next hop toward every host: from
+// each switch, a breadth-first search over the switches that expands each
+// one's links in declaration order — so of two equal-length paths the one
+// through the earlier-declared link wins — gives every switch it reaches
+// its next hop toward the hosts linked to the first. A switch's table
+// spans the hosts' IDs and replaces any it had; hosts get none.
+func (t *Topo) Route() {
+	lo, hi := packet.NodeID(math.MaxInt32), packet.NodeID(0)
+	for _, n := range t.nodes {
+		if n.host {
+			lo, hi = min(lo, n.ID), max(hi, n.ID)
+		}
+	}
+	if lo > hi {
+		return
+	}
+	for _, n := range t.nodes {
+		if !n.host {
+			n.routes, n.routeBase = make([]*Device, hi-lo+1), lo
+		}
+	}
+	parent := make([]*Device, len(t.nodes))
+	seen := make([]bool, len(t.nodes))
+	var order []int
+	for root, sw := range t.nodes {
+		if sw.host {
+			continue
+		}
+		clear(seen)
+		seen[root] = true
+		order = append(order[:0], root)
+		for i := 0; i < len(order); i++ {
+			for _, l := range t.nodes[order[i]].links {
+				if !seen[l.far] && !t.nodes[l.far].host {
+					seen[l.far], parent[l.far] = true, l.back
+					order = append(order, l.far)
+				}
+			}
+		}
+		for _, l := range sw.links {
+			if h := t.nodes[l.far]; h.host {
+				sw.routes[h.ID-lo] = l.out
+				for _, v := range order[1:] {
+					t.nodes[v].routes[h.ID-lo] = parent[v]
+				}
+			}
+		}
+	}
+}
 
 // Dumbbell is the canonical single-bottleneck topology used by most of the
 // paper's experiments: N senders on the left, N receivers on the right, two
@@ -36,7 +165,8 @@ type DumbbellConfig struct {
 	BottleneckDelay sim.Time
 	// RTTs lists the target base round-trip time per flow; the builder
 	// derives each sender's access-link delay so the end-to-end base RTT
-	// matches. If a single element is given it applies to every flow.
+	// matches, and refuses one below twice BottleneckDelay. If a single
+	// element is given it applies to every flow.
 	RTTs []sim.Time
 	// AccessBps is the edge link rate (default: 10× bottleneck, so edges
 	// never bottleneck).
@@ -48,15 +178,9 @@ type DumbbellConfig struct {
 	DefaultQdisc func() Qdisc
 }
 
-// RTTForFlow returns the configured base RTT for flow i.
-func (c *DumbbellConfig) RTTForFlow(i int) sim.Time {
-	if len(c.RTTs) == 1 {
-		return c.RTTs[0]
-	}
-	return c.RTTs[i]
-}
-
 // BuildDumbbell constructs the topology on a network and installs routes.
+// It panics, naming the flow, on a base RTT below twice the bottleneck
+// delay: no access link could make one up.
 func BuildDumbbell(w *Network, cfg DumbbellConfig) *Dumbbell {
 	if cfg.FlowCount <= 0 {
 		panic("netem: dumbbell needs at least one flow")
@@ -68,46 +192,31 @@ func BuildDumbbell(w *Network, cfg DumbbellConfig) *Dumbbell {
 	if access == 0 {
 		access = 10 * cfg.BottleneckBps
 	}
-	d := &Dumbbell{Net: w}
-	d.SW1 = w.NewNode("sw1")
-	d.SW2 = w.NewNode("sw2")
-
-	btl, btlRev := w.Connect(d.SW1, d.SW2, LinkConfig{RateBps: cfg.BottleneckBps, Delay: cfg.BottleneckDelay})
-	d.Bottleneck, d.BottleneckRev = btl, btlRev
-	btl.SetQdisc(cfg.BottleneckQdisc(btl))
-	btlRev.SetQdisc(cfg.DefaultQdisc())
+	t := NewTopo(w)
+	d := &Dumbbell{Net: w, SW1: t.Switch("sw1"), SW2: t.Switch("sw2")}
+	d.Bottleneck, d.BottleneckRev = t.Link(d.SW1, d.SW2, LinkConfig{RateBps: cfg.BottleneckBps, Delay: cfg.BottleneckDelay})
+	d.Bottleneck.SetQdisc(cfg.BottleneckQdisc(d.Bottleneck))
+	d.BottleneckRev.SetQdisc(cfg.DefaultQdisc())
 
 	for i := 0; i < cfg.FlowCount; i++ {
-		rtt := cfg.RTTForFlow(i)
 		// Base RTT = 2*(senderAccess + bottleneck + receiverAccess). The
-		// receiver access delay is held tiny; the sender access link makes
+		// receiver access link has no delay; the sender access link makes
 		// up the remainder.
-		recvDelay := sim.Time(0)
-		sendDelay := rtt/2 - cfg.BottleneckDelay - recvDelay
+		rtt := cfg.RTTs[0]
+		if len(cfg.RTTs) > 1 {
+			rtt = cfg.RTTs[i]
+		}
+		sendDelay := rtt/2 - cfg.BottleneckDelay
 		if sendDelay < 0 {
-			sendDelay = 0
+			panic(fmt.Sprintf("netem: dumbbell flow %d: base RTT %d ns is below twice the %d ns bottleneck delay", i, int64(rtt), int64(cfg.BottleneckDelay)))
 		}
-
-		s := w.NewNode(fmt.Sprintf("s%d", i))
-		r := w.NewNode(fmt.Sprintf("r%d", i))
-		sDev, sw1Dev := w.Connect(s, d.SW1, LinkConfig{RateBps: access, Delay: sendDelay})
-		sw2Dev, rDev := w.Connect(d.SW2, r, LinkConfig{RateBps: access, Delay: recvDelay})
-		for _, dev := range []*Device{sDev, sw1Dev, sw2Dev, rDev} {
-			dev.SetQdisc(cfg.DefaultQdisc())
-		}
-
-		// Routing: sender → everything right of SW1 via its access link;
-		// receiver side symmetric for ACKs.
-		s.AddRoute(r.ID, sDev)
-		d.SW1.AddRoute(r.ID, btl)
-		d.SW2.AddRoute(r.ID, sw2Dev)
-		r.AddRoute(s.ID, rDev)
-		d.SW2.AddRoute(s.ID, btlRev)
-		d.SW1.AddRoute(s.ID, sw1Dev)
-
+		s, r := t.Host(fmt.Sprintf("s%d", i)), t.Host(fmt.Sprintf("r%d", i))
+		t.Link(s, d.SW1, LinkConfig{RateBps: access, Delay: sendDelay, QdiscFactory: cfg.DefaultQdisc})
+		t.Link(d.SW2, r, LinkConfig{RateBps: access, QdiscFactory: cfg.DefaultQdisc})
 		d.Senders = append(d.Senders, s)
 		d.Receivers = append(d.Receivers, r)
 	}
+	t.Route()
 	return d
 }
 
@@ -133,7 +242,7 @@ type ParkingLot struct {
 	Bottlenecks []*Device
 }
 
-// ParkingLotConfig parameterises BuildParkingLot.
+// ParkingLotConfig parameterises BuildParkingLotOn.
 type ParkingLotConfig struct {
 	Hops          int // number of inter-switch (bottleneck) links
 	LongFlows     int
@@ -148,20 +257,7 @@ type ParkingLotConfig struct {
 	DefaultQdisc    func() Qdisc
 }
 
-// BuildParkingLot constructs the chain topology on a single network with
-// routes.
-func BuildParkingLot(w *Network, cfg ParkingLotConfig) *ParkingLot {
-	return BuildParkingLotOn(w, cfg)
-}
-
-// BuildParkingLotOn constructs the chain on an arbitrary fabric.
-//
-// Partition plan: the switch chain is split into contiguous blocks (switch
-// h goes to shard h·n/(hops+1)) and every host is colocated with the
-// switch it attaches to, so the only cut links are inter-switch bottleneck
-// links (lookahead = LinkDelay). This is the topology where sharding pays
-// off: with hops+1 switches a fabric can use up to hops+1 shards, each
-// carrying one bottleneck's worth of work.
+// BuildParkingLotOn constructs the chain on a fabric and installs routes.
 func BuildParkingLotOn(f Fabric, cfg ParkingLotConfig) *ParkingLot {
 	if cfg.Hops < 1 || len(cfg.CrossPerHop) != cfg.Hops {
 		panic("netem: parking lot misconfigured")
@@ -170,65 +266,37 @@ func BuildParkingLotOn(f Fabric, cfg ParkingLotConfig) *ParkingLot {
 	if access == 0 {
 		access = 10 * cfg.BottleneckBps
 	}
-	n := f.Shards()
-	shardOf := func(sw int) int { return sw * n / (cfg.Hops + 1) }
-
+	t := NewTopo(f)
 	pl := &ParkingLot{}
 	for i := 0; i <= cfg.Hops; i++ {
-		pl.Switches = append(pl.Switches, f.NodeOn(shardOf(i), fmt.Sprintf("sw%d", i)))
+		pl.Switches = append(pl.Switches, t.Switch(fmt.Sprintf("sw%d", i)))
 	}
 	pl.Net = pl.Switches[0].Network()
-	fwd := make([]*Device, cfg.Hops)
-	rev := make([]*Device, cfg.Hops)
 	for h := 0; h < cfg.Hops; h++ {
-		fd, rd := f.Connect(pl.Switches[h], pl.Switches[h+1], LinkConfig{RateBps: cfg.BottleneckBps, Delay: cfg.LinkDelay})
+		fd, rd := t.Link(pl.Switches[h], pl.Switches[h+1], LinkConfig{RateBps: cfg.BottleneckBps, Delay: cfg.LinkDelay})
 		fd.SetQdisc(cfg.BottleneckQdisc(fd))
 		rd.SetQdisc(cfg.DefaultQdisc())
-		fwd[h], rev[h] = fd, rd
-	}
-	pl.Bottlenecks = fwd
-
-	attachHost := func(name string, sw int) (*Node, *Device, *Device) {
-		h := f.NodeOn(shardOf(sw), name)
-		hd, swd := f.Connect(h, pl.Switches[sw], LinkConfig{RateBps: access, Delay: cfg.AccessDelay})
-		hd.SetQdisc(cfg.DefaultQdisc())
-		swd.SetQdisc(cfg.DefaultQdisc())
-		return h, hd, swd
+		pl.Bottlenecks = append(pl.Bottlenecks, fd)
 	}
 
-	addFlowPath := func(s *Node, sDev *Device, sSw int, r *Node, rDev *Device, rSw int, swToS, swToR *Device) {
-		// forward: s → … → r
-		s.AddRoute(r.ID, sDev)
-		for h := sSw; h < rSw; h++ {
-			pl.Switches[h].AddRoute(r.ID, fwd[h])
-		}
-		pl.Switches[rSw].AddRoute(r.ID, swToR)
-		// reverse: r → … → s
-		r.AddRoute(s.ID, rDev)
-		for h := rSw; h > sSw; h-- {
-			pl.Switches[h].AddRoute(s.ID, rev[h-1])
-		}
-		pl.Switches[sSw].AddRoute(s.ID, swToS)
+	// host declares a host attached to switch sw by an access link.
+	host := func(name string, sw int) *Node {
+		h := t.Host(name)
+		t.Link(h, pl.Switches[sw], LinkConfig{RateBps: access, Delay: cfg.AccessDelay, QdiscFactory: cfg.DefaultQdisc})
+		return h
 	}
-
 	for i := 0; i < cfg.LongFlows; i++ {
-		s, sDev, sw0Dev := attachHost(fmt.Sprintf("L%ds", i), 0)
-		r, rDev, swNDev := attachHost(fmt.Sprintf("L%dr", i), cfg.Hops)
-		addFlowPath(s, sDev, 0, r, rDev, cfg.Hops, sw0Dev, swNDev)
-		pl.LongSenders = append(pl.LongSenders, s)
-		pl.LongReceivers = append(pl.LongReceivers, r)
+		pl.LongSenders = append(pl.LongSenders, host(fmt.Sprintf("L%ds", i), 0))
+		pl.LongReceivers = append(pl.LongReceivers, host(fmt.Sprintf("L%dr", i), cfg.Hops))
 	}
-
 	pl.CrossSenders = make([][]*Node, cfg.Hops)
 	pl.CrossReceivers = make([][]*Node, cfg.Hops)
-	for h := 0; h < cfg.Hops; h++ {
-		for c := 0; c < cfg.CrossPerHop[h]; c++ {
-			s, sDev, swADev := attachHost(fmt.Sprintf("X%d_%ds", h, c), h)
-			r, rDev, swBDev := attachHost(fmt.Sprintf("X%d_%dr", h, c), h+1)
-			addFlowPath(s, sDev, h, r, rDev, h+1, swADev, swBDev)
-			pl.CrossSenders[h] = append(pl.CrossSenders[h], s)
-			pl.CrossReceivers[h] = append(pl.CrossReceivers[h], r)
+	for h, n := range cfg.CrossPerHop {
+		for c := 0; c < n; c++ {
+			pl.CrossSenders[h] = append(pl.CrossSenders[h], host(fmt.Sprintf("X%d_%ds", h, c), h))
+			pl.CrossReceivers[h] = append(pl.CrossReceivers[h], host(fmt.Sprintf("X%d_%dr", h, c), h+1))
 		}
 	}
+	t.Route()
 	return pl
 }

@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"path/filepath"
+	"sort"
+	"strings"
 
 	"cebinae/experiments"
 )
@@ -167,6 +170,39 @@ func Compile(s *Spec) (*Compiled, error) {
 		}.Cells()
 	}
 	return c, nil
+}
+
+// File is one spec file LoadFiles matched, compiled.
+type File struct {
+	Path string
+	*Compiled
+}
+
+// LoadFiles loads and compiles every spec file a comma list of glob
+// patterns (a -scenario flag) matches: pattern by pattern, each pattern's
+// matches in sorted order. A pattern that matches nothing is an error.
+func LoadFiles(patterns string) ([]File, error) {
+	var files []File
+	for _, pat := range strings.Split(patterns, ",") {
+		pat = strings.TrimSpace(pat)
+		matches, err := filepath.Glob(pat)
+		if err != nil || len(matches) == 0 {
+			return nil, fmt.Errorf("-scenario pattern %q matches no files", pat)
+		}
+		sort.Strings(matches)
+		for _, path := range matches {
+			spec, err := Load(path)
+			if err != nil {
+				return nil, err
+			}
+			c, err := Compile(spec)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, File{path, c})
+		}
+	}
+	return files, nil
 }
 
 // SetShards sets the engine count of a chain or backbone scenario, the

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"cebinae/experiments"
 	"cebinae/internal/tcp"
 )
 
@@ -80,6 +81,18 @@ func checkNonNegativeDur(path string, d Dur) error {
 	return nil
 }
 
+// checkRTT refuses a dumbbell flow's base RTT that is not positive or is
+// below experiments.MinRTT, the floor the dumbbell's bottleneck sets.
+func checkRTT(path string, rtt Dur) error {
+	if err := checkPositiveDur(path, rtt); err != nil {
+		return err
+	}
+	if rtt.Time() < experiments.MinRTT {
+		return vErr(path, "below the dumbbell's %v floor (twice its bottleneck delay), got %v", time.Duration(experiments.MinRTT), time.Duration(rtt))
+	}
+	return nil
+}
+
 func checkGroups(path string, groups []GroupSpec) error {
 	if len(groups) == 0 {
 		return vErr(path, "at least one flow group required")
@@ -92,7 +105,7 @@ func checkGroups(path string, groups []GroupSpec) error {
 		if g.Count <= 0 {
 			return vErr(p+".count", "must be positive, got %d", g.Count)
 		}
-		if err := checkPositiveDur(p+".rtt", g.RTT); err != nil {
+		if err := checkRTT(p+".rtt", g.RTT); err != nil {
 			return err
 		}
 		if err := checkNonNegativeDur(p+".start_at", g.StartAt); err != nil {
@@ -365,15 +378,20 @@ func validateTournament(t *TournamentSpec) error {
 	if err := checkPositiveRate("tournament.rate", t.Rate); err != nil {
 		return err
 	}
-	if err := checkPositiveDur("tournament.base_rtt", t.BaseRTT); err != nil {
+	if err := checkRTT("tournament.base_rtt", t.BaseRTT); err != nil {
 		return err
 	}
 	if len(t.RTTRatios) == 0 {
 		return vErr("tournament.rtt_ratios", "at least one ratio required")
 	}
 	for i, r := range t.RTTRatios {
+		p := fmt.Sprintf("tournament.rtt_ratios[%d]", i)
 		if r <= 0 {
-			return vErr(fmt.Sprintf("tournament.rtt_ratios[%d]", i), "must be positive, got %v", r)
+			return vErr(p, "must be positive, got %v", r)
+		}
+		// The cell's RTT truncates the product, so it is under the floor iff the product is.
+		if float64(t.BaseRTT)*r < float64(experiments.MinRTT) {
+			return vErr(p, "base_rtt %v × %v is below the dumbbell's %v floor (twice its bottleneck delay)", time.Duration(t.BaseRTT), r, time.Duration(experiments.MinRTT))
 		}
 	}
 	if err := checkBufList("tournament.buffer_bytes", t.BufferBytes); err != nil {

@@ -1,14 +1,17 @@
 #!/bin/sh
-# The quick report of REV against this tree's, event counts masked: the gate
+# The quick report of REV against this tree's, with every shipped spec file
+# (scenarios/*.json) appended as its section, event counts masked: the gate
 # for a change that is allowed to move how many events a run dispatches and
-# nothing else.
+# nothing else. The spec sections carry the chain, graph, backbone and grid
+# kinds, which the quick report alone does not run.
 #
 #   scripts/report_diff.sh REV        (or: make report-diff REV=…)
 #
 # REV is exported with `git archive` into .bench_build/<sha> (git-ignored;
 # no worktree is registered, so `rm -rf .bench_build` is the whole clean-up),
 # as scripts/ab.sh does. cebinae-bench is built on both sides and runs
-# `-scale quick -p 2` from its own root; every `events=N` and `events: N` in
+# `-scale quick -p 2 -scenario 'scenarios/*.json'` from its own root (≈ 12 s
+# a side on a 2-core host); every `events=N` and `events: N` in
 # the two reports becomes `events=*` / `events: *`, and the masked reports
 # must match byte for byte. On a match it prints nothing and exits 0;
 # otherwise it prints the diff and exits 1.
@@ -30,7 +33,7 @@ go build -o "$build/rd-change" ./cmd/cebinae-bench
 
 # report SIDE DIR BINARY: the masked quick report of one side.
 report() {
-	(cd "$2" && "$3" -scale quick -p 2 >"$build/rd-$1.raw" 2>"$build/rd-$1.log") ||
+	(cd "$2" && "$3" -scale quick -p 2 -scenario 'scenarios/*.json' >"$build/rd-$1.raw" 2>"$build/rd-$1.log") ||
 		{ echo "report_diff: the $1 report failed (stderr in $build/rd-$1.log)" >&2; exit 1; }
 	sed -e 's/events=[0-9][0-9]*/events=*/g' -e 's/events: [0-9][0-9]*/events: */g' "$build/rd-$1.raw" >"$build/rd-$1.txt"
 }
