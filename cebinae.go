@@ -33,7 +33,6 @@ import (
 	"cebinae/internal/app"
 	"cebinae/internal/core"
 	"cebinae/internal/metrics"
-	"cebinae/internal/monitor"
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
 	"cebinae/internal/qdisc"
@@ -216,17 +215,4 @@ func NewCBRSource(eng *Engine, node *Node, key FlowKey, rateBps float64, startAt
 // NewChurn creates and starts a Poisson workload of finite TCP transfers.
 func NewChurn(eng *Engine, src, dst *Node, cfg ChurnConfig) *Churn {
 	return app.NewChurn(eng, src, dst, cfg)
-}
-
-// Observability.
-type (
-	// Monitor samples a device's queue/throughput (and Cebinae state).
-	Monitor = monitor.Monitor
-	// MonitorSample is one observation row.
-	MonitorSample = monitor.Sample
-)
-
-// Watch starts sampling dev every interval.
-func Watch(eng *Engine, dev *Device, interval Time) *Monitor {
-	return monitor.Watch(eng, dev, interval)
 }

@@ -1,8 +1,8 @@
 // Blind UDP blaster vs TCP (extension scenario): a non-congestion-
 // controlled 80 Mbps CBR source shares a 100 Mbps Cebinae-guarded link with
-// eight NewReno flows. A monitor samples the bottleneck twice per second,
-// showing the saturated-phase flag and the ⊤ classification latching onto
-// the blaster. The paper notes blind flows ultimately need admission
+// eight NewReno flows. The run stops twice per second to print the
+// bottleneck's counters, the saturated-phase flag and the ⊤ classification
+// latching onto the blaster. The paper notes blind flows ultimately need admission
 // control; this example shows how far taxation alone goes.
 //
 //	go run ./examples/blind_udp [-seconds 20]
@@ -27,13 +27,14 @@ func main() {
 		buf  = 850 * 1500
 		nTCP = 8
 	)
+	var q *cebinae.Qdisc
 	d := cebinae.BuildDumbbell(net, cebinae.DumbbellConfig{
 		FlowCount:       nTCP + 1,
 		BottleneckBps:   rate,
 		BottleneckDelay: cebinae.Millis(0.1),
 		RTTs:            []cebinae.Time{cebinae.Millis(40)},
 		BottleneckQdisc: func(dev *cebinae.Device) cebinae.Queue {
-			q := cebinae.NewQdisc(eng, rate, buf, cebinae.DefaultParams(rate, buf, cebinae.Millis(40)))
+			q = cebinae.NewQdisc(eng, rate, buf, cebinae.DefaultParams(rate, buf, cebinae.Millis(40)))
 			q.OnDrain = dev.Kick
 			return q
 		},
@@ -58,12 +59,25 @@ func main() {
 		meters[i] = m
 	}
 
-	mon := cebinae.Watch(eng, d.Bottleneck, cebinae.Millis(500))
-	dur := cebinae.Seconds(float64(*seconds))
-	eng.Run(dur)
-
-	fmt.Println("Bottleneck samples (one row per 500 ms; '*' = saturated phase, ⊤ = flows taxed):")
-	fmt.Print(mon.Render())
+	fmt.Println("Bottleneck every 500 ms ('*' = saturated phase, ⊤ = flows taxed):")
+	fmt.Printf("%10s | %10s | %8s | %9s | %4s | %4s\n", "t", "tx[Mbps]", "queue[B]", "drops/s", "sat", "⊤")
+	step, dur := cebinae.Millis(500), cebinae.Seconds(float64(*seconds))
+	var lastTx, lastDrops uint64
+	var saturated, samples, peak int
+	for t := step; t <= dur; t += step {
+		eng.Run(t)
+		st := d.Bottleneck.Stats()
+		sat := " "
+		if q.Saturated() {
+			sat = "*"
+			saturated++
+		}
+		samples++
+		peak = max(peak, q.BytesQueued())
+		fmt.Printf("%10v | %10.2f | %8d | %9.1f | %4s | %4d\n", t, float64(st.TxBytes-lastTx)*8/step.Seconds()/1e6,
+			q.BytesQueued(), float64(st.DropPackets-lastDrops)/step.Seconds(), sat, len(q.TopFlows()))
+		lastTx, lastDrops = st.TxBytes, st.DropPackets
+	}
 
 	rates := make([]float64, nTCP)
 	var tcpSum float64
@@ -74,5 +88,5 @@ func main() {
 	fmt.Printf("\nblaster sent %d packets; TCP aggregate %.2f Mbps, TCP JFI %.3f\n",
 		blaster.Sent, tcpSum/1e6, cebinae.JFI(rates))
 	fmt.Printf("mean utilisation %.1f%%, saturated %.1f%% of samples, peak queue %d B\n",
-		100*mon.MeanUtilisation(), 100*mon.SaturatedFraction(), mon.PeakQueueBytes())
+		100*float64(lastTx)*8/dur.Seconds()/rate, 100*float64(saturated)/float64(samples), peak)
 }

@@ -33,37 +33,37 @@ type BackboneConfig struct {
 	Name string
 	// Flows is the standing population target (flows in progress at t=0).
 	Flows int
-	// CoreBps / CoreDelay describe the bottleneck core link; AccessBps
-	// the edge links feeding it.
+	// CoreBps is the bottleneck core link's rate; AccessBps the edge
+	// links feeding it.
 	CoreBps   float64
-	CoreDelay SimTime
 	AccessBps float64
-	// BufferBytes sizes the core egress buffer.
-	BufferBytes int
-	Duration    SimTime
+	Duration  SimTime
 	// Qdisc selects the core discipline: Cebinae or FIFO.
 	Qdisc QdiscKind
-	// ClosedLoop enables the replay congestion loop (drops and CE marks
-	// slow senders down — required for Cebinae's tax to bite).
-	ClosedLoop bool
-	// RTTSpread scatters per-flow pacing cadence by a deterministic
-	// hash of each flow record (see replay.Config.RTTSpread), modelling
-	// the RTT diversity of a real backbone population.
-	RTTSpread float64
 	// Trace is the flow schedule generator configuration.
 	Trace trace.Config
-	// Sketch / cache geometry for the cardinality stress instrumentation.
-	SketchRows  int
-	SketchCols  int
-	CacheStages int
-	CacheSlots  int
-	// TopK is the heavy-hitter set size scored for recall.
-	TopK int
 	// Shards partitions the run (≤ 1 = one engine); the min-cut planner
 	// places the four-node chain, cutting the core link first and the
 	// access links beyond two shards.
 	Shards int
 }
+
+// Every backbone run shares one core and one instrument geometry: a 2 ms
+// core link with an 8 MiB egress buffer; closed-loop senders (drops and CE
+// marks slow them down — required for Cebinae's tax to bite) whose pacing
+// cadence a hash of each flow record scatters by ±20 % (see
+// replay.Config.RTTSpread), modelling the RTT diversity of a real backbone
+// population; and, for the cardinality stress, a 4 × 65536 count-min
+// sketch and a 2-stage × 2048-slot flow cache, both scored on the true
+// top 64 flows.
+const (
+	backboneCoreDelay       = SimTime(2e6)
+	backboneBufferBytes     = 8 << 20
+	backboneRTTSpread       = 0.2
+	sketchRows, sketchCols  = 4, 1 << 16
+	cacheStages, cacheSlots = 2, 2048
+	topK                    = 64
+)
 
 // BackboneTier returns the canonical configuration for a standing
 // population of `flows` (1e5 and 1e6 are the named tiers). The trace's
@@ -84,22 +84,13 @@ func BackboneTier(flows int, scale Scale) BackboneConfig {
 	tc.LinkBps = 0 // no offline thinning: the replay loop paces live
 	tc.Seed = 1
 	return BackboneConfig{
-		Name:        fmt.Sprintf("backbone-%dk", flows/1000),
-		Flows:       flows,
-		CoreBps:     10e9,
-		CoreDelay:   Millis(2),
-		AccessBps:   40e9,
-		BufferBytes: 8 << 20,
-		Duration:    dur,
-		Qdisc:       Cebinae,
-		ClosedLoop:  true,
-		RTTSpread:   0.2,
-		Trace:       tc,
-		SketchRows:  4,
-		SketchCols:  1 << 16,
-		CacheStages: 2,
-		CacheSlots:  2048,
-		TopK:        64,
+		Name:      fmt.Sprintf("backbone-%dk", flows/1000),
+		Flows:     flows,
+		CoreBps:   10e9,
+		AccessBps: 40e9,
+		Duration:  dur,
+		Qdisc:     Cebinae,
+		Trace:     tc,
 	}
 }
 
@@ -208,7 +199,7 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 		src, sw1, sw2 := t.Host("src"), t.Switch("sw1"), t.Switch("sw2")
 		dst = t.Host("dst")
 		t.Link(src, sw1, access)
-		core, _ = t.Link(sw1, sw2, netem.LinkConfig{RateBps: cfg.CoreBps, Delay: cfg.CoreDelay, QdiscFactory: edge})
+		core, _ = t.Link(sw1, sw2, netem.LinkConfig{RateBps: cfg.CoreBps, Delay: backboneCoreDelay, QdiscFactory: edge})
 		t.Link(sw2, dst, access)
 		t.Route()
 		return src, dst, core
@@ -217,13 +208,13 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	src, dst, coreFwd := build(cl)
 
 	// The core egress discipline under test, on the engine that owns it.
-	rtt := 2 * (cfg.CoreDelay + 2*sim.Duration(200e3))
-	coreQ, cq := newPortQdisc(cfg.Qdisc, coreFwd, cfg.CoreBps, cfg.BufferBytes, rtt, nil)
+	rtt := 2 * (backboneCoreDelay + 2*sim.Duration(200e3))
+	coreQ, cq := newPortQdisc(cfg.Qdisc, coreFwd, cfg.CoreBps, backboneBufferBytes, rtt, nil)
 	coreFwd.SetQdisc(coreQ)
 
 	obs := &backboneObserver{
-		sketch: cmsketch.New(cfg.SketchRows, cfg.SketchCols),
-		cache:  hhcache.New(cfg.CacheStages, cfg.CacheSlots),
+		sketch: cmsketch.New(sketchRows, sketchCols),
+		cache:  hhcache.New(cacheStages, cacheSlots),
 		truth:  make(map[packet.FlowKey]int64, cfg.Flows),
 	}
 	coreFwd.OnTransmit = obs.observe
@@ -241,11 +232,11 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	source := replay.NewSource(src, schedule, replay.Config{
 		To:          dst.ID,
 		PacketBytes: cfg.Trace.MeanPacketBytes,
-		ClosedLoop:  cfg.ClosedLoop,
-		ECN:         cfg.ClosedLoop,
-		RTTSpread:   cfg.RTTSpread,
+		ClosedLoop:  true,
+		ECN:         true,
+		RTTSpread:   backboneRTTSpread,
 	})
-	sink := replay.NewSink(dst, replay.SinkConfig{ClosedLoop: cfg.ClosedLoop})
+	sink := replay.NewSink(dst, replay.SinkConfig{ClosedLoop: true})
 
 	cl.Run(cfg.Duration)
 
@@ -296,10 +287,7 @@ func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backboneP
 		return truth[i].Flow.Hash(0) < truth[j].Flow.Hash(0)
 	})
 
-	k := cfg.TopK
-	if k > len(truth) {
-		k = len(truth)
-	}
+	k := min(topK, len(truth))
 
 	// Cache recall: how many of the true top-K the polled cache ever
 	// reported across the control-plane rounds.
@@ -368,18 +356,16 @@ func (r BackboneResult) Render() string {
 		r.FlowsSeen, r.Started, r.Finished, r.PeakActive)
 	fmt.Fprintf(&sb, "  core: %d pkts tx, %.1f MB, %d drops, utilization %.1f%%\n",
 		r.CoreTxPackets, float64(r.CoreTxBytes)/1e6, r.CoreDropPkts, r.UtilizationPct)
-	if r.Config.ClosedLoop {
-		fmt.Fprintf(&sb, "  loop: %d delivered, %.1f MB lost, %d CE, %d feedbacks, %d rate cuts\n",
-			r.SinkPackets, float64(r.LostBytes)/1e6, r.CEMarks, r.Feedbacks, r.RateCuts)
-	}
+	fmt.Fprintf(&sb, "  loop: %d delivered, %.1f MB lost, %d CE, %d feedbacks, %d rate cuts\n",
+		r.SinkPackets, float64(r.LostBytes)/1e6, r.CEMarks, r.Feedbacks, r.RateCuts)
 	if r.Config.Qdisc == Cebinae {
 		fmt.Fprintf(&sb, "  cebinae: %d rotations, %d recomputes, %d delayed, %d ECN, LBF drops %d\n",
 			r.CebStats.Rotations, r.CebStats.Recomputes, r.CebStats.Delayed, r.CebStats.ECNMarked, r.CebStats.LBFDrops)
 	}
 	fmt.Fprintf(&sb, "  hhcache %dx%d: top-%d recall %.3f, peak %d slots occupied\n",
-		r.Config.CacheStages, r.Config.CacheSlots, r.Config.TopK, r.CacheRecallTopK, r.CacheOccupied)
+		cacheStages, cacheSlots, topK, r.CacheRecallTopK, r.CacheOccupied)
 	fmt.Fprintf(&sb, "  cmsketch %dx%d: +%.2f%% mean overestimate on top-%d, %d underestimates\n",
-		r.Config.SketchRows, r.Config.SketchCols, r.SketchOverestimatePct, r.Config.TopK, r.SketchUnderestimates)
+		sketchRows, sketchCols, r.SketchOverestimatePct, topK, r.SketchUnderestimates)
 	fmt.Fprintf(&sb, "  maxmin: %d flows, fair share %s, sum %s, %d demand-limited\n",
 		r.MaxMinFlows, bpsLabel(r.MaxMinFairShareBps), bpsLabel(r.MaxMinSumBps), r.MaxMinSaturatedDemands)
 	fmt.Fprintf(&sb, "  events: %d\n", r.Events)

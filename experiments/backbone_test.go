@@ -60,10 +60,10 @@ func TestBackboneSmoke(t *testing.T) {
 		t.Errorf("implausible core utilization %.2f%%", res.UtilizationPct)
 	}
 	if res.SketchUnderestimates != 0 {
-		t.Errorf("count-min undercounted %d of the top-%d flows", res.SketchUnderestimates, cfg.TopK)
+		t.Errorf("count-min undercounted %d of the top-%d flows", res.SketchUnderestimates, topK)
 	}
 	if res.CacheRecallTopK < 0.5 {
-		t.Errorf("polled cache recalled only %.3f of the true top-%d", res.CacheRecallTopK, cfg.TopK)
+		t.Errorf("polled cache recalled only %.3f of the true top-%d", res.CacheRecallTopK, topK)
 	}
 	if res.MaxMinFlows != res.FlowsSeen {
 		t.Errorf("max-min allocated %d flows, observer saw %d", res.MaxMinFlows, res.FlowsSeen)

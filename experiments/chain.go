@@ -5,17 +5,15 @@ import (
 	"strings"
 
 	"cebinae/internal/maxmin"
-	"cebinae/internal/metrics"
-	"cebinae/internal/netem"
-	"cebinae/internal/qdisc"
 )
 
 // ChainConfig parameterises the multi-bottleneck chain scenario (the
 // Fig.-11 parking lot, generalised): long flows traverse every hop of a
 // switch chain while per-hop cross traffic contends at each inter-switch
-// link. It is the builder behind Fig. 11 (CanonicalChain) and the "chain"
+// link. It is the config behind Fig. 11 (CanonicalChain) and the "chain"
 // scenario-file kind, so a spec file and the hand-built Go scenario lower
-// to the identical construction.
+// to the identical construction — a GraphConfig (see graph) the graph
+// runner runs.
 type ChainConfig struct {
 	Name        string
 	Hops        int
@@ -34,7 +32,9 @@ type ChainConfig struct {
 	// Qdisc is the discipline at every inter-switch (forward) port.
 	Qdisc QdiscKind
 	// CebinaeRTT seeds DefaultParams for Cebinae bottlenecks (the max
-	// base RTT the mechanism should assume).
+	// base RTT the mechanism should assume). The forward ports are graph
+	// ports (PortQdisc), so zero selects their 40 ms, as a zero
+	// BufferBytes selects their 64 MiB.
 	CebinaeRTT SimTime
 	Duration   SimTime
 	Seed       uint64
@@ -87,20 +87,12 @@ func ChainIdeal(cfg ChainConfig) []float64 {
 	return rates
 }
 
-// ChainFlowResult is one chain flow's measured outcome.
-type ChainFlowResult struct {
-	Index int
-	// Label names the flow in paper order: long flows first, then each
-	// hop's cross flows.
-	Label      string
-	CC         string
-	GoodputBps float64
-}
-
 // ChainResult aggregates a chain run.
 type ChainResult struct {
-	Name   string
-	Flows  []ChainFlowResult
+	Name string
+	// Flows are in paper order: long flows first, then each hop's cross
+	// flows, each labelled accordingly.
+	Flows  []FlowResult
 	JFI    float64
 	Events uint64
 }
@@ -126,51 +118,46 @@ func (r ChainResult) Report() string {
 	return b.String()
 }
 
-// RunChain builds and runs the chain for one configuration, returning
-// per-flow goodputs in paper order plus the total dispatched event count;
-// both are byte-identical at any shard count.
-func RunChain(cfg ChainConfig) ChainResult {
-	btlQdisc := func(dev *netem.Device) netem.Qdisc {
-		q, _ := newPortQdisc(cfg.Qdisc, dev, cfg.BottleneckBps, cfg.BufferBytes, cfg.CebinaeRTT, nil)
-		return q
-	}
-	build := func(f netem.Fabric) *netem.ParkingLot {
-		return netem.BuildParkingLotOn(f, netem.ParkingLotConfig{
-			Hops:            cfg.Hops,
-			LongFlows:       cfg.LongFlows,
-			CrossPerHop:     cfg.CrossPerHop,
-			BottleneckBps:   cfg.BottleneckBps,
-			LinkDelay:       cfg.LinkDelay,
-			AccessDelay:     cfg.AccessDelay,
-			BottleneckQdisc: btlQdisc,
-			DefaultQdisc:    func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
-		})
-	}
-	cl := newCluster(cfg.Shards, func(f netem.Fabric) { build(f) })
-	pl := build(cl)
-
-	var ends []flowEnd
-	var labels []string
-	for i := 0; i < cfg.LongFlows; i++ {
-		ends = append(ends, flowEnd{s: pl.LongSenders[i], r: pl.LongReceivers[i], cc: cfg.LongCC})
-		labels = append(labels, fmt.Sprintf("long%d", i))
+// graph lowers the chain to the switch graph the graph runner runs, in
+// netem.BuildParkingLotOn's declaration order: switches sw0…swH, the hops
+// ℓ1…ℓH, then one single-host group per host — each long flow's sender
+// (at sw0) and receiver (at swH), then each hop's cross pairs — so node IDs,
+// and every flow key and Cebinae cache hash they fix, are the parking
+// lot's. Sender groups are named by the flow's paper label.
+func (cfg ChainConfig) graph() GraphConfig {
+	g := GraphConfig{Name: cfg.Name, Duration: cfg.Duration, Seed: cfg.Seed}
+	for i := 0; i <= cfg.Hops; i++ {
+		g.Switches = append(g.Switches, GraphSwitch{Name: fmt.Sprintf("sw%d", i)})
 	}
 	for h := 0; h < cfg.Hops; h++ {
-		for c := range pl.CrossSenders[h] {
-			ends = append(ends, flowEnd{s: pl.CrossSenders[h][c], r: pl.CrossReceivers[h][c], cc: cfg.CrossCCs[h]})
-			labels = append(labels, fmt.Sprintf("x%d.%d", h+1, c))
-		}
-	}
-	fs := attachFlows(ends, cfg.Seed, Seconds(1))
-	cl.Run(cfg.Duration)
-
-	res := ChainResult{Name: cfg.Name, Events: cl.Processed()}
-	rates := fs.rates(cfg.Duration/5, cfg.Duration)
-	for i, e := range ends {
-		res.Flows = append(res.Flows, ChainFlowResult{
-			Index: i, Label: labels[i], CC: e.cc, GoodputBps: rates[i] * 8,
+		g.Links = append(g.Links, GraphLink{
+			A: g.Switches[h].Name, B: g.Switches[h+1].Name, RateBps: cfg.BottleneckBps, Delay: cfg.LinkDelay,
+			QdiscAB: PortQdisc{Kind: cfg.Qdisc, BufferBytes: cfg.BufferBytes, CebinaeRTT: cfg.CebinaeRTT},
 		})
 	}
-	res.JFI = metrics.JFI(rates)
-	return res
+	// flow declares a sender at hop from and its receiver at hop to.
+	flow := func(label, cc string, from, to int) {
+		host := func(name string, sw int) GraphHostGroup {
+			return GraphHostGroup{Name: name, Count: 1, Attach: g.Switches[sw].Name, RateBps: 10 * cfg.BottleneckBps, Delay: cfg.AccessDelay}
+		}
+		g.Hosts = append(g.Hosts, host(label, from), host(label+"r", to))
+		g.Flows = append(g.Flows, GraphFlowGroup{From: label, To: label + "r", CC: cc})
+	}
+	for i := 0; i < cfg.LongFlows; i++ {
+		flow(fmt.Sprintf("long%d", i), cfg.LongCC, 0, cfg.Hops)
+	}
+	for h, n := range cfg.CrossPerHop {
+		for c := 0; c < n; c++ {
+			flow(fmt.Sprintf("x%d.%d", h+1, c), cfg.CrossCCs[h], h, h+1)
+		}
+	}
+	return g
+}
+
+// RunChain runs the chain as the switch graph it declares on cfg.Shards
+// engines, returning per-flow goodputs in paper order plus the total
+// dispatched event count; both are byte-identical at any shard count.
+func RunChain(cfg ChainConfig) ChainResult {
+	r := runGraph(cfg.graph(), cfg.Shards)
+	return ChainResult{Name: cfg.Name, Flows: r.Flows, JFI: r.JFI, Events: r.Events}
 }

@@ -19,7 +19,7 @@ type flowEnd struct {
 }
 
 // flowSet is the attached flows of one run, in index order — the one
-// harness under Run, RunChain and RunGraph.
+// harness under Run and the graph runner (and so RunChain).
 type flowSet struct {
 	ends   []flowEnd
 	keys   []packet.FlowKey

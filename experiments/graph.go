@@ -7,16 +7,15 @@ import (
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/qdisc"
-	"cebinae/internal/sim"
 )
 
 // The graph scenario family builds arbitrary switch/host topologies from
 // data: named switches, explicit links with a qdisc per port, host groups
 // attached by access links, and flow groups between them. It is the
-// lowering target of the "graph" scenario-file kind, which is how
-// workloads like the community NS-3 reproduction's multi-hop Cebinae
-// topology (10 Gbps core, 40 senders in three groups) run without a
-// recompile. The config is declared on a netem.Topo in its own order, so
+// lowering target of the chain (ChainConfig.graph) and of the "graph"
+// scenario-file kind, which is how workloads like the community NS-3
+// reproduction's multi-hop Cebinae topology (10 Gbps core, 40 senders in
+// three groups) run without a recompile. The config is declared on a netem.Topo in its own order, so
 // node IDs — and everything derived from them — and the BFS routes are a
 // pure function of the config.
 
@@ -80,17 +79,6 @@ type GraphConfig struct {
 	Seed           uint64
 }
 
-// GraphFlowResult is one flow's measured outcome.
-type GraphFlowResult struct {
-	Index int
-	// Group labels the flow "from→to"; Host is the sender's index within
-	// the From group.
-	Group      string
-	Host       int
-	CC         string
-	GoodputBps float64
-}
-
 // GraphGroupResult aggregates one flow group.
 type GraphGroupResult struct {
 	Group      string
@@ -102,21 +90,27 @@ type GraphGroupResult struct {
 // GraphResult aggregates a graph run.
 type GraphResult struct {
 	Name   string
-	Flows  []GraphFlowResult
+	Flows  []FlowResult
 	Groups []GraphGroupResult
 	JFI    float64 // across every flow
 	Events uint64
 }
 
-// Report renders the graph run in canonical byte-stable form.
+// Report renders the graph run in canonical byte-stable form. Each flow
+// row names its group and its sender's index within the group, read off
+// Groups (the flows are in group order).
 func (r GraphResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "graph %s: %d flows, events=%d, JFI=%.9f\n", r.Name, len(r.Flows), r.Events, r.JFI)
 	for _, g := range r.Groups {
 		fmt.Fprintf(&b, "group %-16s %3d flows %14.6f bps JFI=%.9f\n", g.Group, g.Flows, g.GoodputBps, g.JFI)
 	}
-	for _, f := range r.Flows {
-		fmt.Fprintf(&b, "%4d %-16s #%-3d %-8s %14.6f\n", f.Index, f.Group, f.Host, f.CC, f.GoodputBps)
+	flows := r.Flows
+	for _, g := range r.Groups {
+		for host, f := range flows[:g.Flows] {
+			fmt.Fprintf(&b, "%4d %-16s #%-3d %-8s %14.6f\n", f.Index, g.Group, host, f.CC, f.GoodputBps)
+		}
+		flows = flows[g.Flows:]
 	}
 	return b.String()
 }
@@ -136,18 +130,12 @@ func buildPortQdisc(cfg PortQdisc, rate float64, dev *netem.Device) netem.Qdisc 
 	return q
 }
 
-// RunGraph builds and runs one graph scenario on one engine.
-func RunGraph(cfg GraphConfig) GraphResult {
-	if cfg.WarmupFraction == 0 {
-		cfg.WarmupFraction = 0.2
-	}
-	if cfg.MinRTO == 0 {
-		cfg.MinRTO = Seconds(1)
-	}
-	// Declaration order is construction order: switches, then links, then
-	// host groups.
-	eng := sim.NewEngine()
-	t := netem.NewTopo(netem.NewNetwork(eng))
+// build declares cfg's topology on f in declaration order — switches,
+// then links, then host groups, the order node IDs follow — routes it, and
+// returns each host group's hosts. It changes nothing outside f, so
+// newCluster may call it twice.
+func (cfg *GraphConfig) build(f netem.Fabric) map[string][]*netem.Node {
+	t := netem.NewTopo(f)
 	switches := make(map[string]*netem.Node, len(cfg.Switches))
 	for _, sw := range cfg.Switches {
 		switches[sw.Name] = t.Switch(sw.Name)
@@ -168,6 +156,24 @@ func RunGraph(cfg GraphConfig) GraphResult {
 		}
 	}
 	t.Route()
+	return hosts
+}
+
+// RunGraph builds and runs one graph scenario on one engine.
+func RunGraph(cfg GraphConfig) GraphResult { return runGraph(cfg, 1) }
+
+// runGraph builds and runs one graph scenario on max(shards, 1) engines
+// (see newCluster); its result is byte-identical at any shard count. Each
+// flow is labelled by its sender group.
+func runGraph(cfg GraphConfig, shards int) GraphResult {
+	if cfg.WarmupFraction == 0 {
+		cfg.WarmupFraction = 0.2
+	}
+	if cfg.MinRTO == 0 {
+		cfg.MinRTO = Seconds(1)
+	}
+	cl := newCluster(shards, func(f netem.Fabric) { cfg.build(f) })
+	hosts := cfg.build(cl)
 
 	var ends []flowEnd
 	for _, fg := range cfg.Flows {
@@ -177,31 +183,21 @@ func RunGraph(cfg GraphConfig) GraphResult {
 		}
 	}
 	fs := attachFlows(ends, cfg.Seed, cfg.MinRTO)
+	cl.Run(cfg.Duration)
 
-	eng.RunUntil(cfg.Duration)
-
-	res := GraphResult{Name: cfg.Name, Events: eng.Processed}
-	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (« 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
-	warmup := sim.Time(float64(cfg.Duration) * cfg.WarmupFraction)
-	rates := fs.rates(warmup, cfg.Duration)
-	res.JFI = metrics.JFI(rates)
-
+	rates := fs.rates(warmupEdge(cfg.Duration, cfg.WarmupFraction), cfg.Duration)
+	res := GraphResult{Name: cfg.Name, JFI: metrics.JFI(rates), Events: cl.Processed()}
 	// Per-flow rows and per-group aggregates, in flow-group declaration
 	// order — the order the flows were attached in.
-	idx := 0
 	for _, fg := range cfg.Flows {
 		n := len(hosts[fg.From])
-		g := GraphGroupResult{Group: fg.From + "->" + fg.To, Flows: n}
-		groupRates := rates[idx : idx+n]
-		for host, r := range groupRates {
-			res.Flows = append(res.Flows, GraphFlowResult{
-				Index: idx + host, Group: g.Group, Host: host, CC: fg.CC, GoodputBps: r * 8,
-			})
+		g := GraphGroupResult{Group: fg.From + "->" + fg.To, Flows: n, JFI: metrics.JFI(rates[:n])}
+		for _, r := range rates[:n] {
+			res.Flows = append(res.Flows, FlowResult{Index: len(res.Flows), Label: fg.From, CC: fg.CC, GoodputBps: r * 8})
 			g.GoodputBps += r * 8
 		}
-		g.JFI = metrics.JFI(groupRates)
 		res.Groups = append(res.Groups, g)
-		idx += n
+		rates = rates[n:]
 	}
 	return res
 }

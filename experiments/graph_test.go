@@ -42,7 +42,7 @@ func TestGraphRuns(t *testing.T) {
 	}
 	for _, f := range r.Flows {
 		if f.GoodputBps <= 0 {
-			t.Fatalf("flow %d (%s #%d) made no progress", f.Index, f.Group, f.Host)
+			t.Fatalf("flow %d (%s) made no progress", f.Index, f.Label)
 		}
 	}
 	if r.JFI <= 0 || r.JFI > 1 {

@@ -143,9 +143,13 @@ func newCluster(n int, build func(netem.Fabric)) *shard.Cluster {
 	return shard.NewClusterWithPlan(shard.AutoPlan(n, build))
 }
 
-// FlowResult is one flow's measured outcome.
+// FlowResult is one flow's measured outcome — the one per-flow record of
+// the dumbbell, chain and graph runners.
 type FlowResult struct {
-	Index      int
+	Index int
+	// Label names a multi-hop flow by its sender group: the chain's paper
+	// label ("long0", "x1.0", …) or a graph flow group's From.
+	Label      string `json:",omitempty"`
 	CC         string
 	RTT        sim.Time
 	GoodputBps float64
@@ -278,8 +282,7 @@ func Run(s Scenario) Result {
 		ends[i] = flowEnd{d.Senders[i], d.Receivers[i], f.CC, f.StartAt}
 	}
 	fs := attachFlows(ends, s.Seed, s.MinRTO)
-	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (minutes at most, « 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
-	warmup := sim.Time(float64(s.Duration) * s.WarmupFraction)
+	warmup := warmupEdge(s.Duration, s.WarmupFraction)
 
 	ffc, ffForcedOff := setupFastForward(s, d, cq, fs, warmup)
 
@@ -340,6 +343,12 @@ func Run(s Scenario) Result {
 		}
 	}
 	return res
+}
+
+// warmupEdge is the end of a run's warmup: frac of its duration.
+func warmupEdge(duration sim.Time, frac float64) sim.Time {
+	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (minutes at most, « 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
+	return sim.Time(float64(duration) * frac)
 }
 
 // stateSampler records the bottleneck qdisc's phase ('S'/'u') once per

@@ -31,7 +31,6 @@ var simulationPackages = []string{
 	"cebinae/internal/hhcache",
 	"cebinae/internal/trace",
 	"cebinae/internal/replay",
-	"cebinae/internal/monitor",
 	"cebinae/internal/metrics",
 	"cebinae/internal/scenario",
 }

@@ -304,7 +304,6 @@ func (q *Qdisc) recompute() *pendingConfig {
 
 	utilisation := float64(txDelta) / (capBytes * interval)
 	cfg := &pendingConfig{topSet: make(map[packet.FlowKey]bool)}
-	debugRecompute(utilisation, len(entries), !(utilisation < 1-q.params.DeltaPort || len(entries) == 0))
 	if utilisation < 1-q.params.DeltaPort || len(entries) == 0 {
 		// Unsaturated: no flow is bottlenecked here; the single aggregate
 		// group passes at full capacity.

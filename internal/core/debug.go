@@ -1,14 +1,5 @@
 package core
 
-// DebugHook, when set by tests, observes each recomputation.
-var DebugHook func(util float64, entries int, saturated bool)
-
-func debugRecompute(util float64, entries int, sat bool) {
-	if DebugHook != nil {
-		DebugHook(util, entries, sat)
-	}
-}
-
 // DebugDropHook, when set by tests, observes each drop: kind is "buffer" or
 // "lbf"; srcPort identifies the flow in the test rigs.
 var DebugDropHook func(kind string, srcPort uint16)

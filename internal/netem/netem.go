@@ -431,9 +431,9 @@ func (n *Node) RegisterDefault(ep Endpoint) {
 // (endpoint delivery or drop).
 func (n *Node) AllocPacket() *packet.Packet { return n.net.pool.Get() }
 
-// nextHop returns the device toward dst: the table's entry, or else a
-// host's uplink; nil when there is neither.
-func (n *Node) nextHop(dst packet.NodeID) *Device {
+// NextHop returns the device Inject sends a packet for dst out of: the
+// table's entry, or else a host's uplink; nil when there is neither.
+func (n *Node) NextHop(dst packet.NodeID) *Device {
 	if i := int(dst) - int(n.routeBase); i >= 0 && i < len(n.routes) && n.routes[i] != nil {
 		return n.routes[i]
 	}
@@ -442,7 +442,7 @@ func (n *Node) nextHop(dst packet.NodeID) *Device {
 
 // Inject routes a locally generated packet out of the proper device.
 func (n *Node) Inject(p *packet.Packet) {
-	dev := n.nextHop(p.Flow.Dst)
+	dev := n.NextHop(p.Flow.Dst)
 	if dev == nil {
 		n.Unroutable++
 		n.net.pool.Put(p)

@@ -48,6 +48,11 @@ const (
 // schedule-rate-unlimited flows (gap 0) a real gap to double from.
 const minCutGap = sim.Time(1000) // 1 µs
 
+// maxBackoff bounds the closed-loop slowdown: the pacing gap never exceeds
+// the schedule gap shifted left by maxBackoff, i.e. at most 64× slower
+// than scheduled.
+const maxBackoff = 6
+
 // Config parameterises a Source.
 type Config struct {
 	// To is the destination node ID every flow is rewritten towards. The
@@ -60,16 +65,12 @@ type Config struct {
 	// packet.HeaderBytes.
 	PacketBytes int
 	// ClosedLoop enables rate reaction to Sink feedback: each feedback
-	// packet doubles the flow's pacing gap (bounded by MaxBackoff), and
+	// packet doubles the flow's pacing gap (bounded by maxBackoff), and
 	// every subsequent send decays the gap back toward the schedule rate.
 	ClosedLoop bool
 	// ECN marks emitted packets ECT so an ECN-enabled qdisc can CE-mark
 	// instead of dropping.
 	ECN bool
-	// MaxBackoff bounds the closed-loop slowdown: the pacing gap never
-	// exceeds the schedule gap shifted left by MaxBackoff (default 6,
-	// i.e. at most 64× slower than scheduled).
-	MaxBackoff uint
 	// RTTSpread models per-flow RTT diversity in the pacing cadence:
 	// each flow's schedule gap is scaled by a deterministic factor in
 	// [1−RTTSpread, 1+RTTSpread] hashed from its own flow record, so a
@@ -150,12 +151,6 @@ func NewSource(node *netem.Node, schedule []trace.FlowSpec, cfg Config) *Source 
 	}
 	if cfg.PacketBytes <= packet.HeaderBytes {
 		panic(fmt.Sprintf("replay: PacketBytes %d must exceed the %d-byte header", cfg.PacketBytes, packet.HeaderBytes))
-	}
-	if cfg.MaxBackoff == 0 {
-		cfg.MaxBackoff = 6
-	}
-	if cfg.MaxBackoff > 20 {
-		cfg.MaxBackoff = 20
 	}
 	if cfg.To == 0 {
 		panic("replay: Config.To must name the destination node")
@@ -243,8 +238,8 @@ func (s *Source) start(spec *trace.FlowSpec) {
 		fs.baseGap = fs.baseGap * sim.Time(ppm) / 1_000_000
 	}
 	fs.gap = fs.baseGap
-	fs.maxGap = fs.baseGap << s.cfg.MaxBackoff
-	if floor := minCutGap << s.cfg.MaxBackoff; fs.maxGap < floor {
+	fs.maxGap = fs.baseGap << maxBackoff
+	if floor := minCutGap << maxBackoff; fs.maxGap < floor {
 		fs.maxGap = floor
 	}
 	s.Stats.Started++

@@ -13,11 +13,11 @@ type SinkConfig struct {
 	// marks — the lean mode for open-loop million-flow runs, which keeps
 	// the sink O(1) in flow count.
 	ClosedLoop bool
-	// FeedbackMinGap rate-limits feedback to one packet per flow per gap
-	// (default 1 ms) so a burst of drops costs one reverse-path packet,
-	// not one per loss.
-	FeedbackMinGap sim.Time
 }
+
+// feedbackMinGap rate-limits feedback to one packet per flow per gap so a
+// burst of drops costs one reverse-path packet, not one per loss.
+const feedbackMinGap = sim.Time(1e6) // 1 ms
 
 // SinkStats aggregates receiver-side counters.
 type SinkStats struct {
@@ -54,9 +54,6 @@ type Sink struct {
 
 // NewSink attaches a replay receiver to node as its default endpoint.
 func NewSink(node *netem.Node, cfg SinkConfig) *Sink {
-	if cfg.FeedbackMinGap == 0 {
-		cfg.FeedbackMinGap = sim.Time(1e6) // 1 ms
-	}
 	k := &Sink{node: node, eng: node.Engine(), cfg: cfg}
 	if cfg.ClosedLoop {
 		k.flows = make(map[packet.FlowKey]sinkFlow)
@@ -93,7 +90,7 @@ func (k *Sink) Deliver(p *packet.Packet) {
 	}
 	if congested {
 		now := k.eng.Local()
-		if sf.lastFeedback == 0 || now-sf.lastFeedback >= k.cfg.FeedbackMinGap {
+		if sf.lastFeedback == 0 || now-sf.lastFeedback >= feedbackMinGap {
 			sf.lastFeedback = now
 			k.feedback(p)
 		}

@@ -75,8 +75,10 @@ type ChainSpec struct {
 	LinkDelay   Dur      `json:"link_delay"`
 	AccessDelay Dur      `json:"access_delay"`
 	Qdisc       string   `json:"qdisc"`
-	CebinaeRTT  Dur      `json:"cebinae_rtt,omitempty"`
-	Duration    Dur      `json:"duration"`
+	// CebinaeRTT seeds Cebinae's parameters at every hop; omitted, it is
+	// 40 ms, the graph ports' default (the chain runs as a graph).
+	CebinaeRTT Dur `json:"cebinae_rtt,omitempty"`
+	Duration   Dur `json:"duration"`
 }
 
 // BackboneSpec is the trace-replay backbone tier

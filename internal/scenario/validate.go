@@ -272,25 +272,34 @@ func validateGraph(g *GraphSpec) error {
 	if len(g.Switches) == 0 {
 		return vErr("graph.switches", "at least one switch required")
 	}
-	switches := map[string]bool{}
+	// switches maps each switch to its parent in a union-find over the
+	// links: two switches are connected when they share a root.
+	switches := map[string]string{}
+	root := func(sw string) string {
+		for switches[sw] != sw {
+			sw = switches[sw]
+		}
+		return sw
+	}
 	for i, sw := range g.Switches {
 		p := fmt.Sprintf("graph.switches[%d].name", i)
 		if sw.Name == "" {
 			return vErr(p, "required")
 		}
-		if switches[sw.Name] {
+		if switches[sw.Name] != "" {
 			return vErr(p, "duplicate switch %q", sw.Name)
 		}
-		switches[sw.Name] = true
+		switches[sw.Name] = sw.Name
 	}
 	for i, l := range g.Links {
 		p := fmt.Sprintf("graph.links[%d]", i)
-		if !switches[l.A] {
+		if switches[l.A] == "" {
 			return vErr(p+".a", "unknown switch %q", l.A)
 		}
-		if !switches[l.B] {
+		if switches[l.B] == "" {
 			return vErr(p+".b", "unknown switch %q", l.B)
 		}
+		switches[root(l.A)] = root(l.B)
 		if l.A == l.B {
 			return vErr(p, "self-link on switch %q", l.A)
 		}
@@ -310,20 +319,20 @@ func validateGraph(g *GraphSpec) error {
 	if len(g.Hosts) == 0 {
 		return vErr("graph.hosts", "at least one host group required")
 	}
-	hosts := map[string]bool{}
+	hosts := map[string]string{} // host group → the switch it attaches to
 	for i, h := range g.Hosts {
 		p := fmt.Sprintf("graph.hosts[%d]", i)
 		if h.Name == "" {
 			return vErr(p+".name", "required")
 		}
-		if hosts[h.Name] {
+		if hosts[h.Name] != "" {
 			return vErr(p+".name", "duplicate host group %q", h.Name)
 		}
-		hosts[h.Name] = true
+		hosts[h.Name] = h.Attach
 		if h.Count <= 0 {
 			return vErr(p+".count", "must be positive, got %d", h.Count)
 		}
-		if !switches[h.Attach] {
+		if switches[h.Attach] == "" {
 			return vErr(p+".attach", "unknown switch %q", h.Attach)
 		}
 		if err := checkPositiveRate(p+".rate", h.Rate); err != nil {
@@ -341,11 +350,15 @@ func validateGraph(g *GraphSpec) error {
 	}
 	for i, f := range g.Flows {
 		p := fmt.Sprintf("graph.flows[%d]", i)
-		if !hosts[f.From] {
+		from, to := hosts[f.From], hosts[f.To]
+		if from == "" {
 			return vErr(p+".from", "unknown host group %q", f.From)
 		}
-		if !hosts[f.To] {
+		if to == "" {
 			return vErr(p+".to", "unknown host group %q", f.To)
+		}
+		if root(from) != root(to) {
+			return vErr(p+".to", "host group %q (switch %q) is unreachable from host group %q (switch %q)", f.To, to, f.From, from)
 		}
 		if err := checkCC(p+".cc", f.CC); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 )
 
@@ -83,7 +84,7 @@ func (*BBR) Name() string { return "bbr" }
 
 // Init implements CongestionControl.
 func (b *BBR) Init(c *Conn) {
-	c.Cwnd = float64(c.cfg.InitialCwndSegments * c.cfg.MSS)
+	c.Cwnd = initialCwndSegments * packet.MSS
 }
 
 // State returns the current state name (diagnostics).
@@ -200,7 +201,7 @@ func (b *BBR) checkProbeRTT(c *Conn, rs RateSample, now sim.Time, expired bool) 
 		b.probeRTTDone = 0
 	}
 	if b.state == bbrProbeRTT {
-		minCwnd := float64(bbrMinCwndSegments * c.cfg.MSS)
+		minCwnd := float64(bbrMinCwndSegments * packet.MSS)
 		if b.probeRTTDone == 0 && float64(rs.InFlight) <= minCwnd {
 			b.probeRTTDone = now + bbrProbeRTTDuration
 		}
@@ -231,7 +232,7 @@ func (b *BBR) bdp(gain float64) float64 {
 }
 
 func (b *BBR) setCwnd(c *Conn, rs RateSample) {
-	minCwnd := float64(bbrMinCwndSegments * c.cfg.MSS)
+	minCwnd := float64(bbrMinCwndSegments * packet.MSS)
 	if b.state == bbrProbeRTT {
 		c.Cwnd = minCwnd
 		return
@@ -260,7 +261,7 @@ func (b *BBR) setCwnd(c *Conn, rs RateSample) {
 func (b *BBR) OnEnterRecovery(c *Conn) {
 	b.priorCwnd = c.Cwnd
 	inflight := float64(c.InFlight())
-	min := float64(bbrMinCwndSegments * c.cfg.MSS)
+	min := float64(bbrMinCwndSegments * packet.MSS)
 	if inflight < min {
 		inflight = min
 	}
@@ -278,7 +279,7 @@ func (b *BBR) OnExitRecovery(c *Conn) {
 // OnRTO collapses to the minimal window; the model estimates survive.
 func (b *BBR) OnRTO(c *Conn) {
 	b.priorCwnd = c.Cwnd
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 }
 
 // PacingRate paces at pacingGain × btlBw.

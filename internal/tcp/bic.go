@@ -1,5 +1,7 @@
 package tcp
 
+import "cebinae/internal/packet"
+
 // BIC implements Binary Increase Congestion control (Xu et al., INFOCOM
 // 2004) — CUBIC's predecessor, used by the paper's Fig. 11 parking-lot
 // experiment. The window binary-searches between the last-known maximum
@@ -32,7 +34,7 @@ func (b *BIC) Init(c *Conn) { b.lastMax = 0 }
 
 // OnAck grows the window by the binary-increase step, scaled per ACK.
 func (b *BIC) OnAck(c *Conn, rs RateSample) {
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if slowStart(c, rs) {
 		return
 	}
@@ -75,7 +77,7 @@ func (b *BIC) OnAck(c *Conn, rs RateSample) {
 
 // OnEnterRecovery applies the β reduction and updates the search maximum.
 func (b *BIC) OnEnterRecovery(c *Conn) {
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	cwndSeg := c.Cwnd / mss
 	if cwndSeg < b.lastMax {
 		// Fast convergence: release bandwidth for newer flows.
@@ -95,5 +97,5 @@ func (b *BIC) OnEnterRecovery(c *Conn) {
 // OnRTO collapses the window.
 func (b *BIC) OnRTO(c *Conn) {
 	b.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 }

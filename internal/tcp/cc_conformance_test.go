@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func advanceClock(c *Conn, dt sim.Time) {
 func TestCubicCurveShape(t *testing.T) {
 	cu := NewCubic()
 	c := ccConn(cu)
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	c.srtt = sim.Duration(100e6) // 100 ms RTT
 
 	c.Cwnd = 400 * mss
@@ -126,7 +127,7 @@ func TestBBRStartupDrainProbeBW(t *testing.T) {
 func TestBBRProbeRTTCycle(t *testing.T) {
 	b := NewBBR()
 	c := ccConn(b)
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	rtt := sim.Duration(20e6)
 	ack := func(obsRTT sim.Time, inflight int64) {
 		c.cc.OnAck(c, RateSample{AckedBytes: 1448, RTT: obsRTT, DeliveryRate: 1.25e6, RoundStart: true, InFlight: inflight})
@@ -177,7 +178,7 @@ func TestBBRProbeRTTCycle(t *testing.T) {
 func TestBICConvergesSlowlyNearLastMax(t *testing.T) {
 	b := NewBIC()
 	c := ccConn(b)
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	b.lastMax = 200
 	c.Cwnd = 198 * mss
 	c.Ssthresh = c.Cwnd
@@ -215,7 +216,7 @@ func TestBICConvergesSlowlyNearLastMax(t *testing.T) {
 func TestVegasGammaLeavesSlowStart(t *testing.T) {
 	v := NewVegas()
 	c := ccConn(v)
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	base := sim.Duration(20e6)
 	obs := sim.Duration(30e6) // diff = 10·(10/30) ≈ 3.33 > γ = 1
 	v.baseRTT = base
@@ -239,7 +240,7 @@ func TestVegasGammaLeavesSlowStart(t *testing.T) {
 func TestVegasLossFloors(t *testing.T) {
 	v := NewVegas()
 	c := ccConn(v)
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	c.Cwnd = 3 * mss
 	c.cc.OnEnterRecovery(c)
 	if c.Cwnd != 2*mss || c.Ssthresh != 2*mss {
@@ -338,7 +339,7 @@ func TestDCTCPAlphaEWMA(t *testing.T) {
 	if d.Alpha() < 0.95 {
 		t.Errorf("α after sustained marking = %v, want → 1", d.Alpha())
 	}
-	if c.Cwnd != 2*float64(c.cfg.MSS) {
+	if c.Cwnd != 2*float64(packet.MSS) {
 		t.Errorf("sustained marking should pin cwnd at the 2 MSS floor, got %.0f", c.Cwnd)
 	}
 

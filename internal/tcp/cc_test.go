@@ -10,7 +10,6 @@ import (
 // (no network attached — only the fields CC modules touch are exercised).
 func ccConn(cc CongestionControl) *Conn {
 	c := &Conn{
-		cfg: Config{MSS: 1448, InitialCwndSegments: 10},
 		eng: sim.NewEngine(),
 		cc:  cc,
 	}

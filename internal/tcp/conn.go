@@ -13,11 +13,6 @@ type Config struct {
 	Key packet.FlowKey
 	CC  CongestionControl
 
-	// MSS is the maximum segment (payload) size; default packet.MSS.
-	MSS int
-	// InitialCwndSegments is the initial window in segments (default 10,
-	// per RFC 6928).
-	InitialCwndSegments int
 	// DataLimit bounds the bytes the application will send (0 = infinite
 	// demand, the paper's long-lived-flow model).
 	DataLimit int64
@@ -27,16 +22,20 @@ type Config struct {
 	MinRTO sim.Time
 	// MaxCwndBytes optionally caps the congestion window (0 = no cap).
 	MaxCwndBytes float64
-	// SendJitter adds a uniform random host-processing delay in [0, J) to
-	// each transmission (order-preserving). Deterministic simulations
-	// exhibit lock-step phase effects between competing flows; a few
-	// microseconds of jitter breaks them, as NS-3 setups commonly do.
-	// Default 10 µs; set negative to disable.
-	SendJitter sim.Time
 	// Seed perturbs the connection's private RNG (jitter); the flow key
 	// hash is mixed in as well.
 	Seed uint64
 }
+
+// A connection sends packet.MSS-byte segments and opens with an initial
+// window of initialCwndSegments (RFC 6928).
+const initialCwndSegments = 10
+
+// sendJitter bounds the uniform random host-processing delay added to each
+// transmission (order-preserving). Deterministic simulations exhibit
+// lock-step phase effects between competing flows; a few microseconds of
+// jitter breaks them, as NS-3 setups commonly do.
+const sendJitter = sim.Time(10e3) // 10 µs
 
 // ConnStats aggregates sender-side counters.
 type ConnStats struct {
@@ -113,6 +112,9 @@ type Conn struct {
 	reactor ECNReactor
 
 	rng *sim.Rand
+	// jitterSpan is this connection's send jitter bound (sendJitter; zero
+	// sends each segment in the call that transmits it).
+	jitterSpan sim.Time
 	// jitter holds segments waiting out their send jitter; each release is
 	// clamped to the previous one (the stream's tail), which both preserves
 	// send order on the wire and keeps the stream's pushes sorted.
@@ -133,35 +135,25 @@ type Conn struct {
 // schedules its start. The matching Receiver must be registered on the
 // destination node by the caller.
 func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
-	if cfg.MSS == 0 {
-		cfg.MSS = packet.MSS
-	}
-	if cfg.InitialCwndSegments == 0 {
-		cfg.InitialCwndSegments = 10
-	}
 	if cfg.MinRTO == 0 {
 		cfg.MinRTO = sim.Duration(200e6) // 200 ms
 	}
 	if cfg.CC == nil {
 		cfg.CC = NewNewReno()
 	}
-	if cfg.SendJitter == 0 {
-		cfg.SendJitter = sim.Duration(10e3) // 10 µs
-	} else if cfg.SendJitter < 0 {
-		cfg.SendJitter = 0
-	}
 	c := &Conn{
 		cfg:  cfg,
 		eng:  eng,
 		node: src,
 		cc:   cfg.CC,
-		sent: scoreboard{mss: int64(cfg.MSS)},
+		sent: scoreboard{mss: packet.MSS},
 		rto:  sim.Duration(1e9), // initial RTO 1 s (RFC 6298)
 		rng:  sim.NewRand(cfg.Seed ^ cfg.Key.Hash(0x5EED)),
 	}
 	c.reactor, _ = cfg.CC.(ECNReactor)
-	c.Cwnd = float64(cfg.InitialCwndSegments * cfg.MSS)
+	c.Cwnd = initialCwndSegments * packet.MSS
 	c.Ssthresh = 1 << 40
+	c.jitterSpan = sendJitter
 	src.Register(cfg.Key.Reverse(), c)
 	c.cc.Init(c)
 	// The flow start is pinned: it is a traffic discontinuity the fluid
@@ -191,9 +183,6 @@ func (c *Conn) Key() packet.FlowKey { return c.cfg.Key }
 
 // Config returns the connection's configuration (read-only view).
 func (c *Conn) Config() Config { return c.cfg }
-
-// MSS returns the connection's segment size in bytes.
-func (c *Conn) MSS() int { return c.cfg.MSS }
 
 // Engine exposes the simulation engine to CC modules. A module that keeps
 // a stamp reads Engine().Local(), the clock the RateSample's intervals are
@@ -284,7 +273,7 @@ func (c *Conn) trySend() {
 				return
 			}
 		}
-		if float64(c.pipe())+float64(c.cfg.MSS) > c.effectiveCwnd() {
+		if float64(c.pipe())+float64(packet.MSS) > c.effectiveCwnd() {
 			c.appLimited = false
 			return
 		}
@@ -294,7 +283,7 @@ func (c *Conn) trySend() {
 				c.schedulePacing(c.nextSendTime - now)
 				return
 			}
-			gap := sim.Time(float64(c.cfg.MSS+packet.HeaderBytes) / pacingRate * 1e9)
+			gap := sim.Time(float64(packet.MSS+packet.HeaderBytes) / pacingRate * 1e9)
 			if c.nextSendTime < now-gap {
 				c.nextSendTime = now // don't bank idle credit
 			}
@@ -307,7 +296,7 @@ func (c *Conn) trySend() {
 			c.retxOut += int64(size)
 			c.retxPtr = seq + int64(size)
 		} else {
-			size := int64(c.cfg.MSS)
+			size := int64(packet.MSS)
 			if c.cfg.DataLimit > 0 && c.sndNxt+size > c.cfg.DataLimit {
 				size = c.cfg.DataLimit - c.sndNxt
 			}
@@ -358,11 +347,11 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 	if retx {
 		c.Stats.Retransmits++
 	}
-	if c.cfg.SendJitter > 0 {
-		// Order-preserving host-processing jitter (see Config.SendJitter).
+	if c.jitterSpan > 0 {
+		// Order-preserving host-processing jitter (see sendJitter).
 		emit := c.eng.Now()
 		//lint:ignore simtime jitter windows are microseconds-to-milliseconds, far below float64's 2^53 exact range, and the uniform draw is inherently a float
-		at := emit + sim.Time(c.rng.Float64()*float64(c.cfg.SendJitter))
+		at := emit + sim.Time(c.rng.Float64()*float64(c.jitterSpan))
 		if tail := c.jitter.TailAt(); at < tail {
 			at = tail
 		}
@@ -549,7 +538,7 @@ func (c *Conn) segSizeAt(seq int64) int32 {
 	if rec := c.sent.get(seq); rec != nil {
 		return rec.size
 	}
-	return int32(c.cfg.MSS)
+	return int32(packet.MSS)
 }
 
 func (c *Conn) clearSent(from, to int64) {
@@ -558,7 +547,7 @@ func (c *Conn) clearSent(from, to int64) {
 		if rec == nil {
 			// Sizes are uniform except possibly the final segment; step by
 			// MSS to resynchronise.
-			seq += int64(c.cfg.MSS)
+			seq += int64(packet.MSS)
 			continue
 		}
 		rec.live = false
@@ -575,7 +564,7 @@ func (c *Conn) onDupAck(newlySacked int64) {
 	// Enter recovery on the classic third duplicate ACK, or as soon as the
 	// scoreboard shows more than three segments' worth of SACKed data
 	// (RFC 6675 loss detection).
-	if c.dupAcks >= 3 || c.sacked.total() > 3*int64(c.cfg.MSS) {
+	if c.dupAcks >= 3 || c.sacked.total() > 3*int64(packet.MSS) {
 		c.enterRecovery()
 	}
 }

@@ -3,6 +3,7 @@ package tcp
 import (
 	"math"
 
+	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 )
 
@@ -48,7 +49,7 @@ func (cu *Cubic) reset() {
 
 // OnAck grows the window along the cubic (or Reno-friendly) trajectory.
 func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if slowStart(c, rs) {
 		return
 	}
@@ -99,7 +100,7 @@ func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
 
 // OnEnterRecovery applies the β reduction and records W_max.
 func (cu *Cubic) OnEnterRecovery(c *Conn) {
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	cwndSeg := c.Cwnd / mss
 	if cu.FastConvergence && cwndSeg < cu.wMax {
 		cu.wMax = cwndSeg * (1 + cu.Beta) / 2
@@ -113,5 +114,5 @@ func (cu *Cubic) OnEnterRecovery(c *Conn) {
 // OnRTO collapses the window and resets the cubic epoch.
 func (cu *Cubic) OnRTO(c *Conn) {
 	cu.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 }

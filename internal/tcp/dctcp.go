@@ -1,5 +1,7 @@
 package tcp
 
+import "cebinae/internal/packet"
+
 // DCTCP implements Data Center TCP (Alizadeh et al., SIGCOMM 2010; RFC
 // 8257): the sender estimates the fraction α of bytes that were CE-marked
 // over each observation window and, once per window, reduces the
@@ -39,7 +41,7 @@ func (d *DCTCP) Init(c *Conn) {
 // OnAck runs Reno-style growth plus the per-window α update.
 func (d *DCTCP) OnAck(c *Conn, rs RateSample) {
 	d.observe(c, rs, false)
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if slowStart(c, rs) {
 		return
 	}
@@ -81,7 +83,7 @@ func (*DCTCP) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd/2) }
 // OnRTO collapses the window.
 func (d *DCTCP) OnRTO(c *Conn) {
 	d.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 }
 
 // Alpha exposes the current marking-fraction estimate (diagnostics).

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func (*Scalable) Name() string { return "scalable" }
 // OnAck grows the window by a per acked byte (MIMD) above the legacy
 // region, Reno-style below it.
 func (s *Scalable) OnAck(c *Conn, rs RateSample) {
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if slowStart(c, rs) {
 		return
 	}
@@ -54,7 +55,7 @@ func (s *Scalable) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd*(1-s.B)) }
 // OnRTO collapses the window.
 func (s *Scalable) OnRTO(c *Conn) {
 	s.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 }
 
 // ---------------------------------------------------------------------------
@@ -111,7 +112,7 @@ func (h *HTCP) OnAck(c *Conn, rs RateSample) {
 			h.maxRTT = rs.RTT
 		}
 	}
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if slowStart(c, rs) {
 		return
 	}
@@ -141,7 +142,7 @@ func (h *HTCP) OnEnterRecovery(c *Conn) {
 // OnRTO collapses the window and restarts the α clock.
 func (h *HTCP) OnRTO(c *Conn) {
 	h.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ func (il *Illinois) OnAck(c *Conn, rs RateSample) {
 		il.updateParams()
 		il.roundAt = rs.Delivered + rs.InFlight
 	}
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if slowStart(c, rs) {
 		return
 	}
@@ -248,6 +249,6 @@ func (il *Illinois) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd*(1-il.beta)) }
 // OnRTO collapses the window and resets the delay profile.
 func (il *Illinois) OnRTO(c *Conn) {
 	il.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 	il.alpha, il.beta = 1, 0.5
 }

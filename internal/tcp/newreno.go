@@ -1,5 +1,7 @@
 package tcp
 
+import "cebinae/internal/packet"
+
 // NewReno implements classic loss-based congestion control (RFC 5681/6582):
 // slow start to ssthresh, additive increase of one MSS per RTT afterwards,
 // halving on loss, with the connection layer providing NewReno partial-ACK
@@ -14,7 +16,7 @@ func (*NewReno) Name() string { return "newreno" }
 
 // OnAck grows the window: +acked in slow start, +MSS²/cwnd in avoidance.
 func (*NewReno) OnAck(c *Conn, rs RateSample) {
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if slowStart(c, rs) {
 		return
 	}
@@ -27,5 +29,5 @@ func (*NewReno) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd/2) }
 // OnRTO collapses to one segment and restarts slow start.
 func (n *NewReno) OnRTO(c *Conn) {
 	n.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 }

@@ -13,9 +13,10 @@ type ReceiverConfig struct {
 	// segments (default 1 = ACK every segment). Out-of-order arrivals
 	// always trigger an immediate (duplicate) ACK.
 	DelAckCount int
-	// DelAckTimeout flushes a pending delayed ACK (default 200 ms).
-	DelAckTimeout sim.Time
 }
+
+// delAckTimeout flushes a pending delayed ACK.
+const delAckTimeout = sim.Time(200e6) // 200 ms
 
 // ReceiverStats aggregates receive-side counters.
 type ReceiverStats struct {
@@ -62,9 +63,6 @@ type Receiver struct {
 func NewReceiver(eng *sim.Engine, dst *netem.Node, cfg ReceiverConfig) *Receiver {
 	if cfg.DelAckCount == 0 {
 		cfg.DelAckCount = 1
-	}
-	if cfg.DelAckTimeout == 0 {
-		cfg.DelAckTimeout = sim.Duration(200e6)
 	}
 	r := &Receiver{cfg: cfg, eng: eng, node: dst}
 	dst.Register(cfg.Key, r)
@@ -117,7 +115,7 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 		if r.pending >= r.cfg.DelAckCount || r.ooo.len() > 0 {
 			r.sendAck(false)
 		} else if !r.delTimer.Pending() {
-			r.eng.ArmTimer(&r.delTimer, r.cfg.DelAckTimeout, (*recvDelAck)(r), nil)
+			r.eng.ArmTimer(&r.delTimer, delAckTimeout, (*recvDelAck)(r), nil)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package tcp
 
+import "cebinae/internal/packet"
+
 // reno is the behaviour every loss-based algorithm here shares with
 // RFC 5681 Reno, embedded by each of them so that a file holds only its
 // own increase and decrease law: nothing to initialise, slow-start
@@ -39,7 +41,7 @@ func slowStart(c *Conn, rs RateSample) bool {
 // reduce is the multiplicative decrease: ssthresh and cwnd both drop to w,
 // floored at two segments.
 func reduce(c *Conn, w float64) {
-	if min := 2 * float64(c.cfg.MSS); w < min {
+	if min := 2 * float64(packet.MSS); w < min {
 		w = min
 	}
 	c.Ssthresh = w

@@ -17,8 +17,8 @@ func loneSender(cfg Config) (*sim.Engine, *Conn) {
 	eng := sim.NewEngine()
 	a := netem.NewNetwork(eng).NewNode("a")
 	cfg.Key = packet.FlowKey{Src: a.ID, Dst: a.ID + 1, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
-	cfg.SendJitter = -1
 	c := NewConn(eng, a, cfg)
+	c.jitterSpan = 0
 	eng.Run(1) // the flow start
 	return eng, c
 }
@@ -35,7 +35,7 @@ func ackAt(eng *sim.Engine, c *Conn, d sim.Time, ack int64, sack ...packet.SackB
 // own seq and size, none outside, in a power-of-two ring.
 func checkWindow(t *testing.T, c *Conn) {
 	t.Helper()
-	mss := int64(c.cfg.MSS)
+	mss := int64(packet.MSS)
 	if n := len(c.sent.slots); n&(n-1) != 0 {
 		t.Fatalf("ring of %d slots is not a power of two", n)
 	}

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func (v *Vegas) OnAck(c *Conn, rs RateSample) {
 		v.cntRTT = 0
 	}()
 
-	mss := float64(c.cfg.MSS)
+	mss := float64(packet.MSS)
 	if v.cntRTT < 2 || v.baseRTT == 0 || v.minRTT == 0 {
 		// Not enough samples this round: fall back to Reno growth (as
 		// Linux's tcp_vegas does), one MSS per round regardless of phase —
@@ -121,7 +122,7 @@ func (*Vegas) OnEnterRecovery(c *Conn) { reduce(c, c.Cwnd/2) }
 // OnRTO collapses the window and forgets round state.
 func (v *Vegas) OnRTO(c *Conn) {
 	v.OnEnterRecovery(c)
-	c.Cwnd = float64(c.cfg.MSS)
+	c.Cwnd = float64(packet.MSS)
 	v.minRTT = 0
 	v.cntRTT = 0
 }

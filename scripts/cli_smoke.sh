@@ -1,7 +1,7 @@
 #!/bin/sh
 # The three CLIs end to end on tiny inputs, each through the one run path
-# (sections or jobs through the fleet): every run must exit 0 and print a
-# non-empty report on stdout.
+# (sections or jobs through the fleet), then the five examples on short
+# horizons: every run must exit 0 and print a non-empty report on stdout.
 #
 #   scripts/cli_smoke.sh              (or: make cli-smoke)
 #
@@ -13,7 +13,7 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/" ./cmd/cebinae-sim ./cmd/cebinae-sweep ./cmd/cebinae-bench
+go build -o "$tmp/" ./cmd/cebinae-sim ./cmd/cebinae-sweep ./cmd/cebinae-bench ./examples/...
 
 # smoke NAME CMD...: run CMD, fail on a nonzero exit or an empty stdout.
 smoke() {
@@ -30,3 +30,9 @@ smoke "cebinae-sweep grid" "$tmp/cebinae-sweep" -qdiscs fifo,cebinae -thresholds
 smoke "cebinae-sweep -backbone" "$tmp/cebinae-sweep" -backbone 1000 -scales 0.02 \
 	-store "$tmp/backbone.jsonl" -csv "$tmp/backbone.csv"
 smoke "cebinae-bench -only table3,fig13" "$tmp/cebinae-bench" -scale quick -only table3,fig13
+for ex in blind_udp quickstart vegas_starvation; do
+	smoke "examples/$ex" "$tmp/$ex" -seconds 2
+done
+for ex in multi_bottleneck parameter_sweep; do
+	smoke "examples/$ex" "$tmp/$ex" -scale 0.02
+done
