@@ -45,6 +45,9 @@ type Cell[T any] struct {
 	// Desc describes the job; empty takes the section's description.
 	Desc string
 	Run  func() T
+	// Cost is the job's fleet.Job.Cost: its expected run time relative to
+	// its section's other cells, zero where the cells are alike.
+	Cost float64
 }
 
 // cellJobs wraps cells as fleet jobs under the base ID.
@@ -60,7 +63,7 @@ func cellJobs[T any](base, desc string, cells []Cell[T]) []fleet.Job {
 			d = c.Desc
 		}
 		run := c.Run
-		jobs[i] = fleet.Job{ID: id + c.Key, Desc: d, Run: func() (any, error) { return run(), nil }}
+		jobs[i] = fleet.Job{ID: id + c.Key, Desc: d, Run: func() (any, error) { return run(), nil }, Cost: c.Cost}
 	}
 	return jobs
 }
@@ -156,12 +159,19 @@ func kindCells[T any](kinds []QdiscKind, run func(QdiscKind) T) []Cell[T] {
 
 // table2Cells fans Table 2 out one cell per configuration row (each row
 // still measures its three disciplines, keeping the row a self-contained
-// deterministic unit).
+// deterministic unit). A row's cost is the bits its bottleneck can carry
+// over its horizon, so the fleet starts the 10 G rows first, then the 1 G
+// rows, then the 100 M rows.
 func table2Cells(scale Scale) []Cell[Table2Row] {
 	cfgs := Table2Rows()
 	cells := make([]Cell[Table2Row], len(cfgs))
 	for i, cfg := range cfgs {
-		cells[i] = Cell[Table2Row]{Key: fmt.Sprintf("%02d", i), Desc: cfg.Label, Run: func() Table2Row { return RunTable2Row(cfg, scale) }}
+		cells[i] = Cell[Table2Row]{
+			Key:  fmt.Sprintf("%02d", i),
+			Desc: cfg.Label,
+			Run:  func() Table2Row { return RunTable2Row(cfg, scale) },
+			Cost: cfg.BtlBps * table2Duration(cfg.BtlBps, scale).Seconds(),
+		}
 	}
 	return cells
 }

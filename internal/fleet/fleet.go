@@ -12,6 +12,9 @@
 //   - an optional checkpointed JSONL result store (one line per completed
 //     job, atomic append) — re-running against the same store skips
 //     already-completed job IDs, giving crash/kill resume for free;
+//   - costliest-first dispatch: jobs that declare a Cost start in
+//     descending Cost order, so the longest runs do not start last and
+//     leave the rest of the pool idle while they finish;
 //   - live progress reporting (done/total, ETA, per-job wall time) and a
 //     final summary sorted by job ID, so summaries are byte-identical
 //     regardless of scheduling order.
@@ -39,6 +42,10 @@ type Job struct {
 	ID   string
 	Desc string
 	Run  func() (any, error)
+	// Cost estimates the job's run time relative to the other jobs of one
+	// Run; only the order it implies is used. Zero everywhere keeps the
+	// input order.
+	Cost float64
 }
 
 // Result is one job's recorded outcome — exactly the JSONL line the store
@@ -124,7 +131,7 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 
 	start := time.Now()
 	sum := &Summary{Results: make([]Result, 0, len(jobs))}
-	tr := newTracker(opts.Progress, len(jobs))
+	tr := newTracker(opts.Progress, jobs)
 
 	// Partition into cached (already in the store) and pending.
 	var pending []Job
@@ -137,12 +144,15 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 				if !r.OK {
 					sum.Failed++
 				}
-				tr.done(r)
+				tr.done(r, j.Cost)
 				continue
 			}
 		}
 		pending = append(pending, j)
 	}
+	// Costliest first, ties in input order: the makespan is not left to
+	// whichever long job the input happens to list last.
+	sort.SliceStable(pending, func(i, k int) bool { return pending[i].Cost > pending[k].Cost })
 
 	var (
 		mu       sync.Mutex
@@ -168,7 +178,7 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 					sum.Failed++
 				}
 				mu.Unlock()
-				tr.done(r)
+				tr.done(r, j.Cost)
 			}
 		}()
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -144,5 +145,76 @@ func TestProgressReportsEveryJob(t *testing.T) {
 	}
 	if !strings.Contains(out, "[12/12]") || !strings.Contains(out, "vs sequential") {
 		t.Fatalf("progress output missing counters/summary:\n%s", out)
+	}
+}
+
+// TestRunDispatchesCostliestFirst: on one worker, jobs start in descending
+// Cost, ties in input order; a job the store already holds is not run at
+// all; and the summary's results are the same bytes as without costs.
+func TestRunDispatchesCostliestFirst(t *testing.T) {
+	ids := []string{"a", "b", "c", "d", "e", "f", "g"}
+	costs := []float64{1, 5, 0, 5, 3, 9, 1}
+	// run executes the jobs against a store already holding d and returns
+	// the summary and the order the jobs ran in.
+	run := func(withCost bool) (*Summary, string) {
+		st, err := OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.Append(Result{ID: "d", OK: true, Value: json.RawMessage(`"d"`)}); err != nil {
+			t.Fatal(err)
+		}
+		var order strings.Builder
+		jobs := make([]Job, len(ids))
+		for i, id := range ids {
+			jobs[i] = Job{ID: id, Run: func() (any, error) { order.WriteString(id); return id, nil }}
+			if withCost {
+				jobs[i].Cost = costs[i]
+			}
+		}
+		sum, err := Run(jobs, Options{Parallelism: 1, Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum, order.String()
+	}
+	plain, order := run(false)
+	if order != "abcefg" {
+		t.Fatalf("uncosted jobs ran in order %q, want input order abcefg without the cached d", order)
+	}
+	costed, order := run(true)
+	if order != "fbeagc" {
+		t.Fatalf("costed jobs ran in order %q, want fbeagc: descending cost, ties in input order, no cached d", order)
+	}
+	a, _ := json.Marshal(plain.Results)
+	b, _ := json.Marshal(costed.Results)
+	if string(a) != string(b) {
+		t.Fatalf("costs changed the summary:\n%s\n%s", a, b)
+	}
+}
+
+// TestProjectETA pins the progress projection: the mean wall time per
+// executed job without costs, and the cost rate so far with them — which
+// is what keeps the ETA honest once the costliest jobs finish first.
+func TestProjectETA(t *testing.T) {
+	s := time.Second
+	for _, tc := range []struct {
+		elapsed            time.Duration
+		executed, left     int
+		costDone, costLeft float64
+		want               time.Duration
+	}{
+		{4 * s, 2, 6, 0, 0, 12 * s},
+		{10 * s, 1, 1, 0, 0, 10 * s},
+		// The longest of 25 jobs finished first: by count the rest would
+		// take 24 times as long, by cost four times.
+		{2 * s, 1, 24, 20, 80, 8 * s},
+		{3 * s, 5, 5, 60, 20, 1 * s},
+	} {
+		if got := projectETA(tc.elapsed, tc.executed, tc.left, tc.costDone, tc.costLeft); got != tc.want {
+			t.Errorf("projectETA(%v, %d, %d, %g, %g) = %v, want %v",
+				tc.elapsed, tc.executed, tc.left, tc.costDone, tc.costLeft, got, tc.want)
+		}
 	}
 }

@@ -18,21 +18,31 @@ type tracker struct {
 	finished int
 	executed int // excludes cached results (their wall time is unknown)
 	start    time.Time
+	// costed is set when every job declares a Cost; costDone sums the
+	// executed jobs' costs and costLeft the unfinished jobs'.
+	costed             bool
+	costDone, costLeft float64
 }
 
-func newTracker(w io.Writer, total int) *tracker {
-	return &tracker{w: w, total: total, start: time.Now()}
+func newTracker(w io.Writer, jobs []Job) *tracker {
+	t := &tracker{w: w, total: len(jobs), start: time.Now(), costed: true}
+	for _, j := range jobs {
+		t.costed = t.costed && j.Cost > 0
+		t.costLeft += j.Cost
+	}
+	return t
 }
 
-// done reports one finished job: status, wall time, and an ETA projected
-// from the mean wall time of the jobs executed so far.
-func (t *tracker) done(r Result) {
+// done reports one finished job of the given cost: status, wall time, and
+// an ETA (see projectETA).
+func (t *tracker) done(r Result, cost float64) {
 	if t.w == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.finished++
+	t.costLeft -= cost
 	status := "ok"
 	switch {
 	case r.Cached:
@@ -45,15 +55,31 @@ func (t *tracker) done(r Result) {
 		return
 	}
 	t.executed++
+	t.costDone += cost
 	elapsed := time.Since(t.start)
 	eta := "?"
-	if t.executed > 0 && t.finished < t.total {
-		perJob := elapsed / time.Duration(t.executed)
-		eta = (perJob * time.Duration(t.total-t.finished)).Round(time.Second).String()
+	if t.finished < t.total {
+		var costDone, costLeft float64
+		if t.costed {
+			costDone, costLeft = t.costDone, t.costLeft
+		}
+		eta = projectETA(elapsed, t.executed, t.total-t.finished, costDone, costLeft).Round(time.Second).String()
 	}
 	fmt.Fprintf(t.w, "[%*d/%d] %-28s %s (%v; elapsed %v, eta %s)\n",
 		digits(t.total), t.finished, t.total, r.ID, status,
 		r.Wall.Round(time.Millisecond), elapsed.Round(time.Second), eta)
+}
+
+// projectETA projects the time left after elapsed, in which executed jobs
+// ran and left remain. With costs (costDone > 0) the rate is cost per
+// elapsed time: costliest-first dispatch finishes the long jobs first, so
+// the mean wall time of the jobs so far would overshoot. Without, it is the
+// mean wall time per executed job times the jobs left.
+func projectETA(elapsed time.Duration, executed, left int, costDone, costLeft float64) time.Duration {
+	if costDone > 0 {
+		return time.Duration(float64(elapsed) * costLeft / costDone)
+	}
+	return elapsed / time.Duration(executed) * time.Duration(left)
 }
 
 // finish prints the closing summary with the sequential-vs-parallel

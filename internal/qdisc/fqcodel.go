@@ -29,6 +29,9 @@ type FQCoDel struct {
 	// any flow's, next packet to reuse: a queue that drains and refills
 	// every round trip costs no allocation.
 	free *fqFlow
+	// fat is a 4-ary indexed max-heap of exactly the flow queues whose ring
+	// is non-empty, ordered by fatter: its root is the overflow drop victim.
+	fat []*fqFlow
 
 	bytes   int
 	packets int
@@ -45,7 +48,9 @@ type fqFlow struct {
 	deficit int
 	codel   codelState
 	// where: 0 = detached, 1 = new list, 2 = old list
-	where      int
+	where int
+	// idx is the queue's slot in FQCoDel.fat while its ring is non-empty.
+	idx        int
 	next, prev *fqFlow
 }
 
@@ -88,6 +93,11 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 	f.bytes += int(p.Size)
 	f.packets++
 	fl.q.Push(p)
+	if fl.q.Len() == 1 {
+		fl.idx = len(f.fat)
+		f.fat = append(f.fat, fl)
+	}
+	f.up(fl.idx)
 
 	if fl.where == 0 {
 		fl.deficit = f.quantum
@@ -105,6 +115,7 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 		victim.bytes -= int(dp.Size)
 		f.bytes -= int(dp.Size)
 		f.packets--
+		f.shrunk(victim)
 		f.Drops++
 		//lint:ignore pktown pointer identity test only — the drop loop may pop back the packet just enqueued; nothing dereferences it
 		if dp == p {
@@ -184,6 +195,7 @@ func (f *FQCoDel) codelDequeue(fl *fqFlow) *packet.Packet {
 		fl.bytes -= int(p.Size)
 		f.bytes -= int(p.Size)
 		f.packets--
+		f.shrunk(fl)
 		sojourn := now - p.EnqueuedAt
 		if fl.codel.shouldDrop(sojourn, now, fl.bytes) {
 			if p.ECN == packet.ECNECT {
@@ -208,21 +220,82 @@ func (f *FQCoDel) BytesQueued() int { return f.bytes }
 func (f *FQCoDel) FlowCount() int { return len(f.flows) }
 
 // fattestFlow picks the drop victim: the largest backlog, ties broken by
-// oldest flow queue. The tie-break matters — iteration order over the
-// flows map differs between processes, and equal backlogs are the common
-// case with homogeneous flows.
+// oldest flow queue — the heap's root. The tie-break matters: equal
+// backlogs are the common case with homogeneous flows, and the victim must
+// not depend on anything but the queues' contents and creation order.
 func (f *FQCoDel) fattestFlow() *fqFlow {
-	var fat *fqFlow
-	//lint:ignore mapiter the comparison below is a total order — bytes descending with creation-seq tie-break — so the selected victim is independent of map iteration order (this is the PR-1 fix the analyzer guards)
-	for _, fl := range f.flows {
-		if fl.q.Len() == 0 {
-			continue
-		}
-		if fat == nil || fl.bytes > fat.bytes || (fl.bytes == fat.bytes && fl.seq < fat.seq) {
-			fat = fl
-		}
+	if len(f.fat) == 0 {
+		return nil
 	}
-	return fat
+	return f.fat[0]
+}
+
+// fatter is the heap order: bytes descending, creation seq ascending. Seqs
+// are unique, so it is a total order and the root is one queue.
+func fatter(a, b *fqFlow) bool {
+	return a.bytes > b.bytes || (a.bytes == b.bytes && a.seq < b.seq)
+}
+
+// shrunk restores the heap after a packet left fl's ring: an emptied queue
+// leaves the heap (its slot taken by the last entry), any other sinks.
+func (f *FQCoDel) shrunk(fl *fqFlow) {
+	i := fl.idx
+	if fl.q.Len() > 0 {
+		f.down(i)
+		return
+	}
+	last := len(f.fat) - 1
+	moved := f.fat[last]
+	f.fat[last] = nil
+	f.fat = f.fat[:last]
+	if i == last {
+		return
+	}
+	f.fat[i], moved.idx = moved, i
+	f.down(i)
+	f.up(moved.idx)
+}
+
+// up sifts the queue at slot i toward the root while it is fatter than its
+// parent.
+func (f *FQCoDel) up(i int) {
+	fl := f.fat[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		pf := f.fat[parent]
+		if !fatter(fl, pf) {
+			break
+		}
+		f.fat[i], pf.idx = pf, i
+		i = parent
+	}
+	f.fat[i], fl.idx = fl, i
+}
+
+// down sifts the queue at slot i toward the leaves while one of its (up to
+// four) children is fatter.
+func (f *FQCoDel) down(i int) {
+	fl := f.fat[i]
+	n := len(f.fat)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if fatter(f.fat[c], f.fat[best]) {
+				best = c
+			}
+		}
+		bf := f.fat[best]
+		if !fatter(bf, fl) {
+			break
+		}
+		f.fat[i], bf.idx = bf, i
+		i = best
+	}
+	f.fat[i], fl.idx = fl, i
 }
 
 // list is an intrusive doubly linked list of fqFlows.

@@ -1,6 +1,7 @@
 package qdisc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -277,8 +278,8 @@ func TestFQCoDelECNMarksInsteadOfDrops(t *testing.T) {
 // TestFQCoDelReusedFlowQueueStartsFresh: a flow queue that drained and
 // detached is handed to the next new flow, keeping its ring buffer and
 // nothing else — whatever the previous flow left in its CoDel state, its
-// deficit and its list links, the struct reads field for field as a fresh
-// queue that has taken one packet.
+// deficit, its heap slot and its list links, the struct reads field for
+// field as a fresh queue that has taken one packet.
 func TestFQCoDelReusedFlowQueueStartsFresh(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
@@ -304,7 +305,7 @@ func TestFQCoDelReusedFlowQueueStartsFresh(t *testing.T) {
 	}
 	// Whatever else a detached queue may come to hold must not survive
 	// either (next is the free list's own link).
-	used.bytes, used.deficit, used.where, used.prev = 3, -7, 2, used
+	used.bytes, used.deficit, used.where, used.idx, used.prev = 3, -7, 2, 5, used
 
 	p := pkt(2, 700)
 	q.Enqueue(p)
@@ -318,9 +319,139 @@ func TestFQCoDelReusedFlowQueueStartsFresh(t *testing.T) {
 	}
 	got := *fl
 	got.q = packet.Ring{}
-	want := fqFlow{key: p.Flow, seq: 1, bytes: 700, deficit: 1500, where: 1}
+	// The only non-empty queue is the victim heap's root.
+	want := fqFlow{key: p.Flow, seq: 1, bytes: 700, deficit: 1500, where: 1, idx: 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reused flow queue:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// scanFattest is the drop-victim scan FQCoDel ran before its heap, kept as
+// the heap's reference oracle: the largest backlog among the non-empty flow
+// queues, ties to the oldest queue. The comparison is a total order, so the
+// map's visit order cannot change the result.
+func scanFattest(f *FQCoDel) *fqFlow {
+	var fat *fqFlow
+	for _, fl := range f.flows {
+		if fl.q.Len() == 0 {
+			continue
+		}
+		if fat == nil || fl.bytes > fat.bytes || (fl.bytes == fat.bytes && fl.seq < fat.seq) {
+			fat = fl
+		}
+	}
+	return fat
+}
+
+// checkFatHeap asserts that the victim heap holds exactly the attached
+// flow queues whose ring is non-empty, each at the slot it records, in heap
+// order, with its vacated tail nil-ed, and that its root is the scan's
+// victim.
+func checkFatHeap(t *testing.T, f *FQCoDel) {
+	t.Helper()
+	nonEmpty := 0
+	for _, fl := range f.flows {
+		if fl.q.Len() > 0 {
+			nonEmpty++
+		}
+	}
+	if len(f.fat) != nonEmpty {
+		t.Fatalf("heap holds %d queues, %d are non-empty", len(f.fat), nonEmpty)
+	}
+	for i, fl := range f.fat {
+		if fl.idx != i || fl.q.Len() == 0 || f.flows[fl.key] != fl {
+			t.Fatalf("slot %d holds a queue recording slot %d with %d packets (attached: %v)", i, fl.idx, fl.q.Len(), f.flows[fl.key] == fl)
+		}
+		if parent := f.fat[(i-1)/4]; i > 0 && fatter(fl, parent) {
+			t.Fatalf("slot %d (%d B, seq %d) is fatter than its parent (%d B, seq %d)", i, fl.bytes, fl.seq, parent.bytes, parent.seq)
+		}
+	}
+	for _, fl := range f.fat[len(f.fat):cap(f.fat)] {
+		if fl != nil {
+			t.Fatal("a vacated heap slot still points at a flow queue")
+		}
+	}
+	if got, want := f.fattestFlow(), scanFattest(f); got != want {
+		t.Fatalf("heap victim %s, scan victim %s", victimString(got), victimString(want))
+	}
+}
+
+func victimString(fl *fqFlow) string {
+	if fl == nil {
+		return "none"
+	}
+	return fmt.Sprintf("flow %d (%d B, seq %d)", fl.key.Src, fl.bytes, fl.seq)
+}
+
+// TestFQCoDelHeapPicksScanVictim drives seeded random operation sequences
+// over 1 to 1100 flows — enqueues of mixed sizes under a tight byte limit,
+// dequeues, and clock advances, in alternating fill and drain phases — and
+// after every operation checks the victim heap against the map scan it
+// replaced. Overflow drops, CoDel drops, ECN marks and the reuse of
+// detached queues must all occur.
+func TestFQCoDelHeapPicksScanVictim(t *testing.T) {
+	for _, tc := range []struct {
+		flows int
+		seed  uint64
+	}{{1, 1}, {2, 2}, {5, 3}, {64, 4}, {300, 5}, {1100, 6}} {
+		t.Run(fmt.Sprintf("%dflows", tc.flows), func(t *testing.T) {
+			eng := sim.NewEngine()
+			// Below one full packet per flow from 33 flows up, as on Table 2's
+			// 1026-flow row, with phases long enough to fill it.
+			q := NewFQCoDel(eng, max(48<<10, 400*tc.flows), 1500, DefaultCoDelParams())
+			phase := max(500, 2*tc.flows)
+			rng := sim.NewRand(tc.seed)
+			// Repeated sizes make equal backlogs, so the seq tie-break decides.
+			sizes := []int32{1500, 1500, 700, 100}
+			var overflow, codel, reused uint64
+			steps := 4 * phase
+			n := 0
+			var step func()
+			step = func() {
+				enqPct := 75
+				if n/phase%2 == 1 {
+					enqPct = 25
+				}
+				if rng.Intn(100) < enqPct {
+					flow := rng.Intn(tc.flows)
+					if rng.Intn(2) == 0 {
+						flow = rng.Intn(min(tc.flows, 4)) // a few heavy flows
+					}
+					size := sizes[rng.Intn(len(sizes))]
+					if rng.Intn(4) == 0 {
+						size = int32(64 + rng.Intn(1437))
+					}
+					p := pkt(flow, size)
+					if rng.Intn(3) == 0 {
+						p.ECN = packet.ECNECT
+					}
+					if q.flows[p.Flow] == nil && q.free != nil {
+						reused++
+					}
+					before := q.Drops
+					q.Enqueue(p)
+					overflow += q.Drops - before
+				} else {
+					before := q.Drops
+					q.Dequeue()
+					codel += q.Drops - before
+				}
+				checkFatHeap(t, q)
+				if n++; n < steps {
+					gap := sim.Time(1 + rng.Intn(1e6))
+					if rng.Intn(50) == 0 {
+						gap = sim.Time(rng.Intn(3e8))
+					}
+					eng.ScheduleCall(gap, sim.Func(step), nil)
+				}
+			}
+			eng.ScheduleCall(1, sim.Func(step), nil)
+			eng.RunAll()
+			if overflow == 0 || codel == 0 || q.ECNMarked == 0 || reused == 0 {
+				t.Fatalf("overflow drops %d, CoDel drops %d, ECN marks %d, reused queues %d: every path must occur",
+					overflow, codel, q.ECNMarked, reused)
+			}
+		})
 	}
 }
 
