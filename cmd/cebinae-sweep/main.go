@@ -36,7 +36,7 @@ func main() {
 	var (
 		qdiscs     = flag.String("qdiscs", "fifo,fq,cebinae", "comma list of disciplines: fifo | fq | afq | pcq | strawman | cebinae")
 		scales     = flag.String("scales", "quick", "comma list of horizons: quick | medium | full or fractions (e.g. 0.1,0.5)")
-		thresholds = flag.String("thresholds", "1,2,5,10,25,50,75,100", "comma list of Cebinae δp=δf=τ values in percent")
+		thresholds = flag.String("thresholds", "1,2,5,10,25,50,75,100", "comma list of Cebinae δp=δf=τ values in percent, each in (0,100]")
 		bw         = flag.String("bw", "100M", "bottleneck bandwidth (e.g. 100M, 1G)")
 		buffer     = flag.Int("buffer", 850, "bottleneck buffer in MTUs (1500 B)")
 		flows      = flag.String("flows", "newreno:16,cubic:1", "comma list of cca:count groups")
@@ -85,7 +85,8 @@ func main() {
 		if cfg.ThresholdPcts, err = parseFloats(*thresholds); err != nil {
 			return err
 		}
-		return d.run("grid cell", cfg.Jobs(), table(d.out, *csvPath, experiments.SweepResult.Less, experiments.RenderSweep, experiments.WriteSweepCSV))
+		table, csv := cfg.Sections()
+		return d.grid("grid cell", table, csv, *csvPath)
 	}
 	err = sweep()
 	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
@@ -109,11 +110,13 @@ type sweeper struct {
 	log       io.Writer // progress and timing
 }
 
-// run refuses to reuse an existing store without -resume, runs the jobs
-// through the fleet checkpointed to the store (cells already in it are
-// not re-run), hands the summary to report, then prints the timing line
-// and fails if any cell did. noun names one job in the messages.
-func (d sweeper) run(noun string, jobs []fleet.Job, report func(*fleet.Summary) error) error {
+// run refuses to reuse an existing store without -resume, runs the
+// sections' jobs through the fleet checkpointed to the store (cells
+// already in it are not re-run), hands report a Getter over the run, then
+// prints the timing line and fails if any cell did. A section renders
+// only when all its cells succeeded, so a failed cell fails report,
+// naming its job. noun names one job in the messages.
+func (d sweeper) run(noun string, sections []experiments.BenchSection, report func(experiments.Getter) error) error {
 	if !d.resume {
 		if _, err := os.Stat(d.storePath); err == nil {
 			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", d.storePath)
@@ -125,6 +128,7 @@ func (d sweeper) run(noun string, jobs []fleet.Job, report func(*fleet.Summary) 
 	}
 	defer store.Close()
 
+	jobs := experiments.SectionJobs(sections)
 	fmt.Fprintf(d.log, "cebinae-sweep: %d %ss (%d already in %s)\n", len(jobs), noun, store.Len(), d.storePath)
 	start := time.Now()
 	sum, err := fleet.Run(jobs, fleet.Options{
@@ -136,7 +140,7 @@ func (d sweeper) run(noun string, jobs []fleet.Job, report func(*fleet.Summary) 
 	if err != nil {
 		return err
 	}
-	if err := report(sum); err != nil {
+	if err := report(experiments.SummaryGetter(sum)); err != nil {
 		return err
 	}
 	fmt.Fprintf(d.log, "cebinae-sweep: %v elapsed for %v of simulation work — %.2fx vs sequential; JSONL %s\n",
@@ -147,29 +151,25 @@ func (d sweeper) run(noun string, jobs []fleet.Job, report func(*fleet.Summary) 
 	return nil
 }
 
-// table is the report of the dumbbell and backbone grids: the rows of the
-// cells that succeeded, sorted by less, printed by render and written by
-// writeCSV to csvPath (unless it is empty).
-func table[T any](out io.Writer, csvPath string, less func(a, b T) bool, render func([]T) string, writeCSV func(io.Writer, []T) error) func(*fleet.Summary) error {
-	return func(sum *fleet.Summary) error {
-		rows, err := experiments.DecodeOK(sum.Results, less)
+// grid runs a dumbbell or backbone grid given as its table and its CSV,
+// two renders of the same cells: the table goes to stdout and the CSV to
+// csvPath (unless it is empty).
+func (d sweeper) grid(noun string, table, csv experiments.BenchSection, csvPath string) error {
+	return d.run(noun, []experiments.BenchSection{table}, func(get experiments.Getter) error {
+		text, err := table.Render(get)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(out, render(rows))
+		fmt.Fprint(d.out, text)
 		if csvPath == "" {
 			return nil
 		}
-		f, err := os.Create(csvPath)
+		rows, err := csv.Render(get)
 		if err != nil {
 			return err
 		}
-		if err := writeCSV(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
+		return os.WriteFile(csvPath, []byte(rows), 0o666)
+	})
 }
 
 // scenarios is the -scenario grid: every matched spec file loads,
@@ -186,8 +186,7 @@ func (d sweeper) scenarios(patterns string) error {
 	for i, f := range files {
 		sections[i] = f.Section("")
 	}
-	return d.run("scenario job", experiments.SectionJobs(sections), func(sum *fleet.Summary) error {
-		get := experiments.SummaryGetter(sum)
+	return d.run("scenario job", sections, func(get experiments.Getter) error {
 		for i, s := range sections {
 			text, err := s.Render(get)
 			if err != nil {
@@ -229,8 +228,8 @@ func (d sweeper) backbone(tiers, qdiscs, scales, csvPath string) error {
 	if len(scaleList) != 1 {
 		return fmt.Errorf("the backbone grid takes exactly one scale, got %d", len(scaleList))
 	}
-	return d.run("backbone cell", experiments.BackboneSweepJobs(flows, kinds, scaleList[0]),
-		table(d.out, csvPath, experiments.BackboneSweepResult.Less, experiments.RenderBackboneSweep, experiments.WriteBackboneSweepCSV))
+	table, csv := experiments.BackboneSweepSections(flows, kinds, scaleList[0])
+	return d.grid("backbone cell", table, csv, csvPath)
 }
 
 // parseTiers reads the -backbone flag: a comma list of positive
@@ -279,8 +278,8 @@ func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 || v > 100 {
-			return nil, fmt.Errorf("bad -thresholds value %q (want a percentage in [0,100])", part)
+		if err != nil || !(v > 0 && v <= 100) {
+			return nil, fmt.Errorf("bad -thresholds value %q (want a percentage in (0,100])", part)
 		}
 		out = append(out, v)
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,7 +56,7 @@ func TestParseFloats(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2.5 || got[2] != 100 {
 		t.Fatalf("parsed %v", got)
 	}
-	for _, bad := range []string{"x", "-1", "500", "100.5"} {
+	for _, bad := range []string{"x", "-1", "500", "100.5", "0", "NaN"} {
 		if _, err := parseFloats(bad); err == nil {
 			t.Fatalf("threshold %q accepted", bad)
 		}
@@ -147,7 +149,8 @@ func sweepGrid(t *testing.T, cfg experiments.SweepConfig, store string, resume b
 	var out, log bytes.Buffer
 	d := sweeper{parallel: 2, storePath: store, resume: resume, out: &out, log: &log}
 	csvPath := filepath.Join(t.TempDir(), "sweep.csv")
-	err := d.run("grid cell", cfg.Jobs(), table(d.out, csvPath, experiments.SweepResult.Less, experiments.RenderSweep, experiments.WriteSweepCSV))
+	table, sheet := cfg.Sections()
+	err := d.grid("grid cell", table, sheet, csvPath)
 	csv, _ := os.ReadFile(csvPath)
 	return out.String(), log.String(), string(csv), err
 }
@@ -202,6 +205,90 @@ func TestSweepResumeRerunsNothing(t *testing.T) {
 	}
 	if strings.Count(out1, "\n") != 3 || strings.Count(csv1, "\n") != 3 {
 		t.Errorf("want a header and two rows in each of table and CSV:\n%s%s", out1, csv1)
+	}
+}
+
+// TestSweepRefusesParentStore: a store whose values are of the older
+// per-tool schema (a dumbbell row of qdisc, scale, threshold and three
+// numbers) is refused under -resume, naming the job and the field, and
+// prints nothing.
+func TestSweepRefusesParentStore(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "sweep.jsonl")
+	old := `{"id":"sweep/fifo/s0.01/t0","ok":true,"value":{"qdisc":"fifo","scale":0.01,"threshold_pct":0,"duration_s":2,"throughput_bps":38340000,"goodput_bps":20699160,"jfi":0.98}}` + "\n" +
+		`{"id":"sweep/cebinae/s0.01/t5","ok":true,"value":{"qdisc":"cebinae","scale":0.01,"threshold_pct":5,"duration_s":2,"throughput_bps":38340000,"goodput_bps":20699160,"jfi":0.98}}` + "\n"
+	if err := os.WriteFile(store, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, log, csv, err := sweepGrid(t, twoCellGrid(), store, true)
+	if err == nil || !strings.Contains(err.Error(), "sweep/") || !strings.Contains(err.Error(), `unknown field "qdisc"`) {
+		t.Fatalf("parent-written store: err = %v", err)
+	}
+	if !strings.Contains(log, "(2 cached, 0 failed)") || out != "" || csv != "" {
+		t.Errorf("a refused store printed a table or CSV:\n%s%s%s", log, out, csv)
+	}
+}
+
+// TestGridFailedCellPrintsNothing: a grid with a failed cell prints no
+// table and writes no CSV, and its error names the failed job.
+func TestGridFailedCellPrintsNothing(t *testing.T) {
+	dir := t.TempDir()
+	cells := []experiments.Cell[int]{
+		{Key: "fine", Run: func() int { return 1 }},
+		{Key: "doomed", Run: func() int { panic("blew up") }},
+	}
+	sec := experiments.NewSection("", "grid", "", cells, func(v []int) string { return fmt.Sprintln(v) })
+	var out, log bytes.Buffer
+	d := sweeper{parallel: 1, storePath: filepath.Join(dir, "s.jsonl"), out: &out, log: &log}
+	csvPath := filepath.Join(dir, "s.csv")
+	err := d.grid("grid cell", sec, sec, csvPath)
+	if err == nil || !strings.Contains(err.Error(), "grid/doomed") || !strings.Contains(err.Error(), "blew up") {
+		t.Fatalf("failed cell: err = %v", err)
+	}
+	if _, statErr := os.Stat(csvPath); out.Len() != 0 || statErr == nil {
+		t.Errorf("a failed grid printed %q or wrote its CSV (stat: %v)", out.String(), statErr)
+	}
+}
+
+// TestGridOutputGolden pins the bytes of stdout and CSV of one dumbbell
+// and one backbone grid. The hashes were recorded before every grid cell
+// stored its runner's own record, so they hold the renderers to the rows
+// the per-tool projections printed: cebinae rows first (the table sorts
+// by qdisc, then scale, then threshold, whatever the flag order), and a
+// threshold column read from the cell, not from τ×100 (7/100×100 is
+// 7.000000000000001 in float64).
+func TestGridOutputGolden(t *testing.T) {
+	dir := t.TempDir()
+	var out, log bytes.Buffer
+	d := sweeper{parallel: 2, storePath: filepath.Join(dir, "dumbbell.jsonl"), out: &out, log: &log}
+	digest := func(csvPath string) string {
+		data, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(append(out.Bytes(), data...)))
+	}
+
+	cfg := experiments.DefaultSweepConfig()
+	cfg.Qdiscs = []experiments.QdiscKind{experiments.FIFO, experiments.FQ, experiments.Cebinae}
+	cfg.Scales = []experiments.Scale{0.02}
+	cfg.ThresholdPcts = []float64{7, 5}
+	table, sheet := cfg.Sections()
+	csvPath := filepath.Join(dir, "dumbbell.csv")
+	if err := d.grid("grid cell", table, sheet, csvPath); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digest(csvPath), "f416ff8907e973e0d8d846b9bffdd00df5e0a596ff124355bbcc24e84a4d2b20"; got != want {
+		t.Errorf("dumbbell grid sha256 %s, want %s:\n%s", got, want, out.String())
+	}
+
+	out.Reset()
+	d.storePath = filepath.Join(dir, "backbone.jsonl")
+	csvPath = filepath.Join(dir, "backbone.csv")
+	if err := d.backbone("1000", "fifo,fq,cebinae", "0.02", csvPath); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digest(csvPath), "d33269bbb4a77dd8255682684d70a6fac93d95c1510a4b8f48a328d6756d9098"; got != want {
+		t.Errorf("backbone grid sha256 %s, want %s:\n%s", got, want, out.String())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cebinae/internal/core"
 	"cebinae/internal/metrics"
 	"cebinae/internal/sim"
 )
@@ -264,15 +263,23 @@ func Fig12Scenarios(scale Scale) []Scenario {
 	}
 	out := perKind("fig12", base, FIFO, FQ)
 	for _, pct := range []float64{1, 2, 5, 10, 25, 50, 75, 100} {
-		p := core.DefaultParams(base.BottleneckBps, base.BufferBytes, ms(50))
-		p.DeltaPort = pct / 100
-		p.DeltaFlow = pct / 100
-		p.Tau = pct / 100
-		s := base
-		s.Name, s.Qdisc, s.Params = fmt.Sprintf("fig12/ceb/%g", pct), Cebinae, &p
+		s := withThreshold(base, pct)
+		s.Name = fmt.Sprintf("fig12/ceb/%g", pct)
 		out = append(out, s)
 	}
 	return out
+}
+
+// withThreshold returns s under Cebinae at its default parameters, but
+// with δp = δf = τ = pct/100: the threshold that Fig. 12 and the sweep
+// vary.
+func withThreshold(s Scenario, pct float64) Scenario {
+	p := DefaultCebinaeParams(s)
+	p.DeltaPort = pct / 100
+	p.DeltaFlow = pct / 100
+	p.Tau = pct / 100
+	s.Qdisc, s.Params = Cebinae, &p
+	return s
 }
 
 // RenderFig12 prints the sweep and the reference lines.

@@ -45,9 +45,10 @@ func TestJobIDsGolden(t *testing.T) {
 		}
 		list("scenarios/"+filepath.Base(p)+` Section("")`, c.Section("").Jobs)
 	}
-	list("DefaultSweepConfig().Jobs()", experiments.DefaultSweepConfig().Jobs())
-	list("BackboneSweepJobs([1000 20000], [fifo cebinae], Quick)",
-		experiments.BackboneSweepJobs([]int{1000, 20000}, []experiments.QdiscKind{experiments.FIFO, experiments.Cebinae}, experiments.Quick))
+	sweep, _ := experiments.DefaultSweepConfig().Sections()
+	list("DefaultSweepConfig().Sections()", sweep.Jobs)
+	backbone, _ := experiments.BackboneSweepSections([]int{1000, 20000}, []experiments.QdiscKind{experiments.FIFO, experiments.Cebinae}, experiments.Quick)
+	list("BackboneSweepSections([1000 20000], [fifo cebinae], Quick)", backbone.Jobs)
 
 	const golden = "testdata/job_ids.txt"
 	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -12,11 +12,11 @@ import (
 
 // This file is the one run path. Every independent simulation (each run of
 // a figure's scenario list, each Table-2 row, each extension×discipline
-// cell, each cell of a scenario file or a sweep) is a typed Cell; cellJobs
-// turns cells into fleet jobs, and a BenchSection pairs those jobs with a
-// renderer that reassembles their checkpointed JSON values into report
-// text. A figure's cell value is the runner's own record (Result,
-// ChainResult, Fig13Point), so everything the figure derives from it —
+// cell, each cell of a scenario file or a grid) is a typed Cell; NewSection
+// turns cells into fleet jobs and pairs them with a renderer that
+// reassembles their checkpointed JSON values into report text. A cell's
+// value is the runner's own record (Result, ChainResult, BackboneResult,
+// Fig13Point), so everything a figure or grid derives from it —
 // CDFs, normalised JFI, reference lines — is computed at render time. Jobs
 // construct their own sim.Engine inside the closure, so results are
 // independent of worker count and scheduling order. Job IDs are the
@@ -50,28 +50,26 @@ type Cell[T any] struct {
 	Cost float64
 }
 
-// cellJobs wraps cells as fleet jobs under the base ID.
-func cellJobs[T any](base, desc string, cells []Cell[T]) []fleet.Job {
+// NewSection builds the section id: its cells run as jobs under
+// prefix+id, and render receives their results in cell order. A stored
+// value must decode into T field for field: a value of another schema (a
+// store written by an older release) is an error naming its job and the
+// unknown field, never a zero record.
+func NewSection[T any](prefix, id, desc string, cells []Cell[T], render func([]T) string) BenchSection {
+	base := prefix + id
 	jobs := make([]fleet.Job, len(cells))
 	for i, c := range cells {
-		id := base
-		if id != "" && c.Key != "" {
-			id += "/"
+		jid := base
+		if jid != "" && c.Key != "" {
+			jid += "/"
 		}
 		d := desc
 		if c.Desc != "" {
 			d = c.Desc
 		}
 		run := c.Run
-		jobs[i] = fleet.Job{ID: id + c.Key, Desc: d, Run: func() (any, error) { return run(), nil }, Cost: c.Cost}
+		jobs[i] = fleet.Job{ID: jid + c.Key, Desc: d, Run: func() (any, error) { return run(), nil }, Cost: c.Cost}
 	}
-	return jobs
-}
-
-// NewSection builds the section id: its cells run as jobs under
-// prefix+id, and render receives their results in cell order.
-func NewSection[T any](prefix, id, desc string, cells []Cell[T], render func([]T) string) BenchSection {
-	jobs := cellJobs(prefix+id, desc, cells)
 	return BenchSection{
 		ID:   id,
 		Desc: desc,
@@ -83,7 +81,9 @@ func NewSection[T any](prefix, id, desc string, cells []Cell[T], render func([]T
 				if err != nil {
 					return "", err
 				}
-				if err := json.Unmarshal(raw, &out[i]); err != nil {
+				dec := json.NewDecoder(bytes.NewReader(raw))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&out[i]); err != nil {
 					return "", fmt.Errorf("experiments: decode %s: %w", j.ID, err)
 				}
 			}
@@ -95,24 +95,6 @@ func NewSection[T any](prefix, id, desc string, cells []Cell[T], render func([]T
 // Only adapts a one-result renderer to a one-cell section.
 func Only[T any](render func(T) string) func([]T) string {
 	return func(v []T) string { return render(v[0]) }
-}
-
-// DecodeOK decodes the values of a fleet run's successful jobs, skipping
-// failed ones, sorted by less for stable output.
-func DecodeOK[T any](results []fleet.Result, less func(a, b T) bool) ([]T, error) {
-	var out []T
-	for _, r := range results {
-		if !r.OK {
-			continue
-		}
-		var v T
-		if err := json.Unmarshal(r.Value, &v); err != nil {
-			return nil, fmt.Errorf("experiments: decode %s: %w", r.ID, err)
-		}
-		out = append(out, v)
-	}
-	sort.SliceStable(out, func(i, k int) bool { return less(out[i], out[k]) })
-	return out, nil
 }
 
 // ParseScale reads a horizon scale: quick, medium, full, or a fraction of

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -77,26 +78,17 @@ func TestSummaryGetterSurfacesFailures(t *testing.T) {
 	}
 }
 
-// TestDecodeOKSkipsFailuresAndSorts: failed jobs contribute no row, the
-// rest come back in less order whatever order the summary held them in,
-// and a malformed value is an error naming its job.
-func TestDecodeOKSkipsFailuresAndSorts(t *testing.T) {
-	results := []fleet.Result{
-		{ID: "a", OK: true, Value: []byte("3")},
-		{ID: "b", OK: false, Err: "boom"},
-		{ID: "c", OK: true, Value: []byte("1")},
-		{ID: "d", OK: true, Value: []byte("2")},
-	}
-	got, err := DecodeOK(results, func(a, b int) bool { return a < b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("decoded %v, want [1 2 3]", got)
-	}
-	results[0].Value = []byte(`"x"`)
-	if _, err := DecodeOK(results, func(a, b int) bool { return a < b }); err == nil || !strings.Contains(err.Error(), "decode a") {
-		t.Fatalf("malformed value: got %v", err)
+// TestSectionRefusesOldSchema: a stored value of another schema — here
+// the line an older cebinae-sweep wrote for a dumbbell grid cell — is an
+// error naming the job and the unknown field, not a table of zeros.
+func TestSectionRefusesOldSchema(t *testing.T) {
+	cfg := tinySweep()
+	cfg.Qdiscs = []QdiscKind{Cebinae}
+	table, _ := cfg.Sections()
+	old := `{"qdisc":"cebinae","scale":0.01,"threshold_pct":5,"duration_s":2,"throughput_bps":38340000,"goodput_bps":20699160,"jfi":0.9814404908090374}`
+	text, err := table.Render(func(string) (json.RawMessage, error) { return json.RawMessage(old), nil })
+	if err == nil || !strings.Contains(err.Error(), "sweep/cebinae/s0.01/t5") || !strings.Contains(err.Error(), `"qdisc"`) {
+		t.Fatalf("old-schema value: err = %v, rendered %q", err, text)
 	}
 }
 
@@ -141,15 +133,51 @@ func TestSweepGridShape(t *testing.T) {
 	cfg := DefaultSweepConfig()
 	cfg.Scales = []Scale{Quick, Medium}
 	// fifo, fq: 1 point per scale; cebinae: 8 thresholds per scale.
-	if got, want := len(cfg.Points()), 2*2+8*2; got != want {
-		t.Fatalf("grid has %d points, want %d", got, want)
+	table, csv := cfg.Sections()
+	if got, want := len(table.Jobs), 2*2+8*2; got != want || len(csv.Jobs) != want {
+		t.Fatalf("grid has %d (CSV %d) cells, want %d", got, len(csv.Jobs), want)
 	}
 	ids := map[string]bool{}
-	for _, p := range cfg.Points() {
-		if ids[p.ID()] {
-			t.Errorf("duplicate point ID %s", p.ID())
+	for i, j := range table.Jobs {
+		if ids[j.ID] || csv.Jobs[i].ID != j.ID {
+			t.Errorf("duplicate or unpaired cell ID %s", j.ID)
 		}
-		ids[p.ID()] = true
+		ids[j.ID] = true
+	}
+	// Without thresholds Cebinae has no cell: it never runs one it cannot
+	// label.
+	cfg.ThresholdPcts = nil
+	if table, _ := cfg.Sections(); len(table.Jobs) != 2*2 {
+		t.Errorf("no thresholds: %d cells, want 4", len(table.Jobs))
+	}
+}
+
+// TestSweepCebinaeRunsItsThreshold: every Cebinae cell runs its
+// default parameters with δp = δf = τ at its own threshold, as Fig. 12's
+// runs do, and no other cell overrides Cebinae's parameters.
+func TestSweepCebinaeRunsItsThreshold(t *testing.T) {
+	cfg := DefaultSweepConfig()
+	cfg.ThresholdPcts = []float64{0.5, 7, 57, 100}
+	for _, pt := range cfg.points() {
+		s := cfg.cell(pt).Scenario
+		if pt.qdisc != Cebinae {
+			if s.Params != nil || pt.pct != 0 {
+				t.Errorf("%s: threshold %g, params %+v", s.Name, pt.pct, s.Params)
+			}
+			continue
+		}
+		want := DefaultCebinaeParams(s)
+		want.DeltaPort, want.DeltaFlow, want.Tau = pt.pct/100, pt.pct/100, pt.pct/100
+		if s.Params == nil || *s.Params != want {
+			t.Errorf("%s: params %+v, want %+v", s.Name, s.Params, want)
+		}
+	}
+	for _, s := range Fig12Scenarios(Quick)[2:] {
+		want := DefaultCebinaeParams(s)
+		want.DeltaPort, want.DeltaFlow, want.Tau = s.Params.Tau, s.Params.Tau, s.Params.Tau
+		if *s.Params != want || s.Qdisc != Cebinae {
+			t.Errorf("%s: params %+v, want %+v", s.Name, *s.Params, want)
+		}
 	}
 }
 
@@ -170,7 +198,8 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := fleet.Run(cfg.Jobs(), fleet.Options{Parallelism: p, Store: st})
+		table, _ := cfg.Sections()
+		sum, err := fleet.Run(table.Jobs, fleet.Options{Parallelism: p, Store: st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,32 +226,27 @@ func TestSweepCSVRoundtrip(t *testing.T) {
 	}
 	cfg := tinySweep()
 	cfg.Qdiscs = []QdiscKind{Cebinae}
-	sum, err := fleet.Run(cfg.Jobs(), fleet.Options{})
+	table, csv := cfg.Sections()
+	sum, err := fleet.Run(table.Jobs, fleet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := DecodeOK(sum.Results, SweepResult.Less)
+	get := SummaryGetter(sum)
+	txt, err := table.Render(get)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Qdisc != Cebinae || rows[0].ThresholdPct != 5 {
-		t.Fatalf("decoded rows %+v", rows)
+	if !strings.Contains(txt, "cebinae   |   0.01 |         5 |      2 |") {
+		t.Fatalf("rendered table missing its row:\n%s", txt)
 	}
-	if rows[0].GoodputBps <= 0 || rows[0].JFI <= 0 {
-		t.Fatalf("degenerate measurement %+v", rows[0])
-	}
-	var buf bytes.Buffer
-	if err := WriteSweepCSV(&buf, rows); err != nil {
+	out, err := csv.Render(get)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "qdisc,scale,threshold_pct,duration_s,throughput_mbps,goodput_mbps,jfi\n") {
-		t.Fatalf("csv header wrong:\n%s", out)
+	if !strings.HasPrefix(out, "qdisc,scale,threshold_pct,duration_s,throughput_mbps,goodput_mbps,jfi\ncebinae,0.01,5,2,") {
+		t.Fatalf("csv header or row wrong:\n%s", out)
 	}
 	if lines := strings.Count(strings.TrimSpace(out), "\n"); lines != 1 {
 		t.Fatalf("csv has %d data rows, want 1:\n%s", lines, out)
-	}
-	if txt := RenderSweep(rows); !strings.Contains(txt, "cebinae") {
-		t.Fatalf("rendered table missing rows:\n%s", txt)
 	}
 }

@@ -3,11 +3,10 @@ package experiments
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
+	"sort"
 	"strconv"
+	"strings"
 
-	"cebinae/internal/core"
-	"cebinae/internal/fleet"
 	"cebinae/internal/sim"
 )
 
@@ -15,8 +14,8 @@ import (
 // run over one fixed scenario family (by default Fig. 12's 16 NewReno vs
 // 1 Cubic contention). Thresholds parameterise Cebinae's δp = δf = τ and
 // only that discipline consumes them, so non-Cebinae disciplines run one
-// point per scale (recorded with ThresholdPct 0) instead of burning a
-// whole threshold axis on identical simulations.
+// point per scale (recorded with threshold 0) instead of burning a whole
+// threshold axis on identical simulations.
 
 // SweepConfig declares the sweep grid and the scenario family it runs.
 type SweepConfig struct {
@@ -47,136 +46,114 @@ func DefaultSweepConfig() SweepConfig {
 	}
 }
 
-// SweepPoint identifies one grid cell.
-type SweepPoint struct {
-	Qdisc        QdiscKind `json:"qdisc"`
-	Scale        float64   `json:"scale"`
-	ThresholdPct float64   `json:"threshold_pct"`
+// sweepPoint is one grid cell's coordinates: what its row prints.
+type sweepPoint struct {
+	qdisc QdiscKind
+	scale float64
+	pct   float64
 }
 
-// ID returns the point's stable job ID (also its JSONL checkpoint key).
-func (p SweepPoint) ID() string {
-	return fmt.Sprintf("sweep/%s/s%g/t%g", p.Qdisc, p.Scale, p.ThresholdPct)
-}
-
-// SweepResult is one measured grid cell — the sweep's JSONL value schema.
-type SweepResult struct {
-	SweepPoint
-	DurationS     float64 `json:"duration_s"`
-	ThroughputBps float64 `json:"throughput_bps"`
-	GoodputBps    float64 `json:"goodput_bps"`
-	JFI           float64 `json:"jfi"`
-}
-
-// WriteSweepCSV emits a header row, then one row per sweep grid cell in the
-// order given (DecodeOK with SweepResult.Less gives the canonical
-// qdisc/scale/threshold sort), so the measured data can be re-plotted
-// outside Go.
-func WriteSweepCSV(w io.Writer, rows []SweepResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"qdisc", "scale", "threshold_pct", "duration_s", "throughput_mbps", "goodput_mbps", "jfi"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			string(r.Qdisc), f(r.Scale), f(r.ThresholdPct), f(r.DurationS),
-			f(r.ThroughputBps / 1e6), f(r.GoodputBps / 1e6), f(r.JFI),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// f formats a CSV number: the shortest form that keeps 8 significant
-// digits.
-func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-
-// Points enumerates the grid in deterministic order.
-func (c SweepConfig) Points() []SweepPoint {
-	var pts []SweepPoint
+// points enumerates the grid in deterministic order: discipline, then
+// scale, then threshold. Cebinae runs one point per threshold (none
+// without one); every other discipline one point per scale.
+func (c SweepConfig) points() []sweepPoint {
+	var pts []sweepPoint
 	for _, q := range c.Qdiscs {
 		for _, s := range c.Scales {
-			if q == Cebinae && len(c.ThresholdPcts) > 0 {
-				for _, t := range c.ThresholdPcts {
-					pts = append(pts, SweepPoint{Qdisc: q, Scale: float64(s), ThresholdPct: t})
-				}
-			} else {
-				pts = append(pts, SweepPoint{Qdisc: q, Scale: float64(s), ThresholdPct: 0})
+			pcts := []float64{0}
+			if q == Cebinae {
+				pcts = c.ThresholdPcts
+			}
+			for _, t := range pcts {
+				pts = append(pts, sweepPoint{qdisc: q, scale: float64(s), pct: t})
 			}
 		}
 	}
 	return pts
 }
 
-// Jobs wraps every grid point as a fleet job.
-func (c SweepConfig) Jobs() []fleet.Job {
-	pts := c.Points()
-	cells := make([]Cell[SweepResult], len(pts))
+// Sections returns the grid as two renders of one set of cells, job IDs
+// sweep/<qdisc>/s<scale>/t<threshold>: the text table and the CSV. A cell
+// runs the family at its scale's horizon (at least 2 s), a Cebinae cell
+// at its own threshold. Rows are sorted by (qdisc, scale, threshold) and
+// print their point's threshold, not the run's τ×100, which float64
+// moves (7/100×100 = 7.000000000000001).
+func (c SweepConfig) Sections() (BenchSection, BenchSection) {
+	pts := c.points()
+	grid := make([]GridCell, len(pts))
+	order := make([]int, len(pts))
 	for i, pt := range pts {
-		cells[i] = Cell[SweepResult]{
-			Key:  pt.ID(),
-			Desc: fmt.Sprintf("%s at scale %g, thresholds %g%%", pt.Qdisc, pt.Scale, pt.ThresholdPct),
-			Run:  func() SweepResult { return RunSweepPoint(c, pt) },
-		}
+		grid[i] = c.cell(pt)
+		order[i] = i
 	}
-	return cellJobs("", "", cells)
+	// Rows print in sorted order; cells keep the enumeration order, which
+	// fixes their job order in the store and in testdata/job_ids.txt.
+	sort.SliceStable(order, func(i, k int) bool {
+		a, b := pts[order[i]], pts[order[k]]
+		if a.qdisc != b.qdisc {
+			return a.qdisc < b.qdisc
+		}
+		if a.scale != b.scale {
+			return a.scale < b.scale
+		}
+		return a.pct < b.pct
+	})
+	table := func(rs []Result) string {
+		var b []byte
+		b = fmt.Appendf(b, "%-9s | %6s | %9s | %6s | %14s | %12s | %6s\n",
+			"qdisc", "scale", "thresh[%]", "dur[s]", "tput[Mbps]", "gput[Mbps]", "JFI")
+		for _, i := range order {
+			pt, r := pts[i], rs[i]
+			b = fmt.Appendf(b, "%-9s | %6g | %9g | %6g | %14.2f | %12.2f | %6.3f\n",
+				pt.qdisc, pt.scale, pt.pct, r.Scenario.Duration.Seconds(),
+				r.ThroughputBps/1e6, r.GoodputBps/1e6, r.JFI)
+		}
+		return string(b)
+	}
+	sheet := func(rs []Result) string {
+		recs := [][]string{{"qdisc", "scale", "threshold_pct", "duration_s", "throughput_mbps", "goodput_mbps", "jfi"}}
+		for _, i := range order {
+			pt, r := pts[i], rs[i]
+			recs = append(recs, []string{
+				string(pt.qdisc), f(pt.scale), f(pt.pct), f(r.Scenario.Duration.Seconds()),
+				f(r.ThroughputBps / 1e6), f(r.GoodputBps / 1e6), f(r.JFI),
+			})
+		}
+		return csvText(recs)
+	}
+	return GridSection("", "sweep", "", grid, table), GridSection("", "sweep", "", grid, sheet)
 }
 
-// RunSweepPoint measures one grid cell with its own engine.
-func RunSweepPoint(c SweepConfig, pt SweepPoint) SweepResult {
-	dur := sim.Time(pt.Scale * 100e9)
+// cell lowers one point to its dumbbell.
+func (c SweepConfig) cell(pt sweepPoint) GridCell {
+	key := fmt.Sprintf("%s/s%g/t%g", pt.qdisc, pt.scale, pt.pct)
+	dur := sim.Time(pt.scale * 100e9)
 	if dur < sim.Duration(2e9) {
 		dur = sim.Duration(2e9)
 	}
 	s := Scenario{
-		Name:          pt.ID(),
+		Name:          "sweep/" + key,
 		BottleneckBps: c.BottleneckBps,
 		BufferBytes:   c.BufferBytes,
 		Groups:        c.Groups,
 		Duration:      dur,
-		Qdisc:         pt.Qdisc,
+		Qdisc:         pt.qdisc,
 		Seed:          c.Seed,
 	}
-	if pt.Qdisc == Cebinae && pt.ThresholdPct > 0 {
-		p := core.DefaultParams(s.BottleneckBps, s.BufferBytes, maxRTT(s.Groups))
-		p.DeltaPort = pt.ThresholdPct / 100
-		p.DeltaFlow = pt.ThresholdPct / 100
-		p.Tau = pt.ThresholdPct / 100
-		s.Params = &p
+	if pt.qdisc == Cebinae {
+		s = withThreshold(s, pt.pct)
 	}
-	r := Run(s)
-	return SweepResult{
-		SweepPoint:    pt,
-		DurationS:     dur.Seconds(),
-		ThroughputBps: r.ThroughputBps,
-		GoodputBps:    r.GoodputBps,
-		JFI:           r.JFI,
-	}
+	return GridCell{ID: key, Label: fmt.Sprintf("%s at scale %g, thresholds %g%%", pt.qdisc, pt.scale, pt.pct), Scenario: s}
 }
 
-// Less orders sweep rows by (qdisc, scale, threshold), the table's order.
-func (a SweepResult) Less(b SweepResult) bool {
-	if a.Qdisc != b.Qdisc {
-		return a.Qdisc < b.Qdisc
-	}
-	if a.Scale != b.Scale {
-		return a.Scale < b.Scale
-	}
-	return a.ThresholdPct < b.ThresholdPct
+// csvText renders records as CSV. A strings.Builder never fails a write.
+func csvText(recs [][]string) string {
+	var b strings.Builder
+	cw := csv.NewWriter(&b)
+	cw.WriteAll(recs)
+	return b.String()
 }
 
-// RenderSweep prints the measured grid as an aligned text table.
-func RenderSweep(rows []SweepResult) string {
-	var b []byte
-	b = fmt.Appendf(b, "%-9s | %6s | %9s | %6s | %14s | %12s | %6s\n",
-		"qdisc", "scale", "thresh[%]", "dur[s]", "tput[Mbps]", "gput[Mbps]", "JFI")
-	for _, r := range rows {
-		b = fmt.Appendf(b, "%-9s | %6g | %9g | %6g | %14.2f | %12.2f | %6.3f\n",
-			r.Qdisc, r.Scale, r.ThresholdPct, r.DurationS,
-			r.ThroughputBps/1e6, r.GoodputBps/1e6, r.JFI)
-	}
-	return string(b)
-}
+// f formats a CSV number: the shortest form that keeps 8 significant
+// digits.
+func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }

@@ -72,19 +72,6 @@ func (s *Sketch) Estimate(flow packet.FlowKey) int64 {
 	return est
 }
 
-// SubtractFloor lowers every counter by delta, flooring at zero — AFQ's
-// periodic aging so bids track the advancing round clock.
-func (s *Sketch) SubtractFloor(delta int64) {
-	for i := range s.rows {
-		for j := range s.rows[i] {
-			s.rows[i][j] -= delta
-			if s.rows[i][j] < 0 {
-				s.rows[i][j] = 0
-			}
-		}
-	}
-}
-
 // Reset zeroes the sketch.
 func (s *Sketch) Reset() {
 	for i := range s.rows {

@@ -61,19 +61,6 @@ func TestUpdateMax(t *testing.T) {
 	}
 }
 
-func TestSubtractFloor(t *testing.T) {
-	s := New(2, 64)
-	s.Add(flow(1), 100)
-	s.Add(flow(2), 30)
-	s.SubtractFloor(50)
-	if got := s.Estimate(flow(1)); got != 50 {
-		t.Fatalf("flow1 = %d, want 50", got)
-	}
-	if got := s.Estimate(flow(2)); got != 0 {
-		t.Fatalf("flow2 should floor at 0, got %d", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	s := New(2, 64)
 	s.Add(flow(1), 100)

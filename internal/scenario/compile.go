@@ -244,11 +244,7 @@ func (c *Compiled) Section(prefix string) experiments.BenchSection {
 			[]experiments.Cell[experiments.GraphResult]{{Run: func() experiments.GraphResult { return experiments.RunGraph(*c.Graph) }}},
 			experiments.Only(experiments.GraphResult.Report))
 	}
-	cells := make([]experiments.Cell[experiments.GridCellResult], len(c.Grid))
-	for i, g := range c.Grid {
-		cells[i] = experiments.Cell[experiments.GridCellResult]{Key: g.ID, Desc: g.Label, Run: func() experiments.GridCellResult { return experiments.RunGridCell(g) }}
-	}
-	return experiments.NewSection(prefix, id, desc, cells, func(r []experiments.GridCellResult) string {
-		return experiments.GridResult{Name: c.Spec.Name, Cells: r}.Report()
+	return experiments.GridSection(prefix, id, desc, c.Grid, func(rs []experiments.Result) string {
+		return experiments.RenderGrid(c.Spec.Name, c.Grid, rs)
 	})
 }

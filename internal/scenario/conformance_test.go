@@ -10,8 +10,8 @@ import (
 )
 
 // runGrid runs a grid scenario's section on a one-worker fleet and
-// returns its report and its cells' results in generation order.
-func runGrid(t *testing.T, c *Compiled) (string, []experiments.GridCellResult) {
+// returns its report and its cells' results by cell ID.
+func runGrid(t *testing.T, c *Compiled) (string, map[string]experiments.Result) {
 	t.Helper()
 	sec := c.Section("")
 	sum, err := fleet.Run(sec.Jobs, fleet.Options{Parallelism: 1})
@@ -23,29 +23,19 @@ func runGrid(t *testing.T, c *Compiled) (string, []experiments.GridCellResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := make([]experiments.GridCellResult, len(sec.Jobs))
+	cells := map[string]experiments.Result{}
 	for i, job := range sec.Jobs {
 		raw, err := get(job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &cells[i]); err != nil {
+		var r experiments.Result
+		if err := json.Unmarshal(raw, &r); err != nil {
 			t.Fatal(err)
 		}
+		cells[c.Grid[i].ID] = r
 	}
 	return report, cells
-}
-
-// cellByID indexes a grid run's cells.
-func cellByID(t *testing.T, cells []experiments.GridCellResult, id string) experiments.GridCellResult {
-	t.Helper()
-	for _, c := range cells {
-		if c.ID == id {
-			return c
-		}
-	}
-	t.Fatalf("no cell %q", id)
-	return experiments.GridCellResult{}
 }
 
 // TestTournamentConformance pins the CCA tournament matrix compiled from
@@ -68,12 +58,12 @@ func TestTournamentConformance(t *testing.T) {
 	if first != second {
 		t.Errorf("tournament is not deterministic across two runs\n--- first\n%s--- second\n%s", first, second)
 	}
-	for _, cell := range cells {
+	for id, cell := range cells {
 		if cell.JFI <= 0 || cell.JFI > 1 {
-			t.Errorf("cell %s: JFI %v out of range", cell.ID, cell.JFI)
+			t.Errorf("cell %s: JFI %v out of range", id, cell.JFI)
 		}
-		if len(cell.GroupGoodputBps) != 2 {
-			t.Errorf("cell %s: want 2 per-CCA goodput groups, got %d", cell.ID, len(cell.GroupGoodputBps))
+		if n := len(cell.GroupGoodputBps()); n != 2 {
+			t.Errorf("cell %s: want 2 per-CCA goodput groups, got %d", id, n)
 		}
 	}
 }
@@ -105,18 +95,18 @@ func TestBufferSweepConformance(t *testing.T) {
 				cell = gc
 			}
 		}
-		a, b := experiments.RunGridCell(cell), experiments.RunGridCell(cell)
+		a, b := experiments.Run(cell.Scenario), experiments.Run(cell.Scenario)
 		if a.JFI != b.JFI || a.GoodputBps != b.GoodputBps {
 			t.Errorf("cell %s: not deterministic across two runs (JFI %v vs %v)", id, a.JFI, b.JFI)
 		}
 	}
 
 	// Groups are declared [bbr, cubic].
-	bbr := func(cell experiments.GridCellResult) float64 { return cell.GroupGoodputBps[0] }
-	cubic := func(cell experiments.GridCellResult) float64 { return cell.GroupGoodputBps[1] }
+	bbr := func(cell experiments.Result) float64 { return cell.GroupGoodputBps()[0] }
+	cubic := func(cell experiments.Result) float64 { return cell.GroupGoodputBps()[1] }
 
-	shallow := cellByID(t, r, "fifo/b31250")
-	deepest := cellByID(t, r, "fifo/b2000000")
+	shallow := r["fifo/b31250"]
+	deepest := r["fifo/b2000000"]
 	if bbr(shallow) < 2*cubic(shallow) {
 		t.Errorf("shallow FIFO should starve Cubic under BBR: bbr=%.0f cubic=%.0f", bbr(shallow), cubic(shallow))
 	}
@@ -127,8 +117,8 @@ func TestBufferSweepConformance(t *testing.T) {
 		t.Errorf("FIFO fairness should improve with depth: JFI(deep)=%.4f <= JFI(shallow)=%.4f", deepest.JFI, shallow.JFI)
 	}
 	for _, depth := range []string{"b31250", "b500000"} {
-		fifo := cellByID(t, r, "fifo/"+depth)
-		ceb := cellByID(t, r, "cebinae/"+depth)
+		fifo := r["fifo/"+depth]
+		ceb := r["cebinae/"+depth]
 		if ceb.JFI < fifo.JFI {
 			t.Errorf("%s: Cebinae JFI %.4f < FIFO JFI %.4f", depth, ceb.JFI, fifo.JFI)
 		}

@@ -96,11 +96,11 @@ func directReport(c *Compiled) string {
 	case c.Graph != nil:
 		return experiments.RunGraph(*c.Graph).Report()
 	}
-	r := experiments.GridResult{Name: c.Spec.Name}
-	for _, cell := range c.Grid {
-		r.Cells = append(r.Cells, experiments.RunGridCell(cell))
+	rs := make([]experiments.Result, len(c.Grid))
+	for i, cell := range c.Grid {
+		rs[i] = experiments.Run(cell.Scenario)
 	}
-	return r.Report()
+	return experiments.RenderGrid(c.Spec.Name, c.Grid, rs)
 }
 
 // TestSectionMatchesDirectReport is the fleet-path contract for every

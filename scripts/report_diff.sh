@@ -13,7 +13,11 @@
 # `-scale quick -p 2 -scenario 'scenarios/*.json'` from its own root (≈ 12 s
 # a side on a 2-core host); every `events=N` and `events: N` in
 # the two reports becomes `events=*` / `events: *`, and the masked reports
-# must match byte for byte. On a match it prints nothing and exits 0;
+# must match byte for byte. cebinae-sweep is built on both sides too, and
+# two grids run on each (≈ 50 ms a side): the dumbbell grid
+# `-qdiscs fifo,fq,cebinae -thresholds 5,7 -scales 0.02` and the backbone
+# grid `-backbone 1000 -scales 0.02`. Their stdout and CSV must match
+# unmasked, byte for byte. On a match it prints nothing and exits 0;
 # otherwise it prints the diff and exits 1.
 set -eu
 
@@ -28,8 +32,9 @@ parent=$build/$sha
 rm -rf "$parent"
 mkdir -p "$parent"
 git archive "$sha" | tar -xf - -C "$parent"
-(cd "$parent" && go build -o "$build/rd-parent" ./cmd/cebinae-bench)
+(cd "$parent" && go build -o "$build/rd-parent" ./cmd/cebinae-bench && go build -o "$build/rs-parent" ./cmd/cebinae-sweep)
 go build -o "$build/rd-change" ./cmd/cebinae-bench
+go build -o "$build/rs-change" ./cmd/cebinae-sweep
 
 # report SIDE DIR BINARY: the masked quick report of one side.
 report() {
@@ -37,6 +42,26 @@ report() {
 		{ echo "report_diff: the $1 report failed (stderr in $build/rd-$1.log)" >&2; exit 1; }
 	sed -e 's/events=[0-9][0-9]*/events=*/g' -e 's/events: [0-9][0-9]*/events: */g' "$build/rd-$1.raw" >"$build/rd-$1.txt"
 }
+# sweep SIDE GRID ARGS…: one grid of one side, stdout then CSV in one file.
+sweep() {
+	side=$1 grid=$2
+	shift 2
+	out=$build/rs-$side-$grid
+	rm -f "$out.jsonl" "$out.csv"
+	"$build/rs-$side" -p 2 -store "$out.jsonl" -csv "$out.csv" "$@" >"$out.txt" 2>"$out.log" ||
+		{ echo "report_diff: the $side $grid grid failed (stderr in $out.log)" >&2; exit 1; }
+	cat "$out.csv" >>"$out.txt"
+}
+for side in parent change; do
+	sweep "$side" dumbbell -qdiscs fifo,fq,cebinae -thresholds 5,7 -scales 0.02
+	sweep "$side" backbone -backbone 1000 -scales 0.02
+done
+
 report parent "$parent" "$build/rd-parent"
 report change "$root" "$build/rd-change"
-diff "$build/rd-parent.txt" "$build/rd-change.txt"
+status=0
+diff "$build/rd-parent.txt" "$build/rd-change.txt" || status=1
+for grid in dumbbell backbone; do
+	diff "$build/rs-parent-$grid.txt" "$build/rs-change-$grid.txt" || status=1
+done
+exit $status
