@@ -33,7 +33,7 @@ func main() {
 		qdisc    = flag.String("qdisc", "cebinae", "bottleneck discipline: fifo | fq | cebinae")
 		duration = flag.Duration("duration", 20*time.Second, "simulated duration")
 		seed     = flag.Uint64("seed", 42, "simulation seed")
-		tau      = flag.Float64("tau", -1, "override Cebinae τ (fraction; -1 = default 0.01)")
+		tau      = flag.Float64("tau", -1, "override Cebinae τ (fraction; -1 = default 0.01; -qdisc cebinae only)")
 		backbone = flag.Int("backbone", 0, "run the backbone replay tier with this many standing flows (e.g. 100000) instead of the TCP dumbbell")
 		specFile = flag.String("scenario", "", "run a declarative scenario file (see scenarios/); the spec owns every knob")
 	)
@@ -164,7 +164,10 @@ func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration tim
 	default:
 		return experiments.Scenario{}, fmt.Errorf("unknown qdisc %q", qdisc)
 	}
-	if tau >= 0 && s.Qdisc == experiments.Cebinae {
+	if tau >= 0 {
+		if s.Qdisc != experiments.Cebinae {
+			return experiments.Scenario{}, fmt.Errorf("-tau %v: only -qdisc cebinae reads τ, not %q", tau, qdisc)
+		}
 		p := experiments.DefaultCebinaeParams(s)
 		p.Tau = tau
 		if err := p.Validate(s.BottleneckBps, s.BufferBytes); err != nil {

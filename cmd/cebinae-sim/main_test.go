@@ -38,7 +38,8 @@ func TestBuildScenarioValid(t *testing.T) {
 }
 
 // TestBuildScenarioTauOverride: a non-negative -tau must materialise Params
-// with that τ for Cebinae, and be ignored for other disciplines.
+// with that τ for Cebinae (other disciplines refuse it: see
+// TestBuildScenarioErrors).
 func TestBuildScenarioTauOverride(t *testing.T) {
 	s, err := buildScenario("100M", 850, "newreno:2", "40ms", "cebinae", time.Second, 1, 0.05, 0)
 	if err != nil {
@@ -46,13 +47,6 @@ func TestBuildScenarioTauOverride(t *testing.T) {
 	}
 	if s.Params == nil || s.Params.Tau != 0.05 {
 		t.Fatalf("Params = %+v, want Tau 0.05", s.Params)
-	}
-	s, err = buildScenario("100M", 850, "newreno:2", "40ms", "fifo", time.Second, 1, 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Params != nil {
-		t.Fatalf("tau override on fifo must be a no-op, got %+v", s.Params)
 	}
 }
 
@@ -81,6 +75,7 @@ func TestBuildScenarioErrors(t *testing.T) {
 		{"sub-floor rtt", func(a *args) { a.rtt = "100us" }, "-rtt 100µs: below the dumbbell's 200µs floor"},
 		{"unknown qdisc", func(a *args) { a.qdisc = "red" }, "qdisc"},
 		{"tau above 1", func(a *args) { a.qdisc = "cebinae"; a.tau = 5 }, "-tau"},
+		{"tau without cebinae", func(a *args) { a.tau = 0.5 }, "-tau 0.5: only -qdisc cebinae"},
 		{"zero duration", func(a *args) { a.duration = 0 }, "-duration"},
 		{"negative duration", func(a *args) { a.duration = -time.Second }, "-duration"},
 		{"negative buffer", func(a *args) { a.buffer = -5 }, "-buffer"},

@@ -209,8 +209,8 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 
 	// The core egress discipline under test, on the engine that owns it.
 	rtt := 2 * (backboneCoreDelay + 2*sim.Duration(200e3))
-	coreQ, cq := newPortQdisc(cfg.Qdisc, coreFwd, cfg.CoreBps, backboneBufferBytes, rtt, nil)
-	coreFwd.SetQdisc(coreQ)
+	PortQdisc{Kind: cfg.Qdisc, BufferBytes: backboneBufferBytes, CebinaeRTT: rtt}.install(coreFwd)
+	cq, _ := coreFwd.Qdisc().(*core.Qdisc)
 
 	obs := &backboneObserver{
 		sketch: cmsketch.New(sketchRows, sketchCols),

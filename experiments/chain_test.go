@@ -3,13 +3,11 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"cebinae/internal/netem"
 	"cebinae/internal/qdisc"
-	"cebinae/internal/sim"
 )
 
 // TestChainIsGraphDeclaration: the graph the chain lowers to declares the
@@ -20,22 +18,6 @@ import (
 func TestChainIsGraphDeclaration(t *testing.T) {
 	cfg := CanonicalChain(Cebinae, Seconds(2), 1)
 	fifo := func() netem.Qdisc { return qdisc.NewFIFO(1 << 20) }
-	type declared struct {
-		nodes []*netem.Node
-		links []netem.GraphLink
-		host  map[*netem.Node]bool
-	}
-	// declare records one build, which returns its hosts.
-	declare := func(build func(netem.Fabric) []*netem.Node) declared {
-		w := netem.NewNetwork(sim.NewEngine())
-		rec := netem.NewRecorder(w, 1)
-		d := declared{host: map[*netem.Node]bool{}}
-		for _, h := range build(rec) {
-			d.host[h] = true
-		}
-		d.nodes, d.links = w.Nodes(), rec.Graph.Links
-		return d
-	}
 	lot := declare(func(f netem.Fabric) []*netem.Node {
 		pl := netem.BuildParkingLotOn(f, netem.ParkingLotConfig{
 			Hops: cfg.Hops, LongFlows: cfg.LongFlows, CrossPerHop: cfg.CrossPerHop,
@@ -49,49 +31,8 @@ func TestChainIsGraphDeclaration(t *testing.T) {
 		}
 		return hosts
 	})
-	g := cfg.graph()
-	graph := declare(func(f netem.Fabric) []*netem.Node {
-		var hosts []*netem.Node
-		for _, hs := range g.build(f) {
-			hosts = append(hosts, hs...)
-		}
-		return hosts
-	})
-
-	if len(graph.nodes) != len(lot.nodes) {
-		t.Fatalf("graph declares %d nodes, the parking lot %d", len(graph.nodes), len(lot.nodes))
-	}
-	for i, n := range lot.nodes {
-		if m := graph.nodes[i]; m.ID != n.ID || graph.host[m] != lot.host[n] {
-			t.Errorf("node %d: graph has %s (ID %d, host %t), the parking lot %s (ID %d, host %t)",
-				i, m.Name, m.ID, graph.host[m], n.Name, n.ID, lot.host[n])
-		}
-	}
-	if !reflect.DeepEqual(graph.links, lot.links) {
-		t.Errorf("links differ:\n graph %+v\n   lot %+v", graph.links, lot.links)
-	}
-	// port is the position of n's next hop toward dst among its devices.
-	port := func(n *netem.Node, dst *netem.Node) int {
-		for k, d := range n.Devices() {
-			if d == n.NextHop(dst.ID) {
-				return k
-			}
-		}
-		return -1
-	}
-	for i, sw := range lot.nodes {
-		if lot.host[sw] {
-			continue
-		}
-		for j, dst := range lot.nodes {
-			if !lot.host[dst] {
-				continue
-			}
-			if got, want := port(graph.nodes[i], graph.nodes[j]), port(sw, dst); got != want || want < 0 {
-				t.Errorf("switch %s toward host %d: graph port %d, parking lot port %d", sw.Name, dst.ID, got, want)
-			}
-		}
-	}
+	graph := declareGraph(cfg.graph())
+	checkSameDeclaration(t, "parking lot", graph, lot, true)
 }
 
 // TestChainWarmupIsGraphWarmup: the chain measured from Duration/5 before

@@ -9,7 +9,6 @@ import (
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
-	"cebinae/internal/qdisc"
 	"cebinae/internal/sim"
 	"cebinae/internal/tcp"
 )
@@ -18,6 +17,21 @@ import (
 // repository's extensions: short-flow protection under churn, blind-UDP
 // containment, the §7 per-flow-⊤ isolation mode and the §3.2 strawman.
 // They are clearly labelled as extensions in reports.
+
+// extBps is the bottleneck rate of the churn and blind-UDP extensions.
+const extBps = 100e6
+
+// extDumbbell builds those two extensions' dumbbell on eng: n host pairs
+// at 40 ms behind an extBps bottleneck with an 850-packet buffer under
+// kind. It returns each pair's sender and receiver and the bottleneck.
+func extDumbbell(eng *sim.Engine, kind QdiscKind, n int) (snd, rcv []*netem.Node, bottleneck *netem.Device) {
+	g := Scenario{BottleneckBps: extBps, BufferBytes: 850 * 1500, Qdisc: kind, Groups: []FlowGroup{{Count: n, RTT: ms(40)}}}.graph()
+	hosts, fwd := g.build(netem.NewNetwork(eng))
+	for _, f := range g.Flows {
+		snd, rcv = append(snd, hosts[f.From][0]), append(rcv, hosts[f.To][0])
+	}
+	return snd, rcv, fwd[0]
+}
 
 // ---------------------------------------------------------------------------
 // Extension 1 — short-flow completion times under churn: one long-lived
@@ -38,38 +52,22 @@ type ExtChurnResult struct {
 
 // ExtChurn runs the scenario under one discipline.
 func ExtChurn(kind QdiscKind, scale Scale) ExtChurnResult {
-	dur := sim.Time(float64(scale) * 100e9)
-	if dur < Seconds(10) {
-		dur = Seconds(10)
-	}
+	dur := horizon(scale, 100e9, Seconds(10))
 	eng := sim.NewEngine()
-	w := netem.NewNetwork(eng)
-	const rate = 100e6
-	buf := 850 * 1500
-
-	d := netem.BuildDumbbell(w, netem.DumbbellConfig{
-		FlowCount:       2, // host pair 0: long flow; host pair 1: churn
-		BottleneckBps:   rate,
-		BottleneckDelay: bottleneckDelay,
-		RTTs:            []sim.Time{ms(40), ms(40)},
-		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
-			q, _ := newPortQdisc(kind, dev, rate, buf, ms(40), nil)
-			return q
-		},
-		DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
-	})
+	// Host pair 0 carries the long flow, pair 1 the churn.
+	snd, rcv, _ := extDumbbell(eng, kind, 2)
 
 	// Long-lived aggressive flow (Cubic).
-	longKey := packet.FlowKey{Src: d.Senders[0].ID, Dst: d.Receivers[0].ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	longKey := packet.FlowKey{Src: snd[0].ID, Dst: rcv[0].ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
 	cc, _ := tcp.NewCC("cubic")
-	tcp.NewConn(eng, d.Senders[0], tcp.Config{Key: longKey, CC: cc, MinRTO: Seconds(1)})
-	longRecv := tcp.NewReceiver(eng, d.Receivers[0], tcp.ReceiverConfig{Key: longKey})
+	tcp.NewConn(eng, snd[0], tcp.Config{Key: longKey, CC: cc, MinRTO: Seconds(1)})
+	longRecv := tcp.NewReceiver(eng, rcv[0], tcp.ReceiverConfig{Key: longKey})
 	longMeter := &metrics.FlowMeter{}
 	longRecv.GoodputAt = longMeter.Record
 
 	// Short-transfer churn: ~40 arrivals/s of mean 200 KB ⇒ ≈64 Mbps of
 	// offered short traffic.
-	churn := app.NewChurn(eng, d.Senders[1], d.Receivers[1], app.ChurnConfig{
+	churn := app.NewChurn(eng, snd[1], rcv[1], app.ChurnConfig{
 		ArrivalsPerSec: 40,
 		MeanFlowBytes:  200 << 10,
 		CC:             "newreno",
@@ -123,43 +121,24 @@ type ExtBlindUDPResult struct {
 
 // ExtBlindUDP runs the scenario under one discipline.
 func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
-	dur := sim.Time(float64(scale) * 100e9)
-	if dur < Seconds(10) {
-		dur = Seconds(10)
-	}
+	dur := horizon(scale, 100e9, Seconds(10))
 	eng := sim.NewEngine()
-	w := netem.NewNetwork(eng)
-	const rate = 100e6
-	buf := 850 * 1500
-	var cq *core.Qdisc
-
 	nTCP := 8
-	d := netem.BuildDumbbell(w, netem.DumbbellConfig{
-		FlowCount:       nTCP + 1,
-		BottleneckBps:   rate,
-		BottleneckDelay: bottleneckDelay,
-		RTTs:            []sim.Time{ms(40)},
-		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
-			var q netem.Qdisc
-			q, cq = newPortQdisc(kind, dev, rate, buf, ms(40), nil)
-			return q
-		},
-		DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
-	})
+	snd, rcv, bottleneck := extDumbbell(eng, kind, nTCP+1)
 
 	// UDP blaster on pair 0.
-	udpKey := packet.FlowKey{Src: d.Senders[0].ID, Dst: d.Receivers[0].ID, SrcPort: 9, DstPort: 9, Proto: packet.ProtoUDP}
+	udpKey := packet.FlowKey{Src: snd[0].ID, Dst: rcv[0].ID, SrcPort: 9, DstPort: 9, Proto: packet.ProtoUDP}
 	udpMeter := &metrics.FlowMeter{}
-	d.Receivers[0].Register(udpKey, meterSink{udpMeter, eng})
-	app.NewCBR(eng, d.Senders[0], udpKey, 0.8*rate, 0)
+	rcv[0].Register(udpKey, meterSink{udpMeter, eng})
+	app.NewCBR(eng, snd[0], udpKey, 0.8*extBps, 0)
 
 	// TCP flows on pairs 1..n.
 	meters := make([]*metrics.FlowMeter, nTCP)
 	for i := 0; i < nTCP; i++ {
-		key := packet.FlowKey{Src: d.Senders[i+1].ID, Dst: d.Receivers[i+1].ID, SrcPort: uint16(100 + i), DstPort: uint16(200 + i), Proto: packet.ProtoTCP}
+		key := packet.FlowKey{Src: snd[i+1].ID, Dst: rcv[i+1].ID, SrcPort: uint16(100 + i), DstPort: uint16(200 + i), Proto: packet.ProtoTCP}
 		cc, _ := tcp.NewCC("newreno")
-		tcp.NewConn(eng, d.Senders[i+1], tcp.Config{Key: key, CC: cc, Seed: uint64(i), MinRTO: Seconds(1)})
-		recv := tcp.NewReceiver(eng, d.Receivers[i+1], tcp.ReceiverConfig{Key: key})
+		tcp.NewConn(eng, snd[i+1], tcp.Config{Key: key, CC: cc, Seed: uint64(i), MinRTO: Seconds(1)})
+		recv := tcp.NewReceiver(eng, rcv[i+1], tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
 		recv.GoodputAt = m.Record
 		meters[i] = m
@@ -175,7 +154,7 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 		res.TCPAggregate += rates[i] * 8
 	}
 	res.TCPFlowJFI = metrics.JFI(rates)
-	if cq != nil {
+	if cq, ok := bottleneck.Qdisc().(*core.Qdisc); ok {
 		res.CebinaeStats = cq.Stats
 	}
 	return res
@@ -211,10 +190,7 @@ func RenderExtBlindUDP(results []ExtBlindUDPResult) string {
 // ExtPerFlowScenarios is the ablation: aggregate ⊤ tracking, then the
 // per-flow extension.
 func ExtPerFlowScenarios(scale Scale) []Scenario {
-	dur := sim.Time(float64(scale) * 100e9)
-	if dur < Seconds(20) {
-		dur = Seconds(20)
-	}
+	dur := horizon(scale, 100e9, Seconds(20))
 	out := make([]Scenario, 2)
 	for i, mode := range []string{"aggregate", "per-flow"} {
 		p := core.DefaultParams(50e6, 420*1500, ms(80))
@@ -261,10 +237,7 @@ func RenderExtPerFlow(rs []Result) string {
 // ExtStrawmanScenarios is the scenario under FIFO, the strawman and
 // Cebinae.
 func ExtStrawmanScenarios(scale Scale) []Scenario {
-	dur := sim.Time(float64(scale) * 100e9)
-	if dur < Seconds(30) {
-		dur = Seconds(30)
-	}
+	dur := horizon(scale, 100e9, Seconds(30))
 	return perKind("ext-strawman/cubic+4vegas", Scenario{
 		BottleneckBps: 50e6,
 		BufferBytes:   420 * 1500,

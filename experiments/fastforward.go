@@ -40,14 +40,14 @@ func fluidEligible(k QdiscKind) bool {
 // scenario, or reports the request was forced off. Must run after the
 // topology and the flows exist and before the engine runs; warmup is the
 // edge Run will measure from.
-func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, fs *flowSet, warmup sim.Time) (*fluid.Controller, bool) {
+func setupFastForward(s Scenario, w *netem.Network, bottleneck *netem.Device, fs *flowSet, warmup sim.Time) (*fluid.Controller, bool) {
 	if !s.FastForward {
 		return nil, false
 	}
 	if !fluidEligible(s.Qdisc) {
 		return nil, true
 	}
-	eng := d.Bottleneck.Node().Engine()
+	eng := bottleneck.Node().Engine()
 	// Resample: converged rates can still drift on timescales far above
 	// the stability window (congestion windows growing between loss
 	// episodes, BBR bandwidth shares wandering), which a frozen model
@@ -65,9 +65,9 @@ func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, fs *flowSet
 	// cruise stretch, so the controller refuses to arm there — saturated
 	// cells run at exact packet level. Access links stay plain watches:
 	// a single flow pinned at its edge rate is a stationary allocation.
-	for _, n := range d.Net.Nodes() {
+	for _, n := range w.Nodes() {
 		for _, dev := range n.Devices() {
-			if dev == d.Bottleneck && len(fs.ends) > 1 {
+			if dev == bottleneck && len(fs.ends) > 1 {
 				c.WatchDeviceContested(dev)
 			} else {
 				c.WatchDevice(dev)
@@ -106,7 +106,7 @@ func setupFastForward(s Scenario, d *netem.Dumbbell, cq *core.Qdisc, fs *flowSet
 			c.WatchFlow(fs.keys[i], e.startAt, m.Total, m.Record)
 		}
 	}
-	if cq != nil {
+	if cq, ok := bottleneck.Qdisc().(*core.Qdisc); ok {
 		c.WatchCebinae(cq, float64(packet.MSS+packet.HeaderBytes)/float64(packet.MSS))
 	}
 

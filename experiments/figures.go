@@ -35,10 +35,7 @@ func msName(t sim.Time) string { return fmt.Sprintf("%gms", float64(t)/1e6) }
 // Fig1Scenarios is Fig. 1's runs, FIFO then Cebinae (Full = the paper's
 // 50 s).
 func Fig1Scenarios(scale Scale) []Scenario {
-	dur := sim.Time(float64(scale) * 50e9)
-	if dur < sim.Duration(5e9) {
-		dur = sim.Duration(5e9)
-	}
+	dur := horizon(scale, 50e9, sim.Duration(5e9))
 	return perKind("fig1", Scenario{
 		BottleneckBps: 100e6,
 		BufferBytes:   450 * 1500,
@@ -212,10 +209,8 @@ func RenderFig9(rs []Result) string {
 // Fig10Scenarios is the arrival dynamics experiment under FIFO, FQ and
 // Cebinae (Full = 50 s).
 func Fig10Scenarios(scale Scale) []Scenario {
-	dur := sim.Time(float64(scale) * 50e9)
-	if dur < sim.Duration(30e9) {
-		dur = sim.Duration(30e9) // need to reach past the 25 s arrival
-	}
+	// A 30 s floor reaches past the 25 s arrival.
+	dur := horizon(scale, 50e9, sim.Duration(30e9))
 	return perKind("fig10", Scenario{
 		BottleneckBps: 100e6,
 		BufferBytes:   850 * 1500,

@@ -27,18 +27,23 @@ type flowSet struct {
 	meters []*metrics.FlowMeter
 }
 
-// attachFlows creates flow i of ends on ports 1000+i → 5000+i with seed
-// seed+i: sender, then receiver, then the goodput meter the receiver feeds.
-// Construction order is event order (each sender arms its start timer), so
-// it is the same at every caller and every shard count.
-func attachFlows(ends []flowEnd, seed uint64, minRTO sim.Time) *flowSet {
-	fs := &flowSet{
-		ends:   ends,
-		keys:   make([]packet.FlowKey, len(ends)),
-		conns:  make([]*tcp.Conn, len(ends)),
-		meters: make([]*metrics.FlowMeter, len(ends)),
+// attach creates one TCP flow per sender host of each of cfg's flow groups,
+// in flow-group order, on the hosts build returned: flow i on ports
+// 1000+i → 5000+i with seed Seed+i — sender, then receiver, then the goodput
+// meter the receiver feeds. Construction order is event order (each sender
+// arms its start timer), so it is the same at every caller and every shard
+// count.
+func (cfg *GraphConfig) attach(hosts map[string][]*netem.Node) *flowSet {
+	fs := &flowSet{}
+	for _, fg := range cfg.Flows {
+		to := hosts[fg.To]
+		for i, s := range hosts[fg.From] {
+			fs.ends = append(fs.ends, flowEnd{s, to[i%len(to)], fg.CC, fg.StartAt})
+		}
 	}
-	for i, e := range ends {
+	n := len(fs.ends)
+	fs.keys, fs.conns, fs.meters = make([]packet.FlowKey, n), make([]*tcp.Conn, n), make([]*metrics.FlowMeter, n)
+	for i, e := range fs.ends {
 		cc, ok := tcp.NewCC(e.cc)
 		if !ok {
 			panic(fmt.Sprintf("experiments: unknown CC %q", e.cc))
@@ -48,7 +53,7 @@ func attachFlows(ends []flowEnd, seed uint64, minRTO sim.Time) *flowSet {
 			SrcPort: uint16(1000 + i), DstPort: uint16(5000 + i), Proto: packet.ProtoTCP,
 		}
 		fs.keys[i] = key
-		fs.conns[i] = tcp.NewConn(e.s.Engine(), e.s, tcp.Config{Key: key, CC: cc, StartAt: e.startAt, Seed: seed + uint64(i), MinRTO: minRTO})
+		fs.conns[i] = tcp.NewConn(e.s.Engine(), e.s, tcp.Config{Key: key, CC: cc, StartAt: e.startAt, Seed: cfg.Seed + uint64(i), MinRTO: cfg.MinRTO})
 		recv := tcp.NewReceiver(e.r.Engine(), e.r, tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
 		recv.GoodputAt = m.Record

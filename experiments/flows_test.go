@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cebinae/internal/netem"
-	"cebinae/internal/qdisc"
 	"cebinae/internal/sim"
 )
 
@@ -25,21 +24,15 @@ func TestFlowSetWindows(t *testing.T) {
 	// truncates 1000000000.4 ns.
 	want := []sim.Time{warmup, warmup, late + 1e9, late + 1e9}
 
-	fifo := func() netem.Qdisc { return qdisc.NewFIFO(1 << 20) }
-	eng := sim.NewEngine()
-	d := netem.BuildDumbbell(netem.NewNetwork(eng), netem.DumbbellConfig{
-		FlowCount:       len(starts),
-		BottleneckBps:   100e6,
-		BottleneckDelay: sim.Duration(100e3),
-		RTTs:            []sim.Time{ms(20)},
-		BottleneckQdisc: func(*netem.Device) netem.Qdisc { return fifo() },
-		DefaultQdisc:    fifo,
-	})
-	ends := make([]flowEnd, len(starts))
-	for i, st := range starts {
-		ends[i] = flowEnd{d.Senders[i], d.Receivers[i], "newreno", st}
+	s := Scenario{BottleneckBps: 100e6, BufferBytes: 1 << 20, Duration: duration, Seed: 1, MinRTO: Seconds(1), FastForward: true}
+	for _, st := range starts {
+		s.Groups = append(s.Groups, FlowGroup{CC: "newreno", Count: 1, RTT: ms(20), StartAt: st})
 	}
-	fs := attachFlows(ends, 1, Seconds(1))
+	g := s.graph()
+	eng := sim.NewEngine()
+	w := netem.NewNetwork(eng)
+	hosts, fwd := g.build(w)
+	fs := g.attach(hosts)
 	for i := range starts {
 		if got := fs.measureFrom(i, warmup, duration); got != want[i] {
 			t.Errorf("flow %d (start %d): measureFrom = %d, want %d", i, starts[i], got, want[i])
@@ -49,7 +42,7 @@ func TestFlowSetWindows(t *testing.T) {
 	// With no sampling and no Cebinae port, setupFastForward adds the
 	// boundary pins and the controller's one sampling tick, nothing else.
 	before := eng.Pending()
-	c, forcedOff := setupFastForward(Scenario{FastForward: true, Duration: duration}, d, nil, fs, warmup)
+	c, forcedOff := setupFastForward(s, w, fwd[0], fs, warmup)
 	if c == nil || forcedOff {
 		t.Fatalf("fast-forward not set up: controller %v, forcedOff %v", c, forcedOff)
 	}

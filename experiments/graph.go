@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"cebinae/internal/core"
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/qdisc"
+	"cebinae/internal/sim"
 )
 
 // The graph scenario family builds arbitrary switch/host topologies from
@@ -28,6 +30,51 @@ type PortQdisc struct {
 	// CebinaeRTT seeds DefaultParams for Cebinae ports (the max base RTT
 	// the mechanism should assume at this port).
 	CebinaeRTT SimTime
+	// params, when non-nil, replaces DefaultParams at a Cebinae port: the
+	// dumbbell's Scenario.Params.
+	params *core.Params
+}
+
+// install builds the port's discipline on the engine that owns dev, with
+// the spec's defaults filled (64 MiB, 40 ms), and sets it there. It is the
+// one place the experiments construct one; a Cebinae port's rotation
+// un-gating is bound to dev's transmitter (read it back as
+// dev.Qdisc().(*core.Qdisc)).
+func (q PortQdisc) install(dev *netem.Device) {
+	buf, rtt := q.BufferBytes, q.CebinaeRTT
+	if buf == 0 {
+		buf = 64 << 20
+	}
+	if rtt == 0 {
+		rtt = ms(40)
+	}
+	eng, rate := dev.Node().Engine(), dev.Rate()
+	switch q.Kind {
+	case FQ:
+		dev.SetQdisc(qdisc.NewFQCoDel(eng, buf, 0, qdisc.DefaultCoDelParams()))
+	case Strawman:
+		dev.SetQdisc(core.NewStrawman(eng, rate, buf, sim.Duration(100e6), 0.01))
+	case AFQ, PCQ:
+		// A fixed hardware budget: 32 queues × 12.8 kB = 409.6 kB of
+		// calendar horizon per flow — ample at 10 ms, far below one flow's
+		// BDP share at 200 ms (the ext-scalability sweep).
+		const nq, bpr = 32, 12800
+		if q.Kind == PCQ {
+			dev.SetQdisc(qdisc.NewPCQ(nq, bpr, buf, 8192))
+		} else {
+			dev.SetQdisc(qdisc.NewAFQ(nq, bpr, buf, 8192))
+		}
+	case Cebinae:
+		p := core.DefaultParams(rate, buf, rtt)
+		if q.params != nil {
+			p = *q.params
+		}
+		cq := core.New(eng, rate, buf, p)
+		cq.OnDrain = dev.Kick
+		dev.SetQdisc(cq)
+	default:
+		dev.SetQdisc(qdisc.NewFIFO(buf))
+	}
 }
 
 // GraphSwitch declares one named switch.
@@ -115,35 +162,22 @@ func (r GraphResult) Report() string {
 	return b.String()
 }
 
-// buildPortQdisc constructs one port's discipline from its spec, filling
-// the spec's defaults.
-func buildPortQdisc(cfg PortQdisc, rate float64, dev *netem.Device) netem.Qdisc {
-	buf := cfg.BufferBytes
-	if buf == 0 {
-		buf = 64 << 20
-	}
-	rtt := cfg.CebinaeRTT
-	if rtt == 0 {
-		rtt = ms(40)
-	}
-	q, _ := newPortQdisc(cfg.Kind, dev, rate, buf, rtt, nil)
-	return q
-}
-
 // build declares cfg's topology on f in declaration order — switches,
 // then links, then host groups, the order node IDs follow — routes it, and
-// returns each host group's hosts. It changes nothing outside f, so
-// newCluster may call it twice.
-func (cfg *GraphConfig) build(f netem.Fabric) map[string][]*netem.Node {
+// returns each host group's hosts and each link's A→B device. It changes
+// nothing outside f, so newCluster may call it twice.
+func (cfg *GraphConfig) build(f netem.Fabric) (map[string][]*netem.Node, []*netem.Device) {
 	t := netem.NewTopo(f)
 	switches := make(map[string]*netem.Node, len(cfg.Switches))
 	for _, sw := range cfg.Switches {
 		switches[sw.Name] = t.Switch(sw.Name)
 	}
-	for _, l := range cfg.Links {
+	fwd := make([]*netem.Device, len(cfg.Links))
+	for i, l := range cfg.Links {
 		da, db := t.Link(switches[l.A], switches[l.B], netem.LinkConfig{RateBps: l.RateBps, Delay: l.Delay})
-		da.SetQdisc(buildPortQdisc(l.QdiscAB, l.RateBps, da))
-		db.SetQdisc(buildPortQdisc(l.QdiscBA, l.RateBps, db))
+		l.QdiscAB.install(da)
+		l.QdiscBA.install(db)
+		fwd[i] = da
 	}
 	hosts := make(map[string][]*netem.Node, len(cfg.Hosts))
 	for _, hg := range cfg.Hosts {
@@ -151,12 +185,12 @@ func (cfg *GraphConfig) build(f netem.Fabric) map[string][]*netem.Node {
 			h := t.Host(fmt.Sprintf("%s%d", hg.Name, i))
 			hd, sd := t.Link(h, switches[hg.Attach], netem.LinkConfig{RateBps: hg.RateBps, Delay: hg.Delay})
 			hd.SetQdisc(qdisc.NewFIFO(64 << 20))
-			sd.SetQdisc(buildPortQdisc(hg.DownQdisc, hg.RateBps, sd))
+			hg.DownQdisc.install(sd)
 			hosts[hg.Name] = append(hosts[hg.Name], h)
 		}
 	}
 	t.Route()
-	return hosts
+	return hosts, fwd
 }
 
 // RunGraph builds and runs one graph scenario on one engine.
@@ -173,16 +207,8 @@ func runGraph(cfg GraphConfig, shards int) GraphResult {
 		cfg.MinRTO = Seconds(1)
 	}
 	cl := newCluster(shards, func(f netem.Fabric) { cfg.build(f) })
-	hosts := cfg.build(cl)
-
-	var ends []flowEnd
-	for _, fg := range cfg.Flows {
-		to := hosts[fg.To]
-		for i, s := range hosts[fg.From] {
-			ends = append(ends, flowEnd{s, to[i%len(to)], fg.CC, fg.StartAt})
-		}
-	}
-	fs := attachFlows(ends, cfg.Seed, cfg.MinRTO)
+	hosts, _ := cfg.build(cl)
+	fs := cfg.attach(hosts)
 	cl.Run(cfg.Duration)
 
 	rates := fs.rates(warmupEdge(cfg.Duration, cfg.WarmupFraction), cfg.Duration)

@@ -23,7 +23,6 @@ import (
 	"cebinae/internal/fluid"
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
-	"cebinae/internal/qdisc"
 	"cebinae/internal/shard"
 	"cebinae/internal/sim"
 )
@@ -196,53 +195,46 @@ func maxRTT(groups []FlowGroup) sim.Time {
 	return m
 }
 
-// newPortQdisc builds the discipline of one port — FIFO, FQ-CoDel with
-// ideal per-flow queues, or Cebinae with its rotation un-gating bound to the
-// device's transmitter — on the engine that owns dev. It is the one place
-// the experiments construct these three; the second result is the Cebinae
-// instance when there is one. override, when non-nil, replaces
-// core.DefaultParams(rate, buf, rtt).
-func newPortQdisc(kind QdiscKind, dev *netem.Device, rate float64, buf int, rtt sim.Time, override *core.Params) (netem.Qdisc, *core.Qdisc) {
-	eng := dev.Node().Engine()
-	switch kind {
-	case FQ:
-		return qdisc.NewFQCoDel(eng, buf, 0, qdisc.DefaultCoDelParams()), nil
-	case Cebinae:
-		var p core.Params
-		if override != nil {
-			p = *override
-		} else {
-			p = core.DefaultParams(rate, buf, rtt)
-		}
-		cq := core.New(eng, rate, buf, p)
-		cq.OnDrain = dev.Kick
-		return cq, cq
-	default:
-		return qdisc.NewFIFO(buf), nil
+// graph lowers the dumbbell to the switch graph Run builds, in
+// netem.BuildDumbbell's declaration order: switches sw1 and sw2, the
+// bottleneck (whose A→B port is the scenario's discipline), then per flow
+// a one-host sender group at sw1, whose access delay makes up the flow's
+// base RTT, and its one-host receiver group at sw2 — so node IDs, and every
+// flow key and Cebinae cache hash they fix, are BuildDumbbell's. It panics,
+// naming the flow, on a base RTT below MinRTT.
+func (s Scenario) graph() GraphConfig {
+	access := s.AccessBps
+	if access == 0 {
+		access = 10 * s.BottleneckBps
 	}
+	g := GraphConfig{
+		Name:     s.Name,
+		Switches: []GraphSwitch{{Name: "sw1"}, {Name: "sw2"}},
+		Links: []GraphLink{{
+			A: "sw1", B: "sw2", RateBps: s.BottleneckBps, Delay: bottleneckDelay,
+			QdiscAB: PortQdisc{Kind: s.Qdisc, BufferBytes: s.BufferBytes, CebinaeRTT: maxRTT(s.Groups), params: s.Params},
+		}},
+		Duration: s.Duration, WarmupFraction: s.WarmupFraction, MinRTO: s.MinRTO, Seed: s.Seed,
+	}
+	for _, fg := range s.Groups {
+		for k := 0; k < fg.Count; k++ {
+			i := len(g.Flows)
+			if fg.RTT < MinRTT {
+				panic(fmt.Sprintf("experiments: dumbbell flow %d: base RTT %d ns is below twice the %d ns bottleneck delay", i, int64(fg.RTT), int64(bottleneckDelay)))
+			}
+			snd, rcv := fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
+			g.Hosts = append(g.Hosts,
+				GraphHostGroup{Name: snd, Count: 1, Attach: "sw1", RateBps: access, Delay: fg.RTT/2 - bottleneckDelay},
+				GraphHostGroup{Name: rcv, Count: 1, Attach: "sw2", RateBps: access})
+			g.Flows = append(g.Flows, GraphFlowGroup{From: snd, To: rcv, CC: fg.CC, StartAt: fg.StartAt})
+		}
+	}
+	return g
 }
 
-// buildQdisc constructs the bottleneck discipline for a dumbbell scenario:
-// the baselines only the dumbbell runs, or one of newPortQdisc's three.
-func buildQdisc(s Scenario, dev *netem.Device) (netem.Qdisc, *core.Qdisc) {
-	switch s.Qdisc {
-	case Strawman:
-		return core.NewStrawman(dev.Node().Engine(), s.BottleneckBps, s.BufferBytes, sim.Duration(100e6), 0.01), nil
-	case AFQ, PCQ:
-		// A fixed hardware budget: 32 queues × 12.8 kB = 409.6 kB of
-		// calendar horizon per flow — ample at 10 ms, far below one flow's
-		// BDP share at 200 ms (the ext-scalability sweep).
-		const nq, bpr = 32, 12800
-		if s.Qdisc == PCQ {
-			return qdisc.NewPCQ(nq, bpr, s.BufferBytes, 8192), nil
-		}
-		return qdisc.NewAFQ(nq, bpr, s.BufferBytes, 8192), nil
-	default:
-		return newPortQdisc(s.Qdisc, dev, s.BottleneckBps, s.BufferBytes, maxRTT(s.Groups), s.Params)
-	}
-}
-
-// Run executes a dumbbell scenario and gathers metrics.
+// Run executes a dumbbell scenario — its graph on one engine, plus what
+// only a dumbbell measures: per-flow RTTs, bottleneck throughput, the
+// sampled series and fast-forward — and gathers metrics.
 func Run(s Scenario) Result {
 	if s.WarmupFraction == 0 {
 		s.WarmupFraction = 0.2
@@ -250,41 +242,16 @@ func Run(s Scenario) Result {
 	if s.MinRTO == 0 {
 		s.MinRTO = Seconds(1)
 	}
-	var flat []FlowGroup
-	for _, g := range s.Groups {
-		for i := 0; i < g.Count; i++ {
-			flat = append(flat, FlowGroup{CC: g.CC, Count: 1, RTT: g.RTT, StartAt: g.StartAt})
-		}
-	}
-	rtts := make([]sim.Time, len(flat))
-	for i, f := range flat {
-		rtts[i] = f.RTT
-	}
-
+	g := s.graph()
 	eng := sim.NewEngine()
-	var cq *core.Qdisc
-	d := netem.BuildDumbbell(netem.NewNetwork(eng), netem.DumbbellConfig{
-		FlowCount:       len(flat),
-		BottleneckBps:   s.BottleneckBps,
-		BottleneckDelay: bottleneckDelay,
-		RTTs:            rtts,
-		AccessBps:       s.AccessBps,
-		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
-			q, c := buildQdisc(s, dev)
-			cq = c
-			return q
-		},
-		DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(64 << 20) },
-	})
-
-	ends := make([]flowEnd, len(flat))
-	for i, f := range flat {
-		ends[i] = flowEnd{d.Senders[i], d.Receivers[i], f.CC, f.StartAt}
-	}
-	fs := attachFlows(ends, s.Seed, s.MinRTO)
+	w := netem.NewNetwork(eng)
+	hosts, fwd := g.build(w)
+	bottleneck := fwd[0]
+	cq, _ := bottleneck.Qdisc().(*core.Qdisc)
+	fs := g.attach(hosts)
 	warmup := warmupEdge(s.Duration, s.WarmupFraction)
 
-	ffc, ffForcedOff := setupFastForward(s, d, cq, fs, warmup)
+	ffc, ffForcedOff := setupFastForward(s, w, bottleneck, fs, warmup)
 
 	var sampler *stateSampler
 	if s.SampleInterval > 0 && cq != nil {
@@ -313,29 +280,31 @@ func Run(s Scenario) Result {
 		res.StateSeries = sampler.states
 	}
 	rates := fs.rates(warmup, s.Duration)
-	for i, f := range flat {
-		rate := rates[i]
-		fr := FlowResult{Index: i, CC: f.CC, RTT: f.RTT, GoodputBps: rate * 8}
-		if s.SampleInterval > 0 {
-			fr.Series = fs.meters[i].Series(s.SampleInterval, s.Duration)
+	for _, fg := range s.Groups {
+		for k := 0; k < fg.Count; k++ {
+			i := len(res.Flows)
+			fr := FlowResult{Index: i, CC: fg.CC, RTT: fg.RTT, GoodputBps: rates[i] * 8}
+			if s.SampleInterval > 0 {
+				fr.Series = fs.meters[i].Series(s.SampleInterval, s.Duration)
+			}
+			res.Flows = append(res.Flows, fr)
+			res.GoodputBps += rates[i] * 8
 		}
-		res.Flows = append(res.Flows, fr)
-		res.GoodputBps += rate * 8
 	}
 	res.JFI = metrics.JFI(rates)
-	res.ThroughputBps = float64(d.Bottleneck.Stats().TxBytes) * 8 / s.Duration.Seconds()
+	res.ThroughputBps = float64(bottleneck.Stats().TxBytes) * 8 / s.Duration.Seconds()
 	if cq != nil {
 		res.CebStats = cq.Stats
 	}
 	if s.SampleInterval > 0 {
 		n := int((s.Duration + s.SampleInterval - 1) / s.SampleInterval)
 		res.JFISeries = make([]float64, 0, n)
-		active := make([]float64, 0, len(flat))
+		active := make([]float64, 0, len(res.Flows))
 		for k := 0; k < n; k++ {
 			active = active[:0]
 			t0 := sim.Time(k) * s.SampleInterval
-			for i, f := range flat {
-				if f.StartAt <= t0 {
+			for i, e := range fs.ends {
+				if e.startAt <= t0 {
 					active = append(active, res.Flows[i].Series[k])
 				}
 			}
@@ -349,6 +318,12 @@ func Run(s Scenario) Result {
 func warmupEdge(duration sim.Time, frac float64) sim.Time {
 	//lint:ignore simtime warmup is a fraction of a bounded scenario duration (minutes at most, « 2^53 ns); sub-nanosecond rounding of a measurement window is immaterial
 	return sim.Time(float64(duration) * frac)
+}
+
+// horizon is a run's length at scale: the paper's length (ns) scaled, and
+// no shorter than floor.
+func horizon(scale Scale, paper float64, floor sim.Time) sim.Time {
+	return max(sim.Time(float64(scale)*paper), floor)
 }
 
 // stateSampler records the bottleneck qdisc's phase ('S'/'u') once per

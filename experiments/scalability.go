@@ -10,7 +10,7 @@ import (
 // ---------------------------------------------------------------------------
 // Extension 4 — the §2 scalability argument, quantified: AFQ's calendar
 // must satisfy Eq. 1 (buffer_req ≤ BpR × nQ) for *every* flow, so with a
-// fixed hardware budget (nQ queues × BpR bytes, see buildQdisc) its
+// fixed hardware budget (nQ queues × BpR bytes, see PortQdisc.install) its
 // fairness collapses as RTT (and hence per-flow burst/buffer requirements)
 // grows. Cebinae uses two queues regardless. We sweep the base RTT for 8
 // NewReno flows under AFQ, Cebinae, and FIFO with the same switch buffer
@@ -22,10 +22,7 @@ var scalabilityKinds = []QdiscKind{FIFO, AFQ, PCQ, Cebinae}
 // ExtScalabilityScenarios is the sweep: each RTT under FIFO, AFQ, PCQ and
 // Cebinae.
 func ExtScalabilityScenarios(scale Scale) []Scenario {
-	dur := sim.Time(float64(scale) * 100e9)
-	if dur < Seconds(10) {
-		dur = Seconds(10)
-	}
+	dur := horizon(scale, 100e9, Seconds(10))
 	var out []Scenario
 	for _, rtt := range []sim.Time{ms(10), ms(40), ms(100), ms(200)} {
 		out = append(out, perKind("ext-scalability/"+msName(rtt), Scenario{

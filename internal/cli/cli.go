@@ -15,6 +15,7 @@ import (
 
 	"cebinae/experiments"
 	"cebinae/internal/scenario"
+	"cebinae/internal/tcp"
 )
 
 // Fatal prints err prefixed with the program's name and exits 1. os.Exit
@@ -35,9 +36,9 @@ func ParseBandwidth(s string) (float64, error) {
 }
 
 // ParseGroups reads a -flows / -rtt flag pair: a comma list of cca[:count]
-// groups (a bare name is one flow) and a comma list of base RTTs no shorter
-// than experiments.MinRTT, one per group; a short RTT list applies its
-// first value to the groups it does not reach.
+// groups (a bare name is one flow) of known CCAs and a comma list of base
+// RTTs no shorter than experiments.MinRTT, at most one per group; a short
+// RTT list applies its first value to the groups it does not reach.
 func ParseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
 	var groups []experiments.FlowGroup
 	for _, part := range strings.Split(flows, ",") {
@@ -50,9 +51,15 @@ func ParseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
 			}
 			n = v
 		}
+		if _, ok := tcp.NewCC(cc); !ok {
+			return nil, fmt.Errorf("unknown CCA %q in flow group %q (known: %s)", cc, part, strings.Join(tcp.CCNames(), ", "))
+		}
 		groups = append(groups, experiments.FlowGroup{CC: cc, Count: n})
 	}
 	rttParts := strings.Split(rtts, ",")
+	if len(rttParts) > len(groups) {
+		return nil, fmt.Errorf("-rtt %q: %d RTTs for %d flow groups", rtts, len(rttParts), len(groups))
+	}
 	for i := range groups {
 		sel := rttParts[0]
 		if i < len(rttParts) {

@@ -44,6 +44,8 @@ func TestParseGroups(t *testing.T) {
 		{"newreno:2", "100us", nil},
 		{"newreno:2", "199999ns", nil},
 		{"newreno:2", "200us", []experiments.FlowGroup{{CC: "newreno", Count: 2, RTT: experiments.MinRTT}}},
+		{"foo:2", "40ms", nil},
+		{"newreno:1", "10ms,20ms,30ms", nil},
 	}
 	for _, tc := range cases {
 		got, err := ParseGroups(tc.flows, tc.rtts)

@@ -376,9 +376,6 @@ func (q *Qdisc) aggregateSize(rHead, rTail float64) float64 {
 func (q *Qdisc) Enqueue(p *packet.Packet) bool {
 	if q.bytesQueued+int(p.Size) > q.bufferBytes {
 		q.Stats.BufferDrops++
-		if DebugDropHook != nil {
-			DebugDropHook("buffer", p.Flow.SrcPort)
-		}
 		return false
 	}
 	q.advanceVirtualRound(q.eng.Now())
@@ -407,9 +404,6 @@ func (q *Qdisc) Enqueue(p *packet.Packet) bool {
 		if pastHead > 0 {
 			if pastHead-capBytes*dtSec > 0 {
 				q.Stats.LBFDrops++
-				if DebugDropHook != nil {
-					DebugDropHook("lbf", p.Flow.SrcPort)
-				}
 				return false
 			}
 			target = 1 - q.headq
@@ -460,9 +454,6 @@ func (q *Qdisc) Enqueue(p *packet.Packet) bool {
 		q.push(1-q.headq, p)
 	default:
 		q.Stats.LBFDrops++
-		if DebugDropHook != nil {
-			DebugDropHook("lbf", p.Flow.SrcPort)
-		}
 		return false
 	}
 	return true

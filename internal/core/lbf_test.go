@@ -217,20 +217,17 @@ func TestBlindOverloadIsPenalised(t *testing.T) {
 // physical artifact the paper defers to admission control, so they are
 // bounded but not required to be zero here.
 func TestBottomFlowsProtected(t *testing.T) {
-	lbfDrops := map[uint16]int{}
-	core.DebugDropHook = func(kind string, port uint16) {
-		if kind == "lbf" {
-			lbfDrops[port]++
-		}
-	}
-	defer func() { core.DebugDropHook = nil }()
-
 	r := buildRig(t, rigBps, rigBuffer, testParams())
+	lbfDrops := map[uint16]int{}
+	r.dev.SetQdisc(lbfDropCounter{r.ceb, lbfDrops})
 	startCBR(r.eng, r.src, r.flowKey(1), 190e6, false) // will be ⊤
 	small := startCBR(r.eng, r.src, r.flowKey(2), 20e6, false)
 	r.eng.Run(sim.Duration(2e9))
 	if r.ceb.Stats.SaturatedTime == 0 {
 		t.Fatal("the port must have spent time saturated")
+	}
+	if lbfDrops[1] == 0 {
+		t.Fatal("the LBF never taxed the ⊤ flow")
 	}
 	if lbfDrops[2] != 0 {
 		t.Fatalf("the LBF dropped %d packets of the compliant ⊥ flow", lbfDrops[2])
@@ -239,6 +236,22 @@ func TestBottomFlowsProtected(t *testing.T) {
 	if frac := float64(got) / float64(small.Sent); frac < 0.75 {
 		t.Fatalf("⊥ flow delivered only %.0f%% of its packets", frac*100)
 	}
+}
+
+// lbfDropCounter passes every call through to the Cebinae port it wraps and
+// counts, per source port, the packets its LBF refuses.
+type lbfDropCounter struct {
+	*core.Qdisc
+	drops map[uint16]int
+}
+
+func (c lbfDropCounter) Enqueue(p *packet.Packet) bool {
+	before := c.Stats.LBFDrops
+	ok := c.Qdisc.Enqueue(p)
+	if c.Stats.LBFDrops > before {
+		c.drops[p.Flow.SrcPort]++
+	}
+	return ok
 }
 
 func TestECNMarkingOnDelayedPackets(t *testing.T) {

@@ -55,9 +55,6 @@ func (q *Qdisc) perFlowEnqueue(p *packet.Packet, totalAfter float64) bool {
 		q.push(1-q.headq, p)
 	default:
 		q.Stats.LBFDrops++
-		if DebugDropHook != nil {
-			DebugDropHook("lbf", p.Flow.SrcPort)
-		}
 		return false
 	}
 	return true
@@ -95,9 +92,6 @@ func (q *Qdisc) bottomEnqueue(p *packet.Packet, totalAfter float64) bool {
 		q.push(1-q.headq, p)
 	default:
 		q.Stats.LBFDrops++
-		if DebugDropHook != nil {
-			DebugDropHook("lbf", p.Flow.SrcPort)
-		}
 		return false
 	}
 	return true

@@ -144,7 +144,7 @@ func (t *Topo) Route() {
 //	 …  ├─ SW1 ══bottleneck══ SW2 ┤ …
 //	sN ─┘                     └─ rN
 type Dumbbell struct {
-	// Net is the network the topology is built on.
+	// Net is the network holding the topology.
 	Net       *Network
 	Senders   []*Node
 	Receivers []*Node
@@ -178,10 +178,10 @@ type DumbbellConfig struct {
 	DefaultQdisc func() Qdisc
 }
 
-// BuildDumbbell constructs the topology on a network and installs routes.
+// BuildDumbbell constructs the topology on a fabric and installs routes.
 // It panics, naming the flow, on a base RTT below twice the bottleneck
 // delay: no access link could make one up.
-func BuildDumbbell(w *Network, cfg DumbbellConfig) *Dumbbell {
+func BuildDumbbell(f Fabric, cfg DumbbellConfig) *Dumbbell {
 	if cfg.FlowCount <= 0 {
 		panic("netem: dumbbell needs at least one flow")
 	}
@@ -192,8 +192,9 @@ func BuildDumbbell(w *Network, cfg DumbbellConfig) *Dumbbell {
 	if access == 0 {
 		access = 10 * cfg.BottleneckBps
 	}
-	t := NewTopo(w)
-	d := &Dumbbell{Net: w, SW1: t.Switch("sw1"), SW2: t.Switch("sw2")}
+	t := NewTopo(f)
+	d := &Dumbbell{SW1: t.Switch("sw1"), SW2: t.Switch("sw2")}
+	d.Net = d.SW1.Network()
 	d.Bottleneck, d.BottleneckRev = t.Link(d.SW1, d.SW2, LinkConfig{RateBps: cfg.BottleneckBps, Delay: cfg.BottleneckDelay})
 	d.Bottleneck.SetQdisc(cfg.BottleneckQdisc(d.Bottleneck))
 	d.BottleneckRev.SetQdisc(cfg.DefaultQdisc())

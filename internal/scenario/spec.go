@@ -55,7 +55,8 @@ type DumbbellSpec struct {
 	Groups      []GroupSpec `json:"groups"`
 	Duration    Dur         `json:"duration"`
 	Qdisc       string      `json:"qdisc"`
-	// Tau overrides Cebinae's τ (nil = DefaultParams' 0.01).
+	// Tau overrides Cebinae's τ (nil = DefaultParams' 0.01); only a cebinae
+	// qdisc reads it, and the validator refuses it beside any other.
 	Tau            *float64 `json:"tau,omitempty"`
 	MinRTO         Dur      `json:"min_rto,omitempty"`
 	WarmupFraction float64  `json:"warmup_fraction,omitempty"`

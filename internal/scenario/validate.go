@@ -195,6 +195,9 @@ func validateDumbbell(d *DumbbellSpec) error {
 	if d.Tau != nil && (*d.Tau <= 0 || *d.Tau >= 1) {
 		return vErr("dumbbell.tau", "must be in (0, 1), got %v", *d.Tau)
 	}
+	if d.Tau != nil && d.Qdisc != "cebinae" {
+		return vErr("dumbbell.tau", "only a cebinae bottleneck reads τ, not %q", d.Qdisc)
+	}
 	if d.WarmupFraction < 0 || d.WarmupFraction >= 1 {
 		return vErr("dumbbell.warmup_fraction", "must be in [0, 1), got %v", d.WarmupFraction)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
-# The three CLIs end to end on tiny inputs, each through the one run path
-# (sections or jobs through the fleet), then the five examples on short
-# horizons: every run must exit 0 and print a non-empty report on stdout.
+# The three CLIs end to end on tiny inputs — cebinae-sim's flag path
+# (experiments.Run, RunBackbone) and its -scenario path, the sweep and bench
+# sections through the fleet — then the five examples on short horizons:
+# every run must exit 0 and print a non-empty report on stdout.
 #
 #   scripts/cli_smoke.sh              (or: make cli-smoke)
 #
@@ -25,6 +26,8 @@ smoke() {
 }
 
 smoke "cebinae-sim -scenario" "$tmp/cebinae-sim" -scenario scenarios/dumbbell.json
+smoke "cebinae-sim -flows" "$tmp/cebinae-sim" -flows newreno:2,cubic:1 -rtt 20ms,40ms -qdisc cebinae -tau 0.05 -duration 2s
+smoke "cebinae-sim -backbone" "$tmp/cebinae-sim" -backbone 1000 -duration 40ms
 smoke "cebinae-sweep grid" "$tmp/cebinae-sweep" -qdiscs fifo,cebinae -thresholds 5 -scales 0.02 \
 	-store "$tmp/grid.jsonl" -csv "$tmp/grid.csv"
 smoke "cebinae-sweep -backbone" "$tmp/cebinae-sweep" -backbone 1000 -scales 0.02 \
