@@ -87,12 +87,13 @@ cli-smoke:
 # warm, and a whole experiments.Run at ≤ 32 B per delivered segment — plus
 # the zero-alloc hot paths: engine dispatch, timer re-arm, one-hop
 # forwarding (alone and with thousands of packets on the wire), a
-# steady-state TCP round trip, and the 10⁵-flow replay send path at ≤ 0.01
-# allocs a packet. The event budget rides along: one event per uncontended
-# hop and one more per queued packet, and ≤ 8.1 events per delivered
-# segment on the dumbbell_fifo_1g traffic.
+# steady-state TCP round trip, the 10⁵-flow replay send path at ≤ 0.01
+# allocs a packet, and the flow cache's poll-and-reset. The event budget
+# rides along: one event per uncontended hop and one more per queued
+# packet, and ≤ 8.1 events per delivered segment on the dumbbell_fifo_1g
+# traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -12,8 +12,9 @@ package experiments
 // flow).
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cebinae/internal/cmsketch"
@@ -136,11 +137,12 @@ type BackboneResult struct {
 
 // backboneObserver taps the core device's transmit hook: the exact packet
 // stream the control plane of a core switch would see. It feeds the sketch
-// and cache under test and keeps exact per-flow truth for scoring.
+// and cache under test and keeps exact per-flow truth for scoring, indexed
+// by the FlowID every replay packet carries.
 type backboneObserver struct {
 	sketch *cmsketch.Sketch
 	cache  *hhcache.Cache
-	truth  map[packet.FlowKey]int64
+	truth  []trace.FlowCount // by FlowID; Bytes 0 = not seen
 }
 
 func (o *backboneObserver) observe(p *packet.Packet) {
@@ -150,7 +152,14 @@ func (o *backboneObserver) observe(p *packet.Packet) {
 	sz := int64(p.Size)
 	o.sketch.Add(p.Flow, sz)
 	o.cache.Observe(p.Flow, sz)
-	o.truth[p.Flow] += sz
+	// Every packet here is a replay Source's, so FlowID ≥ 1 (the
+	// closed-loop sink refuses untagged ones).
+	id := int(p.FlowID)
+	for len(o.truth) <= id {
+		o.truth = append(o.truth, trace.FlowCount{})
+	}
+	o.truth[id].Flow = p.Flow
+	o.truth[id].Bytes += sz
 }
 
 // backbonePoller drains the stress cache every interval on the core
@@ -215,7 +224,7 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	obs := &backboneObserver{
 		sketch: cmsketch.New(sketchRows, sketchCols),
 		cache:  hhcache.New(cacheStages, cacheSlots),
-		truth:  make(map[packet.FlowKey]int64, cfg.Flows),
+		truth:  make([]trace.FlowCount, 0, len(schedule)+1),
 	}
 	coreFwd.OnTransmit = obs.observe
 
@@ -242,7 +251,6 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 
 	res := BackboneResult{
 		Config:        cfg,
-		FlowsSeen:     len(obs.truth),
 		Started:       source.Stats.Started,
 		Finished:      source.Stats.Finished,
 		PeakActive:    source.Stats.PeakActive,
@@ -273,18 +281,27 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 // ground truth: cache recall on the true top-K, sketch bias on the same
 // set, and the ideal water-filling allocation over every observed flow.
 func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backbonePoller, cfg BackboneConfig) {
-	if len(obs.truth) == 0 {
+	// Rank the flows seen by bytes, heaviest first, ties broken by the
+	// flow key's hash — computed once per flow, not per comparison.
+	type ranked struct {
+		trace.FlowCount
+		tie uint64
+	}
+	truth := make([]ranked, 0, len(obs.truth))
+	for _, fc := range obs.truth {
+		if fc.Bytes > 0 {
+			truth = append(truth, ranked{fc, fc.Flow.Hash(0)})
+		}
+	}
+	res.FlowsSeen = len(truth)
+	if len(truth) == 0 {
 		return
 	}
-	truth := make([]trace.FlowCount, 0, len(obs.truth))
-	for f, b := range obs.truth {
-		truth = append(truth, trace.FlowCount{Flow: f, Bytes: b})
-	}
-	sort.Slice(truth, func(i, j int) bool {
-		if truth[i].Bytes != truth[j].Bytes {
-			return truth[i].Bytes > truth[j].Bytes
+	slices.SortFunc(truth, func(a, b ranked) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
 		}
-		return truth[i].Flow.Hash(0) < truth[j].Flow.Hash(0)
+		return cmp.Compare(a.tie, b.tie)
 	})
 
 	k := min(topK, len(truth))

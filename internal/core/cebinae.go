@@ -295,13 +295,18 @@ func (q *Qdisc) configDiffers(cfg *pendingConfig) bool {
 // Fig. 4: port saturation, ⊤ membership, and taxed rate allocations.
 func (q *Qdisc) recompute() *pendingConfig {
 	q.Stats.Recomputes++
-	interval := (q.params.DT * sim.Time(q.params.P)).Seconds()
-	capBytes := q.capacityBps / 8
-
 	txDelta := q.portTxBytes - q.lastTxBytes
 	q.lastTxBytes = q.portTxBytes
-	entries := q.cache.Poll()
+	return q.configFor(txDelta, q.cache.Poll())
+}
 
+// configFor derives the shadow configuration from one interval's port
+// transmit bytes and polled cache entries. The result does not depend on
+// the entries' order: the ⊤ bytes are summed as integers and converted to
+// float once, and everything else is a max or a set.
+func (q *Qdisc) configFor(txDelta uint64, entries []hhcache.Entry) *pendingConfig {
+	interval := (q.params.DT * sim.Time(q.params.P)).Seconds()
+	capBytes := q.capacityBps / 8
 	utilisation := float64(txDelta) / (capBytes * interval)
 	cfg := &pendingConfig{topSet: make(map[packet.FlowKey]bool)}
 	if utilisation < 1-q.params.DeltaPort || len(entries) == 0 {
@@ -320,16 +325,16 @@ func (q *Qdisc) recompute() *pendingConfig {
 		}
 	}
 	threshold := float64(maxBytes) * (1 - q.params.DeltaFlow)
-	var bottleneckBytes float64
+	var topBytes int64
 	cfg.flowRates = make(map[packet.FlowKey]float64)
 	for _, e := range entries {
 		if float64(e.Bytes) >= threshold {
 			cfg.topSet[e.Flow] = true
-			bottleneckBytes += float64(e.Bytes)
+			topBytes += e.Bytes
 			cfg.flowRates[e.Flow] = (1 - q.params.Tau) * float64(e.Bytes) / interval
 		}
 	}
-	bottleneckBytes *= 1 - q.params.Tau
+	bottleneckBytes := float64(topBytes) * (1 - q.params.Tau)
 
 	topRate := bottleneckBytes / interval
 	if topRate > capBytes {

@@ -7,13 +7,14 @@
 // taken by other flows the packet simply goes uncounted (a tolerable false
 // negative). The control plane polls and resets the whole structure every
 // interval, letting active heavy hitters immediately reclaim slots.
+//
+// Passive management is also what keeps the poll a plain scan: a slot is
+// freed only by the poll, so within one interval the stage slot a flow
+// first claims stays its own and every earlier stage stays taken by
+// others — a flow owns at most one slot, and a poll has nothing to merge.
 package hhcache
 
-import (
-	"sort"
-
-	"cebinae/internal/packet"
-)
+import "cebinae/internal/packet"
 
 // Entry is one polled cache slot: a flow and the bytes it was observed to
 // send during the interval.
@@ -41,6 +42,9 @@ type Cache struct {
 	stages [][]slot
 	seeds  []uint64
 	mask   uint64
+
+	// polled is Poll's result buffer, reused from poll to poll.
+	polled []Entry
 
 	stats Stats
 }
@@ -88,63 +92,37 @@ func (c *Cache) Observe(flow packet.FlowKey, bytes int64) bool {
 	return false
 }
 
-// Bytes returns the tracked byte count for a flow (summed across stages; a
-// flow normally owns at most one slot, but a poll-reset race in hardware
-// could split it — summing is the conservative read).
+// Bytes returns the flow's tracked byte count: the count in the one slot
+// the flow owns this interval, or 0 when it went uncounted.
 func (c *Cache) Bytes(flow packet.FlowKey) int64 {
-	var total int64
 	for i := range c.stages {
 		idx := flow.Hash(c.seeds[i]) & c.mask
 		s := &c.stages[i][idx]
 		if s.used && s.flow == flow {
-			total += s.bytes
+			return s.bytes
 		}
 	}
-	return total
+	return 0
 }
 
-// Poll returns every occupied entry (merging duplicate flows across
-// stages) and resets the cache — the control plane's serialisable
-// poll-and-reset. Entries come back in canonical flow-key order: the
-// control plane folds them into float arithmetic and report lines, and a
-// map-ordered slice would make those outputs depend on the run.
+// Poll returns every occupied slot as one entry and resets the cache — the
+// control plane's serialisable poll-and-reset. Entries come in stage-then-
+// slot order, which the fixed per-stage seeds make a pure function of the
+// observed stream; a flow owns at most one slot, so no flow appears twice.
+// The slice is a buffer the cache reuses: it is valid until the next Poll.
 func (c *Cache) Poll() []Entry {
-	byFlow := make(map[packet.FlowKey]int64)
-	occupied := 0
-	for i := range c.stages {
-		for j := range c.stages[i] {
-			s := &c.stages[i][j]
-			if s.used {
-				occupied++
-				byFlow[s.flow] += s.bytes
-				*s = slot{}
+	out := c.polled[:0]
+	for _, stage := range c.stages {
+		for j := range stage {
+			if s := &stage[j]; s.used {
+				out = append(out, Entry{Flow: s.flow, Bytes: s.bytes})
 			}
 		}
+		clear(stage)
 	}
-	c.stats.Occupied = occupied
-	out := make([]Entry, 0, len(byFlow))
-	for f, b := range byFlow {
-		out = append(out, Entry{Flow: f, Bytes: b})
-	}
-	sort.Slice(out, func(i, j int) bool { return flowKeyLess(out[i].Flow, out[j].Flow) })
+	c.polled = out
+	c.stats.Occupied = len(out)
 	return out
-}
-
-// flowKeyLess is the canonical 5-tuple order used to serialise polls.
-func flowKeyLess(a, b packet.FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
 }
 
 // Reset clears all slots without reading them.

@@ -158,3 +158,60 @@ func TestGeometryAccessors(t *testing.T) {
 		t.Fatalf("geometry accessors wrong: %d/%d", c.Stages(), c.SlotsPerStage())
 	}
 }
+
+// TestPollOneSlotPerFlow: under passive management a flow owns at most one
+// slot per interval, so a poll lists no flow twice, and the bytes it
+// reports are exactly the bytes Observe accepted. Tiny stages force the
+// collisions that push flows past stage 0.
+func TestPollOneSlotPerFlow(t *testing.T) {
+	f := func(obs []uint16, stagesSeed, slotsSeed uint8) bool {
+		stages := 1 + int(stagesSeed%4)
+		c := New(stages, 1<<(slotsSeed%4)) // 1–8 slots a stage
+		var counted int64
+		for _, o := range obs {
+			b := int64(o%1500) + 1
+			if c.Observe(flow(int(o%32)), b) {
+				counted += b
+			}
+		}
+		entries := c.Poll()
+		if c.Stats().Occupied != len(entries) {
+			return false
+		}
+		seen := map[packet.FlowKey]bool{}
+		var polled int64
+		for _, e := range entries {
+			if seen[e.Flow] || e.Bytes <= 0 {
+				return false
+			}
+			seen[e.Flow] = true
+			polled += e.Bytes
+		}
+		return polled == counted
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPollZeroAlloc: once its buffer has grown to the table's occupancy, a
+// poll allocates nothing — the control plane polls every round.
+func TestPollZeroAlloc(t *testing.T) {
+	c := New(2, 2048)
+	fill := func() {
+		for i := 0; i < 8192; i++ {
+			c.Observe(flow(i), 700)
+		}
+	}
+	fill()
+	c.Poll() // warm: grows the buffer to a full table
+	allocs := testing.AllocsPerRun(20, func() {
+		fill()
+		if len(c.Poll()) == 0 {
+			t.Fatal("poll of a filled cache returned nothing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Poll allocates %.1f times per call once warm, want 0", allocs)
+	}
+}

@@ -156,8 +156,9 @@ func TestScaleChurnCorrectness(t *testing.T) {
 }
 
 // TestScaleDeterminism: the full 10⁵-flow polled pipeline run twice must
-// report identical entry sequences — Poll's canonical order is part of the
-// determinism contract the report files depend on.
+// report identical entry sequences — Poll's stage-then-slot order is a
+// pure function of the seeded stream and the fixed per-stage hash seeds,
+// with no map or wall-clock state in between.
 func TestScaleDeterminism(t *testing.T) {
 	run := func() []Entry {
 		stream, _ := scaleStream(11)

@@ -104,6 +104,12 @@ type Packet struct {
 
 	// Retransmit marks a retransmitted data segment (excluded from goodput).
 	Retransmit bool
+
+	// FlowID tags a packet of a scheduled flow with its schedule ordinal
+	// plus one, so per-flow state can live in a slice instead of a map
+	// keyed by Flow; 0 means untagged. It sits in the struct's tail
+	// padding: Packet stays 88 bytes.
+	FlowID uint32
 }
 
 // SackBlock is one received byte range [Start, End) beyond the cumulative

@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFlowKeyReverse(t *testing.T) {
@@ -88,5 +89,14 @@ func TestStringRendering(t *testing.T) {
 	p := &Packet{Flow: k, Seq: 5, PayloadSize: 100}
 	if p.String() == "" {
 		t.Fatal("empty packet string")
+	}
+}
+
+// TestPacketSize pins the struct at 88 bytes: FlowID rides in what was
+// Retransmit's tail padding, and a field that grows the struct grows
+// every pooled packet and every cut-link handoff record with it.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 88 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 88", got)
 	}
 }

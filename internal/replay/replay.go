@@ -24,6 +24,11 @@
 // schedule rate, a deliberately minimal AIMD-flavoured loop: enough for
 // Cebinae's tax to actually slow elephants down, cheap enough to run a
 // million times over.
+//
+// Every emitted packet carries its flow's schedule ordinal + 1 as
+// Packet.FlowID, and the sink's feedback echoes it: both ends keep their
+// per-flow state in slices indexed by it, so no step of the loop hashes a
+// 5-tuple into a map.
 package replay
 
 import (
@@ -106,8 +111,9 @@ type flowState struct {
 	timer   sim.Timer
 	src     *Source
 	key     packet.FlowKey
-	left    int32 // packets still to send
-	slot    int32 // arena ordinal, for the free list
+	left    int32  // packets still to send
+	slot    int32  // arena ordinal, for the free list
+	id      uint32 // schedule ordinal + 1, stamped as every packet's FlowID
 	active  bool
 	gap     sim.Time // current pacing gap
 	baseGap sim.Time // schedule-rate gap
@@ -133,10 +139,11 @@ type Source struct {
 	free   []int32
 	used   int
 
-	// index maps a flow's forward key to its arena slot while the flow is
-	// active — only maintained in closed-loop mode, where feedback
-	// packets must find their flow.
-	index map[packet.FlowKey]int32
+	// index maps a schedule ordinal to the arena slot its flow was given
+	// at admission — only maintained in closed-loop mode, where feedback
+	// packets must find their flow by the FlowID they echo. A finished
+	// flow's entry goes stale; Deliver checks the slot still holds it.
+	index []int32
 
 	Stats SourceStats
 }
@@ -163,7 +170,7 @@ func NewSource(node *netem.Node, schedule []trace.FlowSpec, cfg Config) *Source 
 	}
 	s := &Source{node: node, eng: node.Engine(), cfg: cfg, schedule: schedule}
 	if cfg.ClosedLoop {
-		s.index = make(map[packet.FlowKey]int32)
+		s.index = make([]int32, 0, len(schedule))
 		node.RegisterDefault(s)
 	}
 	if len(schedule) > 0 {
@@ -205,7 +212,7 @@ func (h *sourceStart) OnEvent(any) {
 	s := (*Source)(h)
 	now := s.eng.Now()
 	for s.next < len(s.schedule) && s.schedule[s.next].At <= now {
-		s.start(&s.schedule[s.next])
+		s.start(s.next)
 		s.next++
 	}
 	if s.next < len(s.schedule) {
@@ -213,9 +220,12 @@ func (h *sourceStart) OnEvent(any) {
 	}
 }
 
-func (s *Source) start(spec *trace.FlowSpec) {
+// start admits schedule entry ord.
+func (s *Source) start(ord int) {
+	spec := &s.schedule[ord]
 	fs := s.alloc()
 	fs.src = s
+	fs.id = uint32(ord) + 1
 	fs.key = packet.FlowKey{
 		Src:     s.node.ID,
 		Dst:     s.cfg.To,
@@ -248,7 +258,7 @@ func (s *Source) start(spec *trace.FlowSpec) {
 		s.Stats.PeakActive = s.Stats.Active
 	}
 	if s.index != nil {
-		s.index[fs.key] = fs.slot
+		s.index = append(s.index, fs.slot)
 	}
 	// The first packet goes out through the pacing timer at delay 0 — the
 	// same virtual instant, but after the whole admission burst has run.
@@ -273,6 +283,7 @@ func (fs *flowState) send() {
 	s := fs.src
 	p := s.node.AllocPacket()
 	p.Flow = fs.key
+	p.FlowID = fs.id
 	p.Seq = fs.seq
 	p.Size = int32(s.cfg.PacketBytes)
 	p.PayloadSize = p.Size - packet.HeaderBytes
@@ -300,9 +311,6 @@ func (fs *flowState) send() {
 }
 
 func (s *Source) finish(fs *flowState) {
-	if s.index != nil {
-		delete(s.index, fs.key)
-	}
 	fs.active = false
 	s.Stats.Finished++
 	s.Stats.Active--
@@ -317,14 +325,13 @@ func (s *Source) Deliver(p *packet.Packet) {
 	if !p.HasFlag(packet.FlagACK) {
 		return
 	}
-	forward := p.Flow.Reverse()
-	slot, ok := s.index[forward]
-	if !ok {
-		return // flow already finished
+	id := p.FlowID
+	if id == 0 || int(id) > len(s.index) {
+		return // not a feedback for a started flow
 	}
-	fs := s.at(slot)
-	if !fs.active || fs.key != forward {
-		return // slot recycled since the feedback was sent
+	fs := s.at(s.index[id-1])
+	if !fs.active || fs.id != id {
+		return // flow finished, its slot perhaps recycled since
 	}
 	s.Stats.Feedbacks++
 	g := fs.gap * 2

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"strings"
 	"testing"
 
 	"cebinae/internal/netem"
@@ -280,4 +281,29 @@ func TestConfigPanics(t *testing.T) {
 	})
 	expectPanic("spread ≥ 1", func() { NewSource(c.src, nil, Config{To: c.dst.ID, RTTSpread: 1}) })
 	expectPanic("negative spread", func() { NewSource(c.src, nil, Config{To: c.dst.ID, RTTSpread: -0.1}) })
+}
+
+// TestClosedLoopSinkRefusesUntagged: a closed-loop sink keeps per-flow
+// state by FlowID, so a packet no Source tagged must fail loudly, naming
+// its flow, rather than share entry 0 with every other untagged flow. An
+// open-loop sink keeps no per-flow state and takes it.
+func TestClosedLoopSinkRefusesUntagged(t *testing.T) {
+	untagged := func(c *chain) *packet.Packet {
+		key := packet.FlowKey{Src: c.src.ID, Dst: c.dst.ID, SrcPort: 7, DstPort: 9, Proto: packet.ProtoTCP}
+		return &packet.Packet{Flow: key, Size: 700, PayloadSize: 700 - packet.HeaderBytes}
+	}
+	open := buildChain(1e9, 1<<22)
+	NewSink(open.dst, SinkConfig{}).Deliver(untagged(open))
+
+	closed := buildChain(1e9, 1<<22)
+	sink := NewSink(closed.dst, SinkConfig{ClosedLoop: true})
+	p := untagged(closed)
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if r == nil || !strings.Contains(msg, p.Flow.String()) {
+			t.Fatalf("untagged packet: recovered %v, want a panic naming %v", r, p.Flow)
+		}
+	}()
+	sink.Deliver(p)
 }

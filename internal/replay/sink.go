@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"fmt"
+
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
 	"cebinae/internal/sim"
@@ -11,7 +13,8 @@ type SinkConfig struct {
 	// ClosedLoop enables per-flow sequence tracking and congestion
 	// feedback to the Source. Off, the sink only counts packets and CE
 	// marks — the lean mode for open-loop million-flow runs, which keeps
-	// the sink O(1) in flow count.
+	// the sink O(1) in flow count. On, every arriving packet must carry
+	// the FlowID a Source stamps; an untagged one panics.
 	ClosedLoop bool
 }
 
@@ -47,7 +50,9 @@ type Sink struct {
 	eng  *sim.Engine
 	cfg  SinkConfig
 
-	flows map[packet.FlowKey]sinkFlow
+	// flows is indexed by FlowID (closed-loop mode only) and grows to the
+	// largest one seen; a FIN resets its flow's entry.
+	flows []sinkFlow
 
 	Stats SinkStats
 }
@@ -55,9 +60,6 @@ type Sink struct {
 // NewSink attaches a replay receiver to node as its default endpoint.
 func NewSink(node *netem.Node, cfg SinkConfig) *Sink {
 	k := &Sink{node: node, eng: node.Engine(), cfg: cfg}
-	if cfg.ClosedLoop {
-		k.flows = make(map[packet.FlowKey]sinkFlow)
-	}
 	node.RegisterDefault(k)
 	return k
 }
@@ -76,10 +78,17 @@ func (k *Sink) Deliver(p *packet.Packet) {
 	if fin {
 		k.Stats.Finished++
 	}
-	if k.flows == nil {
+	if !k.cfg.ClosedLoop {
 		return
 	}
-	sf := k.flows[p.Flow]
+	id := int(p.FlowID)
+	if id == 0 {
+		panic(fmt.Sprintf("replay: closed-loop sink got untagged packet of flow %v (FlowID 0)", p.Flow))
+	}
+	for len(k.flows) <= id {
+		k.flows = append(k.flows, sinkFlow{})
+	}
+	sf := &k.flows[id]
 	if p.Seq > sf.expect {
 		// A sequence hole: bytes dropped somewhere upstream.
 		k.Stats.LostBytes += uint64(p.Seq - sf.expect)
@@ -96,18 +105,18 @@ func (k *Sink) Deliver(p *packet.Packet) {
 		}
 	}
 	if fin {
-		delete(k.flows, p.Flow)
-		return
+		k.flows[id] = sinkFlow{}
 	}
-	k.flows[p.Flow] = sf
 }
 
 // feedback sends one congestion notification back to the source: a bare
 // header on the reverse route, ACK-flagged so the Source recognises it,
-// ECE-flagged when echoing a CE mark.
+// ECE-flagged when echoing a CE mark, and carrying the data packet's
+// FlowID so the Source finds the flow without a key lookup.
 func (k *Sink) feedback(data *packet.Packet) {
 	fb := k.node.AllocPacket()
 	fb.Flow = data.Flow.Reverse()
+	fb.FlowID = data.FlowID
 	fb.Flags = packet.FlagACK
 	if data.ECN == packet.ECNCE {
 		fb.Flags |= packet.FlagECE
