@@ -75,9 +75,11 @@ scenario-conformance:
 	$(GO) test -run '^$$' -fuzz FuzzFlowMeterEquivalence -fuzztime 10s ./internal/metrics/
 
 # The three CLIs end to end on tiny inputs (scripts/cli_smoke.sh):
-# cebinae-sim -scenario on scenarios/dumbbell.json, cebinae-sweep on a
-# two-cell grid and on -backbone 1000, cebinae-bench -only table3,fig13.
-# Each must exit 0 with a non-empty report on stdout.
+# cebinae-sim -scenario on scenarios/dumbbell.json and scenarios/chain.json,
+# cebinae-sim -flows … -tau and -backbone 1000, cebinae-sweep on a two-cell
+# grid and on -backbone 1000, cebinae-bench -only table3,fig13, then the
+# five examples on short horizons. Each must exit 0 with a non-empty report
+# on stdout.
 cli-smoke:
 	@sh scripts/cli_smoke.sh
 

@@ -87,15 +87,10 @@ func ChainIdeal(cfg ChainConfig) []float64 {
 	return rates
 }
 
-// ChainResult aggregates a chain run.
-type ChainResult struct {
-	Name string
-	// Flows are in paper order: long flows first, then each hop's cross
-	// flows, each labelled accordingly.
-	Flows  []FlowResult
-	JFI    float64
-	Events uint64
-}
+// ChainResult is the graph runner's record of a chain run: Config is the
+// graph the chain lowered to, and Flows are in paper order — long flows
+// first, then each hop's cross flows, each labelled accordingly.
+type ChainResult GraphResult
 
 // Goodputs returns the per-flow goodputs (bits/sec) in paper order.
 func (r ChainResult) Goodputs() []float64 {
@@ -111,7 +106,7 @@ func (r ChainResult) Goodputs() []float64 {
 // shard counts).
 func (r ChainResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chain %s: %d flows, events=%d, JFI=%.9f\n", r.Name, len(r.Flows), r.Events, r.JFI)
+	fmt.Fprintf(&b, "chain %s: %d flows, events=%d, JFI=%.9f\n", r.Config.Name, len(r.Flows), r.Events, r.JFI)
 	for _, f := range r.Flows {
 		fmt.Fprintf(&b, "%4d %-12s %-8s %14.6f\n", f.Index, f.Label, f.CC, f.GoodputBps)
 	}
@@ -158,6 +153,5 @@ func (cfg ChainConfig) graph() GraphConfig {
 // engines, returning per-flow goodputs in paper order plus the total
 // dispatched event count; both are byte-identical at any shard count.
 func RunChain(cfg ChainConfig) ChainResult {
-	r := runGraph(cfg.graph(), cfg.Shards)
-	return ChainResult{Name: cfg.Name, Flows: r.Flows, JFI: r.JFI, Events: r.Events}
+	return ChainResult(cfg.graph().start(cfg.Shards).measure())
 }

@@ -23,14 +23,14 @@ const extBps = 100e6
 
 // extDumbbell builds those two extensions' dumbbell on eng: n host pairs
 // at 40 ms behind an extBps bottleneck with an 850-packet buffer under
-// kind. It returns each pair's sender and receiver and the bottleneck.
-func extDumbbell(eng *sim.Engine, kind QdiscKind, n int) (snd, rcv []*netem.Node, bottleneck *netem.Device) {
+// kind. It returns each pair's sender and receiver.
+func extDumbbell(eng *sim.Engine, kind QdiscKind, n int) (snd, rcv []*netem.Node) {
 	g := Scenario{BottleneckBps: extBps, BufferBytes: 850 * 1500, Qdisc: kind, Groups: []FlowGroup{{Count: n, RTT: ms(40)}}}.graph()
-	hosts, fwd := g.build(netem.NewNetwork(eng))
+	hosts, _ := g.build(netem.NewNetwork(eng))
 	for _, f := range g.Flows {
 		snd, rcv = append(snd, hosts[f.From][0]), append(rcv, hosts[f.To][0])
 	}
-	return snd, rcv, fwd[0]
+	return snd, rcv
 }
 
 // ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ func ExtChurn(kind QdiscKind, scale Scale) ExtChurnResult {
 	dur := horizon(scale, 100e9, Seconds(10))
 	eng := sim.NewEngine()
 	// Host pair 0 carries the long flow, pair 1 the churn.
-	snd, rcv, _ := extDumbbell(eng, kind, 2)
+	snd, rcv := extDumbbell(eng, kind, 2)
 
 	// Long-lived aggressive flow (Cubic).
 	longKey := packet.FlowKey{Src: snd[0].ID, Dst: rcv[0].ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
@@ -116,7 +116,6 @@ type ExtBlindUDPResult struct {
 	UDPDelivered float64 // bits/sec
 	TCPAggregate float64 // bits/sec
 	TCPFlowJFI   float64
-	CebinaeStats core.Stats
 }
 
 // ExtBlindUDP runs the scenario under one discipline.
@@ -124,7 +123,7 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 	dur := horizon(scale, 100e9, Seconds(10))
 	eng := sim.NewEngine()
 	nTCP := 8
-	snd, rcv, bottleneck := extDumbbell(eng, kind, nTCP+1)
+	snd, rcv := extDumbbell(eng, kind, nTCP+1)
 
 	// UDP blaster on pair 0.
 	udpKey := packet.FlowKey{Src: snd[0].ID, Dst: rcv[0].ID, SrcPort: 9, DstPort: 9, Proto: packet.ProtoUDP}
@@ -154,9 +153,6 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 		res.TCPAggregate += rates[i] * 8
 	}
 	res.TCPFlowJFI = metrics.JFI(rates)
-	if cq, ok := bottleneck.Qdisc().(*core.Qdisc); ok {
-		res.CebinaeStats = cq.Stats
-	}
 	return res
 }
 

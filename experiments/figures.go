@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
-	"cebinae/internal/metrics"
 	"cebinae/internal/sim"
 )
 
@@ -134,26 +134,30 @@ func fig8(label string, scale Scale, groups []FlowGroup, buf int) []Scenario {
 	}, FIFO, Cebinae)
 }
 
-// RenderFig8 prints decile points of both goodput CDFs, titled by the
-// runs' section (fig8a or fig8b).
+// RenderFig8 prints points of both runs' goodput CDFs, titled by their
+// section (fig8a or fig8b): at probability p, the smallest goodput whose
+// empirical CDF, (rank+1)/n, reaches p.
 func RenderFig8(rs []Result) string {
 	label, _, _ := strings.Cut(rs[0].Scenario.Name, "/")
-	fifo, ceb := metrics.CDFSorted(rs[0].SortedGoodputs()), metrics.CDFSorted(rs[1].SortedGoodputs())
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — goodput CDF [Mbps]\n%6s | %8s | %8s\n", label, "pct", "FIFO", "Cebinae")
-	quantile := func(pts []metrics.CDFPoint, p float64) float64 {
-		for _, pt := range pts {
-			if pt.P >= p {
-				return pt.Value
+	var sorted [2][]float64
+	for k, r := range rs[:2] {
+		for _, f := range r.Flows {
+			sorted[k] = append(sorted[k], f.GoodputBps)
+		}
+		sort.Float64s(sorted[k])
+	}
+	quantile := func(s []float64, p float64) float64 {
+		for i, v := range s {
+			if float64(i+1)/float64(len(s)) >= p {
+				return v
 			}
 		}
-		if len(pts) == 0 {
-			return 0
-		}
-		return pts[len(pts)-1].Value
+		return 0 // no flows: at p ≤ 1 the last rank always reaches p
 	}
 	for _, p := range []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0} {
-		fmt.Fprintf(&b, "%5.0f%% | %8.2f | %8.2f\n", p*100, quantile(fifo, p)/1e6, quantile(ceb, p)/1e6)
+		fmt.Fprintf(&b, "%5.0f%% | %8.2f | %8.2f\n", p*100, quantile(sorted[0], p)/1e6, quantile(sorted[1], p)/1e6)
 	}
 	fmt.Fprintf(&b, "JFI: FIFO=%.3f Cebinae=%.3f\n", rs[0].JFI, rs[1].JFI)
 	return b.String()

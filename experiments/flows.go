@@ -10,16 +10,16 @@ import (
 	"cebinae/internal/tcp"
 )
 
-// flowEnd is one TCP flow to attach: its endpoints, its congestion control
-// and when it starts.
+// flowEnd is one TCP flow to attach: its endpoints, its congestion control,
+// its sender's host group and when it starts.
 type flowEnd struct {
-	s, r    *netem.Node
-	cc      string
-	startAt sim.Time
+	s, r      *netem.Node
+	cc, group string
+	startAt   sim.Time
 }
 
 // flowSet is the attached flows of one run, in index order — the one
-// harness under Run and the graph runner (and so RunChain).
+// harness of the graph runner, and so of Run and RunChain.
 type flowSet struct {
 	ends   []flowEnd
 	keys   []packet.FlowKey
@@ -38,7 +38,7 @@ func (cfg *GraphConfig) attach(hosts map[string][]*netem.Node) *flowSet {
 	for _, fg := range cfg.Flows {
 		to := hosts[fg.To]
 		for i, s := range hosts[fg.From] {
-			fs.ends = append(fs.ends, flowEnd{s, to[i%len(to)], fg.CC, fg.StartAt})
+			fs.ends = append(fs.ends, flowEnd{s, to[i%len(to)], fg.CC, fg.From, fg.StartAt})
 		}
 	}
 	n := len(fs.ends)
@@ -80,6 +80,26 @@ func (fs *flowSet) rates(warmup, duration sim.Time) []float64 {
 	out := make([]float64, len(fs.ends))
 	for i, m := range fs.meters {
 		out[i] = m.RateOver(fs.measureFrom(i, warmup, duration), duration)
+	}
+	return out
+}
+
+// jfiSeries is the per-interval JFI over the flows active at each
+// interval's start, read off flows' sampled Series (one entry per
+// interval up to horizon).
+func (fs *flowSet) jfiSeries(flows []FlowResult, interval, horizon sim.Time) []float64 {
+	n := int((horizon + interval - 1) / interval)
+	out := make([]float64, 0, n)
+	active := make([]float64, 0, len(flows))
+	for k := 0; k < n; k++ {
+		active = active[:0]
+		t0 := sim.Time(k) * interval
+		for i, e := range fs.ends {
+			if e.startAt <= t0 {
+				active = append(active, flows[i].Series[k])
+			}
+		}
+		out = append(out, metrics.JFI(active))
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
 	"cebinae/internal/qdisc"
+	"cebinae/internal/shard"
 	"cebinae/internal/sim"
 )
 
@@ -126,39 +127,43 @@ type GraphConfig struct {
 	Seed           uint64
 }
 
-// GraphGroupResult aggregates one flow group.
-type GraphGroupResult struct {
-	Group      string
-	Flows      int
-	GoodputBps float64 // aggregate
-	JFI        float64 // across the group's flows
-}
-
-// GraphResult aggregates a graph run.
+// GraphResult is the one multi-hop record: the run's config (its defaults
+// filled), one row per flow in flow-group order, and the JFI and events of
+// the whole run. Per-group rows are derived from Config, not stored.
 type GraphResult struct {
-	Name   string
+	Config GraphConfig
 	Flows  []FlowResult
-	Groups []GraphGroupResult
 	JFI    float64 // across every flow
 	Events uint64
 }
 
-// Report renders the graph run in canonical byte-stable form. Each flow
-// row names its group and its sender's index within the group, read off
-// Groups (the flows are in group order).
+// Report renders the graph run in canonical byte-stable form: one row per
+// flow group with its aggregate goodput and JFI, then one row per flow,
+// naming its group and its sender's index within the group. A group's
+// flows are the next n of Flows, n the host count of its From group.
 func (r GraphResult) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s: %d flows, events=%d, JFI=%.9f\n", r.Name, len(r.Flows), r.Events, r.JFI)
-	for _, g := range r.Groups {
-		fmt.Fprintf(&b, "group %-16s %3d flows %14.6f bps JFI=%.9f\n", g.Group, g.Flows, g.GoodputBps, g.JFI)
-	}
+	var b, rows strings.Builder
+	fmt.Fprintf(&b, "graph %s: %d flows, events=%d, JFI=%.9f\n", r.Config.Name, len(r.Flows), r.Events, r.JFI)
 	flows := r.Flows
-	for _, g := range r.Groups {
-		for host, f := range flows[:g.Flows] {
-			fmt.Fprintf(&b, "%4d %-16s #%-3d %-8s %14.6f\n", f.Index, g.Group, host, f.CC, f.GoodputBps)
+	for _, fg := range r.Config.Flows {
+		var n int
+		for _, hg := range r.Config.Hosts {
+			if hg.Name == fg.From {
+				n = hg.Count
+			}
 		}
-		flows = flows[g.Flows:]
+		group := fg.From + "->" + fg.To
+		goodputs := make([]float64, n)
+		var sum float64
+		for host, f := range flows[:n] {
+			goodputs[host] = f.GoodputBps
+			sum += f.GoodputBps
+			fmt.Fprintf(&rows, "%4d %-16s #%-3d %-8s %14.6f\n", f.Index, group, host, f.CC, f.GoodputBps)
+		}
+		fmt.Fprintf(&b, "group %-16s %3d flows %14.6f bps JFI=%.9f\n", group, n, sum, metrics.JFI(goodputs))
+		flows = flows[n:]
 	}
+	b.WriteString(rows.String())
 	return b.String()
 }
 
@@ -194,12 +199,37 @@ func (cfg *GraphConfig) build(f netem.Fabric) (map[string][]*netem.Node, []*nete
 }
 
 // RunGraph builds and runs one graph scenario on one engine.
-func RunGraph(cfg GraphConfig) GraphResult { return runGraph(cfg, 1) }
+func RunGraph(cfg GraphConfig) GraphResult { return cfg.start(1).measure() }
 
-// runGraph builds and runs one graph scenario on max(shards, 1) engines
-// (see newCluster); its result is byte-identical at any shard count. Each
-// flow is labelled by its sender group.
-func runGraph(cfg GraphConfig, shards int) GraphResult {
+// newCluster builds the partitioned cluster for the topology `build`
+// constructs, on max(n, 1) engines. A multi-shard request flows through
+// the min-cut partitioner: AutoPlan records the builder's construction
+// trace against a throwaway fabric, computes the widest-lookahead
+// load-balanced partition, and the returned cluster places the second
+// (real) build of the same topology accordingly. Single-shard requests
+// skip the recording pass.
+func newCluster(n int, build func(netem.Fabric)) *shard.Cluster {
+	if n <= 1 {
+		return shard.NewCluster(1)
+	}
+	return shard.NewClusterWithPlan(shard.AutoPlan(n, build))
+}
+
+// graphRun is a graph scenario built on its cluster with its flows
+// attached, not yet run: the first half of every TCP run. Run arms its
+// dumbbell-only instruments on it before measure runs it.
+type graphRun struct {
+	cfg    GraphConfig
+	cl     *shard.Cluster
+	fwd    []*netem.Device // each link's A→B device
+	fs     *flowSet
+	warmup sim.Time
+}
+
+// start fills cfg's defaults, builds it on max(shards, 1) engines (see
+// newCluster) and attaches its flows. The result of measure is
+// byte-identical at any shard count.
+func (cfg GraphConfig) start(shards int) *graphRun {
 	if cfg.WarmupFraction == 0 {
 		cfg.WarmupFraction = 0.2
 	}
@@ -207,23 +237,18 @@ func runGraph(cfg GraphConfig, shards int) GraphResult {
 		cfg.MinRTO = Seconds(1)
 	}
 	cl := newCluster(shards, func(f netem.Fabric) { cfg.build(f) })
-	hosts, _ := cfg.build(cl)
-	fs := cfg.attach(hosts)
-	cl.Run(cfg.Duration)
+	hosts, fwd := cfg.build(cl)
+	return &graphRun{cfg: cfg, cl: cl, fwd: fwd, fs: cfg.attach(hosts), warmup: warmupEdge(cfg.Duration, cfg.WarmupFraction)}
+}
 
-	rates := fs.rates(warmupEdge(cfg.Duration, cfg.WarmupFraction), cfg.Duration)
-	res := GraphResult{Name: cfg.Name, JFI: metrics.JFI(rates), Events: cl.Processed()}
-	// Per-flow rows and per-group aggregates, in flow-group declaration
-	// order — the order the flows were attached in.
-	for _, fg := range cfg.Flows {
-		n := len(hosts[fg.From])
-		g := GraphGroupResult{Group: fg.From + "->" + fg.To, Flows: n, JFI: metrics.JFI(rates[:n])}
-		for _, r := range rates[:n] {
-			res.Flows = append(res.Flows, FlowResult{Index: len(res.Flows), Label: fg.From, CC: fg.CC, GoodputBps: r * 8})
-			g.GoodputBps += r * 8
-		}
-		res.Groups = append(res.Groups, g)
-		rates = rates[n:]
+// measure runs g to its horizon and measures every flow's goodput,
+// labelled by its sender group, and the JFI across them.
+func (g *graphRun) measure() GraphResult {
+	g.cl.Run(g.cfg.Duration)
+	rates := g.fs.rates(g.warmup, g.cfg.Duration)
+	res := GraphResult{Config: g.cfg, Flows: make([]FlowResult, len(rates)), JFI: metrics.JFI(rates), Events: g.cl.Processed()}
+	for i, e := range g.fs.ends {
+		res.Flows[i] = FlowResult{Index: i, Label: e.group, CC: e.cc, GoodputBps: rates[i] * 8}
 	}
 	return res
 }

@@ -174,3 +174,31 @@ func TestDumbbellIsGraphDeclaration(t *testing.T) {
 	})
 	checkSameDeclaration(t, "dumbbell", declareGraph(s.graph()), bell, false)
 }
+
+// TestDumbbellIsGraphRun: a dumbbell run is the graph run of its lowering
+// plus what only a dumbbell measures — the same per-flow goodputs, JFI
+// and event count, bit for bit, on a Cebinae bottleneck with a group that
+// starts after the warmup edge.
+func TestDumbbellIsGraphRun(t *testing.T) {
+	s := Scenario{
+		BottleneckBps: 50e6,
+		BufferBytes:   1 << 20,
+		Groups: []FlowGroup{
+			{CC: "newreno", Count: 2, RTT: ms(20)},
+			{CC: "cubic", Count: 1, RTT: ms(60), StartAt: Seconds(1)},
+		},
+		Duration: Seconds(3),
+		Qdisc:    Cebinae,
+		Seed:     5,
+	}
+	got, want := Run(s), RunGraph(s.graph())
+	if got.JFI != want.JFI || got.Events != want.Events || len(got.Flows) != len(want.Flows) {
+		t.Fatalf("dumbbell JFI %v events %d flows %d, graph JFI %v events %d flows %d",
+			got.JFI, got.Events, len(got.Flows), want.JFI, want.Events, len(want.Flows))
+	}
+	for i, f := range got.Flows {
+		if f.GoodputBps != want.Flows[i].GoodputBps {
+			t.Errorf("flow %d: dumbbell goodput %v, graph %v", i, f.GoodputBps, want.Flows[i].GoodputBps)
+		}
+	}
+}

@@ -17,13 +17,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"cebinae/internal/core"
 	"cebinae/internal/fluid"
-	"cebinae/internal/metrics"
-	"cebinae/internal/netem"
-	"cebinae/internal/shard"
 	"cebinae/internal/sim"
 )
 
@@ -128,20 +124,6 @@ const bottleneckDelay = SimTime(100e3)
 // on a flow group below it; spec files and the -rtt flag are refused.
 const MinRTT = 2 * bottleneckDelay
 
-// newCluster builds the partitioned cluster for the topology `build`
-// constructs, on max(n, 1) engines. A multi-shard request flows through
-// the min-cut partitioner: AutoPlan records the builder's construction
-// trace against a throwaway fabric, computes the widest-lookahead
-// load-balanced partition, and the returned cluster places the second
-// (real) build of the same topology accordingly. Single-shard requests
-// skip the recording pass.
-func newCluster(n int, build func(netem.Fabric)) *shard.Cluster {
-	if n <= 1 {
-		return shard.NewCluster(1)
-	}
-	return shard.NewClusterWithPlan(shard.AutoPlan(n, build))
-}
-
 // FlowResult is one flow's measured outcome — the one per-flow record of
 // the dumbbell, chain and graph runners.
 type FlowResult struct {
@@ -232,9 +214,10 @@ func (s Scenario) graph() GraphConfig {
 	return g
 }
 
-// Run executes a dumbbell scenario — its graph on one engine, plus what
-// only a dumbbell measures: per-flow RTTs, bottleneck throughput, the
-// sampled series and fast-forward — and gathers metrics.
+// Run executes a dumbbell scenario: its graph, built and measured by the
+// graph runner on one engine, plus what only a dumbbell measures — per-flow
+// RTTs and series, bottleneck throughput, Cebinae's statistics and phase,
+// the JFI series and fast-forward.
 func Run(s Scenario) Result {
 	if s.WarmupFraction == 0 {
 		s.WarmupFraction = 0.2
@@ -242,16 +225,11 @@ func Run(s Scenario) Result {
 	if s.MinRTO == 0 {
 		s.MinRTO = Seconds(1)
 	}
-	g := s.graph()
-	eng := sim.NewEngine()
-	w := netem.NewNetwork(eng)
-	hosts, fwd := g.build(w)
-	bottleneck := fwd[0]
+	g := s.graph().start(1)
+	sh, bottleneck := g.cl.Shard(0), g.fwd[0]
 	cq, _ := bottleneck.Qdisc().(*core.Qdisc)
-	fs := g.attach(hosts)
-	warmup := warmupEdge(s.Duration, s.WarmupFraction)
 
-	ffc, ffForcedOff := setupFastForward(s, w, bottleneck, fs, warmup)
+	ffc, ffForcedOff := setupFastForward(s, sh.Net, bottleneck, g.fs, g.warmup)
 
 	var sampler *stateSampler
 	if s.SampleInterval > 0 && cq != nil {
@@ -259,18 +237,18 @@ func Run(s Scenario) Result {
 		// never reallocate.
 		n := int((s.Duration + s.SampleInterval - 1) / s.SampleInterval)
 		sampler = &stateSampler{
-			eng: eng, cq: cq, interval: s.SampleInterval,
+			eng: sh.Engine, cq: cq, interval: s.SampleInterval,
 			states: make([]byte, 0, n),
 		}
 		// Pinned: sample instants are measurement epochs the fluid
 		// fast-forward layer must never skip across (placement is
 		// invisible to the event stream when fast-forward is unused).
-		eng.ArmPinnedTimer(&sampler.timer, s.SampleInterval, sampler, nil)
+		sh.Engine.ArmPinnedTimer(&sampler.timer, s.SampleInterval, sampler, nil)
 	}
 
-	eng.RunUntil(s.Duration)
+	gr := g.measure()
 
-	res := Result{Scenario: s, Events: eng.Processed}
+	res := Result{Scenario: s, JFI: gr.JFI, Events: gr.Events}
 	if ffc != nil {
 		res.FF = ffc.Stats()
 	} else if ffForcedOff {
@@ -279,37 +257,23 @@ func Run(s Scenario) Result {
 	if sampler != nil {
 		res.StateSeries = sampler.states
 	}
-	rates := fs.rates(warmup, s.Duration)
 	for _, fg := range s.Groups {
 		for k := 0; k < fg.Count; k++ {
 			i := len(res.Flows)
-			fr := FlowResult{Index: i, CC: fg.CC, RTT: fg.RTT, GoodputBps: rates[i] * 8}
+			fr := FlowResult{Index: i, CC: fg.CC, RTT: fg.RTT, GoodputBps: gr.Flows[i].GoodputBps}
 			if s.SampleInterval > 0 {
-				fr.Series = fs.meters[i].Series(s.SampleInterval, s.Duration)
+				fr.Series = g.fs.meters[i].Series(s.SampleInterval, s.Duration)
 			}
 			res.Flows = append(res.Flows, fr)
-			res.GoodputBps += rates[i] * 8
+			res.GoodputBps += fr.GoodputBps
 		}
 	}
-	res.JFI = metrics.JFI(rates)
 	res.ThroughputBps = float64(bottleneck.Stats().TxBytes) * 8 / s.Duration.Seconds()
 	if cq != nil {
 		res.CebStats = cq.Stats
 	}
 	if s.SampleInterval > 0 {
-		n := int((s.Duration + s.SampleInterval - 1) / s.SampleInterval)
-		res.JFISeries = make([]float64, 0, n)
-		active := make([]float64, 0, len(res.Flows))
-		for k := 0; k < n; k++ {
-			active = active[:0]
-			t0 := sim.Time(k) * s.SampleInterval
-			for i, e := range fs.ends {
-				if e.startAt <= t0 {
-					active = append(active, res.Flows[i].Series[k])
-				}
-			}
-			res.JFISeries = append(res.JFISeries, metrics.JFI(active))
-		}
+		res.JFISeries = g.fs.jfiSeries(res.Flows, s.SampleInterval, s.Duration)
 	}
 	return res
 }
@@ -359,15 +323,4 @@ func (r Result) Report() string {
 	s += fmt.Sprintf("jfiseries=%v states=%s\n", r.JFISeries, r.StateSeries)
 	s += fmt.Sprintf("cebstats=%+v\n", r.CebStats)
 	return s
-}
-
-// SortedGoodputs returns the flows' goodputs (bits/sec) ascending — CDF
-// material for Fig. 8.
-func (r Result) SortedGoodputs() []float64 {
-	out := make([]float64, len(r.Flows))
-	for i, f := range r.Flows {
-		out[i] = f.GoodputBps
-	}
-	sort.Float64s(out)
-	return out
 }

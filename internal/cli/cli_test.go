@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseBandwidth(t *testing.T) {
-	for in, want := range map[string]float64{"100M": 100e6, "2.5G": 2.5e9, "250K": 250e3, "42": 42} {
+	for in, want := range map[string]float64{"100M": 100e6, "1G": 1e9, "2.5G": 2.5e9, "250K": 250e3, "42": 42} {
 		if got, err := ParseBandwidth(in); err != nil || got != want {
 			t.Errorf("%q parsed to %v, %v; want %v", in, got, err, want)
 		}

@@ -1,6 +1,7 @@
 // Package metrics provides the measurement machinery of the evaluation:
-// Jain's Fairness Index, per-flow goodput/throughput meters, time series
-// sampling, and CDFs, matching the metrics reported in the paper's §5.
+// Jain's Fairness Index (plain and max-min normalised), the per-flow
+// goodput meter and its time series, and the nearest-rank percentile and
+// mean of a sample, matching the metrics reported in the paper's §5.
 package metrics
 
 import (
@@ -8,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"cebinae/internal/sim"
 )
@@ -186,61 +186,14 @@ func (m *FlowMeter) Series(interval, horizon sim.Time) []float64 {
 	return out
 }
 
-// CDF returns the empirical distribution of values as sorted (value,
-// cumulative-probability) points.
-type CDFPoint struct {
-	Value float64
-	P     float64
-}
-
-// scratch pools the sort buffers CDF and Percentile use, so helpers called
-// per-job in a sweep stop allocating (and re-sorting into) a fresh copy of
-// their input every time. Buffers only live for the duration of one call.
-var scratch = sync.Pool{New: func() any { return new([]float64) }}
-
-// sortedScratch returns a pooled buffer holding a sorted copy of values.
-// Callers must hand it back via scratch.Put when done.
-func sortedScratch(values []float64) *[]float64 {
-	bp := scratch.Get().(*[]float64)
-	*bp = append((*bp)[:0], values...)
-	sort.Float64s(*bp)
-	return bp
-}
-
-// CDF computes the empirical CDF of values.
-func CDF(values []float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	bp := sortedScratch(values)
-	out := CDFSorted(*bp)
-	scratch.Put(bp)
-	return out
-}
-
-// CDFSorted computes the empirical CDF of already-ascending values without
-// copying or re-sorting them — use it when the caller just built a sorted
-// slice (e.g. Result.SortedGoodputs).
-func CDFSorted(sorted []float64) []CDFPoint {
-	if len(sorted) == 0 {
-		return nil
-	}
-	out := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, P: float64(i+1) / float64(len(sorted))}
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (0..100) of values using
 // nearest-rank on a sorted copy.
 func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
 	}
-	bp := sortedScratch(values)
-	s := *bp
-	defer scratch.Put(bp)
+	s := append([]float64(nil), values...)
+	sort.Float64s(s)
 	if p <= 0 {
 		return s[0]
 	}

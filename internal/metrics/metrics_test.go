@@ -448,22 +448,6 @@ func TestFlowMeterBytesPerRecord(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 || pts[0].Value != 1 || pts[2].Value != 3 {
-		t.Fatalf("CDF not sorted: %+v", pts)
-	}
-	if pts[2].P != 1 {
-		t.Fatalf("last point must have P=1: %+v", pts)
-	}
-	if math.Abs(pts[0].P-1.0/3) > 1e-12 {
-		t.Fatalf("first point P wrong: %+v", pts)
-	}
-	if CDF(nil) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if Percentile(vals, 50) != 5 {

@@ -109,6 +109,9 @@ func Compile(s *Spec) (*Compiled, error) {
 		if b.Qdisc != "" {
 			cfg.Qdisc = experiments.QdiscKind(b.Qdisc)
 		}
+		if s.Seed != 0 {
+			cfg.Trace.Seed = s.Seed
+		}
 		c.Backbone = &cfg
 	case "graph":
 		g := s.Graph

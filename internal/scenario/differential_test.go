@@ -76,3 +76,21 @@ func TestDifferentialBackbone(t *testing.T) {
 		t.Errorf("spec-compiled report differs from Go-built\n--- go\n%s--- spec\n%s", want, got)
 	}
 }
+
+// TestCompileBackboneSeed: a backbone spec's seed seeds the replayed
+// trace; without one, the tier's own seed stands, as in backbone-1e5.json.
+func TestCompileBackboneSeed(t *testing.T) {
+	for _, tc := range []struct {
+		seed, want uint64
+	}{{0, experiments.BackboneTier(100000, experiments.Full).Trace.Seed}, {7, 7}} {
+		spec := mustLoad(t, "backbone-1e5.json")
+		spec.Seed = tc.seed
+		c, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Backbone.Trace.Seed; got != tc.want {
+			t.Errorf("spec seed %d: trace seed %d, want %d", tc.seed, got, tc.want)
+		}
+	}
+}

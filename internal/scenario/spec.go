@@ -84,7 +84,8 @@ type ChainSpec struct {
 
 // BackboneSpec is the trace-replay backbone tier
 // (experiments.BackboneTier): the standing-flow population plus the run
-// scale, with an optional core-discipline override.
+// scale, with an optional core-discipline override. The spec's seed, when
+// given, seeds the synthetic trace; omitted, the tier's seed 1 stands.
 type BackboneSpec struct {
 	Flows int `json:"flows"`
 	// Scale is quick, medium, or full.

@@ -1,8 +1,10 @@
 #!/bin/sh
 # The three CLIs end to end on tiny inputs — cebinae-sim's flag path
-# (experiments.Run, RunBackbone) and its -scenario path, the sweep and bench
-# sections through the fleet — then the five examples on short horizons:
-# every run must exit 0 and print a non-empty report on stdout.
+# (experiments.Run, RunBackbone) and its -scenario path on a dumbbell and a
+# chain (whose stored record goes through JSON, strict decode and Report),
+# the sweep and bench sections through the fleet — then the five examples
+# on short horizons: every run must exit 0 and print a non-empty report on
+# stdout.
 #
 #   scripts/cli_smoke.sh              (or: make cli-smoke)
 #
@@ -26,6 +28,7 @@ smoke() {
 }
 
 smoke "cebinae-sim -scenario" "$tmp/cebinae-sim" -scenario scenarios/dumbbell.json
+smoke "cebinae-sim -scenario chain" "$tmp/cebinae-sim" -scenario scenarios/chain.json
 smoke "cebinae-sim -flows" "$tmp/cebinae-sim" -flows newreno:2,cubic:1 -rtt 20ms,40ms -qdisc cebinae -tau 0.05 -duration 2s
 smoke "cebinae-sim -backbone" "$tmp/cebinae-sim" -backbone 1000 -duration 40ms
 smoke "cebinae-sweep grid" "$tmp/cebinae-sweep" -qdiscs fifo,cebinae -thresholds 5 -scales 0.02 \
