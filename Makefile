@@ -90,12 +90,14 @@ cli-smoke:
 # the zero-alloc hot paths: engine dispatch, timer re-arm, one-hop
 # forwarding (alone and with thousands of packets on the wire), a
 # steady-state TCP round trip, the 10⁵-flow replay send path at ≤ 0.01
-# allocs a packet, and the flow cache's poll-and-reset. The event budget
-# rides along: one event per uncontended hop and one more per queued
-# packet, and ≤ 8.1 events per delivered segment on the dumbbell_fifo_1g
-# traffic.
+# allocs a packet, and the flow cache's poll-and-reset. The packet pool
+# rides along: one allocation per 64 fresh packets (the slab), and every
+# packet back in the pool once a run drains, FQ-CoDel's overflow victims
+# and CoDel drops included. So does the event budget: one event per
+# uncontended hop and one more per queued packet, and ≤ 8.1 events per
+# delivered segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPoolSlab|TestPoolCustodyFQCoDel' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -184,8 +184,21 @@ func (d *Device) Credit(c DeviceStats) {
 }
 
 // SetQdisc replaces the queue discipline. Must be called before traffic
-// flows through the device.
-func (d *Device) SetQdisc(q Qdisc) { d.qdisc = q }
+// flows through the device. A qdisc that discards packets it has already
+// admitted asks, with a SetSink method, for the device's release sink,
+// which returns each discard to the network's pool.
+func (d *Device) SetQdisc(q Qdisc) {
+	d.qdisc = q
+	if s, ok := q.(interface{ SetSink(packet.Sink) }); ok {
+		s.SetSink((*deviceSink)(d))
+	}
+}
+
+// deviceSink is the Device's release-sink view.
+type deviceSink Device
+
+// Release returns a packet its qdisc discarded to the network's pool.
+func (s *deviceSink) Release(p *packet.Packet) { s.node.net.pool.Put(p) }
 
 // Node returns the owning node.
 func (d *Device) Node() *Node { return d.node }
@@ -545,7 +558,7 @@ func checkLink(a, b string, cfg LinkConfig) {
 func newDevice(a *Node, peer string, cfg LinkConfig) *Device {
 	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peer), node: a, eng: a.net.Engine, rate: cfg.RateBps, delay: cfg.Delay, serialiseSize: -1}
 	if cfg.QdiscFactory != nil {
-		d.qdisc = cfg.QdiscFactory()
+		d.SetQdisc(cfg.QdiscFactory())
 	}
 	a.devices = append(a.devices, d)
 	return d

@@ -5,24 +5,35 @@ package packet
 // no per-P caching or cross-goroutine contention, and recycled packets
 // never migrate between concurrent simulations.
 //
+// Fresh packets come from slabs: when the free list is empty, Get hands
+// out the next packet of a slabLen-packet array and allocates a new array
+// only when the current one is used up.
+//
 // Ownership protocol: a packet is drawn with Get when a sender builds it,
 // travels through queues and links under single ownership, and is released
 // with Put exactly once at the point it leaves the simulated network — on
-// delivery to its endpoint, or on drop. Packets that are discarded inside a
-// queue discipline (e.g. CoDel dequeue-time drops) may simply be abandoned
-// to the garbage collector: Put is an optimisation, not an obligation, and
-// packets built outside the pool may be Put into it.
+// delivery to its endpoint, or on drop. A packet that is never Put keeps
+// its whole slab alive until the network goes away, so a discipline that
+// discards packets it has already admitted (an overflow victim, a CoDel
+// drop at dequeue) does not abandon them: a qdisc on a netem device
+// releases its discards through the Sink that netem.Device.SetQdisc hands
+// it. A packet built outside the pool may still be Put into it.
 //
 // Building with -tags packetdebug enables a double-free detector that
 // panics when a packet is released twice without an intervening Get.
 type Pool struct {
-	free  []*Packet
+	free []*Packet
+	// slab is the unused tail of the current slab.
+	slab  []Packet
 	debug poolDebug
 	// Gets / Reuses count allocations served and how many were recycled
-	// (Gets - Reuses packets were freshly allocated).
+	// (Gets - Reuses packets were fresh from a slab).
 	Gets   uint64
 	Reuses uint64
 }
+
+// slabLen is the number of packets one slab allocation provides.
+const slabLen = 64
 
 // Get returns a zeroed packet, reusing a released one when available. The
 // SACK slice's backing array is retained across reuse (length reset to 0).
@@ -30,7 +41,12 @@ func (pl *Pool) Get() *Packet {
 	pl.Gets++
 	n := len(pl.free)
 	if n == 0 {
-		return &Packet{}
+		if len(pl.slab) == 0 {
+			pl.slab = make([]Packet, slabLen)
+		}
+		p := &pl.slab[0]
+		pl.slab = pl.slab[1:]
+		return p
 	}
 	pl.Reuses++
 	p := pl.free[n-1]
@@ -52,3 +68,13 @@ func (pl *Pool) Put(p *Packet) {
 
 // FreeLen returns the number of packets currently on the free list.
 func (pl *Pool) FreeLen() int { return len(pl.free) }
+
+// Sink takes back the packets a queue discipline discards after admitting
+// them. netem.Device.SetQdisc hands one to every qdisc with a SetSink
+// method; it returns each packet to the device's network's pool.
+type Sink interface {
+	// Release takes p out of the caller's hands for good.
+	//
+	//pktown:consumes p the sink returns the packet to its network's pool; the caller must not touch it again
+	Release(p *Packet)
+}

@@ -1,6 +1,9 @@
 package packet
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestPoolReuse(t *testing.T) {
 	var pool Pool
@@ -42,5 +45,49 @@ func TestPoolGetGrows(t *testing.T) {
 	pool.Put(b)
 	if pool.FreeLen() != 2 {
 		t.Fatalf("free list length %d, want 2", pool.FreeLen())
+	}
+}
+
+// TestPoolSlab pins the slab: fresh packets are handed out slabLen to an
+// allocation, each one zeroed and distinct, and a recycled slab packet
+// keeps its SACK backing array.
+func TestPoolSlab(t *testing.T) {
+	var pool Pool
+	var last *Packet
+	allocs := testing.AllocsPerRun(10, func() {
+		pool = Pool{}
+		for i := 0; i < slabLen; i++ {
+			last = pool.Get()
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d Gets from an empty pool cost %v allocations, want 1", slabLen, allocs)
+	}
+	if last == nil {
+		t.Fatal("Get returned nil")
+	}
+
+	pool = Pool{}
+	seen := make(map[*Packet]bool)
+	for i := 0; i < 2*slabLen+1; i++ {
+		p := pool.Get()
+		if seen[p] {
+			t.Fatalf("Get %d returned a packet already handed out", i)
+		}
+		seen[p] = true
+		if !reflect.ValueOf(*p).IsZero() {
+			t.Fatalf("fresh packet %d not zeroed: %+v", i, *p)
+		}
+		p.Seq, p.Size = int64(i), 1500
+	}
+	if pool.Gets != 2*slabLen+1 || pool.Reuses != 0 {
+		t.Fatalf("counters: gets=%d reuses=%d", pool.Gets, pool.Reuses)
+	}
+
+	p := pool.Get()
+	p.SACK = append(p.SACK, SackBlock{Start: 1, End: 2}, SackBlock{Start: 3, End: 4})
+	pool.Put(p)
+	if q := pool.Get(); q != p || len(q.SACK) != 0 || cap(q.SACK) < 2 {
+		t.Fatalf("recycled slab packet: same=%v len=%d cap=%d", q == p, len(q.SACK), cap(q.SACK))
 	}
 }

@@ -36,6 +36,12 @@ type FQCoDel struct {
 	bytes   int
 	packets int
 
+	// sink takes back the packets discarded after admission (overflow
+	// victims other than the packet being enqueued, CoDel drops at
+	// dequeue). Without one, as outside a netem device, they are left to
+	// the garbage collector.
+	sink packet.Sink
+
 	Drops     uint64
 	ECNMarked uint64
 }
@@ -72,8 +78,13 @@ func NewFQCoDel(eng *sim.Engine, limitBytes, quantum int, params CoDelParams) *F
 	}
 }
 
+// SetSink installs the sink that takes back the packets the discipline
+// discards after admitting them; netem.Device.SetQdisc calls it.
+func (f *FQCoDel) SetSink(s packet.Sink) { f.sink = s }
+
 // Enqueue classifies p to its flow queue. On overflow it drops from the
-// largest queue (RFC 8290 §4.1.3), which may or may not be p's own.
+// largest queue (RFC 8290 §4.1.3), which may or may not be p's own: a
+// victim other than p goes to the sink, p itself back to the caller.
 func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 	fl, ok := f.flows[p.Flow]
 	if !ok {
@@ -120,6 +131,8 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 		//lint:ignore pktown pointer identity test only — the drop loop may pop back the packet just enqueued; nothing dereferences it
 		if dp == p {
 			dropped = true
+		} else if f.sink != nil {
+			f.sink.Release(dp)
 		}
 	}
 	return !dropped
@@ -204,6 +217,9 @@ func (f *FQCoDel) codelDequeue(fl *fqFlow) *packet.Packet {
 				return p
 			}
 			f.Drops++
+			if f.sink != nil {
+				f.sink.Release(p)
+			}
 			continue
 		}
 		return p
