@@ -67,8 +67,8 @@ fastforward-smoke:
 # job): canonical spec files stay byte-identical with their hand-built Go
 # twins, validation diagnostics match their goldens, the CCA tournament /
 # buffer sweeps hold the BBR-fairness signature, and short fuzz runs hold
-# the parse→emit→parse round-trip law and the goodput log's equivalence
-# with the plain sample slice it replaced.
+# the parse→emit→parse round-trip law and the goodput meter's
+# equivalence, logged and marked, with a plain sample slice.
 scenario-conformance:
 	$(GO) test -run 'TestCanonicalFiles|TestEmitLoadIdentity|TestDifferential|TestDiagnosticsGolden|TestTournamentConformance|TestBufferSweepConformance' ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 25s ./internal/scenario/
@@ -84,9 +84,12 @@ cli-smoke:
 	@sh scripts/cli_smoke.sh
 
 # The memory and event pins: what a run allocates must grow with the
-# window, not with the packets delivered — the goodput log at ≤ 6 B a
-# record, the TCP scoreboard and FQ-CoDel's flow queues at nothing once
-# warm, and a whole experiments.Run at ≤ 32 B per delivered segment — plus
+# window, not with the packets delivered — a marked goodput meter at
+# nothing a record (an unmarked one's log at ≤ 6 B), the TCP scoreboard's
+# blocks at about one per 32 segments of the first climb and nothing on the
+# next, the scoreboard and FQ-CoDel's flow queues at nothing once warm, the
+# backbone's max-min scoring at as many allocations for 8 000 flows as for
+# 1 000, and a whole experiments.Run at ≤ 4 B per delivered segment — plus
 # the zero-alloc hot paths: engine dispatch, timer re-arm, one-hop
 # forwarding (alone and with thousands of packets on the wire), a
 # steady-state TCP round trip, the 10⁵-flow replay send path at ≤ 0.01
@@ -97,7 +100,7 @@ cli-smoke:
 # uncontended hop and one more per queued packet, and ≤ 8.1 events per
 # delivered segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPoolSlab|TestPoolCustodyFQCoDel' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPoolSlab|TestPoolCustodyFQCoDel' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -47,6 +47,7 @@ func BenchmarkAblationECNMarking(b *testing.B) {
 			},
 			DefaultQdisc: func() cebinae.Queue { return cebinae.NewFIFO(16 << 20) },
 		})
+		dur := cebinae.Seconds(10)
 		meters := make([]*cebinae.FlowMeter, 2)
 		for i, name := range []string{"dctcp", "newreno"} {
 			key := cebinae.FlowKey{Src: d.Senders[i].ID, Dst: d.Receivers[i].ID, SrcPort: 1, DstPort: uint16(50 + i), Proto: 6}
@@ -54,10 +55,10 @@ func BenchmarkAblationECNMarking(b *testing.B) {
 			cebinae.NewConn(eng, d.Senders[i], cebinae.ConnConfig{Key: key, CC: cc, MinRTO: cebinae.Seconds(1)})
 			recv := cebinae.NewReceiver(eng, d.Receivers[i], cebinae.ReceiverConfig{Key: key})
 			m := &cebinae.FlowMeter{}
+			m.Mark(dur/5, dur)
 			recv.GoodputAt = m.Record
 			meters[i] = m
 		}
-		dur := cebinae.Seconds(10)
 		eng.Run(dur)
 		dc := meters[0].RateOver(dur/5, dur)
 		nr := meters[1].RateOver(dur/5, dur)

@@ -189,6 +189,12 @@ type (
 	FlowMeter = metrics.FlowMeter
 )
 
+// SeriesInstants lists the instants FlowMeter.Series(interval, horizon)
+// reads, for FlowMeter.Mark.
+func SeriesInstants(interval, horizon Time) []Time {
+	return metrics.SeriesInstants(interval, horizon)
+}
+
 // JFI computes Jain's Fairness Index of a rate vector.
 func JFI(rates []float64) float64 { return metrics.JFI(rates) }
 

@@ -45,7 +45,9 @@ func main() {
 	udpKey := cebinae.FlowKey{Src: d.Senders[0].ID, Dst: d.Receivers[0].ID, SrcPort: 9, DstPort: 9, Proto: 17}
 	blaster := cebinae.NewCBRSource(eng, d.Senders[0], udpKey, 0.8*rate, 0)
 
-	// Eight NewReno flows on pairs 1…8.
+	// Eight NewReno flows on pairs 1…8, each metered over the last four
+	// fifths of the run.
+	step, dur := cebinae.Millis(500), cebinae.Seconds(float64(*seconds))
 	meters := make([]*cebinae.FlowMeter, nTCP)
 	for i := 0; i < nTCP; i++ {
 		key := cebinae.FlowKey{
@@ -55,13 +57,13 @@ func main() {
 		cebinae.NewConn(eng, d.Senders[i+1], cebinae.ConnConfig{Key: key, Seed: uint64(i), MinRTO: cebinae.Seconds(1)})
 		recv := cebinae.NewReceiver(eng, d.Receivers[i+1], cebinae.ReceiverConfig{Key: key})
 		m := &cebinae.FlowMeter{}
+		m.Mark(dur/5, dur)
 		recv.GoodputAt = m.Record
 		meters[i] = m
 	}
 
 	fmt.Println("Bottleneck every 500 ms ('*' = saturated phase, ⊤ = flows taxed):")
 	fmt.Printf("%10s | %10s | %8s | %9s | %4s | %4s\n", "t", "tx[Mbps]", "queue[B]", "drops/s", "sat", "⊤")
-	step, dur := cebinae.Millis(500), cebinae.Seconds(float64(*seconds))
 	var lastTx, lastDrops uint64
 	var saturated, samples, peak int
 	for t := step; t <= dur; t += step {

@@ -39,6 +39,7 @@ func run(useCebinae bool, seconds int) ([][]float64, float64) {
 		DefaultQdisc: func() cebinae.Queue { return cebinae.NewFIFO(16 << 20) },
 	})
 
+	dur := cebinae.Seconds(float64(seconds))
 	meters := make([]*cebinae.FlowMeter, 2)
 	for i := 0; i < 2; i++ {
 		key := cebinae.FlowKey{
@@ -49,11 +50,14 @@ func run(useCebinae bool, seconds int) ([][]float64, float64) {
 		cebinae.NewConn(eng, d.Senders[i], cebinae.ConnConfig{Key: key, CC: cc})
 		recv := cebinae.NewReceiver(eng, d.Receivers[i], cebinae.ReceiverConfig{Key: key})
 		m := &cebinae.FlowMeter{}
+		// A meter keeps only the instants it is asked about: the series
+		// grid and the measurement window.
+		m.Mark(cebinae.SeriesInstants(cebinae.Seconds(1), dur)...)
+		m.Mark(dur/5, dur)
 		recv.GoodputAt = m.Record
 		meters[i] = m
 	}
 
-	dur := cebinae.Seconds(float64(seconds))
 	eng.Run(dur)
 
 	series := make([][]float64, 2)

@@ -337,14 +337,17 @@ func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backboneP
 	// Ideal max-min over the observed flow set: one shared link, each
 	// flow's demand its achieved mean rate. The water level is the fair
 	// share an omniscient allocator would give the unconstrained flows.
+	// Every flow's route is that one link: one slice serves them all
+	// (Allocate only reads routes).
 	net := &maxmin.Network{
 		Capacity: []float64{cfg.CoreBps},
 		Routes:   make([][]int, len(truth)),
 		Demand:   make([]float64, len(truth)),
 	}
+	core := []int{0}
 	secs := cfg.Duration.Seconds()
 	for i, fc := range truth {
-		net.Routes[i] = []int{0}
+		net.Routes[i] = core
 		net.Demand[i] = float64(fc.Bytes*8) / secs
 	}
 	rates, err := maxmin.Allocate(net)

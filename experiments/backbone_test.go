@@ -3,6 +3,11 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"cebinae/internal/cmsketch"
+	"cebinae/internal/packet"
+	"cebinae/internal/sim"
+	"cebinae/internal/trace"
 )
 
 // backboneTestTier is a scaled-down tier for the differential and smoke
@@ -97,5 +102,33 @@ func TestBackbone100kTier(t *testing.T) {
 	}
 	if res.RateCuts == 0 {
 		t.Fatal("closed loop idle at 1e5 flows: no rate cuts")
+	}
+}
+
+// TestBackboneScoringAllocs pins the scoring pass's allocations: ranking,
+// cache recall, sketch bias and the ideal max-min allocation over every
+// observed flow cost the same number of allocations at 1 000 flows as at
+// 8 000 (eight demand levels keep water-filling to eight rounds). One
+// route slice per flow made it grow by one allocation a flow.
+func TestBackboneScoringAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		obs := &backboneObserver{sketch: cmsketch.New(sketchRows, 1024), truth: make([]trace.FlowCount, n+1)}
+		for i := 1; i <= n; i++ {
+			key := packet.FlowKey{Src: 1, Dst: 2, SrcPort: uint16(i), DstPort: uint16(i >> 16), Proto: packet.ProtoTCP}
+			obs.truth[i] = trace.FlowCount{Flow: key, Bytes: int64(1000 * (1 + i%8))}
+			obs.sketch.Add(key, obs.truth[i].Bytes)
+		}
+		poller := &backbonePoller{held: map[packet.FlowKey]bool{obs.truth[1].Flow: true}}
+		cfg := BackboneConfig{CoreBps: 10e9, Duration: sim.Duration(1e9)}
+		return testing.AllocsPerRun(2, func() {
+			var res BackboneResult
+			scoreBackbone(&res, obs, poller, cfg)
+			if res.MaxMinFlows != n {
+				t.Fatalf("scored %d flows of %d", res.MaxMinFlows, n)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); small != large {
+		t.Fatalf("scoring allocates %.0f objects at 1 000 flows and %.0f at 8 000, want the same", small, large)
 	}
 }

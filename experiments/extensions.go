@@ -63,6 +63,7 @@ func ExtChurn(kind QdiscKind, scale Scale) ExtChurnResult {
 	tcp.NewConn(eng, snd[0], tcp.Config{Key: longKey, CC: cc, MinRTO: Seconds(1)})
 	longRecv := tcp.NewReceiver(eng, rcv[0], tcp.ReceiverConfig{Key: longKey})
 	longMeter := &metrics.FlowMeter{}
+	longMeter.Mark(dur/5, dur)
 	longRecv.GoodputAt = longMeter.Record
 
 	// Short-transfer churn: ~40 arrivals/s of mean 200 KB ⇒ ≈64 Mbps of
@@ -128,6 +129,7 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 	// UDP blaster on pair 0.
 	udpKey := packet.FlowKey{Src: snd[0].ID, Dst: rcv[0].ID, SrcPort: 9, DstPort: 9, Proto: packet.ProtoUDP}
 	udpMeter := &metrics.FlowMeter{}
+	udpMeter.Mark(dur/5, dur)
 	rcv[0].Register(udpKey, meterSink{udpMeter, eng})
 	app.NewCBR(eng, snd[0], udpKey, 0.8*extBps, 0)
 
@@ -139,6 +141,7 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 		tcp.NewConn(eng, snd[i+1], tcp.Config{Key: key, CC: cc, Seed: uint64(i), MinRTO: Seconds(1)})
 		recv := tcp.NewReceiver(eng, rcv[i+1], tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
+		m.Mark(dur/5, dur)
 		recv.GoodputAt = m.Record
 		meters[i] = m
 	}

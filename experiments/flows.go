@@ -30,10 +30,11 @@ type flowSet struct {
 // attach creates one TCP flow per sender host of each of cfg's flow groups,
 // in flow-group order, on the hosts build returned: flow i on ports
 // 1000+i → 5000+i with seed Seed+i — sender, then receiver, then the goodput
-// meter the receiver feeds. Construction order is event order (each sender
-// arms its start timer), so it is the same at every caller and every shard
-// count.
-func (cfg *GraphConfig) attach(hosts map[string][]*netem.Node) *flowSet {
+// meter the receiver feeds, marked at the ends of the flow's measurement
+// window (measureFrom at warmup, and the horizon). Construction order is
+// event order (each sender arms its start timer), so it is the same at
+// every caller and every shard count.
+func (cfg *GraphConfig) attach(hosts map[string][]*netem.Node, warmup sim.Time) *flowSet {
 	fs := &flowSet{}
 	for _, fg := range cfg.Flows {
 		to := hosts[fg.To]
@@ -56,6 +57,7 @@ func (cfg *GraphConfig) attach(hosts map[string][]*netem.Node) *flowSet {
 		fs.conns[i] = tcp.NewConn(e.s.Engine(), e.s, tcp.Config{Key: key, CC: cc, StartAt: e.startAt, Seed: cfg.Seed + uint64(i), MinRTO: cfg.MinRTO})
 		recv := tcp.NewReceiver(e.r.Engine(), e.r, tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
+		m.Mark(fs.measureFrom(i, warmup, cfg.Duration), cfg.Duration)
 		recv.GoodputAt = m.Record
 		fs.meters[i] = m
 	}

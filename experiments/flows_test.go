@@ -32,7 +32,7 @@ func TestFlowSetWindows(t *testing.T) {
 	eng := sim.NewEngine()
 	w := netem.NewNetwork(eng)
 	hosts, fwd := g.build(w)
-	fs := g.attach(hosts)
+	fs := g.attach(hosts, warmup)
 	for i := range starts {
 		if got := fs.measureFrom(i, warmup, duration); got != want[i] {
 			t.Errorf("flow %d (start %d): measureFrom = %d, want %d", i, starts[i], got, want[i])

@@ -238,7 +238,8 @@ func (cfg GraphConfig) start(shards int) *graphRun {
 	}
 	cl := newCluster(shards, func(f netem.Fabric) { cfg.build(f) })
 	hosts, fwd := cfg.build(cl)
-	return &graphRun{cfg: cfg, cl: cl, fwd: fwd, fs: cfg.attach(hosts), warmup: warmupEdge(cfg.Duration, cfg.WarmupFraction)}
+	warmup := warmupEdge(cfg.Duration, cfg.WarmupFraction)
+	return &graphRun{cfg: cfg, cl: cl, fwd: fwd, fs: cfg.attach(hosts, warmup), warmup: warmup}
 }
 
 // measure runs g to its horizon and measures every flow's goodput,

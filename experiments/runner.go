@@ -20,6 +20,7 @@ import (
 
 	"cebinae/internal/core"
 	"cebinae/internal/fluid"
+	"cebinae/internal/metrics"
 	"cebinae/internal/sim"
 )
 
@@ -244,6 +245,13 @@ func Run(s Scenario) Result {
 		// fast-forward layer must never skip across (placement is
 		// invisible to the event stream when fast-forward is unused).
 		sh.Engine.ArmPinnedTimer(&sampler.timer, s.SampleInterval, sampler, nil)
+	}
+
+	if s.SampleInterval > 0 {
+		grid := metrics.SeriesInstants(s.SampleInterval, s.Duration)
+		for _, m := range g.fs.meters {
+			m.Mark(grid...)
+		}
 	}
 
 	gr := g.measure()

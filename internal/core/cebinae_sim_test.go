@@ -52,6 +52,7 @@ func runScenario(t testing.TB, cebinae bool, ccs []string, rtts []sim.Time, rate
 		tcp.NewConn(eng, d.Senders[i], tcp.Config{Key: key, CC: cc})
 		recv := tcp.NewReceiver(eng, d.Receivers[i], tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
+		m.Mark(dur*2/3, dur)
 		recv.GoodputAt = m.Record
 		meters[i] = m
 	}
@@ -91,6 +92,7 @@ func TestCebinaePassesTrafficWhenUnsaturated(t *testing.T) {
 	m := &metrics.FlowMeter{}
 	recv.GoodputAt = m.Record
 	dur := sim.Duration(10e9)
+	m.Mark(dur/5, dur)
 	eng.Run(dur)
 
 	got := m.RateOver(dur/5, dur) * 8

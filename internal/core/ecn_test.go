@@ -49,6 +49,9 @@ func TestCebinaeECNPathWithDCTCP(t *testing.T) {
 		meters[i] = m
 	}
 	dur := sim.Duration(30e9)
+	for _, m := range meters {
+		m.Mark(dur/3, dur)
+	}
 	eng.Run(dur)
 
 	if cq.Stats.ECNMarked == 0 {

@@ -45,6 +45,9 @@ func runRTTPair(t *testing.T, perFlow bool) (short, long float64) {
 		meters[i] = m
 	}
 	dur := sim.Duration(60e9)
+	for _, m := range meters {
+		m.Mark(dur/2, dur)
+	}
 	eng.Run(dur)
 	return meters[0].RateOver(dur/2, dur) * 8, meters[1].RateOver(dur/2, dur) * 8
 }

@@ -63,6 +63,9 @@ func runUnfairStart(t *testing.T, kind string) (float64, float64) {
 		meters[i] = m
 	}
 	dur := sim.Duration(60e9)
+	for _, m := range meters {
+		m.Mark(dur*2/3, dur)
+	}
 	eng.Run(dur)
 	agg := meters[0].RateOver(dur*2/3, dur) * 8
 	var late float64

@@ -73,7 +73,21 @@ func Allocate(n *Network) ([]float64, error) {
 	frozen := make([]bool, nf)
 	remaining := append([]float64(nil), n.Capacity...)
 
-	active := make([][]int, len(n.Capacity)) // flows per link, unfrozen
+	// Flows per link, in flow order, carved from one array sized by a
+	// counting pass: the allocations do not grow with the flows.
+	count := make([]int, len(n.Capacity))
+	hops := 0
+	for _, route := range n.Routes {
+		for _, l := range route {
+			count[l]++
+		}
+		hops += len(route)
+	}
+	flat := make([]int, hops)
+	active := make([][]int, len(n.Capacity))
+	for l, c := range count {
+		active[l], flat = flat[:0:c], flat[c:]
+	}
 	for f, route := range n.Routes {
 		for _, l := range route {
 			active[l] = append(active[l], f)

@@ -5,9 +5,11 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cebinae/internal/sim"
@@ -50,15 +52,34 @@ func NormalizedJFI(measured, ideal []float64) float64 {
 }
 
 // FlowMeter accumulates a single flow's byte deliveries and converts them
-// to rates over arbitrary windows. The log is exact — every record is kept
-// and every query answers as if from a slice of (time, cumulative bytes)
-// pairs — but it is stored as delta-encoded samples in fixed-size blocks:
-// about 4 bytes per delivered segment, and nothing is copied as it grows.
-// The zero value is an empty meter.
+// to rates over windows. A query answers as a log of every (time,
+// cumulative bytes) pair would: with the bytes of the records stamped at or
+// before the instant asked about. How much it keeps depends on whether it
+// was told those instants in advance:
+//
+//   - A meter with marks (Mark, called before the records pass the
+//     instants) keeps the cumulative bytes at its marks only. Its memory
+//     follows the instants a run reads, not the segments it delivers: Record
+//     allocates nothing. A query at an instant that was not declared
+//     panics, naming it.
+//   - A meter with no marks keeps the exact log, stored as delta-encoded
+//     samples in fixed-size blocks (about 4 bytes a record, nothing copied
+//     as it grows), and answers at any instant.
+//
+// The zero value is an empty meter with no marks.
 type FlowMeter struct {
 	total  int64
 	last   sim.Time // stamp of the latest record
+	marks  []mark   // ascending, distinct instants
+	open   int      // marks[open:] have seen no later record
 	blocks []*meterBlock
+}
+
+// mark is a declared instant and, once a record stamped after it arrives,
+// the cumulative bytes recorded at or before it.
+type mark struct {
+	t     sim.Time
+	bytes int64
 }
 
 // meterBlockBytes sizes a block to one 4 KB allocation, header included.
@@ -79,13 +100,57 @@ type meterBlock struct {
 	data [meterBlockBytes - 24]byte
 }
 
+// Mark declares instants the meter will be asked about, and with the first
+// one turns the meter from keeping the log to keeping its marks. It may be
+// called several times and in any order before the records reach the
+// instants, and declaring an instant twice is a no-op; but a new instant
+// behind the latest record, or before 0 where records start, cannot be
+// recovered: it panics.
+func (m *FlowMeter) Mark(ts ...sim.Time) {
+	m.marks = slices.Grow(m.marks, len(ts))
+	for _, t := range ts {
+		i, found := m.search(t)
+		switch {
+		case found:
+		case t < 0:
+			panic(fmt.Sprintf("metrics: FlowMeter.Mark at %d ns: records start at 0", t))
+		case t < m.last:
+			panic(fmt.Sprintf("metrics: FlowMeter.Mark at %d ns behind a record at %d ns: declare instants before the records pass them", t, m.last))
+		default:
+			m.marks = slices.Insert(m.marks, i, mark{t: t})
+		}
+	}
+}
+
+// search returns the index of the first mark at or after t and whether it
+// is at t.
+func (m *FlowMeter) search(t sim.Time) (int, bool) {
+	return slices.BinarySearchFunc(m.marks, t, func(k mark, t sim.Time) int { return cmp.Compare(k.t, t) })
+}
+
 // Record adds newBytes delivered at time t. Calls must be time-ordered:
 // t may equal the previous call's stamp but not precede it, nor be
 // negative. newBytes may be (a fluid skip's rounding credit can be).
+// A marked meter closes every open mark strictly before t at the bytes
+// recorded so far; an unmarked one appends the record to its log.
 func (m *FlowMeter) Record(t sim.Time, newBytes int64) {
 	if t < m.last {
 		panic(fmt.Sprintf("metrics: FlowMeter.Record at %d ns after a record at %d ns: calls must be time-ordered", t, m.last))
 	}
+	if len(m.marks) > 0 {
+		for m.open < len(m.marks) && m.marks[m.open].t < t {
+			m.marks[m.open].bytes = m.total
+			m.open++
+		}
+	} else {
+		m.log(t, newBytes)
+	}
+	m.last = t
+	m.total += newBytes
+}
+
+// log appends one sample to the block log.
+func (m *FlowMeter) log(t sim.Time, newBytes int64) {
 	var b *meterBlock
 	if n := len(m.blocks); n > 0 {
 		b = m.blocks[n-1]
@@ -96,14 +161,13 @@ func (m *FlowMeter) Record(t sim.Time, newBytes int64) {
 	}
 	b.n += binary.PutUvarint(b.data[b.n:], uint64(t-m.last))
 	b.n += binary.PutVarint(b.data[b.n:], newBytes)
-	m.last = t
-	m.total += newBytes
 }
 
 // Total returns all bytes recorded.
 func (m *FlowMeter) Total() int64 { return m.total }
 
-// RateOver returns the average rate in bytes/second over [from, to].
+// RateOver returns the average rate in bytes/second over [from, to]: the
+// bytes recorded after from and at or before to.
 func (m *FlowMeter) RateOver(from, to sim.Time) float64 {
 	if to <= from {
 		return 0
@@ -111,9 +175,20 @@ func (m *FlowMeter) RateOver(from, to sim.Time) float64 {
 	return float64(m.bytesAt(to)-m.bytesAt(from)) / (to - from).Seconds()
 }
 
-// bytesAt returns the cumulative bytes delivered up to and including t: a
-// binary search over the block headers, then a decode of part of one block.
+// bytesAt returns the cumulative bytes delivered up to and including t: at
+// a mark, or from the log — a binary search over the block headers, then
+// a decode of part of one block.
 func (m *FlowMeter) bytesAt(t sim.Time) int64 {
+	if len(m.marks) > 0 {
+		i, found := m.search(t)
+		if !found {
+			panic(fmt.Sprintf("metrics: FlowMeter read at %d ns, an instant never declared with Mark", t))
+		}
+		if i >= m.open {
+			return m.total
+		}
+		return m.marks[i].bytes
+	}
 	if t >= m.last {
 		return m.total
 	}
@@ -161,10 +236,25 @@ func (c *meterCursor) advance(t sim.Time) int64 {
 	return c.bytes
 }
 
+// SeriesInstants lists the instants Series(interval, horizon) reads — 0,
+// each multiple of interval below horizon, and horizon — for Mark.
+func SeriesInstants(interval, horizon sim.Time) []sim.Time {
+	if interval <= 0 || horizon <= 0 {
+		return nil
+	}
+	n := int((horizon + interval - 1) / interval)
+	out := make([]sim.Time, 0, n+1)
+	for i := 0; i < n; i++ {
+		out = append(out, sim.Time(i)*interval)
+	}
+	return append(out, horizon)
+}
+
 // Series converts the meter into a per-interval rate series in
 // bytes/second, covering [0, horizon) in steps of interval: element i is
-// RateOver(i·interval, min((i+1)·interval, horizon)), computed in one
-// forward pass over the log.
+// RateOver(i·interval, min((i+1)·interval, horizon)). A marked meter must
+// hold every instant of SeriesInstants(interval, horizon); an unmarked one
+// answers in one forward pass over its log.
 func (m *FlowMeter) Series(interval, horizon sim.Time) []float64 {
 	if interval <= 0 || horizon <= 0 {
 		return nil
@@ -172,14 +262,20 @@ func (m *FlowMeter) Series(interval, horizon sim.Time) []float64 {
 	n := int((horizon + interval - 1) / interval)
 	out := make([]float64, n)
 	c := meterCursor{blocks: m.blocks}
-	atFrom := c.advance(0)
+	at := func(t sim.Time) int64 {
+		if len(m.marks) > 0 {
+			return m.bytesAt(t)
+		}
+		return c.advance(t)
+	}
+	atFrom := at(0)
 	for i := 0; i < n; i++ {
 		from := sim.Time(i) * interval
 		to := from + interval
 		if to > horizon {
 			to = horizon
 		}
-		atTo := c.advance(to)
+		atTo := at(to)
 		out[i] = float64(atTo-atFrom) / (to - from).Seconds()
 		atFrom = atTo
 	}

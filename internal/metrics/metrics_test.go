@@ -71,6 +71,7 @@ func TestNormalizedJFI(t *testing.T) {
 
 func TestFlowMeterRates(t *testing.T) {
 	var m FlowMeter
+	m.Mark(0, sim.Duration(1e9), sim.Duration(3e9))
 	// 1000 bytes at t=1s, 2000 at t=2s, 3000 at t=3s.
 	m.Record(sim.Duration(1e9), 1000)
 	m.Record(sim.Duration(2e9), 2000)
@@ -93,6 +94,7 @@ func TestFlowMeterRates(t *testing.T) {
 
 func TestFlowMeterSeries(t *testing.T) {
 	var m FlowMeter
+	m.Mark(SeriesInstants(sim.Duration(1e9), sim.Duration(2e9))...)
 	m.Record(sim.Duration(0.5e9), 100)
 	m.Record(sim.Duration(1.5e9), 300)
 	s := m.Series(sim.Duration(1e9), sim.Duration(2e9))
@@ -113,6 +115,14 @@ func TestFlowMeterMonotonicity(t *testing.T) {
 	f := func(deltas []uint8) bool {
 		var m FlowMeter
 		ts := sim.Time(0)
+		for _, d := range deltas {
+			ts += sim.Time(d)*1e6 + 1
+		}
+		m.Mark(ts)
+		for w := sim.Time(0); w < ts; w += ts/7 + 1 {
+			m.Mark(w)
+		}
+		ts = 0
 		for _, d := range deltas {
 			ts += sim.Time(d)*1e6 + 1
 			m.Record(ts, int64(d))
@@ -187,13 +197,20 @@ type rec struct {
 	bytes int64
 }
 
-// checkEquivalent feeds recs to a FlowMeter and to the reference and
-// requires every query to answer with the same bits: Total, RateOver on
-// windows between probe times — the log's ends, every block boundary and
-// the first sample after it, each ±1 ns, and a sample of record stamps —
-// and Series at intervals from far below a block's span to beyond the
-// horizon.
+// checkEquivalent holds both kinds of meter to the reference on recs.
 func checkEquivalent(t testing.TB, recs []rec) {
+	t.Helper()
+	checkLogged(t, recs)
+	checkMarked(t, recs)
+}
+
+// checkLogged feeds recs to an unmarked FlowMeter, which keeps the block
+// log, and to the reference and requires every query to answer with the
+// same bits: Total, RateOver on windows between probe times — the log's
+// ends, every block boundary and the first sample after it, each ±1 ns,
+// and a sample of record stamps — and Series at intervals from far below a
+// block's span to beyond the horizon.
+func checkLogged(t testing.TB, recs []rec) {
 	t.Helper()
 	var m FlowMeter
 	var ref refMeter
@@ -251,8 +268,109 @@ func checkEquivalent(t testing.TB, recs []rec) {
 	}
 }
 
-// TestFlowMeterMatchesReference drives the block log and the reference
-// with streams built to hit the encoding's edges.
+// checkMarked feeds recs to a marked FlowMeter and to the reference and
+// requires every query to answer with the same bits: Total, RateOver on
+// windows between probe times — 0, the log's end and middle, and a sample
+// of record stamps, each ±1 ns — and Series at intervals from far below
+// the record spacing to beyond the horizon. The meter's instants are
+// declared as a run declares them, before the records reach them: those
+// up to the middle record's stamp before any record, the rest at the
+// middle record.
+func checkMarked(t testing.TB, recs []rec) {
+	t.Helper()
+	stamps := make([]sim.Time, len(recs))
+	var now sim.Time
+	for i, r := range recs {
+		now += r.dt
+		stamps[i] = now
+	}
+
+	var probes []sim.Time
+	around := func(ts sim.Time) {
+		for _, p := range []sim.Time{ts - 1, ts, ts + 1} {
+			if p >= 0 {
+				probes = append(probes, p)
+			}
+		}
+	}
+	around(0)
+	around(now)
+	around(now / 2)
+	for i := 0; i < len(stamps); i += len(stamps)/16 + 1 {
+		around(stamps[i])
+	}
+	type grid struct{ interval, horizon sim.Time }
+	var grids []grid
+	for _, horizon := range []sim.Time{now, now + 1, now/2 + 1, 2*now + 3} {
+		for _, interval := range []sim.Time{horizon/2000 + 1, horizon/7 + 1, horizon, horizon + 5} {
+			grids = append(grids, grid{interval, horizon})
+		}
+	}
+
+	var m FlowMeter
+	var ref refMeter
+	mid := len(recs) / 2
+	var midStamp sim.Time
+	if mid < len(stamps) {
+		midStamp = stamps[mid]
+	}
+	instants := append(probes, now+1)
+	for _, g := range grids {
+		instants = append(instants, SeriesInstants(g.interval, g.horizon)...)
+	}
+	var late []sim.Time
+	for _, p := range instants {
+		if p <= midStamp {
+			m.Mark(p)
+		} else {
+			late = append(late, p)
+		}
+	}
+	declareLate := func() { m.Mark(late...) }
+	for i, r := range recs {
+		if i == mid {
+			declareLate()
+		}
+		m.Record(stamps[i], r.bytes)
+		ref.Record(stamps[i], r.bytes)
+	}
+	if len(recs) == 0 {
+		declareLate()
+	}
+	if m.Total() != ref.Total() {
+		t.Fatalf("Total = %d, reference %d", m.Total(), ref.Total())
+	}
+
+	// A window from 0 to a probe reads the cumulative count at the probe
+	// and at 0; the other windows give each probe both roles.
+	check := func(from, to sim.Time) {
+		if got, want := m.RateOver(from, to), ref.RateOver(from, to); got != want {
+			t.Fatalf("RateOver(%d, %d) = %v, reference %v (%d records, %d marks)", from, to, got, want, len(recs), len(m.marks))
+		}
+	}
+	for i, p := range probes {
+		check(0, p)
+		check(p, now+1)
+		check(p, probes[(i+1)%len(probes)])
+		check(p, probes[(i+7)%len(probes)])
+	}
+
+	for _, g := range grids {
+		got, want := m.Series(g.interval, g.horizon), ref.Series(g.interval, g.horizon)
+		if len(got) != len(want) {
+			t.Fatalf("Series(%d, %d) has %d intervals, reference %d", g.interval, g.horizon, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Series(%d, %d)[%d] = %v, reference %v", g.interval, g.horizon, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestFlowMeterMatchesReference drives the block log, the marked meter and
+// the reference with streams built to hit the encoding's edges, and the
+// marks' — records in one instant, long silences, negative credits.
 func TestFlowMeterMatchesReference(t *testing.T) {
 	// Every length a uvarint Δt and a zig-zag varint Δbytes can take, from
 	// both sides of each boundary.
@@ -413,6 +531,7 @@ func TestFlowMeterRecordOrder(t *testing.T) {
 	// Several records in one instant all count at that instant, none
 	// before it; a negative record takes back what it says.
 	var m FlowMeter
+	m.Mark(4, 5, 6, 7, 8)
 	m.Record(5, 100)
 	m.Record(5, 200)
 	m.Record(7, -50)
@@ -426,25 +545,91 @@ func TestFlowMeterRecordOrder(t *testing.T) {
 	}
 }
 
-// TestFlowMeterBytesPerRecord pins the log's memory: a million records at
-// a 1 Gbps flow's spacing cost at most 6 bytes each, block headers and the
-// block table's growth included (the []sample log cost 88).
+// TestFlowMeterBytesPerRecord pins the meter's memory per record at a
+// 1 Gbps flow's spacing. Once its instants are declared (a one-second
+// sample grid over a ten-second run), a million records allocate nothing.
+// With none declared, the block log costs at most 6 bytes a record, block
+// headers and the block table's growth included (the []sample log cost 88).
 func TestFlowMeterBytesPerRecord(t *testing.T) {
 	const records = 1_000_000
-	var m0, m1 runtime.MemStats
-	var m FlowMeter
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < records; i++ {
-		m.Record(sim.Time(i)*12_000, 1448)
+	perRecord := func(m *FlowMeter) float64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < records; i++ {
+			m.Record(sim.Time(i)*12_000, 1448)
+		}
+		runtime.ReadMemStats(&m1)
+		if m.Total() != records*1448 {
+			t.Fatalf("Total = %d", m.Total())
+		}
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / records
 	}
-	runtime.ReadMemStats(&m1)
-	per := float64(m1.TotalAlloc-m0.TotalAlloc) / records
-	t.Logf("%.2f B per record in %d blocks", per, len(m.blocks))
+
+	var marked FlowMeter
+	marked.Mark(SeriesInstants(sim.Duration(1e9), sim.Duration(10e9))...)
+	if allocs := testing.AllocsPerRun(1000, func() { marked.Record(0, 0) }); allocs != 0 {
+		t.Fatalf("Record on a marked meter allocates %v objects, want 0", allocs)
+	}
+	// The runtime may allocate a few bytes meanwhile; a record of its own
+	// would show as a whole byte or more.
+	if per := perRecord(&marked); per > 0.01 {
+		t.Fatalf("a marked FlowMeter allocated %.3f B per record, want 0", per)
+	}
+	for k, r := range marked.Series(sim.Duration(1e9), sim.Duration(10e9)) {
+		// 12 µs spacing: every second of [0, 10 s) holds 83 333 or
+		// 83 334 records.
+		if r < 83_333*1448 || r > 83_334*1448 {
+			t.Fatalf("Series[%d] = %v B/s", k, r)
+		}
+	}
+
+	var logged FlowMeter
+	per := perRecord(&logged)
+	t.Logf("%.2f B per record in %d blocks", per, len(logged.blocks))
 	if per > 6 {
 		t.Fatalf("FlowMeter allocated %.1f B per record, want ≤ 6", per)
 	}
-	if m.Total() != records*1448 {
-		t.Fatalf("Total = %d", m.Total())
+}
+
+// TestFlowMeterUndeclared: a marked meter answers only at declared
+// instants and says which instant it was asked for; an instant the records
+// have already passed cannot be declared.
+func TestFlowMeterUndeclared(t *testing.T) {
+	panics := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one containing %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	var m FlowMeter
+	m.Mark(10, 20)
+	m.Record(15, 100)
+	if got := m.RateOver(10, 20); got != 100/(10e-9) {
+		t.Fatalf("RateOver(10, 20) = %v", got)
+	}
+	panics("RateOver", "at 17 ns, an instant never declared", func() { m.RateOver(10, 17) })
+	panics("RateOver", "at 3 ns, an instant never declared", func() { m.RateOver(3, 20) })
+	panics("Series", "at 0 ns, an instant never declared", func() { m.Series(10, 20) })
+	panics("Mark behind", "Mark at 14 ns behind a record at 15 ns", func() { m.Mark(10, 25, 14) })
+	panics("Mark negative", "Mark at -1 ns", func() { new(FlowMeter).Mark(-1) })
+	// The instant at the latest record's stamp still counts records there.
+	m.Mark(15)
+	m.Record(15, 1)
+	m.Record(30, 5)
+	if a, b := m.bytesAt(15), m.bytesAt(25); a != 101 || b != 101 {
+		t.Fatalf("bytesAt(15) = %d, bytesAt(25) = %d, want 101 each", a, b)
+	}
+	// A meter with no marks answers at any instant from its log.
+	var z FlowMeter
+	z.Record(1, 7)
+	z.Record(1e9, 8)
+	if z.Total() != 15 || z.bytesAt(17) != 7 || z.RateOver(0, 1e9) != 15 {
+		t.Fatalf("unmarked meter: Total %d, bytesAt(17) %d, RateOver(0, 1 s) %v", z.Total(), z.bytesAt(17), z.RateOver(0, 1e9))
 	}
 }
 

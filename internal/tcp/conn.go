@@ -146,7 +146,6 @@ func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
 		eng:  eng,
 		node: src,
 		cc:   cfg.CC,
-		sent: scoreboard{mss: packet.MSS},
 		rto:  sim.Duration(1e9), // initial RTO 1 s (RFC 6298)
 		rng:  sim.NewRand(cfg.Seed ^ cfg.Key.Hash(0x5EED)),
 	}
@@ -441,7 +440,7 @@ func (c *Conn) Deliver(p *packet.Packet) {
 		}
 		c.retxOut -= dec
 	}
-	c.clearSent(c.sndUna, ack)
+	c.sent.clearSent(c.sndUna, ack)
 	c.sndUna = ack
 	if c.retxPtr < ack {
 		c.retxPtr = ack
@@ -539,20 +538,6 @@ func (c *Conn) segSizeAt(seq int64) int32 {
 		return rec.size
 	}
 	return int32(packet.MSS)
-}
-
-func (c *Conn) clearSent(from, to int64) {
-	for seq := from; seq < to; {
-		rec := c.sent.get(seq)
-		if rec == nil {
-			// Sizes are uniform except possibly the final segment; step by
-			// MSS to resynchronise.
-			seq += int64(packet.MSS)
-			continue
-		}
-		rec.live = false
-		seq += int64(rec.size)
-	}
 }
 
 func (c *Conn) onDupAck(newlySacked int64) {

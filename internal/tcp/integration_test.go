@@ -12,8 +12,9 @@ import (
 )
 
 // buildFlows wires count senders/receivers across a dumbbell and returns
-// the per-flow goodput meters.
-func buildFlows(t *testing.T, eng *sim.Engine, d *netem.Dumbbell, ccs []string, rtts []sim.Time) ([]*tcp.Conn, []*metrics.FlowMeter) {
+// the per-flow goodput meters, each marked for the window [from, to] the
+// test reads.
+func buildFlows(t *testing.T, eng *sim.Engine, d *netem.Dumbbell, ccs []string, rtts []sim.Time, from, to sim.Time) ([]*tcp.Conn, []*metrics.FlowMeter) {
 	t.Helper()
 	conns := make([]*tcp.Conn, len(ccs))
 	meters := make([]*metrics.FlowMeter, len(ccs))
@@ -29,6 +30,7 @@ func buildFlows(t *testing.T, eng *sim.Engine, d *netem.Dumbbell, ccs []string, 
 		conns[i] = tcp.NewConn(eng, d.Senders[i], tcp.Config{Key: key, CC: cc})
 		recv := tcp.NewReceiver(eng, d.Receivers[i], tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
+		m.Mark(from, to)
 		recv.GoodputAt = m.Record
 		meters[i] = m
 	}
@@ -52,9 +54,9 @@ func dumbbell(eng *sim.Engine, flows int, rateBps float64, rtts []sim.Time, bufB
 func TestSingleFlowSaturatesLink(t *testing.T) {
 	eng := sim.NewEngine()
 	d := dumbbell(eng, 1, 10e6, []sim.Time{sim.Duration(20e6)}, 64*1500)
-	_, meters := buildFlows(t, eng, d, []string{"newreno"}, nil)
-
 	dur := sim.Duration(10e9)
+	_, meters := buildFlows(t, eng, d, []string{"newreno"}, nil, sim.Duration(2e9), dur)
+
 	eng.Run(dur)
 
 	gp := meters[0].RateOver(sim.Duration(2e9), dur) * 8 // bits/sec
@@ -75,8 +77,8 @@ func TestEachCCASaturatesLink(t *testing.T) {
 		t.Run(cc, func(t *testing.T) {
 			eng := sim.NewEngine()
 			d := dumbbell(eng, 1, 10e6, []sim.Time{sim.Duration(20e6)}, 64*1500)
-			_, meters := buildFlows(t, eng, d, []string{cc}, nil)
 			dur := sim.Duration(15e9)
+			_, meters := buildFlows(t, eng, d, []string{cc}, nil, sim.Duration(3e9), dur)
 			eng.Run(dur)
 			gp := meters[0].RateOver(sim.Duration(3e9), dur) * 8
 			if gp < 0.80*10e6 {
@@ -96,8 +98,8 @@ func TestHomogeneousFlowsAreFair(t *testing.T) {
 	for i := range ccs {
 		ccs[i] = "newreno"
 	}
-	_, meters := buildFlows(t, eng, d, ccs, nil)
 	dur := sim.Duration(30e9)
+	_, meters := buildFlows(t, eng, d, ccs, nil, sim.Duration(5e9), dur)
 	eng.Run(dur)
 
 	rates := make([]float64, n)
@@ -121,8 +123,8 @@ func TestRTTUnfairness(t *testing.T) {
 	eng := sim.NewEngine()
 	rtts := []sim.Time{sim.Duration(10e6), sim.Duration(40e6)}
 	d := dumbbell(eng, 2, 20e6, rtts, 128*1500)
-	_, meters := buildFlows(t, eng, d, []string{"newreno", "newreno"}, nil)
 	dur := sim.Duration(30e9)
+	_, meters := buildFlows(t, eng, d, []string{"newreno", "newreno"}, nil, sim.Duration(5e9), dur)
 	eng.Run(dur)
 
 	short := meters[0].RateOver(sim.Duration(5e9), dur)
@@ -148,8 +150,8 @@ func TestBBRAggression(t *testing.T) {
 	for i := 1; i < n; i++ {
 		ccs[i] = "newreno"
 	}
-	_, meters := buildFlows(t, eng, d, ccs, nil)
 	dur := sim.Duration(20e9)
+	_, meters := buildFlows(t, eng, d, ccs, nil, sim.Duration(4e9), dur)
 	eng.Run(dur)
 
 	bbr := meters[0].RateOver(sim.Duration(4e9), dur)
@@ -174,8 +176,8 @@ func TestBBRAggression(t *testing.T) {
 func TestVegasStarvation(t *testing.T) {
 	eng := sim.NewEngine()
 	d := dumbbell(eng, 2, 20e6, []sim.Time{sim.Duration(20e6)}, 256*1500)
-	_, meters := buildFlows(t, eng, d, []string{"vegas", "newreno"}, nil)
 	dur := sim.Duration(30e9)
+	_, meters := buildFlows(t, eng, d, []string{"vegas", "newreno"}, nil, sim.Duration(5e9), dur)
 	eng.Run(dur)
 
 	vegas := meters[0].RateOver(sim.Duration(5e9), dur)
@@ -199,8 +201,8 @@ func TestFQCoDelFairness(t *testing.T) {
 		},
 		DefaultQdisc: func() netem.Qdisc { return qdisc.NewFIFO(16 << 20) },
 	})
-	_, meters := buildFlows(t, eng, d, []string{"bbr", "newreno", "cubic", "vegas"}, nil)
 	dur := sim.Duration(30e9)
+	_, meters := buildFlows(t, eng, d, []string{"bbr", "newreno", "cubic", "vegas"}, nil, sim.Duration(5e9), dur)
 	eng.Run(dur)
 
 	rates := make([]float64, 4)

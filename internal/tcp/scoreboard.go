@@ -3,91 +3,158 @@ package tcp
 import (
 	"fmt"
 
+	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 )
 
 // sentRecord is what the sender remembers of one outstanding segment. Its
 // stamps, like every stamp the connection keeps, are readings of the
-// engine's Local clock. The scoreboard holds records by value, so the
-// layout is kept to 48 bytes: five 8-byte words, the size, three flags.
+// engine's Local clock. A record's segment number is its place in the
+// scoreboard, so it holds none: four 8-byte words, the size and three
+// flags make 40 bytes.
 type sentRecord struct {
-	seq           int64
 	sentAt        sim.Time
 	deliveredAtTx int64
 	txTimeAtTx    sim.Time
 	firstTxAtTx   sim.Time // send time of the last-delivered packet at send
 	size          int32
-	live          bool // the slot holds an outstanding segment
+	live          bool // the record is of an outstanding segment
 	retransmitted bool
 	appLimited    bool
 }
 
-// scoreboard holds the records of the outstanding segments in a ring
-// indexed by segment number: the record of the segment starting at seq lives
-// in slot seq/MSS & (cap−1), stamped with its seq. Segments start on MSS
-// boundaries (only the last one under a DataLimit is short) and the live
-// records are those of [sndUna, sndNxt), so a ring of at least a window's
-// worth of segments never has two live records claiming one slot; the ring
-// doubles when a transmit finds that it would. Nothing is allocated while
-// the window stays within the capacity it has reached.
+// blockLen is the records in one block: 32 × 40 B = 1280 B, exactly one
+// allocator size class.
+const blockLen = 32
+
+// sentBlock holds the records of blockLen consecutive segments: block b
+// holds segments b·blockLen … b·blockLen+blockLen−1.
+type sentBlock [blockLen]sentRecord
+
+// scoreboard holds the records of the outstanding segments, those of
+// [sndUna, sndNxt), in blocks. Segments start on MSS boundaries (only the
+// last one under a DataLimit is short), so the record of the segment at seq
+// is record seq/MSS % blockLen of block seq/MSS / blockLen. A ring of block
+// pointers indexed by block number holds the blocks [lo, hi) in slot
+// b & (len−1), nil outside them; it doubles when the held span outgrows it,
+// copying pointers only. When the cumulative ACK passes the end of a block,
+// clearSent hands the block to the spare list, where open takes its blocks
+// from before it allocates. Once the window has reached its size nothing is
+// allocated, and a connection owns about ⌈peak window / blockLen⌉ + 1
+// blocks, and no record is ever copied.
 type scoreboard struct {
-	slots []sentRecord // len is zero or a power of two
-	mss   int64
+	ring   []*sentBlock // len is zero or a power of two
+	lo, hi int64        // the block numbers held; none when lo == hi
+	spare  []*sentBlock // released blocks, for reuse
 }
 
-// scoreboardMinSlots is the ring's first size: room for the initial window.
-const scoreboardMinSlots = 16
+// scoreboardMinBlocks is the ring's first size: room for the initial
+// window wherever it falls.
+const scoreboardMinBlocks = 4
 
 // get returns the live record of the segment starting at seq, or nil. The
-// pointer is good until the next open; clearing its live bit retires the
-// record.
+// pointer is good until the next clearSent; clearing its live bit retires
+// the record.
 func (s *scoreboard) get(seq int64) *sentRecord {
-	if len(s.slots) == 0 {
+	seg := seq / packet.MSS
+	if seq < 0 || seg*packet.MSS != seq {
+		return nil // no segment starts off the MSS grid
+	}
+	b := seg / blockLen
+	if b < s.lo || b >= s.hi {
 		return nil
 	}
-	r := &s.slots[int(seq/s.mss)&(len(s.slots)-1)]
-	if r.live && r.seq == seq {
+	blk := s.ring[b&int64(len(s.ring)-1)]
+	if blk == nil {
+		return nil
+	}
+	if r := &blk[seg%blockLen]; r.live {
 		return r
 	}
 	return nil
 }
 
 // open returns the record of the segment starting at seq, claiming a zeroed
-// slot for it unless it is already live (a retransmission). A seq off the
-// MSS grid would share a slot with its neighbour: it panics.
+// record for it unless it is already live (a retransmission). A seq off the
+// MSS grid has no record: it panics.
 func (s *scoreboard) open(seq int64) *sentRecord {
-	seg := seq / s.mss
-	if seg*s.mss != seq {
-		panic(fmt.Sprintf("tcp: segment at seq %d does not start on an MSS (%d) boundary", seq, s.mss))
+	seg := seq / packet.MSS
+	if seq < 0 || seg*packet.MSS != seq {
+		panic(fmt.Sprintf("tcp: segment at seq %d does not start on an MSS (%d) boundary", seq, packet.MSS))
 	}
-	for {
-		if len(s.slots) > 0 {
-			r := &s.slots[int(seg)&(len(s.slots)-1)]
-			if !r.live {
-				*r = sentRecord{seq: seq, live: true}
-				return r
-			}
-			if r.seq == seq {
-				return r
-			}
-		}
-		s.grow()
+	r := &s.hold(seg / blockLen)[seg%blockLen]
+	if !r.live {
+		*r = sentRecord{live: true}
 	}
+	return r
 }
 
-// grow doubles the ring, keeping the length a power of two (the slot index
-// is a mask). Records that did not share a slot under the smaller mask do
-// not under the larger.
-func (s *scoreboard) grow() {
-	size := 2 * len(s.slots)
-	if size == 0 {
-		size = scoreboardMinSlots
+// hold returns block b, widening [lo, hi) to it and filling its slot from
+// the spare list (or a new block) if it is not held.
+func (s *scoreboard) hold(b int64) *sentBlock {
+	lo, hi := s.lo, s.hi
+	switch {
+	case lo == hi:
+		lo, hi = b, b+1
+	case b < lo:
+		lo = b
+	case b >= hi:
+		hi = b + 1
 	}
-	slots := make([]sentRecord, size)
-	for i := range s.slots {
-		if r := &s.slots[i]; r.live {
-			slots[int(r.seq/s.mss)&(size-1)] = *r
+	if hi-lo > int64(len(s.ring)) {
+		s.grow(hi - lo)
+	}
+	s.lo, s.hi = lo, hi
+	slot := &s.ring[b&int64(len(s.ring)-1)]
+	if *slot == nil {
+		if n := len(s.spare); n > 0 {
+			*slot = s.spare[n-1]
+			s.spare = s.spare[:n-1]
+			**slot = sentBlock{}
+		} else {
+			*slot = new(sentBlock)
 		}
 	}
-	s.slots = slots
+	return *slot
+}
+
+// grow doubles the ring until it spans span blocks, moving the held block
+// pointers to their slots under the wider mask.
+func (s *scoreboard) grow(span int64) {
+	n := max(2*len(s.ring), scoreboardMinBlocks)
+	for int64(n) < span {
+		n *= 2
+	}
+	ring := make([]*sentBlock, n)
+	for b := s.lo; b < s.hi; b++ {
+		ring[b&int64(n-1)] = s.ring[b&int64(len(s.ring)-1)]
+	}
+	s.ring = ring
+}
+
+// clearSent retires the records of the segments in [from, to), the span a
+// cumulative ACK advanced over, and releases every block wholly below to —
+// whose segments all start below it — to the spare list.
+func (s *scoreboard) clearSent(from, to int64) {
+	for seq := from; seq < to; {
+		rec := s.get(seq)
+		if rec == nil {
+			// Sizes are uniform except possibly the final segment; step by
+			// MSS to resynchronise.
+			seq += packet.MSS
+			continue
+		}
+		rec.live = false
+		seq += int64(rec.size)
+	}
+	// The first block that can still hold a live record: that of the
+	// first segment starting at or after to.
+	keep := (to + packet.MSS - 1) / packet.MSS / blockLen
+	for ; s.lo < s.hi && s.lo < keep; s.lo++ {
+		slot := &s.ring[s.lo&int64(len(s.ring)-1)]
+		if *slot != nil {
+			s.spare = append(s.spare, *slot)
+			*slot = nil
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -31,13 +32,15 @@ func ackAt(eng *sim.Engine, c *Conn, d sim.Time, ack int64, sack ...packet.SackB
 }
 
 // checkWindow holds the scoreboard to what the sequence state says: one
-// live record for every segment of [sndUna, sndNxt), each stamped with its
-// own seq and size, none outside, in a power-of-two ring.
+// live record for every segment of [sndUna, sndNxt), each of its own size,
+// none outside, in exactly the blocks those segments fall in, held in a
+// power-of-two ring.
 func checkWindow(t *testing.T, c *Conn) {
 	t.Helper()
 	mss := int64(packet.MSS)
-	if n := len(c.sent.slots); n&(n-1) != 0 {
-		t.Fatalf("ring of %d slots is not a power of two", n)
+	s := &c.sent
+	if n := len(s.ring); n&(n-1) != 0 {
+		t.Fatalf("ring of %d blocks is not a power of two", n)
 	}
 	want := 0
 	for seq := c.sndUna; seq < c.sndNxt; seq += mss {
@@ -46,33 +49,50 @@ func checkWindow(t *testing.T, c *Conn) {
 		if c.cfg.DataLimit > 0 && seq+size > c.cfg.DataLimit {
 			size = c.cfg.DataLimit - seq
 		}
-		rec := c.sent.get(seq)
+		rec := s.get(seq)
 		if rec == nil {
 			t.Fatalf("no record for outstanding segment %d of [%d, %d)", seq, c.sndUna, c.sndNxt)
 		}
-		if rec.seq != seq || int64(rec.size) != size {
-			t.Fatalf("record at %d says seq %d size %d, want size %d", seq, rec.seq, rec.size, size)
+		if int64(rec.size) != size {
+			t.Fatalf("record at %d says size %d, want %d", seq, rec.size, size)
 		}
 	}
+	if c.sndUna < c.sndNxt {
+		first, last := (c.sndUna+mss-1)/mss/blockLen, (c.sndNxt-1)/mss/blockLen
+		if s.lo != first || s.hi != last+1 {
+			t.Fatalf("blocks [%d, %d) held for the segments of [%d, %d), want [%d, %d)", s.lo, s.hi, c.sndUna, c.sndNxt, first, last+1)
+		}
+	} else if s.hi-s.lo > 1 {
+		t.Fatalf("blocks [%d, %d) held with nothing outstanding", s.lo, s.hi)
+	}
 	live := 0
-	for i := range c.sent.slots {
-		if c.sent.slots[i].live {
-			live++
+	for i, blk := range s.ring {
+		b := s.lo + (int64(i)-s.lo)&int64(len(s.ring)-1) // the held block slot i would hold
+		if (blk != nil) != (b < s.hi) {
+			t.Fatalf("slot %d is %v, but block %d is held: %v", i, blk, b, b < s.hi)
+		}
+		if blk == nil {
+			continue
+		}
+		for k := range blk {
+			if blk[k].live {
+				live++
+			}
 		}
 	}
 	if live != want {
 		t.Fatalf("%d live records for %d outstanding segments", live, want)
 	}
 	for _, seq := range []int64{c.sndUna - mss, c.sndNxt, c.sndUna + 1} {
-		if c.sent.get(seq) != nil {
+		if s.get(seq) != nil {
 			t.Fatalf("record found at %d, outside the segments of [%d, %d)", seq, c.sndUna, c.sndNxt)
 		}
 	}
 }
 
 // TestScoreboardGrowsWithHoles walks one transfer through everything the
-// scoreboard sees: slow start doubling the window (and the ring) five
-// times, a SACKed middle that sends the sender into recovery, the head
+// scoreboard sees: slow start doubling the window five times (and the ring
+// of blocks with it), a SACKed middle that sends the sender into recovery, the head
 // retransmitted into its live record, a cumulative ACK across the SACKed
 // range, and a short final segment under DataLimit.
 func TestScoreboardGrowsWithHoles(t *testing.T) {
@@ -81,8 +101,8 @@ func TestScoreboardGrowsWithHoles(t *testing.T) {
 	const ms = sim.Time(1e6)
 	eng, c := loneSender(Config{DataLimit: limit})
 	checkWindow(t, c)
-	if len(c.sent.slots) != scoreboardMinSlots {
-		t.Fatalf("ring starts at %d slots, want %d", len(c.sent.slots), scoreboardMinSlots)
+	if len(c.sent.ring) != scoreboardMinBlocks {
+		t.Fatalf("ring starts at %d blocks, want %d", len(c.sent.ring), scoreboardMinBlocks)
 	}
 
 	// Slow start: each ACK of the whole window doubles it.
@@ -90,8 +110,8 @@ func TestScoreboardGrowsWithHoles(t *testing.T) {
 		ackAt(eng, c, ms, c.sndNxt)
 		checkWindow(t, c)
 	}
-	if got := len(c.sent.slots); got != 512 {
-		t.Fatalf("a %d-segment window sits in a ring of %d slots, want 512 (five doublings)", (c.sndNxt-c.sndUna)/mss, got)
+	if got := len(c.sent.ring); got != 16 {
+		t.Fatalf("a %d-segment window sits in a ring of %d blocks, want 16 (two doublings)", (c.sndNxt-c.sndUna)/mss, got)
 	}
 
 	// The receiver reports segments 100–199 of the window and nothing
@@ -115,7 +135,7 @@ func TestScoreboardGrowsWithHoles(t *testing.T) {
 	}
 	retx := int64(c.Stats.Retransmits)
 	if rec := c.sent.get(una + retx*mss); rec.retransmitted {
-		t.Fatalf("segment %d past the %d retransmissions is marked retransmitted", rec.seq, retx)
+		t.Fatalf("segment %d past the %d retransmissions is marked retransmitted", una+retx*mss, retx)
 	}
 
 	// The holes fill: a cumulative ACK jumps the SACKed range and ends
@@ -135,8 +155,8 @@ func TestScoreboardGrowsWithHoles(t *testing.T) {
 		}
 		ackAt(eng, c, ms, c.sndNxt)
 		checkWindow(t, c)
-		// The ring has wrapped by now: these records sit in slots that
-		// held retransmitted ones, and inherit nothing from them.
+		// The blocks have been recycled by now: these records sit where
+		// retransmitted ones were, and inherit nothing from them.
 		for seq := c.sndUna; seq < c.sndNxt; seq += mss {
 			if rec := c.sent.get(seq); rec.retransmitted || rec.sentAt != eng.Local() {
 				t.Fatalf("segment %d, sent once at %d: %+v", seq, eng.Local(), *rec)
@@ -149,9 +169,12 @@ func TestScoreboardGrowsWithHoles(t *testing.T) {
 }
 
 // TestScoreboardUnalignedPanics: a segment that does not start on the MSS
-// grid would land in its neighbour's slot; open refuses it.
+// grid has no record of its own; get finds none and open refuses it.
 func TestScoreboardUnalignedPanics(t *testing.T) {
-	s := scoreboard{mss: 1448}
+	if packet.MSS != 1448 {
+		t.Fatalf("MSS is %d; the panic below is checked for 1448", packet.MSS)
+	}
+	var s scoreboard
 	s.open(3 * 1448)
 	if s.get(3*1448+1) != nil {
 		t.Fatal("get off the grid found its neighbour's record")
@@ -167,7 +190,7 @@ func TestScoreboardUnalignedPanics(t *testing.T) {
 }
 
 // TestScoreboardSteadyStateZeroAlloc pins the scoreboard's steady state:
-// once the ring has reached the window, cycles of a whole window ACKed and
+// once its blocks have reached the window, cycles of a whole window ACKed and
 // a whole window sent allocate nothing.
 func TestScoreboardSteadyStateZeroAlloc(t *testing.T) {
 	const window = 100 * packet.MSS
@@ -192,4 +215,231 @@ func TestScoreboardSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("the measured cycles sent %d segments, want 100 each", c.Stats.SentPackets-sent)
 	}
 	checkWindow(t, c)
+}
+
+// refRing is the scoreboard as it was before blocks, kept as the reference
+// the block scoreboard is held to: a power-of-two ring of records, each
+// stamped with its seq, indexed by segment number, doubled by copying the
+// live records whenever a transmit finds its slot taken.
+type refRing struct {
+	slots []refSlot
+}
+
+type refSlot struct {
+	seq int64
+	sentRecord
+}
+
+func (s *refRing) get(seq int64) *sentRecord {
+	if len(s.slots) == 0 {
+		return nil
+	}
+	r := &s.slots[int(seq/packet.MSS)&(len(s.slots)-1)]
+	if r.live && r.seq == seq {
+		return &r.sentRecord
+	}
+	return nil
+}
+
+func (s *refRing) open(seq int64) *sentRecord {
+	for {
+		if len(s.slots) > 0 {
+			r := &s.slots[int(seq/packet.MSS)&(len(s.slots)-1)]
+			if !r.live {
+				*r = refSlot{seq: seq, sentRecord: sentRecord{live: true}}
+				return &r.sentRecord
+			}
+			if r.seq == seq {
+				return &r.sentRecord
+			}
+		}
+		size := max(2*len(s.slots), 16)
+		slots := make([]refSlot, size)
+		for i := range s.slots {
+			if r := &s.slots[i]; r.live {
+				slots[int(r.seq/packet.MSS)&(size-1)] = *r
+			}
+		}
+		s.slots = slots
+	}
+}
+
+func (s *refRing) clearSent(from, to int64) {
+	for seq := from; seq < to; {
+		rec := s.get(seq)
+		if rec == nil {
+			seq += packet.MSS
+			continue
+		}
+		rec.live = false
+		seq += int64(rec.size)
+	}
+}
+
+// TestScoreboardMatchesRing drives the block scoreboard and the reference
+// ring through the same random transfers — bursts of new segments up to a
+// window that climbs and collapses, cumulative ACKs of any length, holes
+// retransmitted below a SACKed range (records read as the SACK path reads
+// them), and a short final segment under a DataLimit — and after every step
+// requires get to agree, record for record, on every seq of
+// [sndUna − MSS, sndNxt + MSS]: each grid point and the seqs one byte and
+// half a segment beside it.
+func TestScoreboardMatchesRing(t *testing.T) {
+	const mss = int64(packet.MSS)
+	var peak int64
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := sim.NewRand(seed)
+		limit := int64(2000+rng.Intn(2000))*mss + int64(1+rng.Intn(int(mss)-1))
+		var sb scoreboard
+		var ref refRing
+		var una, nxt int64
+		var clock sim.Time
+		window := int64(10)
+		stamp := func(r *sentRecord, retx bool) {
+			clock += sim.Time(1 + rng.Intn(1000))
+			r.sentAt = clock
+			r.deliveredAtTx = int64(rng.Intn(1 << 30))
+			r.txTimeAtTx = clock - sim.Time(rng.Intn(1000))
+			r.firstTxAtTx = clock - sim.Time(rng.Intn(5000))
+			r.retransmitted = r.retransmitted || retx
+			r.appLimited = rng.Intn(7) == 0
+		}
+		both := func(seq int64, retx bool) {
+			got, want := sb.open(seq), ref.open(seq)
+			if *got != *want {
+				t.Fatalf("seed %d: open(%d) = %+v, reference %+v", seed, seq, *got, *want)
+			}
+			size := int32(mss)
+			if !retx && seq+mss > limit {
+				size = int32(limit - seq)
+			}
+			if !retx {
+				got.size, want.size = size, size
+			}
+			stamp(got, retx)
+			*want = *got
+		}
+		check := func(step int) {
+			for seq := una - mss; seq <= nxt+mss; seq += mss {
+				for _, q := range []int64{seq - 1, seq, seq + 1, seq + mss/2} {
+					got, want := sb.get(q), ref.get(q)
+					if (got == nil) != (want == nil) || got != nil && *got != *want {
+						t.Fatalf("seed %d step %d, [%d, %d): get(%d) = %v, reference %v", seed, step, una, nxt, q, got, want)
+					}
+				}
+			}
+		}
+		for step := 0; una < limit; step++ {
+			switch op := rng.Intn(100); {
+			case op < 40: // send up to the window
+				for nxt < limit && nxt-una < window*mss {
+					both(nxt, false)
+					nxt = min(nxt+mss, limit)
+				}
+			case op < 75 && nxt > una: // a cumulative ACK
+				ack := nxt
+				if rng.Intn(3) > 0 {
+					ack = min(una+int64(1+rng.Intn(int((nxt-una+mss-1)/mss)))*mss, nxt)
+				}
+				for seq := una; seq < ack; seq += mss {
+					if sb.get(seq) == nil {
+						t.Fatalf("seed %d step %d: outstanding segment %d has no record", seed, step, seq)
+					}
+				}
+				sb.clearSent(una, ack)
+				ref.clearSent(una, ack)
+				una = ack
+				window = min(2*window, 1500)
+			case op < 90 && nxt-una > 2*mss: // SACK above a hole: repair it
+				segs := (nxt - una) / mss
+				sackStart := una + int64(1+rng.Intn(int(segs-1)))*mss
+				if r, w := sb.get(sackStart), ref.get(sackStart); r == nil || *r != *w {
+					t.Fatalf("seed %d step %d: SACKed segment %d: %v, reference %v", seed, step, sackStart, r, w)
+				}
+				for seq := una; seq < sackStart && rng.Intn(4) > 0; seq += mss {
+					both(seq, true)
+				}
+				window = max(window/2, 1)
+			case op < 92: // a timeout collapses the window
+				window = 1
+			}
+			check(step)
+			peak = max(peak, nxt-una)
+		}
+		if len(sb.ring) == 0 || sb.lo != sb.hi && sb.hi-sb.lo != 1 {
+			t.Fatalf("seed %d: finished holding blocks [%d, %d)", seed, sb.lo, sb.hi)
+		}
+	}
+	if peak < 1000*mss {
+		t.Fatalf("the windows peaked at %d segments, want ≥ 1000 (some 32-block ring)", peak/mss)
+	}
+}
+
+// TestScoreboardFollowsWindow pins the scoreboard's memory to the window:
+// a transfer that climbs to W segments allocates about ⌈W/32⌉ blocks of
+// 1280 B (plus the ring's and the spare list's few pointers); falling back
+// to a small window hands the blocks back; and a second climb to W, and
+// every one after it, allocates nothing. The ring of 48-byte records it
+// replaced allocated about 2 × nextpow2(W) records on the first climb.
+func TestScoreboardFollowsWindow(t *testing.T) {
+	const (
+		mss = int64(packet.MSS)
+		W   = 1000
+	)
+	var s scoreboard
+	var una, nxt int64
+	// climb doubles an ACK-clocked window from 10 segments until W are
+	// outstanding; fall ACKs everything and runs a while at 10.
+	send := func(w int64) {
+		for nxt-una < w*mss {
+			s.open(nxt).size = int32(mss)
+			nxt += mss
+		}
+	}
+	ack := func() {
+		s.clearSent(una, nxt)
+		una = nxt
+	}
+	peak := int64(0)
+	climb := func() {
+		for w := int64(10); ; w = min(2*w, W) {
+			send(w)
+			peak = max(peak, s.hi-s.lo)
+			if w == W {
+				return
+			}
+			ack()
+		}
+	}
+	fall := func() {
+		ack()
+		for i := 0; i < 50; i++ {
+			send(10)
+			ack()
+		}
+		if s.hi-s.lo > 1 {
+			t.Fatalf("after falling back, blocks [%d, %d) are still held", s.lo, s.hi)
+		}
+	}
+	fall() // start the transfer off block 0's edge
+	owned := s.hi - s.lo + int64(len(s.spare))
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	climb()
+	runtime.ReadMemStats(&m1)
+	bytes := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("first climb to %d segments: %d B, %d blocks held at the peak, %d owned before", W, bytes, peak, owned)
+	if blocks := int64((W + blockLen - 1) / blockLen); peak > blocks+1 {
+		t.Fatalf("%d blocks held for a %d-segment window, want ≤ %d", peak, W, blocks+1)
+	}
+	// Every block held at the peak but not owned before, once, plus the
+	// ring's doublings and the spare list's growth: a few pointers a block.
+	fresh := uint64(peak-owned) * 1280
+	if bytes < fresh || bytes > fresh+64*uint64(peak) {
+		t.Fatalf("the first climb to %d segments allocated %d B, want %d B of blocks and ≤ %d B of pointers", W, bytes, fresh, 64*peak)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { fall(); climb() }); allocs != 0 {
+		t.Fatalf("falling back and climbing again to %d segments allocates %.1f objects, want 0", W, allocs)
+	}
 }
