@@ -96,11 +96,14 @@ cli-smoke:
 # allocs a packet, and the flow cache's poll-and-reset. The packet pool
 # rides along: one allocation per 64 fresh packets (the slab), and every
 # packet back in the pool once a run drains, FQ-CoDel's overflow victims
-# and CoDel drops included. So does the event budget: one event per
+# and CoDel drops included and counted as the port's drops, and the drop
+# ledger: every packet a switch of a congested dumbbell received was
+# transmitted, dropped, queued or unroutable, under each of the six port
+# disciplines. So does the event budget: one event per
 # uncontended hop and one more per queued packet, and ≤ 8.1 events per
 # delivered segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPoolSlab|TestPoolCustodyFQCoDel' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPoolSlab|TestPoolCustodyFQCoDel|TestDropLedger' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -267,9 +267,6 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	}
 	if cq != nil {
 		res.CebStats = cq.Stats
-		// Cebinae owns the core's drop accounting (past-tail drops happen
-		// at enqueue, inside the qdisc).
-		res.CoreDropPkts = res.CebStats.BufferDrops + res.CebStats.LBFDrops
 	}
 	res.UtilizationPct = 100 * float64(res.CoreTxBytes*8) / (cfg.CoreBps * cfg.Duration.Seconds())
 	poller.poll() // final partial round

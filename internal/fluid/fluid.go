@@ -334,14 +334,15 @@ func (c *Controller) WatchFlowPinned(key packet.FlowKey, activeFrom sim.Time, to
 // wireFactor (wire bytes per goodput byte, e.g. MTU/MSS for TCP), is fed
 // to the port's heavy-hitter cache and byte counters so control-plane
 // recomputes across skipped stretches see steady traffic. The port's
-// drop/mark/phase/config counters join the discontinuity set.
+// mark/phase/config counters join the discontinuity set; its drops are
+// the device's, which WatchDevice watches.
 func (c *Controller) WatchCebinae(q *core.Qdisc, wireFactor float64) {
 	c.ceb = q
 	if wireFactor <= 0 {
 		wireFactor = 1
 	}
 	c.cebWire = wireFactor
-	c.WatchCounter(func() uint64 { return q.Stats.BufferDrops + q.Stats.LBFDrops + q.Stats.ECNMarked })
+	c.WatchCounter(func() uint64 { return q.Stats.ECNMarked })
 	c.WatchCounter(func() uint64 { return q.Stats.PhaseChanges + q.ConfigChanges })
 }
 

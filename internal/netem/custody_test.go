@@ -9,11 +9,28 @@ import (
 	"cebinae/internal/sim"
 )
 
+// refusals is an FQ-CoDel that counts the packets it refuses at enqueue;
+// its SetSink, Dequeue, Len and BytesQueued are FQ-CoDel's.
+type refusals struct {
+	*qdisc.FQCoDel
+	n uint64
+}
+
+func (r *refusals) Enqueue(p *packet.Packet) bool {
+	if r.FQCoDel.Enqueue(p) {
+		return true
+	}
+	r.n++
+	return false
+}
+
 // TestPoolCustodyFQCoDel drives an FQ-CoDel port into overflow victims
-// and CoDel drops, lets the run drain, and checks that the pool got back
-// every packet it handed out: the packets the discipline discarded after
-// admitting them come back through the device's release sink, not only
-// those it refused at enqueue.
+// and CoDel drops, lets the run drain, and checks the device's ledger and
+// the pool: the port counts as dropped exactly the packets offered to it
+// and not transmitted, and the pool got back every packet it handed out.
+// The packets the discipline discarded after admitting them come back
+// through the device's release sink, which counts them, not only those it
+// refused at enqueue.
 func TestPoolCustodyFQCoDel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -36,7 +53,7 @@ func TestPoolCustodyFQCoDel(t *testing.T) {
 			for _, d := range []*netem.Device{as, sa, bs} {
 				d.SetQdisc(qdisc.NewFIFO(1 << 20))
 			}
-			fq := qdisc.NewFQCoDel(eng, tc.limit, 0, qdisc.DefaultCoDelParams())
+			fq := &refusals{FQCoDel: qdisc.NewFQCoDel(eng, tc.limit, 0, qdisc.DefaultCoDelParams())}
 			sb.SetQdisc(fq)
 			a.AddRoute(b.ID, as)
 			s.AddRoute(b.ID, sb)
@@ -62,19 +79,22 @@ func TestPoolCustodyFQCoDel(t *testing.T) {
 			}
 			eng.RunAll()
 
-			refused := sb.Stats().DropPackets
-			if fq.Drops <= refused {
-				t.Fatalf("no discard after admission: FQ drops %d, refused at enqueue %d", fq.Drops, refused)
+			st, refused := sb.Stats(), fq.n
+			if st.DropPackets <= refused {
+				t.Fatalf("no discard after admission: port drops %d, refused at enqueue %d", st.DropPackets, refused)
 			}
 			if tc.limit == 0 && refused != 0 {
 				t.Fatalf("the default limit refused %d packets", refused)
 			}
-			if fq.Len() != 0 {
+			if fq.Len() != 0 || sb.Busy() {
 				t.Fatalf("%d packets still queued after the run drained", fq.Len())
+			}
+			if offered := sa.Stats().RxPackets; st.DropPackets != offered-st.TxPackets {
+				t.Fatalf("port dropped %d packets, offered %d and transmitted %d", st.DropPackets, offered, st.TxPackets)
 			}
 			pool := w.Pool()
 			if got, want := uint64(pool.FreeLen()), pool.Gets-pool.Reuses; got != want {
-				t.Fatalf("pool holds %d packets, handed out %d fresh (FQ drops %d, refused %d)", got, want, fq.Drops, refused)
+				t.Fatalf("pool holds %d packets, handed out %d fresh (port drops %d, refused %d)", got, want, st.DropPackets, refused)
 			}
 		})
 	}

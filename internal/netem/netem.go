@@ -19,8 +19,10 @@ import (
 // live in internal/qdisc and internal/core (the Cebinae LBF); the interface
 // is structural so those packages need not import netem.
 //
-// Enqueue returns false when the packet was dropped (tail drop, AQM drop, or
-// Cebinae past-tail drop). Dequeue returns nil when no packet is ready.
+// Enqueue returns false when the packet was refused (tail drop, AQM drop, or
+// Cebinae past-tail drop). Dequeue returns nil when no packet is ready. A
+// discipline keeps no drop count of its own: the device counts every refusal
+// and every packet released through its sink (see SetQdisc).
 type Qdisc interface {
 	// Enqueue admits p into the discipline.
 	//
@@ -60,7 +62,9 @@ type Handoff interface {
 	Handoff(p *packet.Packet, sent, arrival sim.Time)
 }
 
-// DeviceStats aggregates transmit-side counters for throughput accounting.
+// DeviceStats aggregates a device's traffic counters. DropPackets and
+// DropBytes count every packet its qdisc discarded: those refused at
+// enqueue and those released through the device's sink after admission.
 type DeviceStats struct {
 	TxPackets   uint64
 	TxBytes     uint64
@@ -173,20 +177,19 @@ func (d *Device) Stats() DeviceStats {
 }
 
 // Credit adds traffic carried in closed form, which no packet event
-// accounts for (a fluid fast-forward skip), to the counters.
+// accounts for (a fluid fast-forward skip), to the transmit and receive
+// counters. A skip discards nothing, so the drop counters take no credit.
 func (d *Device) Credit(c DeviceStats) {
 	d.stats.TxPackets += c.TxPackets
 	d.stats.TxBytes += c.TxBytes
 	d.stats.RxPackets += c.RxPackets
 	d.stats.RxBytes += c.RxBytes
-	d.stats.DropPackets += c.DropPackets
-	d.stats.DropBytes += c.DropBytes
 }
 
 // SetQdisc replaces the queue discipline. Must be called before traffic
 // flows through the device. A qdisc that discards packets it has already
 // admitted asks, with a SetSink method, for the device's release sink,
-// which returns each discard to the network's pool.
+// which counts each discard as a drop and returns it to the network's pool.
 func (d *Device) SetQdisc(q Qdisc) {
 	d.qdisc = q
 	if s, ok := q.(interface{ SetSink(packet.Sink) }); ok {
@@ -197,20 +200,27 @@ func (d *Device) SetQdisc(q Qdisc) {
 // deviceSink is the Device's release-sink view.
 type deviceSink Device
 
-// Release returns a packet its qdisc discarded to the network's pool.
-func (s *deviceSink) Release(p *packet.Packet) { s.node.net.pool.Put(p) }
+// Release counts a packet its qdisc discarded after admission as dropped
+// and returns it to the network's pool.
+func (s *deviceSink) Release(p *packet.Packet) { (*Device)(s).drop(p) }
+
+// drop counts p as discarded by the device's qdisc and returns it to the
+// network's pool: the one place a device's drops are counted.
+func (d *Device) drop(p *packet.Packet) {
+	d.stats.DropPackets++
+	d.stats.DropBytes += uint64(p.Size)
+	d.node.net.pool.Put(p)
+}
 
 // Node returns the owning node.
 func (d *Device) Node() *Node { return d.node }
 
 // Send admits a packet to the device's qdisc and kicks the transmitter.
-// Refused packets are released back to the network's pool.
+// A refused packet is dropped.
 func (d *Device) Send(p *packet.Packet) {
 	idle := d.idle()
 	if !d.qdisc.Enqueue(p) {
-		d.stats.DropPackets++
-		d.stats.DropBytes += uint64(p.Size)
-		d.node.net.pool.Put(p)
+		d.drop(p)
 		return
 	}
 	if idle {

@@ -17,7 +17,8 @@ package packet
 // discards packets it has already admitted (an overflow victim, a CoDel
 // drop at dequeue) does not abandon them: a qdisc on a netem device
 // releases its discards through the Sink that netem.Device.SetQdisc hands
-// it. A packet built outside the pool may still be Put into it.
+// it, and the device counts each as a drop before it Puts it. A packet
+// built outside the pool may still be Put into it.
 //
 // Building with -tags packetdebug enables a double-free detector that
 // panics when a packet is released twice without an intervening Get.
@@ -71,7 +72,8 @@ func (pl *Pool) FreeLen() int { return len(pl.free) }
 
 // Sink takes back the packets a queue discipline discards after admitting
 // them. netem.Device.SetQdisc hands one to every qdisc with a SetSink
-// method; it returns each packet to the device's network's pool.
+// method; it counts each packet as the device's drop and returns it to the
+// device's network's pool.
 type Sink interface {
 	// Release takes p out of the caller's hands for good.
 	//

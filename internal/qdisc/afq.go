@@ -37,7 +37,6 @@ type AFQ struct {
 	// BeyondHorizon counts packets whose bid round lay past the nQ-slot
 	// horizon (Eq. 1): dropped by AFQ, squashed into the last slot by PCQ.
 	BeyondHorizon uint64
-	OverflowDrops uint64 // shared-buffer drops
 }
 
 // NewAFQ builds an AFQ instance. The sketch geometry follows the NSDI
@@ -72,7 +71,6 @@ func NewPCQ(nQ int, bpr int64, limitBytes, sketchCols int) *AFQ {
 // the horizon it drops (AFQ) or squashes into the last slot (PCQ).
 func (a *AFQ) Enqueue(p *packet.Packet) bool {
 	if a.bytes+int(p.Size) > a.limitBytes {
-		a.OverflowDrops++
 		return false
 	}
 	// bid = max(storedBid, R·BpR) + size  (flows never bid into the past).

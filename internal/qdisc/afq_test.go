@@ -82,16 +82,18 @@ func TestAFQRoundAdvancesOnDrain(t *testing.T) {
 
 func TestAFQBufferOverflow(t *testing.T) {
 	a := NewAFQ(64, 1500, 3*1500, 4096)
+	var l ledger
 	for i := 0; i < 3; i++ {
-		if !a.Enqueue(afqPkt(i+1, 1500)) {
+		if !l.offer(a, afqPkt(i+1, 1500)) {
 			t.Fatal("within buffer should fit")
 		}
 	}
-	if a.Enqueue(afqPkt(9, 1500)) {
+	if l.offer(a, afqPkt(9, 1500)) {
 		t.Fatal("buffer overflow must drop")
 	}
-	if a.OverflowDrops != 1 {
-		t.Fatalf("overflow drops = %d", a.OverflowDrops)
+	// AFQ refuses a packet for a full buffer or a bid past the horizon.
+	if overflow := l.drops - a.BeyondHorizon; overflow != 1 {
+		t.Fatalf("overflow drops = %d", overflow)
 	}
 }
 

@@ -11,8 +11,6 @@ type FIFO struct {
 	limitBytes int
 	q          packet.Ring
 	bytes      int
-
-	Drops uint64
 }
 
 // NewFIFO returns a drop-tail FIFO holding at most limitBytes. A limit of
@@ -27,7 +25,6 @@ func NewFIFO(limitBytes int) *FIFO {
 // Enqueue admits p unless it would exceed the byte limit.
 func (f *FIFO) Enqueue(p *packet.Packet) bool {
 	if f.bytes+int(p.Size) > f.limitBytes {
-		f.Drops++
 		return false
 	}
 	f.bytes += int(p.Size)

@@ -38,11 +38,11 @@ type FQCoDel struct {
 
 	// sink takes back the packets discarded after admission (overflow
 	// victims other than the packet being enqueued, CoDel drops at
-	// dequeue). Without one, as outside a netem device, they are left to
-	// the garbage collector.
+	// dequeue); on a netem device it is the device's, which counts them
+	// as drops. Without one, as outside a device, they are left to the
+	// garbage collector.
 	sink packet.Sink
 
-	Drops     uint64
 	ECNMarked uint64
 }
 
@@ -127,7 +127,6 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 		f.bytes -= int(dp.Size)
 		f.packets--
 		f.shrunk(victim)
-		f.Drops++
 		//lint:ignore pktown pointer identity test only — the drop loop may pop back the packet just enqueued; nothing dereferences it
 		if dp == p {
 			dropped = true
@@ -216,7 +215,6 @@ func (f *FQCoDel) codelDequeue(fl *fqFlow) *packet.Packet {
 				f.ECNMarked++
 				return p
 			}
-			f.Drops++
 			if f.sink != nil {
 				f.sink.Release(p)
 			}

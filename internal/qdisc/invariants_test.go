@@ -21,35 +21,37 @@ type balanceQdisc interface {
 // enqueue-biased op sequence and checks after every single operation that
 // the backlog never goes negative, Len and BytesQueued agree about
 // emptiness, and every packet ever offered is accounted for as exactly one
-// of delivered, still queued, or counted in a drop counter. The limits are
-// tight enough that every case actually exercises its drop path.
+// of delivered, still queued, or dropped — refused at enqueue or released
+// through the sink, as a netem device counts them. The limits are tight
+// enough that every case actually exercises its drop path.
 func TestBacklogAndBalanceInvariants(t *testing.T) {
 	cases := []struct {
 		name  string
-		build func(eng *sim.Engine) (q balanceQdisc, drops func() uint64)
+		build func(eng *sim.Engine) balanceQdisc
 	}{
-		{"fifo", func(eng *sim.Engine) (balanceQdisc, func() uint64) {
-			q := NewFIFO(8 << 10)
-			return q, func() uint64 { return q.Drops }
+		{"fifo", func(eng *sim.Engine) balanceQdisc {
+			return NewFIFO(8 << 10)
 		}},
-		{"fqcodel", func(eng *sim.Engine) (balanceQdisc, func() uint64) {
-			// Drops counts both fattest-flow overflow at enqueue and CoDel
-			// drops at dequeue, so the same identity covers both paths.
-			q := NewFQCoDel(eng, 8<<10, 1500, DefaultCoDelParams())
-			return q, func() uint64 { return q.Drops }
+		{"fqcodel", func(eng *sim.Engine) balanceQdisc {
+			// Fattest-flow overflow at enqueue and CoDel drops at dequeue
+			// both reach the ledger, so the same identity covers both paths.
+			return NewFQCoDel(eng, 8<<10, 1500, DefaultCoDelParams())
 		}},
-		{"lossy", func(eng *sim.Engine) (balanceQdisc, func() uint64) {
-			inner := NewFIFO(8 << 10)
-			l := NewLossy(inner, 7)
+		{"lossy", func(eng *sim.Engine) balanceQdisc {
+			l := NewLossy(NewFIFO(8<<10), 7)
 			l.DropProb = 0.05
 			l.DropNth = map[uint64]bool{3: true, 50: true}
-			return l, func() uint64 { return l.Dropped + inner.Drops }
+			return l
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			q, drops := tc.build(eng)
+			q := tc.build(eng)
+			var led ledger
+			if s, ok := q.(interface{ SetSink(packet.Sink) }); ok {
+				s.SetSink(&led)
+			}
 			rng := sim.NewRand(12345)
 			var offered, delivered uint64
 			const steps = 4000
@@ -62,7 +64,7 @@ func TestBacklogAndBalanceInvariants(t *testing.T) {
 						p := pkt(rng.Intn(4), int32(100+rng.Intn(1400)))
 						p.Seq = int64(i) * 64
 						offered++
-						q.Enqueue(p)
+						led.offer(q, p)
 					} else if p := q.Dequeue(); p != nil {
 						delivered++
 					}
@@ -72,9 +74,9 @@ func TestBacklogAndBalanceInvariants(t *testing.T) {
 					if (q.Len() == 0) != (q.BytesQueued() == 0) {
 						t.Fatalf("step %d: len=%d and bytes=%d disagree about emptiness", i, q.Len(), q.BytesQueued())
 					}
-					if got := delivered + uint64(q.Len()) + drops(); got != offered {
+					if got := delivered + uint64(q.Len()) + led.drops; got != offered {
 						t.Fatalf("step %d: delivered %d + queued %d + dropped %d != offered %d",
-							i, delivered, q.Len(), drops(), offered)
+							i, delivered, q.Len(), led.drops, offered)
 					}
 				}), nil)
 			}
@@ -85,10 +87,10 @@ func TestBacklogAndBalanceInvariants(t *testing.T) {
 			if q.Len() != 0 || q.BytesQueued() != 0 {
 				t.Fatalf("drained queue reports len=%d bytes=%d", q.Len(), q.BytesQueued())
 			}
-			if delivered+drops() != offered {
-				t.Fatalf("final balance: delivered %d + dropped %d != offered %d", delivered, drops(), offered)
+			if delivered+led.drops != offered {
+				t.Fatalf("final balance: delivered %d + dropped %d != offered %d", delivered, led.drops, offered)
 			}
-			if drops() == 0 {
+			if led.drops == 0 {
 				t.Fatal("scenario exercised no drops; the limit is not tight enough to test the drop path")
 			}
 		})
@@ -198,17 +200,18 @@ func TestLossyDropRules(t *testing.T) {
 	t.Run("seq countdown", func(t *testing.T) {
 		l := NewLossy(NewFIFO(0), 1)
 		l.DropSeqs = map[int64]int{1000: 2}
-		if l.Enqueue(mk(1000, false)) || l.Enqueue(mk(1000, false)) {
+		var led ledger
+		if led.offer(l, mk(1000, false)) || led.offer(l, mk(1000, false)) {
 			t.Fatal("first two offers of seq 1000 must drop")
 		}
-		if !l.Enqueue(mk(1000, false)) {
+		if !led.offer(l, mk(1000, false)) {
 			t.Fatal("countdown exhausted; third offer must pass")
 		}
-		if !l.Enqueue(mk(2000, false)) {
+		if !led.offer(l, mk(2000, false)) {
 			t.Fatal("unlisted seq must pass")
 		}
-		if l.Dropped != 2 {
-			t.Fatalf("Dropped = %d, want 2", l.Dropped)
+		if led.drops != 2 {
+			t.Fatalf("dropped %d, want 2", led.drops)
 		}
 	})
 
@@ -239,15 +242,16 @@ func TestLossyDropRules(t *testing.T) {
 	t.Run("retransmit exemption", func(t *testing.T) {
 		l := NewLossy(NewFIFO(0), 1)
 		l.DropSeqs = map[int64]int{500: 1}
-		if !l.Enqueue(mk(500, true)) {
+		var led ledger
+		if !led.offer(l, mk(500, true)) {
 			t.Fatal("retransmission must be exempt by default")
 		}
 		l.DropRetransmits = true
-		if l.Enqueue(mk(500, true)) {
+		if led.offer(l, mk(500, true)) {
 			t.Fatal("DropRetransmits must extend matching to retransmissions")
 		}
-		if l.Dropped != 1 {
-			t.Fatalf("Dropped = %d, want 1", l.Dropped)
+		if led.drops != 1 {
+			t.Fatalf("dropped %d, want 1", led.drops)
 		}
 	})
 
@@ -255,12 +259,13 @@ func TestLossyDropRules(t *testing.T) {
 		pattern := func(seed uint64) []bool {
 			l := NewLossy(NewFIFO(0), seed)
 			l.DropProb = 0.3
+			var led ledger
 			out := make([]bool, 300)
 			for i := range out {
-				out[i] = l.Enqueue(mk(int64(i)*64, false))
+				out[i] = led.offer(l, mk(int64(i)*64, false))
 			}
-			if l.Dropped == 0 || l.Dropped == 300 {
-				t.Fatalf("seed %d: %d/300 dropped, want a nontrivial fraction", seed, l.Dropped)
+			if led.drops == 0 || led.drops == 300 {
+				t.Fatalf("seed %d: %d/300 dropped, want a nontrivial fraction", seed, led.drops)
 			}
 			return out
 		}

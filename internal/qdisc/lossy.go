@@ -5,28 +5,12 @@ import (
 	"cebinae/internal/sim"
 )
 
-// Inner is the surface Lossy requires of the wrapped discipline — the same
-// structural subset as netem.Qdisc, declared locally so qdisc need not
-// import netem.
-type Inner interface {
-	// Enqueue admits p into the wrapped discipline.
-	//
-	//pktown:enqueues p on success the wrapped discipline owns the packet; on failure the caller keeps it
-	Enqueue(p *packet.Packet) bool
-	// Dequeue surrenders the next packet to the caller.
-	//
-	//pktown:fresh return a dequeued packet leaves the discipline's custody and the caller owns it
-	Dequeue() *packet.Packet
-	Len() int
-	BytesQueued() int
-}
-
-// Lossy wraps another discipline and drops selected packets at enqueue —
-// a fault-injection shim for exercising transport loss recovery
+// Lossy wraps a drop-tail FIFO and drops selected packets at enqueue — a
+// fault-injection shim for exercising transport loss recovery
 // deterministically (drop the Nth data packet, a burst, or a random
-// fraction).
+// fraction). Dequeue, Len and BytesQueued are the FIFO's.
 type Lossy struct {
-	Inner Inner
+	*FIFO
 
 	// DropSeqs drops data packets whose byte sequence number matches, the
 	// given number of times (so a value of 2 also kills the first
@@ -42,16 +26,14 @@ type Lossy struct {
 
 	rng     *sim.Rand
 	offered uint64
-	Dropped uint64
 }
 
 // NewLossy wraps inner with the fault-injection shim.
 func NewLossy(inner *FIFO, seed uint64) *Lossy {
-	return &Lossy{Inner: inner, rng: sim.NewRand(seed)}
+	return &Lossy{FIFO: inner, rng: sim.NewRand(seed)}
 }
 
-// Enqueue applies the drop rules to data packets, then defers to the inner
-// discipline.
+// Enqueue applies the drop rules to data packets, then defers to the FIFO.
 func (l *Lossy) Enqueue(p *packet.Packet) bool {
 	if p.IsData() && (l.DropRetransmits || !p.Retransmit) {
 		l.offered++
@@ -68,18 +50,8 @@ func (l *Lossy) Enqueue(p *packet.Packet) bool {
 			drop = true
 		}
 		if drop {
-			l.Dropped++
 			return false
 		}
 	}
-	return l.Inner.Enqueue(p)
+	return l.FIFO.Enqueue(p)
 }
-
-// Dequeue defers to the inner discipline.
-func (l *Lossy) Dequeue() *packet.Packet { return l.Inner.Dequeue() }
-
-// Len defers to the inner discipline.
-func (l *Lossy) Len() int { return l.Inner.Len() }
-
-// BytesQueued defers to the inner discipline.
-func (l *Lossy) BytesQueued() int { return l.Inner.BytesQueued() }

@@ -64,13 +64,15 @@ func TestPCQSquashDegradesOrdering(t *testing.T) {
 
 func TestPCQBufferOverflow(t *testing.T) {
 	q := NewPCQ(8, 1500, 2*1500, 4096)
-	q.Enqueue(afqPkt(1, 1500))
-	q.Enqueue(afqPkt(2, 1500))
-	if q.Enqueue(afqPkt(3, 1500)) {
+	var l ledger
+	l.offer(q, afqPkt(1, 1500))
+	l.offer(q, afqPkt(2, 1500))
+	if l.offer(q, afqPkt(3, 1500)) {
 		t.Fatal("buffer overflow must drop")
 	}
-	if q.OverflowDrops != 1 {
-		t.Fatalf("overflow drops = %d", q.OverflowDrops)
+	// PCQ squashes a bid past the horizon: it refuses only for a full buffer.
+	if l.drops != 1 {
+		t.Fatalf("overflow drops = %d", l.drops)
 	}
 }
 

@@ -17,6 +17,24 @@ func pkt(flow int, size int32) *packet.Packet {
 	}
 }
 
+// ledger counts a discipline's drops as a netem device does: the packets
+// Enqueue refuses, offered through offer, plus those the discipline
+// releases through its sink after admitting them (install it with
+// SetSink).
+type ledger struct{ drops uint64 }
+
+// Release counts a packet discarded after admission.
+func (l *ledger) Release(*packet.Packet) { l.drops++ }
+
+// offer enqueues p into q, counting a refusal as a drop.
+func (l *ledger) offer(q interface{ Enqueue(*packet.Packet) bool }, p *packet.Packet) bool {
+	if q.Enqueue(p) {
+		return true
+	}
+	l.drops++
+	return false
+}
+
 func TestFIFOOrder(t *testing.T) {
 	f := NewFIFO(1 << 20)
 	for i := 0; i < 100; i++ {
@@ -39,14 +57,15 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestFIFOByteLimit(t *testing.T) {
 	f := NewFIFO(1000)
-	if !f.Enqueue(pkt(1, 600)) || !f.Enqueue(pkt(2, 400)) {
+	var l ledger
+	if !l.offer(f, pkt(1, 600)) || !l.offer(f, pkt(2, 400)) {
 		t.Fatal("within limit should fit")
 	}
-	if f.Enqueue(pkt(3, 100)) {
+	if l.offer(f, pkt(3, 100)) {
 		t.Fatal("over limit should tail-drop")
 	}
-	if f.Drops != 1 {
-		t.Fatalf("drop counter: %d", f.Drops)
+	if l.drops != 1 {
+		t.Fatalf("drop counter: %d", l.drops)
 	}
 	f.Dequeue()
 	if !f.Enqueue(pkt(3, 100)) {
@@ -199,16 +218,18 @@ func TestFQCoDelQuantumByteFairness(t *testing.T) {
 func TestFQCoDelOverflowDropsFromFatFlow(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewFQCoDel(eng, 14999, 1500, DefaultCoDelParams())
+	var l ledger
+	q.SetSink(&l)
 	for i := 0; i < 9; i++ {
-		q.Enqueue(pkt(1, 1500))
+		l.offer(q, pkt(1, 1500))
 	}
 	// Thin flow's packet arrives at a full buffer: the fat flow pays.
-	admitted := q.Enqueue(pkt(2, 1500))
+	admitted := l.offer(q, pkt(2, 1500))
 	if !admitted {
 		t.Fatal("thin flow's packet should be admitted; fat flow drops instead")
 	}
-	if q.Drops != 1 {
-		t.Fatalf("exactly one overflow drop expected, got %d", q.Drops)
+	if l.drops != 1 {
+		t.Fatalf("exactly one overflow drop expected, got %d", l.drops)
 	}
 	// Flow 2's packet must still be there.
 	found := false
@@ -248,12 +269,14 @@ func TestFQCoDelFlowGC(t *testing.T) {
 func TestFQCoDelECNMarksInsteadOfDrops(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
+	var l ledger
+	q.SetSink(&l)
 	// Stuff one flow, advance time far beyond interval so CoDel engages,
 	// with ECT packets: expect CE marks, not drops.
 	for i := 0; i < 200; i++ {
 		p := pkt(1, 1500)
 		p.ECN = packet.ECNECT
-		q.Enqueue(p)
+		l.offer(q, p)
 	}
 	eng.ScheduleCall(sim.Duration(500e6), sim.Func(func() {}), nil)
 	eng.RunAll() // advance clock to 500 ms
@@ -270,8 +293,8 @@ func TestFQCoDelECNMarksInsteadOfDrops(t *testing.T) {
 	if marked == 0 {
 		t.Fatal("CoDel should CE-mark ECT packets under sustained delay")
 	}
-	if q.Drops != 0 {
-		t.Fatalf("ECT packets should not be dropped by AQM: %d", q.Drops)
+	if l.drops != 0 {
+		t.Fatalf("ECT packets should not be dropped by AQM: %d", l.drops)
 	}
 }
 
@@ -399,6 +422,8 @@ func TestFQCoDelHeapPicksScanVictim(t *testing.T) {
 			// Below one full packet per flow from 33 flows up, as on Table 2's
 			// 1026-flow row, with phases long enough to fill it.
 			q := NewFQCoDel(eng, max(48<<10, 400*tc.flows), 1500, DefaultCoDelParams())
+			var l ledger
+			q.SetSink(&l)
 			phase := max(500, 2*tc.flows)
 			rng := sim.NewRand(tc.seed)
 			// Repeated sizes make equal backlogs, so the seq tie-break decides.
@@ -428,13 +453,13 @@ func TestFQCoDelHeapPicksScanVictim(t *testing.T) {
 					if q.flows[p.Flow] == nil && q.free != nil {
 						reused++
 					}
-					before := q.Drops
-					q.Enqueue(p)
-					overflow += q.Drops - before
+					before := l.drops
+					l.offer(q, p)
+					overflow += l.drops - before
 				} else {
-					before := q.Drops
+					before := l.drops
 					q.Dequeue()
-					codel += q.Drops - before
+					codel += l.drops - before
 				}
 				checkFatHeap(t, q)
 				if n++; n < steps {
@@ -492,12 +517,14 @@ func TestFQCoDelSojournExcludesSkippedTime(t *testing.T) {
 	run := func(skip sim.Time) (log []int64, drops uint64) {
 		eng := sim.NewEngine()
 		q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
+		var l ledger
+		q.SetSink(&l)
 		eng.ScheduleCall(ms/2, sim.Func(func() { eng.FastForward(skip) }), nil)
 		eng.ScheduleCall(ms, sim.Func(func() {
 			for i := 0; i < 400; i++ {
 				p := pkt(1, 1500)
 				p.Seq = int64(i)
-				q.Enqueue(p)
+				l.offer(q, p)
 			}
 			// FQCoDel does not hand its flow queues the CoDel parameters it
 			// was built with (a defect recorded in CHANGES.md under PR 13):
@@ -519,7 +546,7 @@ func TestFQCoDelSojournExcludesSkippedTime(t *testing.T) {
 		}
 		eng.ScheduleCall(2*ms+ms/2, sim.Func(func() { eng.FastForward(skip) }), nil)
 		eng.RunAll()
-		return log, q.Drops
+		return log, l.drops
 	}
 	plain, plainDrops := run(0)
 	skipped, skippedDrops := run(sim.Duration(10e9))

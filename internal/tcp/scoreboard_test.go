@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -386,8 +387,8 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 		mss = int64(packet.MSS)
 		W   = 1000
 	)
-	var s scoreboard
-	var una, nxt int64
+	var s *scoreboard
+	var una, nxt, peak int64
 	// climb doubles an ACK-clocked window from 10 segments until W are
 	// outstanding; fall ACKs everything and runs a while at 10.
 	send := func(w int64) {
@@ -400,7 +401,6 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 		s.clearSent(una, nxt)
 		una = nxt
 	}
-	peak := int64(0)
 	climb := func() {
 		for w := int64(10); ; w = min(2*w, W) {
 			send(w)
@@ -421,14 +421,28 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 			t.Fatalf("after falling back, blocks [%d, %d) are still held", s.lo, s.hi)
 		}
 	}
-	fall() // start the transfer off block 0's edge
-	owned := s.hi - s.lo + int64(len(s.spare))
+	// start begins a transfer on a new scoreboard, off block 0's edge, and
+	// returns the blocks it owns.
+	start := func() int64 {
+		s, una, nxt, peak = new(scoreboard), 0, 0, 0
+		fall()
+		return s.hi - s.lo + int64(len(s.spare))
+	}
 
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	climb()
-	runtime.ReadMemStats(&m1)
-	bytes := m1.TotalAlloc - m0.TotalAlloc
+	// The first climb's bytes are read off process-wide MemStats, which
+	// other goroutines also move: measure as testing.AllocsPerRun does, on
+	// one P, and keep the least of three fresh transfers' first climbs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytes := uint64(math.MaxUint64)
+	var owned int64
+	for range 3 {
+		owned = start()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		climb()
+		runtime.ReadMemStats(&m1)
+		bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+	}
 	t.Logf("first climb to %d segments: %d B, %d blocks held at the peak, %d owned before", W, bytes, peak, owned)
 	if blocks := int64((W + blockLen - 1) / blockLen); peak > blocks+1 {
 		t.Fatalf("%d blocks held for a %d-segment window, want ≤ %d", peak, W, blocks+1)
