@@ -2,8 +2,8 @@
 // scalable in-network fairness augmentation mechanism of Yu, Sonchack and
 // Liu (SIGCOMM '22) — together with every substrate its evaluation depends
 // on: a deterministic packet-level network simulator; a SACK-capable TCP
-// with nine congestion-control algorithms (NewReno, Cubic, BIC, Vegas,
-// BBRv1, DCTCP, Scalable, H-TCP, Illinois); baseline queue disciplines
+// with six congestion-control algorithms (NewReno, Cubic, BIC, Vegas,
+// BBRv1, DCTCP); baseline queue disciplines
 // (drop-tail FIFO, FQ-CoDel, AFQ, PCQ, and the §3.2 strawman); a
 // HashPipe-style heavy-hitter cache; a weighted max-min water-filling
 // allocator; a synthetic backbone trace generator; traffic applications;
@@ -178,9 +178,8 @@ func NewReceiver(eng *Engine, dst *Node, cfg ReceiverConfig) *Receiver {
 	return tcp.NewReceiver(eng, dst, cfg)
 }
 
-// NewCC constructs a congestion-control module by name: "newreno",
-// "cubic", "bic", "vegas", "bbr", "dctcp", "scalable", "htcp", or
-// "illinois".
+// NewCC constructs a congestion-control module by name; the registered
+// names are those tcp.CCNames returns.
 func NewCC(name string) (CongestionControl, bool) { return tcp.NewCC(name) }
 
 // Metrics.

@@ -69,6 +69,7 @@ func TestBuildScenarioErrors(t *testing.T) {
 		{"negative bandwidth", func(a *args) { a.bw = "-5M" }, "bandwidth"},
 		{"bad flow count", func(a *args) { a.flows = "newreno:zero" }, "flow group"},
 		{"zero flow count", func(a *args) { a.flows = "newreno:0" }, "flow group"},
+		{"unknown cca", func(a *args) { a.flows = "htcp:1" }, "unknown CCA \"htcp\""},
 		{"bad rtt", func(a *args) { a.rtt = "soon" }, "rtt"},
 		{"zero rtt", func(a *args) { a.rtt = "0s" }, "rtt"},
 		{"negative rtt", func(a *args) { a.rtt = "-1ms" }, "rtt"},

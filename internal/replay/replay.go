@@ -99,7 +99,6 @@ type SourceStats struct {
 	Active      int    // flows currently in flight
 	PeakActive  int    // high-water mark of Active
 	SentPackets uint64
-	SentBytes   uint64
 	Feedbacks   uint64 // congestion feedback packets accepted
 	RateCuts    uint64 // pacing-gap doublings applied
 }
@@ -298,7 +297,6 @@ func (fs *flowState) send() {
 	}
 	s.node.Inject(p)
 	s.Stats.SentPackets++
-	s.Stats.SentBytes += uint64(s.cfg.PacketBytes)
 	if last {
 		s.finish(fs)
 		return

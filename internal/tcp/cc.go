@@ -74,15 +74,12 @@ type ECNReactor interface {
 // ccRegistry maps algorithm names to constructors so experiment configs can
 // reference CCAs by string.
 var ccRegistry = map[string]func() CongestionControl{
-	"newreno":  func() CongestionControl { return NewNewReno() },
-	"cubic":    func() CongestionControl { return NewCubic() },
-	"bic":      func() CongestionControl { return NewBIC() },
-	"vegas":    func() CongestionControl { return NewVegas() },
-	"bbr":      func() CongestionControl { return NewBBR() },
-	"dctcp":    func() CongestionControl { return NewDCTCP() },
-	"scalable": func() CongestionControl { return NewScalable() },
-	"htcp":     func() CongestionControl { return NewHTCP() },
-	"illinois": func() CongestionControl { return NewIllinois() },
+	"newreno": func() CongestionControl { return NewNewReno() },
+	"cubic":   func() CongestionControl { return NewCubic() },
+	"bic":     func() CongestionControl { return NewBIC() },
+	"vegas":   func() CongestionControl { return NewVegas() },
+	"bbr":     func() CongestionControl { return NewBBR() },
+	"dctcp":   func() CongestionControl { return NewDCTCP() },
 }
 
 // NewCC constructs a congestion control module by name; the boolean is

@@ -40,7 +40,6 @@ const sendJitter = sim.Time(10e3) // 10 µs
 // ConnStats aggregates sender-side counters.
 type ConnStats struct {
 	SentPackets    uint64
-	SentBytes      uint64
 	Retransmits    uint64
 	Timeouts       uint64
 	FastRecoveries uint64
@@ -342,7 +341,6 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 	rec.appLimited = c.appLimited
 
 	c.Stats.SentPackets++
-	c.Stats.SentBytes += uint64(p.Size)
 	if retx {
 		c.Stats.Retransmits++
 	}

@@ -69,10 +69,10 @@ func TestSingleFlowSaturatesLink(t *testing.T) {
 }
 
 // TestEachCCASaturatesLink runs every registered CCA alone on the
-// bottleneck and requires high utilisation — a sanity floor for all five
-// implementations.
+// bottleneck and requires high utilisation — a sanity floor for each
+// implementation tcp.CCNames lists.
 func TestEachCCASaturatesLink(t *testing.T) {
-	for _, cc := range []string{"newreno", "cubic", "bic", "vegas", "bbr", "dctcp", "scalable", "htcp", "illinois"} {
+	for _, cc := range tcp.CCNames() {
 		cc := cc
 		t.Run(cc, func(t *testing.T) {
 			eng := sim.NewEngine()

@@ -25,7 +25,6 @@ type ReceiverStats struct {
 	// GoodputBytes counts in-order application bytes delivered (cumulative
 	// ACK advances) — the paper's goodput metric.
 	GoodputBytes int64
-	DupAcksSent  uint64
 	AcksSent     uint64
 	// CEMarks counts received packets carrying a CE codepoint.
 	CEMarks uint64
@@ -73,7 +72,7 @@ func NewReceiver(eng *sim.Engine, dst *netem.Node, cfg ReceiverConfig) *Receiver
 // Receiver so arming the timer allocates no closure.
 type recvDelAck Receiver
 
-func (h *recvDelAck) OnEvent(any) { (*Receiver)(h).sendAck(false) }
+func (h *recvDelAck) OnEvent(any) { (*Receiver)(h).sendAck() }
 
 // Deliver processes an arriving data segment (netem.Endpoint).
 func (r *Receiver) Deliver(p *packet.Packet) {
@@ -91,7 +90,7 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 	switch {
 	case end <= r.rcvNxt:
 		// Entirely duplicate data: immediate ACK restates rcv_nxt.
-		r.sendAck(true)
+		r.sendAck()
 	case p.Seq > r.rcvNxt:
 		// Out of order: buffer and emit an immediate duplicate ACK.
 		start := p.Seq
@@ -99,7 +98,7 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 			start = r.rcvNxt
 		}
 		r.ooo.add(start, end)
-		r.sendAck(true)
+		r.sendAck()
 	default:
 		// In-order (possibly overlapping) data: advance and absorb any
 		// contiguous buffered intervals.
@@ -113,7 +112,7 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 		}
 		r.pending++
 		if r.pending >= r.cfg.DelAckCount || r.ooo.len() > 0 {
-			r.sendAck(false)
+			r.sendAck()
 		} else if !r.delTimer.Pending() {
 			r.eng.ArmTimer(&r.delTimer, delAckTimeout, (*recvDelAck)(r), nil)
 		}
@@ -134,7 +133,7 @@ func (r *Receiver) mergeOOO() {
 	r.ooo.ivs = r.ooo.ivs[:n]
 }
 
-func (r *Receiver) sendAck(dup bool) {
+func (r *Receiver) sendAck() {
 	r.eng.StopTimer(&r.delTimer)
 	r.pending = 0
 	flags := packet.FlagACK
@@ -156,8 +155,5 @@ func (r *Receiver) sendAck(dup bool) {
 		ack.SACK = append(ack.SACK, packet.SackBlock{Start: iv.start, End: iv.end})
 	}
 	r.Stats.AcksSent++
-	if dup {
-		r.Stats.DupAcksSent++
-	}
 	r.node.Inject(ack)
 }

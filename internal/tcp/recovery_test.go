@@ -137,7 +137,7 @@ func TestHeavyRandomLossCompletes(t *testing.T) {
 // TestAllCCAsSurviveRandomLoss: each CCA completes a transfer under 2%
 // random loss — guards the CC/recovery interaction for every algorithm.
 func TestAllCCAsSurviveRandomLoss(t *testing.T) {
-	for _, name := range []string{"newreno", "cubic", "bic", "vegas", "bbr", "dctcp", "scalable", "htcp", "illinois"} {
+	for _, name := range tcp.CCNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cc, _ := tcp.NewCC(name)
