@@ -79,7 +79,8 @@ scenario-conformance:
 # cebinae-sim -flows … -tau and -backbone 1000, cebinae-sweep on a two-cell
 # grid and on -backbone 1000, cebinae-bench -only table3,fig13, then the
 # five examples on short horizons. Each must exit 0 with a non-empty report
-# on stdout.
+# on stdout. cebinae-sim -flows htcp:1 and cebinae-sweep -qdiscs fifo,red
+# must each exit nonzero, naming the unknown CC or qdisc on stderr.
 cli-smoke:
 	@sh scripts/cli_smoke.sh
 

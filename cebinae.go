@@ -179,8 +179,11 @@ func NewReceiver(eng *Engine, dst *Node, cfg ReceiverConfig) *Receiver {
 }
 
 // NewCC constructs a congestion-control module by name; the registered
-// names are those tcp.CCNames returns.
+// names are those CCNames returns.
 func NewCC(name string) (CongestionControl, bool) { return tcp.NewCC(name) }
+
+// CCNames lists the registered congestion-control names in sorted order.
+func CCNames() []string { return tcp.CCNames() }
 
 // Metrics.
 type (

@@ -105,3 +105,20 @@ func TestFacadeHelpers(t *testing.T) {
 		t.Fatal("CC registry re-export wrong")
 	}
 }
+
+// TestCCNamesBuild: every name CCNames lists builds through NewCC, and a
+// name it does not list does not.
+func TestCCNamesBuild(t *testing.T) {
+	names := cebinae.CCNames()
+	if len(names) == 0 {
+		t.Fatal("CCNames lists nothing")
+	}
+	for _, name := range names {
+		if cc, ok := cebinae.NewCC(name); !ok || cc == nil {
+			t.Errorf("NewCC(%q) = %v, %v", name, cc, ok)
+		}
+	}
+	if _, ok := cebinae.NewCC("htcp"); ok {
+		t.Error(`NewCC("htcp") built a CC no name lists`)
+	}
+}

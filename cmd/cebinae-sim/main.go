@@ -30,10 +30,10 @@ func main() {
 		buffer   = flag.Int("buffer", 850, "bottleneck buffer in MTUs (1500 B)")
 		flows    = flag.String("flows", "newreno:2", "comma list of cca:count groups (ccas: "+strings.Join(tcp.CCNames(), " ")+")")
 		rtt      = flag.String("rtt", "40ms", "comma list of per-group base RTTs (one value applies to all)")
-		qdisc    = flag.String("qdisc", "cebinae", "bottleneck discipline: fifo | fq | cebinae")
+		qdisc    = flag.String("qdisc", "cebinae", "bottleneck discipline: fifo | fq | afq | pcq | strawman | cebinae (-backbone: fifo | cebinae)")
 		duration = flag.Duration("duration", 20*time.Second, "simulated duration")
 		seed     = flag.Uint64("seed", 42, "simulation seed")
-		tau      = flag.Float64("tau", -1, "override Cebinae τ (fraction; -1 = default 0.01; -qdisc cebinae only)")
+		tau      = flag.Float64("tau", -1, "override Cebinae τ, a fraction in (0, 1) (-1 = default 0.01; -qdisc cebinae only)")
 		backbone = flag.Int("backbone", 0, "run the backbone replay tier with this many standing flows (e.g. 100000) instead of the TCP dumbbell")
 		specFile = flag.String("scenario", "", "run a declarative scenario file (see scenarios/); the spec owns every knob")
 	)
@@ -46,18 +46,17 @@ func main() {
 		return
 	}
 
-	s, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, *backbone)
+	c, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, *backbone)
 	if err != nil {
 		cli.Fatal(err)
 	}
 
-	if *backbone > 0 {
-		if err := runBackbone(*backbone, *qdisc, *duration, *seed); err != nil {
-			cli.Fatal(err)
-		}
+	if c.Backbone != nil {
+		runBackbone(*c.Backbone)
 		return
 	}
 
+	s := *c.Dumbbell
 	start := time.Now()
 	r := experiments.Run(s)
 	elapsed := time.Since(start)
@@ -101,24 +100,9 @@ func runScenarioFile(path string) error {
 	return nil
 }
 
-// runBackbone drives the replay scale tier from the CLI: the canonical
-// tier for the requested standing population, with the horizon, core
-// discipline, and seed taken from the shared flags.
-func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64) error {
-	cfg := experiments.BackboneTier(flows, experiments.Full)
-	switch k := experiments.QdiscKind(qdisc); k {
-	case experiments.FIFO, experiments.Cebinae:
-		cfg.Qdisc = k
-	default:
-		return fmt.Errorf("backbone cores support fifo and cebinae only, not %q", qdisc)
-	}
-	cfg.Duration = experiments.SimTime(duration.Nanoseconds())
-	cfg.Trace.Duration = cfg.Duration
-	cfg.Trace.Seed = seed
-	if err := cfg.Trace.Validate(); err != nil {
-		return err
-	}
-
+// runBackbone drives the replay scale tier from the CLI and prints its
+// report.
+func runBackbone(cfg experiments.BackboneConfig) {
 	start := time.Now()
 	r := experiments.RunBackbone(cfg)
 	elapsed := time.Since(start)
@@ -127,53 +111,43 @@ func runBackbone(flows int, qdisc string, duration time.Duration, seed uint64) e
 	wallSecs := elapsed.Seconds()
 	fmt.Printf("wall: %v (%.0f events/s, %.0f flows/s)\n",
 		elapsed.Round(time.Millisecond), float64(r.Events)/wallSecs, float64(r.Finished)/wallSecs)
-	return nil
 }
 
-// buildScenario turns the CLI flags into a runnable Scenario; every
-// validation failure the command can hit funnels through here, the
-// backbone run's included.
-func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, backbone int) (experiments.Scenario, error) {
-	switch {
-	case buffer < 1:
-		return experiments.Scenario{}, fmt.Errorf("-buffer %d: want at least 1 MTU", buffer)
-	case duration <= 0:
-		return experiments.Scenario{}, fmt.Errorf("-duration %v: want a positive simulated duration", duration)
-	case backbone < 0:
-		return experiments.Scenario{}, fmt.Errorf("-backbone %d: want a standing-flow count, or 0 for the dumbbell", backbone)
-	}
-	bps, err := cli.ParseBandwidth(bw)
+// buildScenario turns the flags into the dumbbell spec they describe and
+// compiles it, so every refusal is the scenario validator's. A non-zero
+// backbone then swaps in the backbone tier's spec at full scale under
+// -qdisc; that spec has no horizon, so the tier takes -duration and -seed
+// (0 included) after compiling.
+func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, backbone int) (*scenario.Compiled, error) {
+	rate, err := scenario.ParseRate(bw)
 	if err != nil {
-		return experiments.Scenario{}, err
+		return nil, fmt.Errorf("-bw: %w", err)
 	}
 	groups, err := cli.ParseGroups(flows, rtt)
 	if err != nil {
-		return experiments.Scenario{}, err
+		return nil, err
 	}
-	s := experiments.Scenario{
-		Name:          "cli",
-		BottleneckBps: bps,
-		BufferBytes:   buffer * 1500,
-		Groups:        groups,
-		Duration:      experiments.SimTime(duration.Nanoseconds()),
-		Qdisc:         experiments.QdiscKind(qdisc),
-		Seed:          seed,
-	}
-	switch s.Qdisc {
-	case experiments.FIFO, experiments.FQ, experiments.Cebinae:
-	default:
-		return experiments.Scenario{}, fmt.Errorf("unknown qdisc %q", qdisc)
+	d := &scenario.DumbbellSpec{
+		Rate:        rate,
+		BufferBytes: buffer * 1500,
+		Groups:      groups,
+		Duration:    scenario.Dur(duration),
+		Qdisc:       qdisc,
 	}
 	if tau >= 0 {
-		if s.Qdisc != experiments.Cebinae {
-			return experiments.Scenario{}, fmt.Errorf("-tau %v: only -qdisc cebinae reads τ, not %q", tau, qdisc)
-		}
-		p := experiments.DefaultCebinaeParams(s)
-		p.Tau = tau
-		if err := p.Validate(s.BottleneckBps, s.BufferBytes); err != nil {
-			return experiments.Scenario{}, fmt.Errorf("-tau %v: %w", tau, err)
-		}
-		s.Params = &p
+		d.Tau = &tau
 	}
-	return s, nil
+	c, err := scenario.Compile(&scenario.Spec{Version: scenario.Version, Name: "cli", Kind: "dumbbell", Seed: seed, Dumbbell: d})
+	if err != nil || backbone == 0 {
+		return c, err
+	}
+	c, err = scenario.Compile(&scenario.Spec{Version: scenario.Version, Name: "cli", Kind: "backbone", Seed: seed,
+		Backbone: &scenario.BackboneSpec{Flows: backbone, Scale: "full", Qdisc: qdisc}})
+	if err != nil {
+		return nil, err
+	}
+	cfg := c.Backbone
+	cfg.Duration = experiments.SimTime(duration.Nanoseconds())
+	cfg.Trace.Duration, cfg.Trace.Seed = cfg.Duration, seed
+	return c, cfg.Trace.Validate()
 }

@@ -41,7 +41,7 @@ func main() {
 		buffer     = flag.Int("buffer", 850, "bottleneck buffer in MTUs (1500 B)")
 		flows      = flag.String("flows", "newreno:16,cubic:1", "comma list of cca:count groups")
 		rtt        = flag.String("rtt", "50ms", "comma list of per-group base RTTs (one value applies to all)")
-		seed       = flag.Uint64("seed", def.Seed, "simulation seed")
+		seed       = flag.Uint64("seed", def.Base.Seed, "simulation seed")
 		parallel   = flag.Int("p", 0, "worker pool size (0 = GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 0, "per-job wall-clock watchdog (0 = none), e.g. 10m")
 		backbone   = flag.String("backbone", "", "comma list of standing-flow tiers (e.g. 20000,100000): sweep the backbone replay grid (tiers × qdiscs) instead of the dumbbell family")
@@ -68,15 +68,8 @@ func main() {
 		}
 		var err error
 		cfg := def
-		cfg.BufferBytes = *buffer * 1500
-		cfg.Seed = *seed
-		if cfg.BottleneckBps, err = cli.ParseBandwidth(*bw); err != nil {
-			return err
-		}
-		if cfg.Groups, err = cli.ParseGroups(*flows, *rtt); err != nil {
-			return err
-		}
-		if cfg.Qdiscs, err = parseQdiscs(*qdiscs); err != nil {
+		cfg.Qdiscs = parseQdiscs(*qdiscs)
+		if cfg.Base, err = family(*bw, *buffer, *flows, *rtt, *seed, cfg.Qdiscs); err != nil {
 			return err
 		}
 		if cfg.Scales, err = parseScales(*scales); err != nil {
@@ -199,9 +192,11 @@ func (d sweeper) scenarios(patterns string) error {
 }
 
 // backbone is the -backbone grid: standing-flow tiers × core disciplines
-// through the replay scale tier. Only fifo and cebinae exist at the
-// backbone core, so when -qdiscs is left at its dumbbell default the grid
-// uses both rather than erroring on fq.
+// through the replay scale tier. The scenario validator judges each
+// discipline in a backbone spec of the first tier (a spec names no
+// fractional scale, so it says full; the cells run at -scales). Only fifo
+// and cebinae exist at the backbone core, so when -qdiscs is left at its
+// dumbbell default the grid uses both rather than refusing fq.
 func (d sweeper) backbone(tiers, qdiscs, scales, csvPath string) error {
 	flows, err := parseTiers(tiers)
 	if err != nil {
@@ -212,13 +207,13 @@ func (d sweeper) backbone(tiers, qdiscs, scales, csvPath string) error {
 	if !qdiscsSet {
 		qdiscs = "fifo,cebinae"
 	}
-	kinds, err := parseQdiscs(qdiscs)
-	if err != nil {
-		return err
-	}
+	kinds := parseQdiscs(qdiscs)
+	spec := &scenario.Spec{Version: scenario.Version, Name: "sweep", Kind: "backbone",
+		Backbone: &scenario.BackboneSpec{Flows: flows[0], Scale: "full"}}
 	for _, k := range kinds {
-		if k != experiments.FIFO && k != experiments.Cebinae {
-			return fmt.Errorf("backbone cores support fifo and cebinae only, not %q", k)
+		spec.Backbone.Qdisc = string(k)
+		if err := scenario.Validate(spec); err != nil {
+			return err
 		}
 	}
 	scaleList, err := parseScales(scales)
@@ -246,20 +241,44 @@ func parseTiers(s string) ([]int, error) {
 	return flows, nil
 }
 
-func parseQdiscs(s string) ([]experiments.QdiscKind, error) {
-	known := map[experiments.QdiscKind]bool{
-		experiments.FIFO: true, experiments.FQ: true, experiments.AFQ: true,
-		experiments.PCQ: true, experiments.Strawman: true, experiments.Cebinae: true,
+// family compiles the dumbbell family the grid runs from its flags once
+// under each discipline in qdiscs, so the scenario validator judges every
+// one. Its horizon is the default family's full-scale one, which each cell
+// scales.
+func family(bw string, buffer int, flows, rtt string, seed uint64, qdiscs []experiments.QdiscKind) (experiments.Scenario, error) {
+	rate, err := scenario.ParseRate(bw)
+	if err != nil {
+		return experiments.Scenario{}, fmt.Errorf("-bw: %w", err)
 	}
+	groups, err := cli.ParseGroups(flows, rtt)
+	if err != nil {
+		return experiments.Scenario{}, err
+	}
+	spec := &scenario.Spec{Version: scenario.Version, Name: "sweep", Kind: "dumbbell", Seed: seed,
+		Dumbbell: &scenario.DumbbellSpec{
+			Rate:        rate,
+			BufferBytes: buffer * 1500,
+			Groups:      groups,
+			Duration:    scenario.Dur(experiments.DefaultSweepConfig().Base.Duration),
+		}}
+	var c *scenario.Compiled
+	for _, q := range qdiscs {
+		spec.Dumbbell.Qdisc = string(q)
+		if c, err = scenario.Compile(spec); err != nil {
+			return experiments.Scenario{}, err
+		}
+	}
+	return *c.Dumbbell, nil
+}
+
+// parseQdiscs splits the -qdiscs flag; the scenario validator judges each
+// name in the spec it compiles.
+func parseQdiscs(s string) []experiments.QdiscKind {
 	var out []experiments.QdiscKind
 	for _, part := range strings.Split(s, ",") {
-		k := experiments.QdiscKind(strings.TrimSpace(part))
-		if !known[k] {
-			return nil, fmt.Errorf("unknown qdisc %q", k)
-		}
-		out = append(out, k)
+		out = append(out, experiments.QdiscKind(strings.TrimSpace(part)))
 	}
-	return out, nil
+	return out
 }
 
 func parseScales(s string) ([]experiments.Scale, error) {

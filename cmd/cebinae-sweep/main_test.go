@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,10 +15,7 @@ import (
 )
 
 func TestParseQdiscs(t *testing.T) {
-	got, err := parseQdiscs("fifo, fq,cebinae")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parseQdiscs("fifo, fq,cebinae")
 	want := []experiments.QdiscKind{experiments.FIFO, experiments.FQ, experiments.Cebinae}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %v", got)
@@ -27,8 +25,25 @@ func TestParseQdiscs(t *testing.T) {
 			t.Fatalf("parsed %v, want %v", got, want)
 		}
 	}
-	if _, err := parseQdiscs("fifo,red"); err == nil {
-		t.Fatal("unknown qdisc accepted")
+}
+
+// TestGridRefusesUnknownQdisc: the dumbbell grid compiles its family
+// under every -qdiscs entry, so the scenario validator refuses a
+// discipline no dumbbell runs, naming the field, before any cell runs;
+// the default flags compile to the default family.
+func TestGridRefusesUnknownQdisc(t *testing.T) {
+	_, err := family("100M", 850, "newreno:16,cubic:1", "50ms", 7, parseQdiscs("fifo,red"))
+	if err == nil || !strings.Contains(err.Error(), `dumbbell.qdisc: unknown qdisc "red"`) {
+		t.Errorf("dumbbell grid -qdiscs fifo,red: err = %v", err)
+	}
+	base, err := family("100M", 850, "newreno:16,cubic:1", "50ms", 7, parseQdiscs("afq,pcq,strawman"))
+	if err != nil {
+		t.Errorf("dumbbell grid -qdiscs afq,pcq,strawman: %v", err)
+	}
+	def := experiments.DefaultSweepConfig().Base
+	base.Name, base.Qdisc = def.Name, def.Qdisc // each cell sets both
+	if !reflect.DeepEqual(base, def) {
+		t.Errorf("the default flags compile to %+v, want the default family %+v", base, def)
 	}
 }
 
@@ -84,7 +99,7 @@ func twoCellGrid() experiments.SweepConfig {
 	cfg.Qdiscs = []experiments.QdiscKind{experiments.FIFO, experiments.Cebinae}
 	cfg.Scales = []experiments.Scale{0.01}
 	cfg.ThresholdPcts = []float64{5}
-	cfg.Groups = []experiments.FlowGroup{{CC: "newreno", Count: 2, RTT: experiments.Millis(20)}}
+	cfg.Base.Groups = []experiments.FlowGroup{{CC: "newreno", Count: 2, RTT: experiments.Millis(20)}}
 	return cfg
 }
 

@@ -247,10 +247,11 @@ func RenderFig10(rs []Result) string {
 // FIFO and FQ reference lines.
 // ---------------------------------------------------------------------------
 
-// Fig12Scenarios is the FIFO and FQ references, then Cebinae at each
-// threshold.
-func Fig12Scenarios(scale Scale) []Scenario {
-	base := Scenario{
+// fig12Family is Fig. 12's contention at scale: 16 NewReno vs 1 Cubic at
+// 50 ms on 100 Mbps behind an 850-MTU buffer, seed 7. The sweep's default
+// family is it at full scale.
+func fig12Family(scale Scale) Scenario {
+	return Scenario{
 		BottleneckBps: 100e6,
 		BufferBytes:   850 * 1500,
 		Groups: []FlowGroup{
@@ -260,6 +261,12 @@ func Fig12Scenarios(scale Scale) []Scenario {
 		Duration: sim.Time(float64(scale) * 100e9),
 		Seed:     7,
 	}
+}
+
+// Fig12Scenarios is the FIFO and FQ references, then Cebinae at each
+// threshold.
+func Fig12Scenarios(scale Scale) []Scenario {
+	base := fig12Family(scale)
 	out := perKind("fig12", base, FIFO, FQ)
 	for _, pct := range []float64{1, 2, 5, 10, 25, 50, 75, 100} {
 		s := withThreshold(base, pct)

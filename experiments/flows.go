@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"cebinae/internal/metrics"
 	"cebinae/internal/netem"
@@ -47,7 +48,7 @@ func (cfg *GraphConfig) attach(hosts map[string][]*netem.Node, warmup sim.Time) 
 	for i, e := range fs.ends {
 		cc, ok := tcp.NewCC(e.cc)
 		if !ok {
-			panic(fmt.Sprintf("experiments: unknown CC %q", e.cc))
+			panic(fmt.Sprintf("experiments: unknown CC %q (known: %s)", e.cc, strings.Join(tcp.CCNames(), ", ")))
 		}
 		key := packet.FlowKey{
 			Src: e.s.ID, Dst: e.r.ID,

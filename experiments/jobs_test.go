@@ -122,7 +122,7 @@ func tinySweep() SweepConfig {
 	cfg.Qdiscs = []QdiscKind{FIFO, Cebinae}
 	cfg.Scales = []Scale{Scale(0.01)} // clamps to the 2 s minimum horizon
 	cfg.ThresholdPcts = []float64{5}
-	cfg.Groups = []FlowGroup{
+	cfg.Base.Groups = []FlowGroup{
 		{CC: "newreno", Count: 2, RTT: ms(20)},
 		{CC: "cubic", Count: 1, RTT: ms(40)},
 	}

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"cebinae/internal/sim"
 )
 
 // A parameter sweep is the Cartesian product qdisc × scale × threshold
@@ -23,10 +21,9 @@ type SweepConfig struct {
 	Scales        []Scale
 	ThresholdPcts []float64 // δp=δf=τ in percent; applied to Cebinae only
 
-	BottleneckBps float64
-	BufferBytes   int
-	Groups        []FlowGroup
-	Seed          uint64
+	// Base is the family at full scale: a cell runs it under the cell's
+	// discipline for its scale's share of Base.Duration (at least 2 s).
+	Base Scenario
 }
 
 // DefaultSweepConfig is the Fig.12 scenario family under the full
@@ -36,13 +33,7 @@ func DefaultSweepConfig() SweepConfig {
 		Qdiscs:        []QdiscKind{FIFO, FQ, Cebinae},
 		Scales:        []Scale{Quick},
 		ThresholdPcts: []float64{1, 2, 5, 10, 25, 50, 75, 100},
-		BottleneckBps: 100e6,
-		BufferBytes:   850 * 1500,
-		Groups: []FlowGroup{
-			{CC: "newreno", Count: 16, RTT: ms(50)},
-			{CC: "cubic", Count: 1, RTT: ms(50)},
-		},
-		Seed: 7,
+		Base:          fig12Family(Full),
 	}
 }
 
@@ -127,19 +118,9 @@ func (c SweepConfig) Sections() (BenchSection, BenchSection) {
 // cell lowers one point to its dumbbell.
 func (c SweepConfig) cell(pt sweepPoint) GridCell {
 	key := fmt.Sprintf("%s/s%g/t%g", pt.qdisc, pt.scale, pt.pct)
-	dur := sim.Time(pt.scale * 100e9)
-	if dur < sim.Duration(2e9) {
-		dur = sim.Duration(2e9)
-	}
-	s := Scenario{
-		Name:          "sweep/" + key,
-		BottleneckBps: c.BottleneckBps,
-		BufferBytes:   c.BufferBytes,
-		Groups:        c.Groups,
-		Duration:      dur,
-		Qdisc:         pt.qdisc,
-		Seed:          c.Seed,
-	}
+	s := c.Base
+	s.Name, s.Qdisc = "sweep/"+key, pt.qdisc
+	s.Duration = horizon(Scale(pt.scale), float64(c.Base.Duration), Seconds(2))
 	if pt.qdisc == Cebinae {
 		s = withThreshold(s, pt.pct)
 	}

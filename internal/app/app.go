@@ -6,6 +6,9 @@
 package app
 
 import (
+	"fmt"
+	"strings"
+
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
 	"cebinae/internal/sim"
@@ -148,7 +151,7 @@ func (c *Churn) startFlow() {
 	c.next += 2
 	cc, ok := tcp.NewCC(c.cfg.CC)
 	if !ok {
-		panic("app: unknown CC " + c.cfg.CC)
+		panic(fmt.Sprintf("app: unknown CC %q (known: %s)", c.cfg.CC, strings.Join(tcp.CCNames(), ", ")))
 	}
 	start := c.eng.Now()
 	conn := tcp.NewConn(c.eng, c.src, tcp.Config{

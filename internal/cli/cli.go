@@ -1,6 +1,5 @@
-// Package cli holds what the command-line tools under cmd/ share: the flag
-// vocabulary of a dumbbell scenario (bandwidth, flow groups, RTTs), pprof
-// start/stop, and the fatal exit.
+// Package cli holds what the command-line tools under cmd/ share: the
+// syntax of the -flows / -rtt flags, pprof start/stop, and the fatal exit.
 package cli
 
 import (
@@ -13,9 +12,7 @@ import (
 	"strings"
 	"time"
 
-	"cebinae/experiments"
 	"cebinae/internal/scenario"
-	"cebinae/internal/tcp"
 )
 
 // Fatal prints err prefixed with the program's name and exits 1. os.Exit
@@ -25,36 +22,24 @@ func Fatal(err error) {
 	os.Exit(1)
 }
 
-// ParseBandwidth reads a -bw flag: a positive bit rate in the scenario
-// files' rate syntax ("100M", "2.5G", "250K", or plain bits per second).
-func ParseBandwidth(s string) (float64, error) {
-	v, err := scenario.ParseRate(s)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad bandwidth %q", s)
-	}
-	return float64(v), nil
-}
-
 // ParseGroups reads a -flows / -rtt flag pair: a comma list of cca[:count]
-// groups (a bare name is one flow) of known CCAs and a comma list of base
-// RTTs no shorter than experiments.MinRTT, at most one per group; a short
-// RTT list applies its first value to the groups it does not reach.
-func ParseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
-	var groups []experiments.FlowGroup
+// groups (a bare name is one flow) and a comma list of Go durations, at
+// most one per group; a short RTT list applies its first value to the
+// groups it does not reach. It checks only the syntax: the scenario
+// validator judges each CC, count and RTT.
+func ParseGroups(flows, rtts string) ([]scenario.GroupSpec, error) {
+	var groups []scenario.GroupSpec
 	for _, part := range strings.Split(flows, ",") {
 		cc, cnt, ok := strings.Cut(strings.TrimSpace(part), ":")
 		n := 1
 		if ok {
 			v, err := strconv.Atoi(cnt)
-			if err != nil || v <= 0 {
+			if err != nil {
 				return nil, fmt.Errorf("bad flow group %q", part)
 			}
 			n = v
 		}
-		if _, ok := tcp.NewCC(cc); !ok {
-			return nil, fmt.Errorf("unknown CCA %q in flow group %q (known: %s)", cc, part, strings.Join(tcp.CCNames(), ", "))
-		}
-		groups = append(groups, experiments.FlowGroup{CC: cc, Count: n})
+		groups = append(groups, scenario.GroupSpec{CC: cc, Count: n})
 	}
 	rttParts := strings.Split(rtts, ",")
 	if len(rttParts) > len(groups) {
@@ -66,13 +51,10 @@ func ParseGroups(flows, rtts string) ([]experiments.FlowGroup, error) {
 			sel = rttParts[i]
 		}
 		d, err := time.ParseDuration(strings.TrimSpace(sel))
-		if err != nil || d <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad rtt %q", sel)
 		}
-		groups[i].RTT = experiments.SimTime(d.Nanoseconds())
-		if groups[i].RTT < experiments.MinRTT {
-			return nil, fmt.Errorf("-rtt %v: below the dumbbell's %v floor (twice its bottleneck delay)", d, time.Duration(experiments.MinRTT))
-		}
+		groups[i].RTT = scenario.Dur(d)
 	}
 	return groups, nil
 }

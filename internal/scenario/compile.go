@@ -14,7 +14,10 @@ import (
 // compiled scenario runs — and it targets the exact config structs the
 // hand-built Go scenarios use, which is what makes the byte-identity
 // differential tests possible: a canonical spec and its Go twin hand the
-// runner the same struct, so every downstream byte matches.
+// runner the same struct, so every downstream byte matches. The grid
+// kinds lower straight to their cells. cebinae-sim and cebinae-sweep
+// build specs from their flags and compile them here too, so a flag and a
+// spec file share one lowering and one set of diagnostics.
 
 // Compiled is a lowered spec: exactly one config pointer (or the Grid
 // slice) is populated, matching Spec.Kind. Section is how it runs.
@@ -27,14 +30,6 @@ type Compiled struct {
 	// Grid holds the enumerated cells for tournament and buffer_sweep
 	// specs, in canonical generation order.
 	Grid []experiments.GridCell
-}
-
-func qdiscKinds(names []string) []experiments.QdiscKind {
-	out := make([]experiments.QdiscKind, len(names))
-	for i, n := range names {
-		out[i] = experiments.QdiscKind(n)
-	}
-	return out
 }
 
 func lowerGroups(groups []GroupSpec) []experiments.FlowGroup {
@@ -145,34 +140,77 @@ func Compile(s *Spec) (*Compiled, error) {
 		}
 		c.Graph = &gc
 	case "tournament":
-		t := s.Tournament
-		c.Grid = experiments.TournamentConfig{
-			Name:          s.Name,
-			CCAs:          t.CCAs,
-			FlowsPerCCA:   t.FlowsPerCCA,
-			BottleneckBps: float64(t.Rate),
-			BaseRTT:       t.BaseRTT.Time(),
-			RTTRatios:     t.RTTRatios,
-			BufferBytes:   t.BufferBytes,
-			Qdiscs:        qdiscKinds(t.Qdiscs),
-			Duration:      t.Duration.Time(),
-			MinRTO:        t.MinRTO.Time(),
-			Seed:          s.Seed,
-		}.Cells()
+		c.Grid = tournamentCells(s.Name, s.Seed, s.Tournament)
 	default: // buffer_sweep
-		b := s.BufferSweep
-		c.Grid = experiments.BufferSweepConfig{
-			Name:          s.Name,
-			Groups:        lowerGroups(b.Groups),
-			BottleneckBps: float64(b.Rate),
-			BufferBytes:   b.BufferBytes,
-			Qdiscs:        qdiscKinds(b.Qdiscs),
-			Duration:      b.Duration.Time(),
-			MinRTO:        b.MinRTO.Time(),
-			Seed:          s.Seed,
-		}.Cells()
+		c.Grid = bufferSweepCells(s.Name, s.Seed, s.BufferSweep)
 	}
 	return c, nil
+}
+
+// tournamentCells enumerates the CCA tournament matrix in deterministic
+// order: discipline, then pair (i ≤ j in ccas order, self-pairs included as
+// the intra-CCA RTT-fairness baseline), then RTT ratio, then buffer depth.
+// The first group runs at base_rtt, the second at base_rtt × ratio.
+func tournamentCells(name string, seed uint64, t *TournamentSpec) []experiments.GridCell {
+	var cells []experiments.GridCell
+	for _, q := range t.Qdiscs {
+		for i, a := range t.CCAs {
+			for _, b := range t.CCAs[i:] {
+				for _, ratio := range t.RTTRatios {
+					for _, buf := range t.BufferBytes {
+						//lint:ignore simtime RTT ratios scale bounded base RTTs (« 2^53 ns); sub-ns rounding of a config input is immaterial
+						rtt2 := experiments.SimTime(float64(t.BaseRTT.Time()) * ratio)
+						id := fmt.Sprintf("%s/%s-%s/r%g/b%d", q, a, b, ratio, buf)
+						cells = append(cells, experiments.GridCell{
+							ID:    id,
+							Label: fmt.Sprintf("%s vs %s, RTT ×%g, %d B buffer, %s", a, b, ratio, buf, q),
+							Scenario: experiments.Scenario{
+								Name:          name + "/" + id,
+								BottleneckBps: float64(t.Rate),
+								BufferBytes:   buf,
+								Groups: []experiments.FlowGroup{
+									{CC: a, Count: t.FlowsPerCCA, RTT: t.BaseRTT.Time()},
+									{CC: b, Count: t.FlowsPerCCA, RTT: rtt2},
+								},
+								Duration: t.Duration.Time(),
+								Qdisc:    experiments.QdiscKind(q),
+								MinRTO:   t.MinRTO.Time(),
+								Seed:     seed,
+							},
+						})
+					}
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// bufferSweepCells enumerates the buffer sweep in deterministic order:
+// discipline, then buffer depth, every cell the one flow mix.
+func bufferSweepCells(name string, seed uint64, b *BufferSweepSpec) []experiments.GridCell {
+	var cells []experiments.GridCell
+	groups := lowerGroups(b.Groups)
+	for _, q := range b.Qdiscs {
+		for _, buf := range b.BufferBytes {
+			id := fmt.Sprintf("%s/b%d", q, buf)
+			cells = append(cells, experiments.GridCell{
+				ID:    id,
+				Label: fmt.Sprintf("%d B buffer, %s", buf, q),
+				Scenario: experiments.Scenario{
+					Name:          name + "/" + id,
+					BottleneckBps: float64(b.Rate),
+					BufferBytes:   buf,
+					Groups:        groups,
+					Duration:      b.Duration.Time(),
+					Qdisc:         experiments.QdiscKind(q),
+					MinRTO:        b.MinRTO.Time(),
+					Seed:          seed,
+				},
+			})
+		}
+	}
+	return cells
 }
 
 // File is one spec file LoadFiles matched, compiled.

@@ -147,9 +147,8 @@ type GraphSpec struct {
 	MinRTO         Dur             `json:"min_rto,omitempty"`
 }
 
-// TournamentSpec is the CCA tournament matrix
-// (experiments.TournamentConfig): every unordered CCA pair × RTT ratio ×
-// buffer depth × discipline.
+// TournamentSpec is the CCA tournament matrix: every unordered CCA pair ×
+// RTT ratio × buffer depth × discipline, one experiments.GridCell each.
 type TournamentSpec struct {
 	CCAs        []string  `json:"ccas"`
 	FlowsPerCCA int       `json:"flows_per_cca"`
@@ -162,9 +161,12 @@ type TournamentSpec struct {
 	MinRTO      Dur       `json:"min_rto,omitempty"`
 }
 
-// BufferSweepSpec is the buffer-depth fairness sweep
-// (experiments.BufferSweepConfig): one fixed CC mix across buffer depths
-// and disciplines.
+// BufferSweepSpec is the buffer-depth fairness sweep: one fixed CC mix
+// across buffer depths and disciplines, one experiments.GridCell each.
+// MinRTO clamps the senders' retransmission timers (0 = the runner's 1 s
+// RFC 6298 default; 200 ms approximates Linux): the BBR-fairness grid
+// needs the Linux-like clamp, as with 1 s stalls the buffer-depth
+// signature washes out.
 type BufferSweepSpec struct {
 	Groups      []GroupSpec `json:"groups"`
 	Rate        Rate        `json:"rate"`

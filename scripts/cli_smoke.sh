@@ -4,7 +4,9 @@
 # chain (whose stored record goes through JSON, strict decode and Report),
 # the sweep and bench sections through the fleet — then the five examples
 # on short horizons: every run must exit 0 and print a non-empty report on
-# stdout.
+# stdout. Two absurd inputs must be refused by the scenario validator: an
+# unknown CC given to cebinae-sim and an unknown qdisc given to
+# cebinae-sweep must each exit nonzero naming it on stderr.
 #
 #   scripts/cli_smoke.sh              (or: make cli-smoke)
 #
@@ -27,6 +29,20 @@ smoke() {
 	echo "cli-smoke: $name ok ($(wc -l <"$tmp/out") lines)"
 }
 
+# refuse NAME WANT CMD...: run CMD, fail unless it exits nonzero with WANT
+# on stderr.
+refuse() {
+	name=$1
+	want=$2
+	shift 2
+	if "$@" >"$tmp/out" 2>"$tmp/err"; then
+		echo "cli-smoke: $name was accepted" >&2
+		exit 1
+	fi
+	grep -qF "$want" "$tmp/err" || { cat "$tmp/err" >&2; echo "cli-smoke: $name did not say $want" >&2; exit 1; }
+	echo "cli-smoke: $name refused ok"
+}
+
 smoke "cebinae-sim -scenario" "$tmp/cebinae-sim" -scenario scenarios/dumbbell.json
 smoke "cebinae-sim -scenario chain" "$tmp/cebinae-sim" -scenario scenarios/chain.json
 smoke "cebinae-sim -flows" "$tmp/cebinae-sim" -flows newreno:2,cubic:1 -rtt 20ms,40ms -qdisc cebinae -tau 0.05 -duration 2s
@@ -35,6 +51,9 @@ smoke "cebinae-sweep grid" "$tmp/cebinae-sweep" -qdiscs fifo,cebinae -thresholds
 	-store "$tmp/grid.jsonl" -csv "$tmp/grid.csv"
 smoke "cebinae-sweep -backbone" "$tmp/cebinae-sweep" -backbone 1000 -scales 0.02 \
 	-store "$tmp/backbone.jsonl" -csv "$tmp/backbone.csv"
+refuse "cebinae-sim -flows htcp:1" 'unknown CC "htcp"' "$tmp/cebinae-sim" -flows htcp:1 -duration 1s
+refuse "cebinae-sweep -qdiscs fifo,red" 'unknown qdisc "red"' "$tmp/cebinae-sweep" -qdiscs fifo,red \
+	-store "$tmp/red.jsonl" -csv "$tmp/red.csv"
 smoke "cebinae-bench -only table3,fig13" "$tmp/cebinae-bench" -scale quick -only table3,fig13
 for ex in blind_udp quickstart vegas_starvation; do
 	smoke "examples/$ex" "$tmp/$ex" -seconds 2
