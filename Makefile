@@ -74,13 +74,15 @@ scenario-conformance:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioLoad -fuzztime 25s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzFlowMeterEquivalence -fuzztime 10s ./internal/metrics/
 
-# The three CLIs end to end on tiny inputs (scripts/cli_smoke.sh):
+# The four CLIs end to end on tiny inputs (scripts/cli_smoke.sh):
 # cebinae-sim -scenario on scenarios/dumbbell.json and scenarios/chain.json,
 # cebinae-sim -flows … -tau and -backbone 1000, cebinae-sweep on a two-cell
-# grid and on -backbone 1000, cebinae-bench -only table3,fig13, then the
+# grid and on -backbone 1000, cebinae-trace -stats, -trials 1 and -replay
+# -standing 500 -duration 40ms, cebinae-bench -only table3,fig13, then the
 # five examples on short horizons. Each must exit 0 with a non-empty report
-# on stdout. cebinae-sim -flows htcp:1 and cebinae-sweep -qdiscs fifo,red
-# must each exit nonzero, naming the unknown CC or qdisc on stderr.
+# on stdout. cebinae-sim -flows htcp:1, cebinae-sweep -qdiscs fifo,red and
+# cebinae-trace -interval 0 must each exit nonzero, naming the unknown CC or
+# qdisc or the bad interval on stderr.
 cli-smoke:
 	@sh scripts/cli_smoke.sh
 

@@ -34,7 +34,7 @@ import (
 func main() {
 	def := experiments.DefaultSweepConfig()
 	var (
-		qdiscs     = flag.String("qdiscs", "fifo,fq,cebinae", "comma list of disciplines: fifo | fq | afq | pcq | strawman | cebinae")
+		qdiscs     = flag.String("qdiscs", "", "comma list of disciplines: fifo | fq | afq | pcq | strawman | cebinae (default fifo,fq,cebinae; fifo,cebinae with -backbone, the two its core offers)")
 		scales     = flag.String("scales", "quick", "comma list of horizons: quick | medium | full or fractions (e.g. 0.1,0.5)")
 		thresholds = flag.String("thresholds", "1,2,5,10,25,50,75,100", "comma list of Cebinae δp=δf=τ values in percent, each in (0,100]")
 		bw         = flag.String("bw", "100M", "bottleneck bandwidth (e.g. 100M, 1G)")
@@ -57,6 +57,12 @@ func main() {
 	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		cli.Fatal(err)
+	}
+	if *qdiscs == "" {
+		*qdiscs = "fifo,fq,cebinae"
+		if *backbone != "" {
+			*qdiscs = "fifo,cebinae"
+		}
 	}
 	d := sweeper{parallel: *parallel, timeout: *timeout, storePath: *storePath, resume: *resume, out: os.Stdout, log: os.Stderr}
 	sweep := func() error {
@@ -192,28 +198,23 @@ func (d sweeper) scenarios(patterns string) error {
 }
 
 // backbone is the -backbone grid: standing-flow tiers × core disciplines
-// through the replay scale tier. The scenario validator judges each
-// discipline in a backbone spec of the first tier (a spec names no
-// fractional scale, so it says full; the cells run at -scales). Only fifo
-// and cebinae exist at the backbone core, so when -qdiscs is left at its
-// dumbbell default the grid uses both rather than refusing fq.
+// through the replay scale tier. The scenario validator judges every tier
+// under every discipline as a backbone spec (a spec names no fractional
+// scale, so it says full; the cells run at -scales).
 func (d sweeper) backbone(tiers, qdiscs, scales, csvPath string) error {
 	flows, err := parseTiers(tiers)
 	if err != nil {
 		return err
 	}
-	qdiscsSet := false
-	flag.Visit(func(f *flag.Flag) { qdiscsSet = qdiscsSet || f.Name == "qdiscs" })
-	if !qdiscsSet {
-		qdiscs = "fifo,cebinae"
-	}
 	kinds := parseQdiscs(qdiscs)
 	spec := &scenario.Spec{Version: scenario.Version, Name: "sweep", Kind: "backbone",
-		Backbone: &scenario.BackboneSpec{Flows: flows[0], Scale: "full"}}
-	for _, k := range kinds {
-		spec.Backbone.Qdisc = string(k)
-		if err := scenario.Validate(spec); err != nil {
-			return err
+		Backbone: &scenario.BackboneSpec{Scale: "full"}}
+	for _, n := range flows {
+		for _, k := range kinds {
+			spec.Backbone.Flows, spec.Backbone.Qdisc = n, string(k)
+			if err := scenario.Validate(spec); err != nil {
+				return err
+			}
 		}
 	}
 	scaleList, err := parseScales(scales)
@@ -227,14 +228,15 @@ func (d sweeper) backbone(tiers, qdiscs, scales, csvPath string) error {
 	return d.grid("backbone cell", table, csv, csvPath)
 }
 
-// parseTiers reads the -backbone flag: a comma list of positive
-// standing-flow populations.
+// parseTiers reads the -backbone flag: a comma list of standing-flow
+// populations. It checks only the integer syntax; the scenario validator
+// judges each count.
 func parseTiers(s string) ([]int, error) {
 	var flows []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -backbone tier %q (want positive flow counts)", part)
+		if err != nil {
+			return nil, fmt.Errorf("bad -backbone tier %q (want integer flow counts)", part)
 		}
 		flows = append(flows, v)
 	}

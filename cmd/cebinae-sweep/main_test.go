@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,6 +78,9 @@ func TestParseFloats(t *testing.T) {
 	}
 }
 
+// TestParseTiers: parseTiers refuses what is not an integer list, and the
+// backbone grid refuses a non-positive tier — any tier, not only the
+// first — in the scenario validator's words, before any cell runs.
 func TestParseTiers(t *testing.T) {
 	got, err := parseTiers("20000, 100000,1000000")
 	if err != nil {
@@ -85,10 +89,34 @@ func TestParseTiers(t *testing.T) {
 	if len(got) != 3 || got[0] != 20000 || got[1] != 100000 || got[2] != 1000000 {
 		t.Fatalf("parsed %v", got)
 	}
-	for _, bad := range []string{"", "x", "0", "-5", "1e5"} {
+	for _, bad := range []string{"", "x", "1e5"} {
 		if _, err := parseTiers(bad); err == nil {
 			t.Fatalf("tier list %q accepted", bad)
 		}
+	}
+	dir := t.TempDir()
+	d := sweeper{parallel: 1, storePath: filepath.Join(dir, "s.jsonl"), out: io.Discard, log: io.Discard}
+	for _, bad := range []string{"0", "-5", "1000,-5"} {
+		err := d.backbone(bad, "fifo,cebinae", "0.02", filepath.Join(dir, "s.csv"))
+		if err == nil || !strings.Contains(err.Error(), "scenario: backbone.flows: must be positive") {
+			t.Fatalf("tier list %q: err = %v", bad, err)
+		}
+	}
+}
+
+// TestBackboneRefusesUnknownQdisc: the backbone grid runs the -qdiscs it is
+// given, so a discipline the backbone core does not offer is refused by
+// the scenario validator before any cell runs.
+func TestBackboneRefusesUnknownQdisc(t *testing.T) {
+	dir := t.TempDir()
+	var out, log bytes.Buffer
+	d := sweeper{parallel: 1, storePath: filepath.Join(dir, "s.jsonl"), out: &out, log: &log}
+	err := d.backbone("1000", "fifo,fq", "0.02", filepath.Join(dir, "s.csv"))
+	if err == nil || !strings.Contains(err.Error(), `scenario: backbone.qdisc: unknown qdisc "fq"`) {
+		t.Fatalf("-backbone 1000 -qdiscs fifo,fq: err = %v", err)
+	}
+	if out.Len() != 0 || log.Len() != 0 {
+		t.Errorf("a refused grid ran: stdout %q, stderr %q", out.String(), log.String())
 	}
 }
 
@@ -245,7 +273,7 @@ func TestGridOutputGolden(t *testing.T) {
 	out.Reset()
 	d.storePath = filepath.Join(dir, "backbone.jsonl")
 	csvPath = filepath.Join(dir, "backbone.csv")
-	if err := d.backbone("1000", "fifo,fq,cebinae", "0.02", csvPath); err != nil {
+	if err := d.backbone("1000", "fifo,cebinae", "0.02", csvPath); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := digest(csvPath), "d33269bbb4a77dd8255682684d70a6fac93d95c1510a4b8f48a328d6756d9098"; got != want {

@@ -9,6 +9,12 @@
 //	cebinae-trace -stages 2 -slots 2048 -interval 50ms -trials 20
 //	cebinae-trace -flows-per-min 1e6 -duration 2s -stats
 //	cebinae-trace -replay -standing 100000 -duration 400ms   # drive the trace live
+//
+// Flags no mode can run are refused before anything is generated: a
+// non-positive -link-gbps, -interval or -trials, a cache geometry whose
+// -slots is not a power of two or whose -stages is not positive, and a
+// trace shape the generator rejects (e.g. -duration 0, -alpha 0 or
+// -flows-per-min 0 without standing flows).
 package main
 
 import (
@@ -29,7 +35,7 @@ func main() {
 	var (
 		flowsPerMin = flag.Float64("flows-per-min", 420000, "Poisson flow arrival rate")
 		duration    = flag.Duration("duration", time.Second, "trace duration")
-		linkBps     = flag.Float64("link-gbps", 10, "modelled link rate in Gbit/s")
+		linkBps     = flag.Float64("link-gbps", 10, "modelled link rate in Gbit/s (positive)")
 		alpha       = flag.Float64("alpha", 1.2, "Pareto tail index of flow sizes")
 		seed        = flag.Uint64("seed", 1, "base seed")
 		statsOnly   = flag.Bool("stats", false, "print trace statistics and exit")
@@ -38,8 +44,8 @@ func main() {
 
 		stages   = flag.Int("stages", 2, "cache stages")
 		slots    = flag.Int("slots", 2048, "cache slots per stage (power of two)")
-		interval = flag.Duration("interval", 100*time.Millisecond, "poll round interval")
-		trials   = flag.Int("trials", 10, "independent trials (seeds)")
+		interval = flag.Duration("interval", 100*time.Millisecond, "poll round interval (positive)")
+		trials   = flag.Int("trials", 10, "independent trials (seeds, positive)")
 		deltaF   = flag.Float64("deltaf", 0.01, "⊤ threshold δf")
 	)
 	flag.Parse()
@@ -51,6 +57,9 @@ func main() {
 	cfg.ParetoAlpha = *alpha
 	cfg.Seed = *seed
 
+	if err := checkFlags(cfg, *replayRun, *stages, *slots, *interval, *trials); err != nil {
+		cli.Fatal(err)
+	}
 	if *replayRun {
 		if err := runReplay(os.Stdout, cfg, *standing, *linkBps*1e9); err != nil {
 			cli.Fatal(err)
@@ -83,14 +92,30 @@ func main() {
 		return
 	}
 
-	if *slots&(*slots-1) != 0 || *slots <= 0 || *stages <= 0 {
-		cli.Fatal(errors.New("slots must be a power of two, stages positive"))
-	}
-
 	pt := experiments.Fig13Score(experiments.Fig13Config{Trials: *trials, DeltaFlow: *deltaF, Trace: cfg},
 		*stages, *slots, sim.Duration(*interval))
 	fmt.Printf("cache %d×%d @ %v over %d trials: FPR=%.6f FNR=%.4f\n",
 		*stages, *slots, *interval, *trials, pt.FPR, pt.FNR)
+}
+
+// checkFlags refuses what no mode can run: a non-positive link rate, poll
+// interval or trial count, or a cache geometry hhcache cannot build. The
+// offline modes also refuse a trace config that trace.Config.Validate
+// rejects; -replay validates the trace it replays itself (runReplay).
+func checkFlags(cfg trace.Config, replay bool, stages, slots int, interval time.Duration, trials int) error {
+	switch {
+	case cfg.LinkBps <= 0:
+		return fmt.Errorf("-link-gbps must be positive, got %v", cfg.LinkBps/1e9)
+	case interval <= 0:
+		return fmt.Errorf("-interval must be positive, got %v", interval)
+	case trials <= 0:
+		return fmt.Errorf("-trials must be positive, got %d", trials)
+	case slots <= 0 || slots&(slots-1) != 0 || stages <= 0:
+		return errors.New("slots must be a power of two, stages positive")
+	case replay:
+		return nil
+	}
+	return cfg.Validate()
 }
 
 // runReplay sends the generated schedule through the live backbone path:

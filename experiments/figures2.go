@@ -169,8 +169,12 @@ func fig13Cells(scale Scale) []Cell[Fig13Point] {
 
 // Fig13Score replays cfg.Trials trials of the synthetic trace — trial i
 // seeded cfg.Trace.Seed + i — through a cache of the given geometry,
-// comparing detected ⊤ flows against ground truth per round interval.
+// comparing detected ⊤ flows against ground truth per round interval. It
+// panics on a non-positive interval, which would never end a trial.
 func Fig13Score(cfg Fig13Config, stages, slots int, interval SimTime) Fig13Point {
+	if interval <= 0 {
+		panic(fmt.Sprintf("experiments: Fig13Score interval must be positive, got %d ns", int64(interval)))
+	}
 	var fpSum, fnSum float64
 	var fpDen, fnDen float64
 	for trial := 0; trial < cfg.Trials; trial++ {

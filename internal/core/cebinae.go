@@ -188,24 +188,19 @@ func (q *Qdisc) scheduleRotation() {
 	q.eng.ArmPinnedTimerAt(&q.rotTimer, next, (*cebRotate)(q), nil)
 }
 
-// rotate is the ROTATE packet handler (Fig. 5 lines 9–13): retire the
-// finished round's allowances, advance the round origin, and swap queue
-// priorities. The configuration window follows vdT+L later.
+// rotate is the ROTATE packet handler (Fig. 5 lines 9–13): drain the
+// finished round's allowance from every bank (both groups, the aggregate
+// counter and each per-flow ⊤ bank), advance the round origin, and swap
+// queue priorities. The configuration window follows vdT+L later.
 func (q *Qdisc) rotate() {
 	dtSec := q.params.DT.Seconds()
 	last := q.qrate[q.headq]
-	for g := 0; g < numGroups; g++ {
-		q.groupBytes[g] -= last[g] * dtSec
-		if q.groupBytes[g] < 0 {
-			q.groupBytes[g] = 0
-		}
+	for g := range q.groupBytes {
+		drain(&q.groupBytes[g], last[g]*dtSec)
 	}
-	q.totalBytes -= (q.capacityBps / 8) * dtSec
-	if q.totalBytes < 0 {
-		q.totalBytes = 0
-	}
-	if q.params.PerFlowTop {
-		q.perFlowRotate(dtSec)
+	drain(&q.totalBytes, q.capacityBps/8*dtSec)
+	for _, st := range q.topState {
+		drain(&st.bytes, st.rate*dtSec)
 	}
 	q.baseRoundTime += q.params.DT
 	if q.roundTime < q.baseRoundTime {
@@ -226,6 +221,14 @@ func (q *Qdisc) rotate() {
 	q.scheduleRotation()
 	if q.OnDrain != nil {
 		q.OnDrain()
+	}
+}
+
+// drain retires one round's allowance from a byte bank, floored at zero.
+func drain(bank *float64, allowance float64) {
+	*bank -= allowance
+	if *bank < 0 {
+		*bank = 0
 	}
 }
 
@@ -326,12 +329,16 @@ func (q *Qdisc) configFor(txDelta uint64, entries []hhcache.Entry) *pendingConfi
 	}
 	threshold := float64(maxBytes) * (1 - q.params.DeltaFlow)
 	var topBytes int64
-	cfg.flowRates = make(map[packet.FlowKey]float64)
+	if q.params.PerFlowTop {
+		cfg.flowRates = make(map[packet.FlowKey]float64)
+	}
 	for _, e := range entries {
 		if float64(e.Bytes) >= threshold {
 			cfg.topSet[e.Flow] = true
 			topBytes += e.Bytes
-			cfg.flowRates[e.Flow] = (1 - q.params.Tau) * float64(e.Bytes) / interval
+			if cfg.flowRates != nil {
+				cfg.flowRates[e.Flow] = (1 - q.params.Tau) * float64(e.Bytes) / interval
+			}
 		}
 	}
 	bottleneckBytes := float64(topBytes) * (1 - q.params.Tau)
@@ -377,90 +384,81 @@ func (q *Qdisc) aggregateSize(rHead, rTail float64) float64 {
 	}
 }
 
-// Enqueue classifies and admits/schedules/drops one packet (netem.Qdisc).
+// bank is the ⊤ match-action table: the byte bank a saturated port charges
+// flow to, with its headq and ¬headq rates (bytes/second) — the ⊤ or ⊥
+// group's or, under Params.PerFlowTop, the ⊤ flow's own. A ⊤ flow with no
+// per-flow state yet is charged as ⊥ (false negatives are tolerable — §4).
+func (q *Qdisc) bank(flow packet.FlowKey) (b *float64, rHead, rTail float64) {
+	g := groupBottom
+	if q.topSet[flow] {
+		if !q.params.PerFlowTop {
+			g = groupTop
+		} else if st := q.topState[flow]; st != nil {
+			return &st.bytes, st.rate, st.rate
+		}
+	}
+	return &q.groupBytes[g], q.qrate[q.headq][g], q.qrate[1-q.headq][g]
+}
+
+// charged is a bank after admitting size bytes at rates (rHead, rTail),
+// floored first at the paced allowance elapsed so far (no banking).
+func (q *Qdisc) charged(bank, rHead, rTail float64, size int32) float64 {
+	if floor := q.aggregateSize(rHead, rTail); bank < floor {
+		bank = floor
+	}
+	return bank + float64(size)
+}
+
+// Enqueue runs Fig. 5's one leaky-bucket test on a packet (netem.Qdisc):
+// headq within the headq allowance, ¬headq within both, else drop.
 func (q *Qdisc) Enqueue(p *packet.Packet) bool {
 	if q.bytesQueued+int(p.Size) > q.bufferBytes {
 		q.Stats.BufferDrops++
 		return false
 	}
 	q.advanceVirtualRound(q.eng.Now())
-	dtSec := q.params.DT.Seconds()
-	capBytes := q.capacityBps / 8
 
 	// Byte counters are charged only for *admitted* packets: a dropped
 	// packet consumes no allowance. (Charging before the decision, as a
 	// literal reading of Fig. 5 suggests, would let sustained overload pin
 	// the counter past the drop threshold indefinitely — nothing forwarded
 	// yet the bank never drains — collapsing the port into drop-all.)
-	aggAll := q.aggregateSize(capBytes, capBytes)
-	totalAfter := q.totalBytes
-	if totalAfter < aggAll {
-		totalAfter = aggAll
+	//
+	// Unsaturated, the test runs against the aggregate counter at full
+	// capacity. It only trips on bursts beyond two full rounds, which the
+	// buffer bound (Eq. 2) makes unreachable before a physical drop; in
+	// practice this is pass-through into the current queue. Saturated, it
+	// runs against the packet's bank, and the aggregate counter still
+	// follows every admitted packet for the next phase change.
+	capBytes := q.capacityBps / 8
+	total := q.charged(q.totalBytes, capBytes, capBytes, p.Size)
+	b, rHead, rTail := &q.totalBytes, capBytes, capBytes
+	after := total
+	if q.saturated {
+		b, rHead, rTail = q.bank(p.Flow)
+		after = q.charged(*b, rHead, rTail, p.Size)
 	}
-	totalAfter += float64(p.Size)
 
-	if !q.saturated {
-		// Unsaturated phase: the aggregate filter at full capacity only
-		// trips on bursts beyond two full rounds, which the buffer bound
-		// (Eq. 2) makes unreachable before a physical drop; in practice
-		// this is pass-through into the current queue.
-		pastHead := totalAfter - capBytes*dtSec
-		target := q.headq
-		if pastHead > 0 {
-			if pastHead-capBytes*dtSec > 0 {
-				q.Stats.LBFDrops++
-				return false
-			}
-			target = 1 - q.headq
-			q.Stats.Delayed++
+	dtSec := q.params.DT.Seconds()
+	target := q.headq
+	pastHead := after - rHead*dtSec
+	if pastHead > 0 {
+		if pastHead-rTail*dtSec > 0 {
+			q.Stats.LBFDrops++
+			return false
 		}
-		q.totalBytes = totalAfter
-		q.push(target, p)
-		return true
-	}
-
-	if q.params.PerFlowTop {
-		if q.topSet[p.Flow] {
-			return q.perFlowEnqueue(p, totalAfter)
-		}
-		return q.bottomEnqueue(p, totalAfter)
-	}
-
-	g := groupBottom
-	if q.topSet[p.Flow] {
-		g = groupTop
-	}
-	rHead := q.qrate[q.headq][g]
-	rTail := q.qrate[1-q.headq][g]
-	agg := q.aggregateSize(rHead, rTail)
-	groupAfter := q.groupBytes[g]
-	if groupAfter < agg {
-		groupAfter = agg
-	}
-	groupAfter += float64(p.Size)
-
-	pastHead := groupAfter - rHead*dtSec
-	pastTail := pastHead - rTail*dtSec
-	switch {
-	case pastHead <= 0:
-		q.totalBytes = totalAfter
-		q.groupBytes[g] = groupAfter
-		q.push(q.headq, p)
-	case pastTail <= 0:
-		// Delayed into the lower-priority queue; optionally mark ECN as
-		// the pre-loss congestion signal (Fig. 5 line 26).
-		if q.params.MarkECN && p.ECN == packet.ECNECT {
+		// Delayed; a saturated port may mark ECN as the pre-loss
+		// congestion signal (Fig. 5 line 26).
+		if q.saturated && q.params.MarkECN && p.ECN == packet.ECNECT {
 			p.ECN = packet.ECNCE
 			q.Stats.ECNMarked++
 		}
+		target = 1 - q.headq
 		q.Stats.Delayed++
-		q.totalBytes = totalAfter
-		q.groupBytes[g] = groupAfter
-		q.push(1-q.headq, p)
-	default:
-		q.Stats.LBFDrops++
-		return false
 	}
+	q.totalBytes = total
+	*b = after
+	q.push(target, p)
 	return true
 }
 

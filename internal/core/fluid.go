@@ -22,11 +22,12 @@ type FlowBytes struct {
 // FluidAdvance credits one skipped stretch's worth of steady traffic
 // through the qdisc as Enqueue and Dequeue would have, in aggregate:
 // per-flow heavy-hitter observations, the port TX counter the
-// utilisation test reads, TX stats, and the LBF byte banks (which the
-// next rotation decays by a full round's allowance — without the credit
-// they would under-run and distort the first packet-level round after
-// re-entry). The control-plane clocks (baseRoundTime/roundTime) are not
-// touched: rotations fire on their absolute schedule during skips.
+// utilisation test reads, TX stats, the aggregate counter, and each flow's
+// LBF byte bank — the one Qdisc.bank names, as Enqueue would charge it
+// (the next rotation decays it by a full round's allowance; without the
+// credit it would under-run and distort the first packet-level round
+// after re-entry). The control-plane clocks (baseRoundTime/roundTime) are
+// not touched: rotations fire on their absolute schedule during skips.
 func (q *Qdisc) FluidAdvance(flows []FlowBytes) {
 	var total int64
 	var pkts uint64
@@ -36,16 +37,8 @@ func (q *Qdisc) FluidAdvance(flows []FlowBytes) {
 			continue
 		}
 		q.cache.Observe(f.Flow, f.Bytes)
-		g := groupBottom
-		if q.topSet[f.Flow] {
-			g = groupTop
-		}
-		q.groupBytes[g] += float64(f.Bytes)
-		if q.params.PerFlowTop && g == groupTop {
-			if st := q.topState[f.Flow]; st != nil {
-				st.bytes += float64(f.Bytes)
-			}
-		}
+		b, _, _ := q.bank(f.Flow)
+		*b += float64(f.Bytes)
 		total += f.Bytes
 		pkts += f.Packets
 	}

@@ -1,12 +1,14 @@
 #!/bin/sh
-# The three CLIs end to end on tiny inputs — cebinae-sim's flag path
+# The four CLIs end to end on tiny inputs — cebinae-sim's flag path
 # (experiments.Run, RunBackbone) and its -scenario path on a dumbbell and a
 # chain (whose stored record goes through JSON, strict decode and Report),
-# the sweep and bench sections through the fleet — then the five examples
-# on short horizons: every run must exit 0 and print a non-empty report on
-# stdout. Two absurd inputs must be refused by the scenario validator: an
-# unknown CC given to cebinae-sim and an unknown qdisc given to
-# cebinae-sweep must each exit nonzero naming it on stderr.
+# the sweep and bench sections through the fleet, cebinae-trace's trace
+# statistics, one-trial accuracy point and live replay — then the five
+# examples on short horizons: every run must exit 0 and print a non-empty
+# report on stdout. Three absurd inputs must be refused: an unknown CC given
+# to cebinae-sim and an unknown qdisc given to cebinae-sweep (by the
+# scenario validator), and a zero poll interval given to cebinae-trace,
+# must each exit nonzero naming it on stderr.
 #
 #   scripts/cli_smoke.sh              (or: make cli-smoke)
 #
@@ -18,7 +20,7 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/" ./cmd/cebinae-sim ./cmd/cebinae-sweep ./cmd/cebinae-bench ./examples/...
+go build -o "$tmp/" ./cmd/cebinae-sim ./cmd/cebinae-sweep ./cmd/cebinae-bench ./cmd/cebinae-trace ./examples/...
 
 # smoke NAME CMD...: run CMD, fail on a nonzero exit or an empty stdout.
 smoke() {
@@ -39,7 +41,7 @@ refuse() {
 		echo "cli-smoke: $name was accepted" >&2
 		exit 1
 	fi
-	grep -qF "$want" "$tmp/err" || { cat "$tmp/err" >&2; echo "cli-smoke: $name did not say $want" >&2; exit 1; }
+	grep -qF -- "$want" "$tmp/err" || { cat "$tmp/err" >&2; echo "cli-smoke: $name did not say $want" >&2; exit 1; }
 	echo "cli-smoke: $name refused ok"
 }
 
@@ -54,6 +56,10 @@ smoke "cebinae-sweep -backbone" "$tmp/cebinae-sweep" -backbone 1000 -scales 0.02
 refuse "cebinae-sim -flows htcp:1" 'unknown CC "htcp"' "$tmp/cebinae-sim" -flows htcp:1 -duration 1s
 refuse "cebinae-sweep -qdiscs fifo,red" 'unknown qdisc "red"' "$tmp/cebinae-sweep" -qdiscs fifo,red \
 	-store "$tmp/red.jsonl" -csv "$tmp/red.csv"
+smoke "cebinae-trace -stats" "$tmp/cebinae-trace" -stats
+smoke "cebinae-trace -trials 1" "$tmp/cebinae-trace" -trials 1
+smoke "cebinae-trace -replay" "$tmp/cebinae-trace" -replay -standing 500 -duration 40ms
+refuse "cebinae-trace -interval 0" 'interval must be positive' "$tmp/cebinae-trace" -interval 0
 smoke "cebinae-bench -only table3,fig13" "$tmp/cebinae-bench" -scale quick -only table3,fig13
 for ex in blind_udp quickstart vegas_starvation; do
 	smoke "examples/$ex" "$tmp/$ex" -seconds 2
