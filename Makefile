@@ -135,6 +135,8 @@ bench-smoke:
 # parent/change pairs of one workload, with the quartiles, win count and
 # verdict the claim needs:
 #   make ab REV=HEAD~1 W=dumbbell_fifo_1g [PAIRS=10] [SECONDS=7]
+# A claimed gain also cites an A/A run (make ab REV=HEAD with a clean
+# tree) of the same workload on the same host, to show the host's bias.
 PAIRS ?= 10
 SECONDS ?= 7
 

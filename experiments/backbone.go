@@ -136,13 +136,13 @@ type BackboneResult struct {
 }
 
 // backboneObserver taps the core device's transmit hook: the exact packet
-// stream the control plane of a core switch would see. It feeds the sketch
-// and cache under test and keeps exact per-flow truth for scoring, indexed
-// by the FlowID every replay packet carries.
+// stream the control plane of a core switch would see. It feeds the cache
+// under test and keeps exact per-flow truth for scoring, indexed by the
+// FlowID every replay packet carries. The count-min sketch under test is
+// not fed per packet: scoreBackbone derives it from the truth.
 type backboneObserver struct {
-	sketch *cmsketch.Sketch
-	cache  *hhcache.Cache
-	truth  []trace.FlowCount // by FlowID; Bytes 0 = not seen
+	cache *hhcache.Cache
+	truth []trace.FlowCount // by FlowID; Bytes 0 = not seen
 }
 
 func (o *backboneObserver) observe(p *packet.Packet) {
@@ -150,7 +150,6 @@ func (o *backboneObserver) observe(p *packet.Packet) {
 		return // feedback headers are not flow traffic
 	}
 	sz := int64(p.Size)
-	o.sketch.Add(p.Flow, sz)
 	o.cache.Observe(p.Flow, sz)
 	// Every packet here is a replay Source's, so FlowID ≥ 1 (the
 	// closed-loop sink refuses untagged ones).
@@ -222,9 +221,8 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	cq, _ := coreFwd.Qdisc().(*core.Qdisc)
 
 	obs := &backboneObserver{
-		sketch: cmsketch.New(sketchRows, sketchCols),
-		cache:  hhcache.New(cacheStages, cacheSlots),
-		truth:  make([]trace.FlowCount, 0, len(schedule)+1),
+		cache: hhcache.New(cacheStages, cacheSlots),
+		truth: make([]trace.FlowCount, 0, len(schedule)+1),
 	}
 	coreFwd.OnTransmit = obs.observe
 
@@ -275,8 +273,9 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 }
 
 // scoreBackbone computes the cardinality-stress scores from the observer's
-// ground truth: cache recall on the true top-K, sketch bias on the same
-// set, and the ideal water-filling allocation over every observed flow.
+// ground truth: cache recall on the true top-K, the bias on the same set
+// of a count-min sketch built here from every flow's byte total, and the
+// ideal water-filling allocation over every observed flow.
 func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backbonePoller, cfg BackboneConfig) {
 	// Rank the flows seen by bytes, heaviest first, ties broken by the
 	// flow key's hash — computed once per flow, not per comparison.
@@ -317,10 +316,16 @@ func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backboneP
 	}
 
 	// Sketch bias on the true top-K; estimates below truth violate the
-	// count-min invariant and are counted, never averaged away.
+	// count-min invariant and are counted, never averaged away. One Add
+	// per flow of its total leaves the counters a per-packet Add of the
+	// core's stream would (TestAddOrderFree in internal/cmsketch).
+	sketch := cmsketch.New(sketchRows, sketchCols)
+	for _, fc := range truth {
+		sketch.Add(fc.Flow, fc.Bytes)
+	}
 	var overSum float64
 	for _, fc := range truth[:k] {
-		est := obs.sketch.Estimate(fc.Flow)
+		est := sketch.Estimate(fc.Flow)
 		if est < fc.Bytes {
 			res.SketchUnderestimates++
 			continue

@@ -3,10 +3,10 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
-	"cebinae/internal/cmsketch"
 	"cebinae/internal/packet"
 	"cebinae/internal/sim"
 	"cebinae/internal/trace"
@@ -114,21 +114,31 @@ func TestBackbone100kTier(t *testing.T) {
 	}
 }
 
+// scoringFixture is an observer of n flows with eight distinct byte
+// totals (so water-filling takes eight rounds) and a poller that held
+// the first flow, as the core would have left them.
+func scoringFixture(n int) (*backboneObserver, *backbonePoller, BackboneConfig) {
+	obs := &backboneObserver{truth: make([]trace.FlowCount, n+1)}
+	for i := 1; i <= n; i++ {
+		key := packet.FlowKey{Src: 1, Dst: 2, SrcPort: uint16(i), DstPort: uint16(i >> 16), Proto: packet.ProtoTCP}
+		obs.truth[i] = trace.FlowCount{Flow: key, Bytes: int64(1000 * (1 + i%8))}
+	}
+	poller := &backbonePoller{held: map[packet.FlowKey]bool{obs.truth[1].Flow: true}}
+	return obs, poller, BackboneConfig{CoreBps: 10e9, Duration: sim.Duration(1e9)}
+}
+
 // TestBackboneScoringAllocs pins the scoring pass's allocations: ranking,
-// cache recall, sketch bias and the ideal max-min allocation over every
-// observed flow cost the same number of allocations at 1 000 flows as at
-// 8 000 (eight demand levels keep water-filling to eight rounds). One
-// route slice per flow made it grow by one allocation a flow.
+// cache recall, building the sketch and its bias, and the ideal max-min
+// allocation over every observed flow cost the same number of allocations
+// at 1 000 flows as at 8 000 (eight demand levels keep water-filling to
+// eight rounds). One route slice per flow made it grow by one allocation
+// a flow. Each call builds a 2 MB sketch, which sets off collections;
+// the forced GC first starts the collector's background workers, whose
+// start allocates, so that lands in neither count.
 func TestBackboneScoringAllocs(t *testing.T) {
+	runtime.GC()
 	allocs := func(n int) float64 {
-		obs := &backboneObserver{sketch: cmsketch.New(sketchRows, 1024), truth: make([]trace.FlowCount, n+1)}
-		for i := 1; i <= n; i++ {
-			key := packet.FlowKey{Src: 1, Dst: 2, SrcPort: uint16(i), DstPort: uint16(i >> 16), Proto: packet.ProtoTCP}
-			obs.truth[i] = trace.FlowCount{Flow: key, Bytes: int64(1000 * (1 + i%8))}
-			obs.sketch.Add(key, obs.truth[i].Bytes)
-		}
-		poller := &backbonePoller{held: map[packet.FlowKey]bool{obs.truth[1].Flow: true}}
-		cfg := BackboneConfig{CoreBps: 10e9, Duration: sim.Duration(1e9)}
+		obs, poller, cfg := scoringFixture(n)
 		return testing.AllocsPerRun(2, func() {
 			var res BackboneResult
 			scoreBackbone(&res, obs, poller, cfg)
@@ -139,5 +149,22 @@ func TestBackboneScoringAllocs(t *testing.T) {
 	}
 	if small, large := allocs(1000), allocs(8000); small != large {
 		t.Fatalf("scoring allocates %.0f objects at 1 000 flows and %.0f at 8 000, want the same", small, large)
+	}
+}
+
+// TestBackboneScoringRepeats scores one observer twice: the sketch is
+// built from the truth on each call, so nothing may carry over between
+// them. A sketch kept across calls would double every estimate on the
+// second.
+func TestBackboneScoringRepeats(t *testing.T) {
+	obs, poller, cfg := scoringFixture(3000)
+	var first, second BackboneResult
+	scoreBackbone(&first, obs, poller, cfg)
+	scoreBackbone(&second, obs, poller, cfg)
+	if first != second {
+		t.Fatalf("second scoring differs from the first:\n first  %+v\n second %+v", first, second)
+	}
+	if first.SketchUnderestimates != 0 || first.FlowsSeen != 3000 {
+		t.Fatalf("fixture scored %d flows with %d underestimates", first.FlowsSeen, first.SketchUnderestimates)
 	}
 }

@@ -1,10 +1,12 @@
 package cmsketch
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"cebinae/internal/packet"
+	"cebinae/internal/sim"
 )
 
 func flow(i int) packet.FlowKey {
@@ -41,6 +43,50 @@ func TestNeverUndercounts(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddOrderFree: a counter is the sum of the deltas hashed to it, so
+// per-packet Adds of a multi-flow stream, in any order, leave the same
+// counters and estimates as one Add per flow of its total. The backbone
+// scoring relies on it to build its sketch from per-flow byte truth
+// instead of from the core's packet stream. The tiny geometry makes most
+// flows share counters with others.
+func TestAddOrderFree(t *testing.T) {
+	f := func(ids []uint8, sizes []uint16, seed uint64, tiny bool) bool {
+		rows, cols := 4, 1024
+		if tiny {
+			rows, cols = 2, 8
+		}
+		perPkt, perFlow := New(rows, cols), New(rows, cols)
+		var total [16]int64
+		for _, i := range sim.NewRand(seed).Perm(len(ids)) {
+			id, sz := int(ids[i]%16), int64(1500)
+			if i < len(sizes) {
+				sz = int64(sizes[i]) + 1
+			}
+			perPkt.Add(flow(id), sz)
+			total[id] += sz
+		}
+		for id, sz := range total {
+			if sz > 0 {
+				perFlow.Add(flow(id), sz)
+			}
+		}
+		for r := range perPkt.rows {
+			if !slices.Equal(perPkt.rows[r], perFlow.rows[r]) {
+				return false
+			}
+		}
+		for id := range 2 * len(total) { // half of these were never added
+			if perPkt.Estimate(flow(id)) != perFlow.Estimate(flow(id)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,6 +17,8 @@
 # simulated metrics (goodput_frac) are means over however many repeats fit
 # into SECONDS, so the faster side averages over more seeds: read them for
 # size, not for wins; `benchmark -compare` pairs two saved runs seed for seed.
+# A claimed gain cites, beside its run, an A/A run of the same workload on
+# the same host (REV=HEAD with a clean tree), which shows the host's bias.
 set -eu
 
 [ $# -ge 2 ] || { echo "usage: $0 REV WORKLOAD [PAIRS=10] [SECONDS=7]" >&2; exit 2; }
