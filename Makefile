@@ -96,9 +96,13 @@ cli-smoke:
 # experiments.Run at ≤ 4 B per delivered segment — plus the zero-alloc
 # hot paths: engine dispatch, timer re-arm, one-hop
 # forwarding (alone and with thousands of packets on the wire), a
-# steady-state TCP round trip, the 10⁵-flow replay send path at ≤ 0.01
-# allocs a packet, and the flow cache's poll-and-reset. The packet pool
-# rides along: one allocation per 64 fresh packets (the slab), and every
+# steady-state TCP round trip, an ACK carrying SACK blocks once every
+# pooled packet holds its block array (TestSendAckZeroAlloc), the
+# 10⁵-flow replay send path at ≤ 0.01 allocs a packet, and the flow
+# cache's poll-and-reset. The packet pool rides along: a packet is one
+# 64-byte cache line (TestPacketSize) and every packet of a fresh slab
+# starts on a line boundary (TestPoolSlabAligned), one allocation per 512
+# fresh packets (the slab), and every
 # packet back in the pool once a run drains, FQ-CoDel's overflow victims
 # and CoDel drops included and counted as the port's drops, and the drop
 # ledger: every packet a switch of a congested dumbbell received was
@@ -107,7 +111,7 @@ cli-smoke:
 # uncontended hop and one more per queued packet, and ≤ 8.1 events per
 # delivered segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPoolSlab|TestPoolCustodyFQCoDel|TestDropLedger' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

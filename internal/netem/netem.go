@@ -436,7 +436,12 @@ func (n *Node) AddRoute(dst packet.NodeID, dev *Device) {
 }
 
 // Register attaches a transport endpoint for the given (receive-side) key.
+// It panics when the key already has an endpoint on n: a second endpoint
+// would silently take over the first one's packets.
 func (n *Node) Register(key packet.FlowKey, ep Endpoint) {
+	if _, dup := n.demux[key]; dup {
+		panic(fmt.Sprintf("netem: node %s: flow key %s is already registered", n.Name, key))
+	}
 	n.demux[key] = ep
 }
 

@@ -623,3 +623,29 @@ func TestConnectRejectsBadLink(t *testing.T) {
 		t.Fatal("a refused link left a device behind")
 	}
 }
+
+// TestRegisterRefusesDuplicateKey: a second endpoint under a key that
+// already has one would take over the first one's packets, so Register
+// panics, naming the node and the key; the same key on another node, or
+// its reverse on the same node, is a different demux entry.
+func TestRegisterRefusesDuplicateKey(t *testing.T) {
+	w := NewNetwork(sim.NewEngine())
+	a, b := w.NewNode("a"), w.NewNode("b")
+	key := packet.FlowKey{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	first := &sink{}
+	b.Register(key, first)
+	a.Register(key, &sink{})
+	b.Register(key.Reverse(), &sink{})
+
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "node b") || !strings.Contains(msg, key.String()) {
+			t.Fatalf("duplicate Register panicked with %q, want the node and the key named", msg)
+		}
+		if b.demux[key] != first {
+			t.Fatal("the refused endpoint replaced the registered one")
+		}
+	}()
+	b.Register(key, &sink{})
+	t.Fatal("a second endpoint under a registered key was accepted")
+}

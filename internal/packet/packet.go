@@ -76,6 +76,11 @@ const (
 
 // Packet is one simulated datagram. Packets are passed by pointer and owned
 // by exactly one queue or in-flight link at any instant.
+//
+// The fields are ordered by size so the struct is exactly 64 bytes, one
+// cache line, and Pool's slabs are page-aligned (see slabLen): every
+// pooled packet starts on a line boundary, so each hop's first read of a
+// packet touches one line.
 type Packet struct {
 	Flow FlowKey
 
@@ -84,33 +89,41 @@ type Packet struct {
 	Seq int64
 	Ack int64
 
-	Flags uint8
-	ECN   ECN
-
-	// SACK carries up to three selective-acknowledgement blocks on ACK
-	// packets (RFC 2018), lowest first.
-	SACK []SackBlock
-
-	// PayloadSize is application bytes carried; Size is bytes on the wire
-	// (payload plus fixed header overhead).
-	PayloadSize int32
-	Size        int32
-
 	// EnqueuedAt is stamped at enqueue by queue disciplines that need
 	// sojourn times (CoDel), from the engine's Local clock. It is the only
 	// stamp a packet carries: what a sender needs for RTT and delivery-rate
 	// samples stays in its own per-segment record.
 	EnqueuedAt sim.Time
 
-	// Retransmit marks a retransmitted data segment (excluded from goodput).
-	Retransmit bool
+	// SACK holds the selective-acknowledgement blocks of an ACK (RFC 2018),
+	// lowest first; only SACK[:NSack] are meaningful. The array lives out
+	// of line because only ACKs carry blocks: it is allocated the first
+	// time a pooled packet carries one, and Pool.Get keeps it across reuse.
+	SACK *[MaxSack]SackBlock
+
+	// PayloadSize is application bytes carried; Size is bytes on the wire
+	// (payload plus fixed header overhead).
+	PayloadSize int32
+	Size        int32
 
 	// FlowID tags a packet of a scheduled flow with its schedule ordinal
 	// plus one, so per-flow state can live in a slice instead of a map
-	// keyed by Flow; 0 means untagged. It sits in the struct's tail
-	// padding: Packet stays 88 bytes.
+	// keyed by Flow; 0 means untagged.
 	FlowID uint32
+
+	Flags uint8
+	ECN   ECN
+
+	// Retransmit marks a retransmitted data segment (excluded from goodput).
+	Retransmit bool
+
+	// NSack is the number of blocks in SACK, at most MaxSack.
+	NSack uint8
 }
+
+// MaxSack is the most SACK blocks one ACK carries (RFC 2018 leaves room
+// for three beside the timestamp option).
+const MaxSack = 3
 
 // SackBlock is one received byte range [Start, End) beyond the cumulative
 // ACK point.

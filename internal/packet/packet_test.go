@@ -92,11 +92,12 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// TestPacketSize pins the struct at 88 bytes: FlowID rides in what was
-// Retransmit's tail padding, and a field that grows the struct grows
-// every pooled packet and every cut-link handoff record with it.
+// TestPacketSize pins the struct at 64 bytes, one cache line: the SACK
+// blocks live out of line behind a pointer and the one-byte fields share
+// the last word. A field that grows the struct pushes every pooled packet
+// across two lines and every slab off the page-aligned size class.
 func TestPacketSize(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 88 {
-		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 88", got)
+	if got := unsafe.Sizeof(Packet{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 64", got)
 	}
 }

@@ -33,11 +33,18 @@ type Pool struct {
 	Reuses uint64
 }
 
-// slabLen is the number of packets one slab allocation provides.
-const slabLen = 64
+// slabLen is the number of packets one slab allocation provides. A slab
+// is 512 × 64 B = 32 KiB, just past the runtime's largest small size
+// class, so it is allocated as a large object: page-aligned and with no
+// malloc header in front (a pointer-carrying object above 512 B and
+// below 32 KiB gets an 8-byte header, which would push every packet of
+// a smaller slab 8 bytes off its cache line). Every packet of a slab
+// therefore starts on a 64-byte line boundary.
+const slabLen = 512
 
-// Get returns a zeroed packet, reusing a released one when available. The
-// SACK slice's backing array is retained across reuse (length reset to 0).
+// Get returns a zeroed packet, reusing a released one when available. A
+// reused packet keeps its SACK array (its NSack count is reset to 0), so
+// an ACK's blocks cost one allocation per pooled packet, not one per ACK.
 func (pl *Pool) Get() *Packet {
 	pl.Gets++
 	n := len(pl.free)
@@ -54,7 +61,7 @@ func (pl *Pool) Get() *Packet {
 	pl.free[n-1] = nil
 	pl.free = pl.free[:n-1]
 	pl.debug.onGet(p)
-	sack := p.SACK[:0]
+	sack := p.SACK
 	*p = Packet{}
 	p.SACK = sack
 	return p

@@ -3,6 +3,7 @@ package packet
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestPoolReuse(t *testing.T) {
@@ -14,7 +15,9 @@ func TestPoolReuse(t *testing.T) {
 	p.Seq = 42
 	p.Size = 1500
 	p.ECN = ECNCE
-	p.SACK = append(p.SACK, SackBlock{Start: 1, End: 2})
+	p.SACK = &[MaxSack]SackBlock{{Start: 1, End: 2}}
+	p.NSack = 1
+	sack := p.SACK
 	pool.Put(p)
 	if pool.FreeLen() != 1 {
 		t.Fatalf("free list length %d after Put, want 1", pool.FreeLen())
@@ -27,11 +30,11 @@ func TestPoolReuse(t *testing.T) {
 	if pool.Reuses != 1 {
 		t.Fatalf("reuse counter %d, want 1", pool.Reuses)
 	}
-	if q.Seq != 0 || q.Size != 0 || q.ECN != ECNNotECT || len(q.SACK) != 0 {
+	if q.Seq != 0 || q.Size != 0 || q.ECN != ECNNotECT || q.NSack != 0 {
 		t.Fatalf("recycled packet not zeroed: %+v", q)
 	}
-	if cap(q.SACK) == 0 {
-		t.Fatal("recycled packet lost its SACK backing array")
+	if q.SACK != sack {
+		t.Fatal("recycled packet lost its SACK array")
 	}
 }
 
@@ -50,7 +53,7 @@ func TestPoolGetGrows(t *testing.T) {
 
 // TestPoolSlab pins the slab: fresh packets are handed out slabLen to an
 // allocation, each one zeroed and distinct, and a recycled slab packet
-// keeps its SACK backing array.
+// keeps its SACK array.
 func TestPoolSlab(t *testing.T) {
 	var pool Pool
 	var last *Packet
@@ -85,9 +88,26 @@ func TestPoolSlab(t *testing.T) {
 	}
 
 	p := pool.Get()
-	p.SACK = append(p.SACK, SackBlock{Start: 1, End: 2}, SackBlock{Start: 3, End: 4})
+	sack := &[MaxSack]SackBlock{{Start: 1, End: 2}, {Start: 3, End: 4}}
+	p.SACK, p.NSack = sack, 2
 	pool.Put(p)
-	if q := pool.Get(); q != p || len(q.SACK) != 0 || cap(q.SACK) < 2 {
-		t.Fatalf("recycled slab packet: same=%v len=%d cap=%d", q == p, len(q.SACK), cap(q.SACK))
+	if q := pool.Get(); q != p || q.NSack != 0 || q.SACK != sack {
+		t.Fatalf("recycled slab packet: same=%v nsack=%d same array=%v", q == p, q.NSack, q.SACK == sack)
+	}
+}
+
+// TestPoolSlabAligned pins what the 64-byte Packet buys: a slab of
+// slabLen packets is one 32 KiB allocation, which the allocator places
+// on a page boundary with no header in front, so every packet of a fresh
+// slab starts on its own 64-byte cache line.
+func TestPoolSlabAligned(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}) * slabLen; size != 32<<10 {
+		t.Fatalf("a slab is %d bytes, want 32 KiB", size)
+	}
+	var pool Pool
+	for i := 0; i < 2*slabLen; i++ {
+		if addr := uintptr(unsafe.Pointer(pool.Get())); addr%64 != 0 {
+			t.Fatalf("packet %d of a fresh slab at %#x, not 64-byte aligned", i, addr)
+		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 // record is one packet in flight across a shard boundary. Packet pools
 // are per-shard and unsynchronised, so the packet's bytes are copied out
 // of the source pool at handoff and copied into the destination pool at
-// injection. SACK blocks are captured in a fixed inline buffer —
-// receivers emit at most three blocks (RFC 2018) — so the steady-state
-// record is pointer-free and handoff performs no allocation.
+// injection. The packet's SACK blocks (at most packet.MaxSack) are
+// captured in a fixed inline buffer, so the record holds no pointer into
+// the source shard's memory and handoff performs no allocation.
 type record struct {
 	// sent is the virtual time the packet's last bit left the source
 	// device; arrival is sent plus the link's propagation delay. Both
@@ -21,11 +21,7 @@ type record struct {
 	sent    sim.Time
 	arrival sim.Time
 	pkt     packet.Packet
-	sack    [3]packet.SackBlock
-	nsack   int
-	// sackOverflow holds blocks beyond the inline buffer; nil in any
-	// realistic run.
-	sackOverflow []packet.SackBlock
+	sack    [packet.MaxSack]packet.SackBlock
 }
 
 // capture fills the record from p without retaining any of p's memory.
@@ -34,23 +30,22 @@ func (r *record) capture(p *packet.Packet, sent, arrival sim.Time) {
 	r.arrival = arrival
 	r.pkt = *p
 	r.pkt.SACK = nil
-	r.nsack = len(p.SACK)
-	if r.nsack <= len(r.sack) {
-		copy(r.sack[:], p.SACK)
-	} else {
-		r.sackOverflow = append([]packet.SackBlock(nil), p.SACK...)
+	if p.NSack > 0 {
+		r.sack = *p.SACK
 	}
 }
 
 // restore copies the record into q, a packet drawn from the destination
-// shard's pool, preserving q's retained SACK backing array.
+// shard's pool, keeping q's own SACK array.
 func (r *record) restore(q *packet.Packet) {
-	sack := q.SACK[:0]
+	sack := q.SACK
 	*q = r.pkt
-	if r.nsack <= len(r.sack) {
-		q.SACK = append(sack, r.sack[:r.nsack]...)
-	} else {
-		q.SACK = append(sack, r.sackOverflow...)
+	q.SACK = sack
+	if q.NSack > 0 {
+		if q.SACK == nil {
+			q.SACK = new([packet.MaxSack]packet.SackBlock)
+		}
+		*q.SACK = r.sack
 	}
 }
 

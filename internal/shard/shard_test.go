@@ -113,33 +113,41 @@ func TestSPSCBarrierHandoff(t *testing.T) {
 	}
 }
 
-// TestRecordCaptureRestoreSACK round-trips a packet with SACK blocks
-// through a handoff record: the destination packet must carry equal
-// blocks without sharing the source's backing array, and oversized SACK
-// lists must survive via the overflow path.
+// TestRecordCaptureRestoreSACK round-trips a packet with 0, 1 and 3 SACK
+// blocks through a handoff record: the destination packet carries equal
+// blocks in its own array (allocated only when it has none and there are
+// blocks to carry), never the source's.
 func TestRecordCaptureRestoreSACK(t *testing.T) {
-	for _, nblocks := range []int{0, 3, 5} {
-		src := &packet.Packet{Size: 1500, PayloadSize: 1448}
+	for _, nblocks := range []int{0, 1, packet.MaxSack} {
+		src := &packet.Packet{Size: 1500, PayloadSize: 1448, SACK: new([packet.MaxSack]packet.SackBlock), NSack: uint8(nblocks)}
 		for i := 0; i < nblocks; i++ {
-			src.SACK = append(src.SACK, packet.SackBlock{Start: int64(10 * i), End: int64(10*i + 5)})
+			src.SACK[i] = packet.SackBlock{Start: int64(10 * i), End: int64(10*i + 5)}
 		}
 		var r record
 		r.capture(src, 40, 42)
-		srcBlocks := src.SACK
-		for i := range srcBlocks {
-			srcBlocks[i] = packet.SackBlock{} // scribble: the record must not alias
-		}
-		dst := &packet.Packet{SACK: make([]packet.SackBlock, 0, 4)}
-		r.restore(dst)
-		if r.sent != 40 || r.arrival != 42 || dst.Size != 1500 || dst.PayloadSize != 1448 {
-			t.Fatalf("nblocks=%d: restored packet %+v, sent %d, arrival %d", nblocks, dst, r.sent, r.arrival)
-		}
-		if len(dst.SACK) != nblocks {
-			t.Fatalf("nblocks=%d: restored %d SACK blocks", nblocks, len(dst.SACK))
-		}
-		for i, b := range dst.SACK {
-			if b.Start != int64(10*i) || b.End != int64(10*i+5) {
-				t.Fatalf("nblocks=%d: block %d = %+v after source scribble", nblocks, i, b)
+		*src.SACK = [packet.MaxSack]packet.SackBlock{} // scribble: the record must not alias
+		held := new([packet.MaxSack]packet.SackBlock)
+		for _, dst := range []*packet.Packet{{}, {SACK: held}} {
+			own := dst.SACK
+			r.restore(dst)
+			if r.sent != 40 || r.arrival != 42 || dst.Size != 1500 || dst.PayloadSize != 1448 {
+				t.Fatalf("nblocks=%d: restored packet %+v, sent %d, arrival %d", nblocks, dst, r.sent, r.arrival)
+			}
+			if int(dst.NSack) != nblocks {
+				t.Fatalf("nblocks=%d: restored %d SACK blocks", nblocks, dst.NSack)
+			}
+			switch {
+			case dst.SACK == src.SACK:
+				t.Fatalf("nblocks=%d: restored packet shares the source's SACK array", nblocks)
+			case own != nil && dst.SACK != own:
+				t.Fatalf("nblocks=%d: restored packet lost its own SACK array", nblocks)
+			case own == nil && nblocks == 0 && dst.SACK != nil:
+				t.Fatalf("nblocks=%d: restore allocated a SACK array for no blocks", nblocks)
+			}
+			for i := 0; i < nblocks; i++ {
+				if b := dst.SACK[i]; b.Start != int64(10*i) || b.End != int64(10*i+5) {
+					t.Fatalf("nblocks=%d: block %d = %+v after source scribble", nblocks, i, b)
+				}
 			}
 		}
 	}

@@ -378,7 +378,11 @@ func (c *Conn) Deliver(p *packet.Packet) {
 	// Absorb SACK blocks into the scoreboard. Newly SACKed bytes count as
 	// delivered (Linux rate-sample semantics).
 	var newlySacked int64
-	for _, b := range p.SACK {
+	var blocks []packet.SackBlock
+	if p.NSack > 0 {
+		blocks = p.SACK[:p.NSack]
+	}
+	for _, b := range blocks {
 		if b.End <= c.sndUna {
 			continue
 		}

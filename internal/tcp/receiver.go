@@ -148,11 +148,16 @@ func (r *Receiver) sendAck() {
 	ack.Size = packet.HeaderBytes
 	// Attach up to three SACK blocks (RFC 2018), lowest first, so the
 	// sender's scoreboard repairs the earliest holes first.
-	for i, iv := range r.ooo.ivs {
-		if i == 3 {
-			break
+	// A pooled packet keeps its block array across reuse, so this
+	// allocates only the first time a packet carries blocks.
+	if n := min(len(r.ooo.ivs), packet.MaxSack); n > 0 {
+		if ack.SACK == nil {
+			ack.SACK = new([packet.MaxSack]packet.SackBlock)
 		}
-		ack.SACK = append(ack.SACK, packet.SackBlock{Start: iv.start, End: iv.end})
+		for i, iv := range r.ooo.ivs[:n] {
+			ack.SACK[i] = packet.SackBlock{Start: iv.start, End: iv.end}
+		}
+		ack.NSack = uint8(n)
 	}
 	r.Stats.AcksSent++
 	r.node.Inject(ack)

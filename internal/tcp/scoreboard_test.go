@@ -26,10 +26,15 @@ func loneSender(cfg Config) (*sim.Engine, *Conn) {
 }
 
 // ackAt advances the clock by d and delivers a cumulative ACK with the
-// given SACK blocks.
+// given SACK blocks, at most packet.MaxSack of them as on the wire.
 func ackAt(eng *sim.Engine, c *Conn, d sim.Time, ack int64, sack ...packet.SackBlock) {
+	if len(sack) > packet.MaxSack {
+		panic("ackAt: an ACK carries at most packet.MaxSack SACK blocks")
+	}
 	eng.Run(eng.Now() + d)
-	c.Deliver(&packet.Packet{Flags: packet.FlagACK, Ack: ack, SACK: sack})
+	p := &packet.Packet{Flags: packet.FlagACK, Ack: ack, SACK: new([packet.MaxSack]packet.SackBlock)}
+	p.NSack = uint8(copy(p.SACK[:], sack))
+	c.Deliver(p)
 }
 
 // checkWindow holds the scoreboard to what the sequence state says: one

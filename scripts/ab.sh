@@ -4,11 +4,14 @@
 #
 #   scripts/ab.sh REV WORKLOAD [PAIRS=10] [SECONDS=7]     (or: make ab REV=… W=…)
 #
-# REV is exported with `git archive` into .bench_build/<sha> (git-ignored;
-# no worktree is registered, so `rm -rf .bench_build` is the whole clean-up)
-# and ./benchmark is built there and in this tree. Pair i runs
-# `--workload W --seed i --seconds S --trace 0` once per side, each binary
-# from its own root so it reads its own benchmark/workloads, and odd and
+# REV is exported with `git archive` into .bench_build/<sha>, and the
+# working tree (its tracked files plus the untracked ones .gitignore does
+# not name) is copied into .bench_build/working-tree, so both sides are
+# built and run the same way: ./benchmark is built in each export and each
+# binary runs from its own export, where it reads its own
+# benchmark/workloads. Both exports are git-ignored and no worktree is
+# registered, so `rm -rf .bench_build` is the whole clean-up. Pair i runs
+# `--workload W --seed i --seconds S --trace 0` once per side, and odd and
 # even pairs swap which side goes first. Printed per end-to-end metric of
 # BENCHMARK.json: every pair, each side's q1/median/q3, the pairs the change
 # won (ties count for neither side), and the verdict of the measurement
@@ -32,11 +35,17 @@ cd "$root"
 sha=$(git rev-parse --short "$rev^{commit}")
 build=$root/.bench_build
 parent=$build/$sha
-rm -rf "$parent"
-mkdir -p "$parent"
+change=$build/working-tree
+rm -rf "$parent" "$change"
+mkdir -p "$parent" "$change"
 git archive "$sha" | tar -xf - -C "$parent"
+# The working tree's files as git would see them: a tracked file deleted
+# from the tree is left out.
+git ls-files -z --cached --others --exclude-standard |
+	xargs -0 sh -c 'for f; do [ -e "$f" ] && printf "%s\0" "$f"; done' sh |
+	tar --null -T - -cf - | tar -xf - -C "$change"
 (cd "$parent" && go build -o "$build/ab-parent" ./benchmark)
-go build -o "$build/ab-change" ./benchmark
+(cd "$change" && go build -o "$build/ab-change" ./benchmark)
 
 runs=$build/ab-runs.txt
 log=$build/ab-stderr.log
@@ -55,9 +64,9 @@ i=1
 while [ "$i" -le "$pairs" ]; do
 	if [ $((i % 2)) -eq 1 ]; then
 		one parent "$parent" "$build/ab-parent" "$i"
-		one change "$root" "$build/ab-change" "$i"
+		one change "$change" "$build/ab-change" "$i"
 	else
-		one change "$root" "$build/ab-change" "$i"
+		one change "$change" "$build/ab-change" "$i"
 		one parent "$parent" "$build/ab-parent" "$i"
 	fi
 	echo "pair $i/$pairs done" >&2
