@@ -96,10 +96,17 @@ cli-smoke:
 # experiments.Run at ≤ 4 B per delivered segment — plus the zero-alloc
 # hot paths: engine dispatch, timer re-arm, one-hop
 # forwarding (alone and with thousands of packets on the wire), a
-# steady-state TCP round trip, an ACK carrying SACK blocks once every
-# pooled packet holds its block array (TestSendAckZeroAlloc), the
+# steady-state TCP round trip, an ACK carrying SACK blocks once the pool
+# holds a free block array (TestSendAckZeroAlloc), the
 # 10⁵-flow replay send path at ≤ 0.01 allocs a packet, and the flow
-# cache's poll-and-reset. The packet pool rides along: a packet is one
+# cache's poll-and-reset — and a whole warm run: 100 ms of the row-11
+# Cebinae dumbbell at 10 s, thousands of ACKs and a dozen control rounds,
+# at 0 objects (TestRunSteadyStateZeroAlloc), with the SACK arrays a lossy
+# transfer allocates at most its peak of ACKs with blocks in flight and
+# all back in the pool once it drains (TestSackArraysFollowAcksInFlight),
+# and a Cebinae recompute refilling the idle configuration bank, never
+# the live ⊤ set (TestConfigForKeepsLiveTopSet). The packet pool rides
+# along: a packet is one
 # 64-byte cache line (TestPacketSize) and every packet of a fresh slab
 # starts on a line boundary (TestPoolSlabAligned), one allocation per 512
 # fresh packets (the slab), and every
@@ -111,7 +118,7 @@ cli-smoke:
 # uncontended hop and one more per queued packet, and ≤ 8.1 events per
 # delivered segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger|TestRunSteadyStateZeroAlloc|TestSackArraysFollowAcksInFlight|TestConfigForKeepsLiveTopSet' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./internal/core/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"cebinae/internal/core"
 	"cebinae/internal/sim"
 )
 
@@ -54,5 +55,44 @@ func TestRunEventsPerSegment(t *testing.T) {
 	t.Logf("%.2f events per delivered segment (%d events, %.0f segments)", per, r.Events, segments)
 	if per > 8.1 {
 		t.Fatalf("Run dispatched %.2f events per delivered segment, want ≤ 8.1", per)
+	}
+}
+
+// TestRunSteadyStateZeroAlloc pins a warm run at no allocation per ACK
+// and none per control round: the dumbbell_cebinae_1g benchmark workload's
+// traffic (Table 2's row-11 cell behind Cebinae, seed 1) runs the first
+// 10 s of its 20 s horizon, and then the next 100 ms — about 8 000
+// ACKs, SACK blocks among them, and a dozen Cebinae control rounds with
+// their recomputes — must allocate 0 objects. SACK arrays come back
+// through the packet pool and a recompute refills the idle one of two
+// configuration banks; with a fresh array per ACK packet that first
+// carried blocks and a fresh shadow config per recompute, this window
+// allocated 38 objects. What a warm run still allocates follows the
+// windows, not the packets: a flow whose window reaches a new peak takes
+// one more scoreboard block or doubles a host queue's ring — about two
+// objects a second across the 40 flows between 10 and 20 s, so a window
+// of seconds catches some.
+func TestRunSteadyStateZeroAlloc(t *testing.T) {
+	s := Table2Scenario(Table2Rows()[10], Cebinae, Quick)
+	s.Duration, s.Seed = sim.Duration(20e9), 1
+	g := s.graph().start(1)
+	cq := g.fwd[0].Qdisc().(*core.Qdisc)
+	pool := g.cl.Shard(0).Net.Pool()
+	warm := sim.Duration(10e9)
+	g.cl.Run(warm)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	recomputes, sacks, tx := cq.Stats.Recomputes, pool.SackGets, g.fwd[0].Stats().TxPackets
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	g.cl.Run(warm + sim.Duration(100e6))
+	runtime.ReadMemStats(&m1)
+	recomputes, sacks, tx = cq.Stats.Recomputes-recomputes, pool.SackGets-sacks, g.fwd[0].Stats().TxPackets-tx
+	t.Logf("%d objects over %d bottleneck packets, %d ACKs with SACK blocks, %d recomputes", m1.Mallocs-m0.Mallocs, tx, sacks, recomputes)
+	if tx < 5000 || sacks == 0 || recomputes == 0 {
+		t.Fatalf("the window must carry traffic, SACK blocks and recomputes: %d packets, %d SACK ACKs, %d recomputes", tx, sacks, recomputes)
+	}
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Fatalf("a warm window allocated %d objects, want 0", n)
 	}
 }

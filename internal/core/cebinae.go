@@ -69,6 +69,11 @@ type Qdisc struct {
 	lastTxBytes  uint64 // snapshot at last recomputation
 	roundsSoFar  int
 	pendingRates *pendingConfig
+	// banks are the two configuration banks configFor fills (Fig. 6's
+	// live and shadow copies); live is the one apply installed last,
+	// whose ⊤ set is topSet. configFor refills only the other.
+	banks [2]pendingConfig
+	live  *pendingConfig
 
 	// rotTimer / cfgTimer drive the control loop: one ROTATE per dT and
 	// one configuration window vdT+L after it (never overlapping, since
@@ -118,6 +123,9 @@ func New(eng *sim.Engine, capacityBps float64, bufferBytes int, params Params) *
 		topSet:      make(map[packet.FlowKey]bool),
 		topState:    make(map[packet.FlowKey]*topFlowState),
 		cache:       hhcache.New(params.CacheStages, params.CacheSlots),
+	}
+	for i := range q.banks {
+		q.banks[i].topSet = make(map[packet.FlowKey]bool)
 	}
 	capBytes := capacityBps / 8
 	for i := 0; i < 2; i++ {
@@ -256,7 +264,7 @@ func (q *Qdisc) apply(cfg *pendingConfig) {
 	if q.configDiffers(cfg) {
 		q.ConfigChanges++
 	}
-	q.topSet = cfg.topSet
+	q.topSet, q.live = cfg.topSet, cfg
 	if q.params.PerFlowTop {
 		q.applyPerFlow(cfg.flowRates)
 	}
@@ -307,11 +315,21 @@ func (q *Qdisc) recompute() *pendingConfig {
 // transmit bytes and polled cache entries. The result does not depend on
 // the entries' order: the ⊤ bytes are summed as integers and converted to
 // float once, and everything else is a max or a set.
+//
+// It refills the bank that is not live, so a recompute allocates nothing
+// and never touches the installed ⊤ set. configure installs each result
+// before the next recompute, so a bank is refilled only after the other
+// one has replaced it as live: two recomputes after it was filled.
 func (q *Qdisc) configFor(txDelta uint64, entries []hhcache.Entry) *pendingConfig {
 	interval := (q.params.DT * sim.Time(q.params.P)).Seconds()
 	capBytes := q.capacityBps / 8
 	utilisation := float64(txDelta) / (capBytes * interval)
-	cfg := &pendingConfig{topSet: make(map[packet.FlowKey]bool)}
+	cfg := &q.banks[0]
+	if cfg == q.live {
+		cfg = &q.banks[1]
+	}
+	*cfg = pendingConfig{topSet: cfg.topSet}
+	clear(cfg.topSet)
 	if utilisation < 1-q.params.DeltaPort || len(entries) == 0 {
 		// Unsaturated: no flow is bottlenecked here; the single aggregate
 		// group passes at full capacity.

@@ -8,13 +8,19 @@
 // negative). The control plane polls and resets the whole structure every
 // interval, letting active heavy hitters immediately reclaim slots.
 //
-// Passive management is also what keeps the poll a plain scan: a slot is
+// Passive management is also what keeps the poll a plain walk: a slot is
 // freed only by the poll, so within one interval the stage slot a flow
 // first claims stays its own and every earlier stage stays taken by
 // others — a flow owns at most one slot, and a poll has nothing to merge.
+// An occupancy bitmap beside each stage lets the poll visit only the slots
+// claimed since the last one, not the whole table.
 package hhcache
 
-import "cebinae/internal/packet"
+import (
+	"math/bits"
+
+	"cebinae/internal/packet"
+)
 
 // Entry is one polled cache slot: a flow and the bytes it was observed to
 // send during the interval.
@@ -40,8 +46,12 @@ type Stats struct {
 // stage uses an independent hash seed.
 type Cache struct {
 	stages [][]slot
-	seeds  []uint64
-	mask   uint64
+	// occupied holds one bit per slot, one word per 64 slots, for each
+	// stage: Observe sets a slot's bit when it claims the slot, and Poll
+	// visits and clears only the slots whose bits are set.
+	occupied [][]uint64
+	seeds    []uint64
+	mask     uint64
 
 	// polled is Poll's result buffer, reused from poll to poll.
 	polled []Entry
@@ -58,6 +68,7 @@ func New(stages, slots int) *Cache {
 	c := &Cache{mask: uint64(slots - 1)}
 	for i := 0; i < stages; i++ {
 		c.stages = append(c.stages, make([]slot, slots))
+		c.occupied = append(c.occupied, make([]uint64, (slots+63)/64))
 		// Fixed per-stage seeds keep runs reproducible.
 		c.seeds = append(c.seeds, 0x9E3779B97F4A7C15*uint64(i+1))
 	}
@@ -81,6 +92,7 @@ func (c *Cache) Observe(flow packet.FlowKey, bytes int64) bool {
 			s.used = true
 			s.flow = flow
 			s.bytes = bytes
+			c.occupied[i][idx/64] |= 1 << (idx % 64)
 			return true
 		}
 		if s.flow == flow {
@@ -110,28 +122,24 @@ func (c *Cache) Bytes(flow packet.FlowKey) int64 {
 // slot order, which the fixed per-stage seeds make a pure function of the
 // observed stream; a flow owns at most one slot, so no flow appears twice.
 // The slice is a buffer the cache reuses: it is valid until the next Poll.
+// Its cost follows the occupied slots, not the table: it walks the
+// occupancy bitmap and zeroes only the slots it reads.
 func (c *Cache) Poll() []Entry {
 	out := c.polled[:0]
-	for _, stage := range c.stages {
-		for j := range stage {
-			if s := &stage[j]; s.used {
+	for i, stage := range c.stages {
+		words := c.occupied[i]
+		for w, word := range words {
+			for ; word != 0; word &= word - 1 {
+				s := &stage[w*64+bits.TrailingZeros64(word)]
 				out = append(out, Entry{Flow: s.flow, Bytes: s.bytes})
+				*s = slot{}
 			}
+			words[w] = 0
 		}
-		clear(stage)
 	}
 	c.polled = out
 	c.stats.Occupied = len(out)
 	return out
-}
-
-// Reset clears all slots without reading them.
-func (c *Cache) Reset() {
-	for i := range c.stages {
-		for j := range c.stages[i] {
-			c.stages[i][j] = slot{}
-		}
-	}
 }
 
 // Stats returns cache counters.

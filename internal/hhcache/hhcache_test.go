@@ -1,6 +1,7 @@
 package hhcache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,15 +131,6 @@ func TestPassiveManagementRecovery(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	c := New(2, 16)
-	c.Observe(flow(1), 10)
-	c.Reset()
-	if len(c.Poll()) != 0 {
-		t.Fatal("reset must clear all slots")
-	}
-}
-
 func TestGeometryValidation(t *testing.T) {
 	for _, bad := range []struct{ stages, slots int }{{0, 16}, {1, 0}, {1, 3}, {-1, 8}} {
 		func() {
@@ -190,6 +182,63 @@ func TestPollOneSlotPerFlow(t *testing.T) {
 		return polled == counted
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pollScan is the poll without the occupancy bitmap: it reads every slot
+// of every stage in order, keeps the occupied ones and zeroes the table
+// and the bitmap.
+func (c *Cache) pollScan() []Entry {
+	var out []Entry
+	for i, stage := range c.stages {
+		for j := range stage {
+			if s := &stage[j]; s.used {
+				out = append(out, Entry{Flow: s.flow, Bytes: s.bytes})
+			}
+		}
+		clear(stage)
+		clear(c.occupied[i])
+	}
+	c.stats.Occupied = len(out)
+	return out
+}
+
+// TestPollMatchesFullScan: on random fills of random geometries — stages
+// from sparse to full, slots both under and over one bitmap word — Poll
+// returns exactly the full scan's entries in its stage-then-slot order
+// and leaves the same table behind, over several intervals of one cache.
+func TestPollMatchesFullScan(t *testing.T) {
+	f := func(seed uint64, stagesSeed, slotsSeed uint8, flowsSeed uint16) bool {
+		stages, slots := 1+int(stagesSeed%3), 1<<(slotsSeed%9) // 1–256 slots a stage
+		flows := 1 + int(flowsSeed)%(2*stages*slots)
+		got, want := New(stages, slots), New(stages, slots)
+		rng := sim.NewRand(seed)
+		for interval := 0; interval < 3; interval++ {
+			for n := rng.Intn(3 * flows); n > 0; n-- {
+				k, b := flow(rng.Intn(flows)), int64(1+rng.Intn(1500))
+				if got.Observe(k, b) != want.Observe(k, b) {
+					return false
+				}
+			}
+			pg, pw := got.Poll(), want.pollScan()
+			if len(pg) != len(pw) || got.Stats() != want.Stats() {
+				return false
+			}
+			for i := range pg {
+				if pg[i] != pw[i] {
+					return false
+				}
+			}
+			for i := range got.stages {
+				if !slices.Equal(got.stages[i], want.stages[i]) || !slices.Equal(got.occupied[i], want.occupied[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

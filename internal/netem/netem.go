@@ -459,6 +459,10 @@ func (n *Node) RegisterDefault(ep Endpoint) {
 // (endpoint delivery or drop).
 func (n *Node) AllocPacket() *packet.Packet { return n.net.pool.Get() }
 
+// AllocSack draws a SACK block array from the network's pool for a packet
+// about to carry blocks; it returns to the pool with that packet.
+func (n *Node) AllocSack() *[packet.MaxSack]packet.SackBlock { return n.net.pool.GetSack() }
+
 // NextHop returns the device Inject sends a packet for dst out of: the
 // table's entry, or else a host's uplink; nil when there is neither.
 func (n *Node) NextHop(dst packet.NodeID) *Device {

@@ -97,8 +97,9 @@ type Packet struct {
 
 	// SACK holds the selective-acknowledgement blocks of an ACK (RFC 2018),
 	// lowest first; only SACK[:NSack] are meaningful. The array lives out
-	// of line because only ACKs carry blocks: it is allocated the first
-	// time a pooled packet carries one, and Pool.Get keeps it across reuse.
+	// of line because only ACKs carry blocks: a packet about to carry
+	// some draws one with Pool.GetSack, and Pool.Put takes it back, so a
+	// pooled packet holds an array only while it is an ACK with blocks.
 	SACK *[MaxSack]SackBlock
 
 	// PayloadSize is application bytes carried; Size is bytes on the wire

@@ -20,10 +20,17 @@ package packet
 // it, and the device counts each as a drop before it Puts it. A packet
 // built outside the pool may still be Put into it.
 //
+// The pool also keeps a free list of SACK block arrays: Put moves a
+// released packet's array there, and GetSack hands one to a packet about
+// to carry blocks. So the arrays in existence follow the ACKs with blocks
+// in flight, not every packet that ever carried one.
+//
 // Building with -tags packetdebug enables a double-free detector that
 // panics when a packet is released twice without an intervening Get.
 type Pool struct {
 	free []*Packet
+	// sacks is the free list of SACK arrays.
+	sacks []*[MaxSack]SackBlock
 	// slab is the unused tail of the current slab.
 	slab  []Packet
 	debug poolDebug
@@ -31,6 +38,10 @@ type Pool struct {
 	// (Gets - Reuses packets were fresh from a slab).
 	Gets   uint64
 	Reuses uint64
+	// SackGets / SackReuses count the same for SACK arrays
+	// (SackGets - SackReuses arrays were allocated).
+	SackGets   uint64
+	SackReuses uint64
 }
 
 // slabLen is the number of packets one slab allocation provides. A slab
@@ -42,9 +53,9 @@ type Pool struct {
 // therefore starts on a 64-byte line boundary.
 const slabLen = 512
 
-// Get returns a zeroed packet, reusing a released one when available. A
-// reused packet keeps its SACK array (its NSack count is reset to 0), so
-// an ACK's blocks cost one allocation per pooled packet, not one per ACK.
+// Get returns a zeroed packet, reusing a released one when available. Its
+// SACK field is nil: a packet that carries blocks draws an array with
+// GetSack.
 func (pl *Pool) Get() *Packet {
 	pl.Gets++
 	n := len(pl.free)
@@ -61,21 +72,45 @@ func (pl *Pool) Get() *Packet {
 	pl.free[n-1] = nil
 	pl.free = pl.free[:n-1]
 	pl.debug.onGet(p)
-	sack := p.SACK
 	*p = Packet{}
-	p.SACK = sack
 	return p
 }
 
 // Put releases p back to the pool. p must not be referenced by the caller
-// afterwards; its fields keep their values until the packet is reused.
+// afterwards. Its SACK array, if any, goes onto the array free list and
+// the field is cleared; its other fields keep their values until the
+// packet is reused.
 func (pl *Pool) Put(p *Packet) {
 	pl.debug.onPut(p)
+	if p.SACK != nil {
+		pl.sacks = append(pl.sacks, p.SACK)
+		p.SACK = nil
+	}
 	pl.free = append(pl.free, p)
+}
+
+// GetSack returns a SACK array for a packet about to carry blocks: the
+// one released last, or a fresh one when none is free. Its contents are
+// stale; the caller writes the blocks it sets NSack to. The array returns
+// to the pool with the packet that holds it.
+func (pl *Pool) GetSack() *[MaxSack]SackBlock {
+	pl.SackGets++
+	n := len(pl.sacks)
+	if n == 0 {
+		return new([MaxSack]SackBlock)
+	}
+	pl.SackReuses++
+	a := pl.sacks[n-1]
+	pl.sacks[n-1] = nil
+	pl.sacks = pl.sacks[:n-1]
+	return a
 }
 
 // FreeLen returns the number of packets currently on the free list.
 func (pl *Pool) FreeLen() int { return len(pl.free) }
+
+// SackFreeLen returns the number of SACK arrays on their free list.
+func (pl *Pool) SackFreeLen() int { return len(pl.sacks) }
 
 // Sink takes back the packets a queue discipline discards after admitting
 // them. netem.Device.SetQdisc hands one to every qdisc with a SetSink

@@ -33,8 +33,17 @@ func TestPoolReuse(t *testing.T) {
 	if q.Seq != 0 || q.Size != 0 || q.ECN != ECNNotECT || q.NSack != 0 {
 		t.Fatalf("recycled packet not zeroed: %+v", q)
 	}
-	if q.SACK != sack {
-		t.Fatal("recycled packet lost its SACK array")
+	if q.SACK != nil {
+		t.Fatal("recycled packet still holds its SACK array")
+	}
+	if pool.SackFreeLen() != 1 {
+		t.Fatalf("SACK free list length %d after Put, want 1", pool.SackFreeLen())
+	}
+	if a := pool.GetSack(); a != sack || pool.SackGets != 1 || pool.SackReuses != 1 {
+		t.Fatalf("GetSack after Put: released array %v, gets=%d reuses=%d; want the released array", a == sack, pool.SackGets, pool.SackReuses)
+	}
+	if a := pool.GetSack(); a == nil || a == sack || pool.SackReuses != 1 {
+		t.Fatalf("GetSack from an empty array list: %p, reuses=%d; want a fresh array", a, pool.SackReuses)
 	}
 }
 
@@ -53,7 +62,7 @@ func TestPoolGetGrows(t *testing.T) {
 
 // TestPoolSlab pins the slab: fresh packets are handed out slabLen to an
 // allocation, each one zeroed and distinct, and a recycled slab packet
-// keeps its SACK array.
+// comes back without its SACK array, which is the next one handed out.
 func TestPoolSlab(t *testing.T) {
 	var pool Pool
 	var last *Packet
@@ -91,8 +100,11 @@ func TestPoolSlab(t *testing.T) {
 	sack := &[MaxSack]SackBlock{{Start: 1, End: 2}, {Start: 3, End: 4}}
 	p.SACK, p.NSack = sack, 2
 	pool.Put(p)
-	if q := pool.Get(); q != p || q.NSack != 0 || q.SACK != sack {
-		t.Fatalf("recycled slab packet: same=%v nsack=%d same array=%v", q == p, q.NSack, q.SACK == sack)
+	if q := pool.Get(); q != p || q.NSack != 0 || q.SACK != nil {
+		t.Fatalf("recycled slab packet: same=%v nsack=%d array %p, want no array", q == p, q.NSack, q.SACK)
+	}
+	if a := pool.GetSack(); a != sack {
+		t.Fatal("the released SACK array is not the next one handed out")
 	}
 }
 

@@ -35,18 +35,17 @@ func (r *record) capture(p *packet.Packet, sent, arrival sim.Time) {
 	}
 }
 
-// restore copies the record into q, a packet drawn from the destination
-// shard's pool, keeping q's own SACK array.
-func (r *record) restore(q *packet.Packet) {
-	sack := q.SACK
+// restore copies the record into a packet drawn from pl, the destination
+// shard's pool, with a SACK array from the same pool when it carries
+// blocks.
+func (r *record) restore(pl *packet.Pool) *packet.Packet {
+	q := pl.Get()
 	*q = r.pkt
-	q.SACK = sack
 	if q.NSack > 0 {
-		if q.SACK == nil {
-			q.SACK = new([packet.MaxSack]packet.SackBlock)
-		}
+		q.SACK = pl.GetSack()
 		*q.SACK = r.sack
 	}
+	return q
 }
 
 // ringSize bounds the lock-free part of each cut-link queue. A window's

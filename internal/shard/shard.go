@@ -450,8 +450,7 @@ func (s *Shard) drainInbound() {
 	}
 	for i := range p {
 		e := &p[i]
-		pkt := s.Net.Pool().Get()
-		e.rec.restore(pkt)
+		pkt := e.rec.restore(s.Net.Pool())
 		s.inbound[e.link].dstDev.InjectArrivalFrom(e.rec.arrival, e.rec.sent, pkt)
 	}
 }

@@ -114,9 +114,11 @@ func TestSPSCBarrierHandoff(t *testing.T) {
 }
 
 // TestRecordCaptureRestoreSACK round-trips a packet with 0, 1 and 3 SACK
-// blocks through a handoff record: the destination packet carries equal
-// blocks in its own array (allocated only when it has none and there are
-// blocks to carry), never the source's.
+// blocks through a handoff record: the destination packet comes from the
+// destination pool and carries equal blocks in an array drawn from that
+// pool (only when there are blocks to carry), never the source's. Once
+// the destination pool holds a free array and packet, a restore
+// allocates nothing.
 func TestRecordCaptureRestoreSACK(t *testing.T) {
 	for _, nblocks := range []int{0, 1, packet.MaxSack} {
 		src := &packet.Packet{Size: 1500, PayloadSize: 1448, SACK: new([packet.MaxSack]packet.SackBlock), NSack: uint8(nblocks)}
@@ -126,29 +128,35 @@ func TestRecordCaptureRestoreSACK(t *testing.T) {
 		var r record
 		r.capture(src, 40, 42)
 		*src.SACK = [packet.MaxSack]packet.SackBlock{} // scribble: the record must not alias
+		var pool packet.Pool
 		held := new([packet.MaxSack]packet.SackBlock)
-		for _, dst := range []*packet.Packet{{}, {SACK: held}} {
-			own := dst.SACK
-			r.restore(dst)
-			if r.sent != 40 || r.arrival != 42 || dst.Size != 1500 || dst.PayloadSize != 1448 {
-				t.Fatalf("nblocks=%d: restored packet %+v, sent %d, arrival %d", nblocks, dst, r.sent, r.arrival)
+		pool.Put(&packet.Packet{SACK: held})
+		dst := r.restore(&pool)
+		if r.sent != 40 || r.arrival != 42 || dst.Size != 1500 || dst.PayloadSize != 1448 {
+			t.Fatalf("nblocks=%d: restored packet %+v, sent %d, arrival %d", nblocks, dst, r.sent, r.arrival)
+		}
+		if int(dst.NSack) != nblocks {
+			t.Fatalf("nblocks=%d: restored %d SACK blocks", nblocks, dst.NSack)
+		}
+		if pool.Gets != 1 || pool.Reuses != 1 {
+			t.Fatalf("nblocks=%d: restore drew %d packets (%d reused) from the destination pool, want 1 reused", nblocks, pool.Gets, pool.Reuses)
+		}
+		switch {
+		case dst.SACK == src.SACK:
+			t.Fatalf("nblocks=%d: restored packet shares the source's SACK array", nblocks)
+		case nblocks > 0 && dst.SACK != held:
+			t.Fatalf("nblocks=%d: restored array is not the destination pool's free one", nblocks)
+		case nblocks == 0 && (dst.SACK != nil || pool.SackGets != 0):
+			t.Fatalf("nblocks=%d: restore drew a SACK array for no blocks", nblocks)
+		}
+		for i := 0; i < nblocks; i++ {
+			if b := dst.SACK[i]; b.Start != int64(10*i) || b.End != int64(10*i+5) {
+				t.Fatalf("nblocks=%d: block %d = %+v after source scribble", nblocks, i, b)
 			}
-			if int(dst.NSack) != nblocks {
-				t.Fatalf("nblocks=%d: restored %d SACK blocks", nblocks, dst.NSack)
-			}
-			switch {
-			case dst.SACK == src.SACK:
-				t.Fatalf("nblocks=%d: restored packet shares the source's SACK array", nblocks)
-			case own != nil && dst.SACK != own:
-				t.Fatalf("nblocks=%d: restored packet lost its own SACK array", nblocks)
-			case own == nil && nblocks == 0 && dst.SACK != nil:
-				t.Fatalf("nblocks=%d: restore allocated a SACK array for no blocks", nblocks)
-			}
-			for i := 0; i < nblocks; i++ {
-				if b := dst.SACK[i]; b.Start != int64(10*i) || b.End != int64(10*i+5) {
-					t.Fatalf("nblocks=%d: block %d = %+v after source scribble", nblocks, i, b)
-				}
-			}
+		}
+		pool.Put(dst)
+		if allocs := testing.AllocsPerRun(100, func() { pool.Put(r.restore(&pool)) }); allocs != 0 {
+			t.Fatalf("nblocks=%d: a restore from a pool holding a free packet and array allocates %.1f objects, want 0", nblocks, allocs)
 		}
 	}
 }

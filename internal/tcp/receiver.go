@@ -147,13 +147,11 @@ func (r *Receiver) sendAck() {
 	ack.Flags = flags
 	ack.Size = packet.HeaderBytes
 	// Attach up to three SACK blocks (RFC 2018), lowest first, so the
-	// sender's scoreboard repairs the earliest holes first.
-	// A pooled packet keeps its block array across reuse, so this
-	// allocates only the first time a packet carries blocks.
+	// sender's scoreboard repairs the earliest holes first. The array
+	// comes from the network's pool and goes back with the ACK, so only
+	// an ACK that carries blocks holds one.
 	if n := min(len(r.ooo.ivs), packet.MaxSack); n > 0 {
-		if ack.SACK == nil {
-			ack.SACK = new([packet.MaxSack]packet.SackBlock)
-		}
+		ack.SACK = r.node.AllocSack()
 		for i, iv := range r.ooo.ivs[:n] {
 			ack.SACK[i] = packet.SackBlock{Start: iv.start, End: iv.end}
 		}

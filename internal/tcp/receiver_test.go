@@ -74,32 +74,43 @@ func TestSendAckCapsSackAtThree(t *testing.T) {
 	}
 }
 
-// TestReusedAckKeepsSackArray: an ACK packet that carried blocks goes back
-// to the pool with its array; the next ACK drawn from the pool is the same
-// packet, arrives with NSack == 0 once the holes are filled, and still
-// holds that array.
-func TestReusedAckKeepsSackArray(t *testing.T) {
+// TestDeliveredAckSackArrayReturnsToPool: an ACK that carried blocks
+// gives its array back to the network's pool when it is delivered; an ACK
+// without blocks holds none, and the next ACK with blocks carries the
+// released array again.
+func TestDeliveredAckSackArrayReturnsToPool(t *testing.T) {
 	eng, r, tap := tappedReceiver()
+	pool := r.node.Network().Pool()
 	segment(eng, r, 1)
 	if tap.nsack != 1 || tap.sack == nil {
 		t.Fatalf("out-of-order ACK: %d blocks, array %p; want 1 block", tap.nsack, tap.sack)
 	}
-	pkt, sack := tap.pkt, tap.sack
-	segment(eng, r, 0)
-	if tap.acks != 2 || tap.pkt != pkt {
-		t.Fatalf("the in-order ACK is not the recycled packet (%d ACKs)", tap.acks)
+	sack := tap.sack
+	if pool.SackFreeLen() != 1 || tap.pkt.SACK != nil {
+		t.Fatalf("delivered ACK: %d arrays free, packet still holds %p; want its array back in the pool", pool.SackFreeLen(), tap.pkt.SACK)
 	}
-	if tap.nsack != 0 || tap.sack != sack {
-		t.Fatalf("recycled ACK: %d blocks, array kept %v; want 0 blocks and the same array", tap.nsack, tap.sack == sack)
+	segment(eng, r, 0)
+	if tap.acks != 2 || tap.nsack != 0 || tap.sack != nil {
+		t.Fatalf("in-order ACK %d: %d blocks, array %p; want no blocks and no array", tap.acks, tap.nsack, tap.sack)
+	}
+	segment(eng, r, 3)
+	if tap.nsack != 1 || tap.sack != sack {
+		t.Fatalf("next out-of-order ACK: %d blocks, released array reused %v; want 1 block in the released array", tap.nsack, tap.sack == sack)
+	}
+	if pool.SackGets != 2 || pool.SackReuses != 1 || pool.SackFreeLen() != 1 {
+		t.Fatalf("pool SACK counters: gets=%d reuses=%d free=%d; want 2, 1, 1", pool.SackGets, pool.SackReuses, pool.SackFreeLen())
 	}
 }
 
-// TestSendAckZeroAlloc: once every pooled packet holds a SACK array, an
-// ACK carrying blocks allocates nothing.
+// TestSendAckZeroAlloc: once the pool holds a free SACK array, an ACK
+// carrying blocks allocates nothing.
 func TestSendAckZeroAlloc(t *testing.T) {
 	eng, r, tap := tappedReceiver()
 	for _, i := range []int64{2, 4, 6, 8} {
 		segment(eng, r, i)
+	}
+	if free := r.node.Network().Pool().SackFreeLen(); free != 1 {
+		t.Fatalf("%d SACK arrays free after the ACKs drained, want 1", free)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		r.sendAck()
@@ -107,5 +118,83 @@ func TestSendAckZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 || tap.nsack != packet.MaxSack {
 		t.Fatalf("an ACK with %d blocks allocates %.1f objects, want 0", tap.nsack, allocs)
+	}
+}
+
+// sackCounter is the ACK path's FIFO, counting each ACK with blocks the
+// receiver sends into it as one more in flight.
+type sackCounter struct {
+	*qdisc.FIFO
+	inFlight, peak int
+}
+
+func (q *sackCounter) Enqueue(p *packet.Packet) bool {
+	if p.NSack > 0 {
+		q.inFlight++
+		q.peak = max(q.peak, q.inFlight)
+	}
+	return q.FIFO.Enqueue(p)
+}
+
+// sackLanding is the host the ACKs are addressed to: it counts each ACK
+// with blocks as landed and hands it to the sender.
+type sackLanding struct {
+	conn *Conn
+	q    *sackCounter
+}
+
+func (l *sackLanding) Deliver(p *packet.Packet) {
+	if p.NSack > 0 {
+		l.q.inFlight--
+	}
+	l.conn.Deliver(p)
+}
+
+// TestSackArraysFollowAcksInFlight: on a lossy transfer the receiver
+// sends many ACKs with blocks, yet the SACK arrays the network allocates
+// never outnumber the most such ACKs in flight at once, and once the run
+// drains every array is back on the pool's free list. The sender sits
+// on a; its ACKs are addressed to a separate host x on the path back, so
+// the test can see them land.
+func TestSackArraysFollowAcksInFlight(t *testing.T) {
+	eng := sim.NewEngine()
+	w := netem.NewNetwork(eng)
+	a, b, x := w.NewNode("a"), w.NewNode("b"), w.NewNode("x")
+	ab, ba := w.Connect(a, b, netem.LinkConfig{RateBps: 10e6, Delay: sim.Duration(5e6)})
+	bx, xb := w.Connect(b, x, netem.LinkConfig{RateBps: 10e6, Delay: sim.Duration(5e6)})
+	lossy := qdisc.NewLossy(qdisc.NewFIFO(1<<20), 3)
+	lossy.DropProb = 0.03
+	ab.SetQdisc(lossy)
+	acks := &sackCounter{FIFO: qdisc.NewFIFO(1 << 20)}
+	bx.SetQdisc(acks)
+	ba.SetQdisc(qdisc.NewFIFO(1 << 20))
+	xb.SetQdisc(qdisc.NewFIFO(1 << 20))
+	a.AddRoute(b.ID, ab)
+	b.AddRoute(x.ID, bx)
+
+	const size = 4 << 20
+	key := packet.FlowKey{Src: x.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	conn := NewConn(eng, a, Config{Key: key, DataLimit: size})
+	r := NewReceiver(eng, b, ReceiverConfig{Key: key})
+	x.Register(key.Reverse(), &sackLanding{conn: conn, q: acks})
+	eng.Run(sim.Duration(60e9))
+
+	pool := w.Pool()
+	allocated := pool.SackGets - pool.SackReuses
+	t.Logf("%d ACKs, %d with blocks; %d arrays allocated, at most %d ACKs with blocks in flight",
+		r.Stats.AcksSent, pool.SackGets, allocated, acks.peak)
+	switch {
+	case r.Stats.GoodputBytes != size:
+		t.Fatalf("transfer incomplete: %d of %d bytes", r.Stats.GoodputBytes, size)
+	case ab.Stats().DropPackets == 0 || bx.Stats().DropPackets != 0:
+		t.Fatalf("want data losses and no ACK losses: %d data, %d ACKs dropped", ab.Stats().DropPackets, bx.Stats().DropPackets)
+	case pool.SackGets < 100 || acks.peak == 0:
+		t.Fatalf("only %d ACKs carried blocks (peak %d in flight); the fixture must recover from many losses", pool.SackGets, acks.peak)
+	case acks.inFlight != 0:
+		t.Fatalf("%d ACKs with blocks still in flight after the run drained", acks.inFlight)
+	case pool.SackFreeLen() != int(allocated):
+		t.Fatalf("%d of %d SACK arrays back on the free list after the run drained", pool.SackFreeLen(), allocated)
+	case allocated > uint64(acks.peak):
+		t.Fatalf("%d SACK arrays allocated for at most %d ACKs with blocks in flight", allocated, acks.peak)
 	}
 }
