@@ -105,7 +105,13 @@ cli-smoke:
 # transfer allocates at most its peak of ACKs with blocks in flight and
 # all back in the pool once it drains (TestSackArraysFollowAcksInFlight),
 # and a Cebinae recompute refilling the idle configuration bank, never
-# the live ⊤ set (TestConfigForKeepsLiveTopSet). The packet pool rides
+# the live ⊤ set (TestConfigForKeepsLiveTopSet). The backbone tier's
+# footprint rides along too: the quick 1e5 tier allocates at most 411 B
+# per started flow over its whole run (TestBackboneBytesPerFlow), a
+# replay flow record is 128 B and its arena chunk 64 KiB
+# (TestFlowRecordSize), a Timer 80 B (TestEventSize), a closed-loop
+# sink's table grows by doubling (TestSinkGrowsByDoubling) and a flow
+# schedule is sized once (TestFlowsSizedOnce). The packet pool rides
 # along: a packet is one
 # 64-byte cache line (TestPacketSize) and every packet of a fresh slab
 # starts on a line boundary (TestPoolSlabAligned), one allocation per 512
@@ -118,7 +124,7 @@ cli-smoke:
 # uncontended hop and one more per queued packet, and ≤ 8.1 events per
 # delivered segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger|TestRunSteadyStateZeroAlloc|TestSackArraysFollowAcksInFlight|TestConfigForKeepsLiveTopSet' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./internal/core/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger|TestRunSteadyStateZeroAlloc|TestSackArraysFollowAcksInFlight|TestConfigForKeepsLiveTopSet|TestBackboneBytesPerFlow|TestFlowRecordSize|TestEventSize|TestSinkGrowsByDoubling|TestFlowsSizedOnce' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./internal/core/ ./internal/trace/ ./experiments/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

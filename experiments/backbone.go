@@ -278,36 +278,36 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 // ideal water-filling allocation over every observed flow.
 func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backbonePoller, cfg BackboneConfig) {
 	// Rank the flows seen by bytes, heaviest first, ties broken by the
-	// flow key's hash — computed once per flow, not per comparison.
-	type ranked struct {
-		trace.FlowCount
-		tie uint64
-	}
-	truth := make([]ranked, 0, len(obs.truth))
-	for _, fc := range obs.truth {
+	// flow key's hash — computed once per flow, not per comparison. The
+	// ranking is an index of FlowIDs into the observer's truth.
+	truth := obs.truth
+	ties := make([]uint64, len(truth))
+	rank := make([]int32, 0, len(truth))
+	for id, fc := range truth {
 		if fc.Bytes > 0 {
-			truth = append(truth, ranked{fc, fc.Flow.Hash(0)})
+			rank = append(rank, int32(id))
+			ties[id] = fc.Flow.Hash(0)
 		}
 	}
-	res.FlowsSeen = len(truth)
-	if len(truth) == 0 {
+	res.FlowsSeen = len(rank)
+	if len(rank) == 0 {
 		return
 	}
-	slices.SortFunc(truth, func(a, b ranked) int {
-		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+	slices.SortFunc(rank, func(a, b int32) int {
+		if c := cmp.Compare(truth[b].Bytes, truth[a].Bytes); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.tie, b.tie)
+		return cmp.Compare(ties[a], ties[b])
 	})
 
-	k := min(topK, len(truth))
+	k := min(topK, len(rank))
 
 	// Cache recall: how many of the true top-K the polled cache ever
 	// reported across the control-plane rounds.
 	res.CacheOccupied = poller.peakOcc
 	hit := 0
-	for _, fc := range truth[:k] {
-		if poller.held[fc.Flow] {
+	for _, id := range rank[:k] {
+		if poller.held[truth[id].Flow] {
 			hit++
 		}
 	}
@@ -321,10 +321,13 @@ func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backboneP
 	// core's stream would (TestAddOrderFree in internal/cmsketch).
 	sketch := cmsketch.New(sketchRows, sketchCols)
 	for _, fc := range truth {
-		sketch.Add(fc.Flow, fc.Bytes)
+		if fc.Bytes > 0 {
+			sketch.Add(fc.Flow, fc.Bytes)
+		}
 	}
 	var overSum float64
-	for _, fc := range truth[:k] {
+	for _, id := range rank[:k] {
+		fc := truth[id]
 		est := sketch.Estimate(fc.Flow)
 		if est < fc.Bytes {
 			res.SketchUnderestimates++
@@ -343,14 +346,14 @@ func scoreBackbone(res *BackboneResult, obs *backboneObserver, poller *backboneP
 	// (Allocate only reads routes).
 	net := &maxmin.Network{
 		Capacity: []float64{cfg.CoreBps},
-		Routes:   make([][]int, len(truth)),
-		Demand:   make([]float64, len(truth)),
+		Routes:   make([][]int, len(rank)),
+		Demand:   make([]float64, len(rank)),
 	}
 	core := []int{0}
 	secs := cfg.Duration.Seconds()
-	for i, fc := range truth {
+	for i, id := range rank {
 		net.Routes[i] = core
-		net.Demand[i] = float64(fc.Bytes*8) / secs
+		net.Demand[i] = float64(truth[id].Bytes*8) / secs
 	}
 	rates, err := maxmin.Allocate(net)
 	if err != nil {

@@ -114,6 +114,29 @@ func TestBackbone100kTier(t *testing.T) {
 	}
 }
 
+// TestBackboneBytesPerFlow pins what the quick 1e5 backbone tier allocates
+// over its whole run — schedule, arena, sink, observer truth, scoring —
+// per started flow. It read 374 B when pinned (690 B while a flow record
+// was 192 B, a t = 0 burst put one first-send timer per flow on the heap
+// and the schedule, sink table and scoring copy regrew by append); the
+// bound is that reading plus 10 %.
+func TestBackboneBytesPerFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1e5-flow tier skipped in short mode")
+	}
+	const maxBytesPerFlow = 411
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := RunBackbone(BackboneTier(100_000, Quick))
+	runtime.ReadMemStats(&m1)
+	perFlow := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Started)
+	t.Logf("%d flows started, %.1f B allocated per flow", res.Started, perFlow)
+	if perFlow > maxBytesPerFlow {
+		t.Fatalf("1e5 backbone tier allocates %.1f B per started flow, want at most %d", perFlow, maxBytesPerFlow)
+	}
+}
+
 // scoringFixture is an observer of n flows with eight distinct byte
 // totals (so water-filling takes eight rounds) and a poller that held
 // the first flow, as the core would have left them.

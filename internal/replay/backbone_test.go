@@ -81,9 +81,10 @@ func (r *backboneRig) attach(schedule []trace.FlowSpec) *replay.Source {
 func BenchmarkBackbone(b *testing.B) {
 	schedule := backboneSchedule()
 
-	// Footprint pre-pass: heap growth from admitting the whole standing
-	// population (records, arena chunks, armed wheel timers, feedback
-	// index) before the first byte moves, amortised per live flow. Both
+	// Footprint pre-pass: heap growth from the whole standing
+	// population's admission and first sends (records and their pacing
+	// timers, arena chunks, feedback index, the first packets queued),
+	// amortised per live flow. Both
 	// readings follow a forced GC, so the delta is live bytes, not
 	// allocator slack.
 	rig := newBackboneRig()

@@ -11,8 +11,10 @@
 // intrusively linked into the engine's timing wheel, so records must have
 // stable addresses: the arena allocates fixed-size chunks that are never
 // moved or freed, and finished flows recycle their slot through a free
-// list. The steady-state send path — timer fires, pooled packet filled and
-// injected, timer re-armed — allocates nothing.
+// list chained through the finished records themselves. A record is two
+// cache lines (128 B), 80 of them its timer. The steady-state send path —
+// timer fires, pooled packet filled and injected, timer re-armed —
+// allocates nothing.
 //
 // With Config.ClosedLoop set, the source reacts to congestion feedback
 // from a replay.Sink at the far end: the sink watches sequence numbers and
@@ -42,7 +44,8 @@ import (
 )
 
 // Arena geometry: fixed chunks keep flow records at stable addresses (the
-// embedded timers are intrusively linked into the engine's wheel).
+// embedded timers are intrusively linked into the engine's wheel); a
+// chunk of 512 records is 64 KiB.
 const (
 	chunkShift = 9
 	chunkSize  = 1 << chunkShift
@@ -105,19 +108,21 @@ type SourceStats struct {
 
 // flowState is the compact per-flow record. The embedded Timer is
 // intrusively linked into the engine's timing wheel, so flowStates live in
-// the arena (stable addresses) and are recycled, never moved.
+// the arena (stable addresses) and are recycled, never moved. What a send
+// needs and can derive is not stored: the next byte offset is
+// (npkts − left) packets, the backoff ceiling follows from baseGap, and a
+// record is live exactly while left > 0.
 type flowState struct {
-	timer   sim.Timer
-	src     *Source
-	key     packet.FlowKey
-	left    int32  // packets still to send
-	slot    int32  // arena ordinal, for the free list
-	id      uint32 // schedule ordinal + 1, stamped as every packet's FlowID
-	active  bool
+	timer sim.Timer
+	key   packet.FlowKey
+	id    uint32 // schedule ordinal + 1, stamped as every packet's FlowID
+	left  int32  // packets still to send; 0 once the flow has finished
+	// npkts is the flow's packet count while it runs; once it has
+	// finished, the free list's next slot + 1 (0 ends the list).
+	npkts   int32
+	slot    int32    // arena ordinal, for the free list and the index
 	gap     sim.Time // current pacing gap
 	baseGap sim.Time // schedule-rate gap
-	maxGap  sim.Time // backoff ceiling
-	seq     int64    // next byte offset on the wire
 }
 
 type chunk [chunkSize]flowState
@@ -130,16 +135,24 @@ type Source struct {
 	eng      *sim.Engine
 	cfg      Config
 	schedule []trace.FlowSpec
-	next     int // first schedule entry not yet started
+	next     int // first schedule entry not yet admitted
 
 	startTimer sim.Timer
 
+	// An admission burst's first sends are one owned event, re-armed
+	// under each admitted flow's key in turn: ordinals first..next−1 are
+	// admitted and still wait for their first send, and firstSeq is the
+	// seq first's admission drew.
+	firstEv  sim.Event
+	first    int
+	firstSeq uint64
+
 	chunks []*chunk
-	free   []int32
+	free   int32 // first free slot + 1; 0 = none, carve from the arena
 	used   int
 
 	// index maps a schedule ordinal to the arena slot its flow was given
-	// at admission — only maintained in closed-loop mode, where feedback
+	// at its first send — only maintained in closed-loop mode, where feedback
 	// packets must find their flow by the FlowID they echo. A finished
 	// flow's entry goes stale; Deliver checks the slot still holds it.
 	index []int32
@@ -183,10 +196,10 @@ func NewSource(node *netem.Node, schedule []trace.FlowSpec, cfg Config) *Source 
 // alloc hands out a flow record with a stable address: recycled from the
 // free list, or carved from the arena (growing it a chunk at a time).
 func (s *Source) alloc() *flowState {
-	if n := len(s.free); n > 0 {
-		slot := s.free[n-1]
-		s.free = s.free[:n-1]
-		return s.at(slot)
+	if s.free != 0 {
+		fs := s.at(s.free - 1)
+		s.free = fs.npkts
+		return fs
 	}
 	if s.used == len(s.chunks)*chunkSize {
 		s.chunks = append(s.chunks, new(chunk))
@@ -205,25 +218,64 @@ func (s *Source) at(slot int32) *flowState {
 // sourceStart is the Source's flow-admission event handler view.
 type sourceStart Source
 
-// OnEvent starts every schedule entry that has come due and re-arms for
+// OnEvent admits every schedule entry that has come due and re-arms for
 // the next arrival instant.
+//
+// Each admitted flow's first packet goes out at this same instant, but
+// after the whole burst has been admitted: under the key (now, now, seq)
+// of a delay-0 timer armed at admission, seq drawn here, one per flow in
+// schedule order. The seqs are consecutive, so one owned event re-armed
+// under each in turn (firstSend) dispatches exactly where the burst's
+// timers would have, without a standing population of 10⁵ flows putting
+// 10⁵ events on the heap. The records themselves are filled at the first
+// send.
 func (h *sourceStart) OnEvent(any) {
 	s := (*Source)(h)
+	if s.first < s.next {
+		// Only a FastForward skip landing on this arrival instant can
+		// carry an earlier burst's first sends here.
+		panic("replay: flow admission with an earlier burst's first sends still pending")
+	}
 	now := s.eng.Now()
 	for s.next < len(s.schedule) && s.schedule[s.next].At <= now {
-		s.start(s.next)
+		seq := s.eng.DrawSeq()
+		if s.next == s.first {
+			s.firstSeq = seq
+		}
 		s.next++
+		s.Stats.Started++
+		s.Stats.Active++
+	}
+	s.Stats.PeakActive = max(s.Stats.PeakActive, s.Stats.Active)
+	if s.first < s.next {
+		s.eng.ScheduleOwned(&s.firstEv, now, now, s.firstSeq, (*firstSend)(s), nil)
 	}
 	if s.next < len(s.schedule) {
 		s.eng.ArmPinnedTimerAt(&s.startTimer, s.schedule[s.next].At, h, nil)
 	}
 }
 
-// start admits schedule entry ord.
-func (s *Source) start(ord int) {
+// firstSend is the Source's first-send event handler view.
+type firstSend Source
+
+// OnEvent starts the next admitted flow, sends its first packet and
+// re-arms for the one after it, whose seq is the next one drawn.
+func (h *firstSend) OnEvent(any) {
+	s := (*Source)(h)
+	ord := s.first
+	s.first++
+	if s.first < s.next {
+		s.firstSeq++
+		now := s.eng.Now()
+		s.eng.ScheduleOwned(&s.firstEv, now, now, s.firstSeq, h, nil)
+	}
+	s.send(s.start(ord))
+}
+
+// start fills a record for schedule entry ord.
+func (s *Source) start(ord int) *flowState {
 	spec := &s.schedule[ord]
 	fs := s.alloc()
-	fs.src = s
 	fs.id = uint32(ord) + 1
 	fs.key = packet.FlowKey{
 		Src:     s.node.ID,
@@ -233,9 +285,8 @@ func (s *Source) start(ord int) {
 		Proto:   spec.Key.Proto,
 	}
 	npkts := int32(spec.Bytes/int64(s.cfg.PacketBytes)) + 1
+	fs.npkts = npkts
 	fs.left = npkts
-	fs.seq = 0
-	fs.active = true
 	fs.baseGap = spec.Lifetime / sim.Time(npkts)
 	if s.cfg.RTTSpread > 0 {
 		// Integer parts-per-million keeps the jitter exact and free of
@@ -247,49 +298,32 @@ func (s *Source) start(ord int) {
 		fs.baseGap = fs.baseGap * sim.Time(ppm) / 1_000_000
 	}
 	fs.gap = fs.baseGap
-	fs.maxGap = fs.baseGap << maxBackoff
-	if floor := minCutGap << maxBackoff; fs.maxGap < floor {
-		fs.maxGap = floor
-	}
-	s.Stats.Started++
-	s.Stats.Active++
-	if s.Stats.Active > s.Stats.PeakActive {
-		s.Stats.PeakActive = s.Stats.Active
-	}
 	if s.index != nil {
 		s.index = append(s.index, fs.slot)
 	}
-	// The first packet goes out through the pacing timer at delay 0 — the
-	// same virtual instant, but after the whole admission burst has run.
-	// A standing population of 10⁵ flows is therefore 10⁵ live records
-	// with 10⁵ armed wheel timers before the first byte moves, not an
-	// interleaving of admissions and single-packet retirements.
-	s.eng.ArmTimer(&fs.timer, 0, tickHandler, fs)
+	return fs
 }
 
-// flowTick is the shared per-flow pacing-timer handler; the timer's arg
-// carries the flow record, so one stateless handler serves the whole
+// flowTick is the Source's per-flow pacing-timer handler view; the
+// timer's arg carries the flow record, so one handler serves the whole
 // arena.
-type flowTick struct{}
+type flowTick Source
 
-func (flowTick) OnEvent(arg any) { arg.(*flowState).send() }
+func (h *flowTick) OnEvent(arg any) { (*Source)(h).send(arg.(*flowState)) }
 
-var tickHandler flowTick
-
-// send emits one packet and re-arms the pacing timer — the zero-alloc
-// steady-state path (pooled packet, embedded timer, pointer-typed arg).
-func (fs *flowState) send() {
-	s := fs.src
+// send emits one packet of fs and re-arms its pacing timer — the
+// zero-alloc steady-state path (pooled packet, embedded timer,
+// pointer-typed arg).
+func (s *Source) send(fs *flowState) {
 	p := s.node.AllocPacket()
 	p.Flow = fs.key
 	p.FlowID = fs.id
-	p.Seq = fs.seq
+	p.Seq = int64(fs.npkts-fs.left) * int64(s.cfg.PacketBytes)
 	p.Size = int32(s.cfg.PacketBytes)
 	p.PayloadSize = p.Size - packet.HeaderBytes
 	if s.cfg.ECN {
 		p.ECN = packet.ECNECT
 	}
-	fs.seq += int64(p.Size)
 	fs.left--
 	last := fs.left == 0
 	if last {
@@ -305,14 +339,15 @@ func (fs *flowState) send() {
 		// Multiplicative decay back toward the schedule rate.
 		fs.gap = fs.baseGap + (fs.gap-fs.baseGap)*7/8
 	}
-	s.eng.ArmTimer(&fs.timer, fs.gap, tickHandler, fs)
+	s.eng.ArmTimer(&fs.timer, fs.gap, (*flowTick)(s), fs)
 }
 
+// finish retires fs (left is 0) and pushes its slot on the free list.
 func (s *Source) finish(fs *flowState) {
-	fs.active = false
 	s.Stats.Finished++
 	s.Stats.Active--
-	s.free = append(s.free, fs.slot)
+	fs.npkts = s.free
+	s.free = fs.slot + 1
 }
 
 // Deliver receives congestion feedback from the far-end Sink (the source
@@ -328,7 +363,7 @@ func (s *Source) Deliver(p *packet.Packet) {
 		return // not a feedback for a started flow
 	}
 	fs := s.at(s.index[id-1])
-	if !fs.active || fs.id != id {
+	if fs.left == 0 || fs.id != id {
 		return // flow finished, its slot perhaps recycled since
 	}
 	s.Stats.Feedbacks++
@@ -336,8 +371,10 @@ func (s *Source) Deliver(p *packet.Packet) {
 	if g < minCutGap {
 		g = minCutGap
 	}
-	if g > fs.maxGap {
-		g = fs.maxGap
+	// The backoff ceiling: the schedule gap maxBackoff doublings up, and
+	// never below the cut floor's.
+	if ceil := max(fs.baseGap, minCutGap) << maxBackoff; g > ceil {
+		g = ceil
 	}
 	if g > fs.gap {
 		s.Stats.RateCuts++

@@ -3,6 +3,7 @@ package replay
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
@@ -17,7 +18,7 @@ type chain struct {
 	eng                *sim.Engine
 	net                *netem.Network
 	src, sw1, sw2, dst *netem.Node
-	bottleneck         *netem.Device
+	uplink, bottleneck *netem.Device
 }
 
 func buildChain(bottleneckBps float64, bufBytes int) *chain {
@@ -36,7 +37,7 @@ func buildChain(bottleneckBps float64, bufBytes int) *chain {
 	sa, as := w.Connect(c.src, c.sw1, access)
 	bb, bb2 := w.Connect(c.sw1, c.sw2, core)
 	sd, ds := w.Connect(c.sw2, c.dst, access)
-	c.bottleneck = bb
+	c.uplink, c.bottleneck = sa, bb
 	c.src.AddRoute(c.dst.ID, sa)
 	c.sw1.AddRoute(c.dst.ID, bb)
 	c.sw2.AddRoute(c.dst.ID, sd)
@@ -164,6 +165,17 @@ func TestArenaRecyclesSlots(t *testing.T) {
 	}
 	if src.ResidentChunks() != 1 {
 		t.Fatalf("arena grew to %d chunks for a peak of %d active flows", src.ResidentChunks(), src.Stats.PeakActive)
+	}
+}
+
+// TestFlowRecordSize pins what a live flow costs the arena: a record is
+// two cache lines, its timer 80 B of them, and a chunk of records 64 KiB.
+func TestFlowRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(flowState{}); n != 128 {
+		t.Fatalf("sizeof(flowState) = %d, want 128", n)
+	}
+	if n := unsafe.Sizeof(chunk{}); n != 64<<10 {
+		t.Fatalf("sizeof(chunk) = %d, want %d", n, 64<<10)
 	}
 }
 

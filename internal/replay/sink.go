@@ -50,8 +50,9 @@ type Sink struct {
 	eng  *sim.Engine
 	cfg  SinkConfig
 
-	// flows is indexed by FlowID (closed-loop mode only) and grows to the
-	// largest one seen; a FIN resets its flow's entry.
+	// flows is indexed by FlowID (closed-loop mode only) and grows, by
+	// doubling, to cover the largest one seen; a FIN resets its flow's
+	// entry.
 	flows []sinkFlow
 
 	Stats SinkStats
@@ -85,8 +86,8 @@ func (k *Sink) Deliver(p *packet.Packet) {
 	if id == 0 {
 		panic(fmt.Sprintf("replay: closed-loop sink got untagged packet of flow %v (FlowID 0)", p.Flow))
 	}
-	for len(k.flows) <= id {
-		k.flows = append(k.flows, sinkFlow{})
+	if id >= len(k.flows) {
+		k.grow(id)
 	}
 	sf := &k.flows[id]
 	if p.Seq > sf.expect {
@@ -107,6 +108,14 @@ func (k *Sink) Deliver(p *packet.Packet) {
 	if fin {
 		k.flows[id] = sinkFlow{}
 	}
+}
+
+// grow extends flows to cover id, at least doubling it, so FlowIDs 1..N
+// cost about log₂ N allocations.
+func (k *Sink) grow(id int) {
+	flows := make([]sinkFlow, max(id+1, 2*len(k.flows), 64))
+	copy(flows, k.flows)
+	k.flows = flows
 }
 
 // feedback sends one congestion notification back to the source: a bare

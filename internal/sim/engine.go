@@ -109,11 +109,9 @@ const (
 	// cancelled), and return to the engine's free list the moment they fire.
 	kindPooled eventKind = iota
 	// kindOwned events are embedded in a caller's struct and rescheduled
-	// in place (ScheduleOwned); the engine never frees or recycles them.
+	// in place: by ScheduleOwned, or as a Timer's heap residency
+	// (timer.go). The engine never frees or recycles them.
 	kindOwned
-	// kindTimer events are the heap residency of a caller-embedded Timer
-	// (timer.go); arg back-points to the Timer, which carries the handler.
-	kindTimer
 	// kindStream events are the heap residency of a Stream (stream.go),
 	// carrying the head entry's key and handler; arg back-points to the
 	// Stream.
@@ -146,8 +144,14 @@ type Event struct {
 	// it. Pinned timers also bypass the timing wheel (fastforward.go), so
 	// every pinned deadline is visible on the heap for NextPinnedTime.
 	pinned bool
+	// tstate and tlevel are a Timer's placement (timerIdle, timerInHeap,
+	// …) and its wheel level while it parks in the wheel; they fill the
+	// bytes the fields above leave over and stay zero on every other
+	// event.
+	tstate uint8
+	tlevel uint8
 
-	handler Handler // kindPooled, kindOwned, kindStream
+	handler Handler
 	arg     any
 }
 
@@ -348,27 +352,21 @@ func (e *Engine) Run(until Time) Time {
 			continue
 		}
 		e.heapPopMin()
-		switch next.kind {
-		case kindPooled:
-			h, arg := next.handler, next.arg
+		h, arg := next.handler, next.arg
+		if next.kind == kindPooled {
 			// Recycle before dispatch so a handler that reschedules
 			// (the common self-perpetuating pattern) reuses this very
 			// event.
 			e.recycle(next)
-			h.OnEvent(arg)
-		case kindTimer:
-			tm := next.arg.(*Timer)
-			// Mark idle before dispatch so the handler can re-arm the
-			// timer in place (the self-perpetuating tick pattern).
-			tm.state = timerIdle
-			h, arg := tm.h, tm.arg
-			tm.arg = nil // drop the payload reference until re-armed
-			h.OnEvent(arg)
-		default: // kindOwned
-			h, arg := next.handler, next.arg
-			next.arg = nil // drop the payload reference until rescheduled
-			h.OnEvent(arg)
+		} else {
+			// An owned event drops its payload reference until it is
+			// rescheduled; a timer is marked idle before dispatch so
+			// its handler can re-arm it in place (the
+			// self-perpetuating tick pattern).
+			next.arg = nil
+			next.tstate = timerIdle
 		}
+		h.OnEvent(arg)
 	}
 	// Settle the clock at the horizon when the queue drained — except for
 	// RunAll's open horizon, where the clock stays at the last event.

@@ -109,7 +109,7 @@ func (e *Engine) FastForward(d Time) {
 			t.next = nil
 			t.ev.at += d
 			t.ev.schedAt += d
-			t.state = timerIdle
+			t.ev.tstate = timerIdle
 			e.placeTimer(t)
 		}
 		w.earliest = w.scanEarliest()

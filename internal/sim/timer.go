@@ -19,18 +19,12 @@ import "math/bits"
 // call fires precisely where the n-th ScheduleCall would have —
 // wheel placement is invisible to the event stream.
 type Timer struct {
-	// ev is the timer's residency in the engine's heap while it is within
-	// the imminent horizon; ev.arg permanently back-points to the Timer.
-	ev  Event
-	h   Handler
-	arg any
-
-	state uint8
-	level uint8 // wheel level while state == timerInWheel
-	// pinned mirrors ev.pinned for the armed incarnation (set by
-	// ArmPinnedTimer/ArmPinnedTimerAt, cleared by the regular arms).
-	// Pinned timers never park in the wheel — see placeTimer.
-	pinned bool
+	// ev is the armed occurrence: its key, its handler and payload, its
+	// pinned mark (pinned timers never park in the wheel — see
+	// placeTimer), and the timer's placement in ev.tstate / ev.tlevel.
+	// While the deadline is imminent ev sits on the heap as an owned
+	// event, so Run dispatches it like any other.
+	ev Event
 
 	// next/prev link the timer into its wheel bucket or the overflow list.
 	next, prev *Timer
@@ -45,7 +39,7 @@ const (
 )
 
 // Pending reports whether the timer is armed and has not yet fired.
-func (t *Timer) Pending() bool { return t.state != timerIdle }
+func (t *Timer) Pending() bool { return t.ev.tstate != timerIdle }
 
 // Deadline returns the virtual time the timer is (or was last) armed for.
 func (t *Timer) Deadline() Time { return t.ev.at }
@@ -83,7 +77,7 @@ func (e *Engine) ArmPinnedTimerAt(t *Timer, at Time, h Handler, arg any) {
 }
 
 func (e *Engine) armTimerAt(t *Timer, at Time, h Handler, arg any, pinned bool) {
-	if t.state != timerIdle {
+	if t.ev.tstate != timerIdle {
 		e.StopTimer(t)
 	}
 	if at < e.now {
@@ -92,14 +86,10 @@ func (e *Engine) armTimerAt(t *Timer, at Time, h Handler, arg any, pinned bool) 
 	t.ev.at = at
 	t.ev.schedAt = e.now
 	t.ev.seq = e.seq
-	t.ev.kind = kindTimer
+	t.ev.kind = kindOwned
 	t.ev.pinned = pinned
-	t.pinned = pinned
-	if t.ev.arg == nil {
-		t.ev.arg = t
-	}
-	t.h = h
-	t.arg = arg
+	t.ev.handler = h
+	t.ev.arg = arg
 	e.seq++
 	e.placeTimer(t)
 }
@@ -109,18 +99,19 @@ func (e *Engine) armTimerAt(t *Timer, at Time, h Handler, arg any, pinned bool) 
 // the common case for timers stopped long before their deadline — is
 // unlinked in O(1).
 func (e *Engine) StopTimer(t *Timer) bool {
-	switch t.state {
+	switch t.ev.tstate {
 	case timerInHeap:
 		if t.ev.pos != 0 {
 			e.heapRemove(int(t.ev.pos) - 1)
 		}
 	case timerInWheel:
 		w := &e.wheel
-		shift := wheelTickBits + uint(t.level)*wheelSlotBits
+		l := t.ev.tlevel
+		shift := wheelTickBits + uint(l)*wheelSlotBits
 		idx := (int64(t.ev.at) >> shift) & (wheelSlots - 1)
-		e.unlinkTimer(t, &w.slot[t.level][idx])
-		if w.slot[t.level][idx] == nil {
-			w.occ[t.level] &^= 1 << uint(idx)
+		e.unlinkTimer(t, &w.slot[l][idx])
+		if w.slot[l][idx] == nil {
+			w.occ[l] &^= 1 << uint(idx)
 		}
 		w.count--
 	case timerInOverflow:
@@ -132,8 +123,8 @@ func (e *Engine) StopTimer(t *Timer) bool {
 	default:
 		return false
 	}
-	t.state = timerIdle
-	t.arg = nil
+	t.ev.tstate = timerIdle
+	t.ev.arg = nil
 	return true
 }
 
@@ -202,12 +193,12 @@ type timerWheel struct {
 // address its deadline, or pushes it straight onto the heap when the
 // deadline is imminent (inside an already-flushed slot).
 func (e *Engine) placeTimer(t *Timer) {
-	if t.pinned {
+	if t.ev.pinned {
 		// Pinned deadlines stay on the heap so NextPinnedTime can see
 		// every one of them with a single heap scan; the wheel would hide
 		// them behind a slot-start lower bound. Dispatch order is
 		// unchanged — wheel placement is invisible to the event stream.
-		t.state = timerInHeap
+		t.ev.tstate = timerInHeap
 		e.heapPush(&t.ev)
 		return
 	}
@@ -229,8 +220,8 @@ func (e *Engine) placeTimer(t *Timer) {
 			}
 			*head = t
 			w.occ[l] |= 1 << uint(idx)
-			t.state = timerInWheel
-			t.level = uint8(l)
+			t.ev.tstate = timerInWheel
+			t.ev.tlevel = uint8(l)
 			w.count++
 			if start := Time(s << shift); start < w.earliest {
 				w.earliest = start
@@ -246,7 +237,7 @@ func (e *Engine) placeTimer(t *Timer) {
 			w.overflow.prev = t
 		}
 		w.overflow = t
-		t.state = timerInOverflow
+		t.ev.tstate = timerInOverflow
 		w.count++
 		if t.ev.at < w.overflowMin {
 			w.overflowMin = t.ev.at
@@ -256,7 +247,7 @@ func (e *Engine) placeTimer(t *Timer) {
 		}
 		return
 	}
-	t.state = timerInHeap
+	t.ev.tstate = timerInHeap
 	e.heapPush(&t.ev)
 }
 
@@ -325,7 +316,7 @@ func (e *Engine) advanceWheel(h Time) {
 		flushed = t.next
 		t.next = nil
 		w.count--
-		t.state = timerIdle
+		t.ev.tstate = timerIdle
 		e.placeTimer(t)
 	}
 	w.earliest = w.scanEarliest()

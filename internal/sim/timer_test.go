@@ -231,7 +231,7 @@ const (
 // goes through heapRemove at whatever heap position it has reached.
 func armOnHeap(e *Engine, t *Timer, d Time, h Handler) {
 	e.ArmPinnedTimer(t, d, h, nil)
-	t.pinned, t.ev.pinned = false, false
+	t.ev.pinned = false
 }
 
 type diffDriver struct {

@@ -148,7 +148,7 @@ func flows(cfg Config, rng *sim.Rand) []FlowSpec {
 	if scale == 0 {
 		scale = 1
 	}
-	specs := make([]FlowSpec, 0, cfg.StandingFlows)
+	specs := make([]FlowSpec, 0, cfg.StandingFlows+expectedArrivals(cfg))
 	flowID := uint32(1)
 
 	// Standing population: length-biased sizes, uniformly advanced.
@@ -186,6 +186,15 @@ func flows(cfg Config, rng *sim.Rand) []FlowSpec {
 		}
 	}
 	return specs
+}
+
+// expectedArrivals bounds the schedule's Poisson arrivals for sizing it
+// once: their mean, FlowsPerMinute × Duration, plus five standard
+// deviations and a little. A count beyond that bound only grows the
+// slice as append would; the draws never depend on it.
+func expectedArrivals(cfg Config) int {
+	mean := cfg.FlowsPerMinute * cfg.Duration.Seconds() / 60
+	return int(mean + 5*math.Sqrt(mean) + 16)
 }
 
 // flowKeyFor derives a synthetic but deterministic 5-tuple from the flow

@@ -300,3 +300,21 @@ func TestBoundedParetoRange(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowsSizedOnce: the schedule is sized up front from the standing
+// population and the expected arrivals, so building one — here a
+// 10⁴-flow standing population plus ≈ 7 000 arrivals — allocates its
+// slice once instead of regrowing it.
+func TestFlowsSizedOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StandingFlows = 10_000
+	cfg.LifetimeScale = 5
+	var specs []FlowSpec
+	allocs := testing.AllocsPerRun(1, func() { specs = Flows(cfg) })
+	if allocs > 2 {
+		t.Fatalf("Flows allocated %.0f times for %d specs, want at most 2 (generator, slice)", allocs, len(specs))
+	}
+	if arrivals := len(specs) - cfg.StandingFlows; arrivals < 6000 {
+		t.Fatalf("only %d arrivals in 1 s at %v flows/min", arrivals, cfg.FlowsPerMinute)
+	}
+}
