@@ -82,7 +82,9 @@ scenario-conformance:
 # five examples on short horizons. Each must exit 0 with a non-empty report
 # on stdout. cebinae-sim -flows htcp:1, cebinae-sweep -qdiscs fifo,red and
 # cebinae-trace -interval 0 must each exit nonzero, naming the unknown CC or
-# qdisc or the bad interval on stderr.
+# qdisc or the bad interval on stderr, and so must cebinae-sim -scenario on
+# three 1 s dumbbells with nothing to measure (a group starting at 3 s, a
+# 5 s RTT, a 2562047h RTT), naming the start_at or rtt field.
 cli-smoke:
 	@sh scripts/cli_smoke.sh
 
@@ -162,7 +164,10 @@ ab:
 
 # The byte gate for a change that may move only event counts: the quick
 # report of REV and of this tree, each with scenarios/*.json appended as
-# sections, cmp-identical once every `events=N` and `events: N` is masked.
+# sections, cmp-identical once every `events=N` and `events: N` is masked;
+# then, unmasked, two cebinae-sweep grids (stdout + CSV), the stdout of
+# cebinae-sweep -scenario 'scenarios/*.json', and cebinae-sim -scenario
+# scenarios/dumbbell.json with its `wall:` line masked.
 # Prints nothing and exits 0 when they match:
 #   make report-diff REV=HEAD~1
 report-diff:

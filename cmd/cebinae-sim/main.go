@@ -9,11 +9,16 @@
 //	cebinae-sim -bw 1G -buffer 4200 -flows newreno:128,bbr:1 -rtt 50ms -qdisc fifo -duration 10s
 //	cebinae-sim -backbone 100000 -duration 400ms   # 1e5-flow replay tier
 //	cebinae-sim -scenario scenarios/multihop.json  # declarative workload
+//
+// Every run is a section's cell run through the runner every CLI uses
+// (internal/cli); the wall times printed are the jobs' own.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"time"
 
@@ -35,34 +40,41 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "simulation seed")
 		tau      = flag.Float64("tau", -1, "override Cebinae τ, a fraction in (0, 1) (-1 = default 0.01; -qdisc cebinae only)")
 		backbone = flag.Int("backbone", 0, "run the backbone replay tier with this many standing flows (e.g. 100000) instead of the TCP dumbbell")
-		specFile = flag.String("scenario", "", "run a declarative scenario file (see scenarios/); the spec owns every knob")
+		specFile = flag.String("scenario", "", "run declarative scenario files, a comma list of files or globs (see scenarios/); the spec owns every knob")
 	)
 	flag.Parse()
 
-	if *specFile != "" {
-		if err := runScenarioFile(*specFile); err != nil {
-			cli.Fatal(err)
+	cli.Main("", "", func() error {
+		if *specFile != "" {
+			return runScenarios(os.Stdout, *specFile)
 		}
-		return
-	}
+		c, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, *backbone)
+		if err != nil {
+			return err
+		}
+		if c.Dumbbell != nil {
+			return runDumbbell(*c.Dumbbell, fmt.Sprintf("%s bottleneck, %d MTU buffer, %s qdisc, %v simulated", *bw, *buffer, *qdisc, *duration))
+		}
+		cfg := *c.Backbone
+		r, wall, err := cli.RunCell(func() experiments.BackboneResult { return experiments.RunBackbone(cfg) }, os.Stderr)
+		if err != nil {
+			return err
+		}
+		fmt.Print(r.Render())
+		fmt.Printf("wall: %v (%.0f events/s, %.0f flows/s)\n",
+			wall.Round(time.Millisecond), float64(r.Events)/wall.Seconds(), float64(r.Finished)/wall.Seconds())
+		return nil
+	})
+}
 
-	c, err := buildScenario(*bw, *buffer, *flows, *rtt, *qdisc, *duration, *seed, *tau, *backbone)
+// runDumbbell runs the flag-built dumbbell as one cell through the runner
+// and prints its per-flow table under header.
+func runDumbbell(s experiments.Scenario, header string) error {
+	r, wall, err := cli.RunCell(func() experiments.Result { return experiments.Run(s) }, os.Stderr)
 	if err != nil {
-		cli.Fatal(err)
+		return err
 	}
-
-	if c.Backbone != nil {
-		runBackbone(*c.Backbone)
-		return
-	}
-
-	s := *c.Dumbbell
-	start := time.Now()
-	r := experiments.Run(s)
-	elapsed := time.Since(start)
-
-	fmt.Printf("%s bottleneck, %d MTU buffer, %s qdisc, %v simulated (%v wall, %d events)\n\n",
-		*bw, *buffer, *qdisc, *duration, elapsed.Round(time.Millisecond), r.Events)
+	fmt.Printf("%s (%v wall, %d events)\n\n", header, wall.Round(time.Millisecond), r.Events)
 	fmt.Printf("%4s %-8s %8s | %12s\n", "flow", "cca", "rtt", "goodput[Mbps]")
 	for _, f := range r.Flows {
 		fmt.Printf("%4d %-8s %7.1fms | %12.2f\n", f.Index, f.CC, float64(f.RTT)/1e6, f.GoodputBps/1e6)
@@ -74,43 +86,31 @@ func main() {
 		fmt.Printf("cebinae: %d rotations, %d recomputes, %d phase changes, %d delayed, %d LBF drops, %d buffer drops, %d ECN marks\n",
 			st.Rotations, st.Recomputes, st.PhaseChanges, st.Delayed, st.LBFDrops, st.BufferDrops, st.ECNMarked)
 	}
-}
-
-// runScenarioFile loads and compiles one declarative scenario file, runs
-// its section on a one-worker fleet, and prints its canonical report. A
-// job that panics runs once and is reported as an error.
-func runScenarioFile(path string) error {
-	spec, err := scenario.Load(path)
-	if err != nil {
-		return err
-	}
-	c, err := scenario.Compile(spec)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	report, err := experiments.RunSection(c.Section(""), fleet.Options{Parallelism: 1})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("%s scenario %q (%s)\n", spec.Kind, spec.Name, path)
-	fmt.Print(report)
-	fmt.Printf("wall: %v\n", elapsed.Round(time.Millisecond))
 	return nil
 }
 
-// runBackbone drives the replay scale tier from the CLI and prints its
-// report.
-func runBackbone(cfg experiments.BackboneConfig) {
-	start := time.Now()
-	r := experiments.RunBackbone(cfg)
-	elapsed := time.Since(start)
-
-	fmt.Print(r.Render())
-	wallSecs := elapsed.Seconds()
-	fmt.Printf("wall: %v (%.0f events/s, %.0f flows/s)\n",
-		elapsed.Round(time.Millisecond), float64(r.Events)/wallSecs, float64(r.Finished)/wallSecs)
+// runScenarios runs every spec file patterns matches (a comma list of
+// files or globs, as every -scenario flag takes) as its section through
+// the runner on one worker, and prints each file's canonical report under
+// a header naming it, then the wall time its jobs took.
+func runScenarios(w io.Writer, patterns string) error {
+	files, err := scenario.LoadFiles(patterns)
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		sec := f.Section("")
+		get, sum, err := cli.Run([]experiments.BenchSection{sec}, fleet.Options{Parallelism: 1}, os.Stderr)
+		if err != nil {
+			return err
+		}
+		report, err := sec.Render(get)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s scenario %q (%s)\n%swall: %v\n", f.Spec.Kind, f.Spec.Name, f.Path, report, sum.Work.Round(time.Millisecond))
+	}
+	return nil
 }
 
 // buildScenario turns the flags into the dumbbell spec they describe and
@@ -119,25 +119,14 @@ func runBackbone(cfg experiments.BackboneConfig) {
 // -qdisc; that spec has no horizon, so the tier takes -duration and -seed
 // (0 included) after compiling.
 func buildScenario(bw string, buffer int, flows, rtt, qdisc string, duration time.Duration, seed uint64, tau float64, backbone int) (*scenario.Compiled, error) {
-	rate, err := scenario.ParseRate(bw)
-	if err != nil {
-		return nil, fmt.Errorf("-bw: %w", err)
-	}
-	groups, err := cli.ParseGroups(flows, rtt)
+	spec, err := cli.DumbbellSpec("cli", seed, bw, buffer, flows, rtt, qdisc, duration)
 	if err != nil {
 		return nil, err
 	}
-	d := &scenario.DumbbellSpec{
-		Rate:        rate,
-		BufferBytes: buffer * 1500,
-		Groups:      groups,
-		Duration:    scenario.Dur(duration),
-		Qdisc:       qdisc,
-	}
 	if tau >= 0 {
-		d.Tau = &tau
+		spec.Dumbbell.Tau = &tau
 	}
-	c, err := scenario.Compile(&scenario.Spec{Version: scenario.Version, Name: "cli", Kind: "dumbbell", Seed: seed, Dumbbell: d})
+	c, err := scenario.Compile(spec)
 	if err != nil || backbone == 0 {
 		return c, err
 	}

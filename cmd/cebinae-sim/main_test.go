@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"cebinae/experiments"
+	"cebinae/internal/scenario"
 )
 
 // TestBuildScenarioValid checks that a full flag set round-trips into the
@@ -183,5 +188,35 @@ func TestBuildScenarioFlags(t *testing.T) {
 				t.Errorf("-flows %q -rtt %q: group %d is %+v, want %+v", tc.flows, tc.rtts, i, s.Groups[i], tc.want[i])
 			}
 		}
+	}
+}
+
+// TestScenarioMatchesGoRunner: -scenario prints a spec file's section as
+// exactly its Go runner's Report(), under the header naming kind, name
+// and file and above the wall time its job took.
+func TestScenarioMatchesGoRunner(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.json")
+	spec := `{"version": 1, "name": "tiny", "kind": "dumbbell", "seed": 3, "dumbbell": {
+		"rate": "20M", "buffer_bytes": 150000, "duration": "300ms", "qdisc": "fifo",
+		"groups": [{"cc": "newreno", "count": 2, "rtt": "10ms"}]}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runScenarios(&out, path); err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `dumbbell scenario "tiny" (` + path + ")\n" + experiments.Run(*c.Dumbbell).Report() + "wall: W\n"
+	got := regexp.MustCompile(`(?m)^wall: \S+$`).ReplaceAllString(out.String(), "wall: W")
+	if got != want {
+		t.Errorf("-scenario output differs from the Go runner\n--- got\n%s--- want\n%s", got, want)
 	}
 }

@@ -54,10 +54,6 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		cli.Fatal(err)
-	}
 	if *qdiscs == "" {
 		*qdiscs = "fifo,fq,cebinae"
 		if *backbone != "" {
@@ -65,7 +61,7 @@ func main() {
 		}
 	}
 	d := sweeper{parallel: *parallel, timeout: *timeout, storePath: *storePath, resume: *resume, out: os.Stdout, log: os.Stderr}
-	sweep := func() error {
+	cli.Main(*cpuprofile, *memprofile, func() error {
 		switch {
 		case *specFiles != "":
 			return d.scenarios(*specFiles)
@@ -86,16 +82,7 @@ func main() {
 		}
 		table, csv := cfg.Sections()
 		return d.grid("grid cell", table, csv, *csvPath)
-	}
-	err = sweep()
-	// cli.Fatal calls os.Exit, which would skip deferred profile writers —
-	// stop them explicitly before deciding the exit path.
-	if perr := stopProfiles(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		cli.Fatal(err)
-	}
+	})
 }
 
 // sweeper runs every mode's grid: the options they share and where their
@@ -109,73 +96,57 @@ type sweeper struct {
 	log       io.Writer // progress and timing
 }
 
-// run refuses to reuse an existing store without -resume, runs the
-// sections' jobs through the fleet checkpointed to the store (cells
-// already in it are not re-run), hands report a Getter over the run, then
-// prints the timing line and fails if any cell did. A section renders
-// only when all its cells succeeded, so a failed cell fails report,
-// naming its job. noun names one job in the messages.
-func (d sweeper) run(noun string, sections []experiments.BenchSection, report func(experiments.Getter) error) error {
+// run refuses to reuse an existing store without -resume, then runs the
+// sections through the runner checkpointed to the store (cells already in
+// it are not re-run) and returns a Getter over the run. A section renders
+// only when all its cells succeeded, so a failed cell fails its render,
+// naming its job. noun names one job in the progress line.
+func (d sweeper) run(noun string, sections ...experiments.BenchSection) (experiments.Getter, error) {
 	if !d.resume {
 		if _, err := os.Stat(d.storePath); err == nil {
-			return fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", d.storePath)
+			return nil, fmt.Errorf("store %s already exists; pass -resume to continue it or remove it for a fresh sweep", d.storePath)
 		}
 	}
 	store, err := fleet.OpenStore(d.storePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer store.Close()
 
-	jobs := experiments.SectionJobs(sections)
-	fmt.Fprintf(d.log, "cebinae-sweep: %d %ss (%d already in %s)\n", len(jobs), noun, store.Len(), d.storePath)
-	start := time.Now()
-	sum, err := fleet.Run(jobs, fleet.Options{
-		Parallelism: d.parallel,
-		Timeout:     d.timeout,
-		Store:       store,
-		Progress:    d.log,
-	})
-	if err != nil {
-		return err
-	}
-	if err := report(experiments.SummaryGetter(sum)); err != nil {
-		return err
-	}
-	fmt.Fprintf(d.log, "cebinae-sweep: %v elapsed for %v of simulation work — %.2fx vs sequential; JSONL %s\n",
-		time.Since(start).Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), d.storePath)
-	if sum.Failed > 0 {
-		return fmt.Errorf("%d %s(s) failed — inspect %s", sum.Failed, noun, d.storePath)
-	}
-	return nil
+	fmt.Fprintf(d.log, "cebinae-sweep: %d %ss (%d already in %s)\n", len(experiments.SectionJobs(sections)), noun, store.Len(), d.storePath)
+	opts := fleet.Options{Parallelism: d.parallel, Timeout: d.timeout, Store: store, Progress: d.log}
+	get, _, err := cli.Run(sections, opts, d.log)
+	return get, err
 }
 
 // grid runs a dumbbell or backbone grid given as its table and its CSV,
 // two renders of the same cells: the table goes to stdout and the CSV to
 // csvPath (unless it is empty).
 func (d sweeper) grid(noun string, table, csv experiments.BenchSection, csvPath string) error {
-	return d.run(noun, []experiments.BenchSection{table}, func(get experiments.Getter) error {
-		text, err := table.Render(get)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(d.out, text)
-		if csvPath == "" {
-			return nil
-		}
-		rows, err := csv.Render(get)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(csvPath, []byte(rows), 0o666)
-	})
+	get, err := d.run(noun, table)
+	if err != nil {
+		return err
+	}
+	text, err := table.Render(get)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(d.out, text)
+	if csvPath == "" {
+		return nil
+	}
+	rows, err := csv.Render(get)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(csvPath, []byte(rows), 0o666)
 }
 
 // scenarios is the -scenario grid: every matched spec file loads,
 // compiles, and contributes its section (one job per grid cell for
 // tournament/buffer-sweep specs, one job otherwise) to a single
 // checkpointed run, then each section renders its scenario's canonical
-// report from the store.
+// report from the run.
 func (d sweeper) scenarios(patterns string) error {
 	files, err := scenario.LoadFiles(patterns)
 	if err != nil {
@@ -185,16 +156,18 @@ func (d sweeper) scenarios(patterns string) error {
 	for i, f := range files {
 		sections[i] = f.Section("")
 	}
-	return d.run("scenario job", sections, func(get experiments.Getter) error {
-		for i, s := range sections {
-			text, err := s.Render(get)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(d.out, "== %s scenario %q (%s)\n%s", files[i].Spec.Kind, files[i].Spec.Name, files[i].Path, text)
+	get, err := d.run("scenario job", sections...)
+	if err != nil {
+		return err
+	}
+	for i, s := range sections {
+		text, err := s.Render(get)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+		fmt.Fprintf(d.out, "== %s scenario %q (%s)\n%s", files[i].Spec.Kind, files[i].Spec.Name, files[i].Path, text)
+	}
+	return nil
 }
 
 // backbone is the -backbone grid: standing-flow tiers × core disciplines
@@ -248,21 +221,10 @@ func parseTiers(s string) ([]int, error) {
 // one. Its horizon is the default family's full-scale one, which each cell
 // scales.
 func family(bw string, buffer int, flows, rtt string, seed uint64, qdiscs []experiments.QdiscKind) (experiments.Scenario, error) {
-	rate, err := scenario.ParseRate(bw)
-	if err != nil {
-		return experiments.Scenario{}, fmt.Errorf("-bw: %w", err)
-	}
-	groups, err := cli.ParseGroups(flows, rtt)
+	spec, err := cli.DumbbellSpec("sweep", seed, bw, buffer, flows, rtt, "", time.Duration(experiments.DefaultSweepConfig().Base.Duration))
 	if err != nil {
 		return experiments.Scenario{}, err
 	}
-	spec := &scenario.Spec{Version: scenario.Version, Name: "sweep", Kind: "dumbbell", Seed: seed,
-		Dumbbell: &scenario.DumbbellSpec{
-			Rate:        rate,
-			BufferBytes: buffer * 1500,
-			Groups:      groups,
-			Duration:    scenario.Dur(experiments.DefaultSweepConfig().Base.Duration),
-		}}
 	var c *scenario.Compiled
 	for _, q := range qdiscs {
 		spec.Dumbbell.Qdisc = string(q)

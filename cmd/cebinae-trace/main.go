@@ -57,45 +57,50 @@ func main() {
 	cfg.ParetoAlpha = *alpha
 	cfg.Seed = *seed
 
-	if err := checkFlags(cfg, *replayRun, *stages, *slots, *interval, *trials); err != nil {
-		cli.Fatal(err)
-	}
-	if *replayRun {
-		if err := runReplay(os.Stdout, cfg, *standing, *linkBps*1e9); err != nil {
-			cli.Fatal(err)
+	cli.Main("", "", func() error {
+		if err := checkFlags(cfg, *replayRun, *stages, *slots, *interval, *trials); err != nil {
+			return err
 		}
-		return
-	}
+		if *replayRun {
+			return runReplay(os.Stdout, cfg, *standing, *linkBps*1e9)
+		}
 
-	pkts := trace.Generate(cfg)
-	agg := trace.Aggregate(pkts, 0, cfg.Duration)
-	var totalBytes int64
-	for _, fc := range agg {
-		totalBytes += fc.Bytes
-	}
-	fmt.Printf("trace: %d packets, %d flows, %.2f MB over %v (%.2f Gbps offered)\n",
-		len(pkts), len(agg), float64(totalBytes)/1e6, *duration,
-		float64(totalBytes)*8/duration.Seconds()/1e9)
-	if len(agg) > 0 {
-		top10 := int64(0)
-		n10 := len(agg) / 10
-		if n10 == 0 {
-			n10 = 1
+		pkts := trace.Generate(cfg)
+		agg := trace.Aggregate(pkts, 0, cfg.Duration)
+		var totalBytes int64
+		for _, fc := range agg {
+			totalBytes += fc.Bytes
 		}
-		for _, fc := range agg[:n10] {
-			top10 += fc.Bytes
+		fmt.Printf("trace: %d packets, %d flows, %.2f MB over %v (%.2f Gbps offered)\n",
+			len(pkts), len(agg), float64(totalBytes)/1e6, *duration,
+			float64(totalBytes)*8/duration.Seconds()/1e9)
+		if len(agg) > 0 {
+			top10 := int64(0)
+			n10 := len(agg) / 10
+			if n10 == 0 {
+				n10 = 1
+			}
+			for _, fc := range agg[:n10] {
+				top10 += fc.Bytes
+			}
+			fmt.Printf("skew: top-10%% of flows carry %.1f%% of bytes; max flow %.2f MB\n",
+				100*float64(top10)/float64(totalBytes), float64(agg[0].Bytes)/1e6)
 		}
-		fmt.Printf("skew: top-10%% of flows carry %.1f%% of bytes; max flow %.2f MB\n",
-			100*float64(top10)/float64(totalBytes), float64(agg[0].Bytes)/1e6)
-	}
-	if *statsOnly {
-		return
-	}
+		if *statsOnly {
+			return nil
+		}
 
-	pt := experiments.Fig13Score(experiments.Fig13Config{Trials: *trials, DeltaFlow: *deltaF, Trace: cfg},
-		*stages, *slots, sim.Duration(*interval))
-	fmt.Printf("cache %d×%d @ %v over %d trials: FPR=%.6f FNR=%.4f\n",
-		*stages, *slots, *interval, *trials, pt.FPR, pt.FNR)
+		pt, _, err := cli.RunCell(func() experiments.Fig13Point {
+			return experiments.Fig13Score(experiments.Fig13Config{Trials: *trials, DeltaFlow: *deltaF, Trace: cfg},
+				*stages, *slots, sim.Duration(*interval))
+		}, os.Stderr)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("cache %d×%d @ %v over %d trials: FPR=%.6f FNR=%.4f\n",
+			*stages, *slots, *interval, *trials, pt.FPR, pt.FNR)
+		return nil
+	})
 }
 
 // checkFlags refuses what no mode can run: a non-positive link rate, poll
@@ -121,7 +126,8 @@ func checkFlags(cfg trace.Config, replay bool, stages, slots int, interval time.
 // runReplay sends the generated schedule through the live backbone path:
 // the same -flows-per-min/-duration/-alpha/-seed trace shape, but replayed
 // packet by packet through a Cebinae core at the modelled link rate rather
-// than aggregated offline.
+// than aggregated offline. The run is one cell through the runner every
+// CLI uses (internal/cli).
 func runReplay(w io.Writer, tc trace.Config, standing int, coreBps float64) error {
 	bb := experiments.BackboneTier(max(standing, 1), experiments.Full)
 	bb.Name = "trace-replay"
@@ -137,11 +143,11 @@ func runReplay(w io.Writer, tc trace.Config, standing int, coreBps float64) erro
 		return err
 	}
 
-	start := time.Now()
-	r := experiments.RunBackbone(bb)
-	elapsed := time.Since(start)
-
+	r, wall, err := cli.RunCell(func() experiments.BackboneResult { return experiments.RunBackbone(bb) }, os.Stderr)
+	if err != nil {
+		return err
+	}
 	fmt.Fprint(w, r.Render())
-	fmt.Fprintf(w, "wall: %v (%.0f events/s)\n", elapsed.Round(time.Millisecond), float64(r.Events)/elapsed.Seconds())
+	fmt.Fprintf(w, "wall: %v (%.0f events/s)\n", wall.Round(time.Millisecond), float64(r.Events)/wall.Seconds())
 	return nil
 }

@@ -1,9 +1,14 @@
-// Package cli holds what the command-line tools under cmd/ share: the
-// syntax of the -flows / -rtt flags, pprof start/stop, and the fatal exit.
+// Package cli holds what the command-line tools under cmd/ share. Every
+// simulation a CLI starts is a report section's cell run on the fleet by
+// the one runner here (Run, RunCell); each CLI keeps its own rendering,
+// headers, CSVs, store rule and failure policy. Every CLI's body runs
+// under Main (profiles, fatal exit); DumbbellSpec reads the
+// -bw/-buffer/-flows/-rtt flags.
 package cli
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,14 +17,78 @@ import (
 	"strings"
 	"time"
 
+	"cebinae/experiments"
+	"cebinae/internal/fleet"
 	"cebinae/internal/scenario"
 )
 
-// Fatal prints err prefixed with the program's name and exits 1. os.Exit
-// skips deferred calls: stop profiles (StartProfiles) before calling it.
-func Fatal(err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", filepath.Base(os.Args[0]), err)
-	os.Exit(1)
+// prog is the running program's name, the prefix of its stderr lines.
+func prog() string { return filepath.Base(os.Args[0]) }
+
+// Main runs a CLI's body under a CPU profile and a heap snapshot written
+// to cpuPath and memPath (either may be empty). It returns when run
+// succeeds; otherwise, once the profiles are flushed, it prints the first
+// error of run or of the profiles prefixed with the program's name and
+// exits 1.
+func Main(cpuPath, memPath string, run func() error) {
+	stop, err := StartProfiles(cpuPath, memPath)
+	if err == nil {
+		err = run()
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog(), err)
+		os.Exit(1)
+	}
+}
+
+// Run runs every job of sections on the fleet under opts (its worker
+// count, watchdog, an opened store, a progress writer), prints the run's
+// one timing line to log, and returns a Getter over the run with its
+// summary. A failed job is recorded in the summary, not returned: each
+// section's Render reports it, and the caller decides what that costs.
+func Run(sections []experiments.BenchSection, opts fleet.Options, log io.Writer) (experiments.Getter, *fleet.Summary, error) {
+	sum, err := fleet.Run(experiments.SectionJobs(sections), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(log, "%s: %v elapsed for %v of simulation work — %.2fx vs sequential (p=%d)\n",
+		prog(), sum.Elapsed.Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), sum.Workers)
+	return experiments.SummaryGetter(sum), sum, nil
+}
+
+// RunCell runs one simulation as the one cell of a section through Run on
+// one worker and returns its record, decoded from the run as every
+// section's is, and the wall time its job took.
+func RunCell[T any](run func() T, log io.Writer) (T, time.Duration, error) {
+	var rec T
+	sec := experiments.NewSection("", "cell", "", []experiments.Cell[T]{{Run: run}},
+		experiments.Only(func(v T) string { rec = v; return "" }))
+	get, sum, err := Run([]experiments.BenchSection{sec}, fleet.Options{Parallelism: 1}, log)
+	if err != nil {
+		return rec, 0, err
+	}
+	_, err = sec.Render(get)
+	return rec, sum.Results[0].Wall, err
+}
+
+// DumbbellSpec reads the -bw, -buffer (in 1500-byte MTUs), -flows and -rtt
+// flags into the dumbbell spec they describe under qdisc, named name,
+// seeded by seed and run for duration. It checks only the flags' syntax:
+// compiling the spec judges everything else.
+func DumbbellSpec(name string, seed uint64, bw string, buffer int, flows, rtts, qdisc string, duration time.Duration) (*scenario.Spec, error) {
+	rate, err := scenario.ParseRate(bw)
+	if err != nil {
+		return nil, fmt.Errorf("-bw: %w", err)
+	}
+	groups, err := ParseGroups(flows, rtts)
+	if err != nil {
+		return nil, err
+	}
+	return &scenario.Spec{Version: scenario.Version, Name: name, Kind: "dumbbell", Seed: seed, Dumbbell: &scenario.DumbbellSpec{
+		Rate: rate, BufferBytes: buffer * 1500, Groups: groups, Duration: scenario.Dur(duration), Qdisc: qdisc}}, nil
 }
 
 // ParseGroups reads a -flows / -rtt flag pair: a comma list of cca[:count]
@@ -65,8 +134,7 @@ func ParseGroups(flows, rtts string) ([]scenario.GroupSpec, error) {
 func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
 			return nil, err
 		}
 		if err := pprof.StartCPUProfile(cpuFile); err != nil {
@@ -81,18 +149,18 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 				return err
 			}
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // materialise final live-set statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
+		if memPath == "" {
+			return nil
 		}
-		return nil
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // materialise final live-set statistics
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	}, nil
 }

@@ -1,11 +1,15 @@
 package cli
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"cebinae/experiments"
+	"cebinae/internal/fleet"
 	"cebinae/internal/scenario"
 )
 
@@ -119,5 +123,46 @@ func TestStartProfiles(t *testing.T) {
 	}
 	if _, err := StartProfiles(filepath.Join(dir, "missing", "cpu.pprof"), ""); err == nil {
 		t.Fatal("a CPU profile path in a missing directory was accepted")
+	}
+}
+
+// TestRun: the runner runs every section's jobs, prints one timing line
+// naming the worker count, and hands back a Getter and a summary that
+// record a failed job rather than returning it.
+func TestRun(t *testing.T) {
+	one := func(id string, run func() int) experiments.BenchSection {
+		return experiments.NewSection("", id, "", []experiments.Cell[int]{{Run: run}},
+			experiments.Only(func(v int) string { return strings.Repeat("x", v) }))
+	}
+	secs := []experiments.BenchSection{one("a", func() int { return 3 }), one("b", func() int { panic("blew up") })}
+	var log bytes.Buffer
+	get, sum, err := Run(secs, fleet.Options{Parallelism: 2}, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Results) != 2 || sum.Failed != 1 {
+		t.Errorf("summary %+v, want two results, one failed", sum)
+	}
+	if text, err := secs[0].Render(get); text != "xxx" || err != nil {
+		t.Errorf("section a rendered %q, %v", text, err)
+	}
+	if _, err := secs[1].Render(get); err == nil || !strings.Contains(err.Error(), "blew up") {
+		t.Errorf("section b: err = %v, want the panic", err)
+	}
+	if lines := strings.Count(log.String(), "\n"); lines != 1 || !strings.Contains(log.String(), "vs sequential (p=2)") {
+		t.Errorf("timing output %q, want one line naming p=2", log.String())
+	}
+}
+
+// TestRunCell: one cell comes back as its record decoded from the run,
+// with its job's wall time; a cell that panics is an error.
+func TestRunCell(t *testing.T) {
+	type rec struct{ A, B float64 }
+	got, wall, err := RunCell(func() rec { return rec{0.1, 1e300} }, &bytes.Buffer{})
+	if err != nil || got != (rec{0.1, 1e300}) || wall < 0 {
+		t.Errorf("RunCell = %+v, %v, %v", got, wall, err)
+	}
+	if _, _, err := RunCell(func() rec { panic("blew up") }, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "blew up") {
+		t.Errorf("a panicking cell: err = %v", err)
 	}
 }

@@ -93,6 +93,8 @@ type Summary struct {
 	// Work is the summed wall time of the jobs executed this run; the
 	// ratio Work/Elapsed is the speedup over a sequential pass.
 	Work time.Duration
+	// Workers is the pool size the run used.
+	Workers int
 }
 
 // Speedup returns Work/Elapsed — how much wall time the pool saved over
@@ -113,10 +115,6 @@ func (s *Summary) Get(id string) (Result, bool) {
 	return Result{}, false
 }
 
-// DefaultParallelism is the worker count used when Options.Parallelism
-// is unset.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
 // Run executes the jobs over the worker pool and returns the summary. It
 // fails fast on malformed input (duplicate or empty job IDs) and on store
 // write errors; individual job failures are recorded, not returned.
@@ -130,7 +128,7 @@ func Run(jobs []Job, opts Options) (*Summary, error) {
 	}
 
 	start := time.Now()
-	sum := &Summary{Results: make([]Result, 0, len(jobs))}
+	sum := &Summary{Results: make([]Result, 0, len(jobs)), Workers: workers}
 	tr := newTracker(opts.Progress, jobs)
 
 	// Partition into cached (already in the store) and pending.

@@ -115,6 +115,31 @@ func checkGroups(path string, groups []GroupSpec) error {
 	return nil
 }
 
+// checkStart refuses a flow start at or after the run's horizon: its
+// flows would send nothing.
+func checkStart(path string, start, duration Dur) error {
+	if start >= duration {
+		return vErr(path, "must be before the run's %v duration, got %v", time.Duration(duration), time.Duration(start))
+	}
+	return nil
+}
+
+// checkHorizon refuses a flow group the run's duration leaves nothing to
+// measure of: one that starts at or after the horizon, or whose base RTT
+// is longer than the whole run.
+func checkHorizon(path string, groups []GroupSpec, duration Dur) error {
+	for i, g := range groups {
+		p := fmt.Sprintf("%s[%d]", path, i)
+		if err := checkStart(p+".start_at", g.StartAt, duration); err != nil {
+			return err
+		}
+		if g.RTT > duration {
+			return vErr(p+".rtt", "longer than the run's %v duration, got %v", time.Duration(duration), time.Duration(g.RTT))
+		}
+	}
+	return nil
+}
+
 func checkPortQdisc(path, kind string, q *PortQdiscSpec) error {
 	if q == nil {
 		return nil
@@ -187,6 +212,9 @@ func validateDumbbell(d *DumbbellSpec) error {
 		return err
 	}
 	if err := checkPositiveDur("dumbbell.duration", d.Duration); err != nil {
+		return err
+	}
+	if err := checkHorizon("dumbbell.groups", d.Groups, d.Duration); err != nil {
 		return err
 	}
 	if err := checkQdisc("dumbbell.qdisc", "dumbbell", d.Qdisc); err != nil {
@@ -376,7 +404,15 @@ func validateGraph(g *GraphSpec) error {
 	if err := checkNonNegativeDur("graph.min_rto", g.MinRTO); err != nil {
 		return err
 	}
-	return checkPositiveDur("graph.duration", g.Duration)
+	if err := checkPositiveDur("graph.duration", g.Duration); err != nil {
+		return err
+	}
+	for i, f := range g.Flows {
+		if err := checkStart(fmt.Sprintf("graph.flows[%d].start_at", i), f.StartAt, g.Duration); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func validateTournament(t *TournamentSpec) error {
@@ -419,7 +455,15 @@ func validateTournament(t *TournamentSpec) error {
 	if err := checkNonNegativeDur("tournament.min_rto", t.MinRTO); err != nil {
 		return err
 	}
-	return checkPositiveDur("tournament.duration", t.Duration)
+	if err := checkPositiveDur("tournament.duration", t.Duration); err != nil {
+		return err
+	}
+	for i, r := range t.RTTRatios {
+		if float64(t.BaseRTT)*r > float64(t.Duration) {
+			return vErr(fmt.Sprintf("tournament.rtt_ratios[%d]", i), "base_rtt %v × %v is longer than the run's %v duration", time.Duration(t.BaseRTT), r, time.Duration(t.Duration))
+		}
+	}
+	return nil
 }
 
 func validateBufferSweep(b *BufferSweepSpec) error {
@@ -438,7 +482,10 @@ func validateBufferSweep(b *BufferSweepSpec) error {
 	if err := checkNonNegativeDur("buffer_sweep.min_rto", b.MinRTO); err != nil {
 		return err
 	}
-	return checkPositiveDur("buffer_sweep.duration", b.Duration)
+	if err := checkPositiveDur("buffer_sweep.duration", b.Duration); err != nil {
+		return err
+	}
+	return checkHorizon("buffer_sweep.groups", b.Groups, b.Duration)
 }
 
 func checkBufList(path string, bufs []int) error {

@@ -97,6 +97,7 @@ func TestValidateBranches(t *testing.T) {
 		{"graph warmup", "multihop.json", func(s *Spec) { s.Graph.WarmupFraction = -0.1 }, "graph.warmup_fraction"},
 		{"graph min_rto", "multihop.json", func(s *Spec) { s.Graph.MinRTO = -1 }, "graph.min_rto"},
 		{"graph duration", "multihop.json", func(s *Spec) { s.Graph.Duration = 0 }, "graph.duration"},
+		{"graph flow after horizon", "multihop.json", func(s *Spec) { s.Graph.Flows[1].StartAt = s.Graph.Duration }, "graph.flows[1].start_at: must be before the run's"},
 
 		{"tournament no ccas", "tournament.json", func(s *Spec) { s.Tournament.CCAs = nil }, "tournament.ccas: at least one"},
 		{"tournament cca", "tournament.json", func(s *Spec) { s.Tournament.CCAs[1] = "reno" }, "tournament.ccas[1]"},
@@ -111,6 +112,7 @@ func TestValidateBranches(t *testing.T) {
 		{"tournament qdisc", "tournament.json", func(s *Spec) { s.Tournament.Qdiscs[0] = "red" }, "tournament.qdiscs[0]"},
 		{"tournament min_rto", "tournament.json", func(s *Spec) { s.Tournament.MinRTO = -1 }, "tournament.min_rto"},
 		{"tournament duration", "tournament.json", func(s *Spec) { s.Tournament.Duration = 0 }, "tournament.duration"},
+		{"tournament rtt beyond horizon", "tournament.json", func(s *Spec) { s.Tournament.Duration = s.Tournament.BaseRTT }, "is longer than the run's"},
 
 		{"sweep groups", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups = nil }, "buffer_sweep.groups: at least one"},
 		{"sweep group rtt", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups[0].RTT = 0 }, "buffer_sweep.groups[0].rtt"},
@@ -119,6 +121,8 @@ func TestValidateBranches(t *testing.T) {
 		{"sweep qdisc", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Qdiscs[1] = "red" }, "buffer_sweep.qdiscs[1]"},
 		{"sweep min_rto", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.MinRTO = -1 }, "buffer_sweep.min_rto"},
 		{"sweep duration", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Duration = 0 }, "buffer_sweep.duration"},
+		{"sweep start after horizon", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups[0].StartAt = s.BufferSweep.Duration }, "buffer_sweep.groups[0].start_at: must be before the run's"},
+		{"sweep rtt beyond horizon", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups[0].RTT = s.BufferSweep.Duration + 1 }, "buffer_sweep.groups[0].rtt: longer than the run's"},
 	}
 	for _, row := range rows {
 		row := row
@@ -139,10 +143,12 @@ func TestValidateBranches(t *testing.T) {
 }
 
 // TestValidateAcceptsEdgeValues pins a few boundary values the error rows
-// sit next to: zero start times, a 200 ms MinRTO, and a warmup of 0.
+// sit next to: zero start times, a 200 ms MinRTO, a warmup of 0, and an
+// RTT as long as the run.
 func TestValidateAcceptsEdgeValues(t *testing.T) {
 	s := mutate(t, "dumbbell.json", func(s *Spec) {
 		s.Dumbbell.Groups[0].StartAt = 0
+		s.Dumbbell.Groups[1].RTT = s.Dumbbell.Duration
 		s.Dumbbell.MinRTO = Dur(200 * time.Millisecond)
 		s.Dumbbell.WarmupFraction = 0
 		s.Dumbbell.Tau = fptr(0.05)

@@ -289,10 +289,7 @@ func (c *Conn) trySend() {
 		}
 
 		if retx {
-			size := c.segSizeAt(seq)
-			c.transmit(seq, size, true)
-			c.retxOut += int64(size)
-			c.retxPtr = seq + int64(size)
+			c.retransmit(seq)
 		} else {
 			size := int64(packet.MSS)
 			if c.cfg.DataLimit > 0 && c.sndNxt+size > c.cfg.DataLimit {
@@ -404,12 +401,8 @@ func (c *Conn) Deliver(p *packet.Packet) {
 		// acknowledges a retransmission: retire it from the pipe estimate
 		// (it would otherwise linger until the cumulative ACK, inflating
 		// the pipe and stalling the sender for the rest of recovery).
-		if nb > 0 && start < c.retxPtr && c.retxOut > 0 {
-			dec := nb
-			if dec > c.retxOut {
-				dec = c.retxOut
-			}
-			c.retxOut -= dec
+		if nb > 0 && start < c.retxPtr {
+			c.retireRetx(nb)
 		}
 	}
 	if newlySacked > 0 {
@@ -433,15 +426,9 @@ func (c *Conn) Deliver(p *packet.Packet) {
 	freshlyAcked := ackedBytes - sackedBelow // bytes not previously SACKed
 	c.delivered += freshlyAcked
 	c.deliveredTime = now
-	if c.retxOut > 0 {
-		// Retransmissions are acknowledged through previously-unSACKed
-		// ranges; retire them conservatively.
-		dec := freshlyAcked
-		if dec > c.retxOut {
-			dec = c.retxOut
-		}
-		c.retxOut -= dec
-	}
+	// Retransmissions are acknowledged through previously-unSACKed
+	// ranges; retire them conservatively.
+	c.retireRetx(freshlyAcked)
 	c.sent.clearSent(c.sndUna, ack)
 	c.sndUna = ack
 	if c.retxPtr < ack {
@@ -535,11 +522,25 @@ func (c *Conn) buildRateSample(ack, ackedBytes int64, now sim.Time) RateSample {
 	return rs
 }
 
-func (c *Conn) segSizeAt(seq int64) int32 {
+// retransmit resends the segment at seq (its recorded size, or an MSS
+// when no record survives), counts it in flight and moves the retransmit
+// pointer past it.
+func (c *Conn) retransmit(seq int64) {
+	size := int32(packet.MSS)
 	if rec := c.sent.get(seq); rec != nil {
-		return rec.size
+		size = rec.size
 	}
-	return int32(packet.MSS)
+	c.transmit(seq, size, true)
+	c.retxOut += int64(size)
+	c.retxPtr = seq + int64(size)
+}
+
+// retireRetx takes up to n acknowledged bytes off the retransmissions
+// estimated in flight, never below zero.
+func (c *Conn) retireRetx(n int64) {
+	if c.retxOut > 0 {
+		c.retxOut -= min(n, c.retxOut)
+	}
 }
 
 func (c *Conn) onDupAck(newlySacked int64) {
@@ -567,10 +568,7 @@ func (c *Conn) enterRecovery() {
 	// exceed the reduced window, but the hole must be repaired to make
 	// progress).
 	if seq := c.nextRetxSeq(); seq >= 0 {
-		size := c.segSizeAt(seq)
-		c.transmit(seq, size, true)
-		c.retxOut += int64(size)
-		c.retxPtr = seq + int64(size)
+		c.retransmit(seq)
 	}
 	c.trySend()
 }
@@ -641,10 +639,7 @@ func (c *Conn) onRTO() {
 	// Retransmit the first hole immediately, bypassing the (collapsed)
 	// window check, to restart the ACK clock.
 	if seq := c.nextRetxSeq(); seq >= 0 {
-		size := c.segSizeAt(seq)
-		c.transmit(seq, size, true)
-		c.retxOut += int64(size)
-		c.retxPtr = seq + int64(size)
+		c.retransmit(seq)
 	}
 	c.trySend()
 }

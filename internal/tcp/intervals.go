@@ -30,7 +30,7 @@ func (s *intervalSet) add(start, end int64) int64 {
 	j, lo, hi := i, start, end
 	for j < n && ivs[j].start <= end {
 		iv := ivs[j]
-		if oLo, oHi := max64(iv.start, start), min64(iv.end, end); oHi > oLo {
+		if oLo, oHi := max(iv.start, start), min(iv.end, end); oHi > oLo {
 			newBytes -= oHi - oLo
 		}
 		if iv.start < lo {
@@ -123,17 +123,3 @@ func (s *intervalSet) clear() { s.ivs = s.ivs[:0] }
 
 // len returns the number of disjoint ranges.
 func (s *intervalSet) len() int { return len(s.ivs) }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

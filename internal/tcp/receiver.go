@@ -93,18 +93,14 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 		r.sendAck()
 	case p.Seq > r.rcvNxt:
 		// Out of order: buffer and emit an immediate duplicate ACK.
-		start := p.Seq
-		if start < r.rcvNxt {
-			start = r.rcvNxt
-		}
-		r.ooo.add(start, end)
+		r.ooo.add(p.Seq, end)
 		r.sendAck()
 	default:
 		// In-order (possibly overlapping) data: advance and absorb any
 		// contiguous buffered intervals.
 		old := r.rcvNxt
-		r.rcvNxt = end
-		r.mergeOOO()
+		r.rcvNxt = r.ooo.nextUncovered(end)
+		r.ooo.trimBelow(r.rcvNxt)
 		advanced := r.rcvNxt - old
 		r.Stats.GoodputBytes += advanced
 		if r.GoodputAt != nil {
@@ -117,20 +113,6 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 			r.eng.ArmTimer(&r.delTimer, delAckTimeout, (*recvDelAck)(r), nil)
 		}
 	}
-}
-
-func (r *Receiver) mergeOOO() {
-	i := 0
-	for i < len(r.ooo.ivs) && r.ooo.ivs[i].start <= r.rcvNxt {
-		if r.ooo.ivs[i].end > r.rcvNxt {
-			r.rcvNxt = r.ooo.ivs[i].end
-		}
-		i++
-	}
-	// Slide the survivors down in place (rather than reslicing forward)
-	// so the backing array's capacity is retained for future arrivals.
-	n := copy(r.ooo.ivs, r.ooo.ivs[i:])
-	r.ooo.ivs = r.ooo.ivs[:n]
 }
 
 func (r *Receiver) sendAck() {

@@ -5,10 +5,12 @@
 # the sweep and bench sections through the fleet, cebinae-trace's trace
 # statistics, one-trial accuracy point and live replay — then the five
 # examples on short horizons: every run must exit 0 and print a non-empty
-# report on stdout. Three absurd inputs must be refused: an unknown CC given
+# report on stdout. Six absurd inputs must be refused: an unknown CC given
 # to cebinae-sim and an unknown qdisc given to cebinae-sweep (by the
-# scenario validator), and a zero poll interval given to cebinae-trace,
-# must each exit nonzero naming it on stderr.
+# scenario validator), a zero poll interval given to cebinae-trace, and
+# three dumbbell specs given to cebinae-sim -scenario that leave a 1 s run
+# nothing to measure (a group starting at 3 s, a 5 s RTT, a 2562047 h
+# RTT), must each exit nonzero naming the flag or field on stderr.
 #
 #   scripts/cli_smoke.sh              (or: make cli-smoke)
 #
@@ -56,6 +58,20 @@ smoke "cebinae-sweep -backbone" "$tmp/cebinae-sweep" -backbone 1000 -scales 0.02
 refuse "cebinae-sim -flows htcp:1" 'unknown CC "htcp"' "$tmp/cebinae-sim" -flows htcp:1 -duration 1s
 refuse "cebinae-sweep -qdiscs fifo,red" 'unknown qdisc "red"' "$tmp/cebinae-sweep" -qdiscs fifo,red \
 	-store "$tmp/red.jsonl" -csv "$tmp/red.csv"
+# horizon NAME GROUP: a 1 s dumbbell spec whose one flow group is GROUP.
+horizon() {
+	cat >"$tmp/$1.json" <<-EOF
+	{"version": 1, "name": "$1", "kind": "dumbbell", "dumbbell": {"rate": "50M", "buffer_bytes": 150000,
+	  "duration": "1s", "qdisc": "fifo", "groups": [$2]}}
+	EOF
+}
+horizon late '{"cc": "newreno", "count": 1, "rtt": "20ms", "start_at": "3s"}'
+horizon slow '{"cc": "newreno", "count": 1, "rtt": "5s"}'
+horizon huge '{"cc": "newreno", "count": 1, "rtt": "2562047h"}'
+refuse "cebinae-sim -scenario (start after the horizon)" 'dumbbell.groups[0].start_at: must be before' \
+	"$tmp/cebinae-sim" -scenario "$tmp/late.json"
+refuse "cebinae-sim -scenario (5s RTT in a 1s run)" 'dumbbell.groups[0].rtt: longer than' "$tmp/cebinae-sim" -scenario "$tmp/slow.json"
+refuse "cebinae-sim -scenario (2562047h RTT)" 'dumbbell.groups[0].rtt: longer than' "$tmp/cebinae-sim" -scenario "$tmp/huge.json"
 smoke "cebinae-trace -stats" "$tmp/cebinae-trace" -stats
 smoke "cebinae-trace -trials 1" "$tmp/cebinae-trace" -trials 1
 smoke "cebinae-trace -replay" "$tmp/cebinae-trace" -replay -standing 500 -duration 40ms

@@ -17,8 +17,12 @@
 # two grids run on each (≈ 50 ms a side): the dumbbell grid
 # `-qdiscs fifo,fq,cebinae -thresholds 5,7 -scales 0.02` and the backbone
 # grid `-backbone 1000 -scales 0.02`. Their stdout and CSV must match
-# unmasked, byte for byte. On a match it prints nothing and exits 0;
-# otherwise it prints the diff and exits 1.
+# unmasked, byte for byte. So must the stdout of
+# `cebinae-sweep -scenario 'scenarios/*.json'` (≈ 3 s a side) and, with its
+# `wall:` line masked, of `cebinae-sim -scenario scenarios/dumbbell.json`,
+# both run from each side's root (cebinae-sim is built on both sides for
+# it). On a match it prints nothing and exits 0; otherwise it prints the
+# diff and exits 1.
 set -eu
 
 [ $# -ge 1 ] || { echo "usage: $0 REV" >&2; exit 2; }
@@ -32,9 +36,11 @@ parent=$build/$sha
 rm -rf "$parent"
 mkdir -p "$parent"
 git archive "$sha" | tar -xf - -C "$parent"
-(cd "$parent" && go build -o "$build/rd-parent" ./cmd/cebinae-bench && go build -o "$build/rs-parent" ./cmd/cebinae-sweep)
+(cd "$parent" && go build -o "$build/rd-parent" ./cmd/cebinae-bench && go build -o "$build/rs-parent" ./cmd/cebinae-sweep &&
+	go build -o "$build/rm-parent" ./cmd/cebinae-sim)
 go build -o "$build/rd-change" ./cmd/cebinae-bench
 go build -o "$build/rs-change" ./cmd/cebinae-sweep
+go build -o "$build/rm-change" ./cmd/cebinae-sim
 
 # report SIDE DIR BINARY: the masked quick report of one side.
 report() {
@@ -52,16 +58,32 @@ sweep() {
 		{ echo "report_diff: the $side $grid grid failed (stderr in $out.log)" >&2; exit 1; }
 	cat "$out.csv" >>"$out.txt"
 }
+# specs SIDE DIR: from DIR, the sweep's -scenario grid over every shipped
+# spec file, and cebinae-sim -scenario on the dumbbell spec with its wall
+# time masked.
+specs() {
+	out=$build/rs-$1-specs
+	rm -f "$out.jsonl"
+	(cd "$2" && "$build/rs-$1" -p 2 -store "$out.jsonl" -scenario 'scenarios/*.json' >"$out.txt" 2>"$out.log") ||
+		{ echo "report_diff: the $1 -scenario grid failed (stderr in $out.log)" >&2; exit 1; }
+	out=$build/rm-$1
+	(cd "$2" && "$build/rm-$1" -scenario scenarios/dumbbell.json >"$out.raw" 2>"$out.log") ||
+		{ echo "report_diff: the $1 cebinae-sim -scenario run failed (stderr in $out.log)" >&2; exit 1; }
+	sed -e 's/^wall: .*/wall: */' "$out.raw" >"$out.txt"
+}
 for side in parent change; do
 	sweep "$side" dumbbell -qdiscs fifo,fq,cebinae -thresholds 5,7 -scales 0.02
 	sweep "$side" backbone -backbone 1000 -scales 0.02
 done
+specs parent "$parent"
+specs change "$root"
 
 report parent "$parent" "$build/rd-parent"
 report change "$root" "$build/rd-change"
 status=0
 diff "$build/rd-parent.txt" "$build/rd-change.txt" || status=1
-for grid in dumbbell backbone; do
+for grid in dumbbell backbone specs; do
 	diff "$build/rs-parent-$grid.txt" "$build/rs-change-$grid.txt" || status=1
 done
+diff "$build/rm-parent.txt" "$build/rm-change.txt" || status=1
 exit $status
