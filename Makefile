@@ -117,7 +117,16 @@ cli-smoke:
 # along: a packet is one
 # 64-byte cache line (TestPacketSize) and every packet of a fresh slab
 # starts on a line boundary (TestPoolSlabAligned), one allocation per 512
-# fresh packets (the slab), and every
+# fresh packets (the slab) and per 64 fresh SACK arrays (TestPoolSackSlab),
+# free lists that grow by doubling segments, never copied, at most
+# ⌈log₂(N/256)⌉ + 1 of them for N free packets and nothing once warm
+# (TestPoolFreeListSegments, TestPoolFreeListGrowthAllocs), a double Put
+# that still panics under -tags packetdebug (TestPoolDoubleFreePanics),
+# a node's one endpoint kept inline with no demux map and a duplicate key
+# still refused (TestRegisterFirstEndpointInline,
+# TestRegisterRefusesDuplicateKey), device names built on demand
+# (TestDeviceName), a scoreboard spare list sized with its ring so a
+# cumulative ACK never grows it (TestScoreboardSpareFitsRing), and every
 # packet back in the pool once a run drains, FQ-CoDel's overflow victims
 # and CoDel drops included and counted as the port's drops, and the drop
 # ledger: every packet a switch of a congested dumbbell received was
@@ -126,7 +135,8 @@ cli-smoke:
 # uncontended hop and one more per queued packet, and ≤ 8.1 events per
 # delivered segment on the dumbbell_fifo_1g traffic.
 mem-smoke:
-	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger|TestRunSteadyStateZeroAlloc|TestSackArraysFollowAcksInFlight|TestConfigForKeepsLiveTopSet|TestBackboneBytesPerFlow|TestFlowRecordSize|TestEventSize|TestSinkGrowsByDoubling|TestFlowsSizedOnce' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./internal/core/ ./internal/trace/ ./experiments/
+	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger|TestRunSteadyStateZeroAlloc|TestSackArraysFollowAcksInFlight|TestConfigForKeepsLiveTopSet|TestBackboneBytesPerFlow|TestFlowRecordSize|TestEventSize|TestSinkGrowsByDoubling|TestFlowsSizedOnce|TestPoolSackSlab|TestPoolFreeListSegments|TestPoolFreeListGrowthAllocs|TestRegisterFirstEndpointInline|TestRegisterRefusesDuplicateKey|TestDeviceName|TestScoreboardSpareFitsRing' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./internal/core/ ./internal/trace/ ./experiments/
+	$(GO) test -tags packetdebug -run 'TestPoolDoubleFreePanics' -v ./internal/packet/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -47,15 +47,21 @@ func Main(cpuPath, memPath string, run func() error) {
 // Run runs every job of sections on the fleet under opts (its worker
 // count, watchdog, an opened store, a progress writer), prints the run's
 // one timing line to log, and returns a Getter over the run with its
-// summary. A failed job is recorded in the summary, not returned: each
-// section's Render reports it, and the caller decides what that costs.
+// summary. The timing line names the worker count; it carries the run's
+// Timing only when opts has no progress writer, since otherwise the
+// fleet's closing line has just printed it. A failed job is recorded in
+// the summary, not returned: each section's Render reports it, and the
+// caller decides what that costs.
 func Run(sections []experiments.BenchSection, opts fleet.Options, log io.Writer) (experiments.Getter, *fleet.Summary, error) {
 	sum, err := fleet.Run(experiments.SectionJobs(sections), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(log, "%s: %v elapsed for %v of simulation work — %.2fx vs sequential (p=%d)\n",
-		prog(), sum.Elapsed.Round(time.Millisecond), sum.Work.Round(time.Millisecond), sum.Speedup(), sum.Workers)
+	timing := sum.Timing()
+	if opts.Progress != nil {
+		timing = fmt.Sprintf("%v elapsed", sum.Elapsed.Round(time.Millisecond))
+	}
+	fmt.Fprintf(log, "%s: %s (p=%d)\n", prog(), timing, sum.Workers)
 	return experiments.SummaryGetter(sum), sum, nil
 }
 

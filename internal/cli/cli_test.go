@@ -154,6 +154,42 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestRunTimingLine: with a progress writer the fleet's closing line
+// carries the run's job work and speedup, and the runner's line only the
+// elapsed time and worker count; a run whose every job came from the store
+// reports no speedup on either line.
+func TestRunTimingLine(t *testing.T) {
+	secs := []experiments.BenchSection{experiments.NewSection("", "a", "", []experiments.Cell[int]{{Run: func() int { return 3 }}},
+		experiments.Only(func(int) string { return "" }))}
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	for _, tc := range []struct {
+		name, fleetWant string
+		speedups        int
+	}{{"fresh", "(0 cached, 0 failed): ", 1}, {"from the store", "(1 cached, 0 failed): ", 0}} {
+		store, err := fleet.OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		if _, _, err := Run(secs, fleet.Options{Parallelism: 2, Store: store, Progress: &log}, &log); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+		last := lines[len(lines)-1]
+		switch {
+		case len(lines) < 2 || !strings.Contains(lines[len(lines)-2], tc.fleetWant):
+			t.Errorf("%s: fleet closing line missing %q:\n%s", tc.name, tc.fleetWant, log.String())
+		case strings.Count(log.String(), "vs sequential") != tc.speedups:
+			t.Errorf("%s: %d speedups printed, want %d:\n%s", tc.name, strings.Count(log.String(), "vs sequential"), tc.speedups, log.String())
+		case !strings.HasSuffix(last, " elapsed (p=2)"):
+			t.Errorf("%s: runner's line %q, want the elapsed time and p=2 alone", tc.name, last)
+		case tc.speedups == 0 && !strings.Contains(log.String(), "no job executed"):
+			t.Errorf("%s: no line says that no job executed:\n%s", tc.name, log.String())
+		}
+	}
+}
+
 // TestRunCell: one cell comes back as its record decoded from the run,
 // with its job's wall time; a cell that panics is an error.
 func TestRunCell(t *testing.T) {

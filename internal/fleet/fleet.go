@@ -106,6 +106,18 @@ func (s *Summary) Speedup() float64 {
 	return float64(s.Work) / float64(s.Elapsed)
 }
 
+// Timing is the run's wall-clock account: the elapsed time and, when any
+// job executed, the executed jobs' summed wall time with its Speedup. A run
+// whose every job came from the store executed nothing, so it has no
+// speedup to report.
+func (s *Summary) Timing() string {
+	elapsed := s.Elapsed.Round(time.Millisecond)
+	if s.Cached == len(s.Results) {
+		return fmt.Sprintf("%v elapsed; no job executed", elapsed)
+	}
+	return fmt.Sprintf("%v elapsed for %v of job work — %.2fx vs sequential", elapsed, s.Work.Round(time.Millisecond), s.Speedup())
+}
+
 // Get returns the recorded result for a job ID.
 func (s *Summary) Get(id string) (Result, bool) {
 	i := sort.Search(len(s.Results), func(i int) bool { return s.Results[i].ID >= id })

@@ -119,6 +119,20 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestTiming: a run that executed jobs reports their work and speedup; a
+// run whose every job came from the store executed nothing and reports no
+// speedup — not a 0.00x one.
+func TestTiming(t *testing.T) {
+	ran := Summary{Results: make([]Result, 3), Cached: 1, Elapsed: 2 * time.Second, Work: 3 * time.Second}
+	if got := ran.Timing(); got != "2s elapsed for 3s of job work — 1.50x vs sequential" {
+		t.Errorf("a run with executed jobs: %q", got)
+	}
+	cached := Summary{Results: make([]Result, 3), Cached: 3, Elapsed: time.Millisecond}
+	if got := cached.Timing(); got != "1ms elapsed; no job executed" {
+		t.Errorf("a run from the store: %q", got)
+	}
+}
+
 func TestUnmarshalableResultRecordedAsFailure(t *testing.T) {
 	j := Job{ID: "chan", Run: func() (any, error) { return make(chan int), nil }}
 	sum, err := Run([]Job{j}, Options{})

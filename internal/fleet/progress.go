@@ -82,17 +82,14 @@ func projectETA(elapsed time.Duration, executed, left int, costDone, costLeft fl
 	return elapsed / time.Duration(executed) * time.Duration(left)
 }
 
-// finish prints the closing summary with the sequential-vs-parallel
-// speedup (summed job wall time over elapsed wall time).
+// finish prints the closing summary: the job counts and the run's Timing.
 func (t *tracker) finish(s *Summary) {
 	if t.w == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fmt.Fprintf(t.w, "fleet: %d jobs (%d cached, %d failed) in %v; %v of job work — %.2fx vs sequential\n",
-		len(s.Results), s.Cached, s.Failed,
-		s.Elapsed.Round(time.Millisecond), s.Work.Round(time.Millisecond), s.Speedup())
+	fmt.Fprintf(t.w, "fleet: %d jobs (%d cached, %d failed): %s\n", len(s.Results), s.Cached, s.Failed, s.Timing())
 }
 
 func digits(n int) int {

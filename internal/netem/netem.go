@@ -143,13 +143,18 @@ type Device struct {
 	// onto the wire.
 	handoff Handoff
 
-	Name string
+	// peer names the node at the link's far end (see Name).
+	peer string
 	node *Node
 
 	// OnTransmit, when non-nil, observes every packet at the instant its
 	// serialisation starts (used by monitors).
 	OnTransmit func(p *packet.Packet)
 }
+
+// Name returns "node->peer": the device's node and the node at its link's
+// far end. It is built on each call; nothing on the packet path reads it.
+func (d *Device) Name() string { return d.node.Name + "->" + d.peer }
 
 // Rate returns the link rate in bits per second.
 func (d *Device) Rate() float64 { return d.rate }
@@ -395,7 +400,14 @@ type Node struct {
 	// uplink is a host's one link (Topo.Link): the next hop for every
 	// destination its table does not name, so hosts need no table.
 	uplink *Device
-	demux  map[packet.FlowKey]Endpoint
+
+	// ep is the endpoint registered first, under epKey; demux holds every
+	// later one and is made only when a second key registers. A dumbbell
+	// host carries exactly one endpoint, so its packets are matched by one
+	// key comparison, with no map and no hash.
+	epKey packet.FlowKey
+	ep    Endpoint
+	demux map[packet.FlowKey]Endpoint
 
 	// defaultEp, when non-nil, receives packets addressed to this node
 	// whose flow key has no demux entry — the catch-all a replay sink
@@ -439,10 +451,28 @@ func (n *Node) AddRoute(dst packet.NodeID, dev *Device) {
 // It panics when the key already has an endpoint on n: a second endpoint
 // would silently take over the first one's packets.
 func (n *Node) Register(key packet.FlowKey, ep Endpoint) {
-	if _, dup := n.demux[key]; dup {
+	switch {
+	case n.endpoint(key) != nil:
 		panic(fmt.Sprintf("netem: node %s: flow key %s is already registered", n.Name, key))
+	case n.ep == nil:
+		n.epKey, n.ep = key, ep
+	default:
+		if n.demux == nil {
+			n.demux = make(map[packet.FlowKey]Endpoint)
+		}
+		n.demux[key] = ep
 	}
-	n.demux[key] = ep
+}
+
+// endpoint returns the endpoint registered under key, or nil.
+func (n *Node) endpoint(key packet.FlowKey) Endpoint {
+	if n.ep != nil && n.epKey == key {
+		return n.ep
+	}
+	if n.demux == nil {
+		return nil
+	}
+	return n.demux[key]
 }
 
 // RegisterDefault attaches a catch-all endpoint that receives every packet
@@ -485,7 +515,7 @@ func (n *Node) Inject(p *packet.Packet) {
 
 func (n *Node) receive(p *packet.Packet) {
 	if p.Flow.Dst == n.ID {
-		if ep, ok := n.demux[p.Flow]; ok {
+		if ep := n.endpoint(p.Flow); ep != nil {
 			// The endpoint consumes the packet synchronously; once
 			// Deliver returns the packet has left the network.
 			ep.Deliver(p)
@@ -538,12 +568,7 @@ func (w *Network) NewNode(name string) *Node {
 // numbers its nodes — and therefore its flow keys and per-connection RNG
 // seeds — exactly like the single-network build.
 func (w *Network) NewNodeWithID(id packet.NodeID, name string) *Node {
-	n := &Node{
-		ID:    id,
-		Name:  name,
-		net:   w,
-		demux: make(map[packet.FlowKey]Endpoint),
-	}
+	n := &Node{ID: id, Name: name, net: w}
 	w.nodes = append(w.nodes, n)
 	return n
 }
@@ -575,7 +600,7 @@ func checkLink(a, b string, cfg LinkConfig) {
 // newDevice attaches to a the transmit side of a link towards the node named
 // peer.
 func newDevice(a *Node, peer string, cfg LinkConfig) *Device {
-	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peer), node: a, eng: a.net.Engine, rate: cfg.RateBps, delay: cfg.Delay, serialiseSize: -1}
+	d := &Device{peer: peer, node: a, eng: a.net.Engine, rate: cfg.RateBps, delay: cfg.Delay, serialiseSize: -1}
 	if cfg.QdiscFactory != nil {
 		d.SetQdisc(cfg.QdiscFactory())
 	}

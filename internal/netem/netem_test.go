@@ -416,7 +416,7 @@ func TestWiresSharedByClass(t *testing.T) {
 	}
 	for _, d := range []*Device{ba, bc, cb} {
 		if d.wire != ab.wire {
-			t.Fatalf("%s and %s start 1000 B at 1 Gbps over 100 ns on one network but on separate wire streams", d.Name, ab.Name)
+			t.Fatalf("%s and %s start 1000 B at 1 Gbps over 100 ns on one network but on separate wire streams", d.Name(), ab.Name())
 		}
 	}
 	if ac.wire != ca.wire || ac.wire == ab.wire || zero.wire == ab.wire || zero.wire == ac.wire || slow.wire == ab.wire {
@@ -642,10 +642,67 @@ func TestRegisterRefusesDuplicateKey(t *testing.T) {
 		if !strings.Contains(msg, "node b") || !strings.Contains(msg, key.String()) {
 			t.Fatalf("duplicate Register panicked with %q, want the node and the key named", msg)
 		}
-		if b.demux[key] != first {
+		if b.endpoint(key) != first {
 			t.Fatal("the refused endpoint replaced the registered one")
 		}
 	}()
 	b.Register(key, &sink{})
 	t.Fatal("a second endpoint under a registered key was accepted")
+}
+
+// TestRegisterFirstEndpointInline: a node's first endpoint is kept beside
+// it, so a host with one endpoint makes no demux map, and its packets are
+// matched without one; a second key makes the map, and both keys, their
+// duplicates refused, still reach their own endpoints.
+func TestRegisterFirstEndpointInline(t *testing.T) {
+	w := NewNetwork(sim.NewEngine())
+	a, b := w.NewNode("a"), w.NewNode("b")
+	ab, _ := w.Connect(a, b, LinkConfig{RateBps: 1e9, Delay: 1000, QdiscFactory: fifoFactory})
+	key := packet.FlowKey{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	first, second := &sink{eng: w.Engine}, &sink{eng: w.Engine}
+	if allocs := testing.AllocsPerRun(1, func() {
+		b.ep, b.demux = nil, nil
+		b.Register(key, first)
+	}); allocs != 0 || b.demux != nil {
+		t.Fatalf("registering a node's one endpoint allocates %v objects (map %v), want none", allocs, b.demux != nil)
+	}
+	other := key
+	other.SrcPort = 3
+	b.Register(other, second)
+	if b.demux == nil {
+		t.Fatal("a second key made no demux map")
+	}
+	for _, k := range []packet.FlowKey{key, other} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, k.String()) {
+					t.Errorf("duplicate Register of %s panicked with %q", k, msg)
+				}
+			}()
+			b.Register(k, &sink{})
+		}()
+	}
+	for _, k := range []packet.FlowKey{key, other, other, key} {
+		p := a.AllocPacket()
+		p.Flow, p.Size = k, 100
+		ab.Send(p)
+	}
+	w.Engine.RunAll()
+	if len(first.got) != 2 || len(second.got) != 2 || b.Unroutable != 0 {
+		t.Fatalf("delivered %d to the first endpoint and %d to the second (%d unroutable), want 2 and 2", len(first.got), len(second.got), b.Unroutable)
+	}
+}
+
+// TestDeviceName: a device is named for its node and the node at its
+// link's far end, on both halves of a link and on a cut link's half.
+func TestDeviceName(t *testing.T) {
+	w := NewNetwork(sim.NewEngine())
+	a, b := w.NewNode("left"), w.NewNode("right")
+	ab, ba := w.Connect(a, b, LinkConfig{RateBps: 1e9, Delay: 1000})
+	half := w.ConnectHalf(a, "far", LinkConfig{RateBps: 1e9, Delay: 1000}, nil)
+	for d, want := range map[*Device]string{ab: "left->right", ba: "right->left", half: "left->far"} {
+		if got := d.Name(); got != want {
+			t.Errorf("device named %q, want %q", got, want)
+		}
+	}
 }

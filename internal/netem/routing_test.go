@@ -36,12 +36,12 @@ func checkRoutes(t *testing.T, hosts, switches []*netem.Node) {
 	for _, n := range nodes {
 		seen := map[*netem.Node]int{}
 		for _, d := range n.Devices() {
-			far := byName[strings.TrimPrefix(d.Name, n.Name+"->")]
+			far := byName[strings.TrimPrefix(d.Name(), n.Name+"->")]
 			k := seen[far]
 			seen[far]++
 			peer[d] = far
 			for _, r := range far.Devices() {
-				if r.Name == far.Name+"->"+n.Name {
+				if r.Name() == far.Name+"->"+n.Name {
 					if k == 0 {
 						back[d] = r
 						break
@@ -65,10 +65,10 @@ func checkRoutes(t *testing.T, hosts, switches []*netem.Node) {
 		}
 		for i, x := range d.Node().Devices() {
 			if x == d {
-				return fmt.Sprintf("%s#%d", d.Name, i)
+				return fmt.Sprintf("%s#%d", d.Name(), i)
 			}
 		}
-		return d.Name
+		return d.Name()
 	}
 	for _, dst := range hosts {
 		want := map[*netem.Node]*netem.Device{}

@@ -25,21 +25,28 @@ package packet
 // to carry blocks. So the arrays in existence follow the ACKs with blocks
 // in flight, not every packet that ever carried one.
 //
+// Both free lists are LIFO stacks of doubling segments (stack), so a
+// pool that grows to N free packets holds about log₂(N/stackBase)
+// segments and has never copied a pointer. Fresh SACK arrays come from
+// slabs, as packets do.
+//
 // Building with -tags packetdebug enables a double-free detector that
 // panics when a packet is released twice without an intervening Get.
 type Pool struct {
-	free []*Packet
+	free stack[Packet]
 	// sacks is the free list of SACK arrays.
-	sacks []*[MaxSack]SackBlock
-	// slab is the unused tail of the current slab.
-	slab  []Packet
-	debug poolDebug
+	sacks stack[[MaxSack]SackBlock]
+	// slab is the unused tail of the current packet slab, sackSlab of the
+	// current SACK array slab.
+	slab     []Packet
+	sackSlab [][MaxSack]SackBlock
+	debug    poolDebug
 	// Gets / Reuses count allocations served and how many were recycled
 	// (Gets - Reuses packets were fresh from a slab).
 	Gets   uint64
 	Reuses uint64
 	// SackGets / SackReuses count the same for SACK arrays
-	// (SackGets - SackReuses arrays were allocated).
+	// (SackGets - SackReuses arrays were fresh from a slab).
 	SackGets   uint64
 	SackReuses uint64
 }
@@ -53,24 +60,25 @@ type Pool struct {
 // therefore starts on a 64-byte line boundary.
 const slabLen = 512
 
+// sackSlabLen is the number of SACK arrays one slab allocation provides:
+// 64 × 48 B = 3 KiB, exactly one allocator size class.
+const sackSlabLen = 64
+
 // Get returns a zeroed packet, reusing a released one when available. Its
 // SACK field is nil: a packet that carries blocks draws an array with
 // GetSack.
 func (pl *Pool) Get() *Packet {
 	pl.Gets++
-	n := len(pl.free)
-	if n == 0 {
+	p := pl.free.pop()
+	if p == nil {
 		if len(pl.slab) == 0 {
 			pl.slab = make([]Packet, slabLen)
 		}
-		p := &pl.slab[0]
+		p = &pl.slab[0]
 		pl.slab = pl.slab[1:]
 		return p
 	}
 	pl.Reuses++
-	p := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
 	pl.debug.onGet(p)
 	*p = Packet{}
 	return p
@@ -83,34 +91,92 @@ func (pl *Pool) Get() *Packet {
 func (pl *Pool) Put(p *Packet) {
 	pl.debug.onPut(p)
 	if p.SACK != nil {
-		pl.sacks = append(pl.sacks, p.SACK)
+		pl.sacks.push(p.SACK)
 		p.SACK = nil
 	}
-	pl.free = append(pl.free, p)
+	pl.free.push(p)
 }
 
 // GetSack returns a SACK array for a packet about to carry blocks: the
-// one released last, or a fresh one when none is free. Its contents are
-// stale; the caller writes the blocks it sets NSack to. The array returns
-// to the pool with the packet that holds it.
+// one released last, or a fresh one from a slab when none is free. Its
+// contents are stale; the caller writes the blocks it sets NSack to. The
+// array returns to the pool with the packet that holds it.
 func (pl *Pool) GetSack() *[MaxSack]SackBlock {
 	pl.SackGets++
-	n := len(pl.sacks)
-	if n == 0 {
-		return new([MaxSack]SackBlock)
+	if a := pl.sacks.pop(); a != nil {
+		pl.SackReuses++
+		return a
 	}
-	pl.SackReuses++
-	a := pl.sacks[n-1]
-	pl.sacks[n-1] = nil
-	pl.sacks = pl.sacks[:n-1]
+	if len(pl.sackSlab) == 0 {
+		pl.sackSlab = make([][MaxSack]SackBlock, sackSlabLen)
+	}
+	a := &pl.sackSlab[0]
+	pl.sackSlab = pl.sackSlab[1:]
 	return a
 }
 
 // FreeLen returns the number of packets currently on the free list.
-func (pl *Pool) FreeLen() int { return len(pl.free) }
+func (pl *Pool) FreeLen() int { return pl.free.len() }
 
 // SackFreeLen returns the number of SACK arrays on their free list.
-func (pl *Pool) SackFreeLen() int { return len(pl.sacks) }
+func (pl *Pool) SackFreeLen() int { return pl.sacks.len() }
+
+// stack is a LIFO of pointers kept in segments that double in size:
+// segment k holds stackBase·2ᵏ entries. A segment, once made, is kept for
+// the stack's lifetime, and growing past the top segment makes the next
+// one instead of copying, so no entry is ever copied and a stack that has
+// held N entries at once made ⌈log₂(N/stackBase + 1)⌉ segments. The zero
+// value is empty.
+type stack[T any] struct {
+	segs [stackSegs][]*T
+	// top is segs[seg] (nil before the first push) and holds n entries.
+	top []*T
+	seg int
+	n   int
+}
+
+// stackBase is the first segment's length (2 KiB of pointers), and
+// stackSegs the most segments a stack can have: 256·(2³² − 1) entries.
+const (
+	stackBase = 256
+	stackSegs = 32
+)
+
+// push puts v on top, moving up a segment when the top one is full and
+// making that segment the first time it is reached.
+func (s *stack[T]) push(v *T) {
+	if s.n == len(s.top) {
+		if s.top != nil {
+			s.seg++
+		}
+		if s.segs[s.seg] == nil {
+			s.segs[s.seg] = make([]*T, stackBase<<s.seg)
+		}
+		s.top, s.n = s.segs[s.seg], 0
+	}
+	s.top[s.n] = v
+	s.n++
+}
+
+// pop returns the entry pushed last, or nil when the stack is empty.
+func (s *stack[T]) pop() *T {
+	if s.n == 0 {
+		if s.seg == 0 {
+			return nil
+		}
+		s.seg--
+		s.top = s.segs[s.seg]
+		s.n = len(s.top)
+	}
+	s.n--
+	v := s.top[s.n]
+	s.top[s.n] = nil
+	return v
+}
+
+// len returns the number of entries on the stack: the full segments below
+// the top one hold stackBase·(2^seg − 1).
+func (s *stack[T]) len() int { return stackBase*(1<<s.seg-1) + s.n }
 
 // Sink takes back the packets a queue discipline discards after admitting
 // them. netem.Device.SetQdisc hands one to every qdisc with a SetSink

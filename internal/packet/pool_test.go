@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -121,5 +122,121 @@ func TestPoolSlabAligned(t *testing.T) {
 		if addr := uintptr(unsafe.Pointer(pool.Get())); addr%64 != 0 {
 			t.Fatalf("packet %d of a fresh slab at %#x, not 64-byte aligned", i, addr)
 		}
+	}
+}
+
+// segments returns the number of segments the stack has made.
+func (s *stack[T]) segments() int {
+	k := 0
+	for k < stackSegs && s.segs[k] != nil {
+		k++
+	}
+	return k
+}
+
+// TestPoolFreeListSegments pins the free lists' growth: a pool that comes
+// to hold N free packets at once has made at most ⌈log₂(N/256)⌉ + 1
+// segments, each kept where it was made — an entry, once written, is
+// never copied — and hands its packets back last in, first out.
+func TestPoolFreeListSegments(t *testing.T) {
+	for _, n := range []int{1, 255, 256, 257, 1000, 70_000} {
+		var pool Pool
+		pkts := make([]*Packet, n)
+		for i := range pkts {
+			pkts[i] = pool.Get()
+		}
+		var first *[]*Packet
+		var seg0 *Packet
+		for i, p := range pkts {
+			pool.Put(p)
+			if i == 0 {
+				first, seg0 = &pool.free.segs[0], pool.free.segs[0][0]
+			}
+		}
+		bound := 1
+		if n > stackBase {
+			bound = int(math.Ceil(math.Log2(float64(n)/stackBase))) + 1
+		}
+		if got := pool.free.segments(); got > bound {
+			t.Errorf("%d free packets in %d segments, want ≤ %d", n, got, bound)
+		}
+		if pool.FreeLen() != n {
+			t.Errorf("FreeLen %d after %d Puts", pool.FreeLen(), n)
+		}
+		if &pool.free.segs[0][0] != &(*first)[0] || seg0 != pkts[0] {
+			t.Errorf("%d Puts moved the first segment or its first entry", n)
+		}
+		for i := n - 1; i >= 0; i-- {
+			if p := pool.Get(); p != pkts[i] {
+				t.Fatalf("%d free packets: Get %d returned packet %p, want the one Put %d (%p)", n, n-1-i, p, i, pkts[i])
+			}
+		}
+		if pool.FreeLen() != 0 || pool.Reuses != uint64(n) {
+			t.Errorf("drained pool: FreeLen %d, reuses %d", pool.FreeLen(), pool.Reuses)
+		}
+	}
+}
+
+// TestPoolFreeListGrowthAllocs: once a pool's free list has held N
+// packets, cycling N packets through it allocates nothing, and the first
+// fill allocates only the segments — not a copy of the list on every
+// doubling.
+func TestPoolFreeListGrowthAllocs(t *testing.T) {
+	if unsafe.Sizeof(poolDebug{}) != 0 {
+		t.Skip("the packetdebug detector's own map allocates on Put")
+	}
+	const n = 10_000
+	var pool Pool
+	pkts := make([]*Packet, n)
+	for i := range pkts {
+		pkts[i] = pool.Get()
+	}
+	fill := testing.AllocsPerRun(1, func() {
+		pool = Pool{}
+		for _, p := range pkts {
+			pool.Put(p)
+		}
+	})
+	// 256, 512, …, 8192: six segments hold 16 128 entries.
+	if want := float64(pool.free.segments()); fill != want || want > 6 {
+		t.Errorf("filling the free list to %d costs %v allocations, want one per segment (%v)", n, fill, want)
+	}
+	cycle := testing.AllocsPerRun(5, func() {
+		for i := range pkts {
+			pkts[i] = pool.Get()
+		}
+		for _, p := range pkts {
+			pool.Put(p)
+		}
+	})
+	if cycle != 0 {
+		t.Errorf("cycling %d packets through a warm free list costs %v allocations, want 0", n, cycle)
+	}
+}
+
+// TestPoolSackSlab: fresh SACK arrays come sackSlabLen to an allocation,
+// distinct, and the counters still say how many were fresh.
+func TestPoolSackSlab(t *testing.T) {
+	var pool Pool
+	allocs := testing.AllocsPerRun(10, func() {
+		pool = Pool{}
+		for i := 0; i < sackSlabLen; i++ {
+			pool.GetSack()
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d fresh SACK arrays cost %v allocations, want 1", sackSlabLen, allocs)
+	}
+	pool = Pool{}
+	seen := make(map[*[MaxSack]SackBlock]bool)
+	for i := 0; i < 2*sackSlabLen+1; i++ {
+		a := pool.GetSack()
+		if seen[a] {
+			t.Fatalf("GetSack %d returned an array already handed out", i)
+		}
+		seen[a] = true
+	}
+	if pool.SackGets != 2*sackSlabLen+1 || pool.SackReuses != 0 {
+		t.Fatalf("counters: gets=%d reuses=%d, want %d fresh", pool.SackGets, pool.SackReuses, 2*sackSlabLen+1)
 	}
 }

@@ -92,9 +92,9 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 			// Only the (empty) ring's buffer survives reuse; every other
 			// field, CoDel state included, starts as in a fresh queue.
 			f.free = fl.next
-			*fl = fqFlow{key: p.Flow, seq: f.nextSeq, q: fl.q}
+			*fl = fqFlow{key: p.Flow, seq: f.nextSeq, q: fl.q, codel: codelState{params: f.codel}}
 		} else {
-			fl = &fqFlow{key: p.Flow, seq: f.nextSeq}
+			fl = &fqFlow{key: p.Flow, seq: f.nextSeq, codel: codelState{params: f.codel}}
 		}
 		f.nextSeq++
 		f.flows[p.Flow] = fl

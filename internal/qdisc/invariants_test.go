@@ -185,6 +185,57 @@ func TestCoDelDropSpacingFollowsControlLaw(t *testing.T) {
 	}
 }
 
+// TestFQCoDelFlowQueueFollowsControlLaw: an FQ-CoDel flow queue runs
+// CoDel on the parameters the discipline was built with. One flow's 400
+// packets, enqueued at 1 ms and dequeued one a millisecond, wait k ms for
+// the k-th dequeue, so from the 6 ms dequeue on the sojourn stands at or
+// above the 5 ms target with far more than two MTUs queued. The first
+// drop comes an Interval after the sojourn has stood above Target for an
+// Interval — at 206 ms, where TestCoDelDropSpacingFollowsControlLaw puts
+// the bare state machine's, 2 × Interval after its first above-target
+// sojourn — and the next ones on the first dequeue at or after each
+// control-law deadline: Interval later, then Interval/√2 after that.
+func TestFQCoDelFlowQueueFollowsControlLaw(t *testing.T) {
+	const ms = sim.Time(1e6)
+	eng := sim.NewEngine()
+	params := DefaultCoDelParams()
+	q := NewFQCoDel(eng, 1<<20, 1500, params)
+	var l ledger
+	q.SetSink(&l)
+	eng.ScheduleCall(ms, sim.Func(func() {
+		for i := 0; i < 400; i++ {
+			l.offer(q, pkt(1, 1500))
+		}
+	}), nil)
+	var drops []sim.Time
+	for i := 2; i <= 400; i++ {
+		eng.ScheduleCall(sim.Time(i)*ms, sim.Func(func() {
+			before := l.drops
+			q.Dequeue()
+			for range l.drops - before {
+				drops = append(drops, eng.Now())
+			}
+		}), nil)
+	}
+	eng.RunAll()
+
+	firstAbove := 6 * ms
+	want := []sim.Time{firstAbove + 2*params.Interval}
+	next := want[0]
+	for count := 1; len(want) < 3; count++ {
+		next += sim.Time(float64(params.Interval) / math.Sqrt(float64(count)))
+		want = append(want, (next+ms-1)/ms*ms) // the first 1 ms tick at or after it
+	}
+	if len(drops) < len(want) {
+		t.Fatalf("drops at %v, want the first %d at %v", drops, len(want), want)
+	}
+	for i, at := range want {
+		if drops[i] != at {
+			t.Fatalf("drops at %v, want the first %d at %v", drops[:min(len(drops), 5)], len(want), want)
+		}
+	}
+}
+
 // TestLossyDropRules pins each fault-injection rule: per-seq countdown,
 // 1-based offered-index drops that skip non-data packets, the retransmit
 // exemption, and bitwise reproducibility of probabilistic drops under the

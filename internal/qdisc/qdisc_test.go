@@ -271,24 +271,29 @@ func TestFQCoDelECNMarksInsteadOfDrops(t *testing.T) {
 	q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
 	var l ledger
 	q.SetSink(&l)
-	// Stuff one flow, advance time far beyond interval so CoDel engages,
-	// with ECT packets: expect CE marks, not drops.
-	for i := 0; i < 200; i++ {
-		p := pkt(1, 1500)
-		p.ECN = packet.ECNECT
-		l.offer(q, p)
-	}
-	eng.ScheduleCall(sim.Duration(500e6), sim.Func(func() {}), nil)
-	eng.RunAll() // advance clock to 500 ms
+	// Stuff one flow with ECT packets at 1 ms and drain one a millisecond:
+	// the k-th packet out has waited about k ms, so the sojourn stands
+	// above the 5 ms target for the 400 ms the queue lasts, long enough
+	// for CoDel to engage (an interval to be sure, another to act). Expect
+	// CE marks, not drops.
+	eng.ScheduleCall(sim.Duration(1e6), sim.Func(func() {
+		for i := 0; i < 400; i++ {
+			p := pkt(1, 1500)
+			p.ECN = packet.ECNECT
+			l.offer(q, p)
+		}
+	}), nil)
 	marked := 0
-	for {
-		p := q.Dequeue()
-		if p == nil {
-			break
-		}
-		if p.ECN == packet.ECNCE {
-			marked++
-		}
+	for i := 2; i <= 402; i++ {
+		eng.ScheduleCall(sim.Time(i)*1e6, sim.Func(func() {
+			if p := q.Dequeue(); p != nil && p.ECN == packet.ECNCE {
+				marked++
+			}
+		}), nil)
+	}
+	eng.RunAll()
+	if q.Len() != 0 {
+		t.Fatalf("%d packets still queued after the drain", q.Len())
 	}
 	if marked == 0 {
 		t.Fatal("CoDel should CE-mark ECT packets under sustained delay")
@@ -308,23 +313,24 @@ func TestFQCoDelReusedFlowQueueStartsFresh(t *testing.T) {
 	q := NewFQCoDel(eng, 1<<20, 1500, DefaultCoDelParams())
 	var used *fqFlow
 	eng.ScheduleCall(sim.Duration(1e6), sim.Func(func() {
-		for i := 0; i < 40; i++ {
+		for i := 0; i < 400; i++ {
 			q.Enqueue(pkt(1, 1500))
 		}
 		used = q.flows[pkt(1, 0).Flow]
 	}), nil)
 	// Drain a packet a millisecond: the queue stands above CoDel's target
-	// long enough for the dropper to engage, and the last dequeues walk the
-	// queue from the new list through the old one to detachment.
-	for i := 2; i < 60; i++ {
+	// for the 100 ms and more the dropper needs to engage, and the last
+	// dequeues walk the queue from the new list through the old one to
+	// detachment.
+	for i := 2; i < 420; i++ {
 		eng.ScheduleCall(sim.Time(i)*1e6, sim.Func(func() { q.Dequeue() }), nil)
 	}
 	eng.RunAll()
 	if q.FlowCount() != 0 || q.free != used {
 		t.Fatalf("drained flow queue not detached onto the free list (%d active)", q.FlowCount())
 	}
-	if used.codel == (codelState{}) {
-		t.Fatalf("the first flow left no CoDel state behind to leak: %+v", used.codel)
+	if used.codel == (codelState{params: q.codel}) || used.codel.dropCount == 0 {
+		t.Fatalf("the first flow left no CoDel dropping state behind to leak: %+v", used.codel)
 	}
 	// Whatever else a detached queue may come to hold must not survive
 	// either (next is the free list's own link).
@@ -343,7 +349,7 @@ func TestFQCoDelReusedFlowQueueStartsFresh(t *testing.T) {
 	got := *fl
 	got.q = packet.Ring{}
 	// The only non-empty queue is the victim heap's root.
-	want := fqFlow{key: p.Flow, seq: 1, bytes: 700, deficit: 1500, where: 1, idx: 0}
+	want := fqFlow{key: p.Flow, seq: 1, bytes: 700, deficit: 1500, codel: codelState{params: DefaultCoDelParams()}, where: 1, idx: 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reused flow queue:\n got %+v\nwant %+v", got, want)
 	}
@@ -419,9 +425,12 @@ func TestFQCoDelHeapPicksScanVictim(t *testing.T) {
 	}{{1, 1}, {2, 2}, {5, 3}, {64, 4}, {300, 5}, {1100, 6}} {
 		t.Run(fmt.Sprintf("%dflows", tc.flows), func(t *testing.T) {
 			eng := sim.NewEngine()
-			// Below one full packet per flow from 33 flows up, as on Table 2's
-			// 1026-flow row, with phases long enough to fill it.
-			q := NewFQCoDel(eng, max(48<<10, 400*tc.flows), 1500, DefaultCoDelParams())
+			// Below one full packet per flow from 65 flows up, as on Table 2's
+			// 1026-flow row, with phases long enough to fill it. 96 KiB
+			// leaves the few heavy flows standing queues of more than two
+			// MTUs, so CoDel sees sojourns above its 5 ms target for the
+			// 100 ms it waits before it acts.
+			q := NewFQCoDel(eng, max(96<<10, 400*tc.flows), 1500, DefaultCoDelParams())
 			var l ledger
 			q.SetSink(&l)
 			phase := max(500, 2*tc.flows)
@@ -526,12 +535,6 @@ func TestFQCoDelSojournExcludesSkippedTime(t *testing.T) {
 				p.Seq = int64(i)
 				l.offer(q, p)
 			}
-			// FQCoDel does not hand its flow queues the CoDel parameters it
-			// was built with (a defect recorded in CHANGES.md under PR 13):
-			// they run on a zero target and interval, where no decision
-			// depends on how long a packet waited. Give this flow the
-			// defaults so the test sees the clock CoDel is run on.
-			q.flows[pkt(1, 0).Flow].codel.params = DefaultCoDelParams()
 		}), nil)
 		// One dequeue per millisecond: the k-th packet out has waited
 		// about k ms, above the 5 ms target from early on, so drops set in

@@ -119,7 +119,11 @@ func (s *scoreboard) hold(b int64) *sentBlock {
 }
 
 // grow doubles the ring until it spans span blocks, moving the held block
-// pointers to their slots under the wider mask.
+// pointers to their slots under the wider mask. The spare list grows with
+// it to the ring's length: a block is made only when no spare is left and
+// at most the ring's length are held at once, so a connection never owns
+// more blocks than its ring has slots, and clearSent never appends past
+// the spare list's capacity.
 func (s *scoreboard) grow(span int64) {
 	n := max(2*len(s.ring), scoreboardMinBlocks)
 	for int64(n) < span {
@@ -130,6 +134,7 @@ func (s *scoreboard) grow(span int64) {
 		ring[b&int64(n-1)] = s.ring[b&int64(len(s.ring)-1)]
 	}
 	s.ring = ring
+	s.spare = append(make([]*sentBlock, 0, n), s.spare...)
 }
 
 // clearSent retires the records of the segments in [from, to), the span a

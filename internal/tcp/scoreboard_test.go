@@ -462,3 +462,48 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 		t.Fatalf("falling back and climbing again to %d segments allocates %.1f objects, want 0", W, allocs)
 	}
 }
+
+// TestScoreboardSpareFitsRing pins the spare list's size to the ring: a
+// connection never owns more blocks than its ring has slots, and the
+// spare list has room for all of them from the moment the ring grows, so
+// clearSent never grows it. Windows that jump between a few segments and
+// thousands release whole rings of blocks at once.
+func TestScoreboardSpareFitsRing(t *testing.T) {
+	const mss = int64(packet.MSS)
+	rng := sim.NewRand(7)
+	var s scoreboard
+	var una, nxt int64
+	check := func(step int) {
+		owned := int64(len(s.spare))
+		for b := s.lo; b < s.hi; b++ {
+			if s.ring[b&int64(len(s.ring)-1)] != nil {
+				owned++
+			}
+		}
+		if owned > int64(len(s.ring)) || cap(s.spare) < len(s.ring) {
+			t.Fatalf("step %d: %d blocks owned, a %d-slot ring, a spare list of capacity %d", step, owned, len(s.ring), cap(s.spare))
+		}
+	}
+	for step := 0; step < 400; step++ {
+		window := int64(1 + rng.Intn(10))
+		if rng.Intn(4) == 0 {
+			window = int64(100 + rng.Intn(4000))
+		}
+		for nxt-una < window*mss {
+			s.open(nxt).size = int32(mss)
+			nxt += mss
+		}
+		check(step)
+		ack := una + int64(1+rng.Intn(int((nxt-una)/mss)))*mss
+		spare := s.spare[:cap(s.spare)]
+		s.clearSent(una, ack)
+		una = ack
+		if len(spare) > 0 && &s.spare[:cap(s.spare)][0] != &spare[0] {
+			t.Fatalf("step %d: clearSent grew the spare list past its capacity %d", step, len(spare))
+		}
+		check(step)
+	}
+	if len(s.ring) < 128 {
+		t.Fatalf("the windows grew the ring to only %d slots", len(s.ring))
+	}
+}
