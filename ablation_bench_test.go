@@ -1,8 +1,8 @@
 // Ablation benchmarks: quantify the design choices DESIGN.md calls out —
-// the §7 per-flow-⊤ extension, LBF ECN marking, and the virtual-round
-// (vdT) catch-up bound. Each sub-benchmark reports the resulting fairness
-// or loss metric via b.ReportMetric alongside the usual timing, so
-// `go test -bench=Ablation` doubles as a design-sensitivity report.
+// the §7 per-flow-⊤ extension and the virtual-round (vdT) catch-up bound.
+// Each sub-benchmark reports the resulting fairness or loss metric via
+// b.ReportMetric alongside the usual timing, so `go test -bench=Ablation`
+// doubles as a design-sensitivity report.
 package cebinae_test
 
 import (
@@ -19,57 +19,6 @@ func BenchmarkAblationPerFlowTop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(experiments.Run(runs[0]).JFI, "jfi-aggregate")
 		b.ReportMetric(experiments.Run(runs[1]).JFI, "jfi-perflow")
-	}
-}
-
-// BenchmarkAblationECNMarking compares a DCTCP flow against NewReno through
-// Cebinae with LBF CE-marking on vs off. With marking on, the DCTCP flow
-// receives the pre-loss signal and keeps a better share.
-func BenchmarkAblationECNMarking(b *testing.B) {
-	run := func(mark bool) (dctcpShare float64) {
-		p := experiments.DefaultCebinaeParams(experiments.Scenario{
-			BottleneckBps: 50e6, BufferBytes: 420 * 1500,
-			Groups: []experiments.FlowGroup{{CC: "newreno", Count: 1, RTT: experiments.Millis(20)}},
-		})
-		p.MarkECN = mark
-		// Manual wiring: one DCTCP flow (ECN-capable by its CC) + one NewReno flow.
-		eng := cebinae.NewEngine()
-		net := cebinae.NewNetwork(eng)
-		d := cebinae.BuildDumbbell(net, cebinae.DumbbellConfig{
-			FlowCount:       2,
-			BottleneckBps:   50e6,
-			BottleneckDelay: cebinae.Millis(0.1),
-			RTTs:            []cebinae.Time{cebinae.Millis(20)},
-			BottleneckQdisc: func(dev *cebinae.Device) cebinae.Queue {
-				q := cebinae.NewQdisc(eng, 50e6, 420*1500, p)
-				q.OnDrain = dev.Kick
-				return q
-			},
-			DefaultQdisc: func() cebinae.Queue { return cebinae.NewFIFO(16 << 20) },
-		})
-		dur := cebinae.Seconds(10)
-		meters := make([]*cebinae.FlowMeter, 2)
-		for i, name := range []string{"dctcp", "newreno"} {
-			key := cebinae.FlowKey{Src: d.Senders[i].ID, Dst: d.Receivers[i].ID, SrcPort: 1, DstPort: uint16(50 + i), Proto: 6}
-			cc, _ := cebinae.NewCC(name)
-			cebinae.NewConn(eng, d.Senders[i], cebinae.ConnConfig{Key: key, CC: cc, MinRTO: cebinae.Seconds(1)})
-			recv := cebinae.NewReceiver(eng, d.Receivers[i], cebinae.ReceiverConfig{Key: key})
-			m := &cebinae.FlowMeter{}
-			m.Mark(dur/5, dur)
-			recv.GoodputAt = m.Record
-			meters[i] = m
-		}
-		eng.Run(dur)
-		dc := meters[0].RateOver(dur/5, dur)
-		nr := meters[1].RateOver(dur/5, dur)
-		if dc+nr == 0 {
-			return 0
-		}
-		return dc / (dc + nr)
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run(true), "dctcp-share-marked")
-		b.ReportMetric(run(false), "dctcp-share-unmarked")
 	}
 }
 

@@ -2,8 +2,8 @@
 // scalable in-network fairness augmentation mechanism of Yu, Sonchack and
 // Liu (SIGCOMM '22) — together with every substrate its evaluation depends
 // on: a deterministic packet-level network simulator; a SACK-capable TCP
-// with six congestion-control algorithms (NewReno, Cubic, BIC, Vegas,
-// BBRv1, DCTCP); baseline queue disciplines
+// with the five congestion-control algorithms the paper's evaluation runs
+// (NewReno, Cubic, BIC, Vegas, BBRv1); baseline queue disciplines
 // (drop-tail FIFO, FQ-CoDel, AFQ, PCQ, and the §3.2 strawman); a
 // HashPipe-style heavy-hitter cache; a weighted max-min water-filling
 // allocator; a synthetic backbone trace generator; traffic applications;

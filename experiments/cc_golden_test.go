@@ -14,9 +14,7 @@ import (
 // TestCCGolden is the byte gate for every registered congestion control:
 // two flows of the CCA at 20 ms against two NewReno flows at 40 ms through
 // FIFO and through Cebinae, event count and digest of the rest of Report()
-// against testdata/cc_golden.txt. DCTCP appears in no report section or
-// scenario file, so this is the only place a change to its arithmetic
-// shows as a byte difference. The digests were recorded at the commit
+// against testdata/cc_golden.txt. The digests were recorded at the commit
 // before one event per packet-hop, and the report bytes behind them at the
 // commit before the shared reno base; a change that moves only how many
 // events a run takes moves only the events column.

@@ -60,7 +60,7 @@ func ExtChurn(kind QdiscKind, scale Scale) ExtChurnResult {
 	// Long-lived aggressive flow (Cubic).
 	longKey := packet.FlowKey{Src: snd[0].ID, Dst: rcv[0].ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
 	cc, _ := tcp.NewCC("cubic")
-	tcp.NewConn(eng, snd[0], tcp.Config{Key: longKey, CC: cc, MinRTO: Seconds(1)})
+	tcp.NewConn(eng, snd[0], tcp.Config{Key: longKey, CC: cc, MinRTO: defaultMinRTO})
 	longRecv := tcp.NewReceiver(eng, rcv[0], tcp.ReceiverConfig{Key: longKey})
 	longMeter := &metrics.FlowMeter{}
 	longMeter.Mark(dur/5, dur)
@@ -74,7 +74,7 @@ func ExtChurn(kind QdiscKind, scale Scale) ExtChurnResult {
 		CC:             "newreno",
 		BasePort:       1000,
 		Seed:           11,
-		MinRTO:         Seconds(1),
+		MinRTO:         defaultMinRTO,
 	})
 
 	eng.Run(dur)
@@ -138,7 +138,7 @@ func ExtBlindUDP(kind QdiscKind, scale Scale) ExtBlindUDPResult {
 	for i := 0; i < nTCP; i++ {
 		key := packet.FlowKey{Src: snd[i+1].ID, Dst: rcv[i+1].ID, SrcPort: uint16(100 + i), DstPort: uint16(200 + i), Proto: packet.ProtoTCP}
 		cc, _ := tcp.NewCC("newreno")
-		tcp.NewConn(eng, snd[i+1], tcp.Config{Key: key, CC: cc, Seed: uint64(i), MinRTO: Seconds(1)})
+		tcp.NewConn(eng, snd[i+1], tcp.Config{Key: key, CC: cc, Seed: uint64(i), MinRTO: defaultMinRTO})
 		recv := tcp.NewReceiver(eng, rcv[i+1], tcp.ReceiverConfig{Key: key})
 		m := &metrics.FlowMeter{}
 		m.Mark(dur/5, dur)

@@ -110,11 +110,11 @@ func setupFastForward(s Scenario, w *netem.Network, bottleneck *netem.Device, fs
 		c.WatchCebinae(cq, float64(packet.MSS+packet.HeaderBytes)/float64(packet.MSS))
 	}
 
-	// Sender-side loss signals: a retransmission, timeout, or ECE
-	// reduction anywhere resets quiescence detection (or disarms).
+	// Sender-side loss signals: a retransmission or timeout anywhere
+	// resets quiescence detection (or disarms).
 	for _, cn := range fs.conns {
 		st := &cn.Stats
-		c.WatchCounter(func() uint64 { return st.Retransmits + st.Timeouts + st.ECEReductions })
+		c.WatchCounter(func() uint64 { return st.Retransmits + st.Timeouts })
 	}
 
 	// Measurement epochs must be exact, not straddled by a skip: pin a

@@ -231,10 +231,10 @@ type graphRun struct {
 // byte-identical at any shard count.
 func (cfg GraphConfig) start(shards int) *graphRun {
 	if cfg.WarmupFraction == 0 {
-		cfg.WarmupFraction = 0.2
+		cfg.WarmupFraction = defaultWarmupFraction
 	}
 	if cfg.MinRTO == 0 {
-		cfg.MinRTO = Seconds(1)
+		cfg.MinRTO = defaultMinRTO
 	}
 	cl := newCluster(shards, func(f netem.Fabric) { cfg.build(f) })
 	hosts, fwd := cfg.build(cl)

@@ -95,12 +95,11 @@ type Scenario struct {
 	AccessBps float64
 	// Params overrides Cebinae's parameters (nil = DefaultParams).
 	Params *core.Params
-	// MinRTO clamps each sender's retransmission timer. The default (0)
-	// selects 1 s — the RFC 6298 minimum NS-3 uses, matching the paper's
-	// simulations; Linux-like stacks would use 200 ms.
+	// MinRTO clamps each sender's retransmission timer (0 selects
+	// defaultMinRTO, NS-3's 1 s).
 	MinRTO SimTime
-	// WarmupFraction of the run is excluded from averaged metrics
-	// (default 1/5).
+	// WarmupFraction of the run is excluded from averaged metrics (0
+	// selects defaultWarmupFraction, 1/5).
 	WarmupFraction float64
 	Seed           uint64
 	// SampleInterval enables time-series sampling when non-zero.
@@ -115,6 +114,19 @@ type Scenario struct {
 	// forces it off (Result.FF.ForcedOff) and runs exact.
 	FastForward bool
 }
+
+// The defaults every TCP run of this package takes when its spec leaves
+// the field zero. GraphConfig.start fills them for the graph, chain and
+// dumbbell runners; the extension runners that wire tcp.Conn directly
+// read defaultMinRTO here.
+const (
+	// defaultMinRTO is the RFC 6298 one-second minimum NS-3 uses, matching
+	// the paper's simulations (tcp.Config's own 200 ms default is Linux's).
+	defaultMinRTO = SimTime(1e9)
+	// defaultWarmupFraction is the share of a run excluded from averaged
+	// metrics.
+	defaultWarmupFraction = 0.2
+)
 
 // bottleneckDelay is the one-way propagation delay of every dumbbell's
 // shared link; each flow's sender access link makes up the rest of its RTT.
@@ -141,11 +153,18 @@ type FlowResult struct {
 
 // Result aggregates a scenario run.
 type Result struct {
-	Scenario      Scenario
-	Flows         []FlowResult
-	ThroughputBps float64 // bottleneck wire throughput (bits/sec)
-	GoodputBps    float64 // aggregate application goodput (bits/sec)
-	JFI           float64
+	Scenario Scenario
+	Flows    []FlowResult
+	// ThroughputBps is the bottleneck's wire rate (bits/sec) over the
+	// whole run, slow start included.
+	ThroughputBps float64
+	// GoodputBps is the flows' aggregate in-order delivery rate
+	// (bits/sec) over the post-warmup window only. The two windows
+	// differ, so GoodputBps may exceed ThroughputBps: a stall before the
+	// warmup edge lowers only the throughput, and bytes received before
+	// the edge behind a hole count as goodput once the hole fills.
+	GoodputBps float64
+	JFI        float64
 	// JFISeries is the per-interval JFI over flows active in the interval.
 	JFISeries []float64
 	// StateSeries marks, per sample interval, Cebinae's phase: 'u' for
@@ -220,13 +239,9 @@ func (s Scenario) graph() GraphConfig {
 // RTTs and series, bottleneck throughput, Cebinae's statistics and phase,
 // the JFI series and fast-forward.
 func Run(s Scenario) Result {
-	if s.WarmupFraction == 0 {
-		s.WarmupFraction = 0.2
-	}
-	if s.MinRTO == 0 {
-		s.MinRTO = Seconds(1)
-	}
 	g := s.graph().start(1)
+	// The result's scenario carries the defaults start filled.
+	s.WarmupFraction, s.MinRTO = g.cfg.WarmupFraction, g.cfg.MinRTO
 	sh, bottleneck := g.cl.Shard(0), g.fwd[0]
 	cq, _ := bottleneck.Qdisc().(*core.Qdisc)
 

@@ -26,8 +26,6 @@ type CBR struct {
 	RateBps float64
 	// PacketBytes is the wire size per packet (default 1500).
 	PacketBytes int
-	// ECN marks emitted packets ECT.
-	ECN bool
 
 	Sent    uint64
 	stopped bool
@@ -58,9 +56,6 @@ func (c *CBR) tick() {
 	p.Flow = c.key
 	p.Size = int32(c.PacketBytes)
 	p.PayloadSize = int32(c.PacketBytes - packet.HeaderBytes)
-	if c.ECN {
-		p.ECN = packet.ECNECT
-	}
 	c.node.Inject(p)
 	c.Sent++
 	gap := sim.Time(float64(c.PacketBytes*8) / c.RateBps * 1e9)

@@ -11,7 +11,7 @@
 // freezes the measured rates and starts skipping. Each skip jumps the
 // clock to the next pinned control-plane deadline (Cebinae rotation or
 // configure window, a monitor sample, a flow start, the measurement
-// epoch, …), capped by MaxSkip and the run horizon, using
+// epoch, …), capped by maxSkip and the run horizon, using
 // sim.Engine.FastForward — every non-pinned pending event (in-flight
 // transmissions, RTOs, pacing, delayed ACKs) shifts with the clock, and
 // every stamp the frozen components hold was read from the engine's
@@ -40,68 +40,45 @@ import (
 	"cebinae/internal/sim"
 )
 
-// Config tunes the quiescence detector and the skip policy. The zero
-// value selects the defaults given on each field.
+// The quiescence detector's and the skip policy's constants.
+const (
+	// sampleWindow is the sampling window W: rates and occupancies are
+	// observed once per window.
+	sampleWindow = sim.Time(10e6) // 10 ms
+	// stableWindows is K, the consecutive stable windows required to arm.
+	stableWindows = 5
+	// rateTol is the relative stability band on per-window byte deltas: a
+	// signal is stable when max-min across the K windows is within
+	// max(rateTol·mean, absTol).
+	rateTol = 0.01
+	// absTol is the absolute band floor in bytes per window, two
+	// full-size packets of per-window quantisation.
+	absTol = 3000
+	// queueTol is the absolute occupancy band in bytes, six full-size
+	// packets: queue depth may breathe by this much across the K windows
+	// and still count as quiescent.
+	queueTol = 9000
+	// maxSkip caps one hop, bounding how stale the closed-form counters
+	// can get between pinned deadlines.
+	maxSkip = sim.Time(250e6) // 250 ms
+	// utilCap is the utilisation fraction at which a contested link
+	// (WatchDeviceContested) blocks arming. At capacity, the flows' shares
+	// are contest-determined: rates flat across K windows may be the
+	// cruise phase of a probing limit cycle (BBR gain cycling, AIMD
+	// plateaus between losses) whose period exceeds the detection span,
+	// and freezing such a share extrapolates a transient. Below the cap
+	// the allocation is pinned by upstream limits and momentary stability
+	// is trustworthy.
+	utilCap = 0.95
+)
+
+// Config tunes the skip policy.
 type Config struct {
-	// Window is the sampling window W (default 10 ms): rates and
-	// occupancies are observed once per window.
-	Window sim.Time
-	// Stable is K, the consecutive stable windows required to arm
-	// (default 5).
-	Stable int
-	// RateTol is the relative stability band on per-window byte deltas
-	// (default 0.01): a signal is stable when max-min across the K
-	// windows is within max(RateTol·mean, AbsTol).
-	RateTol float64
-	// AbsTol is the absolute band floor in bytes per window (default
-	// 3000, two full-size packets of per-window quantisation).
-	AbsTol int64
-	// QueueTol is the absolute occupancy band in bytes (default 9000,
-	// six full-size packets): queue depth may breathe by this much
-	// across the K windows and still count as quiescent.
-	QueueTol int
-	// MaxSkip caps one hop (default 250 ms), bounding how stale the
-	// closed-form counters can get between pinned deadlines.
-	MaxSkip sim.Time
-	// UtilCap is the utilisation fraction at which a contested link
-	// (WatchDeviceContested) blocks arming (default 0.95). At capacity,
-	// the flows' shares are contest-determined: rates flat across K
-	// windows may be the cruise phase of a probing limit cycle (BBR gain
-	// cycling, AIMD plateaus between losses) whose period exceeds the
-	// detection span, and freezing such a share extrapolates a transient.
-	// Below the cap the allocation is pinned by upstream limits and
-	// momentary stability is trustworthy.
-	UtilCap float64
 	// Resample, when positive, forces a disarm after that much
 	// cumulative skipped time, so rates are re-measured at packet level
 	// even on a run with no discontinuities (default 0: no forced
 	// resample — a frozen equilibrium cannot drift on its own).
 	Resample sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = sim.Duration(10e6) // 10 ms
-	}
-	if c.Stable <= 0 {
-		c.Stable = 5
-	}
-	if c.RateTol <= 0 {
-		c.RateTol = 0.01
-	}
-	if c.AbsTol <= 0 {
-		c.AbsTol = 3000
-	}
-	if c.QueueTol <= 0 {
-		c.QueueTol = 9000
-	}
-	if c.MaxSkip <= 0 {
-		c.MaxSkip = sim.Duration(250e6) // 250 ms
-	}
-	if c.UtilCap <= 0 {
-		c.UtilCap = 0.95
-	}
-	return c
 }
 
 // Stats summarises a controller's activity for reports and the
@@ -145,8 +122,9 @@ func (h *history) push(v int64) {
 
 func (h *history) full() bool { return h.n == len(h.vals) }
 
-// stable reports whether the ring is full and max-min fits the band.
-func (h *history) stable(relTol float64, absTol int64) bool {
+// stable reports whether the ring is full and max-min fits the band
+// max(rateTol·mean, absTol).
+func (h *history) stable() bool {
 	if !h.full() {
 		return false
 	}
@@ -159,10 +137,7 @@ func (h *history) stable(relTol float64, absTol int64) bool {
 			hi = v
 		}
 	}
-	band := int64(relTol * float64(h.total) / float64(h.n))
-	if band < absTol {
-		band = absTol
-	}
+	band := max(int64(rateTol*float64(h.total)/float64(h.n)), absTol)
 	return hi-lo <= band
 }
 
@@ -189,7 +164,7 @@ type watchedDevice struct {
 	dev *netem.Device
 
 	// contested marks a link shared by multiple watched flows: running
-	// at ≥ UtilCap of capacity vetoes arming (see Config.UtilCap).
+	// at ≥ utilCap of capacity vetoes arming (see utilCap).
 	contested bool
 
 	// Per-window delta rings over the last K windows; txB gates
@@ -274,7 +249,7 @@ type Controller struct {
 
 // New returns a controller bound to eng. Wire up watches, then call Start.
 func New(eng *sim.Engine, cfg Config) *Controller {
-	c := &Controller{eng: eng, cfg: cfg.withDefaults()}
+	c := &Controller{eng: eng, cfg: cfg}
 	return c
 }
 
@@ -283,7 +258,7 @@ func New(eng *sim.Engine, cfg Config) *Controller {
 func (c *Controller) WatchDevice(dev *netem.Device) {
 	wd := &watchedDevice{dev: dev}
 	for _, h := range []*history{&wd.histTxB, &wd.histTxP, &wd.histRxB, &wd.histRxP, &wd.occHist} {
-		h.vals = make([]int64, c.cfg.Stable)
+		h.vals = make([]int64, stableWindows)
 	}
 	c.devices = append(c.devices, wd)
 	c.WatchCounter(func() uint64 { return dev.Stats().DropPackets })
@@ -291,7 +266,7 @@ func (c *Controller) WatchDevice(dev *netem.Device) {
 
 // WatchDeviceContested is WatchDevice for a link that multiple watched
 // flows contend for (a dumbbell bottleneck): on top of the stability
-// band, the link may not arm while carrying ≥ UtilCap of its capacity.
+// band, the link may not arm while carrying ≥ utilCap of its capacity.
 // A contested link at capacity has contest-determined shares — flat
 // rates across the K-window span can be the cruise stretch of a probing
 // limit cycle longer than the span, which is exactly the state a frozen
@@ -310,7 +285,7 @@ func (c *Controller) WatchDeviceContested(dev *netem.Device) {
 // network to count as quiescent (an all-zero stall blocks arming).
 func (c *Controller) WatchFlow(key packet.FlowKey, activeFrom sim.Time, total func() int64, record func(t sim.Time, bytes int64)) {
 	wf := &watchedFlow{key: key, activeFrom: activeFrom, total: total, record: record}
-	wf.hist.vals = make([]int64, c.cfg.Stable)
+	wf.hist.vals = make([]int64, stableWindows)
 	c.flows = append(c.flows, wf)
 }
 
@@ -366,7 +341,7 @@ func (c *Controller) Start() {
 		c.discoLast[i] = fn()
 	}
 	c.syncCounters()
-	c.eng.ArmPinnedTimer(&c.tick, c.cfg.Window, (*fluidTick)(c), nil)
+	c.eng.ArmPinnedTimer(&c.tick, sampleWindow, (*fluidTick)(c), nil)
 }
 
 // ForceOff permanently disables the controller: an immediate fall back
@@ -454,7 +429,7 @@ func (c *Controller) sampleTick() {
 	c.stats.Windows++
 	if c.discoDelta() {
 		c.resetDetection()
-		c.rearm(c.cfg.Window)
+		c.rearm(sampleWindow)
 		return
 	}
 	stable := true
@@ -471,13 +446,12 @@ func (c *Controller) sampleTick() {
 		wd.lastTxB, wd.lastTxP = st.TxBytes, st.TxPackets
 		wd.lastRxB, wd.lastRxP = st.RxBytes, st.RxPackets
 		wd.occHist.push(int64(wd.dev.Qdisc().BytesQueued()))
-		if !wd.histTxB.stable(c.cfg.RateTol, c.cfg.AbsTol) ||
-			wd.occHist.spread() > int64(c.cfg.QueueTol) {
+		if !wd.histTxB.stable() || wd.occHist.spread() > queueTol {
 			stable = false
 		}
 		if wd.contested && wd.histTxB.full() {
-			capPerWindow := wd.dev.Rate() / 8 * c.cfg.Window.Seconds()
-			if wd.histTxB.mean() >= c.cfg.UtilCap*capPerWindow {
+			capPerWindow := wd.dev.Rate() / 8 * sampleWindow.Seconds()
+			if wd.histTxB.mean() >= utilCap*capPerWindow {
 				stable = false
 			}
 		}
@@ -486,7 +460,7 @@ func (c *Controller) sampleTick() {
 		v := wf.total()
 		wf.hist.push(v - wf.last)
 		wf.last = v
-		if !wf.hist.stable(c.cfg.RateTol, c.cfg.AbsTol) {
+		if !wf.hist.stable() {
 			stable = false
 		}
 		// Positivity guard: a flow past its start that moved nothing all
@@ -497,12 +471,12 @@ func (c *Controller) sampleTick() {
 		// Pinned-rate guard: a flow below the rate its topology pins it
 		// at is in a transient, however flat its last K windows look.
 		if wf.pinFloor > 0 && wf.hist.full() &&
-			wf.hist.mean() < wf.pinFloor*c.cfg.Window.Seconds() {
+			wf.hist.mean() < wf.pinFloor*sampleWindow.Seconds() {
 			stable = false
 		}
 	}
 	if !stable {
-		c.rearm(c.cfg.Window)
+		c.rearm(sampleWindow)
 		return
 	}
 	c.arm()
@@ -512,7 +486,7 @@ func (c *Controller) sampleTick() {
 
 // arm freezes the measured rates and enters fluid mode.
 func (c *Controller) arm() {
-	winSec := c.cfg.Window.Seconds()
+	winSec := sampleWindow.Seconds()
 	for _, wd := range c.devices {
 		wd.rateTxB = wd.histTxB.mean() / winSec
 		wd.rateTxP = wd.histTxP.mean() / winSec
@@ -542,7 +516,7 @@ func (c *Controller) disarm() {
 func (c *Controller) armedTick() {
 	if c.discoDelta() || c.occPerturbed() || (c.cfg.Resample > 0 && c.armedSpan >= c.cfg.Resample) {
 		c.disarm()
-		c.rearm(c.cfg.Window)
+		c.rearm(sampleWindow)
 		return
 	}
 	now := c.eng.Now()
@@ -551,7 +525,7 @@ func (c *Controller) armedTick() {
 		// dispatch); re-arming at d=0 here would tick forever.
 		return
 	}
-	target := now + c.cfg.MaxSkip
+	target := now + maxSkip
 	if p := c.eng.NextPinnedTime(); p < target {
 		target = p
 	}

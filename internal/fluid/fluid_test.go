@@ -143,7 +143,7 @@ func TestForceOff(t *testing.T) {
 }
 
 // TestContestedSaturationGuard: a link marked contested must refuse to
-// arm while carrying ≥ UtilCap of its capacity — even under a perfectly
+// arm while carrying ≥ utilCap of its capacity — even under a perfectly
 // stable load — because at capacity the shares are contest-determined
 // and momentary stability can be a probing limit cycle's cruise phase.
 // The same load on an uncontested watch arms, proving the guard (not

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -77,6 +78,36 @@ func checkPositiveDur(path string, d Dur) error {
 func checkNonNegativeDur(path string, d Dur) error {
 	if d < 0 {
 		return vErr(path, "duration must not be negative, got %v", time.Duration(d))
+	}
+	return nil
+}
+
+// maxDuration is the longest run a spec may ask for. Every delay and RTT
+// a spec declares is at most the run's duration, and every event is armed
+// at most one delay past an instant of the run, so no instant a run
+// reaches can overflow the simulated clock.
+const maxDuration = Dur(math.MaxInt64 / 2)
+
+// checkDuration refuses a run's duration that is not positive or is longer
+// than maxDuration.
+func checkDuration(path string, d Dur) error {
+	if err := checkPositiveDur(path, d); err != nil {
+		return err
+	}
+	if d > maxDuration {
+		return vErr(path, "must be at most %v, so that no delay within the run can overflow the simulated clock, got %v", time.Duration(maxDuration), time.Duration(d))
+	}
+	return nil
+}
+
+// checkDelay refuses a link's or host's one-way delay that is not positive
+// or is longer than the run: nothing would cross it inside the horizon.
+func checkDelay(path string, d, duration Dur) error {
+	if err := checkPositiveDur(path, d); err != nil {
+		return err
+	}
+	if d > duration {
+		return vErr(path, "longer than the run's %v duration, got %v", time.Duration(duration), time.Duration(d))
 	}
 	return nil
 }
@@ -211,7 +242,7 @@ func validateDumbbell(d *DumbbellSpec) error {
 	if err := checkGroups("dumbbell.groups", d.Groups); err != nil {
 		return err
 	}
-	if err := checkPositiveDur("dumbbell.duration", d.Duration); err != nil {
+	if err := checkDuration("dumbbell.duration", d.Duration); err != nil {
 		return err
 	}
 	if err := checkHorizon("dumbbell.groups", d.Groups, d.Duration); err != nil {
@@ -269,19 +300,19 @@ func validateChain(c *ChainSpec) error {
 	if c.BufferBytes <= 0 {
 		return vErr("chain.buffer_bytes", "must be positive, got %d", c.BufferBytes)
 	}
-	if err := checkPositiveDur("chain.link_delay", c.LinkDelay); err != nil {
+	if err := checkDuration("chain.duration", c.Duration); err != nil {
 		return err
 	}
-	if err := checkPositiveDur("chain.access_delay", c.AccessDelay); err != nil {
+	if err := checkDelay("chain.link_delay", c.LinkDelay, c.Duration); err != nil {
+		return err
+	}
+	if err := checkDelay("chain.access_delay", c.AccessDelay, c.Duration); err != nil {
 		return err
 	}
 	if err := checkQdisc("chain.qdisc", "chain", c.Qdisc); err != nil {
 		return err
 	}
-	if err := checkNonNegativeDur("chain.cebinae_rtt", c.CebinaeRTT); err != nil {
-		return err
-	}
-	return checkPositiveDur("chain.duration", c.Duration)
+	return checkNonNegativeDur("chain.cebinae_rtt", c.CebinaeRTT)
 }
 
 func validateBackbone(b *BackboneSpec) error {
@@ -322,6 +353,9 @@ func validateGraph(g *GraphSpec) error {
 		}
 		switches[sw.Name] = sw.Name
 	}
+	if err := checkDuration("graph.duration", g.Duration); err != nil {
+		return err
+	}
 	for i, l := range g.Links {
 		p := fmt.Sprintf("graph.links[%d]", i)
 		if switches[l.A] == "" {
@@ -337,7 +371,7 @@ func validateGraph(g *GraphSpec) error {
 		if err := checkPositiveRate(p+".rate", l.Rate); err != nil {
 			return err
 		}
-		if err := checkPositiveDur(p+".delay", l.Delay); err != nil {
+		if err := checkDelay(p+".delay", l.Delay, g.Duration); err != nil {
 			return err
 		}
 		if err := checkPortQdisc(p+".qdisc_ab", "graph", l.QdiscAB); err != nil {
@@ -369,7 +403,7 @@ func validateGraph(g *GraphSpec) error {
 		if err := checkPositiveRate(p+".rate", h.Rate); err != nil {
 			return err
 		}
-		if err := checkPositiveDur(p+".delay", h.Delay); err != nil {
+		if err := checkDelay(p+".delay", h.Delay, g.Duration); err != nil {
 			return err
 		}
 		if err := checkPortQdisc(p+".down_qdisc", "graph", h.DownQdisc); err != nil {
@@ -402,9 +436,6 @@ func validateGraph(g *GraphSpec) error {
 		return vErr("graph.warmup_fraction", "must be in [0, 1), got %v", g.WarmupFraction)
 	}
 	if err := checkNonNegativeDur("graph.min_rto", g.MinRTO); err != nil {
-		return err
-	}
-	if err := checkPositiveDur("graph.duration", g.Duration); err != nil {
 		return err
 	}
 	for i, f := range g.Flows {
@@ -455,7 +486,7 @@ func validateTournament(t *TournamentSpec) error {
 	if err := checkNonNegativeDur("tournament.min_rto", t.MinRTO); err != nil {
 		return err
 	}
-	if err := checkPositiveDur("tournament.duration", t.Duration); err != nil {
+	if err := checkDuration("tournament.duration", t.Duration); err != nil {
 		return err
 	}
 	for i, r := range t.RTTRatios {
@@ -482,7 +513,7 @@ func validateBufferSweep(b *BufferSweepSpec) error {
 	if err := checkNonNegativeDur("buffer_sweep.min_rto", b.MinRTO); err != nil {
 		return err
 	}
-	if err := checkPositiveDur("buffer_sweep.duration", b.Duration); err != nil {
+	if err := checkDuration("buffer_sweep.duration", b.Duration); err != nil {
 		return err
 	}
 	return checkHorizon("buffer_sweep.groups", b.Groups, b.Duration)

@@ -48,6 +48,7 @@ func TestValidateBranches(t *testing.T) {
 		{"dumbbell group count", "dumbbell.json", func(s *Spec) { s.Dumbbell.Groups[0].Count = 0 }, "dumbbell.groups[0].count"},
 		{"dumbbell group start", "dumbbell.json", func(s *Spec) { s.Dumbbell.Groups[2].StartAt = -1 }, "dumbbell.groups[2].start_at"},
 		{"dumbbell duration", "dumbbell.json", func(s *Spec) { s.Dumbbell.Duration = 0 }, "dumbbell.duration"},
+		{"dumbbell duration overflow", "dumbbell.json", func(s *Spec) { s.Dumbbell.Duration = maxDuration + 1 }, "dumbbell.duration: must be at most"},
 		{"dumbbell tau", "dumbbell.json", func(s *Spec) { s.Dumbbell.Tau = fptr(1.5) }, "dumbbell.tau"},
 		{"dumbbell warmup", "dumbbell.json", func(s *Spec) { s.Dumbbell.WarmupFraction = 1 }, "dumbbell.warmup_fraction"},
 		{"dumbbell min_rto", "dumbbell.json", func(s *Spec) { s.Dumbbell.MinRTO = -1 }, "dumbbell.min_rto"},
@@ -64,8 +65,11 @@ func TestValidateBranches(t *testing.T) {
 		{"chain buffer", "chain.json", func(s *Spec) { s.Chain.BufferBytes = 0 }, "chain.buffer_bytes"},
 		{"chain link delay", "chain.json", func(s *Spec) { s.Chain.LinkDelay = 0 }, "chain.link_delay"},
 		{"chain access delay", "chain.json", func(s *Spec) { s.Chain.AccessDelay = 0 }, "chain.access_delay"},
+		{"chain link delay beyond horizon", "chain.json", func(s *Spec) { s.Chain.LinkDelay = s.Chain.Duration + 1 }, "chain.link_delay: longer than the run's"},
+		{"chain access delay beyond horizon", "chain.json", func(s *Spec) { s.Chain.AccessDelay = Dur(2562047 * time.Hour) }, "chain.access_delay: longer than the run's"},
 		{"chain cebinae rtt", "chain.json", func(s *Spec) { s.Chain.CebinaeRTT = -1 }, "chain.cebinae_rtt"},
 		{"chain duration", "chain.json", func(s *Spec) { s.Chain.Duration = 0 }, "chain.duration"},
+		{"chain duration overflow", "chain.json", func(s *Spec) { s.Chain.Duration = maxDuration + 1 }, "chain.duration: must be at most"},
 
 		{"backbone flows", "backbone-1e5.json", func(s *Spec) { s.Backbone.Flows = 0 }, "backbone.flows"},
 		{"backbone scale", "backbone-1e5.json", func(s *Spec) { s.Backbone.Scale = "huge" }, "backbone.scale"},
@@ -78,6 +82,7 @@ func TestValidateBranches(t *testing.T) {
 		{"graph self link", "multihop.json", func(s *Spec) { s.Graph.Links[0].B = "t1" }, "self-link"},
 		{"graph link rate", "multihop.json", func(s *Spec) { s.Graph.Links[0].Rate = 0 }, "graph.links[0].rate"},
 		{"graph link delay", "multihop.json", func(s *Spec) { s.Graph.Links[0].Delay = 0 }, "graph.links[0].delay"},
+		{"graph link delay beyond horizon", "multihop.json", func(s *Spec) { s.Graph.Links[0].Delay = s.Graph.Duration + 1 }, "graph.links[0].delay: longer than the run's"},
 		{"graph port qdisc", "multihop.json", func(s *Spec) { s.Graph.Links[0].QdiscAB.Kind = "pcq" }, "graph.links[0].qdisc_ab.kind"},
 		{"graph port buffer", "multihop.json", func(s *Spec) { s.Graph.Links[0].QdiscAB.BufferBytes = -1 }, "graph.links[0].qdisc_ab.buffer_bytes"},
 		{"graph port rtt", "multihop.json", func(s *Spec) { s.Graph.Links[0].QdiscAB.CebinaeRTT = -1 }, "graph.links[0].qdisc_ab.cebinae_rtt"},
@@ -88,6 +93,7 @@ func TestValidateBranches(t *testing.T) {
 		{"graph host attach", "multihop.json", func(s *Spec) { s.Graph.Hosts[0].Attach = "t9" }, "graph.hosts[0].attach"},
 		{"graph host rate", "multihop.json", func(s *Spec) { s.Graph.Hosts[0].Rate = 0 }, "graph.hosts[0].rate"},
 		{"graph host delay", "multihop.json", func(s *Spec) { s.Graph.Hosts[0].Delay = 0 }, "graph.hosts[0].delay"},
+		{"graph host delay beyond horizon", "multihop.json", func(s *Spec) { s.Graph.Hosts[1].Delay = s.Graph.Duration + 1 }, "graph.hosts[1].delay: longer than the run's"},
 		{"graph down qdisc", "multihop.json", func(s *Spec) { s.Graph.Hosts[3].DownQdisc.Kind = "afq" }, "graph.hosts[3].down_qdisc.kind"},
 		{"graph no flows", "multihop.json", func(s *Spec) { s.Graph.Flows = nil }, "graph.flows: at least one"},
 		{"graph flow from", "multihop.json", func(s *Spec) { s.Graph.Flows[0].From = "s9" }, "graph.flows[0].from"},
@@ -97,6 +103,7 @@ func TestValidateBranches(t *testing.T) {
 		{"graph warmup", "multihop.json", func(s *Spec) { s.Graph.WarmupFraction = -0.1 }, "graph.warmup_fraction"},
 		{"graph min_rto", "multihop.json", func(s *Spec) { s.Graph.MinRTO = -1 }, "graph.min_rto"},
 		{"graph duration", "multihop.json", func(s *Spec) { s.Graph.Duration = 0 }, "graph.duration"},
+		{"graph duration overflow", "multihop.json", func(s *Spec) { s.Graph.Duration = maxDuration + 1 }, "graph.duration: must be at most"},
 		{"graph flow after horizon", "multihop.json", func(s *Spec) { s.Graph.Flows[1].StartAt = s.Graph.Duration }, "graph.flows[1].start_at: must be before the run's"},
 
 		{"tournament no ccas", "tournament.json", func(s *Spec) { s.Tournament.CCAs = nil }, "tournament.ccas: at least one"},
@@ -112,6 +119,7 @@ func TestValidateBranches(t *testing.T) {
 		{"tournament qdisc", "tournament.json", func(s *Spec) { s.Tournament.Qdiscs[0] = "red" }, "tournament.qdiscs[0]"},
 		{"tournament min_rto", "tournament.json", func(s *Spec) { s.Tournament.MinRTO = -1 }, "tournament.min_rto"},
 		{"tournament duration", "tournament.json", func(s *Spec) { s.Tournament.Duration = 0 }, "tournament.duration"},
+		{"tournament duration overflow", "tournament.json", func(s *Spec) { s.Tournament.Duration = maxDuration + 1 }, "tournament.duration: must be at most"},
 		{"tournament rtt beyond horizon", "tournament.json", func(s *Spec) { s.Tournament.Duration = s.Tournament.BaseRTT }, "is longer than the run's"},
 
 		{"sweep groups", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups = nil }, "buffer_sweep.groups: at least one"},
@@ -121,6 +129,7 @@ func TestValidateBranches(t *testing.T) {
 		{"sweep qdisc", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Qdiscs[1] = "red" }, "buffer_sweep.qdiscs[1]"},
 		{"sweep min_rto", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.MinRTO = -1 }, "buffer_sweep.min_rto"},
 		{"sweep duration", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Duration = 0 }, "buffer_sweep.duration"},
+		{"sweep duration overflow", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Duration = maxDuration + 1 }, "buffer_sweep.duration: must be at most"},
 		{"sweep start after horizon", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups[0].StartAt = s.BufferSweep.Duration }, "buffer_sweep.groups[0].start_at: must be before the run's"},
 		{"sweep rtt beyond horizon", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups[0].RTT = s.BufferSweep.Duration + 1 }, "buffer_sweep.groups[0].rtt: longer than the run's"},
 	}
@@ -143,8 +152,8 @@ func TestValidateBranches(t *testing.T) {
 }
 
 // TestValidateAcceptsEdgeValues pins a few boundary values the error rows
-// sit next to: zero start times, a 200 ms MinRTO, a warmup of 0, and an
-// RTT as long as the run.
+// sit next to: zero start times, a 200 ms MinRTO, a warmup of 0, an RTT as
+// long as the run, and link and host delays as long as the run.
 func TestValidateAcceptsEdgeValues(t *testing.T) {
 	s := mutate(t, "dumbbell.json", func(s *Spec) {
 		s.Dumbbell.Groups[0].StartAt = 0
@@ -155,5 +164,12 @@ func TestValidateAcceptsEdgeValues(t *testing.T) {
 	})
 	if err := Validate(s); err != nil {
 		t.Errorf("boundary values rejected: %v", err)
+	}
+	g := mutate(t, "multihop.json", func(s *Spec) {
+		s.Graph.Links[0].Delay = s.Graph.Duration
+		s.Graph.Hosts[0].Delay = s.Graph.Duration
+	})
+	if err := Validate(g); err != nil {
+		t.Errorf("delays as long as the run rejected: %v", err)
 	}
 }

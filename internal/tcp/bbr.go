@@ -173,7 +173,7 @@ func (b *BBR) updateCycle(c *Conn, rs RateSample, now sim.Time) {
 	advance := false
 	switch {
 	case b.pacingGain > 1:
-		// Probe until inflight reaches the probed BDP (or a loss/ECN event
+		// Probe until inflight reaches the probed BDP (or a loss event
 		// would cap it); at least one rtProp.
 		advance = elapsed > b.rtProp && float64(rs.InFlight) >= b.bdp(b.pacingGain)
 		if elapsed > 2*b.rtProp {

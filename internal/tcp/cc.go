@@ -2,10 +2,13 @@
 // simulator with pluggable congestion control. The transport provides slow
 // start, AIMD congestion avoidance, duplicate-ACK fast retransmit, NewReno
 // partial-ACK recovery, RFC 6298 retransmission timeouts, delayed ACKs,
-// optional ECN, and delivery-rate sampling (for BBR), which together are
-// sufficient for the congestion phenomena the Cebinae paper studies to
-// emerge: RTT unfairness, Cubic-vs-NewReno capture, BBR aggression, and
-// Vegas starvation by loss-based algorithms.
+// and delivery-rate sampling (for BBR), which together are sufficient for
+// the congestion phenomena the Cebinae paper studies to emerge: RTT
+// unfairness, Cubic-vs-NewReno capture, BBR aggression, and Vegas
+// starvation by loss-based algorithms. It implements the five algorithms
+// the paper's evaluation runs (NewReno, Cubic, BIC, Vegas, BBRv1), none of
+// them ECN-capable: every segment is sent Not-ECT, so congestion reaches
+// a sender only as loss or delay.
 package tcp
 
 import (
@@ -62,15 +65,6 @@ type CongestionControl interface {
 	PacingRate(c *Conn) float64
 }
 
-// ECNReactor is an optional extension that makes a connection ECN-capable:
-// a connection whose algorithm implements it (DCTCP) sends its data ECT
-// and hands it every ECN-Echo. Any other connection sends Not-ECT, so the
-// network never marks it and it never sees an echo.
-type ECNReactor interface {
-	// OnECE is called for each ACK carrying an ECN-Echo.
-	OnECE(c *Conn, rs RateSample)
-}
-
 // ccRegistry maps algorithm names to constructors so experiment configs can
 // reference CCAs by string.
 var ccRegistry = map[string]func() CongestionControl{
@@ -79,7 +73,6 @@ var ccRegistry = map[string]func() CongestionControl{
 	"bic":     func() CongestionControl { return NewBIC() },
 	"vegas":   func() CongestionControl { return NewVegas() },
 	"bbr":     func() CongestionControl { return NewBBR() },
-	"dctcp":   func() CongestionControl { return NewDCTCP() },
 }
 
 // NewCC constructs a congestion control module by name; the boolean is

@@ -8,12 +8,11 @@ import (
 	"cebinae/internal/sim"
 )
 
-// Conformance tests: scripted ACK/loss/mark traces against the published
+// Conformance tests: scripted ACK/loss traces against the published
 // behaviour of each algorithm — the CUBIC window curve of RFC 8312, the
-// BBRv1 state machine of Cardwell et al., BIC's binary search, Vegas's
-// α/β/γ rules, and DCTCP's α EWMA from RFC 8257. Unlike the unit tests in
-// cc_test.go (single hooks), these drive whole trajectories and pin the
-// shape of the response.
+// BBRv1 state machine of Cardwell et al., BIC's binary search and Vegas's
+// α/β/γ rules. Unlike the unit tests in cc_test.go (single hooks), these
+// drive whole trajectories and pin the shape of the response.
 
 // advanceClock moves the detached connection's engine forward by dt.
 func advanceClock(c *Conn, dt sim.Time) {
@@ -259,96 +258,5 @@ func TestVegasLossFloors(t *testing.T) {
 	c2.cc.OnAck(c2, RateSample{AckedBytes: int64(mss), RTT: sim.Duration(20e6), Delivered: 1, InFlight: int64(mss)})
 	if c2.Cwnd != start+mss {
 		t.Fatalf("sample-starved round should add 1 MSS: %.0f -> %.0f", start, c2.Cwnd)
-	}
-}
-
-// dctcpWindowACKs is the span of one scripted DCTCP observation window:
-// InFlight is pinned to this many MSS on every ACK, so each window closes
-// exactly dctcpWindowACKs ACKs after the previous one.
-const dctcpWindowACKs = 10
-
-// dctcpDriver scripts DCTCP observation windows: ACKs of one MSS each,
-// the last m of a window carrying ECN-Echo, so a marked window always
-// closes on an OnECE call (which performs no growth — the reduction is
-// exact).
-type dctcpDriver struct {
-	delivered int64
-}
-
-func (dr *dctcpDriver) window(c *Conn, d *DCTCP, n, m int) {
-	for i := 0; i < n; i++ {
-		dr.delivered += 1448
-		rs := RateSample{AckedBytes: 1448, Delivered: dr.delivered, InFlight: dctcpWindowACKs * 1448}
-		if i >= n-m {
-			d.OnECE(c, rs)
-		} else {
-			d.OnAck(c, rs)
-		}
-	}
-}
-
-// TestDCTCPAlphaEWMA replays the RFC 8257 recurrence against scripted
-// marking fractions: after every observation window the estimator must
-// hold α = (1−g)·α + g·F exactly, and a marked window must scale the
-// window by (1 − α/2).
-func TestDCTCPAlphaEWMA(t *testing.T) {
-	d := NewDCTCP()
-	c := ccConn(d)
-	c.Ssthresh = c.Cwnd // congestion avoidance
-	dr := &dctcpDriver{}
-
-	// Bootstrap ACK closes the degenerate first window (windowEnd = 0).
-	dr.window(c, d, 1, 0)
-	expected := (1 - d.G) * 1.0
-	if math.Abs(d.Alpha()-expected) > 1e-12 {
-		t.Fatalf("bootstrap α = %v, want %v", d.Alpha(), expected)
-	}
-
-	const n = dctcpWindowACKs
-	for i, m := range []int{0, 5, 10, 2, 0, 7} {
-		var cwndBefore float64
-		if m > 0 {
-			// All growth happens on the window's unmarked ACKs; capture the
-			// window just before the closing marked run applies the cut.
-			dr.window(c, d, n-m, 0)
-			// ...but those ACKs must not close the window: they can't, since
-			// the closing Delivered is n ACKs away. Now the marked tail:
-			cwndBefore = c.Cwnd
-			dr.window(c, d, m, m)
-		} else {
-			dr.window(c, d, n, 0)
-		}
-		f := float64(m) / float64(n)
-		expected = (1-d.G)*expected + d.G*f
-		if math.Abs(d.Alpha()-expected) > 1e-12 {
-			t.Fatalf("window %d (F=%.1f): α = %v, want %v (RFC 8257 EWMA)", i, f, d.Alpha(), expected)
-		}
-		if m > 0 {
-			want := cwndBefore * (1 - expected/2)
-			if math.Abs(c.Cwnd-want) > 1e-6 {
-				t.Fatalf("window %d: cwnd %.3f after cut, want %.3f = %.3f·(1−α/2)", i, c.Cwnd, want, cwndBefore)
-			}
-		}
-	}
-
-	// Sustained full marking drives α toward 1 and the window toward the
-	// 2 MSS floor.
-	for i := 0; i < 40; i++ {
-		dr.window(c, d, n, n)
-	}
-	if d.Alpha() < 0.95 {
-		t.Errorf("α after sustained marking = %v, want → 1", d.Alpha())
-	}
-	if c.Cwnd != 2*float64(packet.MSS) {
-		t.Errorf("sustained marking should pin cwnd at the 2 MSS floor, got %.0f", c.Cwnd)
-	}
-
-	// Mark-free windows decay α geometrically toward 0.
-	before := d.Alpha()
-	for i := 0; i < 40; i++ {
-		dr.window(c, d, n, 0)
-	}
-	if d.Alpha() >= before/10 {
-		t.Errorf("α should decay without marks: %v -> %v", before, d.Alpha())
 	}
 }

@@ -20,7 +20,7 @@ func ccConn(cc CongestionControl) *Conn {
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"newreno", "cubic", "bic", "vegas", "bbr", "dctcp"} {
+	for _, name := range []string{"newreno", "cubic", "bic", "vegas", "bbr"} {
 		cc, ok := NewCC(name)
 		if !ok || cc.Name() != name {
 			t.Fatalf("registry broken for %q", name)
@@ -29,8 +29,8 @@ func TestRegistry(t *testing.T) {
 	if _, ok := NewCC("nope"); ok {
 		t.Fatal("unknown CCA must not resolve")
 	}
-	if len(CCNames()) != 6 {
-		t.Fatalf("expected 6 registered CCAs, got %d", len(CCNames()))
+	if len(CCNames()) != 5 {
+		t.Fatalf("expected 5 registered CCAs, got %d", len(CCNames()))
 	}
 }
 
@@ -290,39 +290,5 @@ func TestMaxFilterWindowEviction(t *testing.T) {
 	f.update(20, 50, 10)
 	if f.max() != 50 {
 		t.Fatalf("expired sample survived: %v", f.max())
-	}
-}
-
-func TestDCTCPProportionalReduction(t *testing.T) {
-	d := NewDCTCP()
-	c := ccConn(d)
-	c.Ssthresh = c.Cwnd
-	// Half the window's ACKs marked ⇒ F = 0.5; with α₀ = 1, α stays high
-	// and the reduction is ≈ α/2 when the window closes.
-	start := c.Cwnd
-	for i := 0; i < 5; i++ {
-		d.OnAck(c, RateSample{AckedBytes: 1448, Delivered: int64(i) * 1448, InFlight: 1 << 20})
-	}
-	for i := 5; i < 10; i++ {
-		d.OnECE(c, RateSample{AckedBytes: 1448, Delivered: int64(i) * 1448, InFlight: 1 << 20})
-	}
-	// Close the window (Delivered passes windowEnd = 0 + ... first call set
-	// windowEnd; force a final closing sample).
-	d.OnECE(c, RateSample{AckedBytes: 1448, Delivered: 1 << 30, InFlight: 0})
-	if c.Cwnd >= start {
-		t.Fatalf("DCTCP must reduce on a marked window: %v -> %v", start, c.Cwnd)
-	}
-	if c.Cwnd < start*0.4 {
-		t.Fatalf("DCTCP reduction should be proportional (≤α/2), not a collapse: %v -> %v", start, c.Cwnd)
-	}
-}
-
-func TestDCTCPKeepsLossResponse(t *testing.T) {
-	d := NewDCTCP()
-	c := ccConn(d)
-	c.Cwnd = 100 * 1448
-	c.cc.OnEnterRecovery(c)
-	if c.Cwnd != 50*1448 {
-		t.Fatalf("DCTCP must still halve on loss: %v", c.Cwnd)
 	}
 }

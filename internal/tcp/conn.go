@@ -19,6 +19,8 @@ type Config struct {
 	// StartAt delays the first transmission (flow arrival time).
 	StartAt sim.Time
 	// MinRTO clamps the retransmission timer (default 200 ms, as Linux).
+	// The experiments package passes 1 s, NS-3's minimum, unless a spec
+	// sets min_rto, so this default reaches only callers outside it.
 	MinRTO sim.Time
 	// MaxCwndBytes optionally caps the congestion window (0 = no cap).
 	MaxCwndBytes float64
@@ -44,7 +46,6 @@ type ConnStats struct {
 	Timeouts       uint64
 	FastRecoveries uint64
 	AckedBytes     int64
-	ECEReductions  uint64
 }
 
 // Conn is the sending half of a simulated TCP connection. It implements
@@ -105,11 +106,6 @@ type Conn struct {
 	pacingTimer  sim.Timer
 	nextSendTime sim.Time
 
-	// reactor is the CC's ECN response when it has one (ECNReactor): the
-	// connection is then ECN-capable, sending its data ECT and handing every
-	// ECN-Echo to the CC.
-	reactor ECNReactor
-
 	rng *sim.Rand
 	// jitterSpan is this connection's send jitter bound (sendJitter; zero
 	// sends each segment in the call that transmits it).
@@ -148,7 +144,6 @@ func NewConn(eng *sim.Engine, src *netem.Node, cfg Config) *Conn {
 		rto:  sim.Duration(1e9), // initial RTO 1 s (RFC 6298)
 		rng:  sim.NewRand(cfg.Seed ^ cfg.Key.Hash(0x5EED)),
 	}
-	c.reactor, _ = cfg.CC.(ECNReactor)
 	c.Cwnd = initialCwndSegments * packet.MSS
 	c.Ssthresh = 1 << 40
 	c.jitterSpan = sendJitter
@@ -318,9 +313,6 @@ func (c *Conn) transmit(seq int64, size int32, retx bool) {
 	p.PayloadSize = size
 	p.Size = size + packet.HeaderBytes
 	p.Retransmit = retx
-	if c.reactor != nil {
-		p.ECN = packet.ECNECT
-	}
 	if c.pipe() == 0 {
 		// Starting a fresh flight: anchor the send-interval clock.
 		c.firstTxTime = now
@@ -436,13 +428,6 @@ func (c *Conn) Deliver(p *packet.Packet) {
 	}
 	c.dupAcks = 0
 	c.backoff = 0
-
-	if p.HasFlag(packet.FlagECE) && c.reactor != nil {
-		// The algorithm owns its ECN response (DCTCP-style
-		// fraction-proportional reduction).
-		c.Stats.ECEReductions++
-		c.reactor.OnECE(c, rs)
-	}
 
 	if c.inRecovery {
 		if ack >= c.recoverSeq {

@@ -105,53 +105,6 @@ func TestDelAckCoalescing(t *testing.T) {
 	}
 }
 
-// TestECNCapabilityFollowsCC: a connection is ECN-capable exactly when its
-// CC reacts to ECN-Echo. Through a link that CE-marks every ECT packet,
-// NewReno sends nothing ECT and sees no echo; DCTCP's data is marked and
-// every echo reaches its OnECE.
-func TestECNCapabilityFollowsCC(t *testing.T) {
-	for _, name := range []string{"newreno", "dctcp"} {
-		eng := sim.NewEngine()
-		w := netem.NewNetwork(eng)
-		a, b := w.NewNode("a"), w.NewNode("b")
-		ab, ba := w.Connect(a, b, netem.LinkConfig{RateBps: 100e6, Delay: sim.Duration(2e6)})
-		marker := &ceMarker{inner: qdisc.NewFIFO(1 << 20)}
-		ab.SetQdisc(marker)
-		ba.SetQdisc(qdisc.NewFIFO(1 << 20))
-		a.AddRoute(b.ID, ab)
-		b.AddRoute(a.ID, ba)
-		key := packet.FlowKey{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
-		cc, _ := tcp.NewCC(name)
-		conn := tcp.NewConn(eng, a, tcp.Config{Key: key, CC: cc})
-		tcp.NewReceiver(eng, b, tcp.ReceiverConfig{Key: key})
-		eng.Run(sim.Duration(1e9))
-		if _, reacts := cc.(tcp.ECNReactor); reacts {
-			if marker.marked == 0 || conn.Stats.ECEReductions == 0 {
-				t.Errorf("%s: %d packets marked, %d echoes handled; want both > 0", name, marker.marked, conn.Stats.ECEReductions)
-			}
-		} else if marker.marked != 0 || conn.Stats.ECEReductions != 0 {
-			t.Errorf("%s: %d packets marked, %d echoes handled; want 0 (not ECN-capable)", name, marker.marked, conn.Stats.ECEReductions)
-		}
-	}
-}
-
-// ceMarker CE-marks every ECT packet it admits and counts them.
-type ceMarker struct {
-	inner  *qdisc.FIFO
-	marked int
-}
-
-func (m *ceMarker) Enqueue(p *packet.Packet) bool {
-	if p.ECN == packet.ECNECT {
-		p.ECN = packet.ECNCE
-		m.marked++
-	}
-	return m.inner.Enqueue(p)
-}
-func (m *ceMarker) Dequeue() *packet.Packet { return m.inner.Dequeue() }
-func (m *ceMarker) Len() int                { return m.inner.Len() }
-func (m *ceMarker) BytesQueued() int        { return m.inner.BytesQueued() }
-
 // TestStaleAckIgnored: an ACK above snd_nxt (corrupt) must not advance
 // state or crash.
 func TestStaleAckIgnored(t *testing.T) {

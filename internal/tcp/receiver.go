@@ -26,16 +26,15 @@ type ReceiverStats struct {
 	// ACK advances) — the paper's goodput metric.
 	GoodputBytes int64
 	AcksSent     uint64
-	// CEMarks counts received packets carrying a CE codepoint.
-	CEMarks uint64
 }
 
 // interval is a half-open received byte range [start, end).
 type interval struct{ start, end int64 }
 
 // Receiver is the data sink. It tracks the cumulative ACK point, buffers
-// out-of-order intervals, echoes ECN CE marks, and emits ACKs (delayed or
-// immediate) back to the sender.
+// out-of-order intervals, and emits ACKs (delayed or immediate) back to
+// the sender. The transport is not ECN-capable: its senders send Not-ECT,
+// so no queue marks their data and the receiver has no CE to echo.
 type Receiver struct {
 	cfg  ReceiverConfig
 	eng  *sim.Engine
@@ -45,10 +44,6 @@ type Receiver struct {
 	ooo      intervalSet // sorted, disjoint, all > rcvNxt
 	pending  int
 	delTimer sim.Timer
-
-	// ceEcho latches ECN echo: once a CE is seen, ECE is set on ACKs until
-	// the sender's CWR is observed (simplified: until one full ACK sent).
-	ceEcho bool
 
 	Stats ReceiverStats
 
@@ -78,10 +73,6 @@ func (h *recvDelAck) OnEvent(any) { (*Receiver)(h).sendAck() }
 func (r *Receiver) Deliver(p *packet.Packet) {
 	r.Stats.RxPackets++
 	r.Stats.RxBytes += uint64(p.Size)
-	if p.ECN == packet.ECNCE {
-		r.Stats.CEMarks++
-		r.ceEcho = true
-	}
 	if !p.IsData() {
 		return
 	}
@@ -118,15 +109,10 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 func (r *Receiver) sendAck() {
 	r.eng.StopTimer(&r.delTimer)
 	r.pending = 0
-	flags := packet.FlagACK
-	if r.ceEcho {
-		flags |= packet.FlagECE
-		r.ceEcho = false
-	}
 	ack := r.node.AllocPacket()
 	ack.Flow = r.cfg.Key.Reverse()
 	ack.Ack = r.rcvNxt
-	ack.Flags = flags
+	ack.Flags = packet.FlagACK
 	ack.Size = packet.HeaderBytes
 	// Attach up to three SACK blocks (RFC 2018), lowest first, so the
 	// sender's scoreboard repairs the earliest holes first. The array

@@ -5,12 +5,14 @@
 # the sweep and bench sections through the fleet, cebinae-trace's trace
 # statistics, one-trial accuracy point and live replay — then the five
 # examples on short horizons: every run must exit 0 and print a non-empty
-# report on stdout. Six absurd inputs must be refused: an unknown CC given
-# to cebinae-sim and an unknown qdisc given to cebinae-sweep (by the
-# scenario validator), a zero poll interval given to cebinae-trace, and
-# three dumbbell specs given to cebinae-sim -scenario that leave a 1 s run
-# nothing to measure (a group starting at 3 s, a 5 s RTT, a 2562047 h
-# RTT), must each exit nonzero naming the flag or field on stderr.
+# report on stdout. Eight absurd inputs must be refused: two unknown CCs
+# given to cebinae-sim (htcp, and dctcp, which the transport no longer
+# has: the refusal must list the five known CCs) and an unknown qdisc given
+# to cebinae-sweep (by the scenario validator), a zero poll interval given
+# to cebinae-trace, three dumbbell specs given to cebinae-sim -scenario
+# that leave a 1 s run nothing to measure (a group starting at 3 s, a 5 s
+# RTT, a 2562047 h RTT), and a 1 s chain spec whose link delay is
+# 2562047 h; each must exit nonzero naming the flag or field on stderr.
 #
 #   scripts/cli_smoke.sh              (or: make cli-smoke)
 #
@@ -56,6 +58,8 @@ smoke "cebinae-sweep grid" "$tmp/cebinae-sweep" -qdiscs fifo,cebinae -thresholds
 smoke "cebinae-sweep -backbone" "$tmp/cebinae-sweep" -backbone 1000 -scales 0.02 \
 	-store "$tmp/backbone.jsonl" -csv "$tmp/backbone.csv"
 refuse "cebinae-sim -flows htcp:1" 'unknown CC "htcp"' "$tmp/cebinae-sim" -flows htcp:1 -duration 1s
+refuse "cebinae-sim -flows dctcp:1" 'unknown CC "dctcp" (known: bbr, bic, cubic, newreno, vegas)' \
+	"$tmp/cebinae-sim" -flows dctcp:1 -duration 1s
 refuse "cebinae-sweep -qdiscs fifo,red" 'unknown qdisc "red"' "$tmp/cebinae-sweep" -qdiscs fifo,red \
 	-store "$tmp/red.jsonl" -csv "$tmp/red.csv"
 # horizon NAME GROUP: a 1 s dumbbell spec whose one flow group is GROUP.
@@ -72,6 +76,12 @@ refuse "cebinae-sim -scenario (start after the horizon)" 'dumbbell.groups[0].sta
 	"$tmp/cebinae-sim" -scenario "$tmp/late.json"
 refuse "cebinae-sim -scenario (5s RTT in a 1s run)" 'dumbbell.groups[0].rtt: longer than' "$tmp/cebinae-sim" -scenario "$tmp/slow.json"
 refuse "cebinae-sim -scenario (2562047h RTT)" 'dumbbell.groups[0].rtt: longer than' "$tmp/cebinae-sim" -scenario "$tmp/huge.json"
+cat >"$tmp/slowlink.json" <<-EOF
+	{"version": 1, "name": "slowlink", "kind": "chain", "chain": {"hops": 1, "long_flows": 1, "cross_per_hop": [1],
+	  "long_cc": "newreno", "cross_ccs": ["cubic"], "rate": "100M", "buffer_bytes": 1275000,
+	  "link_delay": "2562047h", "access_delay": "5ms", "qdisc": "fifo", "duration": "1s"}}
+	EOF
+refuse "cebinae-sim -scenario (2562047h link delay)" 'chain.link_delay: longer than' "$tmp/cebinae-sim" -scenario "$tmp/slowlink.json"
 smoke "cebinae-trace -stats" "$tmp/cebinae-trace" -stats
 smoke "cebinae-trace -trials 1" "$tmp/cebinae-trace" -trials 1
 smoke "cebinae-trace -replay" "$tmp/cebinae-trace" -replay -standing 500 -duration 40ms
