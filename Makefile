@@ -78,15 +78,15 @@ scenario-conformance:
 # cebinae-sim -scenario on scenarios/dumbbell.json and scenarios/chain.json,
 # cebinae-sim -flows … -tau and -backbone 1000, cebinae-sweep on a two-cell
 # grid and on -backbone 1000, cebinae-trace -stats, -trials 1 and -replay
-# -standing 500 -duration 40ms, cebinae-bench -only table3,fig13, then the
-# five examples on short horizons. Each must exit 0 with a non-empty report
-# on stdout. cebinae-sim -flows htcp:1 and -flows dctcp:1 (listing the five
-# known CCs), cebinae-sweep -qdiscs fifo,red and cebinae-trace -interval 0
-# must each exit nonzero, naming the unknown CC or qdisc or the bad interval
-# on stderr, and so must cebinae-sim -scenario on three 1 s dumbbells with
-# nothing to measure (a group starting at 3 s, a 5 s RTT, a 2562047h RTT),
-# naming the start_at or rtt field, and on a 1 s chain whose link delay is
-# 2562047h, naming link_delay.
+# -standing 500 -duration 40ms, cebinae-bench -only table3,fig13 and -only
+# fig11,fig12, then the three examples on short horizons. Each must exit 0
+# with a non-empty report on stdout. cebinae-sim -flows htcp:1 and -flows
+# dctcp:1 (listing the five known CCs), cebinae-sweep -qdiscs fifo,red and
+# cebinae-trace -interval 0 must each exit nonzero, naming the unknown CC or
+# qdisc or the bad interval on stderr, and so must cebinae-sim -scenario on
+# three 1 s dumbbells with nothing to measure (a group starting at 3 s, a
+# 5 s RTT, a 2562047h RTT), naming the start_at or rtt field, and on a 1 s
+# chain whose link delay is 2562047h, naming link_delay.
 cli-smoke:
 	@sh scripts/cli_smoke.sh
 

@@ -5,9 +5,9 @@
 // with the five congestion-control algorithms the paper's evaluation runs
 // (NewReno, Cubic, BIC, Vegas, BBRv1); baseline queue disciplines
 // (drop-tail FIFO, FQ-CoDel, AFQ, PCQ, and the §3.2 strawman); a
-// HashPipe-style heavy-hitter cache; a weighted max-min water-filling
-// allocator; a synthetic backbone trace generator; traffic applications;
-// and a Tofino resource model.
+// HashPipe-style heavy-hitter cache; a max-min water-filling allocator; a
+// synthetic backbone trace generator; traffic applications; and a Tofino
+// resource model.
 //
 // This package is the stable public surface: it re-exports the building
 // blocks needed to attach a Cebinae queue discipline to a simulated link

@@ -8,6 +8,33 @@ import (
 	"cebinae/internal/fleet"
 )
 
+// benchSection returns BenchSections(scale)'s section id.
+func benchSection(t *testing.T, scale Scale, id string) BenchSection {
+	t.Helper()
+	for _, s := range BenchSections(scale) {
+		if s.ID == id {
+			return s
+		}
+	}
+	t.Fatalf("no report section %q", id)
+	return BenchSection{}
+}
+
+// renderSection runs a section's jobs through the fleet under opts and
+// renders it from the summary, as the CLIs do.
+func renderSection(t *testing.T, sec BenchSection, opts fleet.Options) string {
+	t.Helper()
+	sum, err := fleet.Run(sec.Jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := sec.Render(SummaryGetter(sum))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
 // sectionValues runs a section's jobs through the fleet and decodes their
 // values in job order.
 func sectionValues[T any](t *testing.T, sec BenchSection) []T {
@@ -206,11 +233,7 @@ func TestFig7Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	sec, err := FindSection(Medium, "fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := sectionValues[Result](t, sec)
+	rs := sectionValues[Result](t, benchSection(t, Medium, "fig7"))
 	fifo, ceb := rs[0], rs[1]
 	if ceb.JFI < fifo.JFI+0.3 {
 		t.Fatalf("Cebinae JFI %.3f vs FIFO %.3f: insufficient improvement", ceb.JFI, fifo.JFI)
@@ -233,12 +256,8 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if !strings.Contains(out, "SRAM") {
 		t.Fatal("table 3 renderer broken")
 	}
-	sec, err := FindSection(Quick, "fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := RunSection(sec, fleet.Options{}); err != nil || !strings.Contains(out, "Cebinae") {
-		t.Fatalf("fig1 renderer broken (%v):\n%s", err, out)
+	if out := renderSection(t, benchSection(t, Quick, "fig1"), fleet.Options{}); !strings.Contains(out, "Cebinae") {
+		t.Fatalf("fig1 renderer broken:\n%s", out)
 	}
 	if !strings.Contains(RenderFig13(scoreFig13(2, 0)), "FNR") {
 		t.Fatal("fig13 renderer broken")

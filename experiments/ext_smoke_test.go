@@ -21,13 +21,5 @@ func TestExtensionsSmoke(t *testing.T) {
 		udp = append(udp, ExtBlindUDP(k, Quick))
 	}
 	fmt.Print(RenderExtBlindUDP(udp))
-	sec, err := FindSection(Quick, "ext-perflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := RunSection(sec, fleet.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Print(out)
+	fmt.Print(renderSection(t, benchSection(t, Quick, "ext-perflow"), fleet.Options{}))
 }

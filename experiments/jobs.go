@@ -195,26 +195,6 @@ func BenchSections(scale Scale) []BenchSection {
 	}
 }
 
-// FindSection returns BenchSections(scale)'s section id.
-func FindSection(scale Scale, id string) (BenchSection, error) {
-	for _, s := range BenchSections(scale) {
-		if s.ID == id {
-			return s, nil
-		}
-	}
-	return BenchSection{}, fmt.Errorf("experiments: no report section %q", id)
-}
-
-// RunSection runs one section's jobs through the fleet with opts and
-// renders its text.
-func RunSection(sec BenchSection, opts fleet.Options) (string, error) {
-	sum, err := fleet.Run(sec.Jobs, opts)
-	if err != nil {
-		return "", err
-	}
-	return sec.Render(SummaryGetter(sum))
-}
-
 // SectionJobs flattens the sections' jobs in order.
 func SectionJobs(sections []BenchSection) []fleet.Job {
 	var jobs []fleet.Job

@@ -51,14 +51,7 @@ func TestBenchSectionsEnumerateUniqueJobs(t *testing.T) {
 // section through the orchestrator and checks the reassembled text equals
 // a direct sequential render — the JSON checkpoint roundtrip is lossless.
 func TestSectionRendersThroughFleet(t *testing.T) {
-	table3, err := FindSection(Quick, "table3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSection(table3, fleet.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := renderSection(t, benchSection(t, Quick, "table3"), fleet.Options{Parallelism: 2})
 	if want := RenderTable3(Table3()); got != want {
 		t.Fatalf("fleet render differs from direct render:\n--- fleet ---\n%s--- direct ---\n%s", got, want)
 	}

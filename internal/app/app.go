@@ -15,7 +15,7 @@ import (
 	"cebinae/internal/tcp"
 )
 
-// CBR is a blind constant-bit-rate source: fixed-size packets at a fixed
+// CBR is a blind constant-bit-rate source: 1500-byte packets at a fixed
 // rate, no congestion response (a UDP blaster).
 type CBR struct {
 	eng  *sim.Engine
@@ -24,13 +24,13 @@ type CBR struct {
 
 	// RateBps is the emission rate in bits/second.
 	RateBps float64
-	// PacketBytes is the wire size per packet (default 1500).
-	PacketBytes int
 
-	Sent    uint64
-	stopped bool
-	timer   sim.Timer
+	Sent  uint64
+	timer sim.Timer
 }
+
+// cbrPacketBytes is the wire size of every CBR packet.
+const cbrPacketBytes = 1500
 
 // cbrTick is the CBR emission-timer handler (named pointer type over CBR:
 // no closure, no allocation per packet).
@@ -40,7 +40,7 @@ func (h *cbrTick) OnEvent(any) { (*CBR)(h).tick() }
 
 // NewCBR creates and starts the source at startAt.
 func NewCBR(eng *sim.Engine, node *netem.Node, key packet.FlowKey, rateBps float64, startAt sim.Time) *CBR {
-	c := &CBR{eng: eng, node: node, key: key, RateBps: rateBps, PacketBytes: 1500}
+	c := &CBR{eng: eng, node: node, key: key, RateBps: rateBps}
 	// The start instant is a traffic discontinuity: pinned so a fluid
 	// fast-forward skip can never jump across it. Per-packet re-arms in
 	// tick are regular and clear the mark.
@@ -49,23 +49,14 @@ func NewCBR(eng *sim.Engine, node *netem.Node, key packet.FlowKey, rateBps float
 }
 
 func (c *CBR) tick() {
-	if c.stopped {
-		return
-	}
 	p := c.node.AllocPacket()
 	p.Flow = c.key
-	p.Size = int32(c.PacketBytes)
-	p.PayloadSize = int32(c.PacketBytes - packet.HeaderBytes)
+	p.Size = cbrPacketBytes
+	p.PayloadSize = cbrPacketBytes - packet.HeaderBytes
 	c.node.Inject(p)
 	c.Sent++
-	gap := sim.Time(float64(c.PacketBytes*8) / c.RateBps * 1e9)
+	gap := sim.Time(float64(cbrPacketBytes*8) / c.RateBps * 1e9)
 	c.eng.ArmTimer(&c.timer, gap, (*cbrTick)(c), nil)
-}
-
-// Stop halts emission.
-func (c *CBR) Stop() {
-	c.stopped = true
-	c.eng.StopTimer(&c.timer)
 }
 
 // ChurnConfig parameterises a Poisson workload of finite TCP transfers
@@ -98,7 +89,6 @@ type Churn struct {
 	Completed uint64
 	// CompletionTimes collects per-flow transfer durations.
 	CompletionTimes []sim.Time
-	stopped         bool
 	timer           sim.Timer
 }
 
@@ -126,7 +116,7 @@ func NewChurn(eng *sim.Engine, src, dst *netem.Node, cfg ChurnConfig) *Churn {
 }
 
 func (c *Churn) scheduleNext() {
-	if c.stopped || c.cfg.ArrivalsPerSec <= 0 {
+	if c.cfg.ArrivalsPerSec <= 0 {
 		return
 	}
 	gap := sim.Time(c.rng.ExpFloat64() / c.cfg.ArrivalsPerSec * 1e9)
@@ -135,9 +125,6 @@ func (c *Churn) scheduleNext() {
 }
 
 func (c *Churn) startFlow() {
-	if c.stopped {
-		return
-	}
 	size := int64(c.rng.ExpFloat64() * float64(c.cfg.MeanFlowBytes))
 	if size < 1448 {
 		size = 1448
@@ -160,6 +147,3 @@ func (c *Churn) startFlow() {
 		c.CompletionTimes = append(c.CompletionTimes, c.eng.Now()-start)
 	}
 }
-
-// Stop halts new arrivals (in-flight transfers continue).
-func (c *Churn) Stop() { c.stopped = true }

@@ -42,18 +42,17 @@ func TestCBRRateAccuracy(t *testing.T) {
 	}
 }
 
-func TestCBRStartAndStop(t *testing.T) {
+func TestCBRStartsAtStartTime(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b := pipe(eng, 100e6)
 	key := packet.FlowKey{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoUDP}
 	var got uint64
 	b.Register(key, countSink{&got})
 	c := NewCBR(eng, a, key, 12e6, sim.Duration(1e9))
-	eng.AtCall(sim.Duration(1.5e9), sim.Func(c.Stop), nil)
-	eng.Run(sim.Duration(3e9))
-	// Active only 0.5 s ⇒ ≈500 packets.
+	eng.Run(sim.Duration(1.5e9))
+	// Started at 1 s, run to 1.5 s ⇒ ≈500 packets.
 	if c.Sent < 490 || c.Sent > 510 {
-		t.Fatalf("windowed CBR sent %d, want ≈500", c.Sent)
+		t.Fatalf("CBR started at 1 s sent %d by 1.5 s, want ≈500", c.Sent)
 	}
 }
 
@@ -67,7 +66,6 @@ func TestChurnCompletesTransfers(t *testing.T) {
 		Seed:           1,
 	})
 	eng.Run(sim.Duration(5e9))
-	ch.Stop()
 	if ch.Started < 150 {
 		t.Fatalf("expected ≈250 arrivals in 5 s, got %d", ch.Started)
 	}

@@ -32,13 +32,12 @@ type Strawman struct {
 	// buckets holds per-flow token buckets while limiting; all buckets
 	// refill at the max flow's measured rate ("limits of the maximal
 	// size").
-	buckets    map[packet.FlowKey]*tokenBucket
-	limitRate  float64 // bytes/second granted to every flow
-	cache      *hhcache.Cache
-	txBytes    uint64
-	lastTx     uint64
-	lastRefill sim.Time
-	timer      sim.Timer
+	buckets   map[packet.FlowKey]*tokenBucket
+	limitRate float64 // bytes/second granted to every flow
+	cache     *hhcache.Cache
+	txBytes   uint64
+	lastTx    uint64
+	timer     sim.Timer
 
 	Stats Stats
 }
@@ -92,7 +91,6 @@ func (s *Strawman) control() {
 		}
 		s.limiting = true
 		s.limitRate = float64(maxBytes) / interval
-		s.lastRefill = s.eng.Now()
 	} else if utilisation < 1-s.DeltaPort && s.limiting {
 		// Demand dropped below capacity: release the limits.
 		s.limiting = false

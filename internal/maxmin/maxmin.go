@@ -24,31 +24,17 @@ type Network struct {
 	// Demand[f] optionally caps flow f's rate (non-positive or +Inf =
 	// unbounded; NaN is refused).
 	Demand []float64
-	// Weight[f] optionally sets flow f's weight for *weighted* max-min
-	// fairness (the WFQ generalisation the paper's footnote 2 mentions):
-	// unconstrained flows grow proportionally to their weights. Empty or
-	// non-positive entries default to 1; NaN and +Inf are refused.
-	Weight []float64
 }
 
 // Validate checks indices, shapes and values: every capacity positive and
-// finite, Demand and Weight empty or one entry per flow, no NaN demand
-// and no NaN or +Inf weight.
+// finite, Demand empty or one entry per flow, and no NaN demand.
 func (n *Network) Validate() error {
 	if len(n.Demand) != 0 && len(n.Demand) != len(n.Routes) {
 		return fmt.Errorf("maxmin: %d demands for %d flows", len(n.Demand), len(n.Routes))
 	}
-	if len(n.Weight) != 0 && len(n.Weight) != len(n.Routes) {
-		return fmt.Errorf("maxmin: %d weights for %d flows", len(n.Weight), len(n.Routes))
-	}
 	for f, d := range n.Demand {
 		if math.IsNaN(d) {
 			return fmt.Errorf("maxmin: flow %d demand %v must be a number", f, d)
-		}
-	}
-	for f, w := range n.Weight {
-		if math.IsNaN(w) || math.IsInf(w, 1) {
-			return fmt.Errorf("maxmin: flow %d weight %v must be finite", f, w)
 		}
 	}
 	for f, route := range n.Routes {
@@ -76,13 +62,6 @@ func (n *Network) demand(f int) float64 {
 	return n.Demand[f]
 }
 
-func (n *Network) weight(f int) float64 {
-	if len(n.Weight) == 0 || f >= len(n.Weight) || n.Weight[f] <= 0 {
-		return 1
-	}
-	return n.Weight[f]
-}
-
 // Allocate runs progressive water-filling and returns the unique max-min
 // fair rate vector. A round costs the links plus the route hops of the
 // flows still rising: a flow leaves the live list in the round that
@@ -96,32 +75,32 @@ func Allocate(n *Network) ([]float64, error) {
 	rates := make([]float64, nf)
 	remaining := append([]float64(nil), n.Capacity...)
 
-	// live holds the unfrozen flows in flow order. wsum[l] is the weight
-	// of link l's unfrozen flows and headroom the least unfrozen demand
-	// headroom per unit weight; the pass that fills live sums and
-	// minimises them in flow order, as a scan of every flow would.
+	// live holds the unfrozen flows in flow order. onLink[l] counts link
+	// l's unfrozen flows and headroom is the least unfrozen demand
+	// headroom; the pass that fills live counts and minimises them in
+	// flow order, as a scan of every flow would.
 	live := make([]int, nf)
-	wsum := make([]float64, len(n.Capacity))
+	onLink := make([]int, len(n.Capacity))
 	headroom := math.Inf(1)
 	for f, route := range n.Routes {
 		live[f] = f
-		if h := (n.demand(f) - rates[f]) / n.weight(f); h < headroom {
+		if h := n.demand(f) - rates[f]; h < headroom {
 			headroom = h
 		}
 		for _, l := range route {
-			wsum[l] += n.weight(f)
+			onLink[l]++
 		}
 	}
 
 	for len(live) > 0 {
-		// Water level rises uniformly; each unfrozen flow f receives
-		// weight(f)·increment. The binding constraint is the smallest of
-		// (a) each link's capacity over its unfrozen weight sum and (b)
-		// each unfrozen flow's demand headroom per unit weight.
+		// Water level rises uniformly; each unfrozen flow receives the
+		// increment. The binding constraint is the smallest of (a) each
+		// link's remaining capacity over its unfrozen flows and (b) each
+		// unfrozen flow's demand headroom.
 		increment := math.Inf(1)
-		for l, w := range wsum {
-			if w > 0 {
-				if share := remaining[l] / w; share < increment {
+		for l, k := range onLink {
+			if k > 0 {
+				if share := remaining[l] / float64(k); share < increment {
 					increment = share
 				}
 			}
@@ -135,16 +114,15 @@ func Allocate(n *Network) ([]float64, error) {
 
 		// Raise all unfrozen flows and charge their links.
 		for _, f := range live {
-			delta := increment * n.weight(f)
-			rates[f] += delta
+			rates[f] += increment
 			for _, l := range n.Routes[f] {
-				remaining[l] -= delta
+				remaining[l] -= increment
 			}
 		}
 		// Freeze flows on saturated links or at their demand. The rest
-		// stay live, and refill wsum and headroom for the next round.
+		// stay live, and refill onLink and headroom for the next round.
 		const eps = 1e-9
-		clear(wsum)
+		clear(onLink)
 		headroom = math.Inf(1)
 		rising := live[:0]
 		for _, f := range live {
@@ -161,11 +139,11 @@ func Allocate(n *Network) ([]float64, error) {
 				continue
 			}
 			rising = append(rising, f)
-			if h := (n.demand(f) - rates[f]) / n.weight(f); h < headroom {
+			if h := n.demand(f) - rates[f]; h < headroom {
 				headroom = h
 			}
 			for _, l := range n.Routes[f] {
-				wsum[l] += n.weight(f)
+				onLink[l]++
 			}
 		}
 		live = rising
@@ -175,8 +153,7 @@ func Allocate(n *Network) ([]float64, error) {
 
 // VerifyDefinition2 checks an allocation against Definition 2: every flow
 // must have a bottleneck link that is saturated and on which the flow's
-// weight-normalised rate is maximal (within tolerance tol, relative to
-// link capacity). With unit weights this is exactly the paper's statement.
+// rate is maximal (within tolerance tol, relative to link capacity).
 func VerifyDefinition2(n *Network, rates []float64, tol float64) error {
 	if len(rates) != len(n.Routes) {
 		return fmt.Errorf("maxmin: %d rates for %d flows", len(rates), len(n.Routes))
@@ -184,11 +161,10 @@ func VerifyDefinition2(n *Network, rates []float64, tol float64) error {
 	load := make([]float64, len(n.Capacity))
 	maxOnLink := make([]float64, len(n.Capacity))
 	for f, route := range n.Routes {
-		norm := rates[f] / n.weight(f)
 		for _, l := range route {
 			load[l] += rates[f]
-			if norm > maxOnLink[l] {
-				maxOnLink[l] = norm
+			if rates[f] > maxOnLink[l] {
+				maxOnLink[l] = rates[f]
 			}
 		}
 	}
@@ -197,10 +173,9 @@ func VerifyDefinition2(n *Network, rates []float64, tol float64) error {
 			continue // demand-bounded flows need no bottleneck
 		}
 		ok := false
-		norm := rates[f] / n.weight(f)
 		for _, l := range route {
 			saturated := load[l] >= n.Capacity[l]*(1-tol)
-			largest := norm >= maxOnLink[l]*(1-tol)
+			largest := rates[f] >= maxOnLink[l]*(1-tol)
 			if saturated && largest {
 				ok = true
 				break

@@ -139,10 +139,6 @@ func TestValidateRejectsBadInput(t *testing.T) {
 	}{
 		{Network{Capacity: []float64{nan}, Routes: [][]int{{0}}, Demand: []float64{5}}, "link 0 capacity NaN"},
 		{Network{Capacity: []float64{inf}, Routes: [][]int{{0}}}, "link 0 capacity +Inf"},
-		{Network{Capacity: []float64{10}, Routes: two, Weight: []float64{2}}, "1 weights for 2 flows"},
-		{Network{Capacity: []float64{10}, Routes: two, Weight: []float64{2, 1, 1}}, "3 weights for 2 flows"},
-		{Network{Capacity: []float64{10}, Routes: two, Weight: []float64{1, nan}}, "flow 1 weight NaN"},
-		{Network{Capacity: []float64{10}, Routes: two, Weight: []float64{inf, 1}}, "flow 0 weight +Inf"},
 		{Network{Capacity: []float64{10}, Routes: two, Demand: []float64{1, nan}}, "flow 1 demand NaN"},
 	}
 	for _, c := range refused {
@@ -151,10 +147,10 @@ func TestValidateRejectsBadInput(t *testing.T) {
 		}
 	}
 
-	// The documented fallbacks stay valid: a non-positive weight is 1 and
-	// a non-positive or +Inf demand is unbounded.
+	// The documented fallback stays valid: a non-positive or +Inf demand
+	// is unbounded.
 	ok := Network{Capacity: []float64{10}, Routes: [][]int{{0}, {0}, {0}},
-		Weight: []float64{0, -1, -inf}, Demand: []float64{0, -2, inf}}
+		Demand: []float64{0, -2, inf}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("fallback values refused: %v", err)
 	}
@@ -219,62 +215,6 @@ func TestMaxMinUniqueDefinition1(t *testing.T) {
 	}
 }
 
-// TestWeightedSingleLink: weights 1:3 split a single link 25/75 (the WFQ
-// generalisation of footnote 2).
-func TestWeightedSingleLink(t *testing.T) {
-	n := &Network{
-		Capacity: []float64{100},
-		Routes:   [][]int{{0}, {0}},
-		Weight:   []float64{1, 3},
-	}
-	rates, err := Allocate(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rates[0], 25) || !almostEq(rates[1], 75) {
-		t.Fatalf("weighted split wrong: %v", rates)
-	}
-	if err := VerifyDefinition2(n, rates, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWeightedWithDemand: a weighted flow capped by demand releases its
-// unused share to the others.
-func TestWeightedWithDemand(t *testing.T) {
-	n := &Network{
-		Capacity: []float64{100},
-		Routes:   [][]int{{0}, {0}, {0}},
-		Weight:   []float64{2, 1, 1},
-		Demand:   []float64{10, 0, 0},
-	}
-	rates, err := Allocate(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rates[0], 10) || !almostEq(rates[1], 45) || !almostEq(rates[2], 45) {
-		t.Fatalf("weighted+demand allocation wrong: %v", rates)
-	}
-}
-
-// TestWeightedDefaultsToUnit: absent/invalid weights behave as 1.
-func TestWeightedDefaultsToUnit(t *testing.T) {
-	n := &Network{
-		Capacity: []float64{90},
-		Routes:   [][]int{{0}, {0}, {0}},
-		Weight:   []float64{0, -5, 1},
-	}
-	rates, err := Allocate(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rates {
-		if !almostEq(r, 30) {
-			t.Fatalf("unit-weight fallback wrong: %v", rates)
-		}
-	}
-}
-
 // allocateRounds is Allocate as it was before rounds skipped frozen flows:
 // every round rescans every flow. It is the oracle the rewrite must match
 // bit for bit.
@@ -292,27 +232,27 @@ func allocateRounds(n *Network) ([]float64, error) {
 			active[l] = append(active[l], f)
 		}
 	}
-	weightUnfrozen := func(l int) float64 {
-		var w float64
+	unfrozen := func(l int) int {
+		k := 0
 		for _, f := range active[l] {
 			if !frozen[f] {
-				w += n.weight(f)
+				k++
 			}
 		}
-		return w
+		return k
 	}
 	for left := nf; left > 0; {
 		increment := math.Inf(1)
 		for l := range n.Capacity {
-			if w := weightUnfrozen(l); w > 0 {
-				if share := remaining[l] / w; share < increment {
+			if k := unfrozen(l); k > 0 {
+				if share := remaining[l] / float64(k); share < increment {
 					increment = share
 				}
 			}
 		}
 		for f := 0; f < nf; f++ {
 			if !frozen[f] {
-				if headroom := (n.demand(f) - rates[f]) / n.weight(f); headroom < increment {
+				if headroom := n.demand(f) - rates[f]; headroom < increment {
 					increment = headroom
 				}
 			}
@@ -324,10 +264,9 @@ func allocateRounds(n *Network) ([]float64, error) {
 			if frozen[f] {
 				continue
 			}
-			delta := increment * n.weight(f)
-			rates[f] += delta
+			rates[f] += increment
 			for _, l := range n.Routes[f] {
-				remaining[l] -= delta
+				remaining[l] -= increment
 			}
 		}
 		const eps = 1e-9
@@ -353,13 +292,12 @@ func allocateRounds(n *Network) ([]float64, error) {
 	return rates, nil
 }
 
-// TestAllocateMatchesRounds: on random multi-hop networks with mixed
-// weights and a few shared demand levels (so one round freezes many flows
-// at once), Allocate returns the oracle's rates bit for bit, or the same
-// error. Capacities, levels and the weight 0.1 are inexact in binary, so
-// reordering any sum or charge moves a low bit somewhere.
+// TestAllocateMatchesRounds: on random multi-hop networks with a few
+// shared demand levels (so one round freezes many flows at once), Allocate
+// returns the oracle's rates bit for bit, or the same error. Capacities
+// and levels are inexact in binary, so reordering any charge moves a low
+// bit somewhere.
 func TestAllocateMatchesRounds(t *testing.T) {
-	weights := []float64{0, -1, 0.1, 0.5, 1, 3}
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
 		nLinks := 1 + rng.Intn(6)
@@ -371,11 +309,6 @@ func TestAllocateMatchesRounds(t *testing.T) {
 		for i := 0; i < nFlows; i++ {
 			hops := 1 + rng.Intn(nLinks)
 			n.Routes = append(n.Routes, rng.Perm(nLinks)[:hops])
-		}
-		if rng.Intn(2) == 0 {
-			for i := 0; i < nFlows; i++ {
-				n.Weight = append(n.Weight, weights[rng.Intn(len(weights))])
-			}
 		}
 		if rng.Intn(4) != 0 {
 			levels := make([]float64, 1+rng.Intn(6))

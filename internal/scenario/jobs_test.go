@@ -76,7 +76,11 @@ func runSection(t *testing.T, sec experiments.BenchSection) string {
 			t.Errorf("job missing ID/Desc: %+v", job)
 		}
 	}
-	text, err := experiments.RunSection(sec, fleet.Options{Parallelism: 1})
+	sum, err := fleet.Run(sec.Jobs, fleet.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := sec.Render(experiments.SummaryGetter(sum))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,8 @@ type BBR struct {
 	probeRTTDone sim.Time
 	priorCwnd    float64
 
-	nextRoundDelivered int64
-	roundStart         bool
-	roundCount         int64
+	roundStart bool
+	roundCount int64
 }
 
 const (

@@ -6,25 +6,28 @@ import "cebinae/internal/packet"
 // 2004) — CUBIC's predecessor, used by the paper's Fig. 11 parking-lot
 // experiment. The window binary-searches between the last-known maximum
 // (where loss occurred) and the current window, with additive increase when
-// far away (> SMax) and slow increments when close (< SMin), then max probing
-// beyond the old maximum.
+// far away (steps of at most smax = 32 segments) and slow increments when
+// close (at least smin = 0.01 segments), then max probing beyond the old
+// maximum.
 type BIC struct {
 	reno
-	// LowWindow is the threshold (in segments) below which plain Reno
-	// behaviour is used. SMax/SMin bound per-RTT step sizes in segments.
-	LowWindow float64
-	SMax      float64
-	SMin      float64
-	Beta      float64
-
 	lastMax float64 // segments
 }
 
+// Linux's BIC defaults. Below bicLowWindow segments plain Reno behaviour is
+// used; bicSMax and bicSMin bound the per-RTT step in segments; bicBeta is
+// the multiplicative decrease factor. Typed float64 constants, so
+// (1 + bicBeta) rounds as float64 arithmetic does (see cubicBeta).
+const (
+	bicLowWindow float64 = 14
+	bicSMax      float64 = 32
+	bicSMin      float64 = 0.01
+	bicBeta      float64 = 0.8
+)
+
 // NewBIC returns BIC with the Linux defaults (low_window=14, smax=32,
 // smin=0.01, β≈0.8).
-func NewBIC() *BIC {
-	return &BIC{LowWindow: 14, SMax: 32, SMin: 0.01, Beta: 0.8}
-}
+func NewBIC() *BIC { return &BIC{} }
 
 // Name implements CongestionControl.
 func (*BIC) Name() string { return "bic" }
@@ -42,33 +45,33 @@ func (b *BIC) OnAck(c *Conn, rs RateSample) {
 
 	var step float64 // segments per RTT
 	switch {
-	case cwndSeg < b.LowWindow:
+	case cwndSeg < bicLowWindow:
 		step = 1
 	case cwndSeg < b.lastMax:
 		dist := (b.lastMax - cwndSeg) / 2 // binary search midpoint
-		if dist > b.SMax {
-			dist = b.SMax
+		if dist > bicSMax {
+			dist = bicSMax
 		}
-		if dist < b.SMin {
-			dist = b.SMin
+		if dist < bicSMin {
+			dist = bicSMin
 		}
 		step = dist
 	default:
-		// Max probing: slow start away from lastMax, capped at SMax.
+		// Max probing: slow start away from lastMax, capped at bicSMax.
 		probe := cwndSeg - b.lastMax
 		if b.lastMax == 0 {
 			probe = cwndSeg
 		}
 		switch {
 		case probe < 1:
-			step = (cwndSeg - b.lastMax) + b.SMin
-			if step < b.SMin {
-				step = b.SMin
+			step = (cwndSeg - b.lastMax) + bicSMin
+			if step < bicSMin {
+				step = bicSMin
 			}
-		case probe < b.SMax:
+		case probe < bicSMax:
 			step = probe
 		default:
-			step = b.SMax
+			step = bicSMax
 		}
 	}
 	// Convert a per-RTT step into a per-ACK increment.
@@ -81,15 +84,15 @@ func (b *BIC) OnEnterRecovery(c *Conn) {
 	cwndSeg := c.Cwnd / mss
 	if cwndSeg < b.lastMax {
 		// Fast convergence: release bandwidth for newer flows.
-		b.lastMax = cwndSeg * (1 + b.Beta) / 2
+		b.lastMax = cwndSeg * (1 + bicBeta) / 2
 	} else {
 		b.lastMax = cwndSeg
 	}
 	var w float64
-	if cwndSeg < b.LowWindow {
+	if cwndSeg < bicLowWindow {
 		w = c.Cwnd / 2
 	} else {
-		w = c.Cwnd * b.Beta
+		w = c.Cwnd * bicBeta
 	}
 	reduce(c, w)
 }

@@ -34,8 +34,8 @@ func TestCubicCurveShape(t *testing.T) {
 	c.cc.OnEnterRecovery(c) // wMax = 400 segs, cwnd -> 280
 	c.Ssthresh = c.Cwnd     // congestion avoidance from here
 
-	k := math.Cbrt((400 - 280) / cu.C) // ≈ 6.69 s
-	const step = sim.Time(100e6)       // one RTT per step
+	k := math.Cbrt((400 - 280) / cubicC) // ≈ 6.69 s
+	const step = sim.Time(100e6)         // one RTT per step
 	stepSec := step.Seconds()
 	steps := int(k/stepSec*1.45) + 1
 

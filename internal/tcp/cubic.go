@@ -10,31 +10,28 @@ import (
 // Cubic implements RFC 8312 CUBIC congestion control: the window follows a
 // cubic function of time since the last reduction, anchored at the window
 // size where the loss happened (W_max), with a TCP-friendly region to avoid
-// underperforming Reno at low BDP, and optional fast convergence.
+// underperforming Reno at low BDP, and fast convergence.
 type Cubic struct {
 	reno
-	// C is the cubic scaling constant (segments/s³); Beta the
-	// multiplicative decrease factor. RFC 8312 defaults.
-	C    float64
-	Beta float64
-	// FastConvergence shrinks W_max further when losses come before the
-	// previous W_max was reached, releasing bandwidth to newer flows.
-	FastConvergence bool
-
 	wMax      float64 // segments
 	epochAt   sim.Time
-	originW   float64 // segments at epoch start
 	k         float64 // seconds to return to wMax
-	ackCount  float64 // for Reno-friendly window estimate
 	wTCP      float64 // segments
 	epochInit bool
 }
 
+// RFC 8312's defaults, as Linux uses them: the cubic scaling constant C
+// (segments/s³) and the multiplicative decrease factor β. They are typed
+// float64 constants, so every expression over them rounds step by step as
+// float64 arithmetic does: (1 − β) is 0.30000000000000004, not 0.3.
+const (
+	cubicC    float64 = 0.4
+	cubicBeta float64 = 0.7
+)
+
 // NewCubic returns CUBIC with RFC 8312 defaults (C=0.4, β=0.7, fast
 // convergence on), matching Linux.
-func NewCubic() *Cubic {
-	return &Cubic{C: 0.4, Beta: 0.7, FastConvergence: true}
-}
+func NewCubic() *Cubic { return &Cubic{} }
 
 // Name implements CongestionControl.
 func (*Cubic) Name() string { return "cubic" }
@@ -59,14 +56,12 @@ func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
 	if !cu.epochInit {
 		cu.epochInit = true
 		cu.epochAt = now
-		cu.originW = cwndSeg
 		if cwndSeg < cu.wMax {
-			cu.k = math.Cbrt((cu.wMax - cwndSeg) / cu.C)
+			cu.k = math.Cbrt((cu.wMax - cwndSeg) / cubicC)
 		} else {
 			cu.k = 0
 			cu.wMax = cwndSeg
 		}
-		cu.ackCount = 0
 		cu.wTCP = cwndSeg
 	}
 
@@ -74,12 +69,11 @@ func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
 	// Target the cubic curve one RTT ahead, per RFC 8312 §4.1:
 	// W_cubic(t) = C(t−K)³ + W_max.
 	rtt := c.SRTT().Seconds()
-	target := cu.C*math.Pow(t+rtt-cu.k, 3) + cu.wMax
+	target := cubicC*math.Pow(t+rtt-cu.k, 3) + cu.wMax
 
 	// Reno-friendly window (RFC 8312 §4.2).
-	cu.ackCount += float64(rs.AckedBytes) / mss
 	if rtt > 0 {
-		cu.wTCP += 3 * (1 - cu.Beta) / (1 + cu.Beta) * (float64(rs.AckedBytes) / mss / cwndSeg)
+		cu.wTCP += 3 * (1 - cubicBeta) / (1 + cubicBeta) * (float64(rs.AckedBytes) / mss / cwndSeg)
 	}
 	if target < cu.wTCP {
 		target = cu.wTCP
@@ -98,16 +92,18 @@ func (cu *Cubic) OnAck(c *Conn, rs RateSample) {
 	c.Cwnd += inc
 }
 
-// OnEnterRecovery applies the β reduction and records W_max.
+// OnEnterRecovery applies the β reduction and records W_max. Fast
+// convergence shrinks W_max further when losses come before the previous
+// W_max was reached, releasing bandwidth to newer flows.
 func (cu *Cubic) OnEnterRecovery(c *Conn) {
 	mss := float64(packet.MSS)
 	cwndSeg := c.Cwnd / mss
-	if cu.FastConvergence && cwndSeg < cu.wMax {
-		cu.wMax = cwndSeg * (1 + cu.Beta) / 2
+	if cwndSeg < cu.wMax {
+		cu.wMax = cwndSeg * (1 + cubicBeta) / 2
 	} else {
 		cu.wMax = cwndSeg
 	}
-	reduce(c, c.Cwnd*cu.Beta)
+	reduce(c, c.Cwnd*cubicBeta)
 	cu.epochInit = false
 }
 

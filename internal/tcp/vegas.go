@@ -8,15 +8,11 @@ import (
 // Vegas implements TCP Vegas (Brakmo & Peterson, 1994): a delay-based
 // algorithm that compares the expected throughput (cwnd/baseRTT) against the
 // actual throughput (cwnd/observedRTT) once per round trip and nudges the
-// window so that between Alpha and Beta segments are queued in the network.
+// window so that between α = 2 and β = 4 segments are queued in the network.
 // Because it backs off on rising delay long before loss, Vegas is starved by
 // loss-based competitors — the effect Figures 7 and 8b of the paper study.
 type Vegas struct {
 	reno
-	Alpha float64 // lower bound on queued segments
-	Beta  float64 // upper bound on queued segments
-	Gamma float64 // slow-start threshold on queued segments
-
 	baseRTT   sim.Time // minimum RTT ever seen
 	minRTT    sim.Time // minimum RTT in the current round
 	cntRTT    int
@@ -24,8 +20,15 @@ type Vegas struct {
 	doubleSeq int64 // pace slow-start doubling to every other RTT
 }
 
+// The canonical Vegas bounds, in queued segments.
+const (
+	vegasAlpha = 2 // lower bound
+	vegasBeta  = 4 // upper bound
+	vegasGamma = 1 // slow-start exit threshold
+)
+
 // NewVegas returns Vegas with the canonical α=2, β=4, γ=1 (segments).
-func NewVegas() *Vegas { return &Vegas{Alpha: 2, Beta: 4, Gamma: 1} }
+func NewVegas() *Vegas { return &Vegas{} }
 
 // Name implements CongestionControl.
 func (*Vegas) Name() string { return "vegas" }
@@ -79,7 +82,7 @@ func (v *Vegas) OnAck(c *Conn, rs RateSample) {
 	if c.Cwnd < c.Ssthresh {
 		// Slow start: double every other RTT while the queue estimate is
 		// below gamma; otherwise leave slow start for linear avoidance.
-		if diff > v.Gamma {
+		if diff > vegasGamma {
 			// Clamp to the target window (cwnd·baseRTT/rtt, the window
 			// that would empty the queue) plus one segment, and drop
 			// ssthresh below it so the flow transitions to congestion
@@ -105,9 +108,9 @@ func (v *Vegas) OnAck(c *Conn, rs RateSample) {
 	}
 
 	switch {
-	case diff < v.Alpha:
+	case diff < vegasAlpha:
 		c.Cwnd += mss
-	case diff > v.Beta:
+	case diff > vegasBeta:
 		c.Cwnd -= mss
 		if c.Cwnd < 2*mss {
 			c.Cwnd = 2 * mss

@@ -2,9 +2,10 @@
 # The four CLIs end to end on tiny inputs — cebinae-sim's flag path
 # (experiments.Run, RunBackbone) and its -scenario path on a dumbbell and a
 # chain (whose stored record goes through JSON, strict decode and Report),
-# the sweep and bench sections through the fleet, cebinae-trace's trace
-# statistics, one-trial accuracy point and live replay — then the five
-# examples on short horizons: every run must exit 0 and print a non-empty
+# the sweep and bench sections through the fleet (fig11's parking lot and
+# fig12's threshold sweep among them), cebinae-trace's trace statistics,
+# one-trial accuracy point and live replay — then the three examples on
+# short horizons: every run must exit 0 and print a non-empty
 # report on stdout. Eight absurd inputs must be refused: two unknown CCs
 # given to cebinae-sim (htcp, and dctcp, which the transport no longer
 # has: the refusal must list the five known CCs) and an unknown qdisc given
@@ -87,9 +88,7 @@ smoke "cebinae-trace -trials 1" "$tmp/cebinae-trace" -trials 1
 smoke "cebinae-trace -replay" "$tmp/cebinae-trace" -replay -standing 500 -duration 40ms
 refuse "cebinae-trace -interval 0" 'interval must be positive' "$tmp/cebinae-trace" -interval 0
 smoke "cebinae-bench -only table3,fig13" "$tmp/cebinae-bench" -scale quick -only table3,fig13
+smoke "cebinae-bench -only fig11,fig12" "$tmp/cebinae-bench" -scale 0.02 -only fig11,fig12
 for ex in blind_udp quickstart vegas_starvation; do
 	smoke "examples/$ex" "$tmp/$ex" -seconds 2
-done
-for ex in multi_bottleneck parameter_sweep; do
-	smoke "examples/$ex" "$tmp/$ex" -scale 0.02
 done
