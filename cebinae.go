@@ -150,9 +150,10 @@ func NewPCQ(nQ int, bpr int64, limitBytes, sketchCols int) Queue {
 
 // NewStrawman returns the §3.2 token-bucket strawman: on saturation it
 // freezes every flow at the maximal observed rate (for comparison runs —
-// it cannot repair existing unfairness).
-func NewStrawman(eng *Engine, capacityBps float64, bufferBytes int, interval Time, deltaPort float64) Queue {
-	return core.NewStrawman(eng, capacityBps, bufferBytes, interval, deltaPort)
+// it cannot repair existing unfairness). It checks for saturation every
+// 100 ms and counts the link saturated at 99 % utilisation.
+func NewStrawman(eng *Engine, capacityBps float64, bufferBytes int) Queue {
+	return core.NewStrawman(eng, capacityBps, bufferBytes)
 }
 
 // Transport.

@@ -1,21 +1,18 @@
-// Command cebinae-vet is the repository's determinism & ownership
-// multichecker. It loads the packages matching the given patterns
-// (default ./...) and applies the four invariant analyzers from
-// internal/analysis — detsource, mapiter, pktown, simtime — using the
-// policy table that decides which packages each one polices (the
-// simulation core for detsource; the whole module for the rest, with
-// internal/fleet's wall-clock exemption documented in the policy).
-//
-// Packages are analysed in dependency order so pktown's interprocedural
-// ownership summaries flow from imported packages to their importers.
+// Command cebinae-vet is the repository's determinism multichecker. It
+// loads the packages matching the given patterns (default ./...) and
+// applies the invariant analyzers from internal/analysis — detsource and
+// simtime — using the policy table that decides which packages each one
+// polices (the simulation core for detsource, with internal/fleet's
+// wall-clock exemption documented in the policy; the whole module for
+// simtime).
 //
 // Exit status is 1 if any diagnostic survives the //lint:ignore
 // directives — including the runner's own findings: a directive that
 // suppresses nothing is reported as unused-directive, so stale
 // exemptions cannot outlive the code they excused. `make lint` and the
-// CI vet job fail closed. See STATIC_ANALYSIS.md for the invariants,
-// the //lint:ignore grammar, and pktown's //pktown: ownership
-// annotations.
+// CI vet job fail closed. See STATIC_ANALYSIS.md for the invariants and
+// the //lint:ignore grammar; packet ownership is checked at run time, by
+// the packetdebug build's poisoned pool.
 package main
 
 import (
@@ -25,8 +22,6 @@ import (
 
 	"cebinae/internal/analysis"
 	"cebinae/internal/analysis/detsource"
-	"cebinae/internal/analysis/mapiter"
-	"cebinae/internal/analysis/pktown"
 	"cebinae/internal/analysis/simtime"
 )
 
@@ -41,7 +36,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	dir := fs.String("dir", ".", "directory to resolve package patterns from")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: cebinae-vet [-list] [-dir d] [packages]\n\n"+
-			"Runs the cebinae determinism & ownership analyzers over the given\n"+
+			"Runs the cebinae determinism analyzers over the given\n"+
 			"package patterns (default ./...). Exits 1 on findings.\n\n")
 		fs.PrintDefaults()
 	}
@@ -49,7 +44,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	policies := analysis.Policies(detsource.Analyzer, mapiter.Analyzer, pktown.Analyzer, simtime.Analyzer)
+	policies := analysis.Policies(detsource.Analyzer, simtime.Analyzer)
 	if *list {
 		for _, p := range policies {
 			fmt.Fprintf(stdout, "%-10s %s\n", p.Analyzer.Name, p.Analyzer.Doc)
@@ -71,7 +66,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "cebinae-vet: %d finding(s); fix them, annotate with `//lint:ignore <analyzer> <reason>`, or declare ownership with `//pktown:<mode> <param> <reason>` (see STATIC_ANALYSIS.md)\n", len(diags))
+		fmt.Fprintf(stderr, "cebinae-vet: %d finding(s); fix them or annotate with `//lint:ignore <analyzer> <reason>` (see STATIC_ANALYSIS.md)\n", len(diags))
 		return 1
 	}
 	return 0

@@ -54,7 +54,7 @@ func (q PortQdisc) install(dev *netem.Device) {
 	case FQ:
 		dev.SetQdisc(qdisc.NewFQCoDel(eng, buf, 0, qdisc.DefaultCoDelParams()))
 	case Strawman:
-		dev.SetQdisc(core.NewStrawman(eng, rate, buf, sim.Duration(100e6), 0.01))
+		dev.SetQdisc(core.NewStrawman(eng, rate, buf))
 	case AFQ, PCQ:
 		// A fixed hardware budget: 32 queues × 12.8 kB = 409.6 kB of
 		// calendar horizon per flow — ample at 10 ms, far below one flow's

@@ -5,11 +5,9 @@
 // packages via `go list -export` and type-checks them with go/types.
 //
 // The analyzers under internal/analysis/... encode this codebase's
-// determinism and ownership invariants (see STATIC_ANALYSIS.md):
+// determinism invariants (see STATIC_ANALYSIS.md):
 //
 //   - detsource: no wall-clock or global randomness in simulation code
-//   - mapiter:   no order-sensitive work driven by map iteration
-//   - pktown:    no use-after-release / double release of pooled packets
 //   - simtime:   no lossy float64 round-trips on sim.Time arithmetic
 //
 // Violations that are deliberate carry a justification directive:
@@ -49,43 +47,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Summaries is the analyzer's cross-package fact store: one instance
-	// per analyzer per Run, shared across every package the analyzer
-	// polices. Run visits packages in dependency order, so by the time a
-	// package is analysed the summaries of everything it imports are
-	// already present. May be nil when the driver provides no store.
-	Summaries *Summaries
-
 	diags *[]Diagnostic
-}
-
-// Summaries carries analyzer-defined facts about functions across package
-// boundaries. Keys are stable strings (pktown uses "pkgpath.Recv.Method")
-// rather than types.Object: the object for a function differs between the
-// source-checked package that declares it and the export-data import seen
-// by its callers, but the key does not.
-type Summaries struct {
-	m map[string]any
-}
-
-// NewSummaries returns an empty store.
-func NewSummaries() *Summaries { return &Summaries{m: make(map[string]any)} }
-
-// Lookup returns the fact stored under key, if any.
-func (s *Summaries) Lookup(key string) (any, bool) {
-	if s == nil {
-		return nil, false
-	}
-	v, ok := s.m[key]
-	return v, ok
-}
-
-// Store records a fact under key, replacing any previous value.
-func (s *Summaries) Store(key string, v any) {
-	if s == nil {
-		return
-	}
-	s.m[key] = v
 }
 
 // Reportf records a diagnostic at pos.

@@ -27,7 +27,7 @@ func TestDirectiveParsing(t *testing.T) {
 //lint:ignore detsource host-side only
 var a int
 
-//lint:ignore detsource,mapiter shared justification
+//lint:ignore detsource,othercheck shared justification
 var b int
 
 //lint:file-ignore simtime generated file, magnitudes proven elsewhere
@@ -40,10 +40,10 @@ var c int
 	if len(dirs) != 3 {
 		t.Fatalf("got %d directives, want 3", len(dirs))
 	}
-	if !dirs[0].covers("detsource") || dirs[0].covers("mapiter") {
+	if !dirs[0].covers("detsource") || dirs[0].covers("othercheck") {
 		t.Errorf("directive 0 coverage wrong: %+v", dirs[0])
 	}
-	if !dirs[1].covers("detsource") || !dirs[1].covers("mapiter") {
+	if !dirs[1].covers("detsource") || !dirs[1].covers("othercheck") {
 		t.Errorf("comma-separated directive should cover both analyzers: %+v", dirs[1])
 	}
 	if !dirs[2].file || !dirs[2].covers("simtime") {
@@ -74,7 +74,7 @@ func TestSuppression(t *testing.T) {
 //lint:ignore detsource justified
 var a int
 
-//lint:file-ignore mapiter whole file justified
+//lint:file-ignore othercheck whole file justified
 var b int
 `
 	fset, dirs, _ := parseSrc(t, src)
@@ -86,11 +86,11 @@ var b int
 		d    Diagnostic
 		want bool
 	}{
-		{diag("detsource", 4), true},  // line after the directive
-		{diag("detsource", 3), true},  // same line as the directive
-		{diag("detsource", 5), false}, // out of range
-		{diag("simtime", 4), false},   // different analyzer
-		{diag("mapiter", 99), true},   // file-ignore covers everything
+		{diag("detsource", 4), true},   // line after the directive
+		{diag("detsource", 3), true},   // same line as the directive
+		{diag("detsource", 5), false},  // out of range
+		{diag("simtime", 4), false},    // different analyzer
+		{diag("othercheck", 99), true}, // file-ignore covers everything
 	}
 	for i, c := range cases {
 		if got := suppressed(c.d, dirs); got != c.want {

@@ -92,70 +92,6 @@ func runOne(t *testing.T, a *analysis.Analyzer, fixture string) {
 	}
 }
 
-// DiagnosticsForSource type-checks a set of in-memory packages (import
-// path → single-file Go source), runs a over the package named target,
-// and returns the diagnostics. Imports resolve first against srcs, then
-// against the real build. Tests use it for diagnostics that cannot be
-// matched by `// want` comments — those reported at a comment's own
-// position (directive grammar errors) — and for pinning analyzers to
-// runtime guards over sources shared with the executable test.
-func DiagnosticsForSource(t *testing.T, a *analysis.Analyzer, target string, srcs map[string]string) []analysis.Diagnostic {
-	t.Helper()
-	fset := token.NewFileSet()
-	pkgs := make(map[string]*loaded)
-	var load func(path string) (*loaded, error)
-	load = func(path string) (*loaded, error) {
-		if p, ok := pkgs[path]; ok {
-			return p, nil
-		}
-		src, ok := srcs[path]
-		if !ok {
-			return nil, fmt.Errorf("no source for %s", path)
-		}
-		f, err := parser.ParseFile(fset, path+".go", src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		info := analysis.NewInfo()
-		conf := types.Config{Importer: importerFunc(func(ipath string) (*types.Package, error) {
-			if _, ok := srcs[ipath]; ok {
-				p, err := load(ipath)
-				if err != nil {
-					return nil, err
-				}
-				return p.types, nil
-			}
-			return realImporter().Import(ipath)
-		})}
-		tpkg, err := conf.Check(path, fset, []*ast.File{f}, info)
-		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %v", path, err)
-		}
-		p := &loaded{files: []*ast.File{f}, types: tpkg, info: info}
-		pkgs[path] = p
-		return p, nil
-	}
-	p, err := load(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.Run([]*analysis.Package{{
-		Path:  target,
-		Fset:  fset,
-		Files: p.files,
-		Types: p.types,
-		Info:  p.info,
-	}}, []analysis.Policy{{Analyzer: a, Polices: func(string) bool { return true }}})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	return diags
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
 type posKey struct {
 	file string
 	line int

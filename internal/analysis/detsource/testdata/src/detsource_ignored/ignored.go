@@ -18,6 +18,6 @@ func sameLine() time.Time {
 
 // A directive for a different analyzer does not suppress this one.
 func wrongAnalyzer() time.Time {
-	//lint:ignore mapiter reason that does not apply here
+	//lint:ignore othercheck reason that does not apply here
 	return time.Now() // want `wall-clock time\.Now in simulation code`
 }

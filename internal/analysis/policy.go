@@ -15,8 +15,8 @@ type Policy struct {
 // internal/fleet is deliberately absent — it is the wall-clock side of the
 // system (progress/ETA display, per-job watchdog timeouts, worker
 // scheduling) and owns the real clock by design; determinism there is
-// guaranteed by sorting job results, which mapiter still polices.
-// internal/analysis (this tooling) is likewise host-side.
+// guaranteed by sorting job results. internal/analysis (this tooling) is
+// likewise host-side.
 var simulationPackages = []string{
 	"cebinae/internal/sim",
 	"cebinae/internal/netem",
@@ -45,9 +45,7 @@ func inSimulationCore(path string) bool {
 }
 
 // moduleWide polices every package of this module, including cmd/ and
-// experiments/ — report and CSV emission live there, and output written in
-// map order is exactly the nondeterminism the fleet's byte-identity
-// promise forbids.
+// experiments/, where durations are built from configuration floats.
 func moduleWide(path string) bool {
 	return path == "cebinae" || strings.HasPrefix(path, "cebinae/")
 }
@@ -56,17 +54,12 @@ func moduleWide(path string) bool {
 // repo-gate test enforce. The analyzers are passed in by the caller
 // (cmd/cebinae-vet) to keep this package free of import cycles with its
 // sub-packages.
-func Policies(detsource, mapiter, pktown, simtime *Analyzer) []Policy {
+func Policies(detsource, simtime *Analyzer) []Policy {
 	return []Policy{
 		// Wall-clock and ambient randomness are forbidden only inside the
 		// simulated world; cmd/ and experiments/ legitimately measure real
 		// elapsed time around whole runs.
 		{Analyzer: detsource, Polices: inSimulationCore},
-		// Map-iteration-order hazards are forbidden everywhere: the bug
-		// class corrupts reports and schedules alike.
-		{Analyzer: mapiter, Polices: moduleWide},
-		// Packet-pool ownership applies wherever pooled packets flow.
-		{Analyzer: pktown, Polices: moduleWide},
 		// sim.Time hygiene applies module-wide too; conversions at the
 		// experiment boundary (building a duration from a float rate) are
 		// allowed by the analyzer itself.

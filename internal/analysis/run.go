@@ -12,18 +12,9 @@ import (
 // pseudo-analyzer, and a directive that suppresses nothing for any
 // analyzer that ran on its package comes back as "unused-directive", so
 // stale exemptions fail the gate exactly like missing ones.
-//
-// Packages are processed in dependency order (imports before importers,
-// lexicographic among independents): each analyzer owns one Summaries
-// store for the whole Run, and summary-based analyzers like pktown rely
-// on callee packages being summarised before their callers.
 func Run(pkgs []*Package, policies []Policy) ([]Diagnostic, error) {
 	var all []Diagnostic
-	summaries := make(map[*Analyzer]*Summaries, len(policies))
-	for _, pol := range policies {
-		summaries[pol.Analyzer] = NewSummaries()
-	}
-	for _, pkg := range dependencyOrder(pkgs) {
+	for _, pkg := range pkgs {
 		// Directive scan happens once per package, shared by analyzers.
 		var directives []*ignoreDirective
 		for _, f := range pkg.Files {
@@ -48,7 +39,6 @@ func Run(pkgs []*Package, policies []Policy) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Summaries: summaries[pol.Analyzer],
 				diags:     &raw,
 			}
 			if err := pol.Analyzer.Run(pass); err != nil {
@@ -86,46 +76,4 @@ func Run(pkgs []*Package, policies []Policy) ([]Diagnostic, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return all, nil
-}
-
-// dependencyOrder returns pkgs sorted so every package follows the
-// packages it imports (restricted to the analysed set). Ties and
-// independent subgraphs resolve lexicographically by import path, so the
-// order — and therefore every summary-based analyzer's view — is
-// deterministic. The loader guarantees the module graph is acyclic.
-func dependencyOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-		paths = append(paths, p.Path)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, 0, len(pkgs))
-	visited := make(map[string]bool, len(pkgs))
-	var visit func(path string)
-	visit = func(path string) {
-		if visited[path] {
-			return
-		}
-		visited[path] = true
-		p := byPath[path]
-		if p.Types != nil {
-			imps := make([]string, 0, len(p.Types.Imports()))
-			for _, imp := range p.Types.Imports() {
-				if _, ok := byPath[imp.Path()]; ok {
-					imps = append(imps, imp.Path())
-				}
-			}
-			sort.Strings(imps)
-			for _, imp := range imps {
-				visit(imp)
-			}
-		}
-		out = append(out, p)
-	}
-	for _, path := range paths {
-		visit(path)
-	}
-	return out
 }

@@ -121,32 +121,6 @@ var a int
 	}
 }
 
-func TestRunDependencyOrderSharesSummaries(t *testing.T) {
-	// Two dependency-free packages: order falls back to lexicographic, and
-	// both passes see the same Summaries store.
-	pa := mustParse(t, "package p\n")
-	pa.Path = "m/a"
-	pb := mustParse(t, "package p\n")
-	pb.Path = "m/b"
-	var order []*token.FileSet
-	var stores []*Summaries
-	a := &Analyzer{Name: "probe", Run: func(p *Pass) error {
-		order = append(order, p.Fset)
-		stores = append(stores, p.Summaries)
-		return nil
-	}}
-	// Feed packages in reverse-lexicographic order; Run must resort.
-	if _, err := Run([]*Package{pb, pa}, []Policy{{Analyzer: a, Polices: policeAll}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != pa.Fset || order[1] != pb.Fset {
-		t.Fatalf("packages not processed in lexicographic path order")
-	}
-	if stores[0] == nil || stores[0] != stores[1] {
-		t.Fatalf("analyzer did not get one shared Summaries store across packages")
-	}
-}
-
 func TestRunAppliesIgnoreDirectives(t *testing.T) {
 	pkg := mustParse(t, `package p
 

@@ -22,8 +22,8 @@ type CBR struct {
 	node *netem.Node
 	key  packet.FlowKey
 
-	// RateBps is the emission rate in bits/second.
-	RateBps float64
+	// rateBps is the emission rate in bits/second.
+	rateBps float64
 
 	Sent  uint64
 	timer sim.Timer
@@ -40,7 +40,7 @@ func (h *cbrTick) OnEvent(any) { (*CBR)(h).tick() }
 
 // NewCBR creates and starts the source at startAt.
 func NewCBR(eng *sim.Engine, node *netem.Node, key packet.FlowKey, rateBps float64, startAt sim.Time) *CBR {
-	c := &CBR{eng: eng, node: node, key: key, RateBps: rateBps}
+	c := &CBR{eng: eng, node: node, key: key, rateBps: rateBps}
 	// The start instant is a traffic discontinuity: pinned so a fluid
 	// fast-forward skip can never jump across it. Per-packet re-arms in
 	// tick are regular and clear the mark.
@@ -55,7 +55,7 @@ func (c *CBR) tick() {
 	p.PayloadSize = cbrPacketBytes - packet.HeaderBytes
 	c.node.Inject(p)
 	c.Sent++
-	gap := sim.Time(float64(cbrPacketBytes*8) / c.RateBps * 1e9)
+	gap := sim.Time(float64(cbrPacketBytes*8) / c.rateBps * 1e9)
 	c.eng.ArmTimer(&c.timer, gap, (*cbrTick)(c), nil)
 }
 

@@ -20,11 +20,6 @@ type Strawman struct {
 	capacityBps float64
 	bufferBytes int
 
-	// Interval is the detection/enforcement period; DeltaPort the
-	// saturation threshold (as Cebinae's δp).
-	Interval  sim.Time
-	DeltaPort float64
-
 	fifo        packet.Ring
 	bytesQueued int
 
@@ -52,18 +47,23 @@ type tokenBucket struct {
 	lastAt sim.Time
 }
 
+// strawmanInterval is the strawman's detection/enforcement period, and
+// strawmanDeltaPort its saturation threshold (as Cebinae's δp).
+const (
+	strawmanInterval  = sim.Time(100e6)
+	strawmanDeltaPort = 0.01
+)
+
 // NewStrawman builds the strawman qdisc and starts its control loop.
-func NewStrawman(eng *sim.Engine, capacityBps float64, bufferBytes int, interval sim.Time, deltaPort float64) *Strawman {
+func NewStrawman(eng *sim.Engine, capacityBps float64, bufferBytes int) *Strawman {
 	s := &Strawman{
 		eng:         eng,
 		capacityBps: capacityBps,
 		bufferBytes: bufferBytes,
-		Interval:    interval,
-		DeltaPort:   deltaPort,
 		buckets:     make(map[packet.FlowKey]*tokenBucket),
 		cache:       hhcache.New(2, 2048),
 	}
-	eng.ArmTimer(&s.timer, interval, (*strawmanControl)(s), nil)
+	eng.ArmTimer(&s.timer, strawmanInterval, (*strawmanControl)(s), nil)
 	return s
 }
 
@@ -71,14 +71,14 @@ func NewStrawman(eng *sim.Engine, capacityBps float64, bufferBytes int, interval
 func (s *Strawman) Limiting() bool { return s.limiting }
 
 func (s *Strawman) control() {
-	interval := s.Interval.Seconds()
+	interval := strawmanInterval.Seconds()
 	capBytes := s.capacityBps / 8
 	delta := s.txBytes - s.lastTx
 	s.lastTx = s.txBytes
 	entries := s.cache.Poll()
 
 	utilisation := float64(delta) / (capBytes * interval)
-	if utilisation >= 1-s.DeltaPort && len(entries) > 0 {
+	if utilisation >= 1-strawmanDeltaPort && len(entries) > 0 {
 		// Saturated: limit every flow at the maximal flow's measured rate.
 		var maxBytes int64
 		for _, e := range entries {
@@ -91,16 +91,16 @@ func (s *Strawman) control() {
 		}
 		s.limiting = true
 		s.limitRate = float64(maxBytes) / interval
-	} else if utilisation < 1-s.DeltaPort && s.limiting {
+	} else if utilisation < 1-strawmanDeltaPort && s.limiting {
 		// Demand dropped below capacity: release the limits.
 		s.limiting = false
 		s.buckets = make(map[packet.FlowKey]*tokenBucket)
 		s.Stats.PhaseChanges++
 	}
 	if s.limiting {
-		s.Stats.SaturatedTime += s.Interval
+		s.Stats.SaturatedTime += strawmanInterval
 	}
-	s.eng.ArmTimer(&s.timer, s.Interval, (*strawmanControl)(s), nil)
+	s.eng.ArmTimer(&s.timer, strawmanInterval, (*strawmanControl)(s), nil)
 }
 
 // Enqueue polices against the per-flow bucket while limiting, then FIFOs.
@@ -114,13 +114,13 @@ func (s *Strawman) Enqueue(p *packet.Packet) bool {
 		b := s.buckets[p.Flow]
 		if b == nil {
 			// Burst allowance of one interval's worth.
-			b = &tokenBucket{tokens: s.limitRate * s.Interval.Seconds(), lastAt: now}
+			b = &tokenBucket{tokens: s.limitRate * strawmanInterval.Seconds(), lastAt: now}
 			s.buckets[p.Flow] = b
 		}
 		// Lazy per-bucket refill.
 		b.tokens += s.limitRate * (now - b.lastAt).Seconds()
 		b.lastAt = now
-		if cap := s.limitRate * s.Interval.Seconds(); b.tokens > cap {
+		if cap := s.limitRate * strawmanInterval.Seconds(); b.tokens > cap {
 			b.tokens = cap
 		}
 		if b.tokens < float64(p.Size) {

@@ -33,7 +33,7 @@ func runUnfairStart(t *testing.T, kind string) (float64, float64) {
 		BottleneckQdisc: func(dev *netem.Device) netem.Qdisc {
 			switch kind {
 			case "strawman":
-				return core.NewStrawman(eng, rate, buf, sim.Duration(100e6), 0.01)
+				return core.NewStrawman(eng, rate, buf)
 			case "cebinae":
 				cq := core.New(eng, rate, buf, core.DefaultParams(rate, buf, sim.Duration(40e6)))
 				cq.OnDrain = dev.Kick
@@ -83,7 +83,7 @@ func TestStrawmanMechanismLimits(t *testing.T) {
 	src, dst := w.NewNode("src"), w.NewNode("dst")
 	const rate = 50e6
 	dev, rev := w.Connect(src, dst, netem.LinkConfig{RateBps: rate, Delay: sim.Duration(1e6)})
-	s := core.NewStrawman(eng, rate, 8<<20, sim.Duration(100e6), 0.01)
+	s := core.NewStrawman(eng, rate, 8<<20)
 	dev.SetQdisc(s)
 	rev.SetQdisc(qdisc.NewFIFO(1 << 20))
 	src.AddRoute(dst.ID, dev)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -113,20 +112,6 @@ func (s *Store) Get(id string) (Result, bool) {
 	defer s.mu.Unlock()
 	r, ok := s.done[id]
 	return r, ok
-}
-
-// Results returns all stored results, sorted by job ID so callers that
-// iterate or print them observe one order regardless of completion
-// interleaving or map iteration.
-func (s *Store) Results() []Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Result, 0, len(s.done))
-	for _, r := range s.done {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Append checkpoints one result as a single appended line.

@@ -24,13 +24,12 @@ import (
 // discipline keeps no drop count of its own: the device counts every refusal
 // and every packet released through its sink (see SetQdisc).
 type Qdisc interface {
-	// Enqueue admits p into the discipline.
-	//
-	//pktown:enqueues p on success the discipline owns the packet until Dequeue hands it back; on failure the caller keeps ownership and must release it
+	// Enqueue admits p into the discipline. On success the discipline owns
+	// the packet until Dequeue hands it back; on failure the caller keeps
+	// ownership and must release it.
 	Enqueue(p *packet.Packet) bool
-	// Dequeue surrenders the next packet to the caller.
-	//
-	//pktown:fresh return a dequeued packet leaves the discipline's custody and the caller owns it
+	// Dequeue surrenders the next packet to the caller: it leaves the
+	// discipline's custody and the caller owns it.
 	Dequeue() *packet.Packet
 	Len() int
 	BytesQueued() int
@@ -38,9 +37,9 @@ type Qdisc interface {
 
 // Endpoint is a transport-layer consumer registered on a host node.
 type Endpoint interface {
-	// Deliver presents an arriving packet to the transport.
-	//
-	//pktown:borrows p the node retains ownership; Deliver must not stash the pointer past its return
+	// Deliver presents an arriving packet to the transport. The node
+	// retains ownership and releases the packet once Deliver returns, so
+	// Deliver must not keep the pointer.
 	Deliver(p *packet.Packet)
 }
 
@@ -56,9 +55,9 @@ type Endpoint interface {
 // what it needs and release the packet to the source network's pool
 // before returning.
 type Handoff interface {
-	// Handoff transfers p to the remote runner.
-	//
-	//pktown:consumes p the handoff takes ownership — it copies what it needs and releases the packet to the source pool before returning
+	// Handoff transfers p to the remote runner. It takes ownership: it
+	// copies what it needs and releases the packet to the source pool
+	// before returning.
 	Handoff(p *packet.Packet, sent, arrival sim.Time)
 }
 

@@ -10,14 +10,16 @@ import (
 	"cebinae/internal/sim"
 )
 
+// sink records a copy of every packet delivered to it: the node releases
+// the packet once Deliver returns, so the pointer must not be kept.
 type sink struct {
-	got []*packet.Packet
+	got []packet.Packet
 	at  []sim.Time
 	eng *sim.Engine
 }
 
 func (s *sink) Deliver(p *packet.Packet) {
-	s.got = append(s.got, p)
+	s.got = append(s.got, *p)
 	s.at = append(s.at, s.eng.Now())
 }
 

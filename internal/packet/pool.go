@@ -30,8 +30,9 @@ package packet
 // segments and has never copied a pointer. Fresh SACK arrays come from
 // slabs, as packets do.
 //
-// Building with -tags packetdebug enables a double-free detector that
-// panics when a packet is released twice without an intervening Get.
+// Building with -tags packetdebug poisons every released packet (see
+// pool_debug.go): a read after release sees sentinel values, a second
+// release panics, and so does a Get of a packet written after release.
 type Pool struct {
 	free stack[Packet]
 	// sacks is the free list of SACK arrays.
@@ -87,7 +88,8 @@ func (pl *Pool) Get() *Packet {
 // Put releases p back to the pool. p must not be referenced by the caller
 // afterwards. Its SACK array, if any, goes onto the array free list and
 // the field is cleared; its other fields keep their values until the
-// packet is reused.
+// packet is reused, except under -tags packetdebug, which overwrites them
+// with sentinels at once.
 func (pl *Pool) Put(p *Packet) {
 	pl.debug.onPut(p)
 	if p.SACK != nil {
@@ -183,8 +185,8 @@ func (s *stack[T]) len() int { return stackBase*(1<<s.seg-1) + s.n }
 // method; it counts each packet as the device's drop and returns it to the
 // device's network's pool.
 type Sink interface {
-	// Release takes p out of the caller's hands for good.
-	//
-	//pktown:consumes p the sink returns the packet to its network's pool; the caller must not touch it again
+	// Release takes p out of the caller's hands for good: the sink returns
+	// the packet to its network's pool, and the caller must not touch it
+	// again.
 	Release(p *Packet)
 }

@@ -4,25 +4,48 @@ package packet
 
 import "fmt"
 
-// poolDebug tracks which packets are sitting on the free list and panics
-// on a double release — the classic pooling bug where a packet is freed at
-// two ownership hand-off points (e.g. both a drop path and a delivery
-// path). Enabled with `go build -tags packetdebug`; the release build's
-// no-op twin lives in pool_nodebug.go.
-type poolDebug struct {
-	freed map[*Packet]bool
+// poolDebug poisons released packets. Put overwrites a packet's size,
+// sequence, flow and timestamp fields with sentinels no live packet holds,
+// so code that reads a packet after handing it off — byte accounting after
+// a queue push, a drop counted after the release — reads garbage that the
+// ledgers and goldens see. Put panics on a packet that already holds every
+// sentinel (a double release), and Get panics on a recycled packet whose
+// sentinels were overwritten (a write after release). It keeps no state,
+// so it stays zero-size and allocates nothing. Enabled with
+// `go build -tags packetdebug`; the release build's no-op twin lives in
+// pool_nodebug.go.
+type poolDebug struct{}
+
+// poison holds the sentinels Put writes: negative sizes and offsets, and a
+// flow between nodes no topology numbers.
+var poison = Packet{
+	Flow:        FlowKey{Src: -0x0BADF00D, Dst: -0x0BADF00D, SrcPort: 0xDEAD, DstPort: 0xDEAD, Proto: 0xFF},
+	Seq:         -0x0BADF00DDEADBEEF,
+	Ack:         -0x0BADF00DDEADBEEF,
+	EnqueuedAt:  -0x0BADF00DDEADBEEF,
+	PayloadSize: -0x0BADF00D,
+	Size:        -0x0BADF00D,
+	FlowID:      0xDEADBEEF,
 }
 
-func (d *poolDebug) onGet(p *Packet) {
-	delete(d.freed, p)
+// poisoned reports whether every field Put overwrites still holds its
+// sentinel.
+func poisoned(p *Packet) bool {
+	return p.Flow == poison.Flow && p.Seq == poison.Seq && p.Ack == poison.Ack &&
+		p.EnqueuedAt == poison.EnqueuedAt && p.PayloadSize == poison.PayloadSize &&
+		p.Size == poison.Size && p.FlowID == poison.FlowID
 }
 
-func (d *poolDebug) onPut(p *Packet) {
-	if d.freed == nil {
-		d.freed = make(map[*Packet]bool)
+func (poolDebug) onGet(p *Packet) {
+	if !poisoned(p) {
+		panic(fmt.Sprintf("packet: %v was written after its release", p))
 	}
-	if d.freed[p] {
+}
+
+func (poolDebug) onPut(p *Packet) {
+	if poisoned(p) {
 		panic(fmt.Sprintf("packet: double free of %v", p))
 	}
-	d.freed[p] = true
+	p.Flow, p.Seq, p.Ack, p.EnqueuedAt = poison.Flow, poison.Seq, poison.Ack, poison.EnqueuedAt
+	p.PayloadSize, p.Size, p.FlowID = poison.PayloadSize, poison.Size, poison.FlowID
 }

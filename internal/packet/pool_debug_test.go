@@ -2,7 +2,23 @@
 
 package packet
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
+
+// mustPanic runs f and fails t unless it panics with a message containing
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("got panic %v, want one naming %q", r, want)
+		}
+	}()
+	f()
+}
 
 // TestPoolDoubleFreePanics verifies the packetdebug build's ownership
 // checking: releasing the same packet — here one from the middle of a
@@ -13,10 +29,34 @@ func TestPoolDoubleFreePanics(t *testing.T) {
 	p := pool.Get()
 	pool.Get()
 	pool.Put(p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Put must panic under the packetdebug tag")
-		}
-	}()
+	mustPanic(t, "double free", func() { pool.Put(p) })
+}
+
+// TestPoolPoisonsReleasedPacket: Put overwrites every field a hand-off
+// path reads with its sentinel, so a read after release sees a negative
+// size and a flow no topology has, and Get hands the packet back zeroed.
+func TestPoolPoisonsReleasedPacket(t *testing.T) {
+	var pool Pool
+	p := pool.Get()
+	p.Flow = FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}
+	p.Seq, p.Ack, p.EnqueuedAt = 1448, 2896, 7
+	p.PayloadSize, p.Size, p.FlowID = MSS, MSS+HeaderBytes, 5
 	pool.Put(p)
+	if !poisoned(p) || p.Size >= 0 || p.PayloadSize >= 0 || p.Seq >= 0 || p.Ack >= 0 || p.Flow.Dst >= 0 {
+		t.Fatalf("released packet not poisoned: %+v", *p)
+	}
+	if q := pool.Get(); q != p || *q != (Packet{}) {
+		t.Fatalf("recycled packet: same=%v, %+v; want the released packet, zeroed", q == p, *q)
+	}
+}
+
+// TestPoolWriteAfterFreePanics: a write to a released packet — here the
+// byte count a forwarding path stamps after handing the packet off — is
+// caught when the pool hands the packet out again.
+func TestPoolWriteAfterFreePanics(t *testing.T) {
+	var pool Pool
+	p := pool.Get()
+	pool.Put(p)
+	p.Size = 1500
+	mustPanic(t, "written after its release", func() { pool.Get() })
 }

@@ -3,7 +3,7 @@
 package packet
 
 // poolDebug is a no-op in release builds; `go build -tags packetdebug`
-// swaps in the double-free detector from pool_debug.go.
+// swaps in the poisoning guard from pool_debug.go.
 type poolDebug struct{}
 
 func (poolDebug) onGet(*Packet) {}

@@ -127,7 +127,8 @@ func (f *FQCoDel) Enqueue(p *packet.Packet) bool {
 		f.bytes -= int(dp.Size)
 		f.packets--
 		f.shrunk(victim)
-		//lint:ignore pktown pointer identity test only — the drop loop may pop back the packet just enqueued; nothing dereferences it
+		// The loop may pop back the packet just enqueued: a pointer
+		// identity test, which reads nothing of it.
 		if dp == p {
 			dropped = true
 		} else if f.sink != nil {
