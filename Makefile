@@ -144,10 +144,20 @@ cli-smoke:
 # transmitted, dropped, queued or unroutable, under each of the six port
 # disciplines. So does the event budget: one event per
 # uncontended hop and one more per queued packet, and ≤ 8.1 events per
-# delivered segment on the dumbbell_fifo_1g traffic.
+# delivered segment on the dumbbell_fifo_1g traffic. So do the chunks a
+# run hands to the next: a recycled pool's packet and SACK slabs, an
+# engine's stream blocks and a connection's scoreboard blocks go back to
+# the process cleared, and the next run draws them before it allocates
+# (TestPoolRecycle, TestEngineRecycle, TestConnRecycle); the row-22 cell
+# on another cell's recycled chunks is byte-identical to a fresh run
+# (TestRecycledRunIsIdentical); a second identical run allocates ≤ 0.65
+# of the first's bytes (TestRecycledRunAllocatesLess); and under
+# -tags packetdebug every packet of a recycled slab reads as poisoned
+# (TestPoolRecyclePoisonsSlabs).
 mem-smoke:
 	$(GO) test -run 'TestFlowMeterBytesPerRecord|TestScoreboardSteadyStateZeroAlloc|TestScoreboardFollowsWindow|TestBackboneScoringAllocs|TestAllocateAllocsIndependentOfRounds|TestFQCoDelChurnZeroAlloc|TestRunBytesPerSegment|TestRunEventsPerSegment|TestEngineDispatchZeroAlloc|TestTimerChurnZeroAlloc|TestNetemForwardZeroAlloc|TestNetemForwardEvents|TestNetemForwardInFlightZeroAlloc|TestTCPRTTZeroAlloc|TestSendAckZeroAlloc|TestBackboneSteadyStateAllocs|TestPollZeroAlloc|TestPacketSize|TestPoolSlab|TestPoolSlabAligned|TestPoolCustodyFQCoDel|TestDropLedger|TestRunSteadyStateZeroAlloc|TestSackArraysFollowAcksInFlight|TestConfigForKeepsLiveTopSet|TestBackboneBytesPerFlow|TestFlowRecordSize|TestEventSize|TestSinkGrowsByDoubling|TestFlowsSizedOnce|TestPoolSackSlab|TestPoolFreeListSegments|TestPoolFreeListGrowthAllocs|TestRegisterFirstEndpointInline|TestRegisterRefusesDuplicateKey|TestDeviceName|TestScoreboardSpareFitsRing' -v ./internal/metrics/ ./internal/tcp/ ./internal/qdisc/ ./internal/sim/ ./internal/netem/ ./internal/replay/ ./internal/hhcache/ ./internal/packet/ ./internal/maxmin/ ./internal/core/ ./internal/trace/ ./experiments/
-	$(GO) test -tags packetdebug -run 'TestPoolDoubleFreePanics|TestPoolPoisonsReleasedPacket|TestPoolWriteAfterFreePanics|TestPoolFreeListGrowthAllocs' -v ./internal/packet/
+	$(GO) test -run 'TestPoolRecycle|TestEngineRecycle|TestConnRecycle|TestRecycledRunIsIdentical|TestRecycledRunAllocatesLess' -v ./internal/packet/ ./internal/sim/ ./internal/tcp/ ./experiments/
+	$(GO) test -tags packetdebug -run 'TestPoolDoubleFreePanics|TestPoolPoisonsReleasedPacket|TestPoolWriteAfterFreePanics|TestPoolFreeListGrowthAllocs|TestPoolRecyclePoisonsSlabs' -v ./internal/packet/
 
 # Statement coverage over the library packages, gated at a ratcheted
 # minimum (raise COVER_MIN when coverage improves; never lower it). The

@@ -269,6 +269,7 @@ func RunBackbone(cfg BackboneConfig) BackboneResult {
 	res.UtilizationPct = 100 * float64(res.CoreTxBytes*8) / (cfg.CoreBps * cfg.Duration.Seconds())
 	poller.poll() // final partial round
 	scoreBackbone(&res, obs, poller, cfg)
+	recycleCluster(cl)
 	return res
 }
 

@@ -153,5 +153,8 @@ func (cfg ChainConfig) graph() GraphConfig {
 // engines, returning per-flow goodputs in paper order plus the total
 // dispatched event count; both are byte-identical at any shard count.
 func RunChain(cfg ChainConfig) ChainResult {
-	return ChainResult(cfg.graph().start(cfg.Shards).measure())
+	g := cfg.graph().start(cfg.Shards)
+	res := g.measure()
+	g.recycle()
+	return ChainResult(res)
 }

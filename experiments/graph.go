@@ -199,7 +199,12 @@ func (cfg *GraphConfig) build(f netem.Fabric) (map[string][]*netem.Node, []*nete
 }
 
 // RunGraph builds and runs one graph scenario on one engine.
-func RunGraph(cfg GraphConfig) GraphResult { return cfg.start(1).measure() }
+func RunGraph(cfg GraphConfig) GraphResult {
+	g := cfg.start(1)
+	res := g.measure()
+	g.recycle()
+	return res
+}
 
 // newCluster builds the partitioned cluster for the topology `build`
 // constructs, on max(n, 1) engines. A multi-shard request flows through
@@ -240,6 +245,29 @@ func (cfg GraphConfig) start(shards int) *graphRun {
 	hosts, fwd := cfg.build(cl)
 	warmup := warmupEdge(cfg.Duration, cfg.WarmupFraction)
 	return &graphRun{cfg: cfg, cl: cl, fwd: fwd, fs: cfg.attach(hosts, warmup), warmup: warmup}
+}
+
+// recycle is the run's teardown, called after its runner's last read of
+// it: every connection's scoreboard blocks and every shard's stream blocks
+// and packet slabs go back to the process, cleared, for the next run to
+// draw (see recycleCluster).
+func (g *graphRun) recycle() {
+	for _, c := range g.fs.conns {
+		c.Recycle()
+	}
+	recycleCluster(g.cl)
+}
+
+// recycleCluster hands back the stream blocks of every shard's engine and
+// the packet slabs of every shard's network. No result depends on which
+// memory a chunk came from, so a run that draws recycled chunks is
+// byte-identical to one that allocates them.
+func recycleCluster(cl *shard.Cluster) {
+	for i := 0; i < cl.Shards(); i++ {
+		sh := cl.Shard(i)
+		sh.Engine.Recycle()
+		sh.Net.Pool().Recycle()
+	}
 }
 
 // measure runs g to its horizon and measures every flow's goodput,

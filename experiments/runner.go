@@ -298,6 +298,7 @@ func Run(s Scenario) Result {
 	if s.SampleInterval > 0 {
 		res.JFISeries = g.fs.jfiSeries(res.Flows, s.SampleInterval, s.Duration)
 	}
+	g.recycle()
 	return res
 }
 

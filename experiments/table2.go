@@ -101,11 +101,13 @@ type Table2Row struct {
 	Cells  map[QdiscKind]Table2Cell
 }
 
-// table2Duration picks a per-row horizon: high-bandwidth rows are shortened
-// further so the event count stays bounded at small scales.
+// table2Duration picks a per-row horizon: the paper's 100 s at full scale.
+// Below it, high-bandwidth rows are shortened further (÷2 above 500 Mbps,
+// ÷8 above 5 Gbps) so the event count stays bounded at small scales.
 func table2Duration(bps float64, scale Scale) sim.Time {
 	base := sim.Time(float64(scale) * 100e9)
 	switch {
+	case scale >= Full:
 	case bps > 5e9:
 		base /= 8
 	case bps > 5e8:

@@ -1,5 +1,7 @@
 package packet
 
+import "sync"
+
 // Pool is a free list of Packet structs owned by one simulation (one
 // engine's goroutine), so it needs no locking — unlike sync.Pool there is
 // no per-P caching or cross-goroutine contention, and recycled packets
@@ -30,9 +32,16 @@ package packet
 // segments and has never copied a pointer. Fresh SACK arrays come from
 // slabs, as packets do.
 //
+// Slabs outlive the run that drew them: a pool takes a new slab from a
+// process-wide sync.Pool of cleared slabs before it allocates one, and
+// Recycle hands every slab the pool drew back there, cleared, once its
+// run is over. Two live runs never share a slab.
+//
 // Building with -tags packetdebug poisons every released packet (see
 // pool_debug.go): a read after release sees sentinel values, a second
 // release panics, and so does a Get of a packet written after release.
+// Recycle poisons every packet of the slabs it hands back, so a read after
+// the run ended sees the sentinels too.
 type Pool struct {
 	free stack[Packet]
 	// sacks is the free list of SACK arrays.
@@ -41,7 +50,10 @@ type Pool struct {
 	// current SACK array slab.
 	slab     []Packet
 	sackSlab [][MaxSack]SackBlock
-	debug    poolDebug
+	// slabs and sackSlabs list every slab the pool drew, for Recycle.
+	slabs     slabList[[slabLen]Packet]
+	sackSlabs slabList[[sackSlabLen][MaxSack]SackBlock]
+	debug     poolDebug
 	// Gets / Reuses count allocations served and how many were recycled
 	// (Gets - Reuses packets were fresh from a slab).
 	Gets   uint64
@@ -72,12 +84,7 @@ func (pl *Pool) Get() *Packet {
 	pl.Gets++
 	p := pl.free.pop()
 	if p == nil {
-		if len(pl.slab) == 0 {
-			pl.slab = make([]Packet, slabLen)
-		}
-		p = &pl.slab[0]
-		pl.slab = pl.slab[1:]
-		return p
+		return pl.fresh()
 	}
 	pl.Reuses++
 	pl.debug.onGet(p)
@@ -109,12 +116,98 @@ func (pl *Pool) GetSack() *[MaxSack]SackBlock {
 		pl.SackReuses++
 		return a
 	}
+	return pl.freshSack()
+}
+
+// slabs and sackSlabs hold the cleared slabs every Pool's Recycle handed
+// back, for any pool of the process to draw. They store pointers to
+// arrays, so a Put allocates nothing.
+var (
+	slabs     sync.Pool // *[slabLen]Packet
+	sackSlabs sync.Pool // *[sackSlabLen][MaxSack]SackBlock
+)
+
+// fresh hands out the next packet of the current slab. When the slab is
+// used up it draws the next one: a recycled slab from the process, or a
+// fresh allocation when the process has none. It is kept out of line, so
+// the process pool costs Get one call and nothing more.
+//
+//go:noinline
+func (pl *Pool) fresh() *Packet {
+	if len(pl.slab) == 0 {
+		s, _ := slabs.Get().(*[slabLen]Packet)
+		if s == nil {
+			s = new([slabLen]Packet)
+		} else {
+			pl.debug.onSlab(s[:])
+		}
+		pl.slabs.add(s)
+		pl.slab = s[:]
+	}
+	p := &pl.slab[0]
+	pl.slab = pl.slab[1:]
+	return p
+}
+
+// freshSack is fresh for SACK arrays.
+//
+//go:noinline
+func (pl *Pool) freshSack() *[MaxSack]SackBlock {
 	if len(pl.sackSlab) == 0 {
-		pl.sackSlab = make([][MaxSack]SackBlock, sackSlabLen)
+		s, _ := sackSlabs.Get().(*[sackSlabLen][MaxSack]SackBlock)
+		if s == nil {
+			s = new([sackSlabLen][MaxSack]SackBlock)
+		}
+		pl.sackSlabs.add(s)
+		pl.sackSlab = s[:]
 	}
 	a := &pl.sackSlab[0]
 	pl.sackSlab = pl.sackSlab[1:]
 	return a
+}
+
+// Recycle ends the pool's run: it hands every packet and SACK slab the
+// pool drew back to the process, cleared, and leaves the pool empty. No
+// packet of the run may be touched afterwards — under -tags packetdebug
+// every one of them reads as poisoned — and a later Get draws a new slab.
+func (pl *Pool) Recycle() {
+	pl.slabs.drain(func(s *[slabLen]Packet) {
+		*s = [slabLen]Packet{}
+		pl.debug.onRecycle(s[:])
+		slabs.Put(s)
+	})
+	pl.sackSlabs.drain(func(s *[sackSlabLen][MaxSack]SackBlock) {
+		*s = [sackSlabLen][MaxSack]SackBlock{}
+		sackSlabs.Put(s)
+	})
+	pl.free, pl.sacks = stack[Packet]{}, stack[[MaxSack]SackBlock]{}
+	pl.slab, pl.sackSlab = nil, nil
+}
+
+// slabList lists the slabs of one kind a pool drew. The first is kept
+// inline, so a pool that draws one slab allocates nothing beside it.
+type slabList[T any] struct {
+	first *T
+	rest  []*T
+}
+
+func (l *slabList[T]) add(s *T) {
+	if l.first == nil {
+		l.first = s
+	} else {
+		l.rest = append(l.rest, s)
+	}
+}
+
+// drain calls f on every listed slab and empties the list.
+func (l *slabList[T]) drain(f func(*T)) {
+	if l.first != nil {
+		f(l.first)
+	}
+	for _, s := range l.rest {
+		f(s)
+	}
+	*l = slabList[T]{}
 }
 
 // FreeLen returns the number of packets currently on the free list.

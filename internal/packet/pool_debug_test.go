@@ -5,6 +5,9 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
+
+	"cebinae/internal/pooltest"
 )
 
 // mustPanic runs f and fails t unless it panics with a message containing
@@ -59,4 +62,38 @@ func TestPoolWriteAfterFreePanics(t *testing.T) {
 	pool.Put(p)
 	p.Size = 1500
 	mustPanic(t, "written after its release", func() { pool.Get() })
+}
+
+// TestPoolRecyclePoisonsSlabs: Recycle poisons every packet of the slabs it
+// hands back — handed out or not, released or not — so a read of a packet
+// after its run recycled sees the sentinels. The next pool to draw the
+// slab hands its packets out zeroed, and a packet written after the
+// recycle panics that pool's draw.
+func TestPoolRecyclePoisonsSlabs(t *testing.T) {
+	pooltest.Hold(t)
+	pooltest.SkipIfPutsDrop(t)
+	var a Pool
+	live := a.Get()
+	live.Flow = FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}
+	live.Seq, live.PayloadSize, live.Size = 1448, MSS, MSS+HeaderBytes
+	a.Put(a.Get())
+	a.Recycle()
+	slab := unsafe.Slice(live, slabLen) // the first Get of a fresh slab is its first packet
+	for i := range slab {
+		if !poisoned(&slab[i]) {
+			t.Fatalf("packet %d of a recycled slab not poisoned: %+v", i, slab[i])
+		}
+	}
+	if live.Size >= 0 || live.PayloadSize >= 0 || live.Seq >= 0 || live.Flow.Dst >= 0 {
+		t.Fatalf("a read after the run recycled sees %+v, want the sentinels", *live)
+	}
+
+	var b Pool
+	if p := b.Get(); p != live || *p != (Packet{}) {
+		t.Fatalf("the next run's first packet: recycled=%v, %+v; want the recycled slab's first packet, zeroed", p == live, *p)
+	}
+	b.Recycle()
+	live.Size = 1500
+	var c Pool
+	mustPanic(t, "written after its run was recycled", func() { c.Get() })
 }

@@ -8,3 +8,6 @@ type poolDebug struct{}
 
 func (poolDebug) onGet(*Packet) {}
 func (poolDebug) onPut(*Packet) {}
+
+func (poolDebug) onRecycle([]Packet) {}
+func (poolDebug) onSlab([]Packet)    {}

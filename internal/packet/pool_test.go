@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"cebinae/internal/pooltest"
 )
 
 func TestPoolReuse(t *testing.T) {
@@ -235,5 +237,73 @@ func TestPoolSackSlab(t *testing.T) {
 	}
 	if pool.SackGets != 2*sackSlabLen+1 || pool.SackReuses != 0 {
 		t.Fatalf("counters: gets=%d reuses=%d, want %d fresh", pool.SackGets, pool.SackReuses, 2*sackSlabLen+1)
+	}
+}
+
+// TestPoolRecycle: Recycle hands every packet and SACK slab a pool drew
+// back to the process, cleared, and leaves the pool empty; the next pool
+// draws those slabs instead of allocating, and every packet and array it
+// hands out is zeroed although the run before it wrote them all.
+func TestPoolRecycle(t *testing.T) {
+	pooltest.Hold(t)
+	pooltest.SkipIfPutsDrop(t)
+	var a Pool
+	var dirty []*Packet
+	for i := 0; i < slabLen+1; i++ {
+		p := a.Get()
+		p.Seq, p.Size, p.ECN, p.NSack = int64(i), 1500, ECNCE, 1
+		dirty = append(dirty, p)
+	}
+	for i := 0; i < sackSlabLen+1; i++ {
+		a.GetSack()[0] = SackBlock{Start: 1, End: 2}
+	}
+	a.Put(dirty[0])
+	seen := make(map[*Packet]bool, 2*slabLen)
+	for _, s := range append(a.slabs.rest, a.slabs.first) {
+		for i := range s {
+			seen[&s[i]] = true
+		}
+	}
+	a.Recycle()
+	if a.slab != nil || a.slabs.first != nil || a.sackSlabs.first != nil || a.FreeLen() != 0 || a.SackFreeLen() != 0 {
+		t.Fatalf("a recycled pool still holds slabs or free lists: %+v", a)
+	}
+	// Cleared, and under -tags packetdebug poisoned.
+	recycled := make([]Packet, 1)
+	a.debug.onRecycle(recycled)
+	for i, p := range dirty {
+		if *p != recycled[0] {
+			t.Fatalf("packet %d of a recycled slab not cleared: %+v", i, *p)
+		}
+	}
+
+	var b Pool
+	handed := make(map[*Packet]bool, 2*slabLen)
+	for i := 0; i < 2*slabLen; i++ {
+		p := b.Get()
+		if *p != (Packet{}) || !seen[p] || handed[p] {
+			t.Fatalf("Get %d of the next run: recycled=%v, again=%v, %+v; want a zeroed packet of a recycled slab, once", i, seen[p], handed[p], *p)
+		}
+		handed[p] = true
+	}
+	for i := 0; i < 2*sackSlabLen; i++ {
+		if s := b.GetSack(); *s != ([MaxSack]SackBlock{}) {
+			t.Fatalf("GetSack %d of the next run: %v, want a cleared array", i, *s)
+		}
+	}
+	b.Recycle()
+	allocs := testing.AllocsPerRun(1, func() {
+		b = Pool{}
+		for i := 0; i < 2*slabLen; i++ {
+			b.Get()
+		}
+		for i := 0; i < 2*sackSlabLen; i++ {
+			b.GetSack()
+		}
+		b.Recycle()
+	})
+	// The lists of the second slab of each kind are all that is allocated.
+	if allocs != 2 {
+		t.Errorf("a run drawing two recycled slabs of each kind allocated %v objects, want 2 (its slab lists)", allocs)
 	}
 }

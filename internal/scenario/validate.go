@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cebinae/experiments"
+	"cebinae/internal/packet"
 	"cebinae/internal/tcp"
 )
 
@@ -124,6 +125,33 @@ func checkRTT(path string, rtt Dur) error {
 	return nil
 }
 
+// mtuBytes is one full-sized packet: a TCP segment and its headers.
+const mtuBytes = packet.MSS + packet.HeaderBytes
+
+// checkBuffer refuses a buffer that is not positive or is below one MTU:
+// no full-sized segment would fit in it, so the queue would drop every one.
+func checkBuffer(path string, b int) error {
+	if b <= 0 {
+		return vErr(path, "must be positive, got %d", b)
+	}
+	if b < mtuBytes {
+		return vErr(path, "below one %d B MTU, so no full-sized segment fits, got %d", mtuBytes, b)
+	}
+	return nil
+}
+
+// checkMinRTO refuses a negative minimum RTO or one longer than the run:
+// no retransmission timeout could fire inside the horizon.
+func checkMinRTO(path string, rto, duration Dur) error {
+	if err := checkNonNegativeDur(path, rto); err != nil {
+		return err
+	}
+	if rto > duration {
+		return vErr(path, "longer than the run's %v duration, got %v", time.Duration(duration), time.Duration(rto))
+	}
+	return nil
+}
+
 func checkGroups(path string, groups []GroupSpec) error {
 	if len(groups) == 0 {
 		return vErr(path, "at least one flow group required")
@@ -181,6 +209,11 @@ func checkPortQdisc(path, kind string, q *PortQdiscSpec) error {
 	if q.BufferBytes < 0 {
 		return vErr(path+".buffer_bytes", "must not be negative, got %d", q.BufferBytes)
 	}
+	if q.BufferBytes > 0 { // 0 selects the port's default depth
+		if err := checkBuffer(path+".buffer_bytes", q.BufferBytes); err != nil {
+			return err
+		}
+	}
 	return checkNonNegativeDur(path+".cebinae_rtt", q.CebinaeRTT)
 }
 
@@ -236,8 +269,8 @@ func validateDumbbell(d *DumbbellSpec) error {
 	if err := checkPositiveRate("dumbbell.rate", d.Rate); err != nil {
 		return err
 	}
-	if d.BufferBytes <= 0 {
-		return vErr("dumbbell.buffer_bytes", "must be positive, got %d", d.BufferBytes)
+	if err := checkBuffer("dumbbell.buffer_bytes", d.BufferBytes); err != nil {
+		return err
 	}
 	if err := checkGroups("dumbbell.groups", d.Groups); err != nil {
 		return err
@@ -260,7 +293,7 @@ func validateDumbbell(d *DumbbellSpec) error {
 	if d.WarmupFraction < 0 || d.WarmupFraction >= 1 {
 		return vErr("dumbbell.warmup_fraction", "must be in [0, 1), got %v", d.WarmupFraction)
 	}
-	if err := checkNonNegativeDur("dumbbell.min_rto", d.MinRTO); err != nil {
+	if err := checkMinRTO("dumbbell.min_rto", d.MinRTO, d.Duration); err != nil {
 		return err
 	}
 	return checkNonNegativeDur("dumbbell.sample_interval", d.SampleInterval)
@@ -297,8 +330,8 @@ func validateChain(c *ChainSpec) error {
 	if err := checkPositiveRate("chain.rate", c.Rate); err != nil {
 		return err
 	}
-	if c.BufferBytes <= 0 {
-		return vErr("chain.buffer_bytes", "must be positive, got %d", c.BufferBytes)
+	if err := checkBuffer("chain.buffer_bytes", c.BufferBytes); err != nil {
+		return err
 	}
 	if err := checkDuration("chain.duration", c.Duration); err != nil {
 		return err
@@ -435,7 +468,7 @@ func validateGraph(g *GraphSpec) error {
 	if g.WarmupFraction < 0 || g.WarmupFraction >= 1 {
 		return vErr("graph.warmup_fraction", "must be in [0, 1), got %v", g.WarmupFraction)
 	}
-	if err := checkNonNegativeDur("graph.min_rto", g.MinRTO); err != nil {
+	if err := checkMinRTO("graph.min_rto", g.MinRTO, g.Duration); err != nil {
 		return err
 	}
 	for i, f := range g.Flows {
@@ -494,7 +527,7 @@ func validateTournament(t *TournamentSpec) error {
 			return vErr(fmt.Sprintf("tournament.rtt_ratios[%d]", i), "base_rtt %v × %v is longer than the run's %v duration", time.Duration(t.BaseRTT), r, time.Duration(t.Duration))
 		}
 	}
-	return nil
+	return checkMinRTO("tournament.min_rto", t.MinRTO, t.Duration)
 }
 
 func validateBufferSweep(b *BufferSweepSpec) error {
@@ -516,6 +549,9 @@ func validateBufferSweep(b *BufferSweepSpec) error {
 	if err := checkDuration("buffer_sweep.duration", b.Duration); err != nil {
 		return err
 	}
+	if err := checkMinRTO("buffer_sweep.min_rto", b.MinRTO, b.Duration); err != nil {
+		return err
+	}
 	return checkHorizon("buffer_sweep.groups", b.Groups, b.Duration)
 }
 
@@ -524,8 +560,8 @@ func checkBufList(path string, bufs []int) error {
 		return vErr(path, "at least one buffer depth required")
 	}
 	for i, b := range bufs {
-		if b <= 0 {
-			return vErr(fmt.Sprintf("%s[%d]", path, i), "must be positive, got %d", b)
+		if err := checkBuffer(fmt.Sprintf("%s[%d]", path, i), b); err != nil {
+			return err
 		}
 	}
 	return nil

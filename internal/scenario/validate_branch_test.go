@@ -52,6 +52,8 @@ func TestValidateBranches(t *testing.T) {
 		{"dumbbell tau", "dumbbell.json", func(s *Spec) { s.Dumbbell.Tau = fptr(1.5) }, "dumbbell.tau"},
 		{"dumbbell warmup", "dumbbell.json", func(s *Spec) { s.Dumbbell.WarmupFraction = 1 }, "dumbbell.warmup_fraction"},
 		{"dumbbell min_rto", "dumbbell.json", func(s *Spec) { s.Dumbbell.MinRTO = -1 }, "dumbbell.min_rto"},
+		{"dumbbell min_rto beyond horizon", "dumbbell.json", func(s *Spec) { s.Dumbbell.MinRTO = s.Dumbbell.Duration + 1 }, "dumbbell.min_rto: longer than the run's"},
+		{"dumbbell buffer below MTU", "dumbbell.json", func(s *Spec) { s.Dumbbell.BufferBytes = 1499 }, "dumbbell.buffer_bytes: below one 1500 B MTU"},
 		{"dumbbell sample", "dumbbell.json", func(s *Spec) { s.Dumbbell.SampleInterval = -1 }, "dumbbell.sample_interval"},
 
 		{"chain hops", "chain.json", func(s *Spec) { s.Chain.Hops = 0 }, "chain.hops"},
@@ -63,6 +65,7 @@ func TestValidateBranches(t *testing.T) {
 		{"chain cross cc", "chain.json", func(s *Spec) { s.Chain.CrossCCs[2] = "reno" }, "chain.cross_ccs[2]"},
 		{"chain rate", "chain.json", func(s *Spec) { s.Chain.Rate = 0 }, "chain.rate"},
 		{"chain buffer", "chain.json", func(s *Spec) { s.Chain.BufferBytes = 0 }, "chain.buffer_bytes"},
+		{"chain buffer below MTU", "chain.json", func(s *Spec) { s.Chain.BufferBytes = 1000 }, "chain.buffer_bytes: below one 1500 B MTU"},
 		{"chain link delay", "chain.json", func(s *Spec) { s.Chain.LinkDelay = 0 }, "chain.link_delay"},
 		{"chain access delay", "chain.json", func(s *Spec) { s.Chain.AccessDelay = 0 }, "chain.access_delay"},
 		{"chain link delay beyond horizon", "chain.json", func(s *Spec) { s.Chain.LinkDelay = s.Chain.Duration + 1 }, "chain.link_delay: longer than the run's"},
@@ -85,6 +88,7 @@ func TestValidateBranches(t *testing.T) {
 		{"graph link delay beyond horizon", "multihop.json", func(s *Spec) { s.Graph.Links[0].Delay = s.Graph.Duration + 1 }, "graph.links[0].delay: longer than the run's"},
 		{"graph port qdisc", "multihop.json", func(s *Spec) { s.Graph.Links[0].QdiscAB.Kind = "pcq" }, "graph.links[0].qdisc_ab.kind"},
 		{"graph port buffer", "multihop.json", func(s *Spec) { s.Graph.Links[0].QdiscAB.BufferBytes = -1 }, "graph.links[0].qdisc_ab.buffer_bytes"},
+		{"graph port buffer below MTU", "multihop.json", func(s *Spec) { s.Graph.Links[0].QdiscAB.BufferBytes = 1 }, "graph.links[0].qdisc_ab.buffer_bytes: below one 1500 B MTU"},
 		{"graph port rtt", "multihop.json", func(s *Spec) { s.Graph.Links[0].QdiscAB.CebinaeRTT = -1 }, "graph.links[0].qdisc_ab.cebinae_rtt"},
 		{"graph no hosts", "multihop.json", func(s *Spec) { s.Graph.Hosts = nil }, "graph.hosts: at least one"},
 		{"graph host name", "multihop.json", func(s *Spec) { s.Graph.Hosts[0].Name = "" }, "graph.hosts[0].name"},
@@ -102,6 +106,7 @@ func TestValidateBranches(t *testing.T) {
 		{"graph flow start", "multihop.json", func(s *Spec) { s.Graph.Flows[0].StartAt = -1 }, "graph.flows[0].start_at"},
 		{"graph warmup", "multihop.json", func(s *Spec) { s.Graph.WarmupFraction = -0.1 }, "graph.warmup_fraction"},
 		{"graph min_rto", "multihop.json", func(s *Spec) { s.Graph.MinRTO = -1 }, "graph.min_rto"},
+		{"graph min_rto beyond horizon", "multihop.json", func(s *Spec) { s.Graph.MinRTO = s.Graph.Duration + 1 }, "graph.min_rto: longer than the run's"},
 		{"graph duration", "multihop.json", func(s *Spec) { s.Graph.Duration = 0 }, "graph.duration"},
 		{"graph duration overflow", "multihop.json", func(s *Spec) { s.Graph.Duration = maxDuration + 1 }, "graph.duration: must be at most"},
 		{"graph flow after horizon", "multihop.json", func(s *Spec) { s.Graph.Flows[1].StartAt = s.Graph.Duration }, "graph.flows[1].start_at: must be before the run's"},
@@ -115,9 +120,11 @@ func TestValidateBranches(t *testing.T) {
 		{"tournament ratio", "tournament.json", func(s *Spec) { s.Tournament.RTTRatios[0] = 0 }, "tournament.rtt_ratios[0]"},
 		{"tournament no buffers", "tournament.json", func(s *Spec) { s.Tournament.BufferBytes = nil }, "tournament.buffer_bytes: at least one"},
 		{"tournament buffer", "tournament.json", func(s *Spec) { s.Tournament.BufferBytes[1] = -4 }, "tournament.buffer_bytes[1]"},
+		{"tournament buffer below MTU", "tournament.json", func(s *Spec) { s.Tournament.BufferBytes[0] = 1000 }, "tournament.buffer_bytes[0]: below one 1500 B MTU"},
 		{"tournament no qdiscs", "tournament.json", func(s *Spec) { s.Tournament.Qdiscs = nil }, "tournament.qdiscs: at least one"},
 		{"tournament qdisc", "tournament.json", func(s *Spec) { s.Tournament.Qdiscs[0] = "red" }, "tournament.qdiscs[0]"},
 		{"tournament min_rto", "tournament.json", func(s *Spec) { s.Tournament.MinRTO = -1 }, "tournament.min_rto"},
+		{"tournament min_rto beyond horizon", "tournament.json", func(s *Spec) { s.Tournament.MinRTO = s.Tournament.Duration + 1 }, "tournament.min_rto: longer than the run's"},
 		{"tournament duration", "tournament.json", func(s *Spec) { s.Tournament.Duration = 0 }, "tournament.duration"},
 		{"tournament duration overflow", "tournament.json", func(s *Spec) { s.Tournament.Duration = maxDuration + 1 }, "tournament.duration: must be at most"},
 		{"tournament rtt beyond horizon", "tournament.json", func(s *Spec) { s.Tournament.Duration = s.Tournament.BaseRTT }, "is longer than the run's"},
@@ -126,8 +133,10 @@ func TestValidateBranches(t *testing.T) {
 		{"sweep group rtt", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups[0].RTT = 0 }, "buffer_sweep.groups[0].rtt"},
 		{"sweep rate", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Rate = 0 }, "buffer_sweep.rate"},
 		{"sweep buffers", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.BufferBytes = nil }, "buffer_sweep.buffer_bytes: at least one"},
+		{"sweep buffer below MTU", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.BufferBytes[2] = 1000 }, "buffer_sweep.buffer_bytes[2]: below one 1500 B MTU"},
 		{"sweep qdisc", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Qdiscs[1] = "red" }, "buffer_sweep.qdiscs[1]"},
 		{"sweep min_rto", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.MinRTO = -1 }, "buffer_sweep.min_rto"},
+		{"sweep min_rto beyond horizon", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.MinRTO = s.BufferSweep.Duration + 1 }, "buffer_sweep.min_rto: longer than the run's"},
 		{"sweep duration", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Duration = 0 }, "buffer_sweep.duration"},
 		{"sweep duration overflow", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Duration = maxDuration + 1 }, "buffer_sweep.duration: must be at most"},
 		{"sweep start after horizon", "bbr-buffer-sweep.json", func(s *Spec) { s.BufferSweep.Groups[0].StartAt = s.BufferSweep.Duration }, "buffer_sweep.groups[0].start_at: must be before the run's"},
@@ -153,7 +162,9 @@ func TestValidateBranches(t *testing.T) {
 
 // TestValidateAcceptsEdgeValues pins a few boundary values the error rows
 // sit next to: zero start times, a 200 ms MinRTO, a warmup of 0, an RTT as
-// long as the run, and link and host delays as long as the run.
+// long as the run, link and host delays as long as the run, a buffer of
+// exactly one 1500 B MTU, a graph port's 0 (its default depth), and a
+// MinRTO as long as the run.
 func TestValidateAcceptsEdgeValues(t *testing.T) {
 	s := mutate(t, "dumbbell.json", func(s *Spec) {
 		s.Dumbbell.Groups[0].StartAt = 0
@@ -171,5 +182,19 @@ func TestValidateAcceptsEdgeValues(t *testing.T) {
 	})
 	if err := Validate(g); err != nil {
 		t.Errorf("delays as long as the run rejected: %v", err)
+	}
+	m := mutate(t, "dumbbell.json", func(s *Spec) {
+		s.Dumbbell.BufferBytes = 1500
+		s.Dumbbell.MinRTO = s.Dumbbell.Duration
+	})
+	if err := Validate(m); err != nil {
+		t.Errorf("a one-MTU buffer and a MinRTO as long as the run rejected: %v", err)
+	}
+	p := mutate(t, "multihop.json", func(s *Spec) {
+		s.Graph.Links[0].QdiscAB.BufferBytes = 0
+		s.Graph.MinRTO = s.Graph.Duration
+	})
+	if err := Validate(p); err != nil {
+		t.Errorf("a default-depth port and a MinRTO as long as the run rejected: %v", err)
 	}
 }

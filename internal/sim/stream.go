@@ -1,5 +1,7 @@
 package sim
 
+import "sync"
+
 // Stream is a caller-owned FIFO of pending events, each with its own handler
 // and payload: the surface for sequences whose keys are sorted by
 // construction — packets in propagation on every link of one delay and
@@ -24,7 +26,9 @@ package sim
 // in fixed-size blocks drawn from an engine-wide free list and returned as
 // they drain. A stream that holds one entry at a time never touches a
 // block, a deep one holds memory only in proportion to what is in flight on
-// it, and growth never copies.
+// it, and growth never copies. An engine whose free list is empty takes a
+// block from a process-wide pool of cleared blocks before it allocates one,
+// and Engine.Recycle hands every block the engine holds back there.
 type Stream struct {
 	// ev is the heap residency while the stream is non-empty, carrying the
 	// head entry's key and handler; ev.arg back-points to the Stream, so the
@@ -101,15 +105,17 @@ func (e *Engine) StreamCall(s *Stream, at, from Time, h Handler, arg any) uint64
 			panic("sim: StreamCall key sorts before the stream's tail")
 		}
 		b := s.tail
-		if b == nil {
-			b = e.getBlock()
-			s.head, s.tail = b, b
-			s.hi, s.ti = 0, 0
-		} else if s.ti == streamBlockLen {
-			b = e.getBlock()
-			s.tail.next = b
-			s.tail = b
-			s.ti = 0
+		if b == nil || s.ti == streamBlockLen {
+			nb := e.getBlock()
+			if nb == nil {
+				nb = newBlock()
+			}
+			if b == nil {
+				s.head, s.hi = nb, 0
+			} else {
+				b.next = nb
+			}
+			b, s.tail, s.ti = nb, nb, 0
 		}
 		b.ent[s.ti] = streamEntry{at: at, schedAt: from, seq: e.seq, h: h, arg: arg}
 		s.ti++
@@ -172,16 +178,65 @@ func (s *Stream) shift(d Time) {
 	s.tailSched += d
 }
 
-// getBlock draws an entry block from the engine-wide free list. Blocks come
-// back with every handler and payload reference already cleared by dispatch.
+// getBlock draws an entry block from the engine-wide free list, or returns
+// nil when it is empty (StreamCall then takes one from newBlock). Blocks
+// come back with every handler and payload reference already cleared by
+// dispatch.
 func (e *Engine) getBlock() *streamBlock {
 	b := e.freeBlocks
 	if b == nil {
-		return &streamBlock{}
+		return nil
 	}
 	e.freeBlocks = b.next
 	b.next = nil
 	return b
+}
+
+// blocks holds the cleared stream blocks every engine's Recycle handed
+// back, for any engine of the process to draw.
+var blocks sync.Pool // *streamBlock
+
+// newBlock draws a block for an engine whose free list is empty: a
+// recycled one, or a fresh allocation when the process has none. It is
+// kept out of line and called from StreamCall, so the process pool adds
+// nothing to getBlock's inline cost.
+//
+//go:noinline
+func newBlock() *streamBlock {
+	if b, _ := blocks.Get().(*streamBlock); b != nil {
+		return b
+	}
+	return &streamBlock{}
+}
+
+// Recycle ends the engine's run: it hands every stream block the engine
+// made back to the process, cleared — those on its free list and those
+// still queued behind a stream's head — and drops them from their streams.
+// The engine and its streams must not run again.
+func (e *Engine) Recycle() {
+	for _, ev := range e.queue {
+		if ev.kind != kindStream {
+			continue
+		}
+		s := ev.arg.(*Stream)
+		for b := s.head; b != nil; {
+			b = recycleBlock(b)
+		}
+		s.head, s.tail, s.hi, s.ti = nil, nil, 0, 0
+	}
+	for b := e.freeBlocks; b != nil; {
+		b = recycleBlock(b)
+	}
+	e.freeBlocks, e.backlog = nil, 0
+}
+
+// recycleBlock clears b, hands it to the process pool and returns the
+// block it linked to.
+func recycleBlock(b *streamBlock) *streamBlock {
+	next := b.next
+	*b = streamBlock{}
+	blocks.Put(b)
+	return next
 }
 
 func (e *Engine) putBlock(b *streamBlock) {

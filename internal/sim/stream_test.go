@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"unsafe"
+
+	"cebinae/internal/pooltest"
 )
 
 // stamped is a stream payload carrying a stamp of the time it was pushed,
@@ -278,5 +280,46 @@ func TestStreamCallOutOfOrderPanics(t *testing.T) {
 	eng.RunAll()
 	if eng.Processed != 4 {
 		t.Fatalf("dispatched %d entries, want 4", eng.Processed)
+	}
+}
+
+// TestEngineRecycle: Recycle hands every stream block the engine made back
+// to the process, cleared — those still queued behind a stream's head and
+// those on the free list — and drops them from their streams. The next
+// engine draws exactly those blocks, each zeroed, before it allocates.
+func TestEngineRecycle(t *testing.T) {
+	pooltest.Hold(t)
+	pooltest.SkipIfPutsDrop(t)
+	nop := handlerFunc(func(any) {})
+	a := NewEngine()
+	var drained, queued Stream
+	const n = 3 * streamBlockLen
+	for i := 0; i < n; i++ {
+		a.StreamCall(&drained, Time(i), 0, nop, &stamped{id: i})
+		a.StreamCall(&queued, Time(1000+i), 0, nop, &stamped{id: i})
+	}
+	a.Run(500)
+	made := map[*streamBlock]bool{}
+	for b := queued.head; b != nil; b = b.next {
+		made[b] = true
+	}
+	for b := a.freeBlocks; b != nil; b = b.next {
+		made[b] = true
+	}
+	if len(made) != 6 {
+		t.Fatalf("%d blocks queued or free, want 6", len(made))
+	}
+	a.Recycle()
+	if queued.head != nil || queued.tail != nil || a.freeBlocks != nil {
+		t.Fatal("a recycled engine still holds stream blocks")
+	}
+	for i := 0; i < len(made); i++ {
+		b := newBlock()
+		if !made[b] || *b != (streamBlock{}) {
+			t.Fatalf("draw %d after the recycle: recycled=%v, cleared=%v; want a cleared block of the recycled engine", i, made[b], *b == streamBlock{})
+		}
+	}
+	if b := newBlock(); made[b] {
+		t.Fatal("the process pool handed out a recycled block twice")
 	}
 }

@@ -192,6 +192,11 @@ func (c *Conn) InFlight() int64 { return c.pipe() }
 // Delivered returns total bytes known delivered (cumACK + SACK).
 func (c *Conn) Delivered() int64 { return c.delivered }
 
+// Recycle ends the connection's run: it hands its scoreboard's blocks back
+// to the process, cleared, for a later run's connections to draw. The
+// connection must not send or take an ACK again.
+func (c *Conn) Recycle() { c.sent.recycle() }
+
 // highSacked returns the highest byte known delivered.
 func (c *Conn) highSacked() int64 {
 	if m := c.sacked.max(); m > c.sndUna {
@@ -585,9 +590,11 @@ func (c *Conn) armRTO() {
 		c.cancelRTO()
 		return
 	}
-	timeout := c.rto << uint(c.backoff)
-	if timeout > sim.Duration(60e9) {
-		timeout = sim.Duration(60e9)
+	// The backoff doubles the RTO up to eight times, capped at 60 s; the
+	// cap is tested before the shift, so no RTO can overflow it.
+	timeout := sim.Duration(60e9)
+	if c.rto <= timeout>>uint(c.backoff) {
+		timeout = c.rto << uint(c.backoff)
 	}
 	c.eng.ArmTimer(&c.rtoTimer, timeout, (*connRTO)(c), nil)
 }

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"sync"
 
 	"cebinae/internal/packet"
 	"cebinae/internal/sim"
@@ -41,7 +42,9 @@ type sentBlock [blockLen]sentRecord
 // clearSent hands the block to the spare list, where open takes its blocks
 // from before it allocates. Once the window has reached its size nothing is
 // allocated, and a connection owns about ⌈peak window / blockLen⌉ + 1
-// blocks, and no record is ever copied.
+// blocks, and no record is ever copied. A scoreboard with no spare takes a
+// block from a process-wide pool of cleared blocks before it allocates
+// one, and recycle hands every block it owns back there.
 type scoreboard struct {
 	ring   []*sentBlock // len is zero or a power of two
 	lo, hi int64        // the block numbers held; none when lo == hi
@@ -112,10 +115,43 @@ func (s *scoreboard) hold(b int64) *sentBlock {
 			s.spare = s.spare[:n-1]
 			**slot = sentBlock{}
 		} else {
-			*slot = new(sentBlock)
+			*slot = newBlock()
 		}
 	}
 	return *slot
+}
+
+// blocks holds the cleared scoreboard blocks every connection's Recycle
+// handed back, for any connection of the process to draw.
+var blocks sync.Pool // *sentBlock
+
+// newBlock draws a block for a scoreboard with no spare: a recycled one,
+// or a fresh allocation when the process has none.
+//
+//go:noinline
+func newBlock() *sentBlock {
+	if b, _ := blocks.Get().(*sentBlock); b != nil {
+		return b
+	}
+	return new(sentBlock)
+}
+
+// recycle hands every block the scoreboard owns, held or spare, back to
+// the process, cleared, and leaves it holding none.
+func (s *scoreboard) recycle() {
+	for i, b := range s.ring {
+		if b != nil {
+			*b = sentBlock{}
+			blocks.Put(b)
+			s.ring[i] = nil
+		}
+	}
+	for i, b := range s.spare {
+		*b = sentBlock{}
+		blocks.Put(b)
+		s.spare[i] = nil
+	}
+	s.spare, s.lo, s.hi = s.spare[:0], 0, 0
 }
 
 // grow doubles the ring until it spans span blocks, moving the held block

@@ -8,6 +8,7 @@ import (
 
 	"cebinae/internal/netem"
 	"cebinae/internal/packet"
+	"cebinae/internal/pooltest"
 	"cebinae/internal/sim"
 )
 
@@ -505,5 +506,53 @@ func TestScoreboardSpareFitsRing(t *testing.T) {
 	}
 	if len(s.ring) < 128 {
 		t.Fatalf("the windows grew the ring to only %d slots", len(s.ring))
+	}
+}
+
+// TestConnRecycle: a connection's Recycle hands every block its
+// scoreboard owns — held in the ring and spare — back to the process,
+// cleared, and leaves the scoreboard holding none. The next scoreboard
+// draws exactly those blocks, each zeroed, before it allocates.
+func TestConnRecycle(t *testing.T) {
+	pooltest.Hold(t)
+	pooltest.SkipIfPutsDrop(t)
+	const mss = int64(packet.MSS)
+	_, c := loneSender(Config{})
+	s := &c.sent
+	for seq := c.sndNxt; seq < 200*mss; seq += mss {
+		s.open(seq).size = int32(mss)
+	}
+	s.clearSent(0, 100*mss)
+	made := map[*sentBlock]bool{}
+	for _, b := range s.ring {
+		if b != nil {
+			made[b] = true
+		}
+	}
+	for _, b := range s.spare {
+		made[b] = true
+	}
+	if len(s.spare) == 0 || len(made) != 7 {
+		t.Fatalf("%d blocks owned, %d of them spare; want 7, some spare", len(made), len(s.spare))
+	}
+	c.Recycle()
+	for _, b := range s.ring {
+		if b != nil {
+			t.Fatal("a recycled scoreboard still holds a block")
+		}
+	}
+	if len(s.spare) != 0 || s.lo != s.hi {
+		t.Fatalf("a recycled scoreboard keeps %d spare blocks and the span [%d, %d)", len(s.spare), s.lo, s.hi)
+	}
+	var next scoreboard
+	for i := range len(made) {
+		seq := int64(i) * blockLen * mss
+		b := next.hold(seq / mss / blockLen)
+		if !made[b] || *b != (sentBlock{}) {
+			t.Fatalf("block %d of the next scoreboard: recycled=%v, cleared=%v; want a cleared block of the recycled one", i, made[b], *b == sentBlock{})
+		}
+	}
+	if b := newBlock(); made[b] {
+		t.Fatal("the process pool handed out a recycled block twice")
 	}
 }
